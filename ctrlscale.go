@@ -7,7 +7,6 @@ import (
 
 	"meshlayer/internal/chaos"
 	"meshlayer/internal/cluster"
-	"meshlayer/internal/ctrlplane"
 	"meshlayer/internal/httpsim"
 	"meshlayer/internal/mesh"
 	"meshlayer/internal/simnet"
@@ -102,26 +101,17 @@ type ctrlScaleDefense struct {
 // RunCtrlScale measures the defense ladder at the given fleet size.
 // subs <= 0 selects the full 10k; warmup/measure <= 0 select 2s/30s.
 func RunCtrlScale(seed int64, subs int, warmup, measure time.Duration) []CtrlScaleRow {
-	if subs <= 0 {
-		subs = CtrlScaleSubs
-	}
-	if warmup <= 0 {
-		warmup = 2 * time.Second
-	}
-	if measure <= 0 {
-		measure = 30 * time.Second
-	}
+	subs = orDefault(subs, CtrlScaleSubs)
+	warmup, measure = orDefault(warmup, 2*time.Second), orDefault(measure, 30*time.Second)
 	defenses := []ctrlScaleDefense{
 		{name: "L0: none (fixed resync, unlimited fan-out)"},
 		{name: "L1: +backoff+jitter", backoff: true},
 		{name: "L2: +push backpressure (256 in flight)", backoff: true, inflight: 256},
 		{name: "L3: +resync admission (64 slots)", backoff: true, inflight: 256, resyncs: 64},
 	}
-	out := make([]CtrlScaleRow, len(defenses))
-	runIndexed(len(defenses), func(i int) {
-		out[i] = runCtrlScaleOnce(defenses[i], subs, seed, warmup, measure)
+	return sweepRows(len(defenses), func(i int) CtrlScaleRow {
+		return runCtrlScaleOnce(defenses[i], subs, seed, warmup, measure)
 	})
-	return out
 }
 
 func runCtrlScaleOnce(def ctrlScaleDefense, subs int, seed int64, warmup, measure time.Duration) CtrlScaleRow {
@@ -285,13 +275,7 @@ func runCtrlScaleOnce(def ctrlScaleDefense, subs int, seed int64, warmup, measur
 	})
 	sched.RunFor(warmup + measure + 3*time.Second)
 
-	avail := func(from, to time.Duration) float64 {
-		ok, fail := rec.Counts(from, to)
-		if ok+fail == 0 {
-			return 1
-		}
-		return float64(ok) / float64(ok+fail)
-	}
+	avail := func(from, to time.Duration) float64 { return availability(from, to, rec) }
 	st := srv.Stats()
 	row := CtrlScaleRow{
 		Config:       def.name,
@@ -311,8 +295,7 @@ func runCtrlScaleOnce(def ctrlScaleDefense, subs int, seed int64, warmup, measur
 		PeakInflight: st.PeakInflight,
 		PeakResyncs:  st.PeakResyncs,
 		Crashes:      st.Crashes,
-		StaleP99: m.Metrics().
-			Histogram(ctrlplane.MetricStalenessSeconds, nil).QuantileDuration(0.99),
+		StaleP99:     staleP99(m.Metrics()),
 	}
 	if row.Recovered {
 		row.RecoveredIn = recoveredAt - recoverAt

@@ -52,10 +52,10 @@ func TestDegradedFallbackPropagation(t *testing.T) {
 	if got := gotResp.Headers.Get(mesh.HeaderDegraded); got != "ratings" {
 		t.Fatalf("%s = %q, want %q", mesh.HeaderDegraded, got, "ratings")
 	}
-	if n := e.Mesh.Metrics().CounterTotal("mesh_fallback_served_total"); n == 0 {
+	if n := e.Mesh.Metrics().CounterTotal(mesh.MetricFallbackServedTotal); n == 0 {
 		t.Fatal("no fallback recorded")
 	}
-	if n := e.Mesh.Metrics().CounterTotal("gateway_degraded_total"); n != 1 {
+	if n := e.Mesh.Metrics().CounterTotal(mesh.MetricGatewayDegradedTotal); n != 1 {
 		t.Fatalf("gateway_degraded_total = %d, want 1", n)
 	}
 }
@@ -84,7 +84,7 @@ func TestDegradedHeaderAbsentOnSuccess(t *testing.T) {
 	if got := gotResp.Headers.Get(mesh.HeaderDegraded); got != "" {
 		t.Fatalf("unexpected degraded stamp %q", got)
 	}
-	if n := e.Mesh.Metrics().CounterTotal("gateway_degraded_total"); n != 0 {
+	if n := e.Mesh.Metrics().CounterTotal(mesh.MetricGatewayDegradedTotal); n != 0 {
 		t.Fatalf("gateway_degraded_total = %d, want 0", n)
 	}
 }

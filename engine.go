@@ -52,12 +52,8 @@ func measured(fn func()) (time.Duration, uint64) {
 // to 2M and 500k; the sweep windows are fixed so the sequential and
 // parallel runs do identical simulation work.
 func RunEngineBench(events, packets int) EngineBench {
-	if events <= 0 {
-		events = 2_000_000
-	}
-	if packets <= 0 {
-		packets = 500_000
-	}
+	events = orDefault(events, 2_000_000)
+	packets = orDefault(packets, 500_000)
 	var out EngineBench
 	out.SchedEvents, out.PktPackets = events, packets
 	out.Parallelism = MaxParallel

@@ -45,41 +45,33 @@ type SweepConfig struct {
 	Workers int
 }
 
-// DefaultSweepConfig mirrors Fig. 4: RPS 10..50, the paper's
-// prototype optimizations (routing + TC).
-func DefaultSweepConfig() SweepConfig {
-	return SweepConfig{
-		RPSLevels: []float64{10, 20, 30, 40, 50},
-		Opt:       PaperOptimizations(),
-	}
-}
-
 // RunSweep reproduces the Fig. 4 experiment: for each RPS level, one
 // baseline run and one optimized run of the mixed workload.
 func RunSweep(cfg SweepConfig) []SweepPoint {
 	if len(cfg.RPSLevels) == 0 {
-		cfg.RPSLevels = DefaultSweepConfig().RPSLevels
+		cfg.RPSLevels = DefaultParams().Levels
 	}
 	if !cfg.Opt.Any() {
 		cfg.Opt = PaperOptimizations()
 	}
-	// Each (level, arm) pair is an independent simulation; flatten them
-	// so base and opt arms of every level run concurrently. Shared row
-	// fields are filled in before the parallel section; each worker then
-	// writes only its own arm's result slot.
-	out := make([]SweepPoint, len(cfg.RPSLevels))
-	for i, rps := range cfg.RPSLevels {
-		out[i].RPS = rps
-	}
-	runIndexedWorkers(2*len(out), cfg.Workers, func(k int) {
-		i := k / 2
-		mixed := MixedConfig{RPS: out[i].RPS, Seed: cfg.Seed, Warmup: cfg.Warmup, Measure: cfg.Measure, Cooldown: cfg.Cooldown}
-		if k%2 == 0 {
-			out[i].Base = RunMixedOnce(None(), mixed)
-		} else {
-			out[i].Opt = RunMixedOnce(cfg.Opt, mixed)
-		}
+	pairs := armPairs(len(cfg.RPSLevels), cfg.Workers, cfg.Opt, func(i int, opt Optimization) MixedResult {
+		return RunMixedOnce(opt, MixedConfig{RPS: cfg.RPSLevels[i], Seed: cfg.Seed, Warmup: cfg.Warmup, Measure: cfg.Measure, Cooldown: cfg.Cooldown})
 	})
+	out := make([]SweepPoint, len(pairs))
+	for i, p := range pairs {
+		out[i] = SweepPoint{RPS: cfg.RPSLevels[i], Base: p[0], Opt: p[1]}
+	}
+	return out
+}
+
+// armPairs runs the baseline arm and the opt arm of each of n rows and
+// returns them by row as {base, opt}. Every (row, arm) pair is an
+// independent simulation, so all 2n share the pool at once; workers
+// bounds it as in runIndexedWorkers.
+func armPairs(n, workers int, opt Optimization, arm func(i int, opt Optimization) MixedResult) [][2]MixedResult {
+	out := make([][2]MixedResult, n)
+	arms := [2]Optimization{None(), opt}
+	runIndexedWorkers(2*n, workers, func(k int) { out[k/2][k%2] = arm(k/2, arms[k%2]) })
 	return out
 }
 
@@ -174,39 +166,19 @@ type OverheadRow struct {
 // on an unloaded single service call (§3.6: ~3 ms p99 for Istio's two
 // proxies). n is the number of sampled requests.
 func RunSidecarOverhead(n int, seed int64) []OverheadRow {
-	if n <= 0 {
-		n = 2000
-	}
-	measure := func(delay time.Duration) *hdr.Histogram {
-		c := app.BuildChain(app.ChainConfig{
-			Depth:       1,
-			ServiceTime: 100 * time.Microsecond,
-			Mesh:        mesh.Config{SidecarDelayMean: delay, Seed: seed},
-		})
-		h := hdr.New()
-		var next func(i int)
-		next = func(i int) {
-			if i >= n {
-				return
-			}
-			start := c.Sched.Now()
-			c.Gateway.Serve(app.NewChainRequest(), func(*httpsim.Response, error) {
-				h.RecordDuration(c.Sched.Now() - start)
-				c.Sched.After(time.Millisecond, func() { next(i + 1) })
-			})
-		}
-		next(0)
-		c.Sched.Run()
-		return h
-	}
-
+	n = orDefault(n, 2000)
 	delays := []time.Duration{
 		-1, // proxy processing disabled
 		mesh.DefaultSidecarDelay,
 		4 * mesh.DefaultSidecarDelay,
 	}
-	hists := make([]*hdr.Histogram, len(delays))
-	runIndexed(len(delays), func(i int) { hists[i] = measure(delays[i]) })
+	hists := sweepRows(len(delays), func(i int) *hdr.Histogram {
+		return chainLatencies(app.BuildChain(app.ChainConfig{
+			Depth:       1,
+			ServiceTime: 100 * time.Microsecond,
+			Mesh:        mesh.Config{SidecarDelayMean: delays[i], Seed: seed},
+		}), n)
+	})
 	base, withProxies, heavy := hists[0], hists[1], hists[2]
 
 	mk := func(name string, proxies int, h *hdr.Histogram) OverheadRow {
@@ -225,6 +197,27 @@ func RunSidecarOverhead(n int, seed int64) []OverheadRow {
 		mk("2 sidecars (default cost)", 2, withProxies),
 		mk("2 sidecars (4x cost)", 2, heavy),
 	}
+}
+
+// chainLatencies drives n requests through the chain one at a time,
+// 1 ms apart (closed loop, so nothing queues), and returns their
+// end-to-end latencies.
+func chainLatencies(c *app.Chain, n int) *hdr.Histogram {
+	h := hdr.New()
+	var next func(i int)
+	next = func(i int) {
+		if i >= n {
+			return
+		}
+		start := c.Sched.Now()
+		c.Gateway.Serve(app.NewChainRequest(), func(*httpsim.Response, error) {
+			h.RecordDuration(c.Sched.Now() - start)
+			c.Sched.After(time.Millisecond, func() { next(i + 1) })
+		})
+	}
+	next(0)
+	c.Sched.Run()
+	return h
 }
 
 // FormatOverhead renders the E4 table.
@@ -261,18 +254,16 @@ func RunAblation(rps float64, seed int64, mixed MixedConfig) []AblationRow {
 		{"routing+tc+scavenger", Optimization{Routing: true, TC: true, Scavenger: true}},
 		{"all (+sdn)", AllOptimizations()},
 	}
-	out := make([]AblationRow, len(combos))
-	runIndexed(len(combos), func(i int) {
+	return sweepRows(len(combos), func(i int) AblationRow {
 		c := combos[i]
 		r := RunMixedOnce(c.opt, mixed)
-		out[i] = AblationRow{
+		return AblationRow{
 			Name:  c.name,
 			LSP50: r.LS.P50, LSP99: r.LS.P99,
 			LIP99:   r.LI.P99,
 			LSCount: r.LS.Count,
 		}
 	})
-	return out
 }
 
 // FormatAblation renders the E5 table.
@@ -398,13 +389,9 @@ type LBRow struct {
 // RunAdaptiveLB compares LB policies against a service with one
 // degraded replica (§3.4's adaptive replica selection direction).
 func RunAdaptiveLB(rps float64, seed int64) []LBRow {
-	if rps <= 0 {
-		rps = 50
-	}
+	rps = orDefault(rps, 50)
 	policies := []mesh.LBPolicy{mesh.LBRoundRobin, mesh.LBRandom, mesh.LBLeastRequest, mesh.LBEWMA}
-	out := make([]LBRow, len(policies))
-	runIndexed(len(policies), func(i int) { out[i] = runLBOnce(policies[i], rps, seed) })
-	return out
+	return sweepRows(len(policies), func(i int) LBRow { return runLBOnce(policies[i], rps, seed) })
 }
 
 func runLBOnce(policy mesh.LBPolicy, rps float64, seed int64) LBRow {
@@ -487,9 +474,7 @@ type HedgeRow struct {
 // (§3.4 ref [50]): the recs service has a heavy-tailed service time;
 // hedged requests cut the tail.
 func RunRedundant(rps float64, seed int64) []HedgeRow {
-	if rps <= 0 {
-		rps = 30
-	}
+	rps = orDefault(rps, 30)
 	run := func(hedge bool) HedgeRow {
 		ec := app.BuildECommerce(app.ECommerceConfig{Seed: seed, RecsSlowProb: 0.05, RecsSlowTime: 80 * time.Millisecond})
 		if hedge {
@@ -513,9 +498,7 @@ func RunRedundant(rps float64, seed int64) []HedgeRow {
 			Count: r.Measured,
 		}
 	}
-	out := make([]HedgeRow, 2)
-	runIndexed(2, func(i int) { out[i] = run(i == 1) })
-	return out
+	return sweepRows(2, func(i int) HedgeRow { return run(i == 1) })
 }
 
 // FormatRedundant renders the E8 table.
@@ -543,35 +526,17 @@ func RunHopDepth(depths []int, n int, seed int64) []HopRow {
 	if len(depths) == 0 {
 		depths = []int{1, 2, 4, 8, 16, 32}
 	}
-	if n <= 0 {
-		n = 500
-	}
-	out := make([]HopRow, len(depths))
-	runIndexed(len(depths), func(k int) {
+	n = orDefault(n, 500)
+	return sweepRows(len(depths), func(k int) HopRow {
 		d := depths[k]
-		c := app.BuildChain(app.ChainConfig{Depth: d, Mesh: mesh.Config{Seed: seed}})
-		h := hdr.New()
-		var next func(i int)
-		next = func(i int) {
-			if i >= n {
-				return
-			}
-			start := c.Sched.Now()
-			c.Gateway.Serve(app.NewChainRequest(), func(*httpsim.Response, error) {
-				h.RecordDuration(c.Sched.Now() - start)
-				c.Sched.After(time.Millisecond, func() { next(i + 1) })
-			})
-		}
-		next(0)
-		c.Sched.Run()
-		out[k] = HopRow{
+		h := chainLatencies(app.BuildChain(app.ChainConfig{Depth: d, Mesh: mesh.Config{Seed: seed}}), n)
+		return HopRow{
 			Depth:  d,
 			P50:    h.QuantileDuration(0.50),
 			P99:    h.QuantileDuration(0.99),
 			PerHop: h.QuantileDuration(0.50) / time.Duration(d),
 		}
 	})
-	return out
 }
 
 // FormatHopDepth renders the E9 table.
@@ -603,26 +568,19 @@ func RunBottleneckSweep(ratesGbps []float64, seed int64, mixed MixedConfig) []Bo
 		mixed.RPS = 40
 	}
 	mixed.Seed = seed
-	out := make([]BottleneckRow, len(ratesGbps))
-	for i, g := range ratesGbps {
-		out[i].RateGbps = g
-	}
-	runIndexed(2*len(out), func(k int) {
-		i := k / 2
+	pairs := armPairs(len(ratesGbps), 0, PaperOptimizations(), func(i int, opt Optimization) MixedResult {
 		appCfg := app.DefaultELibraryConfig()
-		appCfg.BottleneckRate = int64(out[i].RateGbps * float64(simnet.Gbps))
-		run := func(opt Optimization) MixedResult {
-			s := NewScenario(ScenarioConfig{Opt: opt, Seed: seed, App: appCfg})
-			return s.RunMixed(mixed)
-		}
-		if k%2 == 0 {
-			base := run(None())
-			out[i].BaseP99, out[i].BaseLIP99 = base.LS.P99, base.LI.P99
-		} else {
-			opt := run(PaperOptimizations())
-			out[i].OptP99, out[i].OptLIP99 = opt.LS.P99, opt.LI.P99
-		}
+		appCfg.BottleneckRate = int64(ratesGbps[i] * float64(simnet.Gbps))
+		return NewScenario(ScenarioConfig{Opt: opt, Seed: seed, App: appCfg}).RunMixed(mixed)
 	})
+	out := make([]BottleneckRow, len(pairs))
+	for i, p := range pairs {
+		out[i] = BottleneckRow{
+			RateGbps: ratesGbps[i],
+			BaseP99:  p[0].LS.P99, OptP99: p[1].LS.P99,
+			BaseLIP99: p[0].LI.P99, OptLIP99: p[1].LI.P99,
+		}
+	}
 	return out
 }
 
@@ -657,27 +615,23 @@ func RunSkewSweep(liMB []float64, seed int64, mixed MixedConfig) []SkewRow {
 		mixed.RPS = 40
 	}
 	mixed.Seed = seed
-	out := make([]SkewRow, len(liMB))
-	for i, mb := range liMB {
-		appCfg := app.DefaultELibraryConfig()
-		appCfg.LIRatingsBytes = int(mb * float64(1<<20))
-		out[i].LIMB = mb
-		out[i].SkewFactor = float64(appCfg.LIRatingsBytes) / float64(appCfg.LSFrontendBytes+appCfg.LSReviewsBytes)
+	appCfg := func(i int) app.ELibraryConfig {
+		c := app.DefaultELibraryConfig()
+		c.LIRatingsBytes = int(liMB[i] * float64(1<<20))
+		return c
 	}
-	runIndexed(2*len(out), func(k int) {
-		i := k / 2
-		appCfg := app.DefaultELibraryConfig()
-		appCfg.LIRatingsBytes = int(out[i].LIMB * float64(1<<20))
-		run := func(opt Optimization) MixedResult {
-			s := NewScenario(ScenarioConfig{Opt: opt, Seed: seed, App: appCfg})
-			return s.RunMixed(mixed)
-		}
-		if k%2 == 0 {
-			out[i].BaseP99 = run(None()).LS.P99
-		} else {
-			out[i].OptP99 = run(PaperOptimizations()).LS.P99
-		}
+	pairs := armPairs(len(liMB), 0, PaperOptimizations(), func(i int, opt Optimization) MixedResult {
+		return NewScenario(ScenarioConfig{Opt: opt, Seed: seed, App: appCfg(i)}).RunMixed(mixed)
 	})
+	out := make([]SkewRow, len(pairs))
+	for i, p := range pairs {
+		c := appCfg(i)
+		out[i] = SkewRow{
+			LIMB:       liMB[i],
+			SkewFactor: float64(c.LIRatingsBytes) / float64(c.LSFrontendBytes+c.LSReviewsBytes),
+			BaseP99:    p[0].LS.P99, OptP99: p[1].LS.P99,
+		}
+	}
 	return out
 }
 
@@ -708,15 +662,12 @@ type QdiscRow struct {
 // everyone but cannot *differentiate* — only the class-aware qdisc
 // protects the latency-sensitive tail outright.
 func RunQdiscComparison(rps float64, seed int64, mixed MixedConfig) []QdiscRow {
-	if rps <= 0 {
-		rps = 40
-	}
+	rps = orDefault(rps, 40)
 	mixed.RPS = rps
 	mixed.Seed = seed
 
 	variants := []string{"fifo (droptail)", "red", "codel", "nearstrict 95% (paper)"}
-	out := make([]QdiscRow, len(variants))
-	runIndexed(len(variants), func(i int) {
+	return sweepRows(len(variants), func(i int) QdiscRow {
 		name := variants[i]
 		s := NewScenario(ScenarioConfig{Opt: Optimization{Routing: true}, Seed: seed})
 		e := s.App
@@ -735,9 +686,8 @@ func RunQdiscComparison(rps float64, seed int64, mixed MixedConfig) []QdiscRow {
 			}
 		}
 		r := s.RunMixed(mixed)
-		out[i] = QdiscRow{Name: name, LSP50: r.LS.P50, LSP99: r.LS.P99, LIP99: r.LI.P99}
+		return QdiscRow{Name: name, LSP50: r.LS.P50, LSP99: r.LS.P99, LIP99: r.LI.P99}
 	})
-	return out
 }
 
 // FormatQdiscComparison renders the E13 table.
@@ -766,9 +716,7 @@ type ResilienceRow struct {
 // It isolates what the sidecar layer itself buys an application when
 // infrastructure misbehaves.
 func RunResilience(rps float64, seed int64) []ResilienceRow {
-	if rps <= 0 {
-		rps = 30
-	}
+	rps = orDefault(rps, 30)
 	const phase = 10 * time.Second
 	run := func(resilient bool) []ResilienceRow {
 		s := NewScenario(ScenarioConfig{Seed: seed})
@@ -815,8 +763,7 @@ func RunResilience(rps float64, seed int64) []ResilienceRow {
 		}
 		return []ResilienceRow{mk("before", g1), mk("during partition", g2), mk("after heal", g3)}
 	}
-	var halves [2][]ResilienceRow
-	runIndexed(2, func(i int) { halves[i] = run(i == 1) })
+	halves := sweepRows(2, func(i int) []ResilienceRow { return run(i == 1) })
 	return append(halves[0], halves[1]...)
 }
 
@@ -877,12 +824,7 @@ type OverloadRow struct {
 // gateway -> api (the bottleneck) -> backend, with a 1:3 LS:LI mix and
 // retries disabled so shed fast-fails are not re-amplified.
 func RunOverload(seed int64, warmup, measure time.Duration) []OverloadRow {
-	if warmup <= 0 {
-		warmup = 2 * time.Second
-	}
-	if measure <= 0 {
-		measure = 20 * time.Second
-	}
+	warmup, measure = orDefault(warmup, 2*time.Second), orDefault(measure, 20*time.Second)
 	configs := []struct {
 		name                string
 		admission, deadline bool
@@ -893,13 +835,11 @@ func RunOverload(seed int64, warmup, measure time.Duration) []OverloadRow {
 		{"admission + deadline", true, true},
 	}
 	loads := []float64{0.5, 2.0}
-	out := make([]OverloadRow, len(configs)*len(loads))
-	runIndexed(len(out), func(k int) {
+	return sweepRows(len(configs)*len(loads), func(k int) OverloadRow {
 		cfg := configs[k/len(loads)]
 		load := loads[k%len(loads)]
-		out[k] = runOverloadOnce(cfg.name, cfg.admission, cfg.deadline, load, seed, warmup, measure)
+		return runOverloadOnce(cfg.name, cfg.admission, cfg.deadline, load, seed, warmup, measure)
 	})
-	return out
 }
 
 func runOverloadOnce(name string, admit, deadline bool, load float64, seed int64, warmup, measure time.Duration) OverloadRow {
@@ -1007,8 +947,8 @@ func runOverloadOnce(name string, admit, deadline bool, load float64, seed int64
 		LSP99:       lsRes.P99(),
 		LSGoodput:   float64(lsGood) / (lsRate * measure.Seconds()),
 		LIGoodput:   float64(liGood) / (liRate * measure.Seconds()),
-		Shed:        reg.CounterTotal("mesh_admission_shed_total"),
-		Cancelled:   reg.CounterTotal("mesh_admission_cancelled_total"),
+		Shed:        reg.CounterTotal(mesh.MetricAdmissionShedTotal),
+		Cancelled:   reg.CounterTotal(mesh.MetricAdmissionCancelledTotal),
 		BackendWork: backendWork,
 	}
 }
@@ -1047,8 +987,7 @@ type ChaosRow struct {
 // + circuit breaking, 2 = + active health checks + outlier detection,
 // 3 = + retry budgets with exponential backoff.
 func applyChaosDefenses(cp *mesh.ControlPlane, level int) {
-	services := []string{"frontend", "details", "reviews", "ratings"}
-	for _, svc := range services {
+	for _, svc := range eLibraryServices {
 		// Per-try timeouts are tuned per service at every level (they
 		// are base config, not a defense rung): they must sit above the
 		// worst-case legitimate latency — 2 MB LI transfers queue up to
@@ -1120,12 +1059,7 @@ func chaosSuite(seed int64, warmup, measure time.Duration) (chaos.Scenario, time
 // defense ladder, plus a fault-free baseline for reference. Error
 // rates and TTR come from a chaos.Recorder on the LS stream.
 func RunChaos(seed int64, warmup, measure time.Duration) []ChaosRow {
-	if warmup <= 0 {
-		warmup = 2 * time.Second
-	}
-	if measure <= 0 {
-		measure = 20 * time.Second
-	}
+	warmup, measure = orDefault(warmup, 2*time.Second), orDefault(measure, 20*time.Second)
 	configs := []struct {
 		name   string
 		level  int
@@ -1137,32 +1071,20 @@ func RunChaos(seed int64, warmup, measure time.Duration) []ChaosRow {
 		{"+ health checks + outlier detection", 2, true},
 		{"+ retry budgets + backoff", 3, true},
 	}
-	out := make([]ChaosRow, len(configs))
-	runIndexed(len(configs), func(i int) {
+	return sweepRows(len(configs), func(i int) ChaosRow {
 		c := configs[i]
-		out[i] = runChaosOnce(c.name, c.level, c.faults, seed, warmup, measure)
+		return runChaosOnce(c.name, c.level, c.faults, seed, warmup, measure)
 	})
-	return out
 }
 
 func runChaosOnce(name string, level int, withFaults bool, seed int64, warmup, measure time.Duration) ChaosRow {
-	s := NewScenario(ScenarioConfig{Seed: seed})
-	e := s.App
-	applyChaosDefenses(e.Mesh.ControlPlane(), level)
-
+	f := newFaultRun(app.ELibraryConfig{}, seed, warmup, measure)
+	applyChaosDefenses(f.cp(), level)
 	suite, crashAt := chaosSuite(seed, warmup, measure)
 	if withFaults {
-		eng := chaos.NewEngine(&chaos.Target{Sched: e.Sched, Cluster: e.Cluster, Mesh: e.Mesh})
-		eng.Schedule(suite)
+		f.schedule(suite)
 	}
-
-	// Bucket width is sized so each bucket holds ~10+ LS samples at
-	// 30 RPS; much finer and empty buckets read as spurious recovery.
-	rec := chaos.NewRecorder(measure / 40)
-	r := s.RunMixed(MixedConfig{
-		RPS: 30, Seed: seed, Warmup: warmup, Measure: measure,
-		LSObserver: rec.Observe,
-	})
+	r := f.run()
 
 	errRate := func(ws WorkloadStats) float64 {
 		total := ws.Count + ws.Errors
@@ -1171,7 +1093,7 @@ func runChaosOnce(name string, level int, withFaults bool, seed int64, warmup, m
 		}
 		return float64(ws.Errors) / float64(total)
 	}
-	ttr, recovered := rec.RecoveryTime(crashAt, 3)
+	ttr, recovered := f.ls.RecoveryTime(crashAt, 3)
 	return ChaosRow{
 		Config:         name,
 		LSP50:          r.LS.P50,
@@ -1179,8 +1101,8 @@ func runChaosOnce(name string, level int, withFaults bool, seed int64, warmup, m
 		LSErrRate:      errRate(r.LS),
 		LIP99:          r.LI.P99,
 		LIErrRate:      errRate(r.LI),
-		Retries:        e.Mesh.Metrics().CounterTotal("mesh_retries_total"),
-		BudgetDenied:   e.Mesh.Metrics().CounterTotal("mesh_retry_budget_exhausted_total"),
+		Retries:        f.counter(mesh.MetricRetriesTotal),
+		BudgetDenied:   f.counter(mesh.MetricRetryBudgetExhausted),
 		CrashTTR:       ttr,
 		CrashRecovered: recovered,
 		Faults:         withFaults,
@@ -1207,7 +1129,16 @@ func FormatChaos(rows []ChaosRow) string {
 	return "E15 — chaos suite (crash, error-rate, slow-pod, loss burst) vs self-healing defenses (30 RPS mixed)\n" + t.String()
 }
 
-// ---------- formatting helpers ----------
+// ---------- shared helpers ----------
+
+// orDefault returns v, or def when v is not positive: the Run* exports
+// take "<= 0 selects the default" windows, rates and counts.
+func orDefault[T int | float64 | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
 
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))

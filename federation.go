@@ -7,7 +7,6 @@ import (
 
 	"meshlayer/internal/app"
 	"meshlayer/internal/chaos"
-	"meshlayer/internal/ctrlplane"
 	"meshlayer/internal/mesh"
 )
 
@@ -55,27 +54,18 @@ type FederationRow struct {
 // failover reach, not generic resilience.
 func applyFederationDefenses(cp *mesh.ControlPlane, ladder string, fallback bool) {
 	applyChaosDefenses(cp, 3)
-	services := []string{"frontend", "details", "reviews", "ratings"}
 	switch ladder {
 	case "region":
-		for _, svc := range services {
-			cp.SetLocalityPolicy(svc, mesh.LocalityPolicy{Mode: mesh.LocalityRegionOnly})
-		}
+		setLocality(cp, mesh.LocalityPolicy{Mode: mesh.LocalityRegionOnly})
 	case "full":
-		for _, svc := range services {
-			cp.SetLocalityPolicy(svc, mesh.LocalityPolicy{
-				Mode:                   mesh.LocalityLadder,
-				OverprovisioningFactor: 1.4,
-				PanicThreshold:         0.5,
-			})
-		}
+		setLocality(cp, mesh.LocalityPolicy{
+			Mode:                   mesh.LocalityLadder,
+			OverprovisioningFactor: 1.4,
+			PanicThreshold:         0.5,
+		})
 	}
 	if fallback {
-		// As in E17: reviews serves its page without the ratings column
-		// when ratings is unreachable.
-		cp.SetFallbackPolicy("ratings", mesh.FallbackPolicy{
-			Enabled: true, BodyBytes: 256, After: 400 * time.Millisecond,
-		})
+		degradeRatings(cp) // as in E17
 	}
 }
 
@@ -122,12 +112,7 @@ func federationSuite(seed int64, warmup, measure time.Duration, zones []string) 
 // federation chaos suite, sweeping failover reach {off, region-only,
 // full ladder} x graceful degradation, plus a fault-free baseline.
 func RunFederation(seed int64, warmup, measure time.Duration) []FederationRow {
-	if warmup <= 0 {
-		warmup = 2 * time.Second
-	}
-	if measure <= 0 {
-		measure = 20 * time.Second
-	}
+	warmup, measure = orDefault(warmup, 2*time.Second), orDefault(measure, 20*time.Second)
 	configs := []struct {
 		name     string
 		ladder   string
@@ -142,21 +127,18 @@ func RunFederation(seed int64, warmup, measure time.Duration) []FederationRow {
 		{"failover ladder", "full", false, true},
 		{"failover ladder + degradation", "full", true, true},
 	}
-	out := make([]FederationRow, len(configs))
-	runIndexed(len(configs), func(i int) {
+	return sweepRows(len(configs), func(i int) FederationRow {
 		c := configs[i]
-		out[i] = runFederationOnce(c.name, c.ladder, c.fallback, c.faults, seed, warmup, measure)
+		return runFederationOnce(c.name, c.ladder, c.fallback, c.faults, seed, warmup, measure)
 	})
-	return out
 }
 
 func runFederationOnce(name, ladder string, fallback, withFaults bool,
 	seed int64, warmup, measure time.Duration) FederationRow {
 	appCfg := app.DefaultELibraryConfig()
 	appCfg.Regions = FederationRegions
-	s := NewScenario(ScenarioConfig{Seed: seed, App: appCfg})
-	e := s.App
-	cp := e.Mesh.ControlPlane()
+	f := newFaultRun(appCfg, seed, warmup, measure)
+	cp := f.cp()
 	applyFederationDefenses(cp, ladder, fallback)
 
 	// The flat-mesh arm is the pre-federation deployment: one shared
@@ -175,50 +157,26 @@ func runFederationOnce(name, ladder string, fallback, withFaults bool,
 		})
 	}
 
-	suite, win := federationSuite(seed, warmup, measure, e.Zones)
+	suite, win := federationSuite(seed, warmup, measure, f.App.Zones)
 	if withFaults {
-		eng := chaos.NewEngine(&chaos.Target{Sched: e.Sched, Cluster: e.Cluster, Mesh: e.Mesh})
-		eng.Schedule(suite)
+		f.schedule(suite)
 	}
-
-	lsRec := chaos.NewRecorder(measure / 40)
-	liRec := chaos.NewRecorder(measure / 40)
-	r := s.RunMixed(MixedConfig{
-		RPS: 30, Seed: seed, Warmup: warmup, Measure: measure,
-		LSObserver: lsRec.Observe, LIObserver: liRec.Observe,
-	})
-
-	avail := func(from, to time.Duration) float64 {
-		ok1, fail1 := lsRec.Counts(from, to)
-		ok2, fail2 := liRec.Counts(from, to)
-		total := ok1 + ok2 + fail1 + fail2
-		if total == 0 {
-			return 1
-		}
-		return float64(ok1+ok2) / float64(total)
-	}
-	served := r.LS.Count + r.LI.Count
-	degraded := e.Mesh.Metrics().CounterTotal("gateway_degraded_total")
-	degFrac := 0.0
-	if served > 0 {
-		degFrac = float64(degraded) / float64(served)
-	}
+	r := f.run()
 	row := FederationRow{
 		Config: name, Ladder: ladder, Fallback: fallback, Federated: federated,
 		LSP50:        r.LS.P50,
 		LSP99:        r.LS.P99,
-		Avail:        avail(warmup, warmup+measure),
-		EvacAvail:    avail(win[0], win[1]),
-		PartAvail:    avail(win[2], win[3]),
-		DegradedFrac: degFrac,
-		CrossRegion:  e.Mesh.Metrics().CounterTotal("mesh_cross_region_total"),
-		EastWest:     e.Mesh.Metrics().CounterTotal("gateway_eastwest_ingress_total"),
-		Fallbacks:    e.Mesh.Metrics().CounterTotal("mesh_fallback_served_total"),
+		Avail:        f.avail(warmup, warmup+measure),
+		EvacAvail:    f.avail(win[0], win[1]),
+		PartAvail:    f.avail(win[2], win[3]),
+		DegradedFrac: f.degradedFrac(r),
+		CrossRegion:  f.counter(mesh.MetricCrossRegionTotal),
+		EastWest:     f.counter(mesh.MetricEWIngressTotal),
+		Fallbacks:    f.counter(mesh.MetricFallbackServedTotal),
 		Faults:       withFaults,
 	}
 	if federated {
-		row.StaleP99 = e.Mesh.Metrics().
-			Histogram(ctrlplane.MetricStalenessSeconds, nil).QuantileDuration(0.99)
+		row.StaleP99 = staleP99(f.App.Mesh.Metrics())
 	}
 	return row
 }

@@ -179,12 +179,8 @@ func fidelityScaleOnce(fid simnet.Fidelity, zones, podsPerZone int) FidelityScal
 // Packet mode runs the fan-in at a fixed reduced zone count and is
 // reported as a projection at full scale.
 func RunFidelityBench(zones, podsPerZone int) FidelityBench {
-	if zones <= 0 {
-		zones = 100
-	}
-	if podsPerZone <= 0 {
-		podsPerZone = 100
-	}
+	zones = orDefault(zones, 100)
+	podsPerZone = orDefault(podsPerZone, 100)
 	packetZones := 4
 	if packetZones > zones {
 		packetZones = zones

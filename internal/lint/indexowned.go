@@ -6,7 +6,8 @@ import (
 )
 
 // Indexowned enforces the parallel-sweep ownership rule from PR 3:
-// a closure handed to runIndexed runs concurrently with its siblings,
+// a closure handed to runIndexed (or to sweepRows, its
+// results-by-index wrapper) runs concurrently with its siblings,
 // so it must write only state owned by its index parameter — slots
 // like out[i] or out[2*i+1] — never shared scalars, maps keyed by
 // non-index values, or appends to shared slices. The race detector
@@ -33,7 +34,7 @@ func runIndexowned(pass *Pass) {
 				return true
 			}
 			name, ok := calleeName(call.Fun)
-			if !ok || name != "runIndexed" || len(call.Args) < 2 {
+			if !ok || (name != "runIndexed" && name != "sweepRows") || len(call.Args) < 2 {
 				return true
 			}
 			lit, ok := call.Args[1].(*ast.FuncLit)

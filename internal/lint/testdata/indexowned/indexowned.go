@@ -53,3 +53,21 @@ func allowed(out []result) {
 	})
 	_ = total
 }
+
+// sweepRows mimics the root package's results-by-index wrapper over
+// runIndexed; closures handed to it are workers too.
+func sweepRows(n int, fn func(i int) result) []result {
+	out := make([]result, n)
+	runIndexed(n, func(i int) { out[i] = fn(i) })
+	return out
+}
+
+// returnedRows is the wrapper's sanctioned use: the row is returned,
+// nothing captured is written; a shared write is still flagged.
+func returnedRows(n int) []result {
+	total := 0
+	return sweepRows(n, func(i int) result {
+		total++ // want "runIndexed worker writes shared total without indexing by its worker index"
+		return result{count: i}
+	})
+}

@@ -23,8 +23,8 @@
 // e-library testbed, enable any subset of the cross-layer
 // optimizations, drive mixed workloads, and collect latency
 // distributions. Each experiment from the paper's evaluation has a
-// runner in experiments.go, used by both cmd/meshbench and the
-// repository's benchmarks.
+// runner in experiments.go and an entry in the registry (registry.go)
+// that cmd/meshbench and the golden-file test iterate.
 package meshlayer
 
 import (

@@ -22,6 +22,14 @@ func runIndexed(n int, fn func(i int)) {
 	runIndexedWorkers(n, MaxParallel, fn)
 }
 
+// sweepRows runs fn(0..n-1) on the runIndexed pool and returns the
+// results in index order: the one-row-per-arm shape most sweeps have.
+func sweepRows[T any](n int, fn func(i int) T) []T {
+	out := make([]T, n)
+	runIndexed(n, func(i int) { out[i] = fn(i) })
+	return out
+}
+
 // runIndexedWorkers is runIndexed with an explicit worker bound, for
 // callers that need a specific parallelism for one sweep (a sequential
 // reference arm, say) without mutating the MaxParallel global out from

@@ -41,31 +41,38 @@ type ZoneFailRow struct {
 // breakers, health checks, outlier detection, budgets + backoff);
 // 3 = rung 2 + graceful degradation on the reviews -> ratings edge.
 func applyZoneDefenses(cp *mesh.ControlPlane, rung int) {
-	services := []string{"frontend", "details", "reviews", "ratings"}
 	switch {
 	case rung <= 0:
 		applyChaosDefenses(cp, 0)
 	case rung == 1:
 		applyChaosDefenses(cp, 0)
-		for _, svc := range services {
-			cp.SetLocalityPolicy(svc, mesh.LocalityPolicy{Mode: mesh.LocalityStrict})
-		}
+		setLocality(cp, mesh.LocalityPolicy{Mode: mesh.LocalityStrict})
 	default:
 		applyChaosDefenses(cp, 3)
-		for _, svc := range services {
-			cp.SetLocalityPolicy(svc, mesh.LocalityPolicy{Mode: mesh.LocalityFailover})
-		}
+		setLocality(cp, mesh.LocalityPolicy{Mode: mesh.LocalityFailover})
 		if rung >= 3 {
-			// Reviews serves its page without the ratings column when
-			// ratings is unreachable: a small degraded body instead of a
-			// failed call tree. The 400 ms deadline sits above the ~330 ms
-			// worst-case legitimate LI queueing (see applyChaosDefenses)
-			// and below the callers' 1 s per-try timeouts.
-			cp.SetFallbackPolicy("ratings", mesh.FallbackPolicy{
-				Enabled: true, BodyBytes: 256, After: 400 * time.Millisecond,
-			})
+			degradeRatings(cp)
 		}
 	}
+}
+
+// setLocality applies one locality policy to every e-library service.
+func setLocality(cp *mesh.ControlPlane, pol mesh.LocalityPolicy) {
+	for _, svc := range eLibraryServices {
+		cp.SetLocalityPolicy(svc, pol)
+	}
+}
+
+// degradeRatings turns on graceful degradation on the reviews ->
+// ratings edge: reviews serves its page without the ratings column
+// when ratings is unreachable — a small degraded body instead of a
+// failed call tree. The 400 ms deadline sits above the ~330 ms
+// worst-case legitimate LI queueing (see applyChaosDefenses) and below
+// the callers' 1 s per-try timeouts.
+func degradeRatings(cp *mesh.ControlPlane) {
+	cp.SetFallbackPolicy("ratings", mesh.FallbackPolicy{
+		Enabled: true, BodyBytes: 256, After: 400 * time.Millisecond,
+	})
 }
 
 // zoneFailSuite is the scripted correlated-failure sequence E17 replays
@@ -75,7 +82,7 @@ func applyZoneDefenses(cp *mesh.ControlPlane, rung int) {
 // finally every ratings replica crashes at once — the dependency-wide
 // failure only graceful degradation survives. Returns the scenario and
 // the outage window [start, end) for availability scoring.
-func zoneFailSuite(seed int64, warmup, measure time.Duration) (chaos.Scenario, time.Duration, time.Duration) {
+func zoneFailSuite(warmup, measure time.Duration) (chaos.Scenario, time.Duration, time.Duration) {
 	w, m := warmup, measure
 	outageAt, outageFor := w+m/10, m/2
 	var ratingsCrash []chaos.Event
@@ -85,7 +92,6 @@ func zoneFailSuite(seed int64, warmup, measure time.Duration) (chaos.Scenario, t
 			Fault: chaos.PodCrash{Pod: "ratings-" + string(rune('a'+i))},
 		})
 	}
-	_ = seed
 	return chaos.Scenario{
 		Name: "e17-suite",
 		Events: append([]chaos.Event{
@@ -101,12 +107,7 @@ func zoneFailSuite(seed int64, warmup, measure time.Duration) (chaos.Scenario, t
 // RunZoneFail measures the three-zone e-library under the correlated
 // failure suite across the defense ladder, plus a fault-free baseline.
 func RunZoneFail(seed int64, warmup, measure time.Duration) []ZoneFailRow {
-	if warmup <= 0 {
-		warmup = 2 * time.Second
-	}
-	if measure <= 0 {
-		measure = 20 * time.Second
-	}
+	warmup, measure = orDefault(warmup, 2*time.Second), orDefault(measure, 20*time.Second)
 	configs := []struct {
 		name   string
 		rung   int
@@ -118,62 +119,33 @@ func RunZoneFail(seed int64, warmup, measure time.Duration) []ZoneFailRow {
 		{"+ locality failover + self-healing", 2, true},
 		{"+ graceful degradation", 3, true},
 	}
-	out := make([]ZoneFailRow, len(configs))
-	runIndexed(len(configs), func(i int) {
+	return sweepRows(len(configs), func(i int) ZoneFailRow {
 		c := configs[i]
-		out[i] = runZoneFailOnce(c.name, c.rung, c.faults, seed, warmup, measure)
+		return runZoneFailOnce(c.name, c.rung, c.faults, seed, warmup, measure)
 	})
-	return out
 }
 
 func runZoneFailOnce(name string, rung int, withFaults bool, seed int64, warmup, measure time.Duration) ZoneFailRow {
 	appCfg := app.DefaultELibraryConfig()
 	appCfg.Zones = ZoneFailZones
-	s := NewScenario(ScenarioConfig{Seed: seed, App: appCfg})
-	e := s.App
-	applyZoneDefenses(e.Mesh.ControlPlane(), rung)
-
-	suite, outageFrom, outageTo := zoneFailSuite(seed, warmup, measure)
+	f := newFaultRun(appCfg, seed, warmup, measure)
+	applyZoneDefenses(f.cp(), rung)
+	suite, outageFrom, outageTo := zoneFailSuite(warmup, measure)
 	if withFaults {
-		eng := chaos.NewEngine(&chaos.Target{Sched: e.Sched, Cluster: e.Cluster, Mesh: e.Mesh})
-		eng.Schedule(suite)
+		f.schedule(suite)
 	}
-
-	// One recorder per workload class; availability weights both classes
-	// by their actual completions.
-	lsRec := chaos.NewRecorder(measure / 40)
-	liRec := chaos.NewRecorder(measure / 40)
-	r := s.RunMixed(MixedConfig{
-		RPS: 30, Seed: seed, Warmup: warmup, Measure: measure,
-		LSObserver: lsRec.Observe, LIObserver: liRec.Observe,
-	})
-
-	avail := func(from, to time.Duration) float64 {
-		ok1, fail1 := lsRec.Counts(from, to)
-		ok2, fail2 := liRec.Counts(from, to)
-		total := ok1 + ok2 + fail1 + fail2
-		if total == 0 {
-			return 1
-		}
-		return float64(ok1+ok2) / float64(total)
-	}
-	served := r.LS.Count + r.LI.Count
-	degraded := e.Mesh.Metrics().CounterTotal("gateway_degraded_total")
-	degFrac := 0.0
-	if served > 0 {
-		degFrac = float64(degraded) / float64(served)
-	}
+	r := f.run()
 	return ZoneFailRow{
 		Config:       name,
 		LSP50:        r.LS.P50,
 		LSP99:        r.LS.P99,
 		LIP99:        r.LI.P99,
-		Avail:        avail(warmup, warmup+measure),
-		OutageAvail:  avail(outageFrom, outageTo),
-		DegradedFrac: degFrac,
-		Retries:      e.Mesh.Metrics().CounterTotal("mesh_retries_total"),
-		CrossZone:    e.Mesh.Metrics().CounterTotal("mesh_lb_cross_zone_total"),
-		Fallbacks:    e.Mesh.Metrics().CounterTotal("mesh_fallback_served_total"),
+		Avail:        f.avail(warmup, warmup+measure),
+		OutageAvail:  f.avail(outageFrom, outageTo),
+		DegradedFrac: f.degradedFrac(r),
+		Retries:      f.counter(mesh.MetricRetriesTotal),
+		CrossZone:    f.counter(mesh.MetricLBCrossZoneTotal),
+		Fallbacks:    f.counter(mesh.MetricFallbackServedTotal),
 		Faults:       withFaults,
 	}
 }
