@@ -17,13 +17,16 @@ import (
 // which is exactly the bug class the versioned protocol exists to
 // rule out.
 //
-// Protected state: fields of ControlPlane, sidecarAgent, Snapshot, and
-// ewSummaryTable (PR 7: a regional control plane's learned view of
-// peer-region capacity — the east-west routing state the failover
-// ladder spills onto, mutable only through the summary push path),
-// plus the Sidecar.ctrl agent pointer. Methods of a protected type may
-// mutate their own receiver's state (that is the push path); everyone
-// else needs a //meshvet:allow ctlwrite with justification — e.g.
+// Protected state: fields of ControlPlane, servicePolicy (an entry of
+// the control plane's one policy store — instant-mode sidecars read it
+// live and pushed snapshots share its pointers, so a stray write would
+// change what sidecars enforce without a version bump), sidecarAgent,
+// Snapshot, and ewSummaryTable (PR 7: a regional control plane's
+// learned view of peer-region capacity — the east-west routing state
+// the failover ladder spills onto, mutable only through the summary
+// push path), plus the Sidecar.ctrl agent pointer. Methods of the
+// owning type may mutate it (that is the push path); everyone else
+// needs a //meshvet:allow ctlwrite with justification — e.g.
 // instant-propagation registration installing the bootstrap snapshot.
 var Ctlwrite = &Analyzer{
 	Name: "ctlwrite",
@@ -31,13 +34,16 @@ var Ctlwrite = &Analyzer{
 	Run:  runCtlwrite,
 }
 
-// ctlProtectedTypes is the set of struct types whose fields form the
-// distributed routing state.
-var ctlProtectedTypes = map[string]bool{
-	"ControlPlane":   true,
-	"sidecarAgent":   true,
-	"Snapshot":       true,
-	"ewSummaryTable": true,
+// ctlProtectedTypes maps each struct type whose fields form the
+// distributed routing state to the receiver type whose methods may
+// write it: the type itself, except servicePolicy, which belongs to
+// the ControlPlane whose setters edit it.
+var ctlProtectedTypes = map[string]string{
+	"ControlPlane":   "ControlPlane",
+	"servicePolicy":  "ControlPlane",
+	"sidecarAgent":   "sidecarAgent",
+	"Snapshot":       "Snapshot",
+	"ewSummaryTable": "ewSummaryTable",
 }
 
 // ctlPkgAllowed limits name matching to the packages that actually
@@ -66,17 +72,19 @@ func ctlNamed(t types.Type) (*types.Named, bool) {
 	return named, ok
 }
 
-// ctlProtected reports whether e is a value of a protected type.
-func ctlProtected(pass *Pass, e ast.Expr) (string, bool) {
+// ctlProtected reports whether e is a value of a protected type that
+// methods on recv may not write, and names the type.
+func ctlProtected(pass *Pass, e ast.Expr, recv string) (string, bool) {
 	named, ok := ctlNamed(pass.TypeOf(e))
 	if !ok {
 		return "", false
 	}
 	obj := named.Obj()
-	if obj == nil || !ctlProtectedTypes[obj.Name()] || !ctlPkgAllowed(obj.Pkg()) {
+	if obj == nil || !ctlPkgAllowed(obj.Pkg()) {
 		return "", false
 	}
-	return obj.Name(), true
+	owner, protected := ctlProtectedTypes[obj.Name()]
+	return obj.Name(), protected && owner != recv
 }
 
 func runCtlwrite(pass *Pass) {
@@ -127,13 +135,13 @@ func checkCtlWrite(pass *Pass, recv string, n ast.Node, target ast.Expr) {
 		case *ast.IndexExpr:
 			target = t.X
 		case *ast.StarExpr:
-			if name, ok := ctlProtected(pass, t.X); ok && name != recv {
+			if name, ok := ctlProtected(pass, t.X, recv); ok {
 				reportCtl(pass, n, name)
 				return
 			}
 			target = t.X
 		case *ast.SelectorExpr:
-			if name, ok := ctlProtected(pass, t.X); ok && name != recv {
+			if name, ok := ctlProtected(pass, t.X, recv); ok {
 				reportCtl(pass, n, name)
 				return
 			}

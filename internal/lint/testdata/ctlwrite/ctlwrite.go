@@ -6,7 +6,15 @@ package ctlwritetest
 // ControlPlane mirrors mesh.ControlPlane: versioned routing intent.
 type ControlPlane struct {
 	routes  map[string]string
+	policy  map[string]*servicePolicy
 	version uint64
+}
+
+// servicePolicy mirrors mesh.servicePolicy: one entry of the control
+// plane's policy store, nil field = unset.
+type servicePolicy struct {
+	Retry *int
+	Authz map[string]bool
 }
 
 // Snapshot mirrors ctrlplane.Snapshot: a sidecar's last-acked state.
@@ -33,6 +41,16 @@ func (cp *ControlPlane) SetRoute(svc, rule string) {
 	cp.version++
 }
 
+// SetRetry is the push path for a store entry: servicePolicy belongs
+// to ControlPlane, so its setters (and their closures) may write it.
+func (cp *ControlPlane) SetRetry(svc string, n int) {
+	edit := func(change func(*servicePolicy)) {
+		change(cp.policy[svc])
+		cp.version++
+	}
+	edit(func(pol *servicePolicy) { pol.Retry = &n })
+}
+
 // Apply is likewise sanctioned: Snapshot methods maintain the snapshot.
 func (s *Snapshot) Apply(version uint64, res map[string]any) {
 	s.Version = version
@@ -51,6 +69,16 @@ func rogue(cp *ControlPlane, sc *Sidecar, snap *Snapshot) {
 	snap.Version = 7                  // want "direct write to Snapshot routing state"
 	*snap = Snapshot{}                // want "direct write to Snapshot routing state"
 	snap.Resources["backend"] = "eps" // want "direct write to Snapshot routing state"
+}
+
+// roguePolicy edits a store entry behind the control plane's back: the
+// instant-mode sidecars and every snapshot sharing the entry's pointers
+// would change without a version bump.
+func (sc *Sidecar) roguePolicy(cp *ControlPlane, pol *servicePolicy, n int) {
+	cp.policy["backend"].Retry = &n // want "direct write to servicePolicy routing state"
+	pol.Authz["frontend"] = true    // want "direct write to servicePolicy routing state"
+	*pol.Retry = n                  // want "direct write to servicePolicy routing state"
+	*pol = servicePolicy{}          // want "direct write to servicePolicy routing state"
 }
 
 // rogueMethod shows that being a method is not enough — the receiver

@@ -56,16 +56,7 @@ type AdmissionPolicy struct {
 // service. Like all policy pushes it honours the control plane's push
 // delay.
 func (cp *ControlPlane) SetAdmissionPolicy(service string, p AdmissionPolicy) {
-	if service == "" {
-		panic("mesh: admission policy needs a service")
-	}
-	cp.apply(service, func() { cp.admission[service] = p })
-}
-
-// AdmissionPolicyFor returns the service's admission policy (disabled
-// zero value by default).
-func (cp *ControlPlane) AdmissionPolicyFor(service string) AdmissionPolicy {
-	return cp.admission[service]
+	cp.edit(service, func(pol *servicePolicy) { pol.Admission = &p })
 }
 
 // classOf maps the request's provenance-carried priority to an

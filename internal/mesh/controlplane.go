@@ -234,23 +234,11 @@ const (
 // shared state; EnableDistribution switches to xDS-style simulated
 // pushes where each sidecar routes on its own possibly-stale snapshot.
 type ControlPlane struct {
-	mesh    *Mesh
-	rules   map[string]*RouteRule
-	lb      map[string]LBPolicy
-	retry   map[string]RetryPolicy
-	breaker map[string]CircuitBreakerPolicy
-	hedge   map[string]HedgePolicy
-	// authz[dst] = set of allowed source services; absent dst = allow
-	// all (permissive mode).
-	authz     map[string]map[string]bool
-	fault     map[string]FaultPolicy
-	mirror    map[string]MirrorPolicy
-	rate      map[string]RateLimitPolicy
-	admission map[string]AdmissionPolicy
-	health    map[string]HealthCheckPolicy
-	outlier   map[string]OutlierPolicy
-	locality  map[string]LocalityPolicy
-	fallback  map[string]FallbackPolicy
+	mesh *Mesh
+	// policy is the one per-service policy store. Instant-mode sidecars
+	// read its entries live; distributors copy them into pushed
+	// snapshots. All writes go through edit.
+	policy map[string]*servicePolicy
 
 	certs      map[uint64]*Cert
 	certSerial uint64
@@ -272,24 +260,56 @@ type ControlPlane struct {
 	version uint64
 }
 
+// servicePolicy is everything the operator has set for one service: one
+// field per policy kind, nil = unset (the accessor's default applies).
+// A set field is replaced by the next setter call, never mutated in
+// place, so the value copy a distributor pushes to sidecars stays an
+// immutable snapshot however the store moves on.
+type servicePolicy struct {
+	Rule      *RouteRule
+	LB        *LBPolicy
+	Retry     *RetryPolicy
+	Breaker   *CircuitBreakerPolicy
+	Hedge     *HedgePolicy
+	Fault     *FaultPolicy
+	Mirror    *MirrorPolicy
+	Rate      *RateLimitPolicy
+	Admission *AdmissionPolicy
+	Health    *HealthCheckPolicy
+	Outlier   *OutlierPolicy
+	Locality  *LocalityPolicy
+	Fallback  *FallbackPolicy
+	// Authz is the allowed-source set; nil = permissive (allow all).
+	Authz map[string]bool
+}
+
+// noPolicy is what a service nobody configured reads as. Never written.
+var noPolicy servicePolicy
+
+// wireBytes estimates the encoded size of the set policies
+// (protobuf-ish costs).
+func (p *servicePolicy) wireBytes() int {
+	n := 16 * len(p.Authz)
+	for _, set := range []bool{
+		p.LB != nil, p.Retry != nil, p.Breaker != nil, p.Hedge != nil,
+		p.Fault != nil, p.Mirror != nil, p.Rate != nil, p.Admission != nil,
+		p.Health != nil, p.Outlier != nil, p.Locality != nil, p.Fallback != nil,
+	} {
+		if set {
+			n += 40
+		}
+	}
+	if p.Rule != nil {
+		n += 32 + 24*(len(p.Rule.HeaderRoutes)+len(p.Rule.Weights))
+	}
+	return n
+}
+
 func newControlPlane(m *Mesh) *ControlPlane {
 	return &ControlPlane{
-		mesh:      m,
-		rules:     make(map[string]*RouteRule),
-		lb:        make(map[string]LBPolicy),
-		retry:     make(map[string]RetryPolicy),
-		breaker:   make(map[string]CircuitBreakerPolicy),
-		hedge:     make(map[string]HedgePolicy),
-		authz:     make(map[string]map[string]bool),
-		fault:     make(map[string]FaultPolicy),
-		mirror:    make(map[string]MirrorPolicy),
-		rate:      make(map[string]RateLimitPolicy),
-		admission: make(map[string]AdmissionPolicy),
-		health:    make(map[string]HealthCheckPolicy),
-		outlier:   make(map[string]OutlierPolicy),
-		locality:  make(map[string]LocalityPolicy),
-		fallback:  make(map[string]FallbackPolicy),
-		certs:     make(map[uint64]*Cert),
+		mesh:   m,
+		policy: make(map[string]*servicePolicy),
+		certs:  make(map[uint64]*Cert),
 	}
 }
 
@@ -303,7 +323,8 @@ func (cp *ControlPlane) bump() { cp.version++ }
 // the xDS-style lag between "operator applied config" and "every
 // sidecar acts on it". With distribution enabled, the delay becomes
 // real push suppression: the distributor holds staged updates back by
-// d, so sidecars keep routing on their old snapshots. Zero restores
+// d, so sidecars keep routing on their old snapshots (a delay set
+// before EnableDistribution carries over as that hold). Zero restores
 // normal propagation.
 func (cp *ControlPlane) SetPushDelay(d time.Duration) {
 	if d < 0 {
@@ -359,12 +380,21 @@ func (cp *ControlPlane) ResubscribePod(name string) {
 	cp.distributorFor(sc.pod).reregister(sc)
 }
 
-// apply runs a validated mutation for service now or after the push
-// delay, then redistributes the service's resource when distribution
-// is enabled.
-func (cp *ControlPlane) apply(service string, mutate func()) {
+// edit is the one way policy is written: it applies a validated change
+// to the service's store entry (created on first use) now or after the
+// push delay, then redistributes the service's resource when
+// distribution is enabled.
+func (cp *ControlPlane) edit(service string, change func(*servicePolicy)) {
+	if service == "" {
+		panic("mesh: policy needs a service name")
+	}
 	run := func() {
-		mutate()
+		pol := cp.policy[service]
+		if pol == nil {
+			pol = &servicePolicy{}
+			cp.policy[service] = pol
+		}
+		change(pol)
 		cp.bump()
 		for _, d := range cp.distributors() {
 			d.refreshService(service)
@@ -377,25 +407,30 @@ func (cp *ControlPlane) apply(service string, mutate func()) {
 	cp.mesh.sched.After(cp.pushDelay, run)
 }
 
+// policyOf returns the store entry for service; never nil.
+func (cp *ControlPlane) policyOf(service string) *servicePolicy {
+	if pol := cp.policy[service]; pol != nil {
+		return pol
+	}
+	return &noPolicy
+}
+
 // SetRouteRule installs (replacing) the routing rule for a service.
 func (cp *ControlPlane) SetRouteRule(r RouteRule) {
-	if r.Service == "" {
-		panic("mesh: route rule needs a service")
-	}
 	for _, w := range r.Weights {
 		if w.Weight <= 0 {
 			panic("mesh: route weights must be positive")
 		}
 	}
-	cp.apply(r.Service, func() { cp.rules[r.Service] = &r })
+	cp.edit(r.Service, func(pol *servicePolicy) { pol.Rule = &r })
 }
 
 // RouteRuleFor returns the service's rule, or nil.
-func (cp *ControlPlane) RouteRuleFor(service string) *RouteRule { return cp.rules[service] }
+func (cp *ControlPlane) RouteRuleFor(service string) *RouteRule { return cp.policyOf(service).Rule }
 
 // ClearRouteRule removes a service's routing rule.
 func (cp *ControlPlane) ClearRouteRule(service string) {
-	cp.apply(service, func() { delete(cp.rules, service) })
+	cp.edit(service, func(pol *servicePolicy) { pol.Rule = nil })
 }
 
 // SetLBPolicy selects the load balancer for a service.
@@ -405,41 +440,22 @@ func (cp *ControlPlane) SetLBPolicy(service string, p LBPolicy) {
 	default:
 		panic(fmt.Sprintf("mesh: unknown LB policy %q", p))
 	}
-	cp.apply(service, func() { cp.lb[service] = p })
+	cp.edit(service, func(pol *servicePolicy) { pol.LB = &p })
 }
 
 // LBPolicyFor returns the service's LB policy (round robin by default).
 func (cp *ControlPlane) LBPolicyFor(service string) LBPolicy {
-	if p, ok := cp.lb[service]; ok {
-		return p
-	}
-	return LBRoundRobin
+	return deref(cp.policyOf(service).LB, LBRoundRobin)
 }
 
 // SetRetryPolicy configures retries for a service.
 func (cp *ControlPlane) SetRetryPolicy(service string, p RetryPolicy) {
-	cp.apply(service, func() { cp.retry[service] = p })
-}
-
-// RetryPolicyFor returns the service's retry policy.
-func (cp *ControlPlane) RetryPolicyFor(service string) RetryPolicy {
-	if p, ok := cp.retry[service]; ok {
-		return p
-	}
-	return DefaultRetryPolicy
+	cp.edit(service, func(pol *servicePolicy) { pol.Retry = &p })
 }
 
 // SetCircuitBreaker configures ejection for a service's endpoints.
 func (cp *ControlPlane) SetCircuitBreaker(service string, p CircuitBreakerPolicy) {
-	cp.apply(service, func() { cp.breaker[service] = p })
-}
-
-// CircuitBreakerFor returns the service's circuit-breaker policy.
-func (cp *ControlPlane) CircuitBreakerFor(service string) CircuitBreakerPolicy {
-	if p, ok := cp.breaker[service]; ok {
-		return p
-	}
-	return DefaultCircuitBreaker
+	cp.edit(service, func(pol *servicePolicy) { pol.Breaker = &p })
 }
 
 // SetHealthCheck configures active health checking for a service's
@@ -448,13 +464,7 @@ func (cp *ControlPlane) SetHealthCheck(service string, p HealthCheckPolicy) {
 	if p.Interval < 0 {
 		panic("mesh: health-check interval must be >= 0")
 	}
-	cp.apply(service, func() { cp.health[service] = p })
-}
-
-// HealthCheckFor returns the service's health-check policy (disabled
-// by default).
-func (cp *ControlPlane) HealthCheckFor(service string) HealthCheckPolicy {
-	return cp.health[service]
+	cp.edit(service, func(pol *servicePolicy) { pol.Health = &p })
 }
 
 // SetOutlierPolicy configures passive outlier detection for a
@@ -466,13 +476,7 @@ func (cp *ControlPlane) SetOutlierPolicy(service string, p OutlierPolicy) {
 	if p.PanicThreshold < 0 || p.PanicThreshold > 1 {
 		panic("mesh: outlier PanicThreshold must be in [0, 1]")
 	}
-	cp.apply(service, func() { cp.outlier[service] = p })
-}
-
-// OutlierFor returns the service's outlier policy (disabled by
-// default).
-func (cp *ControlPlane) OutlierFor(service string) OutlierPolicy {
-	return cp.outlier[service]
+	cp.edit(service, func(pol *servicePolicy) { pol.Outlier = &p })
 }
 
 // SetLocalityPolicy configures zone-aware endpoint selection for a
@@ -490,54 +494,29 @@ func (cp *ControlPlane) SetLocalityPolicy(service string, p LocalityPolicy) {
 	if p.PanicThreshold < 0 || p.PanicThreshold > 1 {
 		panic("mesh: locality PanicThreshold must be in [0, 1]")
 	}
-	cp.apply(service, func() { cp.locality[service] = p })
-}
-
-// LocalityFor returns the service's locality policy (disabled by
-// default).
-func (cp *ControlPlane) LocalityFor(service string) LocalityPolicy {
-	return cp.locality[service]
+	cp.edit(service, func(pol *servicePolicy) { pol.Locality = &p })
 }
 
 // SetFallbackPolicy configures graceful degradation for calls to a
 // service. A zero policy disables it.
 func (cp *ControlPlane) SetFallbackPolicy(service string, p FallbackPolicy) {
-	cp.apply(service, func() { cp.fallback[service] = p })
-}
-
-// FallbackFor returns the service's fallback policy (disabled by
-// default).
-func (cp *ControlPlane) FallbackFor(service string) FallbackPolicy {
-	return cp.fallback[service]
+	cp.edit(service, func(pol *servicePolicy) { pol.Fallback = &p })
 }
 
 // SetHedgePolicy configures redundant requests for a service.
 func (cp *ControlPlane) SetHedgePolicy(service string, p HedgePolicy) {
-	cp.apply(service, func() { cp.hedge[service] = p })
+	cp.edit(service, func(pol *servicePolicy) { pol.Hedge = &p })
 }
-
-// HedgePolicyFor returns the service's hedging policy (disabled by
-// default).
-func (cp *ControlPlane) HedgePolicyFor(service string) HedgePolicy { return cp.hedge[service] }
 
 // AllowCalls authorizes src to call dst. The first AllowCalls for a dst
 // switches it from permissive (allow all) to an explicit allow-list.
 func (cp *ControlPlane) AllowCalls(src, dst string) {
-	cp.apply(dst, func() {
-		set := cp.authz[dst]
-		if set == nil {
-			set = make(map[string]bool)
-			cp.authz[dst] = set
+	cp.edit(dst, func(pol *servicePolicy) {
+		set := make(map[string]bool, len(pol.Authz)+1)
+		for s := range pol.Authz {
+			set[s] = true
 		}
 		set[src] = true
+		pol.Authz = set
 	})
-}
-
-// Authorized reports whether src may call dst under current policy.
-func (cp *ControlPlane) Authorized(src, dst string) bool {
-	set, restricted := cp.authz[dst]
-	if !restricted {
-		return true
-	}
-	return set[src]
 }

@@ -2,12 +2,16 @@ package mesh
 
 import "meshlayer/internal/cluster"
 
-// This file is the sidecar's read path for routing state. In instant-
-// propagation mode (sc.ctrl == nil) every accessor delegates straight
-// to the shared control plane — byte-identical to the pre-distribution
-// behavior. With distribution enabled, accessors read the sidecar's
-// own pushed snapshot instead, so a sidecar acts on possibly-stale
-// endpoints and policies until the next control-plane push lands.
+// This file is the sidecar's read path for routing state. Policy has
+// one store (ControlPlane.policy) and one read, policyFor: in instant-
+// propagation mode (sc.ctrl == nil) it hands back the live store entry;
+// with distribution enabled, the copy in the sidecar's own pushed
+// snapshot, so a sidecar acts on possibly-stale policy until the next
+// push lands. The typed accessors below only apply defaults. Endpoints
+// (discoverEndpoints) and Remote (locality.go's remoteTiers) are the
+// other two mode branches: they are discovery state the cluster or a
+// peer control plane owns, not operator policy, so they have no store
+// entry to read.
 
 // ctrlState returns this sidecar's snapshotted state for service and
 // whether distribution is enabled at all.
@@ -34,144 +38,81 @@ func (sc *Sidecar) discoverEndpoints(service string) ([]*cluster.Pod, bool) {
 	return svc.Endpoints(), true
 }
 
-func (sc *Sidecar) routeRuleFor(service string) *RouteRule {
+// policyFor returns the policies this sidecar currently acts on for
+// service; never nil. Callers only read it.
+func (sc *Sidecar) policyFor(service string) *servicePolicy {
 	if st, dist := sc.ctrlState(service); dist {
 		if st == nil {
-			return nil
+			return &noPolicy
 		}
-		return st.Rule
+		return &st.servicePolicy
 	}
-	return sc.mesh.cp.RouteRuleFor(service)
+	return sc.mesh.cp.policyOf(service)
+}
+
+// deref reads a nil-means-unset policy field.
+func deref[T any](p *T, unset T) T {
+	if p != nil {
+		return *p
+	}
+	return unset
+}
+
+func (sc *Sidecar) routeRuleFor(service string) *RouteRule {
+	return sc.policyFor(service).Rule
 }
 
 func (sc *Sidecar) lbPolicyFor(service string) LBPolicy {
-	if st, dist := sc.ctrlState(service); dist {
-		if st != nil && st.LB != nil {
-			return *st.LB
-		}
-		return LBRoundRobin
-	}
-	return sc.mesh.cp.LBPolicyFor(service)
+	return deref(sc.policyFor(service).LB, LBRoundRobin)
 }
 
 func (sc *Sidecar) retryPolicyFor(service string) RetryPolicy {
-	if st, dist := sc.ctrlState(service); dist {
-		if st != nil && st.Retry != nil {
-			return *st.Retry
-		}
-		return DefaultRetryPolicy
-	}
-	return sc.mesh.cp.RetryPolicyFor(service)
+	return deref(sc.policyFor(service).Retry, DefaultRetryPolicy)
 }
 
 func (sc *Sidecar) breakerFor(service string) CircuitBreakerPolicy {
-	if st, dist := sc.ctrlState(service); dist {
-		if st != nil && st.Breaker != nil {
-			return *st.Breaker
-		}
-		return DefaultCircuitBreaker
-	}
-	return sc.mesh.cp.CircuitBreakerFor(service)
+	return deref(sc.policyFor(service).Breaker, DefaultCircuitBreaker)
 }
 
 func (sc *Sidecar) hedgePolicyFor(service string) HedgePolicy {
-	if st, dist := sc.ctrlState(service); dist {
-		if st != nil && st.Hedge != nil {
-			return *st.Hedge
-		}
-		return HedgePolicy{}
-	}
-	return sc.mesh.cp.HedgePolicyFor(service)
+	return deref(sc.policyFor(service).Hedge, HedgePolicy{})
 }
 
 func (sc *Sidecar) faultPolicyFor(service string) FaultPolicy {
-	if st, dist := sc.ctrlState(service); dist {
-		if st != nil && st.Fault != nil {
-			return *st.Fault
-		}
-		return FaultPolicy{}
-	}
-	return sc.mesh.cp.FaultPolicyFor(service)
+	return deref(sc.policyFor(service).Fault, FaultPolicy{})
 }
 
 func (sc *Sidecar) mirrorPolicyFor(service string) MirrorPolicy {
-	if st, dist := sc.ctrlState(service); dist {
-		if st != nil && st.Mirror != nil {
-			return *st.Mirror
-		}
-		return MirrorPolicy{}
-	}
-	return sc.mesh.cp.MirrorPolicyFor(service)
+	return deref(sc.policyFor(service).Mirror, MirrorPolicy{})
 }
 
 func (sc *Sidecar) rateLimitFor(service string) RateLimitPolicy {
-	if st, dist := sc.ctrlState(service); dist {
-		if st != nil && st.Rate != nil {
-			return *st.Rate
-		}
-		return RateLimitPolicy{}
-	}
-	return sc.mesh.cp.RateLimitFor(service)
+	return deref(sc.policyFor(service).Rate, RateLimitPolicy{})
 }
 
 func (sc *Sidecar) admissionPolicyFor(service string) AdmissionPolicy {
-	if st, dist := sc.ctrlState(service); dist {
-		if st != nil && st.Admission != nil {
-			return *st.Admission
-		}
-		return AdmissionPolicy{}
-	}
-	return sc.mesh.cp.AdmissionPolicyFor(service)
+	return deref(sc.policyFor(service).Admission, AdmissionPolicy{})
 }
 
 func (sc *Sidecar) healthCheckFor(service string) HealthCheckPolicy {
-	if st, dist := sc.ctrlState(service); dist {
-		if st != nil && st.Health != nil {
-			return *st.Health
-		}
-		return HealthCheckPolicy{}
-	}
-	return sc.mesh.cp.HealthCheckFor(service)
+	return deref(sc.policyFor(service).Health, HealthCheckPolicy{})
 }
 
 func (sc *Sidecar) outlierFor(service string) OutlierPolicy {
-	if st, dist := sc.ctrlState(service); dist {
-		if st != nil && st.Outlier != nil {
-			return *st.Outlier
-		}
-		return OutlierPolicy{}
-	}
-	return sc.mesh.cp.OutlierFor(service)
+	return deref(sc.policyFor(service).Outlier, OutlierPolicy{})
 }
 
 func (sc *Sidecar) localityFor(service string) LocalityPolicy {
-	if st, dist := sc.ctrlState(service); dist {
-		if st != nil && st.Locality != nil {
-			return *st.Locality
-		}
-		return LocalityPolicy{}
-	}
-	return sc.mesh.cp.LocalityFor(service)
+	return deref(sc.policyFor(service).Locality, LocalityPolicy{})
 }
 
 func (sc *Sidecar) fallbackFor(service string) FallbackPolicy {
-	if st, dist := sc.ctrlState(service); dist {
-		if st != nil && st.Fallback != nil {
-			return *st.Fallback
-		}
-		return FallbackPolicy{}
-	}
-	return sc.mesh.cp.FallbackFor(service)
+	return deref(sc.policyFor(service).Fallback, FallbackPolicy{})
 }
 
-// authorized checks the inbound allow-list for this sidecar's own
-// service against the snapshot (or the shared control plane).
+// authorized checks src against the inbound allow-list for this
+// sidecar's own service.
 func (sc *Sidecar) authorized(src string) bool {
-	if st, dist := sc.ctrlState(sc.service); dist {
-		if st == nil || st.Authz == nil {
-			return true // permissive
-		}
-		return st.Authz[src]
-	}
-	return sc.mesh.cp.Authorized(src, sc.service)
+	set := sc.policyFor(sc.service).Authz
+	return set == nil || set[src]
 }

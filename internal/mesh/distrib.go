@@ -23,9 +23,9 @@ const CtrlPlanePod = "mesh-ctrlplane"
 const FedPort = 15010
 
 // serviceState is one service's routing state as distributed to
-// sidecars: the endpoint list plus whichever policies the operator has
-// set (nil = unset, default semantics apply). It is the Data payload
-// of a ctrlplane.Resource; sidecars route on their snapshotted copy.
+// sidecars: the endpoint list plus a copy of the operator's policy
+// entry. It is the Data payload of a ctrlplane.Resource; sidecars route
+// on their snapshotted copy.
 type serviceState struct {
 	Eps []*cluster.Pod
 	// Remote summarizes per-region endpoint counts learned from peer
@@ -34,40 +34,13 @@ type serviceState struct {
 	// gateway. Nil outside federated mode. Entries follow region
 	// creation order and reflect the last summary received — a WAN
 	// partition freezes them (honest split-brain staleness).
-	Remote    []RemoteEndpoints
-	Rule      *RouteRule
-	LB        *LBPolicy
-	Retry     *RetryPolicy
-	Breaker   *CircuitBreakerPolicy
-	Hedge     *HedgePolicy
-	Fault     *FaultPolicy
-	Mirror    *MirrorPolicy
-	Rate      *RateLimitPolicy
-	Admission *AdmissionPolicy
-	Health    *HealthCheckPolicy
-	Outlier   *OutlierPolicy
-	Locality  *LocalityPolicy
-	Fallback  *FallbackPolicy
-	// Authz is the allowed-source set; nil = permissive mode.
-	Authz map[string]bool
+	Remote []RemoteEndpoints
+	servicePolicy
 }
 
 // wireBytes estimates the encoded size (protobuf-ish costs).
 func (st *serviceState) wireBytes() int {
-	n := 48 + 24*len(st.Eps) + 16*len(st.Authz) + 16*len(st.Remote)
-	for _, set := range []bool{
-		st.LB != nil, st.Retry != nil, st.Breaker != nil, st.Hedge != nil,
-		st.Fault != nil, st.Mirror != nil, st.Rate != nil, st.Admission != nil,
-		st.Health != nil, st.Outlier != nil, st.Locality != nil, st.Fallback != nil,
-	} {
-		if set {
-			n += 40
-		}
-	}
-	if st.Rule != nil {
-		n += 32 + 24*(len(st.Rule.HeaderRoutes)+len(st.Rule.Weights))
-	}
-	return n
+	return 48 + 24*len(st.Eps) + 16*len(st.Remote) + st.servicePolicy.wireBytes()
 }
 
 // DistributionConfig parameterizes EnableDistribution.
@@ -118,9 +91,9 @@ type DistributionConfig struct {
 }
 
 // distributor bridges the generic ctrlplane.Server to the mesh: it
-// builds per-service resources from the control-plane maps plus the
-// cluster's discovery state, and ships updates to each sidecar as
-// simulated HTTP from the control-plane pod — so propagation delay,
+// builds per-service resources from the control plane's policy store
+// plus the cluster's discovery state, and ships updates to each sidecar
+// as simulated HTTP from the control-plane pod — so propagation delay,
 // loss, and partitions are real network effects, not parameters.
 type distributor struct {
 	cp          *ControlPlane
@@ -189,6 +162,11 @@ func (cp *ControlPlane) EnableDistribution(cfg DistributionConfig) {
 	if cp.dist != nil || cp.fed != nil {
 		panic("mesh: distribution already enabled")
 	}
+	// A delay set in instant mode carries over as push suppression once
+	// the servers exist; left in pushDelay it would keep delaying every
+	// mutation before staging, out of SetPushDelay's reach.
+	defer cp.SetPushDelay(cp.pushDelay)
+	cp.pushDelay = 0
 	m := cp.mesh
 	if cfg.PushTimeout <= 0 {
 		cfg.PushTimeout = 2 * time.Second
@@ -387,60 +365,11 @@ func (d *distributor) serviceNames() []string {
 	for _, svc := range d.cp.mesh.cluster.Services() {
 		seen[svc.Name()] = true
 	}
-	cp := d.cp
-	for _, name := range policyKeys(cp) {
+	for name := range d.cp.policy {
 		seen[name] = true
 	}
 	names := make([]string, 0, len(seen))
 	for name := range seen {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func policyKeys(cp *ControlPlane) []string {
-	var names []string
-	for name := range cp.rules {
-		names = append(names, name)
-	}
-	for name := range cp.lb {
-		names = append(names, name)
-	}
-	for name := range cp.retry {
-		names = append(names, name)
-	}
-	for name := range cp.breaker {
-		names = append(names, name)
-	}
-	for name := range cp.hedge {
-		names = append(names, name)
-	}
-	for name := range cp.authz {
-		names = append(names, name)
-	}
-	for name := range cp.fault {
-		names = append(names, name)
-	}
-	for name := range cp.mirror {
-		names = append(names, name)
-	}
-	for name := range cp.rate {
-		names = append(names, name)
-	}
-	for name := range cp.admission {
-		names = append(names, name)
-	}
-	for name := range cp.health {
-		names = append(names, name)
-	}
-	for name := range cp.outlier {
-		names = append(names, name)
-	}
-	for name := range cp.locality {
-		names = append(names, name)
-	}
-	for name := range cp.fallback {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -505,7 +434,7 @@ func (d *distributor) subscriberSynced(name string) {
 }
 
 // refreshService rebuilds one service's resource from the control
-// plane's authoritative maps + live discovery and stages it for push.
+// plane's policy store + live discovery and stages it for push.
 func (d *distributor) refreshService(service string) {
 	if service == "" {
 		return
@@ -592,59 +521,17 @@ func (d *distributor) routableEps(svc *cluster.Service) []*cluster.Pod {
 	return out
 }
 
-// buildState snapshots the operator-intent maps for one service.
+// buildState snapshots discovery and the operator's policy entry for
+// one service. The entry is copied by value: its fields are only ever
+// replaced in the store, so the copy cannot change under a sidecar.
 func (d *distributor) buildState(service string) *serviceState {
 	cp := d.cp
-	st := &serviceState{}
+	st := &serviceState{servicePolicy: *cp.policyOf(service)}
 	if svc := cp.mesh.cluster.Service(service); svc != nil {
 		st.Eps = d.routableEps(svc)
 		if d.region != "" && !isEWService(service) {
 			st.Remote = d.summary.remoteFor(service, cp.mesh.cluster.Regions())
 		}
-	}
-	st.Rule = cp.rules[service]
-	if p, ok := cp.lb[service]; ok {
-		st.LB = &p
-	}
-	if p, ok := cp.retry[service]; ok {
-		st.Retry = &p
-	}
-	if p, ok := cp.breaker[service]; ok {
-		st.Breaker = &p
-	}
-	if p, ok := cp.hedge[service]; ok {
-		st.Hedge = &p
-	}
-	if p, ok := cp.fault[service]; ok {
-		st.Fault = &p
-	}
-	if p, ok := cp.mirror[service]; ok {
-		st.Mirror = &p
-	}
-	if p, ok := cp.rate[service]; ok {
-		st.Rate = &p
-	}
-	if p, ok := cp.admission[service]; ok {
-		st.Admission = &p
-	}
-	if p, ok := cp.health[service]; ok {
-		st.Health = &p
-	}
-	if p, ok := cp.outlier[service]; ok {
-		st.Outlier = &p
-	}
-	if p, ok := cp.locality[service]; ok {
-		st.Locality = &p
-	}
-	if p, ok := cp.fallback[service]; ok {
-		st.Fallback = &p
-	}
-	if set, ok := cp.authz[service]; ok {
-		cpy := make(map[string]bool, len(set))
-		for src, v := range set {
-			cpy[src] = v
-		}
-		st.Authz = cpy
 	}
 	return st
 }

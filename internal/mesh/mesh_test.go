@@ -501,14 +501,35 @@ func TestControlPlaneValidation(t *testing.T) {
 		}()
 		cp.SetLBPolicy("backend", "bogus")
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("empty route rule service accepted")
-			}
+	// Every setter names a service; "" is rejected in one place (edit),
+	// before anything is stored or versioned.
+	v = cp.Version()
+	for name, set := range map[string]func(){
+		"SetRouteRule":       func() { cp.SetRouteRule(RouteRule{}) },
+		"ClearRouteRule":     func() { cp.ClearRouteRule("") },
+		"SetLBPolicy":        func() { cp.SetLBPolicy("", LBRandom) },
+		"SetRetryPolicy":     func() { cp.SetRetryPolicy("", RetryPolicy{}) },
+		"SetCircuitBreaker":  func() { cp.SetCircuitBreaker("", CircuitBreakerPolicy{}) },
+		"SetHealthCheck":     func() { cp.SetHealthCheck("", HealthCheckPolicy{}) },
+		"SetOutlierPolicy":   func() { cp.SetOutlierPolicy("", OutlierPolicy{}) },
+		"SetLocalityPolicy":  func() { cp.SetLocalityPolicy("", LocalityPolicy{}) },
+		"SetFallbackPolicy":  func() { cp.SetFallbackPolicy("", FallbackPolicy{}) },
+		"SetHedgePolicy":     func() { cp.SetHedgePolicy("", HedgePolicy{}) },
+		"SetAdmissionPolicy": func() { cp.SetAdmissionPolicy("", AdmissionPolicy{}) },
+		"AllowCalls":         func() { cp.AllowCalls("frontend", "") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted an empty service name", name)
+				}
+			}()
+			set()
 		}()
-		cp.SetRouteRule(RouteRule{})
-	}()
+	}
+	if cp.Version() != v {
+		t.Fatal("rejected setters bumped the version")
+	}
 	cp.SetRouteRule(RouteRule{Service: "backend"})
 	if cp.RouteRuleFor("backend") == nil {
 		t.Fatal("rule not stored")

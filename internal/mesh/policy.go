@@ -38,7 +38,7 @@ type MirrorPolicy struct {
 type RateLimitPolicy struct {
 	// RPS is the sustained refill rate. Zero disables the limit.
 	RPS float64
-	// Burst is the bucket depth in requests (default: ceil(RPS)).
+	// Burst is the bucket depth in requests (default: int(RPS+1)).
 	Burst int
 }
 
@@ -47,33 +47,24 @@ func (cp *ControlPlane) SetFaultPolicy(service string, p FaultPolicy) {
 	if p.AbortProb > 0 && p.AbortStatus == 0 {
 		p.AbortStatus = httpsim.StatusServiceUnavailable
 	}
-	cp.apply(service, func() { cp.fault[service] = p })
+	cp.edit(service, func(pol *servicePolicy) { pol.Fault = &p })
 }
-
-// FaultPolicyFor returns the service's fault policy (zero by default).
-func (cp *ControlPlane) FaultPolicyFor(service string) FaultPolicy { return cp.fault[service] }
 
 // SetMirrorPolicy installs traffic mirroring for calls to a service.
 func (cp *ControlPlane) SetMirrorPolicy(service string, p MirrorPolicy) {
 	if p.Fraction < 0 || p.Fraction > 1 {
 		panic("mesh: mirror fraction must be in [0,1]")
 	}
-	cp.apply(service, func() { cp.mirror[service] = p })
+	cp.edit(service, func(pol *servicePolicy) { pol.Mirror = &p })
 }
-
-// MirrorPolicyFor returns the service's mirror policy.
-func (cp *ControlPlane) MirrorPolicyFor(service string) MirrorPolicy { return cp.mirror[service] }
 
 // SetRateLimit installs an inbound rate limit on a service.
 func (cp *ControlPlane) SetRateLimit(service string, p RateLimitPolicy) {
 	if p.RPS > 0 && p.Burst == 0 {
 		p.Burst = int(p.RPS + 1)
 	}
-	cp.apply(service, func() { cp.rate[service] = p })
+	cp.edit(service, func(pol *servicePolicy) { pol.Rate = &p })
 }
-
-// RateLimitFor returns the service's rate limit (disabled by default).
-func (cp *ControlPlane) RateLimitFor(service string) RateLimitPolicy { return cp.rate[service] }
 
 // tokenBucket is the sidecar-local rate limiter state.
 type tokenBucket struct {

@@ -97,14 +97,24 @@ func TestMirroringShadowsTraffic(t *testing.T) {
 	}
 }
 
-func TestMirrorFractionValidation(t *testing.T) {
+func TestPolicySetterValidation(t *testing.T) {
 	tb := buildBed(t, Config{}, echoBackend)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("fraction > 1 accepted")
-		}
-	}()
-	tb.m.ControlPlane().SetMirrorPolicy("backend", MirrorPolicy{To: "x", Fraction: 2})
+	cp := tb.m.ControlPlane()
+	for name, set := range map[string]func(){
+		"mirror fraction > 1":      func() { cp.SetMirrorPolicy("backend", MirrorPolicy{To: "x", Fraction: 2}) },
+		"mirror policy for no one": func() { cp.SetMirrorPolicy("", MirrorPolicy{}) },
+		"fault policy for no one":  func() { cp.SetFaultPolicy("", FaultPolicy{}) },
+		"rate limit for no one":    func() { cp.SetRateLimit("", RateLimitPolicy{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted", name)
+				}
+			}()
+			set()
+		}()
+	}
 }
 
 func TestRateLimitRejectsExcess(t *testing.T) {
