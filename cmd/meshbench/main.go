@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -45,6 +47,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fidelity := fs.String("fidelity", "packet", "simulation fidelity for every experiment: packet|flow|hybrid (E20 compares all three itself, regardless)")
 	fs.IntVar(&p.Zones, "zones", 0, "E20 fan-in zone count, 100 pods each (0 = the full 100-zone, 10k-pod sweep)")
 	fs.IntVar(&p.Subs, "subs", 0, "E21 subscriber (worker sidecar) count (0 = the full 10k fleet)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to `file` (read with go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write a heap profile, taken after the run, to `file` (allocations: go tool pprof -sample_index=alloc_space)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -71,10 +75,64 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	meshlayer.MaxParallel = *parallel
 	simnet.SetDefaultFidelity(fid)
-	if err := meshlayer.RunExperiment(stdout, *exp, p); err != nil {
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return fail(err)
+	}
+	err = meshlayer.RunExperiment(stdout, *exp, p)
+	if perr := stopProfiles(); err == nil {
+		err = perr
+	}
+	if err != nil {
 		return fail(err)
 	}
 	return 0
+}
+
+// startProfiles opens both profile files before the run, so that a path
+// that cannot be written fails in milliseconds and not after a
+// ten-minute experiment, and starts the CPU profile. The returned stop
+// ends the CPU profile and writes the heap profile.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu, mem *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+	}
+	if memPath != "" {
+		if mem, err = os.Create(memPath); err != nil {
+			closeAll(cpu)
+			return nil, err
+		}
+	}
+	if cpu != nil {
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			closeAll(cpu, mem)
+			return nil, err
+		}
+	}
+	return func() error {
+		var err error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+		}
+		if mem != nil {
+			runtime.GC() // the profile reports the heap as of the last collection
+			err = pprof.WriteHeapProfile(mem)
+		}
+		return errors.Join(err, closeAll(cpu, mem))
+	}, nil
+}
+
+func closeAll(files ...*os.File) error {
+	var err error
+	for _, f := range files {
+		if f != nil {
+			err = errors.Join(err, f.Close())
+		}
+	}
+	return err
 }
 
 func parseLevels(s string) ([]float64, error) {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,6 +21,9 @@ func TestRunFlags(t *testing.T) {
 	}()
 	ids, _ := meshlayer.IDs()
 	first, second := ids[0], ids[1] // the sweep's two tables: quick at one level and a 1 s window
+	dir := t.TempDir()
+	cpuOut, memOut := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	noSuchDir := filepath.Join(dir, "missing", "x.prof")
 	cases := []struct {
 		args   string
 		code   int
@@ -40,6 +45,9 @@ func TestRunFlags(t *testing.T) {
 		{"-opts warp", 2, "unknown optimization", ""},
 		{"-exp " + first + " -levels 20 -warmup 500ms -measure 1s -parallel 1", 0, "", "# sweep: opts=routing+tc levels=[20] measure=1s seed=1\n\nFig. 4"},
 		{"-exp " + first + " -levels 20 -warmup 500ms -measure 1s -csv", 0, "", "\n\nrps,ls_base_p50_ms"},
+		{"-exp " + first + " -cpuprofile " + noSuchDir, 2, "no such file or directory", ""},
+		{"-exp " + first + " -cpuprofile " + cpuOut + " -memprofile " + noSuchDir, 2, "no such file or directory", ""},
+		{"-exp " + first + " -levels 20 -warmup 500ms -measure 1s -cpuprofile " + cpuOut + " -memprofile " + memOut, 0, "", "Fig. 4"},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer
@@ -53,6 +61,11 @@ func TestRunFlags(t *testing.T) {
 		}
 		if c.code != 0 && (stdout.Len() > 0 || strings.Count(stderr.String(), "\n") != 1) {
 			t.Errorf("%q: want no stdout and one stderr line, got stdout %q stderr %q", c.args, stdout.String(), stderr.String())
+		}
+	}
+	for _, f := range []string{cpuOut, memOut} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s: want a non-empty file, got %v", f, err)
 		}
 	}
 }

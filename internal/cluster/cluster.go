@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -75,16 +76,23 @@ type Pod struct {
 	notReady    bool
 	partitioned bool
 	execFactor  float64 // 0 or 1 = nominal speed
-	// topoChanged, installed by the cluster, reports discovery-relevant
-	// changes (readiness flips) to the topology hook.
-	topoChanged func()
+	cluster     *Cluster
+	// services are the services selecting this pod, sorted by name. Labels
+	// never change after AddPod, so membership is settled at AddPod and
+	// AddService and a readiness flip touches only these.
+	services []*Service
 }
 
 // Name returns the pod name.
 func (p *Pod) Name() string { return p.name }
 
-// Labels returns the pod's label map (callers must not mutate).
+// Labels returns the pod's label map (callers must not mutate: service
+// membership was derived from it at AddPod).
 func (p *Pod) Labels() map[string]string { return p.labels }
+
+// Services returns the services selecting this pod, sorted by name
+// (callers must not mutate).
+func (p *Pod) Services() []*Service { return p.services }
 
 // Label returns one label value ("" if absent).
 func (p *Pod) Label(k string) string { return p.labels[k] }
@@ -155,9 +163,10 @@ func (p *Pod) SetReady(ready bool) {
 		return
 	}
 	p.notReady = !ready
-	if p.topoChanged != nil {
-		p.topoChanged()
+	for _, s := range p.services {
+		s.cached = false
 	}
+	p.cluster.notifyTopology(p)
 }
 
 // Partitioned reports whether the pod is network-partitioned.
@@ -186,16 +195,17 @@ type Cluster struct {
 	sched       *simnet.Scheduler
 	bridge      *simnet.Node
 	pods        map[string]*Pod
-	podOrder    []string
+	podOrder    []*Pod // creation order
 	services    map[string]*Service
+	svcOrder    []*Service // sorted by name
 	zones       map[string]*zone
 	zoneOrder   []string
 	regions     map[string]*region
 	regionOrder []string
-	// onTopology, if set, runs after every discovery-relevant change:
-	// a pod added or a readiness flip. The simulated control plane
-	// subscribes here to learn about churn.
-	onTopology func()
+	// onTopology, if set, runs after every discovery-relevant change
+	// with the pod that changed: a pod added or a readiness flip. The
+	// simulated control plane subscribes here to learn about churn.
+	onTopology func(*Pod)
 }
 
 // zone is one failure domain: its own bridge node, uplinked to the
@@ -332,8 +342,8 @@ func (c *Cluster) Regions() []string {
 // RegionPods returns the region's pods in creation order.
 func (c *Cluster) RegionPods(region string) []*Pod {
 	var out []*Pod
-	for _, n := range c.podOrder {
-		if p := c.pods[n]; p.region == region {
+	for _, p := range c.podOrder {
+		if p.region == region {
 			out = append(out, p)
 		}
 	}
@@ -376,8 +386,8 @@ func (c *Cluster) Zones() []string {
 // ZonePods returns the zone's pods in creation order.
 func (c *Cluster) ZonePods(zone string) []*Pod {
 	var out []*Pod
-	for _, n := range c.podOrder {
-		if p := c.pods[n]; p.zone == zone {
+	for _, p := range c.podOrder {
+		if p.zone == zone {
 			out = append(out, p)
 		}
 	}
@@ -428,9 +438,12 @@ func (c *Cluster) AddPod(spec PodSpec) *Pod {
 	}
 	node := c.net.AddNode(spec.Name)
 	l := c.net.Connect(node, bridge, link)
-	labels := spec.Labels
-	if labels == nil {
-		labels = map[string]string{}
+	// The pod owns its label map: the ZoneLabel/RegionLabel writes below
+	// must not reach a spec map the caller reuses, and service membership
+	// is derived from the labels once, here and in AddService.
+	labels := make(map[string]string, len(spec.Labels)+2)
+	for k, v := range spec.Labels {
+		labels[k] = v
 	}
 	if spec.Zone != "" {
 		labels[ZoneLabel] = spec.Zone
@@ -447,21 +460,29 @@ func (c *Cluster) AddPod(spec PodSpec) *Pod {
 		zone:    spec.Zone,
 		region:  region,
 		workers: NewWorkerPool(c.sched, spec.Workers),
+		cluster: c,
 	}
-	p.topoChanged = c.notifyTopology
 	c.pods[spec.Name] = p
-	c.podOrder = append(c.podOrder, spec.Name)
-	c.notifyTopology()
+	c.podOrder = append(c.podOrder, p)
+	for _, s := range c.svcOrder {
+		if matches(labels, s.selector) {
+			s.members = append(s.members, p)
+			s.cached = false
+			p.services = append(p.services, s)
+		}
+	}
+	c.notifyTopology(p)
 	return p
 }
 
 // SetTopologyHook installs fn, called after every discovery-relevant
-// change (pod added, readiness flipped). Nil clears the hook.
-func (c *Cluster) SetTopologyHook(fn func()) { c.onTopology = fn }
+// change with the pod that changed (pod added, readiness flipped). Nil
+// clears the hook.
+func (c *Cluster) SetTopologyHook(fn func(*Pod)) { c.onTopology = fn }
 
-func (c *Cluster) notifyTopology() {
+func (c *Cluster) notifyTopology(p *Pod) {
 	if c.onTopology != nil {
-		c.onTopology()
+		c.onTopology(p)
 	}
 }
 
@@ -470,11 +491,7 @@ func (c *Cluster) Pod(name string) *Pod { return c.pods[name] }
 
 // Pods returns all pods in creation order.
 func (c *Cluster) Pods() []*Pod {
-	out := make([]*Pod, 0, len(c.podOrder))
-	for _, n := range c.podOrder {
-		out = append(out, c.pods[n])
-	}
-	return out
+	return append([]*Pod(nil), c.podOrder...)
 }
 
 // ConnectPods adds a direct pod-to-pod link (e.g. an SDN-managed
@@ -499,7 +516,15 @@ type Service struct {
 	name     string
 	port     uint16
 	selector map[string]string
-	cluster  *Cluster
+	// members are the pods the selector matches, in creation order. Pod
+	// labels are immutable, so the list only ever grows (AddPod).
+	members []*Pod
+	// eps caches Endpoints() while cached is set; AddPod of a member and
+	// a member's readiness flip clear it. A rebuild always allocates:
+	// callers (pushed snapshots, the distributor's change detection) keep
+	// the slice they were handed.
+	eps    []*Pod
+	cached bool
 }
 
 // AddService registers a service selecting pods whose labels include
@@ -508,9 +533,28 @@ func (c *Cluster) AddService(name string, port uint16, selector map[string]strin
 	if _, dup := c.services[name]; dup {
 		panic(fmt.Sprintf("cluster: duplicate service %q", name))
 	}
-	s := &Service{name: name, port: port, selector: selector, cluster: c}
+	// Membership is settled here and at AddPod, so the service owns its
+	// selector just as a pod owns its labels.
+	own := make(map[string]string, len(selector))
+	for k, v := range selector {
+		own[k] = v
+	}
+	s := &Service{name: name, port: port, selector: own}
 	c.services[name] = s
+	c.svcOrder = insertByName(c.svcOrder, s)
+	for _, p := range c.podOrder {
+		if matches(p.labels, own) {
+			s.members = append(s.members, p)
+			p.services = insertByName(p.services, s)
+		}
+	}
 	return s
+}
+
+// insertByName inserts s into the name-sorted list.
+func insertByName(list []*Service, s *Service) []*Service {
+	i := sort.Search(len(list), func(i int) bool { return list[i].name > s.name })
+	return slices.Insert(list, i, s)
 }
 
 // Service returns the named service, or nil.
@@ -518,16 +562,7 @@ func (c *Cluster) Service(name string) *Service { return c.services[name] }
 
 // Services returns all services sorted by name.
 func (c *Cluster) Services() []*Service {
-	names := make([]string, 0, len(c.services))
-	for n := range c.services {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*Service, 0, len(names))
-	for _, n := range names {
-		out = append(out, c.services[n])
-	}
-	return out
+	return append([]*Service(nil), c.svcOrder...)
 }
 
 // Name returns the service name.
@@ -538,15 +573,22 @@ func (s *Service) Port() uint16 { return s.port }
 
 // Endpoints returns ready pods matching the selector, in pod creation
 // order (deterministic). Unready pods are excluded, mirroring
-// Kubernetes endpoint semantics.
+// Kubernetes endpoint semantics. The slice is shared between callers
+// until membership or readiness changes and must not be mutated; it
+// never changes after it is handed out.
 func (s *Service) Endpoints() []*Pod {
-	var out []*Pod
-	for _, p := range s.cluster.Pods() {
-		if p.Ready() && matches(p.labels, s.selector) {
-			out = append(out, p)
+	if !s.cached {
+		out := make([]*Pod, 0, len(s.members))
+		for _, p := range s.members {
+			if p.Ready() {
+				out = append(out, p)
+			}
 		}
+		// Clipped, so a caller's append copies instead of writing into
+		// the array every other holder shares.
+		s.eps, s.cached = out[:len(out):len(out)], true
 	}
-	return out
+	return s.eps
 }
 
 // Subset returns endpoints additionally matching one label — the mesh's

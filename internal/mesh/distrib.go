@@ -126,7 +126,7 @@ type distributor struct {
 
 	// gate withholds pods from endpoint lists until their sidecar acks
 	// a current snapshot; gated holds the pods currently withheld and
-	// lastReady the readiness seen at the previous topology scan.
+	// lastReady each pod's readiness at its previous topology change.
 	gate      bool
 	gated     map[string]bool
 	lastReady map[string]bool
@@ -219,9 +219,9 @@ func (cp *ControlPlane) EnableDistribution(cfg DistributionConfig) {
 	for _, sc := range m.Sidecars() {
 		cp.distributorFor(sc.pod).register(sc)
 	}
-	m.cluster.SetTopologyHook(func() {
+	m.cluster.SetTopologyHook(func(p *cluster.Pod) {
 		for _, d := range fed.dists {
-			d.topologyChanged()
+			d.topologyChanged(p)
 		}
 	})
 	for _, d := range fed.dists {
@@ -296,8 +296,8 @@ func (d *distributor) start(sidecars []*Sidecar) {
 	}
 }
 
-// seedReadiness records current pod readiness so the first topology
-// scan only gates actual flips, not pre-existing pods.
+// seedReadiness records current pod readiness so updateGate only gates
+// actual flips, not pre-existing pods.
 func (d *distributor) seedReadiness() {
 	if !d.gate {
 		return
@@ -430,7 +430,7 @@ func (d *distributor) subscriberSynced(name string) {
 		return
 	}
 	delete(d.gated, name)
-	d.topologyChanged() // the pod just became routable
+	d.topologyChanged(d.cp.mesh.cluster.Pod(name)) // the pod just became routable
 }
 
 // refreshService rebuilds one service's resource from the control
@@ -444,17 +444,17 @@ func (d *distributor) refreshService(service string) {
 	d.srv.SetResource(service, st, st.wireBytes())
 }
 
-// topologyChanged reacts to discovery churn (pod added, readiness
-// flip): any service whose routable endpoint list changed is
-// re-staged. In federated mode, changed local capacity is also
-// advertised to peer control planes.
-func (d *distributor) topologyChanged() {
+// topologyChanged reacts to discovery churn (pod p added, flipped
+// readiness, or released from the gate): only the services selecting p
+// can have a different routable endpoint list, so only those are
+// compared and re-staged, in name order. In federated mode, changed
+// local capacity is also advertised to peer control planes.
+func (d *distributor) topologyChanged(p *cluster.Pod) {
 	if d.gate {
-		d.updateGates()
+		d.updateGate(p)
 	}
-	for _, svc := range d.cp.mesh.cluster.Services() {
-		eps := d.routableEps(svc)
-		if epsEqual(d.lastEps[svc.Name()], eps) {
+	for _, svc := range p.Services() {
+		if epsEqual(d.lastEps[svc.Name()], d.routableEps(svc)) {
 			continue
 		}
 		d.refreshService(svc.Name())
@@ -464,25 +464,23 @@ func (d *distributor) topologyChanged() {
 	}
 }
 
-// updateGates scans for pods newly flipped to ready whose sidecar has
-// not acknowledged a current snapshot, and gates them: a restarting
-// pod is not routable on stale config. Unready pods leave the gate set
-// (readiness excludes them anyway).
-func (d *distributor) updateGates() {
-	for _, p := range d.cp.mesh.cluster.Pods() {
-		if d.region != "" && p.Region() != d.region {
-			continue
-		}
-		ready := p.Ready()
-		was, seen := d.lastReady[p.Name()]
-		d.lastReady[p.Name()] = ready
-		if !ready {
-			delete(d.gated, p.Name())
-			continue
-		}
-		if (!seen || !was) && !d.srv.Current(p.Name()) {
-			d.gated[p.Name()] = true
-		}
+// updateGate gates p if it just flipped to ready (or just appeared)
+// and its sidecar has not acknowledged a current snapshot: a restarting
+// pod is not routable on stale config. An unready pod leaves the gate
+// set (readiness excludes it anyway).
+func (d *distributor) updateGate(p *cluster.Pod) {
+	if d.region != "" && p.Region() != d.region {
+		return
+	}
+	ready := p.Ready()
+	was, seen := d.lastReady[p.Name()]
+	d.lastReady[p.Name()] = ready
+	if !ready {
+		delete(d.gated, p.Name())
+		return
+	}
+	if (!seen || !was) && !d.srv.Current(p.Name()) {
+		d.gated[p.Name()] = true
 	}
 }
 

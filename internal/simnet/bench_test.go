@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -174,5 +175,37 @@ func BenchmarkHybridPacketPath(b *testing.B) {
 	}
 	if eng.Stats().Demoted != 0 {
 		b.Fatal("fluid flow demoted: the benchmark must measure coexistence, not demotion")
+	}
+}
+
+// BenchmarkRouteLeaf measures first-use routing on a star-of-stars: 40
+// bridges of 50 single-homed pods under one root, routes invalidated,
+// then every pod resolving its next hop toward a pod on another
+// bridge. Only the 40 bridges build a Dijkstra row; a pod reads its
+// bridge's. One op is the whole 2000-pod sweep.
+func BenchmarkRouteLeaf(b *testing.B) {
+	net := NewNetwork(NewScheduler())
+	root := net.AddNode("root")
+	cfg := LinkConfig{Rate: Gbps}
+	var pods []*Node
+	for z := 0; z < 40; z++ {
+		bridge := net.AddNode(fmt.Sprintf("bridge-%d", z))
+		net.Connect(bridge, root, cfg)
+		for i := 0; i < 50; i++ {
+			pod := net.AddNode(fmt.Sprintf("pod-%d-%d", z, i))
+			net.Connect(pod, bridge, cfg)
+			pods = append(pods, pod)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.dirty = true
+		for j, src := range pods {
+			dst := pods[(j+50)%len(pods)]
+			if net.nextHop(src, dst.addr) != src.nics[0] {
+				b.Fatalf("%s has no route to %s", src, dst)
+			}
+		}
 	}
 }

@@ -72,12 +72,6 @@ const (
 	// satEps is the relative residual capacity below which a link counts
 	// as saturated during progressive filling.
 	satEps = 1e-9
-
-	// leafShortcutMin is the topology size at which single-NIC nodes
-	// route via their only interface instead of a Dijkstra row. Small
-	// topologies keep table routing so drop accounting for unreachable
-	// destinations is byte-identical to the historical goldens.
-	leafShortcutMin = 2048
 )
 
 // FlowID identifies an active fluid flow. IDs are never reused.

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -21,9 +20,15 @@ type Network struct {
 
 	// routes[src][dstID] = egress NIC. Rows are built lazily on first
 	// use (see nextHop) and all invalidated together on topology change,
-	// so a 10k-node topology never pays for the all-pairs table.
+	// so a 10k-node topology never pays for the all-pairs table — and a
+	// single-homed node never gets a row at all, it reads its neighbour's.
 	routes [][]*NIC
 	dirty  bool
+
+	// dist, done and pq are dijkstra's scratch, reused across rows.
+	dist []float64
+	done []bool
+	pq   distHeap
 
 	// fidelity is captured from defaultFidelity at construction; flowEng
 	// is non-nil exactly when fidelity is flow or hybrid (see fidelity.go
@@ -184,14 +189,17 @@ func (n *Network) freePacket(p *Packet) {
 	n.pktPool = append(n.pktPool, p) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
 }
 
-// ComputeRoutes (re)builds all-pairs shortest-path next-hop tables using
-// Dijkstra from every node with link weights as costs. Routing itself
-// only builds rows on demand (see nextHop); this eager form remains for
-// callers that want the full table up front.
+// ComputeRoutes (re)builds every next-hop row routing reads, using
+// Dijkstra with link weights as costs. Routing itself builds rows on
+// demand (see nextHop); this eager form remains for callers that want
+// the tables up front. Single-homed nodes have no row: nextHop answers
+// for them from their neighbour's.
 func (n *Network) ComputeRoutes() {
 	n.invalidateRoutes()
 	for _, src := range n.nodes {
-		n.routes[src.id] = n.dijkstra(src)
+		if len(src.nics) != 1 {
+			n.row(src)
+		}
 	}
 }
 
@@ -208,6 +216,8 @@ func (n *Network) invalidateRoutes() {
 	n.dirty = false
 }
 
+// nextHop returns from's egress NIC toward dst: nil for an unknown
+// address, for from itself, and for a destination from cannot reach.
 func (n *Network) nextHop(from *Node, dst Addr) *NIC {
 	if n.dirty {
 		n.invalidateRoutes()
@@ -216,37 +226,52 @@ func (n *Network) nextHop(from *Node, dst Addr) *NIC {
 	if !ok {
 		return nil
 	}
-	// Leaf shortcut at scale: on topologies large enough that per-source
-	// Dijkstra rows dominate memory, a single-homed node needs no table —
-	// its only NIC is the next hop. Gated on topology size so drop
-	// accounting for unroutable destinations on small topologies stays
-	// byte-identical to the historical goldens.
-	if len(n.nodes) >= leafShortcutMin && len(from.nics) == 1 {
-		return from.nics[0]
+	if len(from.nics) == 1 {
+		// A single-homed node needs no row: every path leaves through its
+		// only NIC, so it reaches exactly its neighbour and whatever the
+		// neighbour reaches — which is what its own Dijkstra row would say
+		// (link weights are finite, and a path from the neighbour back
+		// through from only returns to the neighbour, so the neighbour's
+		// row is the same with from in the graph). A single-homed neighbour
+		// is the other half of an isolated pair and reaches nothing further.
+		nic := from.nics[0]
+		nb := nic.peer.node
+		if dn == from || (dn != nb && (len(nb.nics) == 1 || n.row(nb)[dn.id] == nil)) {
+			return nil
+		}
+		return nic
 	}
-	row := n.routes[from.id]
-	if row == nil {
-		row = n.dijkstra(from)
-		n.routes[from.id] = row
+	return n.row(from)[dn.id]
+}
+
+// row returns src's next-hop row, building it on first use.
+func (n *Network) row(src *Node) []*NIC {
+	r := n.routes[src.id]
+	if r == nil {
+		r = n.dijkstra(src)
+		n.routes[src.id] = r
 	}
-	return row[dn.id]
+	return r
 }
 
 // dijkstra returns, for each destination node ID, the egress NIC at src.
 func (n *Network) dijkstra(src *Node) []*NIC {
 	const inf = math.MaxFloat64
-	dist := make([]float64, len(n.nodes))
-	firstHop := make([]*NIC, len(n.nodes))
-	done := make([]bool, len(n.nodes))
-	for i := range dist {
-		dist[i] = inf
+	if cap(n.dist) < len(n.nodes) {
+		n.dist = make([]float64, len(n.nodes))
+		n.done = make([]bool, len(n.nodes))
 	}
+	dist, done := n.dist[:len(n.nodes)], n.done[:len(n.nodes)]
+	for i := range dist {
+		dist[i], done[i] = inf, false
+	}
+	firstHop := make([]*NIC, len(n.nodes))
 	dist[src.id] = 0
 
-	pq := &nodeQueue{}
-	heap.Push(pq, nodeDist{src.id, 0})
-	for pq.Len() > 0 {
-		nd := heap.Pop(pq).(nodeDist)
+	pq := n.pq[:0]
+	pq.push(nodeDist{src.id, 0})
+	for len(pq) > 0 {
+		nd := pq.pop()
 		if done[nd.id] {
 			continue
 		}
@@ -262,10 +287,11 @@ func (n *Network) dijkstra(src *Node) []*NIC {
 				} else {
 					firstHop[next.id] = firstHop[cur.id]
 				}
-				heap.Push(pq, nodeDist{next.id, dist[next.id]})
+				pq.push(nodeDist{next.id, dist[next.id]})
 			}
 		}
 	}
+	n.pq = pq
 	return firstHop
 }
 
@@ -274,10 +300,43 @@ type nodeDist struct {
 	dist float64
 }
 
-type nodeQueue []nodeDist
+// distHeap is a binary min-heap on dist. push and pop sift exactly as
+// container/heap does, so equal-distance nodes leave in the order they
+// always have and equal-cost routes keep their historical first hop;
+// the typed slice spares the interface boxing of every push and pop.
+type distHeap []nodeDist
 
-func (q nodeQueue) Len() int           { return len(q) }
-func (q nodeQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q nodeQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *nodeQueue) Push(x any)        { *q = append(*q, x.(nodeDist)) }
-func (q *nodeQueue) Pop() (x any)      { old := *q; n := len(old); x = old[n-1]; *q = old[:n-1]; return }
+func (h *distHeap) push(x nodeDist) {
+	q := append(*h, x)
+	*h = q
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *distHeap) pop() nodeDist {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].dist < q[j].dist {
+			j = r
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
+}

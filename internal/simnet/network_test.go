@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -239,6 +240,58 @@ func TestFIFOBacklogAccounting(t *testing.T) {
 	}
 	if f.Drops() != 1 {
 		t.Fatalf("drops=%d, want 1", f.Drops())
+	}
+}
+
+// TestFIFOOrderAndReuse drives the FIFO with random enqueues and
+// dequeues against a plain reference slice, then checks the two things
+// the head index is for: a queue that keeps draining allocates nothing,
+// and one that never drains does not grow without bound.
+func TestFIFOOrderAndReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	f := NewFIFO(1 << 30)
+	var ref []*Packet
+	for i := 0; i < 20000; i++ {
+		if rng.Intn(100) < 52 {
+			p := &Packet{Size: 1 + rng.Intn(1500)}
+			f.Enqueue(p)
+			ref = append(ref, p)
+		} else {
+			var want *Packet
+			if len(ref) > 0 {
+				want, ref = ref[0], ref[1:]
+			}
+			if got := f.Dequeue(); got != want {
+				t.Fatalf("step %d: dequeued %p, want %p", i, got, want)
+			}
+		}
+		bytes := 0
+		for _, p := range ref {
+			bytes += p.Size
+		}
+		if f.Len() != len(ref) || f.Backlog() != bytes {
+			t.Fatalf("step %d: len=%d backlog=%d, want %d and %d", i, f.Len(), f.Backlog(), len(ref), bytes)
+		}
+	}
+
+	p := &Packet{Size: 100}
+	g := NewFIFO(0)
+	g.Enqueue(p)
+	g.Dequeue()
+	if n := testing.AllocsPerRun(100, func() { g.Enqueue(p); g.Enqueue(p); g.Dequeue(); g.Dequeue() }); n != 0 {
+		t.Fatalf("draining FIFO allocates %v per round, want 0", n)
+	}
+
+	h := NewFIFO(1 << 30)
+	for i := 0; i < 100; i++ {
+		h.Enqueue(p)
+	}
+	for i := 0; i < 100000; i++ { // a standing backlog of 100 that never drains
+		h.Enqueue(p)
+		h.Dequeue()
+	}
+	if c := cap(h.queue); c > 1024 {
+		t.Fatalf("standing backlog of 100 grew the array to %d slots", c)
 	}
 }
 

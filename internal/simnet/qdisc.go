@@ -32,8 +32,9 @@ type Waker interface {
 
 // FIFO is a byte-bounded droptail queue, the default qdisc on every NIC.
 type FIFO struct {
-	limit   int // bytes; <=0 means DefaultFIFOLimit
-	queue   []*Packet
+	limit   int       // bytes; <=0 means DefaultFIFOLimit
+	queue   []*Packet // queue[head:] waits; the prefix is spent and nil
+	head    int
 	backlog int
 	drops   uint64
 }
@@ -60,6 +61,14 @@ func (f *FIFO) Enqueue(p *Packet) bool {
 		f.drops++
 		return false
 	}
+	if f.head > 0 && len(f.queue) == cap(f.queue) && f.head >= len(f.queue)/2 {
+		// Full with at least half spent: slide the waiting packets down
+		// rather than grow. (Less than half spent, append doubles the
+		// array and the slide comes later, so the copy stays amortised.)
+		n := copy(f.queue, f.queue[f.head:])
+		clear(f.queue[n:])
+		f.queue, f.head = f.queue[:n], 0
+	}
 	f.queue = append(f.queue, p) //meshvet:allow poolescape a queued packet is live; it reaches its terminal free point only after Dequeue
 	f.backlog += p.Size
 	return true
@@ -67,18 +76,24 @@ func (f *FIFO) Enqueue(p *Packet) bool {
 
 // Dequeue implements Qdisc.
 func (f *FIFO) Dequeue() *Packet {
-	if len(f.queue) == 0 {
+	if f.head == len(f.queue) {
 		return nil
 	}
-	p := f.queue[0]
-	f.queue[0] = nil
-	f.queue = f.queue[1:]
+	p := f.queue[f.head]
+	f.queue[f.head] = nil
+	f.head++
+	if f.head == len(f.queue) {
+		// Drained: start over at the front of the same array. Reslicing
+		// to queue[1:] would give the array away one slot at a time, and
+		// a NIC that mostly holds one packet would allocate per Enqueue.
+		f.queue, f.head = f.queue[:0], 0
+	}
 	f.backlog -= p.Size
 	return p
 }
 
 // Len implements Qdisc.
-func (f *FIFO) Len() int { return len(f.queue) }
+func (f *FIFO) Len() int { return len(f.queue) - f.head }
 
 // Backlog implements Qdisc.
 func (f *FIFO) Backlog() int { return f.backlog }

@@ -70,7 +70,13 @@ type Conn struct {
 	flow  simnet.FlowKey // local perspective: Src is this host
 	opts  Options
 	state connState
-	cc    Controller
+	// The flags of the groups below sit beside state so the six share a
+	// word: a fleet holds two Conns per connection, and spread out they
+	// put the struct in the next allocation size class.
+	recovering, finQueued, finSent bool // send side
+	peerFin                        bool // receive side
+	fluidActive                    bool // fluid: fluidQ[0] is in the engine right now
+	cc                             Controller
 
 	// Callbacks. Set them before data flows.
 	onMessage      func(meta any, size int)
@@ -82,13 +88,11 @@ type Conn struct {
 	sndUna, sndNxt uint64
 	sendEnd        uint64
 	pendBounds     []Bound
-	segs           []segInfo
+	segs           []segInfo // unacked segments: a window sliding along segArr
+	segArr         []segInfo // the array segs lives in, from its first slot (len 0)
 	peerWnd        int
 	dupAcks        int
-	recovering     bool
 	recoverPt      uint64
-	finQueued      bool
-	finSent        bool
 
 	// Receive side.
 	rcvNxt     uint64
@@ -96,7 +100,6 @@ type Conn struct {
 	recvBounds []Bound
 	lastBound  uint64
 	peerFinSeq uint64
-	peerFin    bool
 	lastTSVal  time.Duration
 
 	// RTT estimation / RTO.
@@ -105,6 +108,7 @@ type Conn struct {
 	minRTT        time.Duration
 	lastRTTSample time.Duration
 	rtoTimer      simnet.Timer
+	rtoFn         func() // c.onRTO, bound once: armRTO runs per ACK and a method value allocates
 	synTimer      simnet.Timer
 	synTries      int
 
@@ -114,7 +118,6 @@ type Conn struct {
 
 	// Fluid fast path (flow/hybrid fidelity; see fluid.go).
 	fluidQ         []fluidRange  // queued fluid ranges, ascending seq
-	fluidActive    bool          // fluidQ[0] is in the engine right now
 	fluidID        simnet.FlowID // engine handle for the active flow
 	fluidSpans     []fluidSpan   // fluid-delivered, not yet acked
 	fluidProp      time.Duration // one-way prop delay of the active path
@@ -374,7 +377,7 @@ func (c *Conn) sendSegment(seq uint64, length int) {
 	for len(c.pendBounds) > 0 && c.pendBounds[0].End <= end {
 		c.pendBounds = c.pendBounds[1:]
 	}
-	c.segs = append(c.segs, segInfo{seq: seq, length: length, bounds: bounds})
+	c.pushSeg(segInfo{seq: seq, length: length, bounds: bounds})
 	c.bytesSent += uint64(length)
 	s := c.seg(SegDATA)
 	s.Seq = seq
@@ -382,6 +385,26 @@ func (c *Conn) sendSegment(seq uint64, length int) {
 	s.Bounds = bounds
 	c.emit(s, length)
 	c.armRTO()
+}
+
+// pushSeg appends to segs. processAck prunes by reslicing from the
+// front, so the window creeps along its array; when it reaches the end
+// it slides back to the first slot if the acked prefix is at least as
+// long as the window, and moves to an array twice the size otherwise.
+// Left to append alone, a bulk sender whose window never empties would
+// reallocate the array once per window of segments. A drained connection
+// keeps its array (at most twice its widest window): releasing it would
+// have every request/response exchange grow it again from one slot.
+func (c *Conn) pushSeg(s segInfo) {
+	if len(c.segs) == cap(c.segs) {
+		arr := c.segArr
+		if cap(arr)-cap(c.segs) < max(len(c.segs), 1) {
+			arr = make([]segInfo, 0, 2*len(c.segs)+1)
+			c.segArr = arr
+		}
+		c.segs = arr[:copy(arr[:len(c.segs)], c.segs)]
+	}
+	c.segs = append(c.segs, s)
 }
 
 func (c *Conn) maybeSendFIN() {
@@ -395,7 +418,7 @@ func (c *Conn) maybeSendFIN() {
 	finSeq := c.sndNxt
 	c.sendEnd++ // FIN occupies one sequence byte
 	c.sndNxt++
-	c.segs = append(c.segs, segInfo{seq: finSeq, length: 1})
+	c.pushSeg(segInfo{seq: finSeq, length: 1})
 	s := c.seg(SegFIN)
 	s.Seq = finSeq
 	s.Len = 1
@@ -498,7 +521,10 @@ func (c *Conn) currentRTO() time.Duration {
 
 func (c *Conn) armRTO() {
 	c.rtoTimer.Cancel()
-	c.rtoTimer = c.host.sched.After(c.currentRTO(), c.onRTO)
+	if c.rtoFn == nil {
+		c.rtoFn = c.onRTO
+	}
+	c.rtoTimer = c.host.sched.After(c.currentRTO(), c.rtoFn)
 }
 
 func (c *Conn) disarmRTO() {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math/rand"
 	"testing"
 
 	"meshlayer/internal/simnet"
@@ -143,5 +144,52 @@ func TestSackRetransmitNoSackNoop(t *testing.T) {
 	c.sackRetransmit()
 	if c.retransmits != 0 {
 		t.Fatal("retransmitted without any sacked segment")
+	}
+}
+
+// TestPushSegSlidingWindow prunes from the front and pushes at the back
+// as processAck and sendSegment do, against a plain reference slice: the
+// window always holds exactly the unacked segments in order, and a
+// window that never empties settles into one array.
+func TestPushSegSlidingWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := directConn()
+	var ref []uint64
+	check := func(step int) {
+		t.Helper()
+		if len(c.segs) != len(ref) {
+			t.Fatalf("step %d: %d segments, want %d", step, len(c.segs), len(ref))
+		}
+		for i, seq := range ref {
+			if c.segs[i].seq != seq {
+				t.Fatalf("step %d: segs[%d].seq=%d, want %d", step, i, c.segs[i].seq, seq)
+			}
+		}
+	}
+	var seq uint64
+	for step := 0; step < 5000; step++ {
+		for n := rng.Intn(12); n > 0; n-- {
+			c.pushSeg(segInfo{seq: seq, length: 1})
+			ref = append(ref, seq)
+			seq++
+		}
+		cut := rng.Intn(len(ref) + 1)
+		c.segs, ref = c.segs[cut:], ref[cut:]
+		check(step)
+	}
+
+	c = directConn()
+	for i := 0; i < 64; i++ {
+		c.pushSeg(segInfo{seq: uint64(i), length: 1})
+	}
+	steady := func() {
+		for i := 0; i < 1000; i++ { // a bulk sender: one acked, one sent
+			c.segs = c.segs[1:]
+			c.pushSeg(segInfo{length: 1})
+		}
+	}
+	steady()
+	if n := testing.AllocsPerRun(10, steady); n != 0 {
+		t.Fatalf("a standing window of 64 allocates %v per 1000 segments, want 0", n)
 	}
 }
