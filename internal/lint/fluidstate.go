@@ -15,10 +15,21 @@ import (
 //  1. Scratch ownership. The per-NIC fluid scratch fields (fluidRate,
 //     fluidCap, fluidCnt, fluidSeen) are owned by FlowEngine's
 //     recompute cycle: only FlowEngine methods may write them.
-//  2. Reset before rebuild. A FlowEngine method that rebuilds scratch
-//     state (writes any non-zero value into it) must first reset all
-//     four fields to their zero values — the previous active set's
-//     numbers are garbage for the new one.
+//  2. Reset on entering the scope. recompute re-shares one component,
+//     not the fleet, so there is no whole-set reset to lean on: a NIC's
+//     fluidRate, fluidCap and fluidCnt hold whatever the last fill that
+//     reached it left there. In a FlowEngine method that fills (adds
+//     to, subtracts from or counts in those three), every NIC entering
+//     the scope is reset before the fill reads it: the first fill write
+//     comes after a reset of all three (the seeds, which entered
+//     before the method ran), and every fluidSeen = true sits in a
+//     block that resets all three (the NICs the scope grows by). And
+//     the scope flag is scratch too: the method clears fluidSeen after
+//     its last mark and fill write and cannot return in between, so
+//     the flag is false on every NIC when it returns. A method that
+//     only marks (seeding the next scope) is not a fill and is left to
+//     rule 1. A reset is fluidRate = 0, fluidCnt = 0 and any plain
+//     assignment to fluidCap, whose reset value is the line rate.
 //  3. No use after free. Once a fluid flow is handed to
 //     FlowEngine.free it belongs to the pool; reading it afterwards
 //     reads the next transfer's state. Capture what the continuation
@@ -36,7 +47,7 @@ import (
 // meshvet testdata packages); the types are matched by name there.
 var Fluidstate = &Analyzer{
 	Name: "fluidstate",
-	Doc:  "FlowEngine hygiene: scratch reset before rebuild, no pooled-flow use after free, completion timer cancelled before re-arm",
+	Doc:  "FlowEngine hygiene: scratch reset on entering recompute's scope and scope flag cleared on return, no pooled-flow use after free, completion timer cancelled before re-arm",
 	Run:  runFluidstate,
 }
 
@@ -88,30 +99,31 @@ func checkFluidFunc(pass *Pass, fn *ast.FuncDecl) {
 	isEngineMethod := fn.Recv != nil && len(fn.Recv.List) > 0 &&
 		fluidNamedIs(pass, pass.TypeOf(fn.Recv.List[0].Type), "FlowEngine")
 
-	// Rule 1 + 2: collect scratch writes, split into resets (zero
-	// value) and rebuilds (anything else).
-	resetPos := map[string]token.Pos{} // field -> earliest reset position
-	var firstBuild token.Pos
-	var firstBuildField string
+	// Rule 1 + 2: collect scratch writes. A write is a reset, a mark
+	// (fluidSeen = true), a clear (fluidSeen = false) or a fill.
+	var w fluidWrites
 	noteWrite := func(field string, pos token.Pos, reset bool) {
-		if !isEngineMethod {
+		switch {
+		case !isEngineMethod:
 			pass.Reportf(pos,
 				"NIC fluid scratch field %s written outside a FlowEngine method; the scratch is owned by the engine's recompute cycle", field)
-			return
-		}
-		if reset {
-			if old, ok := resetPos[field]; !ok || pos < old {
-				resetPos[field] = pos
-			}
-			return
-		}
-		if firstBuild == token.NoPos || pos < firstBuild {
-			firstBuild, firstBuildField = pos, field
+		case field != "fluidSeen" && reset:
+			w.resets = append(w.resets, fluidWrite{field, pos})
+		case field != "fluidSeen":
+			w.fills = append(w.fills, fluidWrite{field, pos})
+		case reset:
+			w.clears = append(w.clears, pos)
+		default:
+			w.marks = append(w.marks, pos)
 		}
 	}
 
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.BlockStmt:
+			w.blocks = append(w.blocks, n)
+		case *ast.ReturnStmt:
+			w.returns = append(w.returns, n.Pos())
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
 				field, ok := fluidScratchTarget(pass, lhs)
@@ -120,7 +132,7 @@ func checkFluidFunc(pass *Pass, fn *ast.FuncDecl) {
 				}
 				reset := false
 				if len(n.Lhs) == len(n.Rhs) && n.Tok == token.ASSIGN {
-					reset = isZeroExpr(n.Rhs[i])
+					reset = field == "fluidCap" || isZeroExpr(n.Rhs[i])
 				}
 				noteWrite(field, lhs.Pos(), reset)
 			}
@@ -132,18 +144,113 @@ func checkFluidFunc(pass *Pass, fn *ast.FuncDecl) {
 		}
 		return true
 	})
+	w.checkScope(pass)
 
-	if firstBuild != token.NoPos {
-		for field := range fluidScratchFields {
-			if pos, ok := resetPos[field]; !ok || pos >= firstBuild {
-				pass.Reportf(firstBuild,
-					"fluid scratch rebuild (%s) without first resetting %s; reset all four scratch fields before reuse — the previous flow set's values are stale",
-					firstBuildField, field)
-			}
+	checkFluidUseAfterFree(pass, fn)
+}
+
+// fluidFillFields are the three scratch fields progressive filling
+// computes in; fluidSeen, the fourth, is the scope flag.
+var fluidFillFields = []string{"fluidRate", "fluidCap", "fluidCnt"}
+
+type fluidWrite struct {
+	field string
+	pos   token.Pos
+}
+
+// fluidWrites is what rule 2 needs to know about one FlowEngine
+// method: its scratch writes by kind, and the blocks and returns they
+// are positioned against.
+type fluidWrites struct {
+	resets, fills []fluidWrite
+	marks, clears []token.Pos
+	returns       []token.Pos
+	blocks        []*ast.BlockStmt
+}
+
+// checkScope enforces rule 2 on a method that fills.
+func (w *fluidWrites) checkScope(pass *Pass) {
+	if len(w.fills) == 0 {
+		return
+	}
+	first, last := w.fills[0], w.fills[0].pos
+	for _, f := range w.fills {
+		if f.pos < first.pos {
+			first = f
+		}
+		if f.pos > last {
+			last = f.pos
+		}
+	}
+	for _, m := range w.marks {
+		if m > last {
+			last = m
 		}
 	}
 
-	checkFluidUseAfterFree(pass, fn)
+	// The seeds: all three reset before the first fill write.
+	for _, field := range fluidFillFields {
+		if !w.resetIn(field, token.NoPos, first.pos) {
+			pass.Reportf(first.pos,
+				"fluid scratch fill (%s) before %s is reset; a NIC entering the scope holds what the last fill that reached it left there",
+				first.field, field)
+		}
+	}
+	// The NICs the scope grows by: all three reset where the NIC is marked.
+	for _, m := range w.marks {
+		b := w.innermostBlock(m)
+		for _, field := range fluidFillFields {
+			if !w.resetIn(field, b.Pos(), b.End()) {
+				pass.Reportf(m,
+					"NIC enters the scope (fluidSeen = true) without resetting %s in the same block; the fill would read the last fill's value",
+					field)
+			}
+		}
+	}
+	// The flag: cleared after the last mark and fill, no return before.
+	cleared := token.NoPos
+	for _, c := range w.clears {
+		if c > last && (cleared == token.NoPos || c < cleared) {
+			cleared = c
+		}
+	}
+	if cleared == token.NoPos {
+		pass.Reportf(last,
+			"fluidSeen is not cleared after the last scope write; the scope flag must be false on every NIC when the method returns")
+		return
+	}
+	start := first.pos
+	for _, m := range w.marks {
+		if m < start {
+			start = m
+		}
+	}
+	for _, r := range w.returns {
+		if r > start && r < cleared {
+			pass.Reportf(r,
+				"return between the first scope write and the fluidSeen clear; the scope flag must be false on every NIC when the method returns")
+		}
+	}
+}
+
+// resetIn reports whether field is reset at a position in [from, to).
+func (w *fluidWrites) resetIn(field string, from, to token.Pos) bool {
+	for _, r := range w.resets {
+		if r.field == field && r.pos >= from && r.pos < to {
+			return true
+		}
+	}
+	return false
+}
+
+func (w *fluidWrites) innermostBlock(pos token.Pos) *ast.BlockStmt {
+	var in *ast.BlockStmt
+	for _, b := range w.blocks {
+		if b.Pos() <= pos && pos < b.End() && (in == nil || b.Pos() > in.Pos()) {
+			in = b
+		}
+	}
+	return in
 }
 
 // fluidScratchTarget reports whether expr writes a fluid scratch field

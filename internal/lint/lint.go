@@ -20,9 +20,10 @@
 //   - headerreg:  every x-mesh-* header string is a constant in the
 //     header registry (internal/mesh/headers.go) and is referenced
 //     through it.
-//   - fluidstate: FlowEngine hygiene — per-NIC fluid scratch reset
-//     before rebuild, no use of a pooled flow after free, completion
-//     timer cancelled before re-arm.
+//   - fluidstate: FlowEngine hygiene — per-NIC fluid scratch reset as a
+//     NIC enters recompute's scope and the scope flag cleared on return,
+//     no use of a pooled flow after free, completion timer cancelled
+//     before re-arm.
 //   - metricdecl: metric names are named constants at registration
 //     sites, follow the naming convention, and register as one kind.
 //   - timerown:   a captured simnet.Timer is cancelled somewhere or

@@ -42,22 +42,91 @@ func poke(n *NIC) {
 	n.fluidRate = 1 // want "outside a FlowEngine method"
 }
 
-// Rule 2 violation: rebuilds scratch with fluidSeen never reset.
-func (e *FlowEngine) recomputeStale(n *NIC) {
-	n.fluidRate = 0
-	n.fluidCap = 0
-	n.fluidCnt = 0
-	n.fluidCnt++ // want "without first resetting fluidSeen"
+// Rule 2 satisfied: the seeds are reset before the fill reads them,
+// a NIC the scope grows by is reset where it is marked, and the flag
+// is cleared before the method returns.
+func (e *FlowEngine) recompute(line float64, grown *NIC) {
+	for _, n := range e.nics {
+		n.fluidRate, n.fluidCap, n.fluidCnt = 0, line, 0
+	}
+	if !grown.fluidSeen {
+		grown.fluidSeen = true
+		grown.fluidRate, grown.fluidCap, grown.fluidCnt = 0, line, 0
+		e.nics = append(e.nics, grown)
+	}
+	grown.fluidCnt++
+	for _, n := range e.nics {
+		n.fluidCap -= 2.5
+		if n.fluidCap < 0 {
+			n.fluidCap = 0
+		}
+		n.fluidRate += 2.5
+	}
+	for _, n := range e.nics {
+		n.fluidSeen = false
+	}
+	e.nics = e.nics[:0]
 }
 
-// Rule 2 satisfied: all four fields reset before the rebuild.
-func (e *FlowEngine) recompute(n *NIC) {
-	n.fluidRate = 0
-	n.fluidCap = 0
-	n.fluidCnt = 0
-	n.fluidSeen = false
-	n.fluidCnt++
-	n.fluidRate = 2.5
+// Rule 2 satisfied: seeding the next scope only marks; it is not a fill.
+func (e *FlowEngine) seed(n *NIC) {
+	if !n.fluidSeen {
+		n.fluidSeen = true
+		e.nics = append(e.nics, n)
+	}
+}
+
+// Rule 2 violation: the fill counts on seeds whose fluidCnt was never
+// reset.
+func (e *FlowEngine) recomputeStaleSeed(line float64) {
+	for _, n := range e.nics {
+		n.fluidRate, n.fluidCap = 0, line
+	}
+	for _, n := range e.nics {
+		n.fluidCnt++ // want "before fluidCnt is reset"
+	}
+	for _, n := range e.nics {
+		n.fluidSeen = false
+	}
+}
+
+// Rule 2 violation: a NIC the scope grows by keeps the fluidRate of the
+// last fill that reached it; the reset of the seeds does not cover it.
+func (e *FlowEngine) recomputeStaleGrowth(line float64, grown *NIC) {
+	for _, n := range e.nics {
+		n.fluidRate, n.fluidCap, n.fluidCnt = 0, line, 0
+	}
+	if !grown.fluidSeen {
+		grown.fluidSeen = true // want "without resetting fluidRate in the same block"
+		grown.fluidCap, grown.fluidCnt = line, 0
+	}
+	grown.fluidCnt++
+	grown.fluidSeen = false
+}
+
+// Rule 2 violation: the scope flag outlives the method.
+func (e *FlowEngine) recomputeLeak(line float64) {
+	for _, n := range e.nics {
+		n.fluidSeen = false
+		n.fluidRate, n.fluidCap, n.fluidCnt = 0, line, 0
+	}
+	for _, n := range e.nics {
+		n.fluidRate += 2.5 // want "fluidSeen is not cleared after the last scope write"
+	}
+}
+
+// Rule 2 violation: an early return skips the clear.
+func (e *FlowEngine) recomputeEarlyReturn(line float64, flows int) {
+	for _, n := range e.nics {
+		n.fluidRate, n.fluidCap, n.fluidCnt = 0, line, 0
+		n.fluidCnt++
+	}
+	if flows == 0 {
+		return // want "return between the first scope write and the fluidSeen clear"
+	}
+	for _, n := range e.nics {
+		n.fluidSeen = false
+	}
 }
 
 // Rule 3 violation: reading a pooled flow after freeing it.

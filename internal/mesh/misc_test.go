@@ -165,3 +165,38 @@ func TestPushDelayedRouteRuleTakesEffectMidTraffic(t *testing.T) {
 		t.Fatalf("post-push pinning not visible: %v", byBackend)
 	}
 }
+
+// The span-id header is written only by formatSpanID, so every id a run
+// parses round-trips. What a malformed header yields is pinned here:
+// no parent (0), never a prefix. fmt.Sscanf("%x"), which this replaced,
+// read the leading hex run instead — "12zz", "12 34" and " 12" gave
+// 0x12 and "1_2" gave 0x1; on the rest of the table the two agree.
+func TestSpanIDHeaderRoundTripAndMalformed(t *testing.T) {
+	for _, id := range []uint64{0, 1, 0xab, 0xdeadbeef, 1 << 63, ^uint64(0)} {
+		if got := parseSpanID(formatSpanID(id)); got != id {
+			t.Errorf("parseSpanID(formatSpanID(%#x)) = %#x", id, got)
+		}
+	}
+	if got := formatSpanID(0xAB); got != "ab" {
+		t.Errorf("formatSpanID(0xAB) = %q, want lower-case hex without a prefix", got)
+	}
+	for in, want := range map[string]uint64{
+		"":                  0,
+		"zz":                0,
+		"12zz":              0,
+		"12 34":             0,
+		" 12":               0,
+		"1_2":               0,
+		"0x12":              0,
+		"+12":               0,
+		"-1":                0,
+		"1ffffffffffffffff": 0, // 65 bits
+		"ffffffffffffffff":  ^uint64(0),
+		"AB":                0xab,
+		"00ab":              0xab,
+	} {
+		if got := parseSpanID(in); got != want {
+			t.Errorf("parseSpanID(%q) = %#x, want %#x", in, got, want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"meshlayer/internal/admission"
@@ -660,10 +661,16 @@ func (sc *Sidecar) ForEachPool(fn func(class string, dst simnet.Addr, conn *tran
 	}
 }
 
+// parseSpanID reads the parent span id an upstream sidecar wrote with
+// formatSpanID. A missing or malformed header — anything but bare hex
+// digits that fit 64 bits — is 0, no parent: the span starts a trace of
+// its own rather than hanging off whatever prefix happened to parse.
 func parseSpanID(s string) uint64 {
-	var id uint64
-	fmt.Sscanf(s, "%x", &id)
+	id, err := strconv.ParseUint(s, 16, 64)
+	if err != nil {
+		return 0
+	}
 	return id
 }
 
-func formatSpanID(id uint64) string { return fmt.Sprintf("%x", id) }
+func formatSpanID(id uint64) string { return strconv.FormatUint(id, 16) }

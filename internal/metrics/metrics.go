@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,30 +21,35 @@ import (
 // series.
 type Labels map[string]string
 
-// key renders labels canonically for map indexing.
-func (l Labels) key() string {
-	if len(l) == 0 {
-		return ""
-	}
-	ks := make([]string, 0, len(l))
+// appendKey appends the labels' canonical rendering, the index of a
+// family's series, to dst: k=v pairs joined by commas, keys sorted. The
+// registry calls it on every lookup, so the keys are sorted in a fixed
+// array and the bytes go to the caller's buffer; both are stack memory
+// for the label sets this simulator uses, and append moves either to
+// the heap when a set outgrows it.
+func (l Labels) appendKey(dst []byte) []byte {
+	var fixed [8]string
+	ks := fixed[:0]
 	for k := range l {
 		ks = append(ks, k)
 	}
-	sort.Strings(ks)
-	var b strings.Builder
+	slices.Sort(ks) // generic, unlike sort.Strings: ks does not escape
 	for i, k := range ks {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(l[k])
+		dst = append(dst, k...)
+		dst = append(dst, '=')
+		dst = append(dst, l[k]...)
 	}
-	return b.String()
+	return dst
 }
 
+// keyBuf is the stack buffer a registry lookup renders its key into.
+type keyBuf [192]byte
+
 // String renders labels in {k=v,...} form.
-func (l Labels) String() string { return "{" + l.key() + "}" }
+func (l Labels) String() string { return "{" + string(l.appendKey(nil)) + "}" }
 
 // Counter is a monotonically increasing value, safe for concurrent use.
 type Counter struct {
@@ -113,11 +119,12 @@ func (r *Registry) Counter(name string, labels Labels) *Counter {
 		fam = make(map[string]*Counter)
 		r.counters[name] = fam
 	}
-	k := labels.key()
-	c := fam[k]
+	var buf keyBuf
+	k := labels.appendKey(buf[:0])
+	c := fam[string(k)] // no copy: the conversion only indexes
 	if c == nil {
 		c = &Counter{}
-		fam[k] = c
+		fam[string(k)] = c
 	}
 	return c
 }
@@ -131,11 +138,12 @@ func (r *Registry) Gauge(name string, labels Labels) *Gauge {
 		fam = make(map[string]*Gauge)
 		r.gauges[name] = fam
 	}
-	k := labels.key()
-	g := fam[k]
+	var buf keyBuf
+	k := labels.appendKey(buf[:0])
+	g := fam[string(k)] // no copy: the conversion only indexes
 	if g == nil {
 		g = &Gauge{}
-		fam[k] = g
+		fam[string(k)] = g
 	}
 	return g
 }
@@ -149,11 +157,12 @@ func (r *Registry) Histogram(name string, labels Labels) *hdr.Histogram {
 		fam = make(map[string]*hdr.Histogram)
 		r.histograms[name] = fam
 	}
-	k := labels.key()
-	h := fam[k]
+	var buf keyBuf
+	k := labels.appendKey(buf[:0])
+	h := fam[string(k)] // no copy: the conversion only indexes
 	if h == nil {
 		h = hdr.New()
-		fam[k] = h
+		fam[string(k)] = h
 	}
 	return h
 }

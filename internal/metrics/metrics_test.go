@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -35,12 +38,96 @@ func TestCounterIdentity(t *testing.T) {
 func TestLabelsKeyOrderIndependent(t *testing.T) {
 	a := Labels{"a": "1", "b": "2"}
 	b := Labels{"b": "2", "a": "1"}
-	if a.key() != b.key() {
+	if a.String() != b.String() {
 		t.Fatal("label key depends on declaration order")
 	}
 	var empty Labels
-	if empty.key() != "" {
+	if len(empty.appendKey(nil)) != 0 {
 		t.Fatal("empty labels key not empty")
+	}
+}
+
+// sortedKey is the rendering appendKey replaced: collect the keys, sort
+// them, join k=v with commas. The series index and Dump's output are
+// keyed by it, so appendKey has to equal it byte for byte.
+func sortedKey(l Labels) string {
+	ks := make([]string, 0, len(l))
+	for k := range l {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	var b strings.Builder
+	for i, k := range ks {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(l[k])
+	}
+	return b.String()
+}
+
+func TestLabelsKeyMatchesSortedRendering(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	word := func(max int) string {
+		b := make([]byte, rng.Intn(max+1))
+		for i := range b {
+			b[i] = "abcxyz_-09,="[rng.Intn(12)]
+		}
+		return string(b)
+	}
+	sets := []Labels{
+		nil,
+		{},
+		{"svc": "reviews"},
+		{"a": "1", "b": "2"},
+		{"b": "2", "a": "1"},
+		{"k": strings.Repeat("v", 300)}, // outgrows the stack buffer
+		{"a": "", "": "a"},
+	}
+	nine := Labels{}
+	for i := 0; i < 9; i++ { // outgrows the fixed key array
+		nine[fmt.Sprintf("k%d", 8-i)] = fmt.Sprint(i)
+	}
+	sets = append(sets, nine)
+	for i := 0; i < 500; i++ {
+		l := Labels{}
+		for n := rng.Intn(12); n > 0; n-- {
+			l[word(6)] = word(40)
+		}
+		sets = append(sets, l)
+	}
+	for _, l := range sets {
+		var buf keyBuf
+		if got, want := string(l.appendKey(buf[:0])), sortedKey(l); got != want {
+			t.Fatalf("appendKey(%v) = %q, want %q", map[string]string(l), got, want)
+		}
+		if got, want := l.String(), "{"+sortedKey(l)+"}"; got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+	}
+}
+
+// A lookup that hits an existing series allocates nothing: no sorted
+// key slice, no builder, no key string.
+func TestRegistryHitAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	labels := Labels{"src": "frontend", "dst": "reviews", "code": "200"}
+	r.Counter("req", labels).Inc()
+	r.Gauge("depth", labels).Set(1)
+	r.Histogram("lat", labels).Record(1)
+	if n := testing.AllocsPerRun(100, func() { r.Counter("req", labels).Inc() }); n != 0 {
+		t.Errorf("Counter hit allocates %v objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Gauge("depth", labels).Set(2) }); n != 0 {
+		t.Errorf("Gauge hit allocates %v objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Histogram("lat", labels).Record(2) }); n != 0 {
+		t.Errorf("Histogram hit allocates %v objects, want 0", n)
+	}
+	if r.Counter("req", Labels{"code": "200", "dst": "reviews", "src": "frontend"}) != r.Counter("req", labels) {
+		t.Error("the same labels written in another order reached a different series")
 	}
 }
 

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -125,6 +126,52 @@ func BenchmarkFlowScheduler(b *testing.B) {
 	if got := eng.Stats().Completed; got != uint64(b.N) {
 		b.Fatalf("completed %d flows, want %d", got, b.N)
 	}
+}
+
+// BenchmarkFlowFanIn is BenchmarkFlowScheduler's many-component twin:
+// 40 disjoint stars of 99 senders -> bridge -> collector, the bench
+// bulk_fanin shape. One op starts all 3960 flows at one instant with
+// seeded sizes, so that no two completions coincide, and drains them:
+// each completion re-shares a component of at most 98 flows while the
+// other 39, by then at 39 different fill levels, stand still.
+// ns/completion is what a departure costs when the fleet is large and
+// its component is small.
+func BenchmarkFlowFanIn(b *testing.B) {
+	const zones, senders = 40, 99
+	s := NewScheduler()
+	net := NewNetwork(s)
+	net.SetFidelity(FidelityFlow)
+	eng := net.FlowEngine()
+	cfg := LinkConfig{Rate: 10 * Gbps, Delay: 10 * time.Microsecond}
+	var paths [][]*NIC
+	for z := 0; z < zones; z++ {
+		bridge, coll := net.AddNode(fmt.Sprintf("br%d", z)), net.AddNode(fmt.Sprintf("coll%d", z))
+		net.Connect(bridge, coll, cfg)
+		for i := 0; i < senders; i++ {
+			src := net.AddNode(fmt.Sprintf("send%d-%d", z, i))
+			net.Connect(src, bridge, cfg)
+			path, _, ok := eng.ResolvePath(src, FlowKey{Src: src.Addr(), Dst: coll.Addr()})
+			if !ok || len(path) != 2 {
+				b.Fatalf("path %s -> %s: %v", src.Name(), coll.Name(), path)
+			}
+			paths = append(paths, path)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, path := range paths {
+			eng.Start(path, 1<<20+rng.Int63n(1<<20), nil, nil)
+		}
+		s.Run()
+	}
+	b.StopTimer()
+	done := eng.Stats().Completed
+	if done != uint64(b.N*len(paths)) {
+		b.Fatalf("completed %d flows, want %d", done, b.N*len(paths))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(done), "ns/completion")
 }
 
 // BenchmarkHybridPacketPath measures the packet hot path with the

@@ -87,6 +87,7 @@ type fluidFlow struct {
 	remaining float64 // bytes left to transfer
 	rate      float64 // current fair share, bytes per second
 	frozen    bool    // scratch flag during progressive filling
+	scoped    bool    // scratch flag: in the component being re-shared
 	onDone    func()  // invoked at completion time
 	onDemote  func()  // deferred via After(0) when the flow is demoted
 }
@@ -120,10 +121,21 @@ type FlowEngine struct {
 	dirty   bool
 	flushFn func()
 
-	// nics lists the distinct NICs crossed by the active flows, in
-	// first-seen (flow id, path position) order. The per-NIC numbers
-	// live on the NICs themselves (fluidRate and the fluid* scratch).
+	// nics is the scope of the next recompute, under assembly. Between
+	// recomputes it holds the seeds: the NICs on the paths of flows
+	// started or removed since the last one. recompute grows it to the
+	// connected component(s) around them, re-shares those and empties
+	// it. Invariant: fluidSeen is true exactly for members of nics. The
+	// per-NIC numbers live on the NICs themselves (fluidRate and the
+	// fluid* scratch).
 	nics []*NIC
+
+	// Scratch lists, empty between uses and kept so the per-event paths
+	// allocate nothing: recompute's flows in scope (when that is not all
+	// of them), onTimer's completion batch and demoteWhere's demotion
+	// batch. The batches are separate because an onDone callback may trip
+	// a demotion while the completion batch is still being iterated.
+	scope, done, victims []*fluidFlow
 
 	pool []*fluidFlow // free list
 
@@ -163,8 +175,22 @@ func (e *FlowEngine) Start(path []*NIC, bytes int64, onDone, onDemote func()) Fl
 	// The new flow joins with rate 0; existing rates stay valid until the
 	// deferred flush advances and recomputes, so a same-instant burst of
 	// arrivals costs one recompute total.
+	e.seed(f.path)
 	e.markDirty()
 	return f.id
+}
+
+// seed puts the NICs on a started or removed flow's path into the scope
+// of the next recompute: the shares of the flows crossing them, and of
+// whatever those share a NIC with in turn, are the only ones the change
+// can move.
+func (e *FlowEngine) seed(path []*NIC) {
+	for _, nic := range path {
+		if !nic.fluidSeen {
+			nic.fluidSeen = true
+			e.nics = append(e.nics, nic)
+		}
+	}
 }
 
 // markDirty schedules a same-timestamp flush if one is not pending.
@@ -213,6 +239,7 @@ func (e *FlowEngine) Cancel(id FlowID) bool {
 	copy(e.flows[i:], e.flows[i+1:])
 	e.flows[len(e.flows)-1] = nil
 	e.flows = e.flows[:len(e.flows)-1]
+	e.seed(f.path)
 	e.free(f)
 	e.stats.Cancelled++
 	e.markDirty()
@@ -326,8 +353,7 @@ func (e *FlowEngine) noteSend(n *NIC, size int) {
 	if r == 0 {
 		return
 	}
-	capBps := float64(n.link.cfg.Rate) / 8
-	if r >= demoteSatFrac*capBps || n.qdisc.Backlog() >= DemoteBacklog {
+	if r >= demoteSatFrac*n.fluidLine() || n.qdisc.Backlog() >= DemoteBacklog {
 		e.demoteNIC(n)
 	}
 }
@@ -368,33 +394,35 @@ func pathHas(path []*NIC, nic *NIC) bool {
 func (e *FlowEngine) demoteWhere(hit func(*fluidFlow) bool) {
 	e.advance()
 	n := len(e.flows)
-	var victims []*fluidFlow
 	keep := e.flows[:0]
 	for _, f := range e.flows {
 		if hit(f) {
-			victims = append(victims, f) //meshvet:allow poolescape demotion batch: flows are freed below before their callbacks are scheduled
+			e.seed(f.path)
+			e.victims = append(e.victims, f) //meshvet:allow poolescape demotion batch: flows are freed below before their callbacks are scheduled
 		} else {
 			keep = append(keep, f) //meshvet:allow poolescape in-place filter of the engine's own active set
 		}
 	}
-	if len(victims) == 0 {
+	if len(e.victims) == 0 {
 		return // keep was refilled with the identical contents
 	}
 	for i := len(keep); i < n; i++ {
 		e.flows[i] = nil
 	}
 	e.flows = keep
-	e.stats.Demoted += uint64(len(victims))
+	e.stats.Demoted += uint64(len(e.victims))
 	e.dirty = false // the full refresh below covers any pending flush
 	e.recompute()
 	e.reschedule()
-	for _, f := range victims {
+	for _, f := range e.victims {
 		cb := f.onDemote
 		e.free(f)
 		if cb != nil {
 			e.sched.After(0, cb)
 		}
 	}
+	clear(e.victims)
+	e.victims = e.victims[:0]
 }
 
 // advance drains every flow analytically from lastAdv to now. Called at
@@ -417,38 +445,62 @@ func (e *FlowEngine) advance() {
 	}
 }
 
-// recompute assigns every flow its max-min fair share by progressive
-// filling: raise all unfrozen flows' rates uniformly until some link
-// saturates, freeze the flows crossing it, repeat. All iteration is
-// over slices in deterministic (flow id, path position) order, and all
-// per-NIC numbers live in NIC fields — no maps, no allocation.
+// recompute re-shares the connected component(s) of the flow set that
+// changed since the last recompute, and nothing else. Max-min fairness
+// is separable: two groups of flows that share no NIC cannot move each
+// other's shares, so every flow outside the scope already holds exactly
+// the rate a whole-set fill would give it. The scope grows from the
+// seeds to a fixed point over shared NICs (flow -> its NICs -> the
+// flows crossing them), marked with the fluidSeen and scoped scratch
+// flags over the flow list itself, so no per-NIC membership is kept.
+//
+// Inside the scope the shares come from progressive filling: raise all
+// unfrozen flows' rates uniformly until some link saturates, freeze the
+// flows crossing it, repeat. All iteration is over slices in
+// deterministic (flow id, path position) order, and all per-NIC numbers
+// live in NIC fields — no maps, no allocation.
 func (e *FlowEngine) recompute() {
 	e.stats.Recomputes++
-	// Reset the previous active set's per-NIC state (invariant:
-	// fluidSeen is true exactly for members of e.nics).
+	// A seed with no flow left on it keeps this 0.
 	for _, nic := range e.nics {
-		nic.fluidRate, nic.fluidCap, nic.fluidCnt, nic.fluidSeen = 0, 0, 0, false
-	}
-	e.nics = e.nics[:0]
-	if len(e.flows) == 0 {
-		return
+		nic.fluidRate, nic.fluidCap, nic.fluidCnt = 0, nic.fluidLine(), 0
 	}
 
-	// Collect the distinct NICs in first-seen order and count flows.
-	for _, f := range e.flows {
-		f.rate = 0
-		f.frozen = false
-		for _, nic := range f.path {
-			if !nic.fluidSeen {
-				nic.fluidSeen = true
-				nic.fluidCap = float64(nic.link.cfg.Rate) / 8 // bytes/sec
-				e.nics = append(e.nics, nic)
+	// Grow the scope until a pass over the flows adds none. A flow enters
+	// when any NIC on its path is in; its whole path enters with it.
+	n := 0
+	for grew := true; grew && n < len(e.flows); {
+		grew = false
+		for _, f := range e.flows {
+			if f.scoped || !crossesScope(f.path) {
+				continue
 			}
-			nic.fluidCnt++
+			f.scoped, f.frozen, f.rate = true, false, 0
+			n++
+			grew = true
+			for _, nic := range f.path {
+				if !nic.fluidSeen {
+					nic.fluidSeen = true
+					nic.fluidRate, nic.fluidCap, nic.fluidCnt = 0, nic.fluidLine(), 0
+					e.nics = append(e.nics, nic)
+				}
+				nic.fluidCnt++
+			}
 		}
 	}
+	// The fill visits the scoped flows in ascending id, as a whole-set
+	// fill would, so each NIC's fluidRate is summed in the same order.
+	scope := e.flows
+	if n < len(e.flows) {
+		for _, f := range e.flows {
+			if f.scoped {
+				e.scope = append(e.scope, f) //meshvet:allow poolescape scratch copy of active flows, emptied before recompute returns
+			}
+		}
+		scope = e.scope
+	}
 
-	unfrozen := len(e.flows)
+	unfrozen := n
 	for unfrozen > 0 {
 		// The next uniform increment is the tightest per-flow share of
 		// residual capacity across links still carrying unfrozen flows.
@@ -464,7 +516,7 @@ func (e *FlowEngine) recompute() {
 			break
 		}
 		if inc > 0 {
-			for _, f := range e.flows {
+			for _, f := range scope {
 				if !f.frozen {
 					f.rate += inc
 				}
@@ -480,12 +532,12 @@ func (e *FlowEngine) recompute() {
 		}
 		// Freeze flows crossing any link that just saturated.
 		froze := 0
-		for _, f := range e.flows {
+		for _, f := range scope {
 			if f.frozen {
 				continue
 			}
 			for _, nic := range f.path {
-				if nic.fluidCap <= satEps*(float64(nic.link.cfg.Rate)/8) {
+				if nic.fluidCap <= satEps*nic.fluidLine() {
 					f.frozen = true
 					froze++
 					for _, m := range f.path {
@@ -501,11 +553,32 @@ func (e *FlowEngine) recompute() {
 		unfrozen -= froze
 	}
 
-	for _, f := range e.flows {
+	for _, f := range scope {
+		f.scoped = false
 		for _, nic := range f.path {
 			nic.fluidRate += f.rate
 		}
 	}
+	for _, nic := range e.nics {
+		nic.fluidSeen = false
+	}
+	e.nics = e.nics[:0]
+	clear(e.scope)
+	e.scope = e.scope[:0]
+}
+
+// fluidLine is the NIC's line rate in bytes per second, the capacity
+// progressive filling shares out.
+func (n *NIC) fluidLine() float64 { return float64(n.link.cfg.Rate) / 8 }
+
+// crossesScope reports whether any NIC on path is in recompute's scope.
+func crossesScope(path []*NIC) bool {
+	for _, nic := range path {
+		if nic.fluidSeen {
+			return true
+		}
+	}
+	return false
 }
 
 // reschedule (re)arms the single completion timer for the earliest
@@ -545,11 +618,11 @@ func (e *FlowEngine) onTimer() {
 	e.timer = Timer{}
 	e.advance()
 	n := len(e.flows)
-	var done []*fluidFlow
 	keep := e.flows[:0]
 	for _, f := range e.flows {
 		if f.remaining <= completeEps {
-			done = append(done, f) //meshvet:allow poolescape completion batch: flows are freed below before their callbacks run
+			e.seed(f.path)
+			e.done = append(e.done, f) //meshvet:allow poolescape completion batch: flows are freed below before their callbacks run
 		} else {
 			keep = append(keep, f) //meshvet:allow poolescape in-place filter of the engine's own active set
 		}
@@ -558,17 +631,19 @@ func (e *FlowEngine) onTimer() {
 		e.flows[i] = nil
 	}
 	e.flows = keep
-	e.stats.Completed += uint64(len(done))
+	e.stats.Completed += uint64(len(e.done))
 	e.dirty = false // the full refresh below covers any pending flush
 	e.recompute()
 	e.reschedule()
-	for _, f := range done {
+	for _, f := range e.done {
 		cb := f.onDone
 		e.free(f)
 		if cb != nil {
 			cb()
 		}
 	}
+	clear(e.done)
+	e.done = e.done[:0]
 }
 
 func (e *FlowEngine) find(id FlowID) int {
@@ -596,7 +671,7 @@ func (e *FlowEngine) free(f *fluidFlow) {
 	}
 	f.path = f.path[:0]
 	f.remaining, f.rate = 0, 0
-	f.frozen = false
+	f.frozen, f.scoped = false, false
 	f.onDone, f.onDemote = nil, nil
 	e.pool = append(e.pool, f) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
 }

@@ -106,12 +106,14 @@ type NIC struct {
 	txPacket *Packet
 	txDone   func()
 
-	// Flow-engine state, owned by FlowEngine.recompute. fluidRate is the
-	// aggregate fluid throughput (bytes/sec) crossing this NIC — always 0
-	// in packet fidelity; the rest is progressive-filling scratch. Kept
-	// as fields rather than engine-side maps so the recompute hot path
-	// and the per-packet serializeDelay lookup stay allocation- and
-	// hash-free.
+	// Flow-engine state, owned by FlowEngine. fluidRate is the aggregate
+	// fluid throughput (bytes/sec) crossing this NIC — always 0 in packet
+	// fidelity. The rest is recompute's scratch: fluidSeen marks the NIC
+	// as in the scope of the next (or running) recompute, fluidCap and
+	// fluidCnt are progressive filling's residual capacity and unfrozen
+	// flow count. Kept as fields rather than engine-side maps so the
+	// recompute hot path and the per-packet serializeDelay lookup stay
+	// allocation- and hash-free.
 	fluidRate float64
 	fluidCap  float64
 	fluidCnt  int

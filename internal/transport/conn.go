@@ -47,6 +47,10 @@ const (
 // ErrConnectTimeout is passed to OnClose when the handshake fails.
 var ErrConnectTimeout = errors.New("transport: connect timed out")
 
+// ErrNoEphemeralPort is passed to OnClose when Dial found all 32768
+// ephemeral source ports of the host carrying a connection.
+var ErrNoEphemeralPort = errors.New("transport: no free ephemeral port")
+
 // ErrReset is passed to OnClose when the connection is torn down
 // abruptly by Abort.
 var ErrReset = errors.New("transport: connection reset")

@@ -18,7 +18,16 @@ type Host struct {
 
 	conns     map[simnet.FlowKey]*Conn
 	listeners map[uint16]*Listener
+
+	// Ephemeral source ports. nextPort is where allocPort resumes its
+	// upward probe. portUse[p-ephemeralBase] counts the connections whose
+	// local port is p (a dialled connection holds its port alone, accepted
+	// ones share their listener's) and is grown to the highest such port
+	// seen; portsBusy counts its non-zero entries. addConn and removeConn
+	// maintain both, so a probe is one index rather than a scan of conns.
 	nextPort  uint16
+	portsBusy uint16
+	portUse   []uint32
 
 	// segPool recycles Segment structs. Segments are allocated by the
 	// sending connection (via Conn.seg) and reclaimed by the receiving
@@ -75,7 +84,7 @@ func NewHost(node *simnet.Node) *Host {
 		sched:     node.Network().Scheduler(),
 		conns:     make(map[simnet.FlowKey]*Conn),
 		listeners: make(map[uint16]*Listener),
-		nextPort:  32768,
+		nextPort:  ephemeralBase,
 	}
 	node.SetDeliver(h.deliver)
 	return h
@@ -107,22 +116,29 @@ func (h *Host) Listen(port uint16, onAccept func(*Conn)) (*Listener, error) {
 // immediately — messages queued before the handshake completes are
 // sent once it does.
 func (h *Host) Dial(dst simnet.Addr, port uint16, opts Options) *Conn {
-	flow := simnet.FlowKey{
-		Src:     h.node.Addr(),
-		Dst:     dst,
-		SrcPort: h.allocPort(),
-		DstPort: port,
-		Proto:   simnet.ProtoTCP,
-	}
+	srcPort, ok := h.allocPort()
 	c := &Conn{
-		host:    h,
-		flow:    flow,
+		host: h,
+		flow: simnet.FlowKey{
+			Src:     h.node.Addr(),
+			Dst:     dst,
+			SrcPort: srcPort,
+			DstPort: port,
+			Proto:   simnet.ProtoTCP,
+		},
 		opts:    opts,
 		state:   stateSynSent,
 		cc:      NewController(opts.CC, h.sched.Now),
 		peerWnd: rcvWindow,
 	}
-	h.conns[flow] = c
+	if !ok {
+		// Fail like a handshake that never completes, only at once: from
+		// the scheduler, so the caller has the Conn and its OnClose set.
+		c.synTimer.Cancel() // zero on a fresh Conn; cancel before arm
+		c.synTimer = h.sched.After(0, func() { c.teardown(ErrNoEphemeralPort) })
+		return c
+	}
+	h.addConn(c)
 	h.sendSYN(c)
 	return c
 }
@@ -142,28 +158,55 @@ func (h *Host) sendSYN(c *Conn) {
 	c.synTimer = h.sched.After(backoff, func() { h.sendSYN(c) })
 }
 
-func (h *Host) allocPort() uint16 {
+// ephemeralBase is the first of the 32768 source ports Dial allocates.
+const ephemeralBase = 32768
+
+// allocPort returns the next ephemeral port no connection on the host
+// uses, probing upward from nextPort and wrapping at 65535. With every
+// one of them in use there is nothing to find and it reports !ok.
+func (h *Host) allocPort() (uint16, bool) {
+	if int(h.portsBusy) == 1<<16-ephemeralBase {
+		return 0, false
+	}
 	for {
 		p := h.nextPort
 		h.nextPort++
-		if h.nextPort < 32768 {
-			h.nextPort = 32768
+		if h.nextPort < ephemeralBase {
+			h.nextPort = ephemeralBase
 		}
-		// Cheap collision check against active conns.
-		free := true
-		for k := range h.conns {
-			if k.SrcPort == p {
-				free = false
-				break
-			}
-		}
-		if free {
-			return p
+		if i := int(p) - ephemeralBase; i >= len(h.portUse) || h.portUse[i] == 0 {
+			return p, true
 		}
 	}
 }
 
-func (h *Host) removeConn(c *Conn) { delete(h.conns, c.flow) }
+func (h *Host) addConn(c *Conn) {
+	h.conns[c.flow] = c
+	if i := int(c.flow.SrcPort) - ephemeralBase; i >= 0 {
+		for len(h.portUse) <= i {
+			h.portUse = append(h.portUse, 0)
+		}
+		if h.portUse[i] == 0 {
+			h.portsBusy++
+		}
+		h.portUse[i]++
+	}
+}
+
+// removeConn forgets c. A connection that is not registered — it found
+// no port to dial from, or was removed before — holds nothing to release.
+func (h *Host) removeConn(c *Conn) {
+	if h.conns[c.flow] != c {
+		return
+	}
+	delete(h.conns, c.flow)
+	if i := int(c.flow.SrcPort) - ephemeralBase; i >= 0 {
+		h.portUse[i]--
+		if h.portUse[i] == 0 {
+			h.portsBusy--
+		}
+	}
+}
 
 // ConnCount returns the number of live connections (debug/tests).
 func (h *Host) ConnCount() int { return len(h.conns) }
@@ -222,7 +265,7 @@ func (h *Host) deliver(p *simnet.Packet) {
 				peerWnd:   seg.Wnd,
 				lastTSVal: seg.TSVal,
 			}
-			h.conns[local] = c
+			h.addConn(c)
 			l.accepted++
 			if l.onAccept != nil {
 				l.onAccept(c)
