@@ -40,9 +40,6 @@ type SweepConfig struct {
 	// Seed and the window sizes are shared across levels.
 	Seed                      int64
 	Warmup, Measure, Cooldown time.Duration
-	// Workers bounds this sweep's run concurrency; 0 means MaxParallel,
-	// 1 forces sequential execution. Output is identical either way.
-	Workers int
 }
 
 // RunSweep reproduces the Fig. 4 experiment: for each RPS level, one
@@ -54,7 +51,7 @@ func RunSweep(cfg SweepConfig) []SweepPoint {
 	if !cfg.Opt.Any() {
 		cfg.Opt = PaperOptimizations()
 	}
-	pairs := armPairs(len(cfg.RPSLevels), cfg.Workers, cfg.Opt, func(i int, opt Optimization) MixedResult {
+	pairs := armPairs(len(cfg.RPSLevels), cfg.Opt, func(i int, opt Optimization) MixedResult {
 		return RunMixedOnce(opt, MixedConfig{RPS: cfg.RPSLevels[i], Seed: cfg.Seed, Warmup: cfg.Warmup, Measure: cfg.Measure, Cooldown: cfg.Cooldown})
 	})
 	out := make([]SweepPoint, len(pairs))
@@ -66,12 +63,11 @@ func RunSweep(cfg SweepConfig) []SweepPoint {
 
 // armPairs runs the baseline arm and the opt arm of each of n rows and
 // returns them by row as {base, opt}. Every (row, arm) pair is an
-// independent simulation, so all 2n share the pool at once; workers
-// bounds it as in runIndexedWorkers.
-func armPairs(n, workers int, opt Optimization, arm func(i int, opt Optimization) MixedResult) [][2]MixedResult {
+// independent simulation, so all 2n share the pool at once.
+func armPairs(n int, opt Optimization, arm func(i int, opt Optimization) MixedResult) [][2]MixedResult {
 	out := make([][2]MixedResult, n)
 	arms := [2]Optimization{None(), opt}
-	runIndexedWorkers(2*n, workers, func(k int) { out[k/2][k%2] = arm(k/2, arms[k%2]) })
+	runIndexed(2*n, func(k int) { out[k/2][k%2] = arm(k/2, arms[k%2]) })
 	return out
 }
 
@@ -568,7 +564,7 @@ func RunBottleneckSweep(ratesGbps []float64, seed int64, mixed MixedConfig) []Bo
 		mixed.RPS = 40
 	}
 	mixed.Seed = seed
-	pairs := armPairs(len(ratesGbps), 0, PaperOptimizations(), func(i int, opt Optimization) MixedResult {
+	pairs := armPairs(len(ratesGbps), PaperOptimizations(), func(i int, opt Optimization) MixedResult {
 		appCfg := app.DefaultELibraryConfig()
 		appCfg.BottleneckRate = int64(ratesGbps[i] * float64(simnet.Gbps))
 		return NewScenario(ScenarioConfig{Opt: opt, Seed: seed, App: appCfg}).RunMixed(mixed)
@@ -620,7 +616,7 @@ func RunSkewSweep(liMB []float64, seed int64, mixed MixedConfig) []SkewRow {
 		c.LIRatingsBytes = int(liMB[i] * float64(1<<20))
 		return c
 	}
-	pairs := armPairs(len(liMB), 0, PaperOptimizations(), func(i int, opt Optimization) MixedResult {
+	pairs := armPairs(len(liMB), PaperOptimizations(), func(i int, opt Optimization) MixedResult {
 		return NewScenario(ScenarioConfig{Opt: opt, Seed: seed, App: appCfg(i)}).RunMixed(mixed)
 	})
 	out := make([]SkewRow, len(pairs))

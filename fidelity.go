@@ -15,8 +15,8 @@ import (
 // E20 measures what the flow-level fast path buys: the same bulk
 // workload is simulated under packet, flow, and hybrid fidelity, and
 // the cost is reported in *scheduler events* — a deterministic,
-// host-independent unit (unlike E16's wall-clock numbers), so the
-// whole table is golden-checkable. Two arms:
+// host-independent unit (unlike wall-clock numbers), so the whole
+// table is golden-checkable. Two arms:
 //
 //   - Bulk ladder: 8 client/server pairs across a two-switch spine,
 //     16 x 1 MB messages each. All three fidelities run at full scale;

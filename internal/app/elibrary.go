@@ -1,6 +1,7 @@
 package app
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -29,8 +30,8 @@ type ELibraryConfig struct {
 	// 1 Gbps bottleneck between reviews and ratings.
 	BottleneckRate int64
 	// ReviewsReplicas is the reviews scale-out (paper: 2, one per
-	// priority pool under the optimization). Ignored when Zones > 1
-	// (each zone gets one reviews replica).
+	// priority pool under the optimization). Ignored when Zones or
+	// Regions > 1 (each zone gets one reviews replica).
 	ReviewsReplicas int
 	// Workers bounds per-pod compute concurrency.
 	Workers int
@@ -41,9 +42,6 @@ type ELibraryConfig struct {
 	// original single-zone topology byte-identical to before zones
 	// existed. The gateway lives in zone-a.
 	Zones int
-	// ZoneDelay overrides the inter-zone spine propagation delay
-	// (zero: cluster.DefaultZoneUplink's 250 µs).
-	ZoneDelay time.Duration
 
 	// Regions replicates the zoned testbed across this many regions
 	// ("region-a", ...), each with Zones failure domains (default 2)
@@ -52,9 +50,6 @@ type ELibraryConfig struct {
 	// the ingress gateway lives in region-a's first zone. <= 1 keeps
 	// the pre-federation topologies byte-identical.
 	Regions int
-	// WANDelay overrides the one-way WAN propagation delay (zero:
-	// cluster.DefaultWANLink's 25 ms).
-	WANDelay time.Duration
 
 	// Latency-sensitive response sizes per component.
 	LSDetailsBytes, LSRatingsBytes, LSReviewsBytes, LSFrontendBytes int
@@ -123,201 +118,117 @@ type ELibrary struct {
 	EastWest []*cluster.Pod
 }
 
-// BuildELibrary constructs the full Fig. 3 topology on a fresh
-// scheduler: ingress gateway -> frontend -> {details, reviews[i] ->
-// ratings}, with the ratings uplink as the bottleneck.
+// resolve applies the testbed's one defaulting rule: a config that
+// sets nothing but Mesh is DefaultELibraryConfig; any other config is
+// taken whole. A partial one — fields set beside a zero LinkRate — is
+// an error, because filling the gaps would build a testbed the caller
+// did not describe.
+func (cfg ELibraryConfig) resolve() (ELibraryConfig, error) {
+	if cfg.LinkRate != 0 {
+		return cfg, nil
+	}
+	meshCfg := cfg.Mesh
+	cfg.Mesh = mesh.Config{}
+	if cfg != (ELibraryConfig{}) {
+		return cfg, errors.New("app: ELibraryConfig sets fields but no LinkRate; start from DefaultELibraryConfig() and override what differs")
+	}
+	cfg = DefaultELibraryConfig()
+	cfg.Mesh = meshCfg
+	return cfg, nil
+}
+
+// cell is one failure domain's replica set: a frontend, a details, a
+// ratings behind the bottleneck, and one reviews pod per suffix listed.
+type cell struct {
+	zone, suffix string
+	reviews      []string
+}
+
+// BuildELibrary constructs the Fig. 3 topology on a fresh scheduler:
+// ingress gateway -> frontend -> {details, reviews[i] -> ratings}, with
+// the ratings uplink as the bottleneck. The paper's testbed is one
+// zone-less cell with ReviewsReplicas reviews pods; Zones > 1 places one
+// cell per zone, each pod suffixed with the zone letter, so the
+// aggregate is N copies of the testbed joined at the spine; Regions > 1
+// places the same cells in every region's zones, joins the region
+// spines by WAN links, and adds one east-west gateway pod per region on
+// its spine behind the mesh.EWGatewayService(region) service. The
+// ingress gateway lives in the first cell, so under a region-a
+// evacuation the edge itself keeps running while its upstreams drain.
 func BuildELibrary(cfg ELibraryConfig) *ELibrary {
-	if cfg.LinkRate == 0 {
-		cfg = fillDefaults(cfg)
+	cfg, err := cfg.resolve()
+	if err != nil {
+		panic(err)
 	}
 	sched := simnet.NewScheduler()
 	net := simnet.NewNetwork(sched)
 	cl := cluster.New(net)
+	e := &ELibrary{Sched: sched, Net: net, Cluster: cl, Config: cfg}
 
 	link := simnet.LinkConfig{Rate: cfg.LinkRate, Delay: 20 * time.Microsecond}
 	bottleneck := simnet.LinkConfig{Rate: cfg.BottleneckRate, Delay: 20 * time.Microsecond}
 
-	if cfg.Regions > 1 {
-		return buildFederatedELibrary(cfg, sched, net, cl, link, bottleneck)
+	var cells []cell
+	zoneCell := func(zone, region string) {
+		cl.AddZoneInRegion(zone, region, cluster.DefaultZoneUplink)
+		e.Zones = append(e.Zones, zone)
+		suffix := strings.TrimPrefix(zone, "zone-")
+		cells = append(cells, cell{zone: zone, suffix: suffix, reviews: []string{suffix}})
 	}
-	if cfg.Zones > 1 {
-		return buildZonedELibrary(cfg, sched, net, cl, link, bottleneck)
-	}
-
-	gwPod := cl.AddPod(cluster.PodSpec{Name: "gateway", Labels: map[string]string{"app": "gateway"}, Link: link})
-	fePod := cl.AddPod(cluster.PodSpec{Name: "frontend-1", Labels: map[string]string{"app": "frontend"}, Link: link, Workers: cfg.Workers})
-	dtPod := cl.AddPod(cluster.PodSpec{Name: "details-1", Labels: map[string]string{"app": "details"}, Link: link, Workers: cfg.Workers})
-	var rvPods []*cluster.Pod
-	for i := 1; i <= cfg.ReviewsReplicas; i++ {
-		rvPods = append(rvPods, cl.AddPod(cluster.PodSpec{
-			Name:    fmt.Sprintf("reviews-%d", i),
-			Labels:  map[string]string{"app": "reviews", "version": fmt.Sprintf("v%d", i)},
-			Link:    link,
-			Workers: cfg.Workers,
-		}))
-	}
-	rtPod := cl.AddPod(cluster.PodSpec{Name: "ratings-1", Labels: map[string]string{"app": "ratings"}, Link: bottleneck, Workers: cfg.Workers})
-
-	cl.AddService("frontend", 9080, map[string]string{"app": "frontend"})
-	cl.AddService("details", 9080, map[string]string{"app": "details"})
-	cl.AddService("reviews", 9080, map[string]string{"app": "reviews"})
-	cl.AddService("ratings", 9080, map[string]string{"app": "ratings"})
-
-	m := mesh.New(cl, cfg.Mesh)
-	gw := m.NewGateway(gwPod)
-
-	e := &ELibrary{
-		Sched: sched, Net: net, Cluster: cl, Mesh: m, Gateway: gw, Config: cfg,
-		Frontend: fePod, Details: dtPod, Reviews: rvPods, Ratings: rtPod,
-		AllRatings: []*cluster.Pod{rtPod},
-	}
-	e.registerFrontend(fePod)
-	e.registerDetails(dtPod)
-	for _, p := range rvPods {
-		e.registerReviews(p)
-	}
-	e.registerRatings(rtPod)
-	return e
-}
-
-// buildZonedELibrary lays the Fig. 3 application out across cfg.Zones
-// failure domains: every zone carries a full replica set
-// (frontend/details/reviews/ratings, each suffixed with the zone
-// letter), the gateway sits in zone-a, and each ratings uplink keeps
-// the bottleneck rate — so the aggregate topology is N copies of the
-// paper's testbed joined at the spine.
-func buildZonedELibrary(cfg ELibraryConfig, sched *simnet.Scheduler, net *simnet.Network,
-	cl *cluster.Cluster, link, bottleneck simnet.LinkConfig) *ELibrary {
-	uplink := cluster.DefaultZoneUplink
-	if cfg.ZoneDelay > 0 {
-		uplink.Delay = cfg.ZoneDelay
-	}
-	zones := make([]string, cfg.Zones)
-	for i := range zones {
-		zones[i] = "zone-" + string(rune('a'+i))
-		cl.AddZone(zones[i], uplink)
+	switch {
+	case cfg.Regions > 1:
+		zonesPer := cfg.Zones
+		if zonesPer <= 1 {
+			zonesPer = 2
+		}
+		for i := 0; i < cfg.Regions; i++ {
+			r := "region-" + string(rune('a'+i))
+			cl.AddRegion(r, cluster.DefaultWANLink)
+			e.Regions = append(e.Regions, r)
+			for j := 1; j <= zonesPer; j++ {
+				zoneCell(fmt.Sprintf("zone-%c%d", 'a'+i, j), r)
+			}
+		}
+	case cfg.Zones > 1:
+		for i := 0; i < cfg.Zones; i++ {
+			zoneCell("zone-"+string(rune('a'+i)), "")
+		}
+	default:
+		c := cell{suffix: "1"}
+		for i := 1; i <= cfg.ReviewsReplicas; i++ {
+			c.reviews = append(c.reviews, fmt.Sprint(i))
+		}
+		cells = []cell{c}
 	}
 
-	e := &ELibrary{Sched: sched, Net: net, Cluster: cl, Config: cfg, Zones: zones}
 	gwPod := cl.AddPod(cluster.PodSpec{
-		Name: "gateway", Labels: map[string]string{"app": "gateway"}, Link: link, Zone: zones[0]})
-	for i, z := range zones {
-		suffix := string(rune('a' + i))
-		fe := cl.AddPod(cluster.PodSpec{
-			Name: "frontend-" + suffix, Labels: map[string]string{"app": "frontend"},
-			Link: link, Workers: cfg.Workers, Zone: z})
-		dt := cl.AddPod(cluster.PodSpec{
-			Name: "details-" + suffix, Labels: map[string]string{"app": "details"},
-			Link: link, Workers: cfg.Workers, Zone: z})
-		rv := cl.AddPod(cluster.PodSpec{
-			Name: "reviews-" + suffix, Labels: map[string]string{"app": "reviews", "version": fmt.Sprintf("v%d", i+1)},
-			Link: link, Workers: cfg.Workers, Zone: z})
-		rt := cl.AddPod(cluster.PodSpec{
-			Name: "ratings-" + suffix, Labels: map[string]string{"app": "ratings"},
-			Link: bottleneck, Workers: cfg.Workers, Zone: z})
+		Name: "gateway", Labels: map[string]string{"app": "gateway"}, Link: link, Zone: cells[0].zone})
+	for i, c := range cells {
+		pod := func(name string, l simnet.LinkConfig, labels map[string]string) *cluster.Pod {
+			return cl.AddPod(cluster.PodSpec{Name: name, Labels: labels, Link: l, Workers: cfg.Workers, Zone: c.zone})
+		}
+		fe := pod("frontend-"+c.suffix, link, map[string]string{"app": "frontend"})
+		dt := pod("details-"+c.suffix, link, map[string]string{"app": "details"})
+		for _, s := range c.reviews {
+			version := fmt.Sprintf("v%d", len(e.Reviews)+1)
+			e.Reviews = append(e.Reviews, pod("reviews-"+s, link, map[string]string{"app": "reviews", "version": version}))
+		}
+		rt := pod("ratings-"+c.suffix, bottleneck, map[string]string{"app": "ratings"})
+		e.AllRatings = append(e.AllRatings, rt)
 		if i == 0 {
 			e.Frontend, e.Details, e.Ratings = fe, dt, rt
 		}
-		e.Reviews = append(e.Reviews, rv)
-		e.AllRatings = append(e.AllRatings, rt)
 	}
-
-	cl.AddService("frontend", 9080, map[string]string{"app": "frontend"})
-	cl.AddService("details", 9080, map[string]string{"app": "details"})
-	cl.AddService("reviews", 9080, map[string]string{"app": "reviews"})
-	cl.AddService("ratings", 9080, map[string]string{"app": "ratings"})
-
-	e.Mesh = mesh.New(cl, cfg.Mesh)
-	e.Gateway = e.Mesh.NewGateway(gwPod)
-
-	for _, z := range zones {
-		for _, p := range cl.ZonePods(z) {
-			switch p.Label("app") {
-			case "frontend":
-				e.registerFrontend(p)
-			case "details":
-				e.registerDetails(p)
-			case "reviews":
-				e.registerReviews(p)
-			case "ratings":
-				e.registerRatings(p)
-			}
-		}
+	for _, svc := range []string{"frontend", "details", "reviews", "ratings"} {
+		cl.AddService(svc, 9080, map[string]string{"app": svc})
 	}
-	return e
-}
-
-// buildFederatedELibrary replicates the zoned testbed across
-// cfg.Regions regions: each region carries cfg.Zones zones (default 2),
-// every zone a full replica set, and the region spines are joined by
-// WAN links. One east-west gateway pod per region sits on its spine,
-// fronted by the mesh.EWGatewayService(region) service; the ingress
-// gateway lives in region-a's first zone, so under a region-a
-// evacuation the edge itself keeps running while its upstreams drain.
-func buildFederatedELibrary(cfg ELibraryConfig, sched *simnet.Scheduler, net *simnet.Network,
-	cl *cluster.Cluster, link, bottleneck simnet.LinkConfig) *ELibrary {
-	uplink := cluster.DefaultZoneUplink
-	if cfg.ZoneDelay > 0 {
-		uplink.Delay = cfg.ZoneDelay
-	}
-	wan := cluster.DefaultWANLink
-	if cfg.WANDelay > 0 {
-		wan.Delay = cfg.WANDelay
-	}
-	zonesPer := cfg.Zones
-	if zonesPer <= 1 {
-		zonesPer = 2
-	}
-
-	e := &ELibrary{Sched: sched, Net: net, Cluster: cl, Config: cfg}
-	for i := 0; i < cfg.Regions; i++ {
-		r := "region-" + string(rune('a'+i))
-		cl.AddRegion(r, wan)
-		e.Regions = append(e.Regions, r)
-		for j := 1; j <= zonesPer; j++ {
-			z := fmt.Sprintf("zone-%c%d", 'a'+i, j)
-			cl.AddZoneInRegion(z, r, uplink)
-			e.Zones = append(e.Zones, z)
-		}
-	}
-
-	gwPod := cl.AddPod(cluster.PodSpec{
-		Name: "gateway", Labels: map[string]string{"app": "gateway"}, Link: link, Zone: e.Zones[0]})
-	for zi, z := range e.Zones {
-		suffix := strings.TrimPrefix(z, "zone-")
-		fe := cl.AddPod(cluster.PodSpec{
-			Name: "frontend-" + suffix, Labels: map[string]string{"app": "frontend"},
-			Link: link, Workers: cfg.Workers, Zone: z})
-		dt := cl.AddPod(cluster.PodSpec{
-			Name: "details-" + suffix, Labels: map[string]string{"app": "details"},
-			Link: link, Workers: cfg.Workers, Zone: z})
-		rv := cl.AddPod(cluster.PodSpec{
-			Name: "reviews-" + suffix, Labels: map[string]string{"app": "reviews", "version": fmt.Sprintf("v%d", zi+1)},
-			Link: link, Workers: cfg.Workers, Zone: z})
-		rt := cl.AddPod(cluster.PodSpec{
-			Name: "ratings-" + suffix, Labels: map[string]string{"app": "ratings"},
-			Link: bottleneck, Workers: cfg.Workers, Zone: z})
-		if zi == 0 {
-			e.Frontend, e.Details, e.Ratings = fe, dt, rt
-		}
-		e.Reviews = append(e.Reviews, rv)
-		e.AllRatings = append(e.AllRatings, rt)
-	}
-
-	cl.AddService("frontend", 9080, map[string]string{"app": "frontend"})
-	cl.AddService("details", 9080, map[string]string{"app": "details"})
-	cl.AddService("reviews", 9080, map[string]string{"app": "reviews"})
-	cl.AddService("ratings", 9080, map[string]string{"app": "ratings"})
-
 	// Federation infrastructure: one east-west gateway per region, each
 	// behind its own single-pod service.
 	for _, r := range e.Regions {
 		name := mesh.EWGatewayService(r)
-		p := cl.AddPod(cluster.PodSpec{
-			Name: name, Labels: map[string]string{"app": name},
-			Link: link, Workers: cfg.Workers, Region: r})
+		e.EastWest = append(e.EastWest, cl.AddPod(cluster.PodSpec{
+			Name: name, Labels: map[string]string{"app": name}, Link: link, Workers: cfg.Workers, Region: r}))
 		cl.AddService(name, 9080, map[string]string{"app": name})
-		e.EastWest = append(e.EastWest, p)
 	}
 
 	e.Mesh = mesh.New(cl, cfg.Mesh)
@@ -325,41 +236,20 @@ func buildFederatedELibrary(cfg ELibraryConfig, sched *simnet.Scheduler, net *si
 	for _, p := range e.EastWest {
 		e.Mesh.NewEastWestGateway(p)
 	}
-
-	for _, z := range e.Zones {
-		for _, p := range cl.ZonePods(z) {
-			switch p.Label("app") {
-			case "frontend":
-				e.registerFrontend(p)
-			case "details":
-				e.registerDetails(p)
-			case "reviews":
-				e.registerReviews(p)
-			case "ratings":
-				e.registerRatings(p)
-			}
+	// Application sidecars, in pod creation order.
+	for _, p := range cl.Pods() {
+		switch p.Label("app") {
+		case "frontend":
+			e.registerFrontend(p)
+		case "details":
+			e.registerDetails(p)
+		case "reviews":
+			e.registerReviews(p)
+		case "ratings":
+			e.registerRatings(p)
 		}
 	}
 	return e
-}
-
-func fillDefaults(cfg ELibraryConfig) ELibraryConfig {
-	d := DefaultELibraryConfig()
-	d.Mesh = cfg.Mesh
-	if cfg.ReviewsReplicas > 0 {
-		d.ReviewsReplicas = cfg.ReviewsReplicas
-	}
-	if cfg.BottleneckRate > 0 {
-		d.BottleneckRate = cfg.BottleneckRate
-	}
-	if cfg.LIRatingsBytes > 0 {
-		d.LIRatingsBytes = cfg.LIRatingsBytes
-	}
-	d.Zones = cfg.Zones
-	d.ZoneDelay = cfg.ZoneDelay
-	d.Regions = cfg.Regions
-	d.WANDelay = cfg.WANDelay
-	return d
 }
 
 // isAnalytics classifies a path as the batch workload.

@@ -25,9 +25,6 @@ func NewRecorder(bucket time.Duration) *Recorder {
 	return &Recorder{bucket: bucket, buckets: make(map[int]*bucketCounts)}
 }
 
-// Bucket returns the bucket width.
-func (r *Recorder) Bucket() time.Duration { return r.bucket }
-
 // Observe records one request completion at virtual time at.
 func (r *Recorder) Observe(at, latency time.Duration, failed bool) {
 	_ = latency

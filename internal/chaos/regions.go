@@ -7,46 +7,11 @@ import (
 	"meshlayer/internal/simnet"
 )
 
-// This file holds WAN-scale correlated faults: whole regions going
-// dark, the WAN links between them partitioning or degrading, and the
-// operational event that motivates priority failover ladders — a
-// region being drained on purpose. Zone faults (zones.go) stress the
-// intra-region spine; these stress the federation layer above it.
-
-// RegionOutage crashes every pod in a region at once (regional power
-// event, a control-plane-wide bad rollout). Except lists pods spared —
-// typically the region's east-west gateway when the experiment wants
-// the WAN path itself to stay observable.
-type RegionOutage struct {
-	Region string
-	Except []string
-}
-
-// Name implements Fault.
-func (f RegionOutage) Name() string { return "region-outage/" + f.Region }
-
-// Inject implements Fault.
-func (f RegionOutage) Inject(t *Target) {
-	for _, pod := range t.Cluster.RegionPods(f.Region) {
-		if containsName(f.Except, pod.Name()) {
-			continue
-		}
-		pod.Partition(true)
-		pod.Host().ResetConns()
-	}
-}
-
-// Revert implements Fault.
-func (f RegionOutage) Revert(t *Target) {
-	for _, pod := range t.Cluster.RegionPods(f.Region) {
-		if containsName(f.Except, pod.Name()) {
-			continue
-		}
-		pod.Partition(false)
-	}
-}
-
-func (f RegionOutage) validate(t *Target) error { return needRegion(t, f.Region) }
+// This file holds WAN-scale correlated faults: the WAN links between
+// regions partitioning or degrading, and the operational event that
+// motivates priority failover ladders — a region being drained on
+// purpose. Zone faults (zones.go) stress the intra-region spine; these
+// stress the federation layer above it.
 
 // WANPartition severs every WAN link touching a region: the region
 // keeps serving its local traffic, but cross-region calls blackhole

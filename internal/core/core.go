@@ -58,18 +58,13 @@ type Config struct {
 	// PriorityPools maps service name -> replica pools per priority.
 	PriorityPools map[string]PoolPair
 
-	// EnableScavenger puts low-priority transfers on a scavenger
+	// EnableScavenger puts low-priority transfers on the scavenger
 	// congestion controller (3b).
 	EnableScavenger bool
-	// ScavengerCC names the scavenger ("ledbat" default, or "lp").
-	ScavengerCC string
 
 	// EnableTC installs nearly-strict priority qdiscs on every pod
 	// uplink (3c).
 	EnableTC bool
-	// HighShare is the high class's bandwidth cap (default 0.95 — the
-	// paper's "up to 95% of bandwidth").
-	HighShare float64
 
 	// EnableSDN announces flow priorities to the SDN controller (3d).
 	// TE routes themselves are topology-specific and configured on the
@@ -78,6 +73,13 @@ type Config struct {
 	// SDN is required when EnableSDN is set.
 	SDN *sdn.Controller
 }
+
+// scavengerCC is the congestion controller of optimization 3b.
+const scavengerCC = "ledbat"
+
+// highShare is the high class's bandwidth cap under 3c: the paper's
+// "up to 95% of bandwidth".
+const highShare = 0.95
 
 // provEntry is one provenance record: the priority class of a request
 // ID, plus its last sighting for garbage collection.
@@ -111,18 +113,6 @@ type Controller struct {
 func Enable(cfg Config) *Controller {
 	if cfg.Mesh == nil {
 		panic("core: Config.Mesh is required")
-	}
-	if cfg.ScavengerCC == "" {
-		cfg.ScavengerCC = "ledbat"
-	}
-	if !transport.IsScavenger(cfg.ScavengerCC) {
-		panic("core: ScavengerCC must be a scavenger controller (ledbat or lp)")
-	}
-	if cfg.HighShare == 0 {
-		cfg.HighShare = 0.95
-	}
-	if cfg.HighShare <= 0 || cfg.HighShare > 1 {
-		panic("core: HighShare must be in (0,1]")
 	}
 	if cfg.EnableSDN && cfg.SDN == nil {
 		panic("core: EnableSDN requires a controller")
@@ -174,7 +164,7 @@ func (c *Controller) installTC() {
 		for _, nic := range []*simnet.NIC{link.A(), link.B()} {
 			nic.SetQdisc(tc.NewNearStrict(tc.NearStrictConfig{
 				LinkRate:  link.Config().Rate,
-				HighShare: c.cfg.HighShare,
+				HighShare: highShare,
 			}, clock))
 			c.qdiscs++
 		}
@@ -231,7 +221,7 @@ func (c *Controller) inboundFilter(ctx httpsim.Ctx, req *httpsim.Request) {
 	ctx.Conn.SetMark(mark)
 	if c.cfg.EnableScavenger {
 		if mark == simnet.MarkLow {
-			ctx.Conn.SetCongestionControl(c.cfg.ScavengerCC)
+			ctx.Conn.SetCongestionControl(scavengerCC)
 		} else {
 			ctx.Conn.SetCongestionControl("reno")
 		}
@@ -270,7 +260,7 @@ func (c *Controller) classify(req *httpsim.Request) mesh.ConnClass {
 	case mesh.PriorityLow:
 		cc := "reno"
 		if c.cfg.EnableScavenger {
-			cc = c.cfg.ScavengerCC
+			cc = scavengerCC
 		}
 		return mesh.ConnClass{
 			Name:    "priority-low",

@@ -33,10 +33,8 @@ func enableAll(e *app.ELibrary) *Controller {
 func TestConfigValidation(t *testing.T) {
 	e := app.BuildELibrary(app.DefaultELibraryConfig())
 	for name, bad := range map[string]Config{
-		"nil mesh":      {},
-		"bad scavenger": {Mesh: e.Mesh, ScavengerCC: "reno"},
-		"bad share":     {Mesh: e.Mesh, HighShare: 1.5},
-		"sdn no ctrl":   {Mesh: e.Mesh, EnableSDN: true},
+		"nil mesh":    {},
+		"sdn no ctrl": {Mesh: e.Mesh, EnableSDN: true},
 	} {
 		func() {
 			defer func() {

@@ -64,9 +64,6 @@ func NewClient(h *transport.Host, dst simnet.Addr, port uint16, opts transport.O
 // congestion-control swaps by the cross-layer controller).
 func (c *Client) Conn() *transport.Conn { return c.conn }
 
-// Pending returns the number of requests awaiting responses.
-func (c *Client) Pending() int { return len(c.pending) }
-
 // Closed reports whether the client's connection is gone.
 func (c *Client) Closed() bool { return c.closed }
 
@@ -88,9 +85,6 @@ func (c *Client) Do(req *Request, cb func(*Response, error)) {
 		cb(nil, err)
 	}
 }
-
-// Close tears the connection down after pending data flushes.
-func (c *Client) Close() { c.conn.Close() }
 
 func (c *Client) onMessage(meta any, _ int) {
 	m, ok := meta.(*wireMsg)
@@ -142,10 +136,9 @@ type Handler func(ctx Ctx, req *Request, respond func(*Response))
 // Server accepts connections on a port and dispatches requests to a
 // handler.
 type Server struct {
-	host     *transport.Host
-	listener *transport.Listener
-	handler  Handler
-	served   uint64
+	host    *transport.Host
+	handler Handler
+	served  uint64
 }
 
 // NewServer starts listening on h:port with the handler.
@@ -154,19 +147,14 @@ func NewServer(h *transport.Host, port uint16, handler Handler) (*Server, error)
 		return nil, fmt.Errorf("httpsim: nil handler")
 	}
 	s := &Server{host: h, handler: handler}
-	l, err := h.Listen(port, s.accept)
-	if err != nil {
+	if _, err := h.Listen(port, s.accept); err != nil {
 		return nil, err
 	}
-	s.listener = l
 	return s, nil
 }
 
 // Served returns the number of requests dispatched.
 func (s *Server) Served() uint64 { return s.served }
-
-// Close stops accepting connections.
-func (s *Server) Close() { s.listener.Close() }
 
 func (s *Server) accept(conn *transport.Conn) {
 	conn.SetOnMessage(func(meta any, _ int) {

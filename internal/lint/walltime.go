@@ -9,8 +9,8 @@ import (
 // simulator advances on the virtual clock owned by simnet.Scheduler —
 // a single time.Now in a sim path silently couples results to host
 // load and makes the chaos-smoke goldens irreproducible. Host-side
-// harness code (benchmark timing in engine.go, cmd/ tooling) annotates
-// its few legitimate uses with //meshvet:allow walltime <reason>.
+// harness code (bench/'s timing spans, cmd/ tooling) annotates its few
+// legitimate uses with //meshvet:allow walltime <reason>.
 //
 // Banned: time.Now, Since, Until, Sleep, After, AfterFunc, Tick,
 // NewTimer, NewTicker. time.Duration arithmetic and constants remain

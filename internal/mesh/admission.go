@@ -185,7 +185,3 @@ func (sc *Sidecar) observeAdmission(ctl *admission.Controller) {
 	m.metrics.Gauge(MetricAdmissionLimit,
 		metrics.Labels{"service": sc.service}).Set(float64(ctl.Limiter().Limit()))
 }
-
-// AdmissionController exposes the sidecar's live controller (nil when
-// admission is disabled) — introspection for tests and meshbench.
-func (sc *Sidecar) AdmissionController() *admission.Controller { return sc.admitCtl }

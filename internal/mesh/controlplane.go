@@ -251,11 +251,12 @@ type ControlPlane struct {
 	// SetPushDelay).
 	pushDelay time.Duration
 
-	// dist is non-nil once EnableDistribution has switched the mesh to
-	// simulated config propagation; fed replaces it in per-region
-	// (federated) mode.
-	dist *distributor
-	fed  *federation
+	// dists holds the distribution instances once EnableDistribution
+	// has switched the mesh to simulated config propagation: one scoped
+	// to no region, or one per region in region order. fed is the
+	// summary exchange between them.
+	dists []*distributor
+	fed   *federation
 
 	version uint64
 }

@@ -56,27 +56,23 @@ type DistributionConfig struct {
 	// ResyncDelay is the backoff before re-pushing after a NACK or a
 	// lost connection (default 500ms).
 	ResyncDelay time.Duration
-	// ResyncMax, ResyncJitter, MaxInflightPushes, MaxConcurrentResyncs,
-	// and ResyncLease are the control-plane survivability knobs, passed
-	// through to ctrlplane.Config: exponential resync backoff with
+	// ResyncMax, ResyncJitter, MaxInflightPushes and
+	// MaxConcurrentResyncs are the control-plane survivability knobs,
+	// passed through to ctrlplane.Config: exponential resync backoff with
 	// deterministic per-subscriber jitter, a cap on pushes concurrently
-	// in the transport, and an admission window (with slot lease) on
-	// concurrent full resyncs. Zero values keep the classic behavior.
+	// in the transport, and an admission window on concurrent full
+	// resyncs. Zero values keep the classic behavior.
 	ResyncMax            time.Duration
 	ResyncJitter         float64
 	MaxInflightPushes    int
 	MaxConcurrentResyncs int
-	ResyncLease          time.Duration
 	// Link overrides the control-plane pod's uplink (rate, delay). The
 	// zero value uses the cluster default — at 10k subscribers the CP
 	// egress link is the resource resync storms contend for, so E21
 	// provisions it explicitly.
 	Link simnet.LinkConfig
-	// Zone places the control-plane pod ("" = the root bridge). Ignored
-	// in PerRegion mode, where each control-plane pod sits on its
-	// region's spine.
-	Zone string
-	// PerRegion runs one control-plane instance per cluster region.
+	// PerRegion runs one control-plane instance per cluster region, its
+	// pod on the region's spine, instead of one on the root bridge.
 	// Each distributes only its own region's endpoints to local
 	// sidecars, plus gateway-summarized remote entries exchanged with
 	// peer control planes over the simulated WAN — so a WAN partition
@@ -113,7 +109,6 @@ type distributor struct {
 	// region scopes this instance in federated mode ("" = global): it
 	// distributes only local endpoints plus summarized remote entries.
 	region string
-	fed    *federation
 	// summary is the learned remote capacity table (federated mode).
 	summary *ewSummaryTable
 	// fedClients dials peer control planes, keyed by region.
@@ -132,12 +127,9 @@ type distributor struct {
 	lastReady map[string]bool
 }
 
-// federation ties the per-region distributors together: shared message
-// ids for control-plane-to-control-plane summary pushes and the region
-// order used for deterministic iteration.
+// federation is the distributors' shared summary exchange: message ids
+// for control-plane-to-control-plane pushes.
 type federation struct {
-	dists    []*distributor
-	byRegion map[string]*distributor
 	// pending carries decoded summary messages to the receiving control
 	// plane, referenced by message id (wire bodies are size-only).
 	pending map[uint64]*fedMsg
@@ -159,7 +151,7 @@ type fedMsg struct {
 // snapshots synchronously (a proxy blocks on its initial xDS fetch);
 // everything later is pushed.
 func (cp *ControlPlane) EnableDistribution(cfg DistributionConfig) {
-	if cp.dist != nil || cp.fed != nil {
+	if cp.Distributed() {
 		panic("mesh: distribution already enabled")
 	}
 	// A delay set in instant mode carries over as push suppression once
@@ -174,57 +166,43 @@ func (cp *ControlPlane) EnableDistribution(cfg DistributionConfig) {
 	if cfg.ResyncDelay <= 0 {
 		cfg.ResyncDelay = 500 * time.Millisecond
 	}
-	if !cfg.PerRegion {
-		d := newDistributor(cp, cfg, "")
-		cp.dist = d
-		d.start(m.Sidecars())
-		m.cluster.SetTopologyHook(d.topologyChanged)
-		d.seedReadiness()
-		return
+	// One control plane for the whole mesh is the one-member case of one
+	// per region: a single instance scoped to no region.
+	regions := []string{""}
+	if cfg.PerRegion {
+		if regions = m.cluster.Regions(); len(regions) == 0 {
+			panic("mesh: PerRegion distribution requires at least one region")
+		}
 	}
-
-	// Federated mode: one control plane per region, each scoped to its
-	// region's pods and exchanging capacity summaries with peers over
-	// the simulated WAN.
-	regions := m.cluster.Regions()
-	if len(regions) == 0 {
-		panic("mesh: PerRegion distribution requires at least one region")
-	}
-	fed := &federation{
-		byRegion: make(map[string]*distributor),
-		pending:  make(map[uint64]*fedMsg),
-	}
-	cp.fed = fed
+	cp.fed = &federation{pending: make(map[uint64]*fedMsg)}
 	for _, r := range regions {
-		d := newDistributor(cp, cfg, r)
-		fed.dists = append(fed.dists, d)
-		fed.byRegion[r] = d
+		cp.dists = append(cp.dists, newDistributor(cp, cfg, r))
 	}
 	// Bootstrap the summary tables directly — federation peering, like
 	// the gateway addresses, is static configuration; only subsequent
 	// changes travel the WAN.
-	for _, d := range fed.dists {
-		counts := d.localCounts()
-		d.lastAdv = counts
-		for _, peer := range fed.dists {
+	for _, d := range cp.dists {
+		for _, peer := range cp.dists {
 			if peer != d {
-				peer.summary.apply(d.region, counts)
+				peer.summary.apply(d.region, d.lastAdv)
 			}
 		}
 	}
-	for _, d := range fed.dists {
-		d.start(nil)
+	for _, d := range cp.dists {
+		for _, name := range d.serviceNames() {
+			d.refreshService(name)
+		}
 	}
-	// Sidecars register with their own region's control plane.
+	// Sidecars register with the control plane serving their pod.
 	for _, sc := range m.Sidecars() {
 		cp.distributorFor(sc.pod).register(sc)
 	}
 	m.cluster.SetTopologyHook(func(p *cluster.Pod) {
-		for _, d := range fed.dists {
+		for _, d := range cp.dists {
 			d.topologyChanged(p)
 		}
 	})
-	for _, d := range fed.dists {
+	for _, d := range cp.dists {
 		d.seedReadiness()
 	}
 }
@@ -234,14 +212,13 @@ func (cp *ControlPlane) EnableDistribution(cfg DistributionConfig) {
 // and — in federated mode — the WAN summary-exchange listener.
 func newDistributor(cp *ControlPlane, cfg DistributionConfig, region string) *distributor {
 	m := cp.mesh
-	name, zone := CtrlPlanePod, cfg.Zone
+	name := CtrlPlanePod
 	if region != "" {
-		name, zone = CtrlPlanePod+"-"+region, ""
+		name += "-" + region
 	}
 	pod := m.cluster.AddPod(cluster.PodSpec{
 		Name:   name,
 		Labels: map[string]string{"app": name},
-		Zone:   zone,
 		Region: region,
 		Link:   cfg.Link,
 	})
@@ -269,14 +246,12 @@ func newDistributor(cp *ControlPlane, cfg DistributionConfig, region string) *di
 		ResyncJitter:         cfg.ResyncJitter,
 		MaxInflightPushes:    cfg.MaxInflightPushes,
 		MaxConcurrentResyncs: cfg.MaxConcurrentResyncs,
-		ResyncLease:          cfg.ResyncLease,
 		OnSynced:             d.subscriberSynced,
 	})
 	if region != "" {
-		d.fed = cp.fed
 		d.summary = newEWSummaryTable()
 		d.fedClients = make(map[string]*httpsim.Client)
-		d.lastAdv = make(map[string]int)
+		d.lastAdv = d.localCounts()
 		d.peerDirty = make(map[string]bool)
 		d.peerInflight = make(map[string]bool)
 		if _, err := httpsim.NewServer(pod.Host(), FedPort, d.handleFed); err != nil {
@@ -286,14 +261,10 @@ func newDistributor(cp *ControlPlane, cfg DistributionConfig, region string) *di
 	return d
 }
 
-// start stages every service resource and registers the given sidecars.
-func (d *distributor) start(sidecars []*Sidecar) {
-	for _, name := range d.serviceNames() {
-		d.refreshService(name)
-	}
-	for _, sc := range sidecars {
-		d.register(sc)
-	}
+// serves reports whether pod p is in this instance's scope: its own
+// region's pods, or every pod for the region-less global instance.
+func (d *distributor) serves(p *cluster.Pod) bool {
+	return d.region == "" || p.Region() == d.region
 }
 
 // seedReadiness records current pod readiness so updateGate only gates
@@ -303,56 +274,46 @@ func (d *distributor) seedReadiness() {
 		return
 	}
 	for _, p := range d.cp.mesh.cluster.Pods() {
-		if d.region != "" && p.Region() != d.region {
-			continue
+		if d.serves(p) {
+			d.lastReady[p.Name()] = p.Ready()
 		}
-		d.lastReady[p.Name()] = p.Ready()
 	}
 }
 
-// distributorFor returns the distribution instance responsible for a
-// pod: the region's control plane in federated mode, the single global
-// one otherwise (nil when distribution is disabled).
+// distributors returns every distribution instance: one scoped to no
+// region, or one per region in region order (none when disabled).
+func (cp *ControlPlane) distributors() []*distributor { return cp.dists }
+
+// distributorFor returns the distribution instance serving a pod (nil
+// when distribution is disabled).
 func (cp *ControlPlane) distributorFor(pod *cluster.Pod) *distributor {
-	if cp.fed != nil {
-		d := cp.fed.byRegion[pod.Region()]
-		if d == nil {
-			panic("mesh: pod " + pod.Name() + " is outside every federated region")
+	for _, d := range cp.dists {
+		if d.serves(pod) {
+			return d
 		}
-		return d
 	}
-	return cp.dist
-}
-
-// distributors returns every distribution instance in region order
-// (one entry in single-control-plane mode, none when disabled).
-func (cp *ControlPlane) distributors() []*distributor {
-	if cp.fed != nil {
-		return cp.fed.dists
-	}
-	if cp.dist != nil {
-		return []*distributor{cp.dist}
+	if cp.Distributed() {
+		panic("mesh: pod " + pod.Name() + " is outside every federated region")
 	}
 	return nil
 }
 
 // Distribution returns the distribution server for stats and staleness
-// inspection, or nil in instant-propagation or federated mode (use
-// Distributions there).
+// inspection when there is exactly one; nil in instant-propagation
+// mode or with one per region (use Distributions there).
 func (cp *ControlPlane) Distribution() *ctrlplane.Server {
-	if cp.dist == nil {
+	if len(cp.dists) != 1 {
 		return nil
 	}
-	return cp.dist.srv
+	return cp.dists[0].srv
 }
 
 // Distributions returns every distribution server in region order: one
-// per region in federated mode, a single server otherwise, nil when
+// per region in federated mode, a single server otherwise, none when
 // distribution is disabled.
 func (cp *ControlPlane) Distributions() []*ctrlplane.Server {
-	ds := cp.distributors()
-	out := make([]*ctrlplane.Server, 0, len(ds))
-	for _, d := range ds {
+	out := make([]*ctrlplane.Server, 0, len(cp.dists))
+	for _, d := range cp.dists {
 		out = append(out, d.srv)
 	}
 	return out
@@ -469,7 +430,7 @@ func (d *distributor) topologyChanged(p *cluster.Pod) {
 // pod is not routable on stale config. An unready pod leaves the gate
 // set (readiness excludes it anyway).
 func (d *distributor) updateGate(p *cluster.Pod) {
-	if d.region != "" && p.Region() != d.region {
+	if !d.serves(p) {
 		return
 	}
 	ready := p.Ready()
@@ -616,15 +577,15 @@ func (d *distributor) sendSummaries() {
 	counts := d.localCounts()
 	if !countsEqual(d.lastAdv, counts) {
 		d.lastAdv = counts
-		for _, peer := range d.fed.dists {
+		for _, peer := range d.cp.dists {
 			if peer != d {
 				d.peerDirty[peer.region] = true
 			}
 		}
 	}
-	for _, peer := range d.fed.dists {
+	for _, peer := range d.cp.dists {
 		if peer != d {
-			d.shipSummary(peer.region)
+			d.shipSummary(peer)
 		}
 	}
 }
@@ -641,20 +602,20 @@ func countsEqual(a, b map[string]int) bool {
 	return true
 }
 
-// shipSummary sends the current advertisement to one peer region as a
-// simulated HTTP request over the WAN, with the same pending-map
-// indirection the sidecar push path uses.
-func (d *distributor) shipSummary(peer string) {
-	if d.peerInflight[peer] || !d.peerDirty[peer] {
+// shipSummary sends the current advertisement to one peer control
+// plane as a simulated HTTP request over the WAN, with the same
+// pending-map indirection the sidecar push path uses.
+func (d *distributor) shipSummary(peer *distributor) {
+	if d.peerInflight[peer.region] || !d.peerDirty[peer.region] {
 		return
 	}
-	d.peerInflight[peer] = true
-	d.peerDirty[peer] = false
+	d.peerInflight[peer.region] = true
+	d.peerDirty[peer.region] = false
 	counts := make(map[string]int, len(d.lastAdv))
 	for k, v := range d.lastAdv {
 		counts[k] = v
 	}
-	fed := d.fed
+	fed := d.cp.fed
 	fed.nextID++
 	id := fed.nextID
 	fed.pending[id] = &fedMsg{from: d.region, counts: counts}
@@ -672,7 +633,7 @@ func (d *distributor) shipSummary(peer string) {
 		settled = true
 		delete(fed.pending, id)
 		cl.Conn().Abort()
-		delete(d.fedClients, peer)
+		delete(d.fedClients, peer.region)
 		d.summaryFailed(peer)
 	})
 	cl.Do(req, func(resp *httpsim.Response, err error) {
@@ -684,30 +645,30 @@ func (d *distributor) shipSummary(peer string) {
 		delete(fed.pending, id)
 		if err != nil || resp.Status != httpsim.StatusOK {
 			if err != nil {
-				delete(d.fedClients, peer)
+				delete(d.fedClients, peer.region)
 			}
 			d.summaryFailed(peer)
 			return
 		}
-		d.peerInflight[peer] = false
-		if d.peerDirty[peer] { // capacity moved again while in flight
+		d.peerInflight[peer.region] = false
+		if d.peerDirty[peer.region] { // capacity moved again while in flight
 			d.shipSummary(peer)
 		}
 	})
 }
 
 // summaryFailed re-arms delivery to a peer after the resync backoff.
-func (d *distributor) summaryFailed(peer string) {
-	d.peerInflight[peer] = false
-	d.peerDirty[peer] = true
+func (d *distributor) summaryFailed(peer *distributor) {
+	d.peerInflight[peer.region] = false
+	d.peerDirty[peer.region] = true
 	d.cp.mesh.sched.After(d.resyncDelay, func() { d.shipSummary(peer) })
 }
 
-func (d *distributor) fedClientFor(peer string) *httpsim.Client {
-	cl := d.fedClients[peer]
+func (d *distributor) fedClientFor(peer *distributor) *httpsim.Client {
+	cl := d.fedClients[peer.region]
 	if cl == nil || cl.Closed() {
-		cl = httpsim.NewClient(d.pod.Host(), d.fed.byRegion[peer].pod.Addr(), FedPort, transport.Options{CC: "reno"})
-		d.fedClients[peer] = cl
+		cl = httpsim.NewClient(d.pod.Host(), peer.pod.Addr(), FedPort, transport.Options{CC: "reno"})
+		d.fedClients[peer.region] = cl
 	}
 	return cl
 }
@@ -721,7 +682,7 @@ func (d *distributor) handleFed(_ httpsim.Ctx, req *httpsim.Request, respond fun
 		respond(httpsim.NewResponse(httpsim.StatusNotFound))
 		return
 	}
-	msg := d.fed.pending[id]
+	msg := d.cp.fed.pending[id]
 	if msg == nil {
 		respond(httpsim.NewResponse(httpsim.StatusNotFound))
 		return

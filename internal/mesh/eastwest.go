@@ -150,15 +150,6 @@ func (m *Mesh) NewEastWestGateway(pod *cluster.Pod) *EastWestGateway {
 	return g
 }
 
-// EastWestGateway returns the region's gateway, or nil.
-func (m *Mesh) EastWestGateway(region string) *EastWestGateway { return m.eastwest[region] }
-
-// Sidecar returns the gateway's sidecar.
-func (g *EastWestGateway) Sidecar() *Sidecar { return g.sc }
-
-// Region returns the region this gateway fronts.
-func (g *EastWestGateway) Region() string { return g.region }
-
 // handle is the gateway application: it inspects the federation
 // headers and either forwards across the WAN (egress half) or
 // terminates the pair and calls the real service locally (ingress

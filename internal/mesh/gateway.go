@@ -36,9 +36,6 @@ func (m *Mesh) NewGateway(pod *cluster.Pod) *Gateway {
 	return &Gateway{mesh: m, sc: sc}
 }
 
-// Sidecar returns the gateway's sidecar.
-func (g *Gateway) Sidecar() *Sidecar { return g.sc }
-
 // SetClassifier installs the ingress classifier.
 func (g *Gateway) SetClassifier(c Classifier) { g.classifier = c }
 

@@ -73,9 +73,6 @@ func SetDefaultFidelity(f Fidelity) { defaultFidelity = f }
 // DefaultFidelity returns the fidelity NewNetwork will capture.
 func DefaultFidelity() Fidelity { return defaultFidelity }
 
-// Fidelity returns the network's simulation fidelity.
-func (n *Network) Fidelity() Fidelity { return n.fidelity }
-
 // SetFidelity overrides the network's fidelity, attaching (or
 // dropping) the flow engine as needed. It must be called before any
 // traffic flows: switching modes mid-simulation would strand active

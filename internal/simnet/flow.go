@@ -321,9 +321,6 @@ func (e *FlowEngine) PathEligible(path []*NIC) bool {
 	return true
 }
 
-// nicRate returns the aggregate fluid rate (bytes/sec) crossing nic.
-func (e *FlowEngine) nicRate(n *NIC) float64 { return n.fluidRate }
-
 // serializeDelay returns the serialization delay for size bytes leaving
 // this NIC. A NIC carrying fluid serializes packets at the bandwidth
 // the flows leave behind (floored at minResidualFrac of line rate);

@@ -93,7 +93,6 @@ type NIC struct {
 
 	// Stats.
 	txPackets, txBytes uint64
-	rxPackets, rxBytes uint64
 	dropPackets        uint64
 
 	wakeTimer Timer
@@ -152,12 +151,6 @@ func (n *NIC) TxBytes() uint64 { return n.txBytes }
 
 // TxPackets returns cumulative packets serialized onto the link.
 func (n *NIC) TxPackets() uint64 { return n.txPackets }
-
-// RxBytes returns cumulative bytes received from the link.
-func (n *NIC) RxBytes() uint64 { return n.rxBytes }
-
-// RxPackets returns cumulative packets received from the link.
-func (n *NIC) RxPackets() uint64 { return n.rxPackets }
 
 // Drops returns packets dropped at enqueue by the egress qdisc.
 func (n *NIC) Drops() uint64 { return n.dropPackets }
@@ -246,10 +239,4 @@ func (n *NIC) scheduleWake(at time.Duration) {
 			n.transmitNext()
 		}
 	})
-}
-
-func (n *NIC) receive(p *Packet) {
-	n.rxPackets++
-	n.rxBytes += uint64(p.Size)
-	n.node.receive(p, n)
 }

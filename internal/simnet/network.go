@@ -73,7 +73,7 @@ func (n *Network) allocInFlight(nic *NIC, p *Packet) *inFlight {
 			nic, p := f.nic, f.p
 			f.nic, f.p = nil, nil
 			n.ifPool = append(n.ifPool, f)
-			nic.receive(p)
+			nic.node.receive(p, nic)
 		}
 	}
 	f.nic, f.p = nic, p //meshvet:allow poolescape in-flight carrier owns the packet until its delivery callback runs

@@ -18,8 +18,7 @@ type RED struct {
 	maxP       float64
 	wq         float64
 	rng        *rand.Rand
-	queue      []*simnet.Packet
-	backlog    int
+	fifo       *simnet.FIFO
 	avg        float64
 	count      int // packets since last early drop
 	earlyDrops uint64
@@ -58,7 +57,8 @@ func NewRED(cfg REDConfig) *RED {
 	return &RED{
 		min: cfg.MinBytes, max: cfg.MaxBytes, limit: cfg.LimitBytes,
 		maxP: cfg.MaxP, wq: cfg.Wq,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		fifo: simnet.NewFIFO(cfg.LimitBytes),
 	}
 }
 
@@ -70,8 +70,10 @@ func (q *RED) HardDrops() uint64 { return q.hardDrops }
 
 // Enqueue implements simnet.Qdisc.
 func (q *RED) Enqueue(p *simnet.Packet) bool {
-	q.avg = (1-q.wq)*q.avg + q.wq*float64(q.backlog)
-	if q.backlog+p.Size > q.limit {
+	q.avg = (1-q.wq)*q.avg + q.wq*float64(q.fifo.Backlog())
+	// The hard limit is the FIFO's own, but it is checked here first: an
+	// overflow must not consume an early-drop draw.
+	if q.fifo.Backlog()+p.Size > q.limit {
 		q.hardDrops++
 		return false
 	}
@@ -94,28 +96,17 @@ func (q *RED) Enqueue(p *simnet.Packet) bool {
 			return false
 		}
 	}
-	q.queue = append(q.queue, p) //meshvet:allow poolescape a queued packet is live until Dequeue hands it onward
-	q.backlog += p.Size
-	return true
+	return q.fifo.Enqueue(p)
 }
 
 // Dequeue implements simnet.Qdisc.
-func (q *RED) Dequeue() *simnet.Packet {
-	if len(q.queue) == 0 {
-		return nil
-	}
-	p := q.queue[0]
-	q.queue[0] = nil
-	q.queue = q.queue[1:]
-	q.backlog -= p.Size
-	return p
-}
+func (q *RED) Dequeue() *simnet.Packet { return q.fifo.Dequeue() }
 
 // Len implements simnet.Qdisc.
-func (q *RED) Len() int { return len(q.queue) }
+func (q *RED) Len() int { return q.fifo.Len() }
 
 // Backlog implements simnet.Qdisc.
-func (q *RED) Backlog() int { return q.backlog }
+func (q *RED) Backlog() int { return q.fifo.Backlog() }
 
 // CoDel is Controlled Delay AQM (Nichols & Jacobson 2012): it tracks
 // each packet's sojourn time and, once the minimum sojourn over an
@@ -124,11 +115,8 @@ func (q *RED) Backlog() int { return q.backlog }
 type CoDel struct {
 	target   time.Duration
 	interval time.Duration
-	limit    int
 	clock    Clock
-
-	queue   []*simnet.Packet
-	backlog int
+	fifo     *simnet.FIFO // enforces the hard byte limit
 
 	dropping  bool
 	firstTime time.Duration // when sojourn first exceeded target
@@ -158,10 +146,7 @@ func NewCoDel(cfg CoDelConfig, clock Clock) *CoDel {
 	if cfg.Interval == 0 {
 		cfg.Interval = 100 * time.Millisecond
 	}
-	if cfg.LimitBytes == 0 {
-		cfg.LimitBytes = simnet.DefaultFIFOLimit
-	}
-	return &CoDel{target: cfg.Target, interval: cfg.Interval, limit: cfg.LimitBytes, clock: clock}
+	return &CoDel{target: cfg.Target, interval: cfg.Interval, clock: clock, fifo: simnet.NewFIFO(cfg.LimitBytes)}
 }
 
 // Drops returns AQM drops (not counting hard-limit rejections).
@@ -169,30 +154,16 @@ func (q *CoDel) Drops() uint64 { return q.drops }
 
 // Enqueue implements simnet.Qdisc.
 func (q *CoDel) Enqueue(p *simnet.Packet) bool {
-	if q.backlog+p.Size > q.limit {
-		return false
-	}
 	p.EnqueuedAt = q.clock()
-	q.queue = append(q.queue, p) //meshvet:allow poolescape a queued packet is live until Dequeue hands it onward
-	q.backlog += p.Size
-	return true
-}
-
-func (q *CoDel) pop() *simnet.Packet {
-	p := q.queue[0]
-	q.queue[0] = nil
-	q.queue = q.queue[1:]
-	q.backlog -= p.Size
-	return p
+	return q.fifo.Enqueue(p)
 }
 
 // Dequeue implements simnet.Qdisc with the CoDel state machine.
 func (q *CoDel) Dequeue() *simnet.Packet {
 	now := q.clock()
-	for len(q.queue) > 0 {
-		p := q.pop()
+	for p := q.fifo.Dequeue(); p != nil; p = q.fifo.Dequeue() {
 		sojourn := now - p.EnqueuedAt
-		if sojourn < q.target || q.backlog < 2*simnet.MTU {
+		if sojourn < q.target || q.fifo.Backlog() < 2*simnet.MTU {
 			// Below target: leave drop state.
 			q.dropping = false
 			q.firstTime = 0
@@ -227,7 +198,7 @@ func (q *CoDel) Dequeue() *simnet.Packet {
 }
 
 // Len implements simnet.Qdisc.
-func (q *CoDel) Len() int { return len(q.queue) }
+func (q *CoDel) Len() int { return q.fifo.Len() }
 
 // Backlog implements simnet.Qdisc.
-func (q *CoDel) Backlog() int { return q.backlog }
+func (q *CoDel) Backlog() int { return q.fifo.Backlog() }

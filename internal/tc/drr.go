@@ -20,7 +20,6 @@ type drrClass struct {
 	head    *simnet.Packet
 	active  bool
 	visited bool // quantum already granted for the current visit
-	sent    uint64
 }
 
 // NewDRR builds a DRR qdisc with one class per quantum (bytes served per
@@ -38,9 +37,6 @@ func NewDRR(classifier Classifier, quanta ...int) *DRR {
 	}
 	return d
 }
-
-// Sent returns the packets sent by class i.
-func (d *DRR) Sent(i int) uint64 { return d.classes[i].sent }
 
 // Enqueue implements simnet.Qdisc.
 func (d *DRR) Enqueue(p *simnet.Packet) bool {
@@ -89,7 +85,6 @@ func (d *DRR) Dequeue() *simnet.Packet {
 			p := c.head
 			c.head = nil
 			c.deficit -= p.Size
-			c.sent++
 			return p
 		}
 		// Deficit exhausted for this visit: move to the next class.

@@ -36,8 +36,6 @@ type htbClass struct {
 	ceilTokens float64
 	last       time.Duration
 	head       *simnet.Packet
-	sent       uint64
-	sentBytes  uint64
 }
 
 // NewHTB builds an HTB qdisc with the given classes. The classifier's
@@ -76,11 +74,6 @@ func NewHTB(classifier Classifier, clock Clock, classes ...HTBClass) *HTB {
 // htbBurst is the per-class token bucket depth in bytes.
 const htbBurst = 10 * simnet.MTU
 
-// ClassSent returns packets and bytes sent by class i.
-func (h *HTB) ClassSent(i int) (packets, bytes uint64) {
-	return h.classes[i].sent, h.classes[i].sentBytes
-}
-
 func (c *htbClass) refill(now time.Duration) {
 	if now <= c.last {
 		return
@@ -110,8 +103,6 @@ func (c *htbClass) take() *simnet.Packet {
 	size := float64(p.Size)
 	c.rateTokens -= size // may go negative: borrowed bandwidth is "owed"
 	c.ceilTokens -= size
-	c.sent++
-	c.sentBytes += uint64(p.Size)
 	return p
 }
 

@@ -14,17 +14,14 @@ type NearStrictConfig struct {
 	// e.g. 0.95 for the paper's "up to 95% of bandwidth". Values outside
 	// (0, 1] are rejected.
 	HighShare float64
-	// HighMatch classifies packets into the high band. Nil selects
-	// packets marked simnet.MarkHigh or above.
-	HighMatch func(*simnet.Packet) bool
-	// QueueBytes bounds each band. <= 0 selects the default FIFO limit.
-	QueueBytes int
 }
 
 // NewNearStrict composes PRIO + TBF into "nearly-strict prioritization
 // (up to HighShare of bandwidth)": the high band is served first
 // whenever it is within its shaped rate; the low band gets the line
-// whenever the high band is empty or throttled.
+// whenever the high band is empty or throttled. Packets marked
+// simnet.MarkHigh or above are the high class; each band is a FIFO of
+// the default limit.
 func NewNearStrict(cfg NearStrictConfig, clock Clock) *Prio {
 	if cfg.LinkRate <= 0 {
 		panic("tc: NearStrict needs a positive link rate")
@@ -32,16 +29,11 @@ func NewNearStrict(cfg NearStrictConfig, clock Clock) *Prio {
 	if cfg.HighShare <= 0 || cfg.HighShare > 1 {
 		panic("tc: NearStrict HighShare must be in (0,1]")
 	}
-	match := cfg.HighMatch
-	if match == nil {
-		match = MatchMinMark(simnet.MarkHigh)
-	}
 	highRate := int64(float64(cfg.LinkRate) * cfg.HighShare)
-	high := NewTBF(highRate, 20*simnet.MTU, simnet.NewFIFO(cfg.QueueBytes), clock)
-	low := simnet.NewFIFO(cfg.QueueBytes)
+	high := NewTBF(highRate, 20*simnet.MTU, simnet.NewFIFO(0), clock)
 	cls := Classifier{
-		Filters: []Filter{{Match: match, Class: 0}},
+		Filters: []Filter{{Match: MatchMinMark(simnet.MarkHigh), Class: 0}},
 		Default: 1,
 	}
-	return NewPrio(cls, high, low)
+	return NewPrio(cls, high, simnet.NewFIFO(0))
 }

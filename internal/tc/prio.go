@@ -11,7 +11,6 @@ import (
 type Prio struct {
 	bands      []simnet.Qdisc
 	classifier Classifier
-	dropStats  []uint64
 	sentStats  []uint64
 }
 
@@ -25,19 +24,12 @@ func NewPrio(classifier Classifier, bands ...simnet.Qdisc) *Prio {
 	return &Prio{
 		bands:      bands,
 		classifier: classifier,
-		dropStats:  make([]uint64, len(bands)),
 		sentStats:  make([]uint64, len(bands)),
 	}
 }
 
-// Band returns the qdisc of band i.
-func (q *Prio) Band(i int) simnet.Qdisc { return q.bands[i] }
-
 // Sent returns packets dequeued from band i.
 func (q *Prio) Sent(i int) uint64 { return q.sentStats[i] }
-
-// Dropped returns packets rejected by band i at enqueue.
-func (q *Prio) Dropped(i int) uint64 { return q.dropStats[i] }
 
 // Enqueue implements simnet.Qdisc.
 func (q *Prio) Enqueue(p *simnet.Packet) bool {
@@ -45,11 +37,7 @@ func (q *Prio) Enqueue(p *simnet.Packet) bool {
 	if band < 0 || band >= len(q.bands) {
 		band = len(q.bands) - 1
 	}
-	ok := q.bands[band].Enqueue(p)
-	if !ok {
-		q.dropStats[band]++
-	}
-	return ok
+	return q.bands[band].Enqueue(p)
 }
 
 // Dequeue implements simnet.Qdisc: highest-priority non-empty eligible

@@ -40,9 +40,6 @@ func NewTBF(rate int64, burst int64, inner simnet.Qdisc, clock Clock) *TBF {
 	return &TBF{rate: rate, burst: burst, inner: inner, clock: clock, tokens: float64(burst)}
 }
 
-// Rate returns the shaping rate in bits per second.
-func (q *TBF) Rate() int64 { return q.rate }
-
 func (q *TBF) refill(now time.Duration) {
 	if now <= q.last {
 		return

@@ -63,14 +63,7 @@ type Listener struct {
 	host     *Host
 	port     uint16
 	onAccept func(*Conn)
-	accepted uint64
 }
-
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.port }
-
-// Accepted returns the number of connections accepted.
-func (l *Listener) Accepted() uint64 { return l.accepted }
 
 // Close stops accepting new connections.
 func (l *Listener) Close() { delete(l.host.listeners, l.port) }
@@ -97,9 +90,6 @@ func (h *Host) Node() *simnet.Node { return h.node }
 // used to restore connectivity after a simulated network partition
 // replaced the hook with a blackhole.
 func (h *Host) Attach() { h.node.SetDeliver(h.deliver) }
-
-// Scheduler returns the simulation scheduler.
-func (h *Host) Scheduler() *simnet.Scheduler { return h.sched }
 
 // Listen registers an accept callback for the port. The callback runs
 // when the SYN arrives, before any data, so it can install OnMessage.
@@ -266,7 +256,6 @@ func (h *Host) deliver(p *simnet.Packet) {
 				lastTSVal: seg.TSVal,
 			}
 			h.addConn(c)
-			l.accepted++
 			if l.onAccept != nil {
 				l.onAccept(c)
 			}

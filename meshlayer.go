@@ -139,7 +139,9 @@ type ScenarioConfig struct {
 	// separate). Equal seeds give identical runs.
 	Seed int64
 	// App overrides the e-library configuration; zero selects the
-	// paper-shaped default (1 Gbps bottleneck, 2 MB LI responses).
+	// paper-shaped default (1 Gbps bottleneck, 2 MB LI responses). A
+	// non-zero one must be complete: start from
+	// app.DefaultELibraryConfig (BuildELibrary rejects a partial one).
 	App app.ELibraryConfig
 }
 
@@ -148,9 +150,6 @@ type ScenarioConfig struct {
 // whichever cross-layer optimizations cfg selects.
 func NewScenario(cfg ScenarioConfig) *Scenario {
 	appCfg := cfg.App
-	if appCfg.LinkRate == 0 {
-		appCfg = app.DefaultELibraryConfig()
-	}
 	appCfg.Mesh.Seed = cfg.Seed
 	e := app.BuildELibrary(appCfg)
 	e.Gateway.SetClassifier(app.Classifier())
@@ -176,7 +175,7 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 		// Give ratings a second, smaller uplink as the TE alternate
 		// path, and steer low-priority flows onto it under load.
 		alt := e.Cluster.AddUplink(e.Ratings, simnet.LinkConfig{
-			Rate:  appCfg.BottleneckRate / 2,
+			Rate:  e.Config.BottleneckRate / 2,
 			Delay: 40 * time.Microsecond,
 		})
 		ctrl := sdn.New(e.Net, 50*time.Millisecond)

@@ -19,25 +19,7 @@ var MaxParallel = runtime.GOMAXPROCS(0)
 // must write its result only to slots owned by index i — never to
 // state shared across indices.
 func runIndexed(n int, fn func(i int)) {
-	runIndexedWorkers(n, MaxParallel, fn)
-}
-
-// sweepRows runs fn(0..n-1) on the runIndexed pool and returns the
-// results in index order: the one-row-per-arm shape most sweeps have.
-func sweepRows[T any](n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	runIndexed(n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
-// runIndexedWorkers is runIndexed with an explicit worker bound, for
-// callers that need a specific parallelism for one sweep (a sequential
-// reference arm, say) without mutating the MaxParallel global out from
-// under concurrent sweeps. workers <= 0 selects MaxParallel.
-func runIndexedWorkers(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = MaxParallel
-	}
+	workers := MaxParallel
 	if workers > n {
 		workers = n
 	}
@@ -63,4 +45,12 @@ func runIndexedWorkers(n, workers int, fn func(i int)) {
 	}
 	close(idx)
 	wg.Wait()
+}
+
+// sweepRows runs fn(0..n-1) on the runIndexed pool and returns the
+// results in index order: the one-row-per-arm shape most sweeps have.
+func sweepRows[T any](n int, fn func(i int) T) []T {
+	out := make([]T, n)
+	runIndexed(n, func(i int) { out[i] = fn(i) })
+	return out
 }

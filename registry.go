@@ -39,8 +39,7 @@ type Experiment struct {
 	// named.
 	InAll bool
 	// Golden are the settings testdata/golden/<ID>.txt was recorded at
-	// (TestGoldens replays them); zero when the output is
-	// host-dependent and has no golden.
+	// (TestGoldens replays them).
 	Golden Params
 	// Run returns what -exp ID prints, less the final newline.
 	Run func(Params) string
@@ -78,11 +77,8 @@ var Experiments = []Experiment{
 	{"zonefail", true, smoke(), func(p Params) string { return FormatZoneFail(RunZoneFail(p.Seed, p.Warmup, p.Measure)) }},
 	{"ctrlplane", true, smoke(), func(p Params) string { return FormatCtrlPlane(RunCtrlPlane(p.Seed, p.Warmup, p.Measure)) }},
 	{"federation", true, smoke(), func(p Params) string { return FormatFederation(RunFederation(p.Seed, p.Warmup, p.Measure)) }},
-	// E16 measures the simulator itself (wall-clock, host-dependent),
-	// so it is never part of "all" and has no golden.
-	{"engine", false, Params{}, func(Params) string { return FormatEngine(RunEngineBench(0, 0)) }},
 	// E20 is deterministic but deliberately heavyweight (a 10k-pod
-	// sweep), so it too runs only when named; its golden is 20 zones.
+	// sweep), so it runs only when named; its golden is 20 zones.
 	{"fidelity", false, func() Params { p := DefaultParams(); p.Zones = 20; return p }(),
 		func(p Params) string { return FormatFidelity(RunFidelityBench(p.Zones, 0)) }},
 	// E21 runs a 10k-sidecar fleet under hybrid fidelity (its own

@@ -26,10 +26,6 @@ func withParallelism(n int, fn func()) {
 	fn()
 }
 
-// hasGolden reports whether e's output is deterministic and recorded;
-// only the host-dependent engine benchmark's is not.
-func hasGolden(e Experiment) bool { return e.Golden.Measure > 0 }
-
 func readGolden(t *testing.T, id string) string {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join("testdata", "golden", id+".txt"))
@@ -55,8 +51,8 @@ func sameBytes(t *testing.T, what, got, want string) {
 }
 
 // TestRegistry pins the table's shape: ids are unique flag-friendly
-// words, and the golden files are exactly the entries that have golden
-// settings — every entry but the explicit-only, host-dependent ones.
+// words, every entry has golden settings, and the golden files are
+// exactly the entries.
 func TestRegistry(t *testing.T) {
 	word := regexp.MustCompile(`^[a-z0-9]+$`)
 	want := map[string]bool{}
@@ -68,11 +64,8 @@ func TestRegistry(t *testing.T) {
 		if e.Run == nil {
 			t.Errorf("%s: no Run", e.ID)
 		}
-		if !hasGolden(e) {
-			if e.InAll {
-				t.Errorf("%s is part of -exp all but has no golden settings", e.ID)
-			}
-			delete(want, e.ID)
+		if e.Golden.Measure <= 0 {
+			t.Errorf("%s: no golden settings", e.ID)
 		}
 	}
 	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*"))
@@ -82,12 +75,12 @@ func TestRegistry(t *testing.T) {
 	for _, f := range files {
 		id := strings.TrimSuffix(filepath.Base(f), ".txt")
 		if !want[id] {
-			t.Errorf("%s has no registry entry with golden settings", f)
+			t.Errorf("%s has no registry entry", f)
 		}
 		delete(want, id)
 	}
 	for id := range want {
-		t.Errorf("%s has golden settings but no file under testdata/golden (go test -run TestGoldens -update .)", id)
+		t.Errorf("%s has no file under testdata/golden (go test -run TestGoldens -update .)", id)
 	}
 }
 
@@ -109,9 +102,6 @@ func TestGoldens(t *testing.T) {
 	withParallelism(1, func() {
 		t.Run("sequential", func(t *testing.T) {
 			for _, e := range Experiments {
-				if !hasGolden(e) {
-					continue
-				}
 				t.Run(e.ID, func(t *testing.T) {
 					t.Parallel() // the pool is off, the entries are independent: keep the cores busy
 					got := e.Run(e.Golden) + "\n"
@@ -138,7 +128,7 @@ func TestGoldens(t *testing.T) {
 					g = strings.TrimPrefix(g, header)
 				}
 				all.WriteString(g)
-			case hasGolden(e):
+			default:
 				t.Run("pool/"+e.ID, func(t *testing.T) {
 					sameBytes(t, "pooled run vs golden file", e.Run(e.Golden)+"\n", readGolden(t, e.ID))
 				})
