@@ -1,11 +1,15 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same commands.
 
-.PHONY: check build vet lint test race reach
+.PHONY: check build fmt vet lint test race reach
 
-check: build vet lint test
+check: build fmt vet lint test
 
 build:
 	go build ./...
+
+# Fails listing the files gofmt would rewrite.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 vet:
 	go vet ./...

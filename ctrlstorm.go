@@ -115,7 +115,7 @@ func runCtrlPlaneOnce(name string, zones int, dist bool, debounce time.Duration,
 	// removing a drained replica concentrates the 2 MB analytics
 	// transfers on the surviving bottleneck links, and that capacity
 	// effect confounds the propagation effect E18 isolates.
-	appCfg.BottleneckRate = appCfg.LinkRate
+	appCfg.BottleneckRate = app.LinkRate
 	f := newFaultRun(appCfg, seed, warmup, measure)
 	e := f.App
 	applyChaosDefenses(f.cp(), 0)

@@ -38,8 +38,8 @@ type SweepConfig struct {
 	// Opt is the optimization set compared against baseline.
 	Opt Optimization
 	// Seed and the window sizes are shared across levels.
-	Seed                      int64
-	Warmup, Measure, Cooldown time.Duration
+	Seed            int64
+	Warmup, Measure time.Duration
 }
 
 // RunSweep reproduces the Fig. 4 experiment: for each RPS level, one
@@ -52,7 +52,7 @@ func RunSweep(cfg SweepConfig) []SweepPoint {
 		cfg.Opt = PaperOptimizations()
 	}
 	pairs := armPairs(len(cfg.RPSLevels), cfg.Opt, func(i int, opt Optimization) MixedResult {
-		return RunMixedOnce(opt, MixedConfig{RPS: cfg.RPSLevels[i], Seed: cfg.Seed, Warmup: cfg.Warmup, Measure: cfg.Measure, Cooldown: cfg.Cooldown})
+		return RunMixedOnce(opt, MixedConfig{RPS: cfg.RPSLevels[i], Seed: cfg.Seed, Warmup: cfg.Warmup, Measure: cfg.Measure})
 	})
 	out := make([]SweepPoint, len(pairs))
 	for i, p := range pairs {
@@ -472,7 +472,7 @@ type HedgeRow struct {
 func RunRedundant(rps float64, seed int64) []HedgeRow {
 	rps = orDefault(rps, 30)
 	run := func(hedge bool) HedgeRow {
-		ec := app.BuildECommerce(app.ECommerceConfig{Seed: seed, RecsSlowProb: 0.05, RecsSlowTime: 80 * time.Millisecond})
+		ec := app.BuildECommerce(app.ECommerceConfig{Seed: seed, RecsSlowTime: 80 * time.Millisecond})
 		if hedge {
 			ec.Mesh.ControlPlane().SetHedgePolicy("recs", mesh.HedgePolicy{Delay: 10 * time.Millisecond})
 		}
@@ -624,7 +624,7 @@ func RunSkewSweep(liMB []float64, seed int64, mixed MixedConfig) []SkewRow {
 		c := appCfg(i)
 		out[i] = SkewRow{
 			LIMB:       liMB[i],
-			SkewFactor: float64(c.LIRatingsBytes) / float64(c.LSFrontendBytes+c.LSReviewsBytes),
+			SkewFactor: float64(c.LIRatingsBytes) / float64(app.LSFrontendBytes+app.LSReviewsBytes),
 			BaseP99:    p[0].LS.P99, OptP99: p[1].LS.P99,
 		}
 	}

@@ -25,7 +25,7 @@ func TestELibraryProductPage(t *testing.T) {
 	if got == nil || got.Status != httpsim.StatusOK {
 		t.Fatalf("response = %+v", got)
 	}
-	if got.BodyBytes != e.Config.LSFrontendBytes {
+	if got.BodyBytes != LSFrontendBytes {
 		t.Fatalf("body = %d", got.BodyBytes)
 	}
 	// Unloaded product page: a handful of ms (service times + proxies).
@@ -105,7 +105,7 @@ func TestELibraryBottleneckConfigured(t *testing.T) {
 	if got := e.Ratings.Uplink().Config().Rate; got != e.Config.BottleneckRate {
 		t.Fatalf("ratings uplink = %d, want bottleneck %d", got, e.Config.BottleneckRate)
 	}
-	if got := e.Frontend.Uplink().Config().Rate; got != e.Config.LinkRate {
+	if got := e.Frontend.Uplink().Config().Rate; got != LinkRate {
 		t.Fatalf("frontend uplink = %d", got)
 	}
 }

@@ -25,8 +25,6 @@ type ServiceSpec struct {
 	Calls []string
 	// Workers bounds pod concurrency (default 16).
 	Workers int
-	// Link overrides the pods' uplink (zero = cluster default).
-	Link simnet.LinkConfig
 }
 
 // DAGSpec declares a whole application as a service DAG. Entry is the
@@ -34,7 +32,6 @@ type ServiceSpec struct {
 type DAGSpec struct {
 	Services []ServiceSpec
 	Entry    string
-	Mesh     mesh.Config
 }
 
 // DAG is an assembled DAG application.
@@ -127,7 +124,7 @@ func BuildDAG(spec DAGSpec) (*DAG, error) {
 	cl := cluster.New(net)
 
 	gwPod := cl.AddPod(cluster.PodSpec{Name: "gateway", Labels: map[string]string{"app": "gateway"}})
-	m := mesh.New(cl, spec.Mesh)
+	m := mesh.New(cl, mesh.Config{})
 	gw := m.NewGateway(gwPod)
 
 	d := &DAG{
@@ -162,7 +159,6 @@ func (d *DAG) addReplica(service string) *cluster.Pod {
 		Name:    fmt.Sprintf("%s-%d", service, i),
 		Labels:  map[string]string{"app": service, "version": fmt.Sprintf("v%d", i)},
 		Workers: workers,
-		Link:    svc.Link,
 	})
 	registerDAGHandler(d.Mesh, pod, svc)
 	d.replicas[service] = append(d.replicas[service], pod)

@@ -25,22 +25,18 @@ type ECommerce struct {
 
 // ECommerceConfig parameterizes BuildECommerce.
 type ECommerceConfig struct {
-	// RecsSlowProb is the probability a recs call hits its slow path
-	// (GC pause / cache miss), making tail latency hedging-worthy.
-	RecsSlowProb float64
 	// RecsSlowTime is the slow-path service time.
 	RecsSlowTime time.Duration
 	// Seed drives the app's service-time randomness.
 	Seed int64
-	// Mesh carries mesh-level settings.
-	Mesh mesh.Config
 }
+
+// recsSlowProb is the probability a recs call hits its slow path (GC
+// pause / cache miss), making tail latency hedging-worthy.
+const recsSlowProb = 0.05
 
 // BuildECommerce constructs the tree on a fresh scheduler.
 func BuildECommerce(cfg ECommerceConfig) *ECommerce {
-	if cfg.RecsSlowProb == 0 {
-		cfg.RecsSlowProb = 0.05
-	}
 	if cfg.RecsSlowTime == 0 {
 		cfg.RecsSlowTime = 100 * time.Millisecond
 	}
@@ -65,7 +61,7 @@ func BuildECommerce(cfg ECommerceConfig) *ECommerce {
 	cl.AddService("cart", 9080, map[string]string{"app": "cart"})
 	cl.AddService("db", 9080, map[string]string{"app": "db"})
 
-	m := mesh.New(cl, cfg.Mesh)
+	m := mesh.New(cl, mesh.Config{})
 	gw := m.NewGateway(gwPod)
 
 	leaf := func(pod *cluster.Pod, svcTime time.Duration, bytes int) {
@@ -88,7 +84,7 @@ func BuildECommerce(cfg ECommerceConfig) *ECommerce {
 		sc := m.InjectSidecar(pod)
 		sc.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
 			t := time.Millisecond
-			if rng.Float64() < cfg.RecsSlowProb {
+			if rng.Float64() < recsSlowProb {
 				t = cfg.RecsSlowTime
 			}
 			pod.Exec(t, func() {
@@ -145,7 +141,6 @@ func BuildECommerce(cfg ECommerceConfig) *ECommerce {
 		})
 	}
 
-	_ = simnet.MarkDefault
 	return &ECommerce{Sched: sched, Cluster: cl, Mesh: m, Gateway: gw}
 }
 

@@ -1,7 +1,6 @@
 package app
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -22,19 +21,17 @@ const (
 	PathAnalytics = "/analytics"
 )
 
-// ELibraryConfig parameterizes the §4.3 testbed.
+// ELibraryConfig parameterizes the §4.3 testbed with what experiments
+// vary; the rest of the paper's setup is the constants below.
 type ELibraryConfig struct {
-	// LinkRate is the default inter-pod rate (paper: 15 Gbps).
-	LinkRate int64
 	// BottleneckRate throttles the ratings pod's uplink — the single
-	// 1 Gbps bottleneck between reviews and ratings.
+	// bottleneck between reviews and ratings. Zero selects the paper's
+	// 1 Gbps.
 	BottleneckRate int64
-	// ReviewsReplicas is the reviews scale-out (paper: 2, one per
-	// priority pool under the optimization). Ignored when Zones or
-	// Regions > 1 (each zone gets one reviews replica).
-	ReviewsReplicas int
-	// Workers bounds per-pod compute concurrency.
-	Workers int
+	// LIRatingsBytes is the latency-insensitive ratings scan's response
+	// size, which dominates that class. Zero selects 2 MB, ~200x the
+	// latency-sensitive page.
+	LIRatingsBytes int
 
 	// Zones spreads the testbed across this many failure domains
 	// ("zone-a", "zone-b", ...), one replica of every tier per zone,
@@ -51,42 +48,42 @@ type ELibraryConfig struct {
 	// the pre-federation topologies byte-identical.
 	Regions int
 
-	// Latency-sensitive response sizes per component.
-	LSDetailsBytes, LSRatingsBytes, LSReviewsBytes, LSFrontendBytes int
-	// Latency-insensitive response sizes: the ratings scan dominates.
-	LIRatingsBytes, LIReviewsBytes, LIFrontendBytes int
-
-	// Service times (compute) per component.
-	FrontendTime, DetailsTime, ReviewsTime, RatingsTime time.Duration
-	// RatingsScanTime is the extra compute of the analytics scan.
-	RatingsScanTime time.Duration
-
 	// Mesh carries mesh-level settings (sidecar overhead, seed).
 	Mesh mesh.Config
 }
 
-// DefaultELibraryConfig mirrors the paper's setup, scaled to the
-// simulator: LS responses total ~10 KB, LI ratings responses are 2 MB
-// (~200x), and the ratings uplink is the 1 Gbps bottleneck.
+// The paper's setup, scaled to the simulator: LS responses total ~10 KB.
+const (
+	// LinkRate is the inter-pod rate (paper: 15 Gbps).
+	LinkRate = 15 * simnet.Gbps
+	// reviewsReplicas is the single-zone reviews scale-out (paper: 2, one
+	// per priority pool under the optimization); a zone gets one.
+	reviewsReplicas = 2
+	// podWorkers bounds per-pod compute concurrency.
+	podWorkers = 32
+
+	// Latency-sensitive response sizes per component.
+	lsDetailsBytes  = 2 << 10
+	lsRatingsBytes  = 1 << 10
+	LSReviewsBytes  = 4 << 10
+	LSFrontendBytes = 8 << 10
+	// Latency-insensitive response sizes above the ratings scan.
+	liReviewsBytes  = 32 << 10
+	liFrontendBytes = 32 << 10
+
+	// Service times (compute) per component; ratingsScanTime is the extra
+	// compute of the analytics scan.
+	frontendTime    = 1 * time.Millisecond
+	detailsTime     = 500 * time.Microsecond
+	reviewsTime     = 1 * time.Millisecond
+	ratingsTime     = 500 * time.Microsecond
+	ratingsScanTime = 3 * time.Millisecond
+)
+
+// DefaultELibraryConfig is the paper's testbed, and what the zero config
+// builds: one zone, a 1 Gbps ratings uplink, 2 MB LI ratings responses.
 func DefaultELibraryConfig() ELibraryConfig {
-	return ELibraryConfig{
-		LinkRate:        15 * simnet.Gbps,
-		BottleneckRate:  1 * simnet.Gbps,
-		ReviewsReplicas: 2,
-		Workers:         32,
-		LSDetailsBytes:  2 << 10,
-		LSRatingsBytes:  1 << 10,
-		LSReviewsBytes:  4 << 10,
-		LSFrontendBytes: 8 << 10,
-		LIRatingsBytes:  2 << 20,
-		LIReviewsBytes:  32 << 10,
-		LIFrontendBytes: 32 << 10,
-		FrontendTime:    1 * time.Millisecond,
-		DetailsTime:     500 * time.Microsecond,
-		ReviewsTime:     1 * time.Millisecond,
-		RatingsTime:     500 * time.Microsecond,
-		RatingsScanTime: 3 * time.Millisecond,
-	}
+	return ELibraryConfig{BottleneckRate: 1 * simnet.Gbps, LIRatingsBytes: 2 << 20}
 }
 
 // ELibrary is the assembled application: cluster, mesh, gateway, and
@@ -97,7 +94,7 @@ type ELibrary struct {
 	Cluster *cluster.Cluster
 	Mesh    *mesh.Mesh
 	Gateway *mesh.Gateway
-	Config  ELibraryConfig
+	Config  ELibraryConfig // as built: zero fields resolved
 
 	// Per-role pods. In single-zone mode these are the Fig. 3 pods; in
 	// multi-zone mode Frontend/Details/Ratings are the zone-a replicas
@@ -118,25 +115,6 @@ type ELibrary struct {
 	EastWest []*cluster.Pod
 }
 
-// resolve applies the testbed's one defaulting rule: a config that
-// sets nothing but Mesh is DefaultELibraryConfig; any other config is
-// taken whole. A partial one — fields set beside a zero LinkRate — is
-// an error, because filling the gaps would build a testbed the caller
-// did not describe.
-func (cfg ELibraryConfig) resolve() (ELibraryConfig, error) {
-	if cfg.LinkRate != 0 {
-		return cfg, nil
-	}
-	meshCfg := cfg.Mesh
-	cfg.Mesh = mesh.Config{}
-	if cfg != (ELibraryConfig{}) {
-		return cfg, errors.New("app: ELibraryConfig sets fields but no LinkRate; start from DefaultELibraryConfig() and override what differs")
-	}
-	cfg = DefaultELibraryConfig()
-	cfg.Mesh = meshCfg
-	return cfg, nil
-}
-
 // cell is one failure domain's replica set: a frontend, a details, a
 // ratings behind the bottleneck, and one reviews pod per suffix listed.
 type cell struct {
@@ -147,7 +125,7 @@ type cell struct {
 // BuildELibrary constructs the Fig. 3 topology on a fresh scheduler:
 // ingress gateway -> frontend -> {details, reviews[i] -> ratings}, with
 // the ratings uplink as the bottleneck. The paper's testbed is one
-// zone-less cell with ReviewsReplicas reviews pods; Zones > 1 places one
+// zone-less cell with reviewsReplicas reviews pods; Zones > 1 places one
 // cell per zone, each pod suffixed with the zone letter, so the
 // aggregate is N copies of the testbed joined at the spine; Regions > 1
 // places the same cells in every region's zones, joins the region
@@ -156,16 +134,19 @@ type cell struct {
 // ingress gateway lives in the first cell, so under a region-a
 // evacuation the edge itself keeps running while its upstreams drain.
 func BuildELibrary(cfg ELibraryConfig) *ELibrary {
-	cfg, err := cfg.resolve()
-	if err != nil {
-		panic(err)
+	def := DefaultELibraryConfig()
+	if cfg.BottleneckRate == 0 {
+		cfg.BottleneckRate = def.BottleneckRate
+	}
+	if cfg.LIRatingsBytes == 0 {
+		cfg.LIRatingsBytes = def.LIRatingsBytes
 	}
 	sched := simnet.NewScheduler()
 	net := simnet.NewNetwork(sched)
 	cl := cluster.New(net)
 	e := &ELibrary{Sched: sched, Net: net, Cluster: cl, Config: cfg}
 
-	link := simnet.LinkConfig{Rate: cfg.LinkRate, Delay: 20 * time.Microsecond}
+	link := simnet.LinkConfig{Rate: LinkRate, Delay: 20 * time.Microsecond}
 	bottleneck := simnet.LinkConfig{Rate: cfg.BottleneckRate, Delay: 20 * time.Microsecond}
 
 	var cells []cell
@@ -195,7 +176,7 @@ func BuildELibrary(cfg ELibraryConfig) *ELibrary {
 		}
 	default:
 		c := cell{suffix: "1"}
-		for i := 1; i <= cfg.ReviewsReplicas; i++ {
+		for i := 1; i <= reviewsReplicas; i++ {
 			c.reviews = append(c.reviews, fmt.Sprint(i))
 		}
 		cells = []cell{c}
@@ -205,7 +186,7 @@ func BuildELibrary(cfg ELibraryConfig) *ELibrary {
 		Name: "gateway", Labels: map[string]string{"app": "gateway"}, Link: link, Zone: cells[0].zone})
 	for i, c := range cells {
 		pod := func(name string, l simnet.LinkConfig, labels map[string]string) *cluster.Pod {
-			return cl.AddPod(cluster.PodSpec{Name: name, Labels: labels, Link: l, Workers: cfg.Workers, Zone: c.zone})
+			return cl.AddPod(cluster.PodSpec{Name: name, Labels: labels, Link: l, Workers: podWorkers, Zone: c.zone})
 		}
 		fe := pod("frontend-"+c.suffix, link, map[string]string{"app": "frontend"})
 		dt := pod("details-"+c.suffix, link, map[string]string{"app": "details"})
@@ -227,7 +208,7 @@ func BuildELibrary(cfg ELibraryConfig) *ELibrary {
 	for _, r := range e.Regions {
 		name := mesh.EWGatewayService(r)
 		e.EastWest = append(e.EastWest, cl.AddPod(cluster.PodSpec{
-			Name: name, Labels: map[string]string{"app": name}, Link: link, Workers: cfg.Workers, Region: r}))
+			Name: name, Labels: map[string]string{"app": name}, Link: link, Workers: podWorkers, Region: r}))
 		cl.AddService(name, 9080, map[string]string{"app": name})
 	}
 
@@ -282,9 +263,8 @@ func Classifier() mesh.Classifier {
 
 func (e *ELibrary) registerFrontend(pod *cluster.Pod) {
 	sc := e.Mesh.InjectSidecar(pod)
-	cfg := e.Config
 	sc.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-		pod.Exec(cfg.FrontendTime, func() {
+		pod.Exec(frontendTime, func() {
 			if isAnalytics(req.Path) {
 				// Batch analytics: scan reviews (which consults
 				// ratings) and return an aggregate.
@@ -300,7 +280,7 @@ func (e *ELibrary) registerFrontend(pod *cluster.Pod) {
 						return
 					}
 					out := httpsim.NewResponse(httpsim.StatusOK)
-					out.BodyBytes = cfg.LIFrontendBytes
+					out.BodyBytes = liFrontendBytes
 					respond(out)
 				})
 				return
@@ -321,7 +301,7 @@ func (e *ELibrary) registerFrontend(pod *cluster.Pod) {
 					status = httpsim.StatusBadGateway
 				}
 				out := httpsim.NewResponse(status)
-				out.BodyBytes = cfg.LSFrontendBytes
+				out.BodyBytes = LSFrontendBytes
 				respond(out)
 			}
 			details := childRequest(req, "details", req.Path)
@@ -339,11 +319,10 @@ func (e *ELibrary) registerFrontend(pod *cluster.Pod) {
 
 func (e *ELibrary) registerDetails(pod *cluster.Pod) {
 	sc := e.Mesh.InjectSidecar(pod)
-	cfg := e.Config
 	sc.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-		pod.Exec(cfg.DetailsTime, func() {
+		pod.Exec(detailsTime, func() {
 			out := httpsim.NewResponse(httpsim.StatusOK)
-			out.BodyBytes = cfg.LSDetailsBytes
+			out.BodyBytes = lsDetailsBytes
 			respond(out)
 		})
 	})
@@ -351,9 +330,8 @@ func (e *ELibrary) registerDetails(pod *cluster.Pod) {
 
 func (e *ELibrary) registerReviews(pod *cluster.Pod) {
 	sc := e.Mesh.InjectSidecar(pod)
-	cfg := e.Config
 	sc.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-		pod.Exec(cfg.ReviewsTime, func() {
+		pod.Exec(reviewsTime, func() {
 			// NOTE: reviews does NOT copy the priority header — beyond
 			// the ingress-adjacent hop, priority propagation is the
 			// sidecar layer's provenance mechanism (§4.3 (2)).
@@ -365,9 +343,9 @@ func (e *ELibrary) registerReviews(pod *cluster.Pod) {
 				}
 				out := httpsim.NewResponse(httpsim.StatusOK)
 				if isAnalytics(req.Path) {
-					out.BodyBytes = cfg.LIReviewsBytes
+					out.BodyBytes = liReviewsBytes
 				} else {
-					out.BodyBytes = cfg.LSReviewsBytes
+					out.BodyBytes = LSReviewsBytes
 				}
 				respond(out)
 			})
@@ -377,18 +355,18 @@ func (e *ELibrary) registerReviews(pod *cluster.Pod) {
 
 func (e *ELibrary) registerRatings(pod *cluster.Pod) {
 	sc := e.Mesh.InjectSidecar(pod)
-	cfg := e.Config
+	liBytes := e.Config.LIRatingsBytes
 	sc.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-		t := cfg.RatingsTime
+		t := ratingsTime
 		if isAnalytics(req.Path) {
-			t += cfg.RatingsScanTime
+			t += ratingsScanTime
 		}
 		pod.Exec(t, func() {
 			out := httpsim.NewResponse(httpsim.StatusOK)
 			if isAnalytics(req.Path) {
-				out.BodyBytes = cfg.LIRatingsBytes
+				out.BodyBytes = liBytes
 			} else {
-				out.BodyBytes = cfg.LSRatingsBytes
+				out.BodyBytes = lsRatingsBytes
 			}
 			respond(out)
 		})

@@ -55,19 +55,25 @@ func describe(t *testing.T, e *ELibrary) string {
 	}
 
 	// Which application a sidecar fronts shows in what it answers a
-	// product-page request with: every role has its own body size, and
-	// the ingress and east-west gateways serve nothing locally.
-	answers := map[string]string{}
+	// product-page and an analytics request with: every role has its own
+	// two body sizes, and the ingress and east-west gateways serve nothing
+	// locally.
+	answers := map[string]*[2]string{}
 	for _, sc := range e.Mesh.Sidecars() {
 		pod := sc.Pod()
+		got := new([2]string)
+		answers[pod.Name()] = got
 		cl := httpsim.NewClient(e.Cluster.Pod("gateway").Host(), pod.Addr(), mesh.InboundPort, transport.Options{})
-		cl.Do(httpsim.NewRequest("GET", PathProduct), func(resp *httpsim.Response, err error) {
-			if err != nil {
-				answers[pod.Name()] = err.Error()
-				return
-			}
-			answers[pod.Name()] = fmt.Sprintf("%d/%dB", resp.Status, resp.BodyBytes)
-		})
+		for i, path := range []string{PathProduct, PathAnalytics} {
+			i := i
+			cl.Do(httpsim.NewRequest("GET", path), func(resp *httpsim.Response, err error) {
+				if err != nil {
+					got[i] = err.Error()
+					return
+				}
+				got[i] = fmt.Sprintf("%d/%dB", resp.Status, resp.BodyBytes)
+			})
+		}
 	}
 	e.Sched.Run()
 
@@ -81,7 +87,7 @@ func describe(t *testing.T, e *ELibrary) string {
 		fmt.Fprintf(&b, "pod %s zone=%q region=%q %dG via %s workers=%d {%s}", p.Name(), p.Zone(), p.Region(),
 			p.Uplink().Config().Rate/simnet.Gbps, p.Uplink().B().Node().Name(), p.Workers().Capacity(), strings.Join(labels, " "))
 		if sc := e.Mesh.Sidecar(p.Name()); sc != nil {
-			fmt.Fprintf(&b, " sidecar=%s answers=%s", sc.ServiceName(), answers[p.Name()])
+			fmt.Fprintf(&b, " sidecar=%s answers=%s", sc.ServiceName(), strings.Join(answers[p.Name()][:], ","))
 			withSidecar = append(withSidecar, p.Name())
 		}
 		b.WriteString("\n")
@@ -134,60 +140,52 @@ func TestELibraryTopologies(t *testing.T) {
 	}
 }
 
-// TestELibraryConfigDefaulting pins the one defaulting rule: nothing
-// set (Mesh aside) is the paper's testbed, a config with a LinkRate is
-// taken whole, and anything in between is refused, not patched up.
+// TestELibraryConfigDefaulting pins the defaulting rule: a zero field
+// keeps the paper's value, so a config that names only what differs
+// builds that — the whole testbed, down to describe's last line — and
+// ELibrary.Config holds the values built.
 func TestELibraryConfigDefaulting(t *testing.T) {
 	seeded := mesh.Config{Seed: 9, SidecarDelayMean: -1}
 	def := DefaultELibraryConfig()
-	defSeeded := def
-	defSeeded.Mesh = seeded
-	full := def
-	full.Zones, full.LIRatingsBytes, full.Mesh = 3, 1<<20, seeded
+	with := func(set func(*ELibraryConfig)) ELibraryConfig {
+		c := def
+		set(&c)
+		return c
+	}
 	for _, tc := range []struct {
 		name     string
 		in, want ELibraryConfig
-		partial  bool
+		topo     string
 	}{
-		{name: "zero", in: ELibraryConfig{}, want: def},
-		{name: "mesh only", in: ELibraryConfig{Mesh: seeded}, want: defSeeded},
-		{name: "full", in: full, want: full},
-		{name: "zones, no LinkRate", in: ELibraryConfig{Zones: 3}, partial: true},
-		{name: "regions and mesh, no LinkRate", in: ELibraryConfig{Regions: 3, Mesh: seeded}, partial: true},
-		{name: "bottleneck, no LinkRate", in: ELibraryConfig{BottleneckRate: simnet.Gbps}, partial: true},
-		{name: "service time, no LinkRate", in: ELibraryConfig{RatingsScanTime: 1}, partial: true},
+		{"zero", ELibraryConfig{}, def, topoDefault},
+		{"mesh alone", ELibraryConfig{Mesh: seeded}, with(func(c *ELibraryConfig) { c.Mesh = seeded }), topoDefault},
+		{"zones alone", ELibraryConfig{Zones: 3}, with(func(c *ELibraryConfig) { c.Zones = 3 }), topoZones3},
+		{"regions and mesh alone", ELibraryConfig{Regions: 3, Mesh: seeded},
+			with(func(c *ELibraryConfig) { c.Regions, c.Mesh = 3, seeded }), topoRegions3},
+		{"bottleneck alone", ELibraryConfig{BottleneckRate: 5 * simnet.Gbps},
+			with(func(c *ELibraryConfig) { c.BottleneckRate = 5 * simnet.Gbps }),
+			strings.Replace(topoDefault, " 1G via ", " 5G via ", 1)},
+		{"LI bytes alone", ELibraryConfig{LIRatingsBytes: 1 << 20},
+			with(func(c *ELibraryConfig) { c.LIRatingsBytes = 1 << 20 }),
+			strings.Replace(topoDefault, "/2097152B", "/1048576B", 1)},
 	} {
-		got, err := tc.in.resolve()
-		switch {
-		case tc.partial && (err == nil || !strings.Contains(err.Error(), "DefaultELibraryConfig()")):
-			t.Errorf("%s: err = %v, want a refusal naming DefaultELibraryConfig()", tc.name, err)
-		case !tc.partial && (err != nil || got != tc.want):
-			t.Errorf("%s: resolved to %+v, %v\nwant %+v", tc.name, got, err, tc.want)
+		e := BuildELibrary(tc.in)
+		if e.Config != tc.want {
+			t.Errorf("%s: built with %+v\nwant %+v", tc.name, e.Config, tc.want)
 		}
-	}
-
-	// The builder refuses what the rule refuses, and builds what it
-	// resolves: the zero config is the default testbed.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("BuildELibrary accepted a partial config")
-			}
-		}()
-		BuildELibrary(ELibraryConfig{Zones: 3})
-	}()
-	if e := BuildELibrary(ELibraryConfig{Mesh: seeded}); e.Config != defSeeded || len(e.Reviews) != def.ReviewsReplicas {
-		t.Errorf("zero config built %+v with %d reviews pods", e.Config, len(e.Reviews))
+		if got := describe(t, e); got != tc.topo {
+			t.Errorf("%s: built\n%s\nwant\n%s", tc.name, got, tc.topo)
+		}
 	}
 }
 
 const topoDefault = `nodes: bridge gateway frontend-1 details-1 reviews-1 reviews-2 ratings-1
-pod gateway zone="" region="" 15G via bridge workers=0 {app=gateway} sidecar=gateway answers=404/0B
-pod frontend-1 zone="" region="" 15G via bridge workers=32 {app=frontend} sidecar=frontend answers=200/8192B
-pod details-1 zone="" region="" 15G via bridge workers=32 {app=details} sidecar=details answers=200/2048B
-pod reviews-1 zone="" region="" 15G via bridge workers=32 {app=reviews version=v1} sidecar=reviews answers=200/4096B
-pod reviews-2 zone="" region="" 15G via bridge workers=32 {app=reviews version=v2} sidecar=reviews answers=200/4096B
-pod ratings-1 zone="" region="" 1G via bridge workers=32 {app=ratings} sidecar=ratings answers=200/1024B
+pod gateway zone="" region="" 15G via bridge workers=0 {app=gateway} sidecar=gateway answers=404/0B,404/0B
+pod frontend-1 zone="" region="" 15G via bridge workers=32 {app=frontend} sidecar=frontend answers=200/8192B,200/32768B
+pod details-1 zone="" region="" 15G via bridge workers=32 {app=details} sidecar=details answers=200/2048B,200/2048B
+pod reviews-1 zone="" region="" 15G via bridge workers=32 {app=reviews version=v1} sidecar=reviews answers=200/4096B,200/32768B
+pod reviews-2 zone="" region="" 15G via bridge workers=32 {app=reviews version=v2} sidecar=reviews answers=200/4096B,200/32768B
+pod ratings-1 zone="" region="" 1G via bridge workers=32 {app=ratings} sidecar=ratings answers=200/1024B,200/2097152B
 service details:9080 -> details-1
 service frontend:9080 -> frontend-1
 service ratings:9080 -> ratings-1
@@ -202,19 +200,19 @@ const topoZones3 = `nodes: bridge bridge-zone-a bridge-zone-b bridge-zone-c gate
 zone zone-a region="" bridge-zone-a--bridge 40G 250µs
 zone zone-b region="" bridge-zone-b--bridge 40G 250µs
 zone zone-c region="" bridge-zone-c--bridge 40G 250µs
-pod gateway zone="zone-a" region="" 15G via bridge-zone-a workers=0 {app=gateway zone=zone-a} sidecar=gateway answers=404/0B
-pod frontend-a zone="zone-a" region="" 15G via bridge-zone-a workers=32 {app=frontend zone=zone-a} sidecar=frontend answers=200/8192B
-pod details-a zone="zone-a" region="" 15G via bridge-zone-a workers=32 {app=details zone=zone-a} sidecar=details answers=200/2048B
-pod reviews-a zone="zone-a" region="" 15G via bridge-zone-a workers=32 {app=reviews version=v1 zone=zone-a} sidecar=reviews answers=200/4096B
-pod ratings-a zone="zone-a" region="" 1G via bridge-zone-a workers=32 {app=ratings zone=zone-a} sidecar=ratings answers=200/1024B
-pod frontend-b zone="zone-b" region="" 15G via bridge-zone-b workers=32 {app=frontend zone=zone-b} sidecar=frontend answers=200/8192B
-pod details-b zone="zone-b" region="" 15G via bridge-zone-b workers=32 {app=details zone=zone-b} sidecar=details answers=200/2048B
-pod reviews-b zone="zone-b" region="" 15G via bridge-zone-b workers=32 {app=reviews version=v2 zone=zone-b} sidecar=reviews answers=200/4096B
-pod ratings-b zone="zone-b" region="" 1G via bridge-zone-b workers=32 {app=ratings zone=zone-b} sidecar=ratings answers=200/1024B
-pod frontend-c zone="zone-c" region="" 15G via bridge-zone-c workers=32 {app=frontend zone=zone-c} sidecar=frontend answers=200/8192B
-pod details-c zone="zone-c" region="" 15G via bridge-zone-c workers=32 {app=details zone=zone-c} sidecar=details answers=200/2048B
-pod reviews-c zone="zone-c" region="" 15G via bridge-zone-c workers=32 {app=reviews version=v3 zone=zone-c} sidecar=reviews answers=200/4096B
-pod ratings-c zone="zone-c" region="" 1G via bridge-zone-c workers=32 {app=ratings zone=zone-c} sidecar=ratings answers=200/1024B
+pod gateway zone="zone-a" region="" 15G via bridge-zone-a workers=0 {app=gateway zone=zone-a} sidecar=gateway answers=404/0B,404/0B
+pod frontend-a zone="zone-a" region="" 15G via bridge-zone-a workers=32 {app=frontend zone=zone-a} sidecar=frontend answers=200/8192B,200/32768B
+pod details-a zone="zone-a" region="" 15G via bridge-zone-a workers=32 {app=details zone=zone-a} sidecar=details answers=200/2048B,200/2048B
+pod reviews-a zone="zone-a" region="" 15G via bridge-zone-a workers=32 {app=reviews version=v1 zone=zone-a} sidecar=reviews answers=200/4096B,200/32768B
+pod ratings-a zone="zone-a" region="" 1G via bridge-zone-a workers=32 {app=ratings zone=zone-a} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-b zone="zone-b" region="" 15G via bridge-zone-b workers=32 {app=frontend zone=zone-b} sidecar=frontend answers=200/8192B,200/32768B
+pod details-b zone="zone-b" region="" 15G via bridge-zone-b workers=32 {app=details zone=zone-b} sidecar=details answers=200/2048B,200/2048B
+pod reviews-b zone="zone-b" region="" 15G via bridge-zone-b workers=32 {app=reviews version=v2 zone=zone-b} sidecar=reviews answers=200/4096B,200/32768B
+pod ratings-b zone="zone-b" region="" 1G via bridge-zone-b workers=32 {app=ratings zone=zone-b} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-c zone="zone-c" region="" 15G via bridge-zone-c workers=32 {app=frontend zone=zone-c} sidecar=frontend answers=200/8192B,200/32768B
+pod details-c zone="zone-c" region="" 15G via bridge-zone-c workers=32 {app=details zone=zone-c} sidecar=details answers=200/2048B,200/2048B
+pod reviews-c zone="zone-c" region="" 15G via bridge-zone-c workers=32 {app=reviews version=v3 zone=zone-c} sidecar=reviews answers=200/4096B,200/32768B
+pod ratings-c zone="zone-c" region="" 1G via bridge-zone-c workers=32 {app=ratings zone=zone-c} sidecar=ratings answers=200/1024B,200/2097152B
 service details:9080 -> details-a details-b details-c
 service frontend:9080 -> frontend-a frontend-b frontend-c
 service ratings:9080 -> ratings-a ratings-b ratings-c
@@ -235,34 +233,34 @@ zone zone-c2 region="region-c" bridge-zone-c2--spine-region-c 40G 250µs
 wan region-a region-b spine-region-b--spine-region-a 10G 25ms
 wan region-a region-c spine-region-c--spine-region-a 10G 25ms
 wan region-b region-c spine-region-c--spine-region-b 10G 25ms
-pod gateway zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=0 {app=gateway region=region-a zone=zone-a1} sidecar=gateway answers=404/0B
-pod frontend-a1 zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=32 {app=frontend region=region-a zone=zone-a1} sidecar=frontend answers=200/8192B
-pod details-a1 zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=32 {app=details region=region-a zone=zone-a1} sidecar=details answers=200/2048B
-pod reviews-a1 zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=32 {app=reviews region=region-a version=v1 zone=zone-a1} sidecar=reviews answers=200/4096B
-pod ratings-a1 zone="zone-a1" region="region-a" 1G via bridge-zone-a1 workers=32 {app=ratings region=region-a zone=zone-a1} sidecar=ratings answers=200/1024B
-pod frontend-a2 zone="zone-a2" region="region-a" 15G via bridge-zone-a2 workers=32 {app=frontend region=region-a zone=zone-a2} sidecar=frontend answers=200/8192B
-pod details-a2 zone="zone-a2" region="region-a" 15G via bridge-zone-a2 workers=32 {app=details region=region-a zone=zone-a2} sidecar=details answers=200/2048B
-pod reviews-a2 zone="zone-a2" region="region-a" 15G via bridge-zone-a2 workers=32 {app=reviews region=region-a version=v2 zone=zone-a2} sidecar=reviews answers=200/4096B
-pod ratings-a2 zone="zone-a2" region="region-a" 1G via bridge-zone-a2 workers=32 {app=ratings region=region-a zone=zone-a2} sidecar=ratings answers=200/1024B
-pod frontend-b1 zone="zone-b1" region="region-b" 15G via bridge-zone-b1 workers=32 {app=frontend region=region-b zone=zone-b1} sidecar=frontend answers=200/8192B
-pod details-b1 zone="zone-b1" region="region-b" 15G via bridge-zone-b1 workers=32 {app=details region=region-b zone=zone-b1} sidecar=details answers=200/2048B
-pod reviews-b1 zone="zone-b1" region="region-b" 15G via bridge-zone-b1 workers=32 {app=reviews region=region-b version=v3 zone=zone-b1} sidecar=reviews answers=200/4096B
-pod ratings-b1 zone="zone-b1" region="region-b" 1G via bridge-zone-b1 workers=32 {app=ratings region=region-b zone=zone-b1} sidecar=ratings answers=200/1024B
-pod frontend-b2 zone="zone-b2" region="region-b" 15G via bridge-zone-b2 workers=32 {app=frontend region=region-b zone=zone-b2} sidecar=frontend answers=200/8192B
-pod details-b2 zone="zone-b2" region="region-b" 15G via bridge-zone-b2 workers=32 {app=details region=region-b zone=zone-b2} sidecar=details answers=200/2048B
-pod reviews-b2 zone="zone-b2" region="region-b" 15G via bridge-zone-b2 workers=32 {app=reviews region=region-b version=v4 zone=zone-b2} sidecar=reviews answers=200/4096B
-pod ratings-b2 zone="zone-b2" region="region-b" 1G via bridge-zone-b2 workers=32 {app=ratings region=region-b zone=zone-b2} sidecar=ratings answers=200/1024B
-pod frontend-c1 zone="zone-c1" region="region-c" 15G via bridge-zone-c1 workers=32 {app=frontend region=region-c zone=zone-c1} sidecar=frontend answers=200/8192B
-pod details-c1 zone="zone-c1" region="region-c" 15G via bridge-zone-c1 workers=32 {app=details region=region-c zone=zone-c1} sidecar=details answers=200/2048B
-pod reviews-c1 zone="zone-c1" region="region-c" 15G via bridge-zone-c1 workers=32 {app=reviews region=region-c version=v5 zone=zone-c1} sidecar=reviews answers=200/4096B
-pod ratings-c1 zone="zone-c1" region="region-c" 1G via bridge-zone-c1 workers=32 {app=ratings region=region-c zone=zone-c1} sidecar=ratings answers=200/1024B
-pod frontend-c2 zone="zone-c2" region="region-c" 15G via bridge-zone-c2 workers=32 {app=frontend region=region-c zone=zone-c2} sidecar=frontend answers=200/8192B
-pod details-c2 zone="zone-c2" region="region-c" 15G via bridge-zone-c2 workers=32 {app=details region=region-c zone=zone-c2} sidecar=details answers=200/2048B
-pod reviews-c2 zone="zone-c2" region="region-c" 15G via bridge-zone-c2 workers=32 {app=reviews region=region-c version=v6 zone=zone-c2} sidecar=reviews answers=200/4096B
-pod ratings-c2 zone="zone-c2" region="region-c" 1G via bridge-zone-c2 workers=32 {app=ratings region=region-c zone=zone-c2} sidecar=ratings answers=200/1024B
-pod eastwest-region-a zone="" region="region-a" 15G via spine-region-a workers=32 {app=eastwest-region-a region=region-a} sidecar=eastwest-region-a answers=404/0B
-pod eastwest-region-b zone="" region="region-b" 15G via spine-region-b workers=32 {app=eastwest-region-b region=region-b} sidecar=eastwest-region-b answers=404/0B
-pod eastwest-region-c zone="" region="region-c" 15G via spine-region-c workers=32 {app=eastwest-region-c region=region-c} sidecar=eastwest-region-c answers=404/0B
+pod gateway zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=0 {app=gateway region=region-a zone=zone-a1} sidecar=gateway answers=404/0B,404/0B
+pod frontend-a1 zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=32 {app=frontend region=region-a zone=zone-a1} sidecar=frontend answers=200/8192B,200/32768B
+pod details-a1 zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=32 {app=details region=region-a zone=zone-a1} sidecar=details answers=200/2048B,200/2048B
+pod reviews-a1 zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=32 {app=reviews region=region-a version=v1 zone=zone-a1} sidecar=reviews answers=200/4096B,200/32768B
+pod ratings-a1 zone="zone-a1" region="region-a" 1G via bridge-zone-a1 workers=32 {app=ratings region=region-a zone=zone-a1} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-a2 zone="zone-a2" region="region-a" 15G via bridge-zone-a2 workers=32 {app=frontend region=region-a zone=zone-a2} sidecar=frontend answers=200/8192B,200/32768B
+pod details-a2 zone="zone-a2" region="region-a" 15G via bridge-zone-a2 workers=32 {app=details region=region-a zone=zone-a2} sidecar=details answers=200/2048B,200/2048B
+pod reviews-a2 zone="zone-a2" region="region-a" 15G via bridge-zone-a2 workers=32 {app=reviews region=region-a version=v2 zone=zone-a2} sidecar=reviews answers=200/4096B,200/32768B
+pod ratings-a2 zone="zone-a2" region="region-a" 1G via bridge-zone-a2 workers=32 {app=ratings region=region-a zone=zone-a2} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-b1 zone="zone-b1" region="region-b" 15G via bridge-zone-b1 workers=32 {app=frontend region=region-b zone=zone-b1} sidecar=frontend answers=200/8192B,200/32768B
+pod details-b1 zone="zone-b1" region="region-b" 15G via bridge-zone-b1 workers=32 {app=details region=region-b zone=zone-b1} sidecar=details answers=200/2048B,200/2048B
+pod reviews-b1 zone="zone-b1" region="region-b" 15G via bridge-zone-b1 workers=32 {app=reviews region=region-b version=v3 zone=zone-b1} sidecar=reviews answers=200/4096B,200/32768B
+pod ratings-b1 zone="zone-b1" region="region-b" 1G via bridge-zone-b1 workers=32 {app=ratings region=region-b zone=zone-b1} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-b2 zone="zone-b2" region="region-b" 15G via bridge-zone-b2 workers=32 {app=frontend region=region-b zone=zone-b2} sidecar=frontend answers=200/8192B,200/32768B
+pod details-b2 zone="zone-b2" region="region-b" 15G via bridge-zone-b2 workers=32 {app=details region=region-b zone=zone-b2} sidecar=details answers=200/2048B,200/2048B
+pod reviews-b2 zone="zone-b2" region="region-b" 15G via bridge-zone-b2 workers=32 {app=reviews region=region-b version=v4 zone=zone-b2} sidecar=reviews answers=200/4096B,200/32768B
+pod ratings-b2 zone="zone-b2" region="region-b" 1G via bridge-zone-b2 workers=32 {app=ratings region=region-b zone=zone-b2} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-c1 zone="zone-c1" region="region-c" 15G via bridge-zone-c1 workers=32 {app=frontend region=region-c zone=zone-c1} sidecar=frontend answers=200/8192B,200/32768B
+pod details-c1 zone="zone-c1" region="region-c" 15G via bridge-zone-c1 workers=32 {app=details region=region-c zone=zone-c1} sidecar=details answers=200/2048B,200/2048B
+pod reviews-c1 zone="zone-c1" region="region-c" 15G via bridge-zone-c1 workers=32 {app=reviews region=region-c version=v5 zone=zone-c1} sidecar=reviews answers=200/4096B,200/32768B
+pod ratings-c1 zone="zone-c1" region="region-c" 1G via bridge-zone-c1 workers=32 {app=ratings region=region-c zone=zone-c1} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-c2 zone="zone-c2" region="region-c" 15G via bridge-zone-c2 workers=32 {app=frontend region=region-c zone=zone-c2} sidecar=frontend answers=200/8192B,200/32768B
+pod details-c2 zone="zone-c2" region="region-c" 15G via bridge-zone-c2 workers=32 {app=details region=region-c zone=zone-c2} sidecar=details answers=200/2048B,200/2048B
+pod reviews-c2 zone="zone-c2" region="region-c" 15G via bridge-zone-c2 workers=32 {app=reviews region=region-c version=v6 zone=zone-c2} sidecar=reviews answers=200/4096B,200/32768B
+pod ratings-c2 zone="zone-c2" region="region-c" 1G via bridge-zone-c2 workers=32 {app=ratings region=region-c zone=zone-c2} sidecar=ratings answers=200/1024B,200/2097152B
+pod eastwest-region-a zone="" region="region-a" 15G via spine-region-a workers=32 {app=eastwest-region-a region=region-a} sidecar=eastwest-region-a answers=404/0B,404/0B
+pod eastwest-region-b zone="" region="region-b" 15G via spine-region-b workers=32 {app=eastwest-region-b region=region-b} sidecar=eastwest-region-b answers=404/0B,404/0B
+pod eastwest-region-c zone="" region="region-c" 15G via spine-region-c workers=32 {app=eastwest-region-c region=region-c} sidecar=eastwest-region-c answers=404/0B,404/0B
 service details:9080 -> details-a1 details-a2 details-b1 details-b2 details-c1 details-c2
 service eastwest-region-a:9080 -> eastwest-region-a
 service eastwest-region-b:9080 -> eastwest-region-b

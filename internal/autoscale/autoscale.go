@@ -45,13 +45,14 @@ type Config struct {
 	Targets []Target
 	// Interval is the evaluation period (default 5s).
 	Interval time.Duration
-	// Tolerance suppresses scaling when |desired/current - 1| is
-	// within it (default 0.1, as in Kubernetes).
-	Tolerance float64
 	// ScaleDownCooldown delays scale-downs after any scaling action
 	// (default 30s) to prevent flapping.
 	ScaleDownCooldown time.Duration
 }
+
+// tolerance suppresses scaling when |desired/current - 1| is within it
+// (as in Kubernetes).
+const tolerance = 0.1
 
 // Controller is a running autoscaler.
 type Controller struct {
@@ -82,9 +83,6 @@ func New(cfg Config) *Controller {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
-	}
-	if cfg.Tolerance == 0 {
-		cfg.Tolerance = 0.1
 	}
 	if cfg.ScaleDownCooldown == 0 {
 		cfg.ScaleDownCooldown = 30 * time.Second
@@ -166,7 +164,7 @@ func (c *Controller) evaluate(t Target) {
 		return
 	}
 	ratio := float64(desired) / float64(ready)
-	if math.Abs(ratio-1) <= c.cfg.Tolerance {
+	if math.Abs(ratio-1) <= tolerance {
 		return
 	}
 	now := c.sched.Now()

@@ -59,13 +59,7 @@ func (r *Recorder) Counts(from, to time.Duration) (ok, fail uint64) {
 
 // ErrorRate returns failed/total over [from, to) (0 when no samples).
 func (r *Recorder) ErrorRate(from, to time.Duration) float64 {
-	var ok, fail uint64
-	for i := int(from / r.bucket); time.Duration(i)*r.bucket < to; i++ {
-		if b := r.buckets[i]; b != nil {
-			ok += b.ok
-			fail += b.fail
-		}
-	}
+	ok, fail := r.Counts(from, to)
 	if ok+fail == 0 {
 		return 0
 	}

@@ -41,11 +41,6 @@ type AdmissionPolicy struct {
 	InitialConcurrency int
 	MinConcurrency     int
 	MaxConcurrency     int
-	// Tolerance is the latency multiple over the no-load floor the
-	// limiter accepts before backing off.
-	Tolerance float64
-	// Window is the limiter's samples-per-adjustment count.
-	Window int
 
 	// Budget is the end-to-end deadline the gateway stamps on external
 	// requests bound for this service. Zero disables stamping.
@@ -90,11 +85,9 @@ func (sc *Sidecar) admissionFor(p AdmissionPolicy) *admission.Controller {
 				Interval: p.QueueInterval,
 			},
 			Limiter: admission.LimiterConfig{
-				Initial:   p.InitialConcurrency,
-				Min:       p.MinConcurrency,
-				Max:       p.MaxConcurrency,
-				Tolerance: p.Tolerance,
-				Window:    p.Window,
+				Initial: p.InitialConcurrency,
+				Min:     p.MinConcurrency,
+				Max:     p.MaxConcurrency,
 			},
 			Now: sc.mesh.sched.Now,
 		})

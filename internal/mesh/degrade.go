@@ -22,13 +22,11 @@ import (
 // FallbackPolicy configures graceful degradation for calls to a
 // destination service: when a call fails terminally (retries and
 // budget exhausted, or no endpoint reachable), the calling sidecar
-// synthesizes a degraded response instead of surfacing the error.
+// synthesizes a degraded response — a 200, so the caller's application
+// proceeds with the partial content — instead of surfacing the error.
 type FallbackPolicy struct {
 	// Enabled turns the fallback on.
 	Enabled bool
-	// Status is the synthesized response's status (default 200: the
-	// caller's application proceeds with the partial content).
-	Status int
 	// BodyBytes is the synthesized body size — typically far smaller
 	// than the real response (an empty ratings list, a cached stub).
 	BodyBytes int
@@ -54,14 +52,6 @@ func (p FallbackPolicy) after() time.Duration {
 		return p.After
 	}
 	return DefaultFallbackAfter
-}
-
-// status returns the effective synthesized status.
-func (p FallbackPolicy) status() int {
-	if p.Status == 0 {
-		return httpsim.StatusOK
-	}
-	return p.Status
 }
 
 // degradedEntry is one degraded-provenance record: which upstream was
@@ -131,7 +121,7 @@ func (c *call) maybeFallback(resp *httpsim.Response, err error) (*httpsim.Respon
 	failed := err != nil || resp == nil || resp.Status >= 500
 	if failed {
 		if p := c.sc.fallbackFor(c.service); !p.IsZero() {
-			resp = httpsim.NewResponse(p.status())
+			resp = httpsim.NewResponse(httpsim.StatusOK)
 			resp.BodyBytes = p.BodyBytes
 			resp.Headers.Set(HeaderDegraded, c.service)
 			err = nil

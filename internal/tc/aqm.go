@@ -15,8 +15,6 @@ import (
 type RED struct {
 	min, max   int
 	limit      int
-	maxP       float64
-	wq         float64
 	rng        *rand.Rand
 	fifo       *simnet.FIFO
 	avg        float64
@@ -32,13 +30,16 @@ type REDConfig struct {
 	MinBytes, MaxBytes int
 	// LimitBytes is the hard queue cap. Zero selects 4*MaxBytes.
 	LimitBytes int
-	// MaxP is the drop probability at MaxBytes (default 0.1).
-	MaxP float64
-	// Wq is the EWMA weight of the average queue (default 0.002).
-	Wq float64
 	// Seed drives the drop randomness.
 	Seed int64
 }
+
+// RED's drop probability at MaxBytes, and the EWMA weight of its average
+// queue.
+const (
+	redMaxP = 0.1
+	redWq   = 0.002
+)
 
 // NewRED builds a RED qdisc.
 func NewRED(cfg REDConfig) *RED {
@@ -48,15 +49,8 @@ func NewRED(cfg REDConfig) *RED {
 	if cfg.LimitBytes == 0 {
 		cfg.LimitBytes = 4 * cfg.MaxBytes
 	}
-	if cfg.MaxP == 0 {
-		cfg.MaxP = 0.1
-	}
-	if cfg.Wq == 0 {
-		cfg.Wq = 0.002
-	}
 	return &RED{
 		min: cfg.MinBytes, max: cfg.MaxBytes, limit: cfg.LimitBytes,
-		maxP: cfg.MaxP, wq: cfg.Wq,
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
 		fifo: simnet.NewFIFO(cfg.LimitBytes),
 	}
@@ -70,7 +64,7 @@ func (q *RED) HardDrops() uint64 { return q.hardDrops }
 
 // Enqueue implements simnet.Qdisc.
 func (q *RED) Enqueue(p *simnet.Packet) bool {
-	q.avg = (1-q.wq)*q.avg + q.wq*float64(q.fifo.Backlog())
+	q.avg = (1-redWq)*q.avg + redWq*float64(q.fifo.Backlog())
 	// The hard limit is the FIFO's own, but it is checked here first: an
 	// overflow must not consume an early-drop draw.
 	if q.fifo.Backlog()+p.Size > q.limit {
@@ -87,7 +81,7 @@ func (q *RED) Enqueue(p *simnet.Packet) bool {
 	default:
 		// Linear ramp of drop probability, with the classic count
 		// correction spreading drops out.
-		pb := q.maxP * (q.avg - float64(q.min)) / float64(q.max-q.min)
+		pb := redMaxP * (q.avg - float64(q.min)) / float64(q.max-q.min)
 		q.count++
 		pa := pb / math.Max(1e-9, 1-float64(q.count)*pb)
 		if pa >= 1 || q.rng.Float64() < pa {
@@ -111,7 +105,8 @@ func (q *RED) Backlog() int { return q.fifo.Backlog() }
 // CoDel is Controlled Delay AQM (Nichols & Jacobson 2012): it tracks
 // each packet's sojourn time and, once the minimum sojourn over an
 // interval exceeds the target, drops at deques with a rate that
-// increases as the square root of the drop count.
+// increases as the square root of the drop count. The hard byte cap is
+// simnet.DefaultFIFOLimit.
 type CoDel struct {
 	target   time.Duration
 	interval time.Duration
@@ -131,8 +126,6 @@ type CoDelConfig struct {
 	Target time.Duration
 	// Interval is the measurement window (default 100ms).
 	Interval time.Duration
-	// LimitBytes is the hard cap (default simnet.DefaultFIFOLimit).
-	LimitBytes int
 }
 
 // NewCoDel builds a CoDel qdisc on the given clock.
@@ -146,7 +139,7 @@ func NewCoDel(cfg CoDelConfig, clock Clock) *CoDel {
 	if cfg.Interval == 0 {
 		cfg.Interval = 100 * time.Millisecond
 	}
-	return &CoDel{target: cfg.Target, interval: cfg.Interval, clock: clock, fifo: simnet.NewFIFO(cfg.LimitBytes)}
+	return &CoDel{target: cfg.Target, interval: cfg.Interval, clock: clock, fifo: simnet.NewFIFO(0)}
 }
 
 // Drops returns AQM drops (not counting hard-limit rejections).

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -62,7 +63,6 @@ var ErrRetransmitLimit = errors.New("transport: retransmission limit exceeded")
 type segInfo struct {
 	seq    uint64
 	length int
-	bounds []Bound
 	rtxed  bool // retransmitted since the last RTO
 	sacked bool // covered by a received SACK block
 }
@@ -79,7 +79,7 @@ type Conn struct {
 	// put the struct in the next allocation size class.
 	recovering, finQueued, finSent bool // send side
 	peerFin                        bool // receive side
-	fluidActive                    bool // fluid: fluidQ[0] is in the engine right now
+	fluidActive                    bool // fluid: fluid[fluidDone] is in the engine right now
 	cc                             Controller
 
 	// Callbacks. Set them before data flows.
@@ -91,7 +91,7 @@ type Conn struct {
 	// Send side.
 	sndUna, sndNxt uint64
 	sendEnd        uint64
-	pendBounds     []Bound
+	bounds         []Bound   // every queued message end above sndUna, ascending
 	segs           []segInfo // unacked segments: a window sliding along segArr
 	segArr         []segInfo // the array segs lives in, from its first slot (len 0)
 	peerWnd        int
@@ -121,9 +121,9 @@ type Conn struct {
 	consecRTOs int
 
 	// Fluid fast path (flow/hybrid fidelity; see fluid.go).
-	fluidQ         []fluidRange  // queued fluid ranges, ascending seq
+	fluid          []fluidRange  // fluid ranges in stream order: delivered but unacked, then queued
+	fluidDone      int           // how many of fluid are delivered
 	fluidID        simnet.FlowID // engine handle for the active flow
-	fluidSpans     []fluidSpan   // fluid-delivered, not yet acked
 	fluidProp      time.Duration // one-way prop delay of the active path
 	fluidDoneFn    func()        // bound callbacks, allocated once
 	fluidDemoteFn  func()
@@ -213,10 +213,11 @@ func (c *Conn) Timeouts() uint64 { return c.timeouts }
 // path, so the value can briefly regress across a demotion.
 func (c *Conn) BytesAcked() uint64 {
 	n := c.bytesAcked
-	if c.fluidActive && len(c.fluidQ) > 0 {
+	if c.fluidActive {
 		if eng := c.host.net.FlowEngine(); eng != nil {
 			if rem, ok := eng.Remaining(c.fluidID); ok {
-				if size := float64(c.fluidQ[0].end - c.fluidQ[0].seq); rem < size {
+				r := c.fluid[c.fluidDone]
+				if size := float64(r.end - r.seq); rem < size {
 					n += uint64(size - rem)
 				}
 			}
@@ -245,10 +246,10 @@ func (c *Conn) SendMessage(meta any, size int) error {
 		size = 1 // a message occupies at least one byte of stream space
 	}
 	c.sendEnd += uint64(size)
-	c.pendBounds = append(c.pendBounds, Bound{End: c.sendEnd, Meta: meta})
+	c.bounds = append(c.bounds, Bound{End: c.sendEnd, Meta: meta})
 	c.msgsOut++
 	if c.shouldFluid(size) {
-		c.fluidQ = append(c.fluidQ, fluidRange{seq: c.sendEnd - uint64(size), end: c.sendEnd, meta: meta})
+		c.fluid = append(c.fluid, fluidRange{seq: c.sendEnd - uint64(size), end: c.sendEnd})
 	}
 	if c.state == stateEstablished {
 		c.trySend()
@@ -328,12 +329,12 @@ func (c *Conn) trySend() {
 		// Packet-send up to the next fluid range (or everything, when
 		// none is queued — the packet-mode hot path, byte-identical to
 		// the historical loop).
-		limit := c.sendEnd
-		if len(c.fluidQ) > 0 {
-			limit = c.fluidQ[0].seq
+		limit, queued := c.sendEnd, c.fluidDone < len(c.fluid)
+		if queued {
+			limit = c.fluid[c.fluidDone].seq
 		}
 		c.sendWindow(limit)
-		if len(c.fluidQ) == 0 || c.fluidActive || c.sndNxt != c.fluidQ[0].seq {
+		if !queued || c.fluidActive || c.sndNxt != limit {
 			break
 		}
 		if c.startFluid() {
@@ -369,26 +370,26 @@ func (c *Conn) sendWindow(limit uint64) {
 }
 
 func (c *Conn) sendSegment(seq uint64, length int) {
-	end := seq + uint64(length)
-	var bounds []Bound
-	for _, b := range c.pendBounds {
-		if b.End > seq && b.End <= end {
-			bounds = append(bounds, b)
-		}
-	}
-	// Prune pending bounds fully covered by transmitted data; keep them
-	// until sent at least once — retransmits read from segs.
-	for len(c.pendBounds) > 0 && c.pendBounds[0].End <= end {
-		c.pendBounds = c.pendBounds[1:]
-	}
-	c.pushSeg(segInfo{seq: seq, length: length, bounds: bounds})
+	c.pushSeg(segInfo{seq: seq, length: length})
 	c.bytesSent += uint64(length)
 	s := c.seg(SegDATA)
 	s.Seq = seq
 	s.Len = length
-	s.Bounds = bounds
+	s.Bounds = c.boundsIn(s.Bounds, seq, length)
 	c.emit(s, length)
 	c.armRTO()
+}
+
+// boundsIn appends to dst the queued message ends inside (seq,
+// seq+length]. The ends are copied into the segment's own array: a
+// duplicate can still be in flight when an ACK moves c.bounds.
+func (c *Conn) boundsIn(dst []Bound, seq uint64, length int) []Bound {
+	end := seq + uint64(length)
+	i := sort.Search(len(c.bounds), func(i int) bool { return c.bounds[i].End > seq })
+	for ; i < len(c.bounds) && c.bounds[i].End <= end; i++ {
+		dst = append(dst, c.bounds[i])
+	}
+	return dst
 }
 
 // pushSeg appends to segs. processAck prunes by reslicing from the
@@ -442,7 +443,7 @@ func (c *Conn) retransmitSeg(s *segInfo) {
 	rs := c.seg(kind)
 	rs.Seq = s.seq
 	rs.Len = s.length
-	rs.Bounds = s.bounds
+	rs.Bounds = c.boundsIn(rs.Bounds, s.seq, s.length)
 	c.emit(rs, payload)
 }
 
@@ -546,7 +547,7 @@ func (c *Conn) onRTO() {
 		c.teardown(ErrRetransmitLimit)
 		return
 	}
-	if len(c.segs) == 0 && len(c.fluidSpans) > 0 {
+	if len(c.segs) == 0 && c.fluidDone > 0 {
 		// Only fluid-delivered bytes are unacked: the delivery notice's
 		// ACK was lost. Re-announce it — the receiver deduplicates via
 		// its lastBound watermark — and leave cc alone: fluid bytes were
@@ -641,12 +642,18 @@ func (c *Conn) processAck(seg *Segment) {
 		c.bytesAcked += uint64(acked)
 		c.dupAcks = 0
 		c.consecRTOs = 0
-		// Prune fully acked segments.
+		// Prune fully acked segments, and message ends by copying the rest
+		// down: bounds keeps its array (DESIGN.md "Queues that keep their
+		// arrays").
 		i := 0
 		for i < len(c.segs) && c.segs[i].seq+uint64(c.segs[i].length) <= c.sndUna {
 			i++
 		}
 		c.segs = c.segs[i:]
+		for i = 0; i < len(c.bounds) && c.bounds[i].End <= c.sndUna; {
+			i++
+		}
+		c.bounds = slices.Delete(c.bounds, 0, i)
 		c.sampleRTT(seg.TSEcr)
 		// Fluid bytes bypass congestion control: the engine's fair share
 		// governed them, so cc is only credited with packet-path bytes.
@@ -791,7 +798,7 @@ func (c *Conn) mergeOOO() {
 func (c *Conn) deliverReady() {
 	for len(c.recvBounds) > 0 && c.recvBounds[0].End <= c.rcvNxt {
 		b := c.recvBounds[0]
-		c.recvBounds = c.recvBounds[1:]
+		c.recvBounds = slices.Delete(c.recvBounds, 0, 1)
 		size := int(b.End - c.lastBound)
 		c.lastBound = b.End
 		c.msgsIn++

@@ -1,13 +1,17 @@
 package transport
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Fluid fast path: under flow or hybrid fidelity, bulk messages are
 // carried by the simnet flow engine as analytic rate-shared flows
 // instead of MSS-sized packet trains.
 //
 // Stream semantics are preserved exactly. A fluid-eligible message
-// occupies its normal range of sequence space; the packet path sends
+// occupies its normal range of sequence space, and its end sits in
+// Conn.bounds like any other message's; the packet path sends
 // everything before it, then the range is handed to the engine
 // (startFluid) and sndNxt parks at its start. At the analytic
 // completion time the bytes count as sent, sndNxt jumps to the range
@@ -28,9 +32,11 @@ import "time"
 // erase.
 //
 // If the engine demotes the flow (contention in hybrid mode,
-// impairment/down/qdisc in any mode), the whole remaining range is
-// re-queued for the packet path — re-sending from the range start is
-// the documented approximation; the receiver has seen none of it.
+// impairment/down/qdisc in any mode), the range leaves Conn.fluid and
+// the packet path sends it whole — re-sending from the range start is
+// the documented approximation; the receiver has seen none of it. The
+// message's end never left Conn.bounds, so the segment that reaches it
+// carries it as it would have without the detour.
 
 // FluidCutover is the message size, in bytes, at which flow and hybrid
 // fidelity promote a message to a fluid flow. Smaller messages —
@@ -38,20 +44,13 @@ import "time"
 // keeps latency metrics comparable across fidelities.
 const FluidCutover = 4096
 
-// fluidRange is one queued fluid-eligible message: the byte range it
-// occupies in the send stream and its delivery metadata.
-type fluidRange struct {
-	seq, end uint64
-	meta     any
-}
-
-// fluidSpan is a fluid-delivered range that the peer has not yet
-// cumulatively acked. Spans gate cc crediting and window accounting,
-// and carry enough to resend the delivery notice on RTO.
-type fluidSpan struct {
-	seq, end uint64
-	meta     any
-}
+// fluidRange is the byte range one fluid-eligible message occupies in
+// the send stream. Conn.fluid holds them in stream order: the first
+// fluidDone are delivered but not yet cumulatively acked — they gate cc
+// crediting and window accounting, and are what an RTO re-announces —
+// and the rest are queued, the first of those in the engine while
+// fluidActive.
+type fluidRange struct{ seq, end uint64 }
 
 // FluidCompleted returns messages delivered via the fluid fast path.
 func (c *Conn) FluidCompleted() uint64 { return c.fluidCompleted }
@@ -73,14 +72,13 @@ func (c *Conn) shouldFluid(size int) bool {
 	return true
 }
 
-// startFluid hands fluidQ[0] to the flow engine. The caller has already
-// packet-sent every byte before the range (sndNxt == fluidQ[0].seq).
-// Returns false if the path is unusable, in which case the range is
-// popped and falls back to the packet path (its bound is still in
-// pendBounds).
+// startFluid hands the first queued range to the flow engine. The
+// caller has already packet-sent every byte before it (sndNxt is its
+// seq). Returns false if the path is unusable, in which case the range
+// is removed and falls back to the packet path.
 func (c *Conn) startFluid() bool {
 	eng := c.host.net.FlowEngine()
-	r := c.fluidQ[0]
+	r := c.fluid[c.fluidDone]
 	path, prop, ok := eng.ResolvePath(c.host.node, c.flow)
 	if ok && !eng.PathEligible(path) {
 		// Impaired, down, custom-qdisc, or backlogged hops need exact
@@ -89,13 +87,8 @@ func (c *Conn) startFluid() bool {
 		ok = false
 	}
 	if !ok {
-		c.fluidQ = c.fluidQ[1:]
+		c.unqueueFluid()
 		return false
-	}
-	// The bound rides the flow now; drop it from pendBounds so the
-	// packet path cannot deliver it twice.
-	if len(c.pendBounds) > 0 && c.pendBounds[0].End == r.end {
-		c.pendBounds = c.pendBounds[1:]
 	}
 	if c.fluidDoneFn == nil {
 		c.fluidDoneFn = c.onFluidComplete
@@ -115,40 +108,39 @@ func (c *Conn) onFluidComplete() {
 	if c.state != stateEstablished || !c.fluidActive {
 		return
 	}
-	r := c.fluidQ[0]
-	c.fluidQ = c.fluidQ[1:]
+	r := c.fluid[c.fluidDone]
+	c.fluidDone++
 	c.fluidActive = false
 	c.fluidID = 0
 	c.fluidCompleted++
 	c.bytesSent += r.end - r.seq
 	c.sndNxt = r.end
-	c.fluidSpans = append(c.fluidSpans, fluidSpan{seq: r.seq, end: r.end, meta: r.meta})
 	completed := c.host.sched.Now()
 	c.host.sched.After(c.fluidProp, func() {
-		c.injectFluidNotice(r.seq, r.end, r.meta, completed)
+		c.injectFluidNotice(r, completed)
 	})
 	c.armRTO()
 	c.trySend()
 }
 
 // onFluidDemote runs (deferred through the scheduler by the engine)
-// when the active flow is demoted to packet fidelity. The remaining
-// range goes back to the packet path from its start.
+// when the active flow is demoted to packet fidelity. The range goes
+// to the packet path from its start.
 func (c *Conn) onFluidDemote() {
-	if c.state != stateEstablished || !c.fluidActive || len(c.fluidQ) == 0 {
+	if c.state != stateEstablished || !c.fluidActive {
 		return
 	}
 	c.fluidActive = false
 	c.fluidID = 0
 	c.fluidDemotions++
-	r := c.fluidQ[0]
-	c.fluidQ = c.fluidQ[1:]
-	// Restore the message bound at the front of pendBounds (it precedes
-	// every bound still there) so sendSegment re-attaches it.
-	c.pendBounds = append(c.pendBounds, Bound{})
-	copy(c.pendBounds[1:], c.pendBounds)
-	c.pendBounds[0] = Bound{End: r.end, Meta: r.meta}
+	c.unqueueFluid()
 	c.trySend()
+}
+
+// unqueueFluid removes the first queued range, leaving its bytes to
+// the packet path.
+func (c *Conn) unqueueFluid() {
+	c.fluid = slices.Delete(c.fluid, c.fluidDone, c.fluidDone+1)
 }
 
 // injectFluidNotice delivers the macro segment for a completed fluid
@@ -157,7 +149,7 @@ func (c *Conn) onFluidDemote() {
 // cannot be lost. completedAt becomes TSVal so the receiver's ACK
 // yields a true path-RTT sample; pass 0 (RTO resends) to suppress the
 // sample, Karn-style.
-func (c *Conn) injectFluidNotice(seq, end uint64, meta any, completedAt time.Duration) {
+func (c *Conn) injectFluidNotice(r fluidRange, completedAt time.Duration) {
 	if c.state == stateClosed {
 		return
 	}
@@ -170,9 +162,9 @@ func (c *Conn) injectFluidNotice(seq, end uint64, meta any, completedAt time.Dur
 	s.Wnd = rcvWindow
 	s.TSVal = completedAt
 	s.TSEcr = c.lastTSVal
-	s.Seq = seq
-	s.Len = int(end - seq)
-	s.Bounds = append(s.Bounds[:0], Bound{End: end, Meta: meta})
+	s.Seq = r.seq
+	s.Len = int(r.end - r.seq)
+	s.Bounds = c.boundsIn(s.Bounds, s.Seq, s.Len)
 	p := c.host.net.AllocPacket()
 	p.Flow = c.flow
 	p.Size = ctrlSize // the data went fluid; this is only the delivery notice
@@ -181,39 +173,31 @@ func (c *Conn) injectFluidNotice(seq, end uint64, meta any, completedAt time.Dur
 	dst.Inject(p)
 }
 
-// resendFluidNotice re-announces the oldest unacked fluid span — the
-// RTO path for a lost ACK of a fluid delivery. TSVal 0 suppresses RTT
-// sampling from the retransmit.
+// resendFluidNotice re-announces the oldest delivered, unacked range —
+// the RTO path for a lost ACK of a fluid delivery. TSVal 0 suppresses
+// RTT sampling from the retransmit.
 func (c *Conn) resendFluidNotice() {
-	if len(c.fluidSpans) == 0 {
-		return
+	if c.fluidDone > 0 {
+		c.injectFluidNotice(c.fluid[0], 0)
 	}
-	sp := c.fluidSpans[0]
-	c.injectFluidNotice(sp.seq, sp.end, sp.meta, 0)
 }
 
-// ackFluidSpans consumes fluid spans cumulatively acked up to upTo and
-// returns how many fluid bytes that covered — bytes the congestion
+// ackFluidSpans consumes delivered ranges cumulatively acked up to upTo
+// and returns how many fluid bytes that covered — bytes the congestion
 // controller must not be credited with.
 func (c *Conn) ackFluidSpans(upTo uint64) int {
-	if len(c.fluidSpans) == 0 {
-		return 0
-	}
-	n := 0
-	keep := c.fluidSpans[:0]
-	for _, sp := range c.fluidSpans {
-		switch {
-		case sp.end <= upTo:
-			n += int(sp.end - sp.seq)
-		case sp.seq < upTo:
-			n += int(upTo - sp.seq)
-			sp.seq = upTo
-			keep = append(keep, sp)
-		default:
-			keep = append(keep, sp)
+	n, k := 0, 0
+	for ; k < c.fluidDone && c.fluid[k].seq < upTo; k++ {
+		r := &c.fluid[k]
+		if r.end > upTo {
+			n += int(upTo - r.seq)
+			r.seq = upTo
+			break
 		}
+		n += int(r.end - r.seq)
 	}
-	c.fluidSpans = keep
+	c.fluid = slices.Delete(c.fluid, 0, k)
+	c.fluidDone -= k
 	return n
 }
 
@@ -222,8 +206,8 @@ func (c *Conn) ackFluidSpans(upTo uint64) int {
 // cwnd, governed them.
 func (c *Conn) fluidOutstanding() uint64 {
 	var n uint64
-	for _, sp := range c.fluidSpans {
-		n += sp.end - sp.seq
+	for _, r := range c.fluid[:c.fluidDone] {
+		n += r.end - r.seq
 	}
 	return n
 }

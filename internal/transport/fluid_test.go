@@ -231,3 +231,79 @@ func TestFluidDeterminism(t *testing.T) {
 		}
 	}
 }
+
+func TestFluidDemotionBetweenUnackedAndQueued(t *testing.T) {
+	// Three bulk messages with small packet-path ones between them, all
+	// queued at once. The first rides the flow engine and is delivered, but
+	// its ACK (and every later one) is held back; the second is demoted
+	// mid-flight by an impairment, with the first still unacked and the
+	// third still queued; the impairment clears and the third rides the
+	// engine again. Every message arrives exactly once, in order, and the
+	// acked byte count never runs ahead of what was handed to SendMessage.
+	p := fluidPair(t, simnet.FidelityFlow, simnet.LinkConfig{Rate: 8 * simnet.Mbps, Delay: time.Millisecond})
+	a2b := p.ha.Node().NICs()[0]
+	sizes := []int{100, 300_000, 200, 400_000, 300, 300_000, 150}
+	var got []int
+	p.hb.Listen(80, func(c *Conn) {
+		c.SetOnMessage(func(meta any, size int) {
+			i := meta.(int)
+			if i != len(got) || size != sizes[i] {
+				t.Fatalf("delivery %d is message %d with %d bytes, want message %d with %d", len(got), i, size, len(got), sizes[len(got)])
+			}
+			got = append(got, i)
+		})
+	})
+	c := p.ha.Dial(p.hb.Node().Addr(), 80, Options{MinRTO: 50 * time.Millisecond})
+	holdAcks := false
+	p.ha.Node().SetDeliver(func(pkt *simnet.Packet) {
+		if seg, ok := pkt.Payload.(*Segment); ok && holdAcks && seg.Kind == SegACK {
+			return // lost on the way back
+		}
+		p.ha.deliver(pkt)
+	})
+	var total uint64
+	for i, size := range sizes {
+		total += uint64(size)
+		c.SendMessage(i, size)
+	}
+	var tick func()
+	tick = func() {
+		if acked := c.BytesAcked(); acked > total {
+			t.Fatalf("at %v BytesAcked = %d, above the %d bytes sent", p.sched.Now(), acked, total)
+		}
+		if !c.Closed() && p.sched.Now() < 10*time.Second {
+			p.sched.After(5*time.Millisecond, tick)
+		}
+	}
+	tick()
+
+	p.sched.RunFor(200 * time.Millisecond) // message 1 is ~0.3 s of fluid at 1e6 B/s
+	holdAcks = true
+	p.sched.RunFor(300 * time.Millisecond) // message 3 has been in the engine for ~0.2 s
+	if len(got) != 3 || c.FluidCompleted() != 1 || c.FluidDemotions() != 0 {
+		t.Fatalf("before the fault: delivered %v, FluidCompleted=%d FluidDemotions=%d; want [0 1 2], 1, 0", got, c.FluidCompleted(), c.FluidDemotions())
+	}
+	// Only message 0 was acked before the hold, so everything beyond it is
+	// the active flow's analytic progress: ~0.2 s at 1e6 B/s.
+	if acked := c.BytesAcked(); acked < 100+150_000 || acked > 100+250_000 {
+		t.Fatalf("with message 1's ACK held, BytesAcked = %d, want 100 plus ~200000 of message 3 in flight", acked)
+	}
+	a2b.Impair(simnet.Impairment{LossProb: 0.01, Seed: 7})
+	p.sched.RunFor(50 * time.Millisecond)
+	if c.FluidDemotions() != 1 {
+		t.Fatalf("FluidDemotions = %d after the impairment, want 1", c.FluidDemotions())
+	}
+	holdAcks = false
+	a2b.Impair(simnet.Impairment{})
+	p.sched.Run()
+
+	if len(got) != len(sizes) {
+		t.Fatalf("delivered %v, want all %d messages", got, len(sizes))
+	}
+	if c.FluidCompleted() != 2 || c.FluidDemotions() != 1 {
+		t.Fatalf("FluidCompleted=%d FluidDemotions=%d, want 2 and 1", c.FluidCompleted(), c.FluidDemotions())
+	}
+	if c.BytesAcked() != total {
+		t.Fatalf("BytesAcked = %d at the end, want %d", c.BytesAcked(), total)
+	}
+}

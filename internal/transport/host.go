@@ -38,23 +38,22 @@ type Host struct {
 }
 
 // allocSeg pops a recycled segment (scrubbing it here, at reuse time)
-// or allocates a fresh one. The Sacks backing array is kept: it is
-// exclusively owned by the segment and reused by the next ACK.
+// or allocates a fresh one. The Sacks and Bounds backing arrays are
+// kept, emptied: each is exclusively owned by the segment — senders copy
+// message ends in (Conn.boundsIn), never alias their own list — and is
+// reused by the next ACK or DATA segment.
 func (h *Host) allocSeg() *Segment {
 	if k := len(h.segPool); k > 0 {
 		s := h.segPool[k-1]
 		h.segPool = h.segPool[:k-1]
-		*s = Segment{Sacks: s.Sacks[:0]}
+		*s = Segment{Sacks: s.Sacks[:0], Bounds: s.Bounds[:0]}
 		return s
 	}
 	return &Segment{}
 }
 
-// freeSeg returns a handled segment to the pool. Bounds is dropped
-// rather than reused: its backing array aliases the sender's segInfo
-// bookkeeping, which outlives this segment for retransmissions.
+// freeSeg returns a handled segment to the pool.
 func (h *Host) freeSeg(s *Segment) {
-	s.Bounds = nil
 	h.segPool = append(h.segPool, s) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
 }
 

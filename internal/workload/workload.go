@@ -172,12 +172,9 @@ func (g *Generator) fire() {
 
 // userLoop is one closed-loop virtual user: issue, await, think, repeat.
 func (g *Generator) userLoop() {
-	ok := g.issue(func() {
+	g.issue(func() {
 		g.sched.After(g.spec.ThinkTime, g.userLoop)
 	})
-	if !ok {
-		return
-	}
 }
 
 // issue sends one request; onDone (if non-nil) runs after its response.

@@ -138,16 +138,16 @@ type ScenarioConfig struct {
 	// Seed drives all randomness (mesh jitter; workload seeds are
 	// separate). Equal seeds give identical runs.
 	Seed int64
-	// App overrides the e-library configuration; zero selects the
-	// paper-shaped default (1 Gbps bottleneck, 2 MB LI responses). A
-	// non-zero one must be complete: start from
-	// app.DefaultELibraryConfig (BuildELibrary rejects a partial one).
+	// App varies the e-library testbed; each zero field keeps the paper's
+	// value (1 Gbps bottleneck, 2 MB LI responses, one zone, one region).
 	App app.ELibraryConfig
 }
 
 // NewScenario builds the paper's Fig. 3 testbed: the e-library on a
 // simulated single-host cluster, the mesh, the ingress classifier, and
-// whichever cross-layer optimizations cfg selects.
+// whichever cross-layer optimizations cfg selects. cfg.App need only name
+// what differs from the paper's testbed — {Zones: 3} is three zones of
+// it — and s.App.Config holds the values the build resolved.
 func NewScenario(cfg ScenarioConfig) *Scenario {
 	appCfg := cfg.App
 	appCfg.Mesh.Seed = cfg.Seed
