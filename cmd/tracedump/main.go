@@ -49,8 +49,7 @@ func main() {
 		if tree == nil {
 			continue
 		}
-		prio := tracer.RootTag(id, "priority")
-		fmt.Printf("trace %s (priority=%s, total=%v)\n", id, prio, tree.Span.Duration())
+		fmt.Printf("trace %s (priority=%s, total=%v)\n", id, tree.Span.Priority, tree.Span.Duration())
 		fmt.Print(tree.Format())
 		fmt.Print(trace.FormatCriticalPath(trace.CriticalPath(tree)))
 		fmt.Println()

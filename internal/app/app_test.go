@@ -80,8 +80,8 @@ func TestELibraryCallTree(t *testing.T) {
 		}
 	}
 	// Provenance: the root span carries the priority classification.
-	if got := e.Mesh.Tracer().RootTag(ids[0], "priority"); got != mesh.PriorityHigh {
-		t.Fatalf("root priority tag = %q", got)
+	if got := tree.Span.Priority; got != mesh.PriorityHigh {
+		t.Fatalf("root priority = %q", got)
 	}
 }
 

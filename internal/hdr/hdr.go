@@ -7,6 +7,12 @@
 // percentile queries (p50/p99) over millions of samples are exact up to
 // bucket resolution with no reservoir sampling bias — the property that
 // makes wrk2-style tail-latency reporting trustworthy.
+//
+// Memory is bounded by the octaves a histogram has seen, not by its
+// range: each power of two of values is a 512 B row of counts,
+// allocated the first time a sample lands in it, under a 504 B header.
+// A latency histogram spanning a few octaves holds about 3 KB; one
+// touching all 59 octaves holds the dense 30 KB, never more.
 package hdr
 
 import (
@@ -28,11 +34,13 @@ const maxBuckets = 64 - subBits + 1
 // Histogram records non-negative int64 values. The zero value is ready
 // to use.
 type Histogram struct {
-	counts [maxBuckets][subCount]uint64
-	total  uint64
-	sum    int64
-	min    int64
-	max    int64
+	// rows[b] holds octave b's sub-bucket counts, nil until a sample
+	// lands in it.
+	rows  [maxBuckets]*[subCount]uint64
+	total uint64
+	sum   int64
+	min   int64
+	max   int64
 }
 
 // New returns an empty histogram.
@@ -44,7 +52,7 @@ func (h *Histogram) Record(v int64) {
 		v = 0
 	}
 	b, s := bucketOf(v)
-	h.counts[b][s]++
+	h.row(b)[s]++
 	h.total++
 	h.sum += v
 	if h.total == 1 {
@@ -57,6 +65,16 @@ func (h *Histogram) Record(v int64) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// row returns octave b's counts, allocating them on first use.
+func (h *Histogram) row(b int) *[subCount]uint64 {
+	r := h.rows[b]
+	if r == nil {
+		r = new([subCount]uint64)
+		h.rows[b] = r
+	}
+	return r
 }
 
 // RecordDuration adds a duration in nanoseconds.
@@ -127,9 +145,11 @@ func (h *Histogram) Quantile(q float64) int64 {
 		rank = h.total - 1
 	}
 	var seen uint64
-	for b := 0; b < maxBuckets; b++ {
-		for s := 0; s < subCount; s++ {
-			c := h.counts[b][s]
+	for b, r := range h.rows {
+		if r == nil {
+			continue
+		}
+		for s, c := range r {
 			if c == 0 {
 				continue
 			}
@@ -159,9 +179,13 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.total == 0 {
 		return
 	}
-	for b := 0; b < maxBuckets; b++ {
-		for s := 0; s < subCount; s++ {
-			h.counts[b][s] += other.counts[b][s]
+	for b, src := range other.rows {
+		if src == nil {
+			continue
+		}
+		dst := h.row(b)
+		for s, c := range src {
+			dst[s] += c
 		}
 	}
 	if h.total == 0 {

@@ -128,7 +128,7 @@ func (c *call) maybeFallback(resp *httpsim.Response, err error) (*httpsim.Respon
 			m.metrics.Counter(MetricFallbackServedTotal,
 				metrics.Labels{"service": c.service}).Inc()
 			if c.span != nil {
-				c.span.SetTag("degraded", c.service)
+				c.span.Degraded = c.service
 			}
 		}
 	}

@@ -65,21 +65,21 @@ func (g *Gateway) Serve(req *httpsim.Request, cb func(*httpsim.Response, error))
 	}
 
 	root := &trace.Span{
-		TraceID: traceID,
-		SpanID:  m.tracer.NewSpanID(),
-		Service: "ingress-gateway",
-		Name:    req.Method + " " + req.Path,
-		Start:   m.sched.Now(),
-	}
-	root.SetTag("direction", "server")
-	if p := req.Headers.Get(HeaderPriority); p != "" {
-		root.SetTag("priority", p)
+		TraceID:  traceID,
+		SpanID:   m.tracer.NewSpanID(),
+		Service:  "ingress-gateway",
+		Name:     req.Method + " " + req.Path,
+		Start:    m.sched.Now(),
+		Priority: req.Headers.Get(HeaderPriority),
 	}
 	req.Headers.Set(trace.HeaderSpanID, formatSpanID(root.SpanID))
 
 	start := m.sched.Now()
 	g.sc.Call(req, func(resp *httpsim.Response, err error) {
 		root.End = m.sched.Now()
+		if err == nil {
+			root.Status = int32(resp.Status)
+		}
 		m.tracer.Record(root)
 		labels := metrics.Labels{"service": "ingress-gateway", "direction": "inbound"}
 		if p := req.Headers.Get(HeaderPriority); p != "" {

@@ -221,10 +221,7 @@ func (sc *Sidecar) handleInbound(ctx httpsim.Ctx, req *httpsim.Request, respond 
 				Service:  sc.service,
 				Name:     req.Method + " " + req.Path,
 				Start:    start,
-			}
-			span.SetTag("direction", "server")
-			if p := req.Headers.Get(HeaderPriority); p != "" {
-				span.SetTag("priority", p)
+				Priority: req.Headers.Get(HeaderPriority),
 			}
 			req.Headers.Set(trace.HeaderSpanID, formatSpanID(span.SpanID))
 		}
@@ -250,7 +247,7 @@ func (sc *Sidecar) handleInbound(ctx httpsim.Ctx, req *httpsim.Request, respond 
 				}
 				if span != nil {
 					span.End = m.sched.Now()
-					span.SetTag("status", fmt.Sprint(resp.Status))
+					span.Status = int32(resp.Status)
 					m.tracer.Record(span)
 				}
 				m.metrics.ObserveDuration(MetricRequestDuration,
@@ -353,9 +350,8 @@ func (sc *Sidecar) Call(req *httpsim.Request, cb func(*httpsim.Response, error))
 			Service:  sc.service,
 			Name:     "call " + service + " " + req.Path,
 			Start:    m.sched.Now(),
+			Client:   true,
 		}
-		span.SetTag("direction", "client")
-		span.SetTag("upstream", service)
 		req.Headers.Set(trace.HeaderSpanID, formatSpanID(span.SpanID))
 	}
 
@@ -613,9 +609,9 @@ func (c *call) finish(resp *httpsim.Response, err error) {
 	c.fbTimer.Cancel()
 	m := c.sc.mesh
 	resp, err = c.maybeFallback(resp, err)
-	code := "error"
+	code, status := "error", 0
 	if err == nil {
-		code = fmt.Sprintf("%dxx", resp.Status/100)
+		code, status = statusClass(resp.Status), resp.Status
 	}
 	m.metrics.Counter(MetricRequestsTotal,
 		metrics.Labels{"service": c.service, "direction": "outbound", "code": code}).Inc()
@@ -624,13 +620,25 @@ func (c *call) finish(resp *httpsim.Response, err error) {
 		m.sched.Now()-c.start)
 	if c.span != nil {
 		c.span.End = m.sched.Now()
-		c.span.SetTag("status", code)
+		c.span.Status = int32(status)
 		if c.attempts > 1 {
-			c.span.SetTag("retries", fmt.Sprint(c.attempts-1))
+			c.span.Retries = int16(c.attempts - 1)
 		}
 		m.tracer.Record(c.span)
 	}
 	c.cb(resp, err)
+}
+
+// statusClasses are the outbound counter's code labels for status
+// classes 0-9, so labelling a call formats nothing.
+var statusClasses = [...]string{"0xx", "1xx", "2xx", "3xx", "4xx", "5xx", "6xx", "7xx", "8xx", "9xx"}
+
+// statusClass returns the "<n>xx" label of an HTTP status.
+func statusClass(status int) string {
+	if c := status / 100; c >= 0 && c < len(statusClasses) {
+		return statusClasses[c]
+	}
+	return fmt.Sprintf("%dxx", status/100)
 }
 
 // clientFor returns (creating/replacing as needed) the pooled client

@@ -104,11 +104,14 @@ func (c *Collector) SlowestTraces(n int) []string {
 // hot" view.
 func (c *Collector) ServiceTotals() map[string]ServiceTotal {
 	out := make(map[string]ServiceTotal)
-	for _, s := range c.spans {
-		t := out[s.Service]
-		t.Spans++
-		t.TotalTime += s.Duration()
-		out[s.Service] = t
+	// Sums do not depend on the order traces are visited in.
+	for _, spans := range c.byTrace {
+		for _, s := range spans {
+			t := out[s.Service]
+			t.Spans++
+			t.TotalTime += s.Duration()
+			out[s.Service] = t
+		}
 	}
 	return out
 }

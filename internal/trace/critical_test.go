@@ -79,14 +79,18 @@ func TestSlowestTraces(t *testing.T) {
 
 func TestServiceTotals(t *testing.T) {
 	c := NewCollector()
-	mkSpan(c, "a", 0, "x", 0, 10*time.Millisecond)
+	a := mkSpan(c, "a", 0, "x", 0, 10*time.Millisecond)
+	mkSpan(c, "a", a.SpanID, "y", 0, 5*time.Millisecond)
 	mkSpan(c, "b", 0, "x", 0, 20*time.Millisecond)
 	mkSpan(c, "c", 0, "y", 0, 5*time.Millisecond)
 	totals := c.ServiceTotals()
 	if totals["x"].Spans != 2 || totals["x"].TotalTime != 30*time.Millisecond {
 		t.Fatalf("x totals = %+v", totals["x"])
 	}
-	if totals["y"].Spans != 1 {
+	if c.Len() != 4 {
+		t.Fatalf("len = %d, want 4", c.Len())
+	}
+	if totals["y"].Spans != 2 || totals["y"].TotalTime != 10*time.Millisecond {
 		t.Fatalf("y totals = %+v", totals["y"])
 	}
 }

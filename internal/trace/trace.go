@@ -12,6 +12,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 )
 
@@ -25,6 +26,12 @@ const (
 )
 
 // Span records one operation's execution window within a service.
+//
+// Its annotations are typed fields, not a key/value map: every hop of
+// every request records two spans and the collector keeps them all for
+// the run, so a span is one 128 B allocation (TestSpanSizeClass). The
+// callee of a client span is the second word of its Name
+// ("call <svc> <path>"), so it is not stored twice.
 type Span struct {
 	TraceID  string
 	SpanID   uint64
@@ -33,22 +40,21 @@ type Span struct {
 	Name     string
 	Start    time.Duration
 	End      time.Duration
-	Tags     map[string]string
+	// Priority is the request class the span served ("" if unclassified).
+	Priority string
+	// Degraded names the upstream whose fallback answered a client span.
+	Degraded string
+	// Status is the HTTP status returned; 0 means the call ended in an
+	// error.
+	Status int32
+	// Retries counts a client span's attempts after the first.
+	Retries int16
+	// Client marks an outbound call span; server spans leave it false.
+	Client bool
 }
 
 // Duration returns the span's elapsed time.
 func (s *Span) Duration() time.Duration { return s.End - s.Start }
-
-// SetTag attaches a key/value annotation.
-func (s *Span) SetTag(k, v string) {
-	if s.Tags == nil {
-		s.Tags = make(map[string]string)
-	}
-	s.Tags[k] = v
-}
-
-// Tag returns an annotation ("" if absent).
-func (s *Span) Tag(k string) string { return s.Tags[k] }
 
 // String renders a compact description.
 func (s *Span) String() string {
@@ -57,8 +63,8 @@ func (s *Span) String() string {
 
 // Collector stores finished spans, indexed by trace.
 type Collector struct {
-	spans   []*Span
 	byTrace map[string][]*Span
+	n       int
 	nextID  uint64
 	seq     uint64
 }
@@ -72,7 +78,21 @@ func NewCollector() *Collector {
 // runs: IDs are sequence numbers, not random UUIDs).
 func (c *Collector) NewTraceID() string {
 	c.seq++
-	return fmt.Sprintf("req-%08d", c.seq)
+	return traceID(c.seq)
+}
+
+// traceID formats seq as "req-" and at least eight zero-padded digits,
+// into a stack buffer: one allocation, the returned string.
+func traceID(seq uint64) string {
+	const prefix, width = "req-", 8
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], seq, 10)
+	var buf [len(prefix) + len(digits)]byte
+	b := append(buf[:0], prefix...)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // NewSpanID mints a span ID (never zero; zero means "no parent").
@@ -83,12 +103,12 @@ func (c *Collector) NewSpanID() uint64 {
 
 // Record stores a finished span.
 func (c *Collector) Record(s *Span) {
-	c.spans = append(c.spans, s)
+	c.n++
 	c.byTrace[s.TraceID] = append(c.byTrace[s.TraceID], s)
 }
 
 // Len returns the number of recorded spans.
-func (c *Collector) Len() int { return len(c.spans) }
+func (c *Collector) Len() int { return c.n }
 
 // Trace returns all spans of a trace, in recording order.
 func (c *Collector) Trace(id string) []*Span { return c.byTrace[id] }
@@ -185,14 +205,4 @@ func (n *TreeNode) Format() string {
 		out += fmt.Sprintf("%s %s (%v)\n", t.Span.Service, t.Span.Name, t.Span.Duration())
 	})
 	return out
-}
-
-// RootTag returns the value of tag k on the trace's root span — the
-// provenance query "what class of request ultimately caused this work".
-func (c *Collector) RootTag(id, k string) string {
-	t := c.Tree(id)
-	if t == nil {
-		return ""
-	}
-	return t.Span.Tag(k)
 }

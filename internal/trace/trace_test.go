@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func mkSpan(c *Collector, trace string, parent uint64, svc string, start, end time.Duration) *Span {
@@ -73,14 +75,13 @@ func TestTreeReconstruction(t *testing.T) {
 func TestRootTagProvenance(t *testing.T) {
 	c := NewCollector()
 	root := mkSpan(c, "t2", 0, "gateway", 0, time.Second)
-	root.SetTag("priority", "high")
-	leaf := mkSpan(c, "t2", root.SpanID, "ratings", 0, time.Second)
-	_ = leaf
-	if got := c.RootTag("t2", "priority"); got != "high" {
-		t.Fatalf("RootTag = %q, want high", got)
+	root.Priority = "high"
+	mkSpan(c, "t2", root.SpanID, "ratings", 0, time.Second)
+	if got := c.Tree("t2").Span.Priority; got != "high" {
+		t.Fatalf("root priority = %q, want high", got)
 	}
-	if got := c.RootTag("missing", "priority"); got != "" {
-		t.Fatalf("RootTag for unknown trace = %q", got)
+	if c.Tree("missing") != nil {
+		t.Fatal("unknown trace returned a tree")
 	}
 }
 
@@ -121,8 +122,25 @@ func TestSpanAccessors(t *testing.T) {
 	if s.Duration() != 2*time.Millisecond {
 		t.Fatalf("duration = %v", s.Duration())
 	}
-	s.SetTag("k", "v")
-	if s.Tag("k") != "v" || s.Tag("missing") != "" {
-		t.Fatal("tags broken")
+}
+
+// TestSpanSizeClass pins the span to the 128 B allocation size class:
+// the collector keeps two spans per hop per request for the whole run,
+// so a field added to Span must fit the budget or justify a larger one.
+func TestSpanSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Span{}); got > 128 {
+		t.Fatalf("unsafe.Sizeof(Span{}) = %d B, budget 128", got)
+	}
+}
+
+func TestTraceIDMatchesFormat(t *testing.T) {
+	for _, seq := range []uint64{0, 1, 9, 10, 12345678, 99999999, 100000000, 123456789012, 1<<64 - 1} {
+		if got, want := traceID(seq), fmt.Sprintf("req-%08d", seq); got != want {
+			t.Errorf("traceID(%d) = %q, want %q", seq, got, want)
+		}
+	}
+	c := NewCollector()
+	if got := c.NewTraceID(); got != "req-00000001" {
+		t.Fatalf("first trace id = %q", got)
 	}
 }

@@ -329,7 +329,7 @@ func (s *Scenario) TraceTrees() []string {
 			continue
 		}
 		hdr := "trace " + id
-		if p := tracer.RootTag(id, "priority"); p != "" {
+		if p := tree.Span.Priority; p != "" {
 			hdr += " (priority=" + p + ")"
 		}
 		out = append(out, hdr+"\n"+tree.Format())
