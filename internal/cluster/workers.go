@@ -12,10 +12,11 @@ import (
 // requests wait here, which is exactly the queueing the paper's §5
 // "other resources beyond the network" remark points at.
 type WorkerPool struct {
-	sched    *simnet.Scheduler
-	capacity int // <= 0: unbounded
-	busy     int
-	queue    []queued
+	sched *simnet.Scheduler
+	// capacity (<= 0: unbounded) and busy are 32-bit so the pool, one
+	// per pod, stays in the 64-byte size class beside its queue.
+	capacity, busy int32
+	queue          simnet.Queue[queued]
 
 	peakQueue int
 	executed  uint64
@@ -28,7 +29,7 @@ type queued struct {
 
 // NewWorkerPool returns a pool with the given concurrency.
 func NewWorkerPool(sched *simnet.Scheduler, capacity int) *WorkerPool {
-	return &WorkerPool{sched: sched, capacity: capacity}
+	return &WorkerPool{sched: sched, capacity: int32(capacity)}
 }
 
 // Run acquires a worker (queueing if none free), holds it for
@@ -43,9 +44,9 @@ func (w *WorkerPool) Run(serviceTime time.Duration, fn func()) {
 		w.start(serviceTime, fn)
 		return
 	}
-	w.queue = append(w.queue, queued{serviceTime, fn})
-	if len(w.queue) > w.peakQueue {
-		w.peakQueue = len(w.queue)
+	w.queue.Push(queued{serviceTime, fn})
+	if w.queue.Len() > w.peakQueue {
+		w.peakQueue = w.queue.Len()
 	}
 }
 
@@ -60,26 +61,25 @@ func (w *WorkerPool) start(serviceTime time.Duration, fn func()) {
 }
 
 func (w *WorkerPool) drain() {
-	for w.busy < w.capacity && len(w.queue) > 0 {
-		q := w.queue[0]
-		w.queue = w.queue[1:]
+	for w.busy < w.capacity && w.queue.Len() > 0 {
+		q := w.queue.Pop()
 		w.start(q.serviceTime, q.fn)
 	}
 }
 
 // Busy returns the number of occupied workers.
-func (w *WorkerPool) Busy() int { return w.busy }
+func (w *WorkerPool) Busy() int { return int(w.busy) }
 
 // Capacity returns the pool's concurrency bound (0 = unbounded).
 func (w *WorkerPool) Capacity() int {
 	if w.capacity <= 0 {
 		return 0
 	}
-	return w.capacity
+	return int(w.capacity)
 }
 
 // QueueLen returns the number of queued (not yet started) executions.
-func (w *WorkerPool) QueueLen() int { return len(w.queue) }
+func (w *WorkerPool) QueueLen() int { return w.queue.Len() }
 
 // PeakQueue returns the high-water mark of the queue.
 func (w *WorkerPool) PeakQueue() int { return w.peakQueue }

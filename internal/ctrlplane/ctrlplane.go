@@ -56,7 +56,16 @@ type Update struct {
 	Removed   []string
 	// WireBytes is the simulated encoded size.
 	WireBytes int
+	// set is the server's resource set at Version, which a subscriber
+	// that applies the update holds from then on.
+	set resourceSet
 }
+
+// resourceSet maps resource names to payloads at one server version.
+// The server builds it once per version, and every Update built at that
+// version and every Snapshot that applies one share it: it is read-only
+// once built (meshvet's ctlwrite lets only Server methods write one).
+type resourceSet map[string]any
 
 // Transport delivers updates to subscribers. Push must eventually call
 // done exactly once: ack=true for an acknowledged apply, ack=false with
@@ -188,15 +197,50 @@ type Server struct {
 	down  bool
 	// pushQ holds subscribers awaiting a transport slot; resyncQ holds
 	// unsynced subscribers awaiting a resync admission slot (FIFO).
-	pushQ     []*subscriber
-	resyncQ   []*subscriber
+	pushQ     simnet.Queue[*subscriber]
+	resyncQ   simnet.Queue[*subscriber]
 	inflightN int
 	resyncN   int
-	// fullCache shares one state-of-the-world Update per version across
-	// subscribers (resync waves would otherwise copy the whole resource
-	// set once per subscriber).
-	fullCache *Update
-	stats     Stats
+	// cache holds what the current version shares across subscribers.
+	cache versionCache
+	stats Stats
+}
+
+// versionCache is what the server builds at most once per version and
+// hands to every subscriber that needs it: the resource set, the
+// state-of-the-world update, and one delta per subscriber base version
+// (nil when that base has nothing to catch up on). A resync wave at 10k
+// subscribers thus references one copy of the world instead of 10k.
+// Updates are immutable once built — receivers only read them.
+type versionCache struct {
+	version uint64
+	set     resourceSet
+	full    *Update
+	deltas  map[uint64]*Update
+}
+
+// current returns the cache for the server's version, emptied first if
+// the version moved since it was filled.
+func (s *Server) current() *versionCache {
+	c := &s.cache
+	if c.version != s.version {
+		clear(c.deltas)
+		*c = versionCache{version: s.version, deltas: c.deltas}
+	}
+	return c
+}
+
+// currentSet returns the current version's resource set, building it on
+// first use. It is a fresh map: sets already handed out stay unchanged.
+func (s *Server) currentSet() resourceSet {
+	c := s.current()
+	if c.set == nil {
+		c.set = make(resourceSet, len(s.resOrder))
+		for _, name := range s.resOrder {
+			c.set[name] = s.resources[name].Data
+		}
+	}
+	return c.set
 }
 
 // NewServer validates cfg and returns an empty server.
@@ -218,6 +262,7 @@ func NewServer(cfg Config) *Server {
 		resources: make(map[string]*Resource),
 		removed:   make(map[string]uint64),
 		subs:      make(map[string]*subscriber),
+		cache:     versionCache{deltas: make(map[uint64]*Update)},
 	}
 }
 
@@ -405,8 +450,8 @@ func (s *Server) Crash() {
 		sub.resyncHeld = false
 		sub.attempts = 0
 	}
-	s.pushQ = nil
-	s.resyncQ = nil
+	s.pushQ.Clear()
+	s.resyncQ.Clear()
 	s.inflightN = 0
 	s.resyncN = 0
 }
@@ -476,13 +521,13 @@ func (s *Server) schedulePush(sub *subscriber) {
 	if !sub.synced && !sub.resyncHeld && s.cfg.MaxConcurrentResyncs > 0 {
 		if s.resyncN >= s.cfg.MaxConcurrentResyncs {
 			sub.resyncWait = true
-			s.resyncQ = append(s.resyncQ, sub)
+			s.resyncQ.Push(sub)
 			return
 		}
 		s.grantResync(sub)
 	}
 	sub.queued = true
-	s.pushQ = append(s.pushQ, sub)
+	s.pushQ.Push(sub)
 }
 
 // admit drains pushQ into the transport up to MaxInflightPushes.
@@ -490,39 +535,35 @@ func (s *Server) schedulePush(sub *subscriber) {
 // subscription order, preserving the classic fan-out. Capped, the
 // oldest lag goes first (lowest subscription index breaks ties).
 func (s *Server) admit() {
-	for len(s.pushQ) > 0 && (s.cfg.MaxInflightPushes == 0 || s.inflightN < s.cfg.MaxInflightPushes) {
+	for s.pushQ.Len() > 0 && (s.cfg.MaxInflightPushes == 0 || s.inflightN < s.cfg.MaxInflightPushes) {
 		var sub *subscriber
 		if s.cfg.MaxInflightPushes == 0 {
-			sub = s.pushQ[0]
-			s.pushQ = s.pushQ[1:]
+			sub = s.pushQ.Pop()
 		} else {
+			waiting := s.pushQ.Waiting()
 			best := -1
 			var bestLag uint64
-			for i, cand := range s.pushQ {
+			for i, cand := range waiting {
 				if !cand.queued {
 					continue // dropped while queued (unsubscribe, lease revoke)
 				}
 				lag := s.version - cand.version
 				if best == -1 || lag > bestLag ||
-					(lag == bestLag && cand.idx < s.pushQ[best].idx) {
+					(lag == bestLag && cand.idx < waiting[best].idx) {
 					best, bestLag = i, lag
 				}
 			}
 			if best == -1 {
-				s.pushQ = s.pushQ[:0]
+				s.pushQ.Clear()
 				return
 			}
-			sub = s.pushQ[best]
-			s.pushQ = append(s.pushQ[:best], s.pushQ[best+1:]...)
+			sub = s.pushQ.Remove(best)
 		}
 		if !sub.queued {
 			continue
 		}
 		sub.queued = false
 		s.pushTo(sub)
-	}
-	if len(s.pushQ) == 0 && s.pushQ != nil {
-		s.pushQ = nil // release the drained backing array
 	}
 }
 
@@ -551,7 +592,7 @@ func (s *Server) grantResync(sub *subscriber) {
 		}
 		if !sub.inflight && !sub.retryArmed {
 			sub.resyncWait = true
-			s.resyncQ = append(s.resyncQ, sub)
+			s.resyncQ.Push(sub)
 		}
 		s.admitResyncs()
 	})
@@ -572,17 +613,13 @@ func (s *Server) releaseResync(sub *subscriber) {
 // admitResyncs grants freed resync slots to the FIFO queue, then lets
 // the push queue admit any newly eligible work.
 func (s *Server) admitResyncs() {
-	for len(s.resyncQ) > 0 && (s.cfg.MaxConcurrentResyncs == 0 || s.resyncN < s.cfg.MaxConcurrentResyncs) {
-		sub := s.resyncQ[0]
-		s.resyncQ = s.resyncQ[1:]
+	for s.resyncQ.Len() > 0 && (s.cfg.MaxConcurrentResyncs == 0 || s.resyncN < s.cfg.MaxConcurrentResyncs) {
+		sub := s.resyncQ.Pop()
 		if !sub.resyncWait {
 			continue
 		}
 		sub.resyncWait = false
 		s.schedulePush(sub)
-	}
-	if len(s.resyncQ) == 0 && s.resyncQ != nil {
-		s.resyncQ = nil
 	}
 	s.admit()
 }
@@ -731,14 +768,21 @@ func (s *Server) sampleLag(sub *subscriber) {
 
 // buildUpdate encodes sub's catch-up: full state for unsynced
 // subscribers (or in FullState mode), otherwise the delta since its
-// acknowledged version. Returns nil when the delta is empty.
+// acknowledged version. Returns nil when the delta is empty. Every
+// synced subscriber at one base gets the same delta, so it is built
+// once per (base, version) and shared.
 func (s *Server) buildUpdate(sub *subscriber) *Update {
 	if !sub.synced || s.cfg.FullState {
 		return s.fullUpdate()
 	}
-	u := &Update{BaseVersion: sub.version, Version: s.version, WireBytes: updateHeaderBytes}
+	base := sub.version
+	c := s.current()
+	if u, ok := c.deltas[base]; ok {
+		return u
+	}
+	u := &Update{BaseVersion: base, Version: s.version, WireBytes: updateHeaderBytes}
 	for _, name := range s.resOrder {
-		if res := s.resources[name]; res.Version > sub.version {
+		if res := s.resources[name]; res.Version > base {
 			u.Resources = append(u.Resources, *res)
 			u.WireBytes += resourceHeaderBytes + res.Bytes
 		}
@@ -749,33 +793,34 @@ func (s *Server) buildUpdate(sub *subscriber) *Update {
 	}
 	sort.Strings(removed)
 	for _, name := range removed {
-		if s.removed[name] > sub.version {
+		if s.removed[name] > base {
 			u.Removed = append(u.Removed, name)
 			u.WireBytes += resourceHeaderBytes + len(name)
 		}
 	}
 	if len(u.Resources) == 0 && len(u.Removed) == 0 {
-		return nil
+		u = nil
+	} else {
+		u.set = s.currentSet()
 	}
+	c.deltas[base] = u
 	return u
 }
 
 // fullUpdate returns the state-of-the-world update for the current
-// version. The result is shared across callers (and cached until the
-// next version bump): a 10k-subscriber resync wave references one
-// Update instead of 10k copies of the entire resource set. Updates are
-// immutable once built — receivers only read them.
+// version, built once and shared.
 func (s *Server) fullUpdate() *Update {
-	if s.fullCache != nil && s.fullCache.Version == s.version {
-		return s.fullCache
+	c := s.current()
+	if c.full != nil {
+		return c.full
 	}
-	u := &Update{Full: true, Version: s.version, WireBytes: updateHeaderBytes}
+	u := &Update{Full: true, Version: s.version, WireBytes: updateHeaderBytes, set: s.currentSet()}
 	for _, name := range s.resOrder {
 		res := s.resources[name]
 		u.Resources = append(u.Resources, *res)
 		u.WireBytes += resourceHeaderBytes + res.Bytes
 	}
-	s.fullCache = u
+	c.full = u
 	return u
 }
 

@@ -1,6 +1,7 @@
 package ctrlplane
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -223,22 +224,88 @@ func TestChangeDuringInflightCoalesces(t *testing.T) {
 	}
 }
 
+// A delta from another base is NACKed and leaves the snapshot as it
+// was — version and contents; the delta from its own base installs the
+// server's state, and a full update applies whatever the base.
 func TestSnapshotNacksBaseMismatch(t *testing.T) {
+	_, _, srv := newTestServer(t, false)
+	srv.SetResource("a", 1, 100)
+	srv.SetResource("b", 2, 100)
 	snap := NewSnapshot()
-	if ok := snap.Apply(&Update{Full: true, Version: 3, Resources: []Resource{{Name: "a", Data: 1}}}); !ok {
-		t.Fatalf("full apply failed")
+	if !snap.Apply(srv.Subscribe("s1")) || snap.Version != 2 {
+		t.Fatalf("bootstrap: version=%d", snap.Version)
 	}
-	if ok := snap.Apply(&Update{BaseVersion: 2, Version: 5}); ok {
-		t.Fatalf("delta with stale base applied")
+	srv.SetResource("a", 3, 100)
+	srv.RemoveResource("b")
+	if snap.Apply(srv.buildUpdate(&subscriber{synced: true, version: 3})) {
+		t.Fatalf("delta from base 3 applied to a snapshot at 2")
 	}
-	if snap.Version != 3 {
-		t.Fatalf("NACKed delta mutated snapshot: version=%d", snap.Version)
+	if snap.Version != 2 || snap.Get("a") != 1 || snap.Get("b") != 2 {
+		t.Fatalf("NACKed delta changed the snapshot: version=%d a=%v b=%v", snap.Version, snap.Get("a"), snap.Get("b"))
 	}
-	if ok := snap.Apply(&Update{BaseVersion: 3, Version: 5, Removed: []string{"a"}}); !ok {
-		t.Fatalf("matching delta rejected")
+	if !snap.Apply(srv.buildUpdate(&subscriber{synced: true, version: 2})) {
+		t.Fatalf("delta from the snapshot's own base rejected")
 	}
-	if snap.Get("a") != nil || snap.Version != 5 {
-		t.Fatalf("delta not applied: %+v", snap)
+	if snap.Version != 4 || snap.Get("a") != 3 || snap.Get("b") != nil {
+		t.Fatalf("delta not applied: version=%d a=%v b=%v", snap.Version, snap.Get("a"), snap.Get("b"))
+	}
+	srv.SetResource("b", 5, 100)
+	old := NewSnapshot()
+	if !old.Apply(srv.fullUpdate()) || old.Version != 5 || old.Get("a") != 3 || old.Get("b") != 5 {
+		t.Fatalf("full update on an empty snapshot: version=%d a=%v b=%v", old.Version, old.Get("a"), old.Get("b"))
+	}
+}
+
+// syncTransport applies each push and calls done before Push returns,
+// which the Transport contract allows: every ack re-enters admit (and,
+// with a resync cap, admitResyncs) in the middle of the outer loop.
+type syncTransport struct {
+	snaps map[string]*Snapshot
+	order []string
+}
+
+func (f *syncTransport) Push(sub string, u *Update, done func(bool, error)) {
+	f.order = append(f.order, sub)
+	done(f.snaps[sub].Apply(u), nil)
+}
+
+// With a synchronous transport a resync wave and the delta round after
+// it still push each subscriber exactly once, in subscription order,
+// and leave both queues and both slot counts empty.
+func TestAdmitReentrantTransport(t *testing.T) {
+	names := []string{"s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"}
+	for _, caps := range [][2]int{{0, 0}, {0, 2}, {2, 2}, {3, 0}} {
+		sched := simnet.NewScheduler()
+		tr := &syncTransport{snaps: make(map[string]*Snapshot)}
+		srv := NewServer(Config{
+			Sched: sched, Transport: tr, Debounce: 10 * time.Millisecond,
+			MaxInflightPushes: caps[0], MaxConcurrentResyncs: caps[1],
+		})
+		srv.SetResource("a", "a1", 100)
+		for _, n := range names {
+			tr.snaps[n] = NewSnapshot()
+			tr.snaps[n].Apply(srv.Subscribe(n))
+		}
+		srv.Crash()
+		srv.SetResource("a", "a2", 100)
+		srv.Recover()
+		sched.RunFor(time.Second)
+		srv.SetResource("b", "b1", 100)
+		sched.RunFor(time.Second)
+
+		want := append(slices.Clone(names), names...)
+		if !slices.Equal(tr.order, want) {
+			t.Fatalf("caps %v: push order %v, want %v", caps, tr.order, want)
+		}
+		for _, n := range names {
+			if !srv.Current(n) || tr.snaps[n].Get("a") != "a2" || tr.snaps[n].Get("b") != "b1" {
+				t.Fatalf("caps %v: %s not converged", caps, n)
+			}
+		}
+		if srv.pushQ.Len() != 0 || srv.resyncQ.Len() != 0 || srv.inflightN != 0 || srv.resyncN != 0 {
+			t.Fatalf("caps %v: queues %d/%d, slots %d/%d after drain", caps,
+				srv.pushQ.Len(), srv.resyncQ.Len(), srv.inflightN, srv.resyncN)
+		}
 	}
 }
 

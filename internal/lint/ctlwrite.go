@@ -24,26 +24,32 @@ import (
 // Snapshot, and ewSummaryTable (PR 7: a regional control plane's
 // learned view of peer-region capacity — the east-west routing state
 // the failover ladder spills onto, mutable only through the summary
-// push path), plus the Sidecar.ctrl agent pointer. Methods of the
-// owning type may mutate it (that is the push path); everyone else
-// needs a //meshvet:allow ctlwrite with justification — e.g.
-// instant-propagation registration installing the bootstrap snapshot.
+// push path), plus the Sidecar.ctrl agent pointer, plus the elements of
+// a resourceSet (one server version's resources, which every Snapshot
+// at that version shares, so only the Server building it may fill it —
+// a write from a Snapshot method would change every subscriber at that
+// version at once). Methods of the owning type may mutate it (that is
+// the push path); everyone else needs a //meshvet:allow ctlwrite with
+// justification — e.g. instant-propagation registration installing the
+// bootstrap snapshot.
 var Ctlwrite = &Analyzer{
 	Name: "ctlwrite",
 	Doc:  "flag direct mutation of sidecar routing state outside the control-plane push path",
 	Run:  runCtlwrite,
 }
 
-// ctlProtectedTypes maps each struct type whose fields form the
+// ctlProtectedTypes maps each type whose fields or elements form the
 // distributed routing state to the receiver type whose methods may
 // write it: the type itself, except servicePolicy, which belongs to
-// the ControlPlane whose setters edit it.
+// the ControlPlane whose setters edit it, and resourceSet, which
+// belongs to the Server that builds one per version.
 var ctlProtectedTypes = map[string]string{
 	"ControlPlane":   "ControlPlane",
 	"servicePolicy":  "ControlPlane",
 	"sidecarAgent":   "sidecarAgent",
 	"Snapshot":       "Snapshot",
 	"ewSummaryTable": "ewSummaryTable",
+	"resourceSet":    "Server",
 }
 
 // ctlPkgAllowed limits name matching to the packages that actually
@@ -119,6 +125,13 @@ func checkCtlFunc(pass *Pass, fn *ast.FuncDecl) {
 			}
 		case *ast.IncDecStmt:
 			checkCtlWrite(pass, recv, n, n.X)
+		case *ast.CallExpr:
+			// delete(m, k) and clear(m) write m's elements, as m[k] = v does.
+			if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(n.Args) > 0 {
+				if _, builtin := pass.Info.Uses[id].(*types.Builtin); builtin {
+					checkCtlWrite(pass, recv, n, &ast.IndexExpr{X: n.Args[0]})
+				}
+			}
 		}
 		return true
 	})
@@ -126,13 +139,18 @@ func checkCtlFunc(pass *Pass, fn *ast.FuncDecl) {
 
 // checkCtlWrite walks the written expression root-wards. A write lands
 // in protected state when any step dereferences into a protected type
-// (sel.field, ptr deref, or an index into a protected container field).
+// (sel.field, ptr deref, an index into a value of a protected type, or
+// an index into a protected container field).
 func checkCtlWrite(pass *Pass, recv string, n ast.Node, target ast.Expr) {
 	for {
 		switch t := target.(type) {
 		case *ast.ParenExpr:
 			target = t.X
 		case *ast.IndexExpr:
+			if name, ok := ctlProtected(pass, t.X, recv); ok {
+				reportCtl(pass, n, name)
+				return
+			}
 			target = t.X
 		case *ast.StarExpr:
 			if name, ok := ctlProtected(pass, t.X, recv); ok {

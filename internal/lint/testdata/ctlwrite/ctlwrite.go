@@ -17,10 +17,33 @@ type servicePolicy struct {
 	Authz map[string]bool
 }
 
-// Snapshot mirrors ctrlplane.Snapshot: a sidecar's last-acked state.
+// Snapshot mirrors ctrlplane.Snapshot: a sidecar's last-acked state,
+// the resource set of that version, shared with every other snapshot
+// at it.
 type Snapshot struct {
-	Version   uint64
-	Resources map[string]any
+	Version uint64
+	set     resourceSet
+}
+
+// resourceSet mirrors ctrlplane.resourceSet: one server version's
+// resources, built by the Server and read-only once handed out.
+type resourceSet map[string]any
+
+// Server mirrors ctrlplane.Server, the owner of every resourceSet.
+type Server struct {
+	set resourceSet
+}
+
+// buildSet is the sanctioned way to make a set: a Server method
+// filling a fresh one.
+func (s *Server) buildSet(res map[string]any) resourceSet {
+	set := make(resourceSet, len(res))
+	for k, v := range res {
+		set[k] = v
+	}
+	delete(set, "tombstoned")
+	s.set = set
+	return set
 }
 
 // sidecarAgent mirrors mesh.sidecarAgent.
@@ -51,24 +74,37 @@ func (cp *ControlPlane) SetRetry(svc string, n int) {
 	edit(func(pol *servicePolicy) { pol.Retry = &n })
 }
 
-// Apply is likewise sanctioned: Snapshot methods maintain the snapshot.
-func (s *Snapshot) Apply(version uint64, res map[string]any) {
+// Apply is likewise sanctioned: Snapshot methods maintain the snapshot,
+// installing a set by swapping the field.
+func (s *Snapshot) Apply(version uint64, set resourceSet) {
 	s.Version = version
+	s.set = set
+}
+
+// patch shows that owning the snapshot is not owning its set: writing
+// into it in place would change every snapshot at that version.
+func (s *Snapshot) patch(res map[string]any, removed []string) {
 	for k, v := range res {
-		s.Resources[k] = v
+		s.set[k] = v // want "direct write to resourceSet routing state"
 	}
+	for _, k := range removed {
+		delete(s.set, k) // want "direct write to resourceSet routing state"
+	}
+	clear(s.set) // want "direct write to resourceSet routing state"
 }
 
 // rogue pokes routing state from outside the push path: every write
 // below must be flagged.
 func rogue(cp *ControlPlane, sc *Sidecar, snap *Snapshot) {
-	cp.routes["backend"] = "v2"       // want "direct write to ControlPlane routing state"
-	cp.version++                      // want "direct write to ControlPlane routing state"
-	sc.ctrl = nil                     // want "direct write to Sidecar.ctrl"
-	sc.ctrl.snap = snap               // want "direct write to sidecarAgent routing state"
-	snap.Version = 7                  // want "direct write to Snapshot routing state"
-	*snap = Snapshot{}                // want "direct write to Snapshot routing state"
-	snap.Resources["backend"] = "eps" // want "direct write to Snapshot routing state"
+	cp.routes["backend"] = "v2"  // want "direct write to ControlPlane routing state"
+	cp.version++                 // want "direct write to ControlPlane routing state"
+	sc.ctrl = nil                // want "direct write to Sidecar.ctrl"
+	sc.ctrl.snap = snap          // want "direct write to sidecarAgent routing state"
+	snap.Version = 7             // want "direct write to Snapshot routing state"
+	*snap = Snapshot{}           // want "direct write to Snapshot routing state"
+	snap.set["backend"] = "eps"  // want "direct write to resourceSet routing state"
+	snap.set = nil               // want "direct write to Snapshot routing state"
+	delete(cp.routes, "backend") // want "direct write to ControlPlane routing state"
 }
 
 // roguePolicy edits a store entry behind the control plane's back: the

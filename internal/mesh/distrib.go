@@ -710,7 +710,7 @@ func (a *sidecarAgent) applyUpdate(u *ctrlplane.Update) bool { return a.snap.App
 // state returns the snapshotted routing state for service, or nil when
 // this sidecar has never been told about it.
 func (a *sidecarAgent) state(service string) *serviceState {
-	if v, ok := a.snap.Resources[service]; ok {
+	if v := a.snap.Get(service); v != nil {
 		return v.(*serviceState)
 	}
 	return nil
