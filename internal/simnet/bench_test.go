@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -255,4 +256,27 @@ func BenchmarkRouteLeaf(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkRouteGrowth measures pod attach the way bulk_fanin and E20
+// build their fleets: 40 bridges under one root, 100 pods each, every
+// pod attached and then resolving its next hop toward its bridge's
+// first pod. One op grows the whole 4 000-pod fleet (node names are
+// made beforehand); ns/pod and allocs/pod are its cost per pod.
+func BenchmarkRouteGrowth(b *testing.B) {
+	const zones, pods = 40, 100
+	names := fleetNames(zones, pods)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		podFleet(b, names)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	n := float64(b.N * zones * pods)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/pod")
+	b.ReportMetric(float64(ms.Mallocs-mallocs)/n, "allocs/pod")
 }

@@ -48,9 +48,12 @@ func (l *Link) B() *NIC { return l.b }
 // ID returns the link's index within its Network.
 func (l *Link) ID() int { return l.id }
 
-// SetWeight overrides the link's routing cost (default 1). Routes must
-// be recomputed with Network.ComputeRoutes to take effect.
-func (l *Link) SetWeight(w float64) { l.weight = w }
+// SetWeight overrides the link's routing cost (default 1). Routing
+// follows the new cost from the next packet on.
+func (l *Link) SetWeight(w float64) {
+	l.weight = w
+	l.net.dirty = true
+}
 
 // String identifies the link by its endpoints.
 func (l *Link) String() string {

@@ -18,10 +18,14 @@ type Network struct {
 	byAddr map[Addr]*Node
 	byName map[string]*Node
 
-	// routes[src][dstID] = egress NIC. Rows are built lazily on first
-	// use (see nextHop) and all invalidated together on topology change,
-	// so a 10k-node topology never pays for the all-pairs table — and a
-	// single-homed node never gets a row at all, it reads its neighbour's.
+	// routes[src][dstID] = egress NIC over the transit graph: the nodes
+	// with two or more NICs. Only a transit node has a row, only transit
+	// nodes are searched through, and only a transit destination's entry
+	// is read; a single-homed node on either end is resolved through its
+	// neighbour (see nextHop). Rows are built lazily on first use and all
+	// invalidated together when the transit graph changes (see Connect),
+	// so a 10k-node topology never pays for the all-pairs table and
+	// attaching a pod to a bridge costs no row at all.
 	routes [][]*NIC
 	dirty  bool
 
@@ -109,19 +113,27 @@ func (n *Network) notifyDrop(p *Packet, at *NIC) {
 	}
 }
 
-// AddNode creates a node with an auto-assigned address in 10.0.0.0/16.
-// Names must be unique.
+// maxNodes is how many nodes 10.0.0.0/8 numbers, network and broadcast
+// addresses excluded.
+const maxNodes = 1<<24 - 2
+
+// AddNode creates a node with an auto-assigned address: the node with
+// ID i gets 10.0.0.0 + i + 1, so the first 65 535 fill 10.0.0.0/16 and
+// the rest continue through 10.0.0.0/8. Names must be unique. A node
+// without links changes no route.
 func (n *Network) AddNode(name string) *Node {
 	if _, dup := n.byName[name]; dup {
 		panic(fmt.Sprintf("simnet: duplicate node name %q", name))
 	}
 	id := len(n.nodes)
-	addr := AddrFromOctets(10, 0, byte((id+1)>>8), byte(id+1))
+	if id == maxNodes {
+		panic(fmt.Sprintf("simnet: node %q would be number %d; 10.0.0.0/8 holds %d", name, id+1, maxNodes))
+	}
+	addr := AddrFromOctets(10, 0, 0, 0) + Addr(id+1)
 	node := &Node{id: id, name: name, addr: addr, net: n}
 	n.nodes = append(n.nodes, node)
 	n.byAddr[addr] = node
 	n.byName[name] = node
-	n.dirty = true
 	return node
 }
 
@@ -138,12 +150,21 @@ func (n *Network) Nodes() []*Node { return n.nodes }
 func (n *Network) Links() []*Link { return n.links }
 
 // Connect joins two nodes with a full-duplex link.
+//
+// Hanging a node without links off a transit node, or pairing two nodes
+// without links, keeps every route row: the transit graph is unchanged
+// (a row never holds a leaf, and the transit node's new NIC leads only
+// to one). Any other link — a leaf's second, or one between nodes that
+// already have links — can shorten a transit path, so it drops the rows.
 func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	if cfg.Rate <= 0 {
 		panic("simnet: link rate must be positive")
 	}
 	if a == b {
 		panic("simnet: cannot link a node to itself")
+	}
+	if !(len(a.nics) == 0 && len(b.nics) != 1 || len(b.nics) == 0 && len(a.nics) != 1) {
+		n.dirty = true
 	}
 	l := &Link{id: len(n.links), cfg: cfg, net: n, weight: 1}
 	na := &NIC{node: a, link: l, qdisc: NewFIFO(cfg.QueueBytes)}
@@ -153,7 +174,6 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	a.nics = append(a.nics, na)
 	b.nics = append(b.nics, nb)
 	n.links = append(n.links, l)
-	n.dirty = true
 	return l
 }
 
@@ -192,12 +212,13 @@ func (n *Network) freePacket(p *Packet) {
 // ComputeRoutes (re)builds every next-hop row routing reads, using
 // Dijkstra with link weights as costs. Routing itself builds rows on
 // demand (see nextHop); this eager form remains for callers that want
-// the tables up front. Single-homed nodes have no row: nextHop answers
-// for them from their neighbour's.
+// the tables up front. Only transit nodes have rows: nextHop answers for
+// a single-homed node from its neighbour's, and a node without links
+// reaches nothing.
 func (n *Network) ComputeRoutes() {
 	n.invalidateRoutes()
 	for _, src := range n.nodes {
-		if len(src.nics) != 1 {
+		if len(src.nics) >= 2 {
 			n.row(src)
 		}
 	}
@@ -223,7 +244,7 @@ func (n *Network) nextHop(from *Node, dst Addr) *NIC {
 		n.invalidateRoutes()
 	}
 	dn, ok := n.byAddr[dst]
-	if !ok {
+	if !ok || dn == from {
 		return nil
 	}
 	if len(from.nics) == 1 {
@@ -232,19 +253,46 @@ func (n *Network) nextHop(from *Node, dst Addr) *NIC {
 		// neighbour reaches — which is what its own Dijkstra row would say
 		// (link weights are finite, and a path from the neighbour back
 		// through from only returns to the neighbour, so the neighbour's
-		// row is the same with from in the graph). A single-homed neighbour
-		// is the other half of an isolated pair and reaches nothing further.
+		// row is the same with from in the graph).
 		nic := from.nics[0]
-		nb := nic.peer.node
-		if dn == from || (dn != nb && (len(nb.nics) == 1 || n.row(nb)[dn.id] == nil)) {
+		if nb := nic.peer.node; dn != nb && n.transitHop(nb, dn) == nil {
 			return nil
 		}
 		return nic
 	}
+	return n.transitHop(from, dn)
+}
+
+// transitHop is nextHop for a source that is not single-homed, dn !=
+// from. A node without links reaches nothing, and neither does the
+// single-homed neighbour of a single-homed source (an isolated pair).
+// A single-homed destination is reached over its only link, so the way
+// to it is the way to its neighbour — the NIC onto that link when from
+// is the neighbour, nothing when the neighbour is single-homed too, and
+// from's row entry for the neighbour otherwise. That is exactly what a
+// row that searched through leaves would hold: a leaf relaxes nothing
+// (its one neighbour is already done when it pops), and it takes its
+// neighbour's first hop, final by then, as its own.
+func (n *Network) transitHop(from, dn *Node) *NIC {
+	if len(from.nics) < 2 {
+		return nil
+	}
+	switch len(dn.nics) {
+	case 0:
+		return nil
+	case 1:
+		nic := dn.nics[0].peer
+		if nic.node == from {
+			return nic
+		}
+		if dn = nic.node; len(dn.nics) == 1 {
+			return nil
+		}
+	}
 	return n.row(from)[dn.id]
 }
 
-// row returns src's next-hop row, building it on first use.
+// row returns transit node src's next-hop row, building it on first use.
 func (n *Network) row(src *Node) []*NIC {
 	r := n.routes[src.id]
 	if r == nil {
@@ -254,7 +302,9 @@ func (n *Network) row(src *Node) []*NIC {
 	return r
 }
 
-// dijkstra returns, for each destination node ID, the egress NIC at src.
+// dijkstra returns, for each transit destination's node ID, the egress
+// NIC at src. It never relaxes into a single-homed node: transitHop
+// answers for those, so entries for leaves stay nil.
 func (n *Network) dijkstra(src *Node) []*NIC {
 	const inf = math.MaxFloat64
 	if cap(n.dist) < len(n.nodes) {
@@ -279,6 +329,9 @@ func (n *Network) dijkstra(src *Node) []*NIC {
 		cur := n.nodes[nd.id]
 		for _, nic := range cur.nics {
 			next := nic.peer.node
+			if len(next.nics) == 1 {
+				continue
+			}
 			w := nic.link.weight
 			if nd.dist+w < dist[next.id] {
 				dist[next.id] = nd.dist + w
@@ -300,10 +353,19 @@ type nodeDist struct {
 	dist float64
 }
 
-// distHeap is a binary min-heap on dist. push and pop sift exactly as
-// container/heap does, so equal-distance nodes leave in the order they
-// always have and equal-cost routes keep their historical first hop;
-// the typed slice spares the interface boxing of every push and pop.
+// before orders queue entries by (dist, id). A node is pushed again only
+// at a strictly lower dist, so no two entries tie: the order is total.
+func (x nodeDist) before(y nodeDist) bool {
+	return x.dist < y.dist || x.dist == y.dist && x.id < y.id
+}
+
+// distHeap is a binary min-heap on (dist, id), typed to spare the
+// interface boxing of container/heap. Under a total order the pop
+// sequence is a function of the entries pushed, not of the heap's shape,
+// like the scheduler's (at, seq); equal-cost first hops therefore do not
+// depend on which leaves a search happened to queue. Ordered on dist
+// alone they did: with leaves skipped, seed 3 of
+// TestNextHopMatchesReference routes sw3 to sw1 via leaf5, not multi10.
 type distHeap []nodeDist
 
 func (h *distHeap) push(x nodeDist) {
@@ -311,7 +373,7 @@ func (h *distHeap) push(x nodeDist) {
 	*h = q
 	for j := len(q) - 1; j > 0; {
 		i := (j - 1) / 2 // parent
-		if !(q[j].dist < q[i].dist) {
+		if !q[j].before(q[i]) {
 			break
 		}
 		q[i], q[j] = q[j], q[i]
@@ -328,10 +390,10 @@ func (h *distHeap) pop() nodeDist {
 		if j >= n {
 			break
 		}
-		if r := j + 1; r < n && q[r].dist < q[j].dist {
+		if r := j + 1; r < n && q[r].before(q[j]) {
 			j = r
 		}
-		if !(q[j].dist < q[i].dist) {
+		if !q[j].before(q[i]) {
 			break
 		}
 		q[i], q[j] = q[j], q[i]

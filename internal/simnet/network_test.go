@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -103,34 +104,41 @@ func TestMultiHopForwarding(t *testing.T) {
 	}
 }
 
+// TestShortestPathPrefersLowWeight: a reweighted link reroutes, both
+// with the rows recomputed eagerly and with only the lazily built row
+// the first packet left behind.
 func TestShortestPathPrefersLowWeight(t *testing.T) {
-	s := NewScheduler()
-	net := NewNetwork(s)
-	a := net.AddNode("a")
-	b := net.AddNode("b")
-	mid := net.AddNode("mid")
-	direct := net.Connect(a, b, LinkConfig{Rate: Mbps})
-	net.Connect(a, mid, LinkConfig{Rate: Gbps})
-	net.Connect(mid, b, LinkConfig{Rate: Gbps})
+	for _, eager := range []bool{true, false} {
+		s := NewScheduler()
+		net := NewNetwork(s)
+		a := net.AddNode("a")
+		b := net.AddNode("b")
+		mid := net.AddNode("mid")
+		direct := net.Connect(a, b, LinkConfig{Rate: Mbps})
+		net.Connect(a, mid, LinkConfig{Rate: Gbps})
+		net.Connect(mid, b, LinkConfig{Rate: Gbps})
 
-	// Default weights: direct (1 hop) beats a->mid->b (2 hops).
-	b.SetDeliver(func(p *Packet) {})
-	a.Inject(mkPacket(net, a, b, 100))
-	s.Run()
-	if direct.A().TxPackets() != 1 {
-		t.Fatal("direct link not used when cheapest")
-	}
+		// Default weights: direct (1 hop) beats a->mid->b (2 hops).
+		b.SetDeliver(func(p *Packet) {})
+		a.Inject(mkPacket(net, a, b, 100))
+		s.Run()
+		if direct.A().TxPackets() != 1 {
+			t.Fatalf("eager=%v: direct link not used when cheapest", eager)
+		}
 
-	// Penalize the direct link; the two-hop path wins.
-	direct.SetWeight(10)
-	net.ComputeRoutes()
-	a.Inject(mkPacket(net, a, b, 100))
-	s.Run()
-	if direct.A().TxPackets() != 1 {
-		t.Fatal("direct link used despite weight penalty")
-	}
-	if mid.forwarded != 1 {
-		t.Fatal("two-hop path not used after reweighting")
+		// Penalize the direct link; the two-hop path wins.
+		direct.SetWeight(10)
+		if eager {
+			net.ComputeRoutes()
+		}
+		a.Inject(mkPacket(net, a, b, 100))
+		s.Run()
+		if direct.A().TxPackets() != 1 {
+			t.Fatalf("eager=%v: direct link used despite weight penalty", eager)
+		}
+		if mid.forwarded != 1 {
+			t.Fatalf("eager=%v: two-hop path not used after reweighting", eager)
+		}
 	}
 }
 
@@ -207,6 +215,33 @@ func TestAddrString(t *testing.T) {
 	a := AddrFromOctets(10, 0, 1, 2)
 	if a.String() != "10.0.1.2" {
 		t.Fatalf("Addr.String() = %q", a.String())
+	}
+}
+
+// TestAddressesPast65535: numbering runs on through 10.0.0.0/8 once
+// 10.0.0.0/16 is full, the first 65 535 nodes keep the addresses they
+// always had, and every address is distinct and resolves to its node.
+func TestAddressesPast65535(t *testing.T) {
+	const nodes = 70000
+	net := NewNetwork(NewScheduler())
+	for i := 0; i < nodes; i++ {
+		net.AddNode(strconv.Itoa(i))
+	}
+	if len(net.byAddr) != nodes {
+		t.Fatalf("%d nodes hold %d distinct addresses", nodes, len(net.byAddr))
+	}
+	for _, n := range net.nodes {
+		if got := net.NodeByAddr(n.addr); got != n {
+			t.Fatalf("NodeByAddr(%v) = %v, want %v", n.addr, got, n)
+		}
+	}
+	for _, c := range []struct {
+		id   int
+		want string
+	}{{0, "10.0.0.1"}, {255, "10.0.1.0"}, {65534, "10.0.255.255"}, {65535, "10.1.0.0"}, {nodes - 1, "10.1.17.112"}} {
+		if got := net.nodes[c.id].addr.String(); got != c.want {
+			t.Fatalf("node %d has address %s, want %s", c.id, got, c.want)
+		}
 	}
 }
 
