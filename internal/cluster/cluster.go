@@ -86,8 +86,9 @@ type Pod struct {
 // Name returns the pod name.
 func (p *Pod) Name() string { return p.name }
 
-// Labels returns the pod's label map (callers must not mutate: service
-// membership was derived from it at AddPod).
+// Labels returns the pod's label map. Pods with equal label sets share
+// one map, so callers must not mutate it (that would relabel every pod
+// holding it, and service membership was derived from it at AddPod).
 func (p *Pod) Labels() map[string]string { return p.labels }
 
 // Services returns the services selecting this pod, sorted by name
@@ -202,6 +203,9 @@ type Cluster struct {
 	zoneOrder   []string
 	regions     map[string]*region
 	regionOrder []string
+	// labelSets holds pod label maps keyed by their sum of labelHash: pods
+	// with equal label sets share one map, never written once built.
+	labelSets map[uint64]map[string]string
 	// onTopology, if set, runs after every discovery-relevant change
 	// with the pod that changed: a pod added or a readiness flip. The
 	// simulated control plane subscribes here to learn about churn.
@@ -234,13 +238,14 @@ type region struct {
 // New builds a cluster with a bridge node named "bridge".
 func New(net *simnet.Network) *Cluster {
 	return &Cluster{
-		net:      net,
-		sched:    net.Scheduler(),
-		bridge:   net.AddNode("bridge"),
-		pods:     make(map[string]*Pod),
-		services: make(map[string]*Service),
-		zones:    make(map[string]*zone),
-		regions:  make(map[string]*region),
+		net:       net,
+		sched:     net.Scheduler(),
+		bridge:    net.AddNode("bridge"),
+		pods:      make(map[string]*Pod),
+		services:  make(map[string]*Service),
+		zones:     make(map[string]*zone),
+		regions:   make(map[string]*region),
+		labelSets: make(map[uint64]map[string]string),
 	}
 }
 
@@ -438,19 +443,7 @@ func (c *Cluster) AddPod(spec PodSpec) *Pod {
 	}
 	node := c.net.AddNode(spec.Name)
 	l := c.net.Connect(node, bridge, link)
-	// The pod owns its label map: the ZoneLabel/RegionLabel writes below
-	// must not reach a spec map the caller reuses, and service membership
-	// is derived from the labels once, here and in AddService.
-	labels := make(map[string]string, len(spec.Labels)+2)
-	for k, v := range spec.Labels {
-		labels[k] = v
-	}
-	if spec.Zone != "" {
-		labels[ZoneLabel] = spec.Zone
-	}
-	if region != "" {
-		labels[RegionLabel] = region
-	}
+	labels := c.internLabels(spec.Labels, spec.Zone, region)
 	p := &Pod{
 		name:    spec.Name,
 		labels:  labels,
@@ -473,6 +466,76 @@ func (c *Cluster) AddPod(spec PodSpec) *Pod {
 	}
 	c.notifyTopology(p)
 	return p
+}
+
+// internLabels returns the label map of a pod built from spec labels,
+// zone and region: the shared one for that set, built on first use. The
+// pod never holds the caller's map: the zone and region labels must not
+// reach a spec map the caller reuses, and service membership is derived
+// from the labels once, here and in AddService. A set already held costs
+// no allocation; a new set whose hash another set holds gets a map of its
+// own.
+func (c *Cluster) internLabels(spec map[string]string, zone, region string) map[string]string {
+	n, sum := 0, uint64(0)
+	eachLabel(spec, zone, region, func(k, v string) { n, sum = n+1, sum+labelHash(k, v) })
+	held, ok := c.labelSets[sum]
+	if ok && len(held) == n {
+		same := true
+		eachLabel(spec, zone, region, func(k, v string) {
+			if w, ok := held[k]; !ok || w != v {
+				same = false
+			}
+		})
+		if same {
+			return held
+		}
+	}
+	labels := make(map[string]string, n)
+	eachLabel(spec, zone, region, func(k, v string) { labels[k] = v })
+	if !ok {
+		c.labelSets[sum] = labels
+	}
+	return labels
+}
+
+// eachLabel calls fn with every label of a pod built from spec labels,
+// zone and region: the spec's, with ZoneLabel and RegionLabel set from a
+// non-empty zone and region.
+func eachLabel(spec map[string]string, zone, region string, fn func(k, v string)) {
+	for k, v := range spec {
+		if (k == ZoneLabel && zone != "") || (k == RegionLabel && region != "") {
+			continue
+		}
+		fn(k, v)
+	}
+	if zone != "" {
+		fn(ZoneLabel, zone)
+	}
+	if region != "" {
+		fn(RegionLabel, region)
+	}
+}
+
+// labelHash is FNV-1a over one label's key, a separator and its value,
+// finished with murmur3's fmix64. A set hashes to the sum over its
+// labels, which no map order can change. Without the finish the sum
+// collides whenever two labels trade a last byte that differs in bit 0
+// alone ({app: a1, zone: z0} against {app: a0, zone: z1}).
+func labelHash(k, v string) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(k); i++ {
+		h = (h ^ uint64(k[i])) * prime
+	}
+	h *= prime // a NUL separator, so "ab"="c" and "a"="bc" differ
+	for i := 0; i < len(v); i++ {
+		h = (h ^ uint64(v[i])) * prime
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }
 
 // SetTopologyHook installs fn, called after every discovery-relevant

@@ -1,9 +1,10 @@
 package httpsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"meshlayer/internal/simnet"
@@ -45,15 +46,24 @@ var ErrConnClosed = errors.New("httpsim: connection closed")
 // Client issues requests over a single transport connection. Multiple
 // requests may be in flight; responses are matched by ID.
 type Client struct {
-	conn    *transport.Conn
-	pending map[uint64]func(*Response, error)
+	conn *transport.Conn
+	// pending holds the calls in flight in issue order, so ascending id.
+	// A slot a call leaves is zeroed: the array outlives the call, and a
+	// stale callback would keep everything it captured alive.
+	pending []pendingCall
 	nextID  uint64
 	closed  bool
 }
 
+// pendingCall is one request awaiting its response.
+type pendingCall struct {
+	id uint64
+	cb func(*Response, error)
+}
+
 // NewClient dials dst:port and returns a client ready for Do.
 func NewClient(h *transport.Host, dst simnet.Addr, port uint16, opts transport.Options) *Client {
-	c := &Client{pending: make(map[uint64]func(*Response, error))}
+	c := &Client{}
 	c.conn = h.Dial(dst, port, opts)
 	c.conn.SetOnMessage(c.onMessage)
 	c.conn.SetOnClose(c.onClose)
@@ -76,14 +86,26 @@ func (c *Client) Do(req *Request, cb func(*Response, error)) {
 	}
 	c.nextID++
 	id := c.nextID
-	c.pending[id] = cb
+	c.pending = append(c.pending, pendingCall{id: id, cb: cb})
 	m := allocWireMsg()
 	m.id, m.req = id, req
 	if err := c.conn.SendMessage(m, req.WireSize()); err != nil {
-		delete(c.pending, id)
+		c.take(id)
 		freeWireMsg(m)
 		cb(nil, err)
 	}
+}
+
+// take removes the pending call with the id and returns its callback,
+// or nil if none is pending. slices.Delete zeroes the slot it vacates.
+func (c *Client) take(id uint64) func(*Response, error) {
+	i, ok := slices.BinarySearchFunc(c.pending, id, func(p pendingCall, id uint64) int { return cmp.Compare(p.id, id) })
+	if !ok {
+		return nil
+	}
+	cb := c.pending[i].cb
+	c.pending = slices.Delete(c.pending, i, i+1)
+	return cb
 }
 
 func (c *Client) onMessage(meta any, _ int) {
@@ -93,12 +115,9 @@ func (c *Client) onMessage(meta any, _ int) {
 	}
 	id, resp := m.id, m.resp
 	freeWireMsg(m)
-	cb, ok := c.pending[id]
-	if !ok {
-		return
+	if cb := c.take(id); cb != nil {
+		cb(resp, nil)
 	}
-	delete(c.pending, id)
-	cb(resp, nil)
 }
 
 func (c *Client) onClose(err error) {
@@ -106,18 +125,14 @@ func (c *Client) onClose(err error) {
 	if err == nil {
 		err = ErrConnClosed
 	}
-	// Fail pending requests in issue order: map iteration order would
-	// leak nondeterminism into retry scheduling when a torn-down
-	// connection had several requests in flight.
-	ids := make([]uint64, 0, len(c.pending))
-	for id := range c.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		cb := c.pending[id]
-		delete(c.pending, id)
-		cb(nil, err)
+	// Fail pending requests in issue order, so retry scheduling is
+	// deterministic when a torn-down connection had several in flight.
+	// The client drops the array first: a callback that issues again
+	// fails at once (closed) and never sees it.
+	pending := c.pending
+	c.pending = nil
+	for _, p := range pending {
+		p.cb(nil, err)
 	}
 }
 

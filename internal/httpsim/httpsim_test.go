@@ -199,6 +199,67 @@ func TestClientCloseFailsPending(t *testing.T) {
 	}
 }
 
+// TestClientPendingOrderAndRelease: with six requests in flight and
+// three answered out of order, each reply reaches its own callback and
+// every slot past the live calls is zeroed, so no spent callback (or
+// what it captured) stays reachable through the array; Abort then fails
+// the other three in issue order and drops the array.
+func TestClientPendingOrderAndRelease(t *testing.T) {
+	e := newEnv(t, simnet.LinkConfig{Rate: simnet.Gbps, Delay: time.Millisecond})
+	respond := map[string]func(*Response){}
+	NewServer(e.hb, 8080, func(ctx Ctx, req *Request, r func(*Response)) { respond[req.Path] = r })
+	cl := NewClient(e.ha, e.hb.Node().Addr(), 8080, transport.Options{})
+
+	const calls = 6
+	var got []string
+	for i := 0; i < calls; i++ {
+		path := fmt.Sprintf("/%d", i)
+		cl.Do(NewRequest("GET", path), func(r *Response, err error) {
+			switch {
+			case err != nil:
+				got = append(got, path+" failed")
+			case r.Headers.Get("x-path") != path:
+				t.Fatalf("reply for %s reached the callback of %s", r.Headers.Get("x-path"), path)
+			default:
+				got = append(got, path)
+			}
+		})
+	}
+	e.sched.RunFor(time.Second)
+	if len(respond) != calls {
+		t.Fatalf("server holds %d requests, want %d", len(respond), calls)
+	}
+
+	spareZeroed := func(when string) {
+		t.Helper()
+		for i, p := range cl.pending[len(cl.pending):cap(cl.pending)] {
+			if p.id != 0 || p.cb != nil {
+				t.Fatalf("%s: spare slot %d holds call %d", when, len(cl.pending)+i, p.id)
+			}
+		}
+	}
+	for n, i := range []int{3, 0, 5} {
+		resp := NewResponse(StatusOK)
+		resp.Headers.Set("x-path", fmt.Sprintf("/%d", i))
+		respond[fmt.Sprintf("/%d", i)](resp)
+		e.sched.RunFor(time.Second)
+		when := fmt.Sprintf("after reply %d", n)
+		if len(got) != n+1 || got[n] != fmt.Sprintf("/%d", i) {
+			t.Fatalf("%s: callbacks ran %v", when, got)
+		}
+		spareZeroed(when)
+	}
+
+	cl.Conn().Abort()
+	want := []string{"/3", "/0", "/5", "/1 failed", "/2 failed", "/4 failed"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("callbacks ran %v, want %v", got, want)
+	}
+	if cap(cl.pending) != 0 {
+		t.Fatalf("the client keeps its pending array (%d calls, cap %d) after Abort", len(cl.pending), cap(cl.pending))
+	}
+}
+
 func TestDoOnClosedClient(t *testing.T) {
 	e := newEnv(t, simnet.LinkConfig{Rate: simnet.Gbps})
 	NewServer(e.hb, 8080, func(ctx Ctx, req *Request, respond func(*Response)) {

@@ -51,7 +51,18 @@ type Network struct {
 
 	// ifPool recycles in-flight propagation carriers (see inFlight).
 	ifPool []*inFlight
+
+	// transport is the endpoint layer's per-network state (its connection
+	// table), opaque here: simnet does not import the layer, and the layer
+	// keeps no package state because parallel sweeps run many networks.
+	transport any
 }
+
+// TransportState returns the value SetTransportState stored, or nil.
+func (n *Network) TransportState() any { return n.transport }
+
+// SetTransportState stores the transport layer's per-network state.
+func (n *Network) SetTransportState(v any) { n.transport = v }
 
 // inFlight carries one propagating packet to its receiving NIC without
 // allocating a closure per packet: fn is built once when the entry is

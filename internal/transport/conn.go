@@ -72,14 +72,16 @@ type segInfo struct {
 type Conn struct {
 	host  *Host
 	flow  simnet.FlowKey // local perspective: Src is this host
-	opts  Options
 	state connState
-	// The flags of the groups below sit beside state so the six share a
-	// word: a fleet holds two Conns per connection, and spread out they
-	// put the struct in the next allocation size class.
-	recovering, finQueued, finSent bool // send side
-	peerFin                        bool // receive side
-	fluidActive                    bool // fluid: fluid[fluidDone] is in the engine right now
+	// The flags of the groups below, the packet mark and the host slot sit
+	// beside state so they share a word: a fleet holds two Conns per
+	// connection, and spread out they put the struct in the next
+	// allocation size class (TestConnSizeClass).
+	recovering, finQueued, finSent bool        // send side
+	peerFin                        bool        // receive side
+	fluidActive                    bool        // fluid: fluid[fluidDone] is in the engine right now
+	mark                           simnet.Mark // stamped on every outgoing packet
+	slot                           int32       // index in host.conns while registered
 	cc                             Controller
 
 	// Callbacks. Set them before data flows.
@@ -109,7 +111,7 @@ type Conn struct {
 	// RTT estimation / RTO.
 	srtt, rttvar  time.Duration
 	rto           time.Duration
-	minRTT        time.Duration
+	optMinRTO     time.Duration // Options.MinRTO as dialled; see minRTO
 	lastRTTSample time.Duration
 	rtoTimer      simnet.Timer
 	rtoFn         func() // c.onRTO, bound once: armRTO runs per ACK and a method value allocates
@@ -133,10 +135,7 @@ type Conn struct {
 	// Stats.
 	retransmits uint64
 	timeouts    uint64
-	bytesSent   uint64
 	bytesAcked  uint64
-	msgsIn      uint64
-	msgsOut     uint64
 }
 
 type oooSeg struct {
@@ -168,10 +167,10 @@ func (c *Conn) AddCloseListener(fn func(err error)) {
 // SetMark changes the packet mark for all subsequent transmissions —
 // the hook the cross-layer controller uses to re-prioritize a pooled
 // connection per request.
-func (c *Conn) SetMark(m simnet.Mark) { c.opts.Mark = m }
+func (c *Conn) SetMark(m simnet.Mark) { c.mark = m }
 
 // Mark returns the current packet mark.
-func (c *Conn) Mark() simnet.Mark { return c.opts.Mark }
+func (c *Conn) Mark() simnet.Mark { return c.mark }
 
 // CCName returns the congestion controller's name.
 func (c *Conn) CCName() string { return c.cc.Name() }
@@ -183,7 +182,7 @@ func (c *Conn) SetCongestionControl(name string) {
 	if name == c.cc.Name() {
 		return
 	}
-	c.cc = NewController(name, c.host.sched.Now)
+	c.cc = NewController(name, c.host.tab.sched.Now)
 }
 
 // Established reports whether the handshake has completed.
@@ -194,9 +193,6 @@ func (c *Conn) Closed() bool { return c.state == stateClosed }
 
 // SRTT returns the smoothed RTT estimate (zero before the first sample).
 func (c *Conn) SRTT() time.Duration { return c.srtt }
-
-// MinRTT returns the lowest RTT sample seen.
-func (c *Conn) MinRTT() time.Duration { return c.minRTT }
 
 // Retransmits returns the count of retransmitted segments.
 func (c *Conn) Retransmits() uint64 { return c.retransmits }
@@ -214,7 +210,7 @@ func (c *Conn) Timeouts() uint64 { return c.timeouts }
 func (c *Conn) BytesAcked() uint64 {
 	n := c.bytesAcked
 	if c.fluidActive {
-		if eng := c.host.net.FlowEngine(); eng != nil {
+		if eng := c.host.tab.net.FlowEngine(); eng != nil {
 			if rem, ok := eng.Remaining(c.fluidID); ok {
 				r := c.fluid[c.fluidDone]
 				if size := float64(r.end - r.seq); rem < size {
@@ -247,7 +243,6 @@ func (c *Conn) SendMessage(meta any, size int) error {
 	}
 	c.sendEnd += uint64(size)
 	c.bounds = append(c.bounds, Bound{End: c.sendEnd, Meta: meta})
-	c.msgsOut++
 	if c.shouldFluid(size) {
 		c.fluid = append(c.fluid, fluidRange{seq: c.sendEnd - uint64(size), end: c.sendEnd})
 	}
@@ -301,19 +296,19 @@ func (c *Conn) teardown(err error) {
 // pair (TSVal now, TSEcr echoing the peer's last TSVal). Callers
 // overwrite TSEcr where the echo must come from a specific segment.
 func (c *Conn) seg(kind SegKind) *Segment {
-	s := c.host.allocSeg()
+	s := c.host.tab.allocSeg()
 	s.Kind = kind
 	s.Wnd = rcvWindow
-	s.TSVal = c.host.sched.Now()
+	s.TSVal = c.host.tab.sched.Now()
 	s.TSEcr = c.lastTSVal
 	return s
 }
 
 func (c *Conn) emit(seg *Segment, payloadBytes int) {
-	p := c.host.net.AllocPacket()
+	p := c.host.tab.net.AllocPacket()
 	p.Flow = c.flow
 	p.Size = simnet.HeaderBytes + payloadBytes
-	p.Mark = c.opts.Mark
+	p.Mark = c.mark
 	p.Payload = seg //meshvet:allow poolescape the segment rides in the packet; the receiving host frees it after handling
 	if seg.Kind != SegDATA && seg.Kind != SegFIN {
 		p.Size = ctrlSize
@@ -371,7 +366,6 @@ func (c *Conn) sendWindow(limit uint64) {
 
 func (c *Conn) sendSegment(seq uint64, length int) {
 	c.pushSeg(segInfo{seq: seq, length: length})
-	c.bytesSent += uint64(length)
 	s := c.seg(SegDATA)
 	s.Seq = seq
 	s.Len = length
@@ -511,8 +505,8 @@ func (c *Conn) applySacks(sacks []SackBlock) {
 // --- RTO ---
 
 func (c *Conn) minRTO() time.Duration {
-	if c.opts.MinRTO > 0 {
-		return c.opts.MinRTO
+	if c.optMinRTO > 0 {
+		return c.optMinRTO
 	}
 	return DefaultMinRTO
 }
@@ -529,7 +523,7 @@ func (c *Conn) armRTO() {
 	if c.rtoFn == nil {
 		c.rtoFn = c.onRTO
 	}
-	c.rtoTimer = c.host.sched.After(c.currentRTO(), c.rtoFn)
+	c.rtoTimer = c.host.tab.sched.After(c.currentRTO(), c.rtoFn)
 }
 
 func (c *Conn) disarmRTO() {
@@ -576,12 +570,9 @@ func (c *Conn) sampleRTT(tsecr time.Duration) {
 	if tsecr <= 0 {
 		return
 	}
-	rtt := c.host.sched.Now() - tsecr
+	rtt := c.host.tab.sched.Now() - tsecr
 	if rtt <= 0 {
 		rtt = time.Microsecond
-	}
-	if c.minRTT == 0 || rtt < c.minRTT {
-		c.minRTT = rtt
 	}
 	if c.srtt == 0 {
 		c.srtt = rtt
@@ -801,7 +792,6 @@ func (c *Conn) deliverReady() {
 		c.recvBounds = slices.Delete(c.recvBounds, 0, 1)
 		size := int(b.End - c.lastBound)
 		c.lastBound = b.End
-		c.msgsIn++
 		if c.onMessage != nil {
 			c.onMessage(b.Meta, size)
 		}

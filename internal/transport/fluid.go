@@ -61,7 +61,7 @@ func (c *Conn) FluidDemotions() uint64 { return c.fluidDemotions }
 // shouldFluid reports whether a message of the given size should ride
 // the fluid fast path on this connection.
 func (c *Conn) shouldFluid(size int) bool {
-	if c.host.net.FlowEngine() == nil || size < FluidCutover {
+	if c.host.tab.net.FlowEngine() == nil || size < FluidCutover {
 		return false
 	}
 	switch c.cc.Name() {
@@ -77,7 +77,7 @@ func (c *Conn) shouldFluid(size int) bool {
 // seq). Returns false if the path is unusable, in which case the range
 // is removed and falls back to the packet path.
 func (c *Conn) startFluid() bool {
-	eng := c.host.net.FlowEngine()
+	eng := c.host.tab.net.FlowEngine()
 	r := c.fluid[c.fluidDone]
 	path, prop, ok := eng.ResolvePath(c.host.node, c.flow)
 	if ok && !eng.PathEligible(path) {
@@ -113,10 +113,9 @@ func (c *Conn) onFluidComplete() {
 	c.fluidActive = false
 	c.fluidID = 0
 	c.fluidCompleted++
-	c.bytesSent += r.end - r.seq
 	c.sndNxt = r.end
-	completed := c.host.sched.Now()
-	c.host.sched.After(c.fluidProp, func() {
+	completed := c.host.tab.sched.Now()
+	c.host.tab.sched.After(c.fluidProp, func() {
 		c.injectFluidNotice(r, completed)
 	})
 	c.armRTO()
@@ -153,11 +152,11 @@ func (c *Conn) injectFluidNotice(r fluidRange, completedAt time.Duration) {
 	if c.state == stateClosed {
 		return
 	}
-	dst := c.host.net.NodeByAddr(c.flow.Dst)
+	dst := c.host.tab.net.NodeByAddr(c.flow.Dst)
 	if dst == nil {
 		return
 	}
-	s := c.host.allocSeg()
+	s := c.host.tab.allocSeg()
 	s.Kind = SegDATA
 	s.Wnd = rcvWindow
 	s.TSVal = completedAt
@@ -165,10 +164,10 @@ func (c *Conn) injectFluidNotice(r fluidRange, completedAt time.Duration) {
 	s.Seq = r.seq
 	s.Len = int(r.end - r.seq)
 	s.Bounds = c.boundsIn(s.Bounds, s.Seq, s.Len)
-	p := c.host.net.AllocPacket()
+	p := c.host.tab.net.AllocPacket()
 	p.Flow = c.flow
 	p.Size = ctrlSize // the data went fluid; this is only the delivery notice
-	p.Mark = c.opts.Mark
+	p.Mark = c.mark
 	p.Payload = s //meshvet:allow poolescape the segment rides in the packet; the receiving host frees it after handling
 	dst.Inject(p)
 }
@@ -217,7 +216,7 @@ func (c *Conn) cancelFluid() {
 	if !c.fluidActive {
 		return
 	}
-	if eng := c.host.net.FlowEngine(); eng != nil {
+	if eng := c.host.tab.net.FlowEngine(); eng != nil {
 		eng.Cancel(c.fluidID)
 	}
 	c.fluidActive = false

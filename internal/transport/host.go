@@ -2,22 +2,67 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"meshlayer/internal/simnet"
 )
 
+// table is the transport state one simnet.Network keeps for all its
+// hosts: the flow-key demux of every live connection and the Segment
+// free list. A flow key carries its local address, so it names one
+// connection network-wide; a segment is allocated by its sender and
+// freed by its receiver, so one list serves both ends. It hangs off the
+// network rather than a package variable because parallel sweeps run
+// many networks at once.
+type table struct {
+	net   *simnet.Network
+	sched *simnet.Scheduler
+	conns map[simnet.FlowKey]*Conn
+
+	// segPool recycles Segment structs. Segments lost in transit simply
+	// fall to the garbage collector.
+	segPool []*Segment
+}
+
+// tableOf returns the network's table, creating it on first use.
+func tableOf(net *simnet.Network) *table {
+	if t, ok := net.TransportState().(*table); ok {
+		return t
+	}
+	t := &table{net: net, sched: net.Scheduler(), conns: make(map[simnet.FlowKey]*Conn)}
+	net.SetTransportState(t)
+	return t
+}
+
+// allocSeg pops a recycled segment (scrubbing it here, at reuse time)
+// or allocates a fresh one. The Sacks and Bounds backing arrays are
+// kept, emptied: each is exclusively owned by the segment — senders copy
+// message ends in (Conn.boundsIn), never alias their own list — and is
+// reused by the next ACK or DATA segment.
+func (t *table) allocSeg() *Segment {
+	if k := len(t.segPool); k > 0 {
+		s := t.segPool[k-1]
+		t.segPool = t.segPool[:k-1]
+		*s = Segment{Sacks: s.Sacks[:0], Bounds: s.Bounds[:0]}
+		return s
+	}
+	return &Segment{}
+}
+
+// freeSeg returns a handled segment to the pool.
+func (t *table) freeSeg(s *Segment) {
+	t.segPool = append(t.segPool, s) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
+}
+
 // Host is the per-node transport endpoint: it demultiplexes incoming
 // packets to connections and listeners. Create exactly one per node
 // that terminates transport traffic.
 type Host struct {
-	node  *simnet.Node
-	net   *simnet.Network
-	sched *simnet.Scheduler
-
-	conns     map[simnet.FlowKey]*Conn
-	listeners map[uint16]*Listener
+	node      *simnet.Node
+	tab       *table
+	listeners []*Listener
 
 	// Ephemeral source ports. nextPort is where allocPort resumes its
 	// upward probe. portUse[p-ephemeralBase] counts the connections whose
@@ -29,32 +74,10 @@ type Host struct {
 	portsBusy uint16
 	portUse   []uint32
 
-	// segPool recycles Segment structs. Segments are allocated by the
-	// sending connection (via Conn.seg) and reclaimed by the receiving
-	// host once handled, so within one simulation the pools act as a
-	// shared recycling loop between peers. Segments lost in transit
-	// simply fall to the garbage collector.
-	segPool []*Segment
-}
-
-// allocSeg pops a recycled segment (scrubbing it here, at reuse time)
-// or allocates a fresh one. The Sacks and Bounds backing arrays are
-// kept, emptied: each is exclusively owned by the segment — senders copy
-// message ends in (Conn.boundsIn), never alias their own list — and is
-// reused by the next ACK or DATA segment.
-func (h *Host) allocSeg() *Segment {
-	if k := len(h.segPool); k > 0 {
-		s := h.segPool[k-1]
-		h.segPool = h.segPool[:k-1]
-		*s = Segment{Sacks: s.Sacks[:0], Bounds: s.Bounds[:0]}
-		return s
-	}
-	return &Segment{}
-}
-
-// freeSeg returns a handled segment to the pool.
-func (h *Host) freeSeg(s *Segment) {
-	h.segPool = append(h.segPool, s) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
+	// conns are the host's live connections in no order; Conn.slot is
+	// each one's index. The table demuxes, this lets ResetConns find the
+	// host's own without a scan of the network's.
+	conns []*Conn
 }
 
 // Listener accepts inbound connections on a port.
@@ -65,18 +88,30 @@ type Listener struct {
 }
 
 // Close stops accepting new connections.
-func (l *Listener) Close() { delete(l.host.listeners, l.port) }
+func (l *Listener) Close() {
+	h := l.host
+	if i := slices.Index(h.listeners, l); i >= 0 {
+		h.listeners = slices.Delete(h.listeners, i, i+1)
+	}
+}
+
+// listener returns the listener on the port, or nil.
+func (h *Host) listener(port uint16) *Listener {
+	for _, l := range h.listeners {
+		if l.port == port {
+			return l
+		}
+	}
+	return nil
+}
 
 // NewHost attaches a transport endpoint to the node, registering the
 // node's local-delivery hook.
 func NewHost(node *simnet.Node) *Host {
 	h := &Host{
-		node:      node,
-		net:       node.Network(),
-		sched:     node.Network().Scheduler(),
-		conns:     make(map[simnet.FlowKey]*Conn),
-		listeners: make(map[uint16]*Listener),
-		nextPort:  ephemeralBase,
+		node:     node,
+		tab:      tableOf(node.Network()),
+		nextPort: ephemeralBase,
 	}
 	node.SetDeliver(h.deliver)
 	return h
@@ -93,11 +128,11 @@ func (h *Host) Attach() { h.node.SetDeliver(h.deliver) }
 // Listen registers an accept callback for the port. The callback runs
 // when the SYN arrives, before any data, so it can install OnMessage.
 func (h *Host) Listen(port uint16, onAccept func(*Conn)) (*Listener, error) {
-	if _, busy := h.listeners[port]; busy {
+	if h.listener(port) != nil {
 		return nil, fmt.Errorf("transport: port %d already listening on %s", port, h.node.Name())
 	}
 	l := &Listener{host: h, port: port, onAccept: onAccept}
-	h.listeners[port] = l
+	h.listeners = append(h.listeners, l)
 	return l, nil
 }
 
@@ -115,16 +150,17 @@ func (h *Host) Dial(dst simnet.Addr, port uint16, opts Options) *Conn {
 			DstPort: port,
 			Proto:   simnet.ProtoTCP,
 		},
-		opts:    opts,
-		state:   stateSynSent,
-		cc:      NewController(opts.CC, h.sched.Now),
-		peerWnd: rcvWindow,
+		state:     stateSynSent,
+		mark:      opts.Mark,
+		optMinRTO: opts.MinRTO,
+		cc:        NewController(opts.CC, h.tab.sched.Now),
+		peerWnd:   rcvWindow,
 	}
 	if !ok {
 		// Fail like a handshake that never completes, only at once: from
 		// the scheduler, so the caller has the Conn and its OnClose set.
 		c.synTimer.Cancel() // zero on a fresh Conn; cancel before arm
-		c.synTimer = h.sched.After(0, func() { c.teardown(ErrNoEphemeralPort) })
+		c.synTimer = h.tab.sched.After(0, func() { c.teardown(ErrNoEphemeralPort) })
 		return c
 	}
 	h.addConn(c)
@@ -144,7 +180,7 @@ func (h *Host) sendSYN(c *Conn) {
 	c.emit(c.seg(SegSYN), 0)
 	backoff := time.Second << uint(c.synTries-1)
 	c.synTimer.Cancel() // fired (we are its callback) or zero; cancel before re-arm
-	c.synTimer = h.sched.After(backoff, func() { h.sendSYN(c) })
+	c.synTimer = h.tab.sched.After(backoff, func() { h.sendSYN(c) })
 }
 
 // ephemeralBase is the first of the 32768 source ports Dial allocates.
@@ -170,7 +206,9 @@ func (h *Host) allocPort() (uint16, bool) {
 }
 
 func (h *Host) addConn(c *Conn) {
-	h.conns[c.flow] = c
+	h.tab.conns[c.flow] = c
+	c.slot = int32(len(h.conns))
+	h.conns = append(h.conns, c)
 	if i := int(c.flow.SrcPort) - ephemeralBase; i >= 0 {
 		for len(h.portUse) <= i {
 			h.portUse = append(h.portUse, 0)
@@ -185,10 +223,14 @@ func (h *Host) addConn(c *Conn) {
 // removeConn forgets c. A connection that is not registered — it found
 // no port to dial from, or was removed before — holds nothing to release.
 func (h *Host) removeConn(c *Conn) {
-	if h.conns[c.flow] != c {
+	if h.tab.conns[c.flow] != c {
 		return
 	}
-	delete(h.conns, c.flow)
+	delete(h.tab.conns, c.flow)
+	last := h.conns[len(h.conns)-1]
+	h.conns[c.slot], last.slot = last, c.slot
+	h.conns[len(h.conns)-1] = nil
+	h.conns = h.conns[:len(h.conns)-1]
 	if i := int(c.flow.SrcPort) - ephemeralBase; i >= 0 {
 		h.portUse[i]--
 		if h.portUse[i] == 0 {
@@ -205,13 +247,13 @@ func (h *Host) ConnCount() int { return len(h.conns) }
 // keeps retransmitting state the restarted process no longer has.
 // Connections are torn down in flow-key order for determinism.
 func (h *Host) ResetConns() {
-	keys := make([]simnet.FlowKey, 0, len(h.conns))
-	for k := range h.conns {
-		keys = append(keys, k)
+	keys := make([]simnet.FlowKey, len(h.conns))
+	for i, c := range h.conns {
+		keys[i] = c.flow
 	}
 	sort.Slice(keys, func(i, j int) bool { return flowLess(keys[i], keys[j]) })
 	for _, k := range keys {
-		if c, ok := h.conns[k]; ok {
+		if c, ok := h.tab.conns[k]; ok {
 			c.Abort()
 		}
 	}
@@ -238,19 +280,18 @@ func (h *Host) deliver(p *simnet.Packet) {
 		return // not transport traffic
 	}
 	local := p.Flow.Reverse()
-	if c, ok := h.conns[local]; ok {
+	if c, ok := h.tab.conns[local]; ok {
 		c.handle(seg)
-		h.freeSeg(seg)
+		h.tab.freeSeg(seg)
 		return
 	}
 	if seg.Kind == SegSYN {
-		if l, ok := h.listeners[p.Flow.DstPort]; ok {
+		if l := h.listener(p.Flow.DstPort); l != nil {
 			c := &Conn{
 				host:      h,
 				flow:      local,
-				opts:      Options{CC: "reno"},
 				state:     stateEstablished,
-				cc:        NewController("reno", h.sched.Now),
+				cc:        NewController("reno", h.tab.sched.Now),
 				peerWnd:   seg.Wnd,
 				lastTSVal: seg.TSVal,
 			}
@@ -263,5 +304,5 @@ func (h *Host) deliver(p *simnet.Packet) {
 		// else: connection refused, silently dropped in this model.
 	}
 	// Non-SYN for unknown connection: stale packet after close; ignore.
-	h.freeSeg(seg)
+	h.tab.freeSeg(seg)
 }

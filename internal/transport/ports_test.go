@@ -21,8 +21,8 @@ func scanAllocPort(h *Host) (port, next uint16) {
 			next = 32768
 		}
 		free := true
-		for k := range h.conns {
-			if k.SrcPort == p {
+		for _, c := range h.conns {
+			if c.flow.SrcPort == p {
 				free = false
 				break
 			}
@@ -37,9 +37,9 @@ func scanAllocPort(h *Host) (port, next uint16) {
 func checkPortUse(t *testing.T, h *Host, when string) {
 	t.Helper()
 	want := map[uint16]uint32{}
-	for k := range h.conns {
-		if k.SrcPort >= ephemeralBase {
-			want[k.SrcPort]++
+	for _, c := range h.conns {
+		if c.flow.SrcPort >= ephemeralBase {
+			want[c.flow.SrcPort]++
 		}
 	}
 	if int(h.portsBusy) != len(want) {

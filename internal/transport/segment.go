@@ -53,9 +53,10 @@ type Bound struct {
 
 // Segment is the transport payload carried in a simnet.Packet.
 //
-// Segments are recycled through Host.segPool: once freeSeg returns one
-// it may be scrubbed and reused, so references must not outlive the
-// handling call (enforced by meshvet's poolescape analyzer).
+// Segments are recycled through their network's table.segPool: once
+// freeSeg returns one it may be scrubbed and reused, so references must
+// not outlive the handling call (enforced by meshvet's poolescape
+// analyzer).
 //
 //meshvet:pooled
 type Segment struct {
