@@ -1,6 +1,6 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same commands.
 
-.PHONY: check build fmt vet lint test race reach
+.PHONY: check build fmt vet lint test race reach reach-goldens
 
 check: build fmt vet lint test
 
@@ -52,3 +52,15 @@ reach:
 	go test -timeout 45m -coverpkg=./... -coverprofile="$$prof" ./... >/dev/null && \
 	go tool cover -func="$$prof" | \
 	awk '$$NF == "0.0%" && $$1 !~ /^meshlayer\/(cmd|examples|bench)\// {print $$1, $$2}'
+
+# The experiments' lens of the same audit (ROADMAP item 7), not part of
+# check: every non-test function no registry experiment executes, from
+# coverage of TestGoldens alone (~7 min on 2 cores). internal/lint is
+# left out too, since meshvet runs at lint time, never inside an
+# experiment. The count goes to stderr after the list.
+reach-goldens:
+	@prof=$$(mktemp) && trap 'rm -f "$$prof"' EXIT && \
+	go test -timeout 45m -run 'TestGoldens$$' -coverpkg=./... -coverprofile="$$prof" . >/dev/null && \
+	go tool cover -func="$$prof" | \
+	awk '$$NF == "0.0%" && $$1 !~ /^meshlayer\/(cmd|examples|bench|internal\/lint)\// {print $$1, $$2; n++} \
+		END {print n + 0, "functions at 0% under TestGoldens" > "/dev/stderr"}'

@@ -30,3 +30,28 @@ func BenchmarkChainRequest(b *testing.B) {
 	b.ReportMetric(float64(int64(ms.HeapAlloc)-int64(before))/float64(b.N), "retained-B/req")
 	runtime.KeepAlive(c)
 }
+
+// TestChainHopAllocs is the allocation budget of one request through the
+// chain, the twin of simnet's TestPodAttachCostIndependentOfFleet for
+// the data plane: a hop's span names, series lookups and trace storage
+// once cost 40 allocations per 16-hop request (513), and a change that
+// brings any of them back shows here before it shows in the benchmark.
+func TestChainHopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the program's")
+	}
+	for _, tc := range []struct {
+		depth  int
+		budget float64
+	}{{4, 118}, {16, 473}} {
+		c := BuildChain(ChainConfig{Depth: tc.depth})
+		n := testing.AllocsPerRun(100, func() {
+			c.Gateway.Serve(NewChainRequest(), func(*httpsim.Response, error) {})
+			c.Sched.Run()
+		})
+		if n > tc.budget {
+			t.Errorf("one request through a %d-hop chain allocates %v times, budget %v: "+
+				"this is rpc_chain's allocs_per_op, and what a request keeps is its live_heap_mb", tc.depth, n, tc.budget)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"meshlayer/internal/cluster"
+	"meshlayer/internal/hdr"
 	"meshlayer/internal/httpsim"
 	"meshlayer/internal/metrics"
 	"meshlayer/internal/trace"
@@ -24,6 +25,9 @@ type Gateway struct {
 	sc         *Sidecar
 	classifier Classifier
 	served     uint64
+	// durations is MetricGatewayRequestDuration by priority ("" for an
+	// unclassified request), each resolved at its first observation.
+	durations map[string]*hdr.Histogram
 }
 
 // NewGateway installs an ingress gateway on the pod (which receives a
@@ -33,7 +37,7 @@ func (m *Mesh) NewGateway(pod *cluster.Pod) *Gateway {
 	if sc == nil {
 		sc = m.InjectSidecar(pod)
 	}
-	return &Gateway{mesh: m, sc: sc}
+	return &Gateway{mesh: m, sc: sc, durations: make(map[string]*hdr.Histogram)}
 }
 
 // SetClassifier installs the ingress classifier.
@@ -68,7 +72,7 @@ func (g *Gateway) Serve(req *httpsim.Request, cb func(*httpsim.Response, error))
 		TraceID:  traceID,
 		SpanID:   m.tracer.NewSpanID(),
 		Service:  "ingress-gateway",
-		Name:     req.Method + " " + req.Path,
+		Name:     m.tracer.Name(req.Method, req.Path),
 		Start:    m.sched.Now(),
 		Priority: req.Headers.Get(HeaderPriority),
 	}
@@ -81,11 +85,7 @@ func (g *Gateway) Serve(req *httpsim.Request, cb func(*httpsim.Response, error))
 			root.Status = int32(resp.Status)
 		}
 		m.tracer.Record(root)
-		labels := metrics.Labels{"service": "ingress-gateway", "direction": "inbound"}
-		if p := req.Headers.Get(HeaderPriority); p != "" {
-			labels["priority"] = p
-		}
-		m.metrics.ObserveDuration(MetricGatewayRequestDuration, labels, m.sched.Now()-start)
+		g.duration(req.Headers.Get(HeaderPriority)).RecordDuration(m.sched.Now() - start)
 		// Degraded-but-served accounting at the edge: the provenance
 		// header distinguishes a full success from a response some
 		// fallback papered over (E17's degraded-response fraction).
@@ -95,6 +95,20 @@ func (g *Gateway) Serve(req *httpsim.Request, cb func(*httpsim.Response, error))
 		}
 		cb(resp, err)
 	})
+}
+
+// duration is MetricGatewayRequestDuration for requests of a priority.
+func (g *Gateway) duration(priority string) *hdr.Histogram {
+	h := g.durations[priority]
+	if h == nil {
+		labels := metrics.Labels{"service": "ingress-gateway", "direction": "inbound"}
+		if priority != "" {
+			labels["priority"] = priority
+		}
+		h = g.mesh.metrics.Histogram(MetricGatewayRequestDuration, labels)
+		g.durations[priority] = h
+	}
+	return h
 }
 
 // PathClassifier returns a classifier assigning priorities by path

@@ -55,7 +55,9 @@ type Mesh struct {
 	cp      *ControlPlane
 	tracer  *trace.Collector
 	metrics *metrics.Registry
-	rng     *rand.Rand
+	// series caches each service's hot metric handles (series.go).
+	series map[string]*serviceSeries
+	rng    *rand.Rand
 
 	sidecars map[string]*Sidecar
 	// eastwest holds the per-region east-west gateways (eastwest.go).
@@ -82,6 +84,7 @@ func New(cl *cluster.Cluster, cfg Config) *Mesh {
 		sched:    cl.Scheduler(),
 		tracer:   trace.NewCollector(),
 		metrics:  metrics.NewRegistry(),
+		series:   make(map[string]*serviceSeries),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		sidecars: make(map[string]*Sidecar),
 		eastwest: make(map[string]*EastWestGateway),

@@ -219,7 +219,7 @@ func (sc *Sidecar) handleInbound(ctx httpsim.Ctx, req *httpsim.Request, respond 
 				SpanID:   m.tracer.NewSpanID(),
 				ParentID: parseSpanID(req.Headers.Get(trace.HeaderSpanID)),
 				Service:  sc.service,
-				Name:     req.Method + " " + req.Path,
+				Name:     m.tracer.Name(req.Method, req.Path),
 				Start:    start,
 				Priority: req.Headers.Get(HeaderPriority),
 			}
@@ -250,25 +250,21 @@ func (sc *Sidecar) handleInbound(ctx httpsim.Ctx, req *httpsim.Request, respond 
 					span.Status = int32(resp.Status)
 					m.tracer.Record(span)
 				}
-				m.metrics.ObserveDuration(MetricRequestDuration,
-					metrics.Labels{"service": sc.service, "direction": "inbound"},
-					m.sched.Now()-start)
+				m.seriesOf(sc.service).duration(dirInbound).RecordDuration(m.sched.Now() - start)
 				respond(resp)
 			})
 		}
 
 		app := sc.app
 		if app == nil {
-			m.metrics.Counter(MetricRequestsTotal,
-				metrics.Labels{"service": sc.service, "direction": "inbound", "code": "ok"}).Inc()
+			m.seriesOf(sc.service).inboundOK().Inc()
 			respond(httpsim.NewResponse(httpsim.StatusNotFound))
 			return
 		}
 
 		ctl := sc.admissionFor(sc.admissionPolicyFor(sc.service))
 		if ctl == nil {
-			m.metrics.Counter(MetricRequestsTotal,
-				metrics.Labels{"service": sc.service, "direction": "inbound", "code": "ok"}).Inc()
+			m.seriesOf(sc.service).inboundOK().Inc()
 			app(req, respondFinal)
 			return
 		}
@@ -282,8 +278,7 @@ func (sc *Sidecar) handleInbound(ctx httpsim.Ctx, req *httpsim.Request, respond 
 			Enqueued: m.sched.Now(),
 			Expiry:   expiry,
 			Run: func() {
-				m.metrics.Counter(MetricRequestsTotal,
-					metrics.Labels{"service": sc.service, "direction": "inbound", "code": "ok"}).Inc()
+				m.seriesOf(sc.service).inboundOK().Inc()
 				sc.observeAdmission(ctl)
 				dispatched := m.sched.Now()
 				app(req, func(resp *httpsim.Response) {
@@ -348,7 +343,7 @@ func (sc *Sidecar) Call(req *httpsim.Request, cb func(*httpsim.Response, error))
 			SpanID:   m.tracer.NewSpanID(),
 			ParentID: parseSpanID(req.Headers.Get(trace.HeaderSpanID)),
 			Service:  sc.service,
-			Name:     "call " + service + " " + req.Path,
+			Name:     m.tracer.Name("call", service, req.Path),
 			Start:    m.sched.Now(),
 			Client:   true,
 		}
@@ -609,15 +604,13 @@ func (c *call) finish(resp *httpsim.Response, err error) {
 	c.fbTimer.Cancel()
 	m := c.sc.mesh
 	resp, err = c.maybeFallback(resp, err)
-	code, status := "error", 0
+	status := 0
 	if err == nil {
-		code, status = statusClass(resp.Status), resp.Status
+		status = resp.Status
 	}
-	m.metrics.Counter(MetricRequestsTotal,
-		metrics.Labels{"service": c.service, "direction": "outbound", "code": code}).Inc()
-	m.metrics.ObserveDuration(MetricRequestDuration,
-		metrics.Labels{"service": c.service, "direction": "outbound"},
-		m.sched.Now()-c.start)
+	ss := m.seriesOf(c.service)
+	ss.outboundRequests(status, err != nil).Inc()
+	ss.duration(dirOutbound).RecordDuration(m.sched.Now() - c.start)
 	if c.span != nil {
 		c.span.End = m.sched.Now()
 		c.span.Status = int32(status)

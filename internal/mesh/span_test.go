@@ -2,11 +2,14 @@ package mesh
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"meshlayer/internal/cluster"
 	"meshlayer/internal/httpsim"
+	"meshlayer/internal/trace"
 )
 
 // TestSpanFields drives gateway -> frontend -> backend through a
@@ -133,6 +136,71 @@ func TestSpanFields(t *testing.T) {
 				t.Fatalf("tree root = %+v", r)
 			}
 		})
+	}
+}
+
+// TestSpanNamesInterned: every span of a given name — the gateway root
+// and each server span ("GET /x"), each client span ("call <svc> /x") —
+// shares one backing array across hops and requests, while distinct
+// names stay distinct. A name already held costs no allocation, and two
+// meshes' collectors keep tables of their own.
+func TestSpanNamesInterned(t *testing.T) {
+	run := func(paths ...string) *trace.Collector {
+		tb := buildBed(t, Config{Seed: 1}, echoBackend)
+		for _, p := range paths {
+			tb.gw.Serve(extReq(p), func(*httpsim.Response, error) {})
+		}
+		tb.sched.RunUntil(5 * time.Second)
+		return tb.m.Tracer()
+	}
+	tracer := run("/x", "/x", "/y", "/x")
+	data := map[string]*byte{}
+	spans := 0
+	for _, id := range tracer.TraceIDs() {
+		for _, s := range tracer.Trace(id) {
+			spans++
+			p := unsafe.StringData(s.Name)
+			if q, ok := data[s.Name]; ok && q != p {
+				t.Errorf("%s span %q has a copy of its own", s.Service, s.Name)
+			}
+			data[s.Name] = p
+		}
+	}
+	want := []string{"GET /x", "GET /y", "call backend /x", "call backend /y", "call frontend /x", "call frontend /y"}
+	if spans != 4*5 || len(data) != len(want) {
+		t.Fatalf("%d spans with %d names, want 20 spans with %v", spans, len(data), want)
+	}
+	for _, name := range want {
+		words := strings.Split(name, " ")
+		got := tracer.Name(words...)
+		if got != name || unsafe.StringData(got) != data[name] {
+			t.Errorf("Name(%q) = %q, not the spans' copy", words, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { tracer.Name(words...) }); n != 0 {
+			t.Errorf("Name(%q), already held, allocates %v times", words, n)
+		}
+	}
+	// Names that concatenate alike stay distinct when their words differ.
+	seen := map[*byte]string{}
+	for _, words := range [][]string{
+		{"call", "backend", "/x"}, {"call", "backend/", "x"}, {"call", "back", "end /x"}, {"call", "backend", "/xy"},
+		{"GET", "/x"}, {"GE", "T/x"}, {"GET/x"}, {"GET", "", "/x"},
+	} {
+		got := tracer.Name(words...)
+		if want := strings.Join(words, " "); got != want {
+			t.Errorf("Name(%q) = %q, want %q", words, got, want)
+		}
+		p := unsafe.StringData(got)
+		if prev, ok := seen[p]; ok && prev != got {
+			t.Errorf("Name(%q) shares its bytes with %q", words, prev)
+		}
+		seen[p] = got
+	}
+	other := run("/x")
+	for _, s := range other.Trace(other.TraceIDs()[0]) {
+		if unsafe.StringData(s.Name) == data[s.Name] {
+			t.Errorf("two meshes share the name %q", s.Name)
+		}
 	}
 }
 

@@ -105,8 +105,8 @@ func (c *Collector) SlowestTraces(n int) []string {
 func (c *Collector) ServiceTotals() map[string]ServiceTotal {
 	out := make(map[string]ServiceTotal)
 	// Sums do not depend on the order traces are visited in.
-	for _, spans := range c.byTrace {
-		for _, s := range spans {
+	for _, l := range c.byTrace {
+		for s := l.head; s != nil; s = s.next {
 			t := out[s.Service]
 			t.Spans++
 			t.TotalTime += s.Duration()

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -29,8 +30,9 @@ const (
 //
 // Its annotations are typed fields, not a key/value map: every hop of
 // every request records two spans and the collector keeps them all for
-// the run, so a span is one 128 B allocation (TestSpanSizeClass). The
-// callee of a client span is the second word of its Name
+// the run, so a span is one 128 B allocation (TestSpanSizeClass), and
+// it is also the link that chains its trace's spans in recording order.
+// The callee of a client span is the second word of its Name
 // ("call <svc> <path>"), so it is not stored twice.
 type Span struct {
 	TraceID  string
@@ -51,6 +53,10 @@ type Span struct {
 	Retries int16
 	// Client marks an outbound call span; server spans leave it false.
 	Client bool
+
+	// next is the span recorded after this one in the same trace; nil
+	// until then, and always nil on the trace's last span.
+	next *Span
 }
 
 // Duration returns the span's elapsed time.
@@ -61,17 +67,25 @@ func (s *Span) String() string {
 	return fmt.Sprintf("[%s] %s %s %v (span=%d parent=%d)", s.TraceID, s.Service, s.Name, s.Duration(), s.SpanID, s.ParentID)
 }
 
-// Collector stores finished spans, indexed by trace.
+// Collector stores finished spans, indexed by trace. A trace is the
+// list its spans link through Span.next, so a recorded span costs the
+// collector nothing beyond itself.
 type Collector struct {
-	byTrace map[string][]*Span
-	n       int
-	nextID  uint64
-	seq     uint64
+	byTrace map[string]spanList
+	// names interns span names (Name): one copy of each distinct name,
+	// which the spans that carry it keep alive anyway.
+	names  map[string]string
+	n      int
+	nextID uint64
+	seq    uint64
 }
+
+// spanList is one trace: its first and last recorded spans.
+type spanList struct{ head, tail *Span }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{byTrace: make(map[string][]*Span)}
+	return &Collector{byTrace: make(map[string]spanList), names: make(map[string]string)}
 }
 
 // NewTraceID mints a process-unique trace ID (deterministic across
@@ -101,17 +115,57 @@ func (c *Collector) NewSpanID() uint64 {
 	return c.nextID
 }
 
-// Record stores a finished span.
+// Name returns words joined by single spaces — a span name such as
+// "GET /chain" or "call svc-1 /chain" — as this collector's one copy of
+// that string. The key is rendered into a stack buffer, so a name seen
+// before allocates nothing and a new one allocates the string kept.
+func (c *Collector) Name(words ...string) string {
+	var buf [128]byte
+	b := buf[:0]
+	for i, w := range words {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, w...)
+	}
+	if name, ok := c.names[string(b)]; ok { // no copy: the conversion only indexes
+		return name
+	}
+	name := string(b)
+	c.names[name] = name
+	return name
+}
+
+// Record stores a finished span at the end of its trace. A span is
+// recorded once: recording it again panics, since relinking it would
+// cut or loop its trace.
 func (c *Collector) Record(s *Span) {
+	l := c.byTrace[s.TraceID]
+	if s.next != nil || l.tail == s {
+		panic("trace: span recorded twice")
+	}
+	if l.head == nil {
+		l.head = s
+	} else {
+		l.tail.next = s
+	}
+	l.tail = s
+	c.byTrace[s.TraceID] = l
 	c.n++
-	c.byTrace[s.TraceID] = append(c.byTrace[s.TraceID], s)
 }
 
 // Len returns the number of recorded spans.
 func (c *Collector) Len() int { return c.n }
 
-// Trace returns all spans of a trace, in recording order.
-func (c *Collector) Trace(id string) []*Span { return c.byTrace[id] }
+// Trace returns the spans of a trace in recording order, in a slice
+// made for this call: the caller may keep or change it.
+func (c *Collector) Trace(id string) []*Span {
+	var out []*Span
+	for s := c.byTrace[id].head; s != nil; s = s.next {
+		out = append(out, s)
+	}
+	return out
+}
 
 // TraceIDs returns all known trace IDs, sorted.
 func (c *Collector) TraceIDs() []string {
@@ -133,16 +187,16 @@ type TreeNode struct {
 // Tree reconstructs the call tree of a trace from parent span IDs.
 // Returns nil for unknown traces or traces with no root.
 func (c *Collector) Tree(id string) *TreeNode {
-	spans := c.byTrace[id]
-	if len(spans) == 0 {
+	head := c.byTrace[id].head
+	if head == nil {
 		return nil
 	}
-	nodes := make(map[uint64]*TreeNode, len(spans))
-	for _, s := range spans {
+	nodes := make(map[uint64]*TreeNode)
+	for s := head; s != nil; s = s.next {
 		nodes[s.SpanID] = &TreeNode{Span: s}
 	}
 	var root *TreeNode
-	for _, s := range spans {
+	for s := head; s != nil; s = s.next {
 		n := nodes[s.SpanID]
 		if s.ParentID == 0 {
 			root = n
@@ -197,12 +251,12 @@ func (n *TreeNode) walk(fn func(*TreeNode, int), depth int) {
 
 // Format renders the tree as an indented outline.
 func (n *TreeNode) Format() string {
-	out := ""
+	var b strings.Builder
 	n.Walk(func(t *TreeNode, depth int) {
 		for i := 0; i < depth; i++ {
-			out += "  "
+			b.WriteString("  ")
 		}
-		out += fmt.Sprintf("%s %s (%v)\n", t.Span.Service, t.Span.Name, t.Span.Duration())
+		fmt.Fprintf(&b, "%s %s (%v)\n", t.Span.Service, t.Span.Name, t.Span.Duration())
 	})
-	return out
+	return b.String()
 }

@@ -15,7 +15,7 @@ import (
 	"meshlayer/internal/simnet"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden/*.txt from the current code")
+var update = flag.Bool("update", false, "rewrite testdata/golden/*.txt and testdata/mesh_series.txt from the current code")
 
 // withParallelism runs fn with MaxParallel forced to n, restoring the
 // previous value afterwards.
