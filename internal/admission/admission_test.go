@@ -296,7 +296,7 @@ func TestControllerRequiresClock(t *testing.T) {
 }
 
 func TestDeadlinesObserveAndRemaining(t *testing.T) {
-	d := NewDeadlines()
+	var d Deadlines
 	d.Observe("t1", ms(100), 0)
 	if r, ok := d.Remaining("t1", ms(40)); !ok || r != ms(60) {
 		t.Fatalf("remaining = %v %v", r, ok)
@@ -317,7 +317,7 @@ func TestDeadlinesObserveAndRemaining(t *testing.T) {
 }
 
 func TestDeadlinesSweepExpired(t *testing.T) {
-	d := NewDeadlines()
+	var d Deadlines
 	d.Observe("old", ms(1), 0)
 	// Push past the sweep threshold well after "old" + grace expired.
 	late := 2 * time.Second

@@ -19,15 +19,11 @@ const sweepGrace = time.Second
 // outbound path looks the expiry up by the child request's trace ID to
 // decrement the budget or cancel the call. Records self-expire: a
 // periodic sweep deletes entries past expiry+grace, so the index stays
-// bounded by arrival rate × budget without explicit removal.
+// bounded by arrival rate × budget without explicit removal. The zero
+// value is an empty index; its map is made at the first record.
 type Deadlines struct {
 	m       map[string]time.Duration
 	inserts int
-}
-
-// NewDeadlines returns an empty index.
-func NewDeadlines() *Deadlines {
-	return &Deadlines{m: make(map[string]time.Duration)}
 }
 
 // Observe records the expiry for a trace ID. When the ID is already
@@ -36,6 +32,9 @@ func NewDeadlines() *Deadlines {
 func (d *Deadlines) Observe(id string, expiry, now time.Duration) {
 	if id == "" || expiry <= 0 {
 		return
+	}
+	if d.m == nil {
+		d.m = make(map[string]time.Duration)
 	}
 	if prev, ok := d.m[id]; !ok || expiry < prev {
 		d.m[id] = expiry

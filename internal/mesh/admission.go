@@ -66,18 +66,43 @@ func classOf(req *httpsim.Request) admission.Class {
 	return admission.LS
 }
 
+// admissionState is a sidecar's overload protection. It is made at the
+// first write — a pushed policy that enables admission, or an inbound
+// request that carries a deadline budget — and most sidecars never
+// make one.
+type admissionState struct {
+	// ctl is built lazily from the pushed policy pol, and dropped while
+	// the policy leaves admission disabled.
+	ctl *admission.Controller
+	pol AdmissionPolicy
+	// deadlines tracks every budget-carrying request, whether or not
+	// admission is enabled.
+	deadlines admission.Deadlines
+}
+
+// admitState returns the sidecar's admission state, made at first use.
+func (sc *Sidecar) admitState() *admissionState {
+	if sc.admit == nil {
+		sc.admit = &admissionState{}
+	}
+	return sc.admit
+}
+
 // admissionFor returns the controller matching the pushed policy,
 // rebuilding it when the policy changed, or nil when admission is
 // disabled. Rebuilding discards learned limiter state — acceptable,
 // since policy pushes are rare operator actions.
 func (sc *Sidecar) admissionFor(p AdmissionPolicy) *admission.Controller {
 	if !p.Enabled {
-		sc.admitCtl, sc.admitPol = nil, p
+		if a := sc.admit; a != nil {
+			a.ctl = nil
+		}
 		return nil
 	}
-	if sc.admitCtl == nil || sc.admitPol != p {
-		sc.admitPol = p
-		sc.admitCtl = admission.New(admission.Config{
+	a := sc.admitState()
+	if a.ctl == nil || a.pol != p {
+		a.pol = p
+		a.ctl = admission.New(admission.Config{
 			Queue: admission.QueueConfig{
 				Limit:    p.QueueLimit,
 				Target:   p.QueueTarget,
@@ -92,7 +117,7 @@ func (sc *Sidecar) admissionFor(p AdmissionPolicy) *admission.Controller {
 			Now: sc.mesh.sched.Now,
 		})
 	}
-	return sc.admitCtl
+	return a.ctl
 }
 
 // recordInboundDeadline reads the remaining-budget header stamped by
@@ -116,8 +141,9 @@ func (sc *Sidecar) recordInboundDeadline(req *httpsim.Request) time.Duration {
 		expiry = now
 	}
 	if tid := req.Headers.Get(trace.HeaderRequestID); tid != "" {
-		sc.deadlines.Observe(tid, expiry, now)
-		if e, ok := sc.deadlines.Expiry(tid); ok {
+		d := &sc.admitState().deadlines
+		d.Observe(tid, expiry, now)
+		if e, ok := d.Expiry(tid); ok {
 			expiry = e
 		}
 	}
@@ -133,11 +159,11 @@ func (sc *Sidecar) recordInboundDeadline(req *httpsim.Request) time.Duration {
 // call may proceed.
 func (sc *Sidecar) applyOutboundDeadline(c *call) bool {
 	tid := c.req.Headers.Get(trace.HeaderRequestID)
-	if tid == "" {
-		return true
+	if tid == "" || sc.admit == nil {
+		return true // untraced, or no request this sidecar served carried a budget
 	}
 	now := sc.mesh.sched.Now()
-	rem, ok := sc.deadlines.Remaining(tid, now)
+	rem, ok := sc.admit.deadlines.Remaining(tid, now)
 	if !ok {
 		return true
 	}

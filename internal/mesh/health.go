@@ -28,14 +28,18 @@ var healthConnClass = ConnClass{Name: "health", Options: transport.Options{CC: "
 // an upstream service once its policies are pushed. Called on every
 // outbound Call; a stopped loop restarts here if the policy returns.
 func (sc *Sidecar) ensureDefenses(service string) {
-	if !sc.healthCheckFor(service).IsZero() && !sc.hcActive[service] {
-		sc.hcActive[service] = true
-		sc.healthTick(service)
+	if !sc.healthCheckFor(service).IsZero() {
+		if u := sc.upstream(service); !u.hcActive {
+			u.hcActive = true
+			sc.healthTick(service)
+		}
 	}
-	if !sc.outlierFor(service).IsZero() && !sc.outlierActive[service] {
-		sc.outlierActive[service] = true
-		p := sc.outlierFor(service).withDefaults()
-		sc.mesh.sched.After(p.Interval, func() { sc.outlierSweep(service) })
+	if !sc.outlierFor(service).IsZero() {
+		if u := sc.upstream(service); !u.outlierActive {
+			u.outlierActive = true
+			p := sc.outlierFor(service).withDefaults()
+			sc.mesh.sched.After(p.Interval, func() { sc.outlierSweep(service) })
+		}
 	}
 }
 
@@ -45,7 +49,7 @@ func (sc *Sidecar) ensureDefenses(service string) {
 func (sc *Sidecar) healthTick(service string) {
 	p := sc.healthCheckFor(service)
 	if p.IsZero() {
-		sc.hcActive[service] = false
+		sc.upstream(service).hcActive = false
 		return
 	}
 	p = p.withDefaults()
@@ -163,6 +167,9 @@ func (sc *Sidecar) clientForAddr(addr simnet.Addr, class ConnClass) *httpsim.Cli
 	cl, ok := sc.pools[key]
 	if !ok || cl.Closed() {
 		cl = httpsim.NewClient(sc.pod.Host(), addr, InboundPort, class.Options)
+		if sc.pools == nil {
+			sc.pools = make(map[poolKey]*httpsim.Client)
+		}
 		sc.pools[key] = cl
 		if sc.connHook != nil {
 			sc.connHook(cl.Conn(), class)
@@ -176,7 +183,7 @@ func (sc *Sidecar) clientForAddr(addr simnet.Addr, class ConnClass) *httpsim.Cli
 func (sc *Sidecar) outlierSweep(service string) {
 	p := sc.outlierFor(service)
 	if p.IsZero() {
-		sc.outlierActive[service] = false
+		sc.upstream(service).outlierActive = false
 		return
 	}
 	p = p.withDefaults()
@@ -197,19 +204,22 @@ func (sc *Sidecar) sweepOutliers(service string, eps []*cluster.Pod, p OutlierPo
 	bestEwma := 0.0
 	available := 0
 	for _, ep := range eps {
-		st := sc.epState(ep.Addr())
-		if st.unhealthy || now < st.ejectedUntil {
+		st := sc.endpoints[ep.Addr()]
+		if st != nil && (st.unhealthy || now < st.ejectedUntil) {
 			continue
 		}
 		available++
-		if st.ewma > 0 && (bestEwma == 0 || st.ewma < bestEwma) {
+		if st != nil && st.ewma > 0 && (bestEwma == 0 || st.ewma < bestEwma) {
 			bestEwma = st.ewma
 		}
 	}
 	floor := int(math.Ceil(p.PanicThreshold * float64(len(eps))))
 
 	for _, ep := range eps {
-		st := sc.epState(ep.Addr())
+		st := sc.endpoints[ep.Addr()]
+		if st == nil {
+			continue // never attempted: an empty window, below any MinRequests
+		}
 		total, fail := st.winTotal, st.winFail
 		st.winTotal, st.winFail = 0, 0
 		if now < st.ejectedUntil || total < p.MinRequests {
@@ -239,13 +249,20 @@ func (sc *Sidecar) sweepOutliers(service string, eps []*cluster.Pod, p OutlierPo
 
 // --- retry budgets ---
 
-// retryBudget is a Finagle-style token bucket: each new logical call
-// deposits BudgetRatio tokens, each retry spends one, and the bucket
-// is capped (and initially filled) at the burst size. Sustained retry
-// traffic is thereby bounded to BudgetRatio of request traffic, which
-// is what kills retry storms.
-type retryBudget struct {
-	tokens float64
+// A retry budget is a Finagle-style token bucket per upstream service
+// (upstreamState.tokens): each new logical call deposits BudgetRatio
+// tokens, each retry spends one, and the bucket is capped (and
+// initially filled) at the burst size. Sustained retry traffic is
+// thereby bounded to BudgetRatio of request traffic, which is what
+// kills retry storms.
+
+// budget returns the service's state with its retry budget started.
+func (sc *Sidecar) budget(service string, p RetryPolicy) *upstreamState {
+	u := sc.upstream(service)
+	if !u.budgeted {
+		u.budgeted, u.tokens = true, p.budgetBurst()
+	}
+	return u
 }
 
 // depositRetryTokens credits the budget for one new logical call.
@@ -253,14 +270,10 @@ func (sc *Sidecar) depositRetryTokens(service string, p RetryPolicy) {
 	if p.BudgetRatio <= 0 {
 		return
 	}
-	b := sc.budgets[service]
-	if b == nil {
-		b = &retryBudget{tokens: p.budgetBurst()}
-		sc.budgets[service] = b
-	}
-	b.tokens += p.BudgetRatio
-	if cap := p.budgetBurst(); b.tokens > cap {
-		b.tokens = cap
+	u := sc.budget(service, p)
+	u.tokens += p.BudgetRatio
+	if cap := p.budgetBurst(); u.tokens > cap {
+		u.tokens = cap
 	}
 }
 
@@ -270,15 +283,11 @@ func (sc *Sidecar) spendRetryToken(service string, p RetryPolicy) bool {
 	if p.BudgetRatio <= 0 {
 		return true
 	}
-	b := sc.budgets[service]
-	if b == nil {
-		b = &retryBudget{tokens: p.budgetBurst()}
-		sc.budgets[service] = b
-	}
-	if b.tokens < 1 {
+	u := sc.budget(service, p)
+	if u.tokens < 1 {
 		return false
 	}
-	b.tokens--
+	u.tokens--
 	return true
 }
 

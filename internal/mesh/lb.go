@@ -19,7 +19,12 @@ const (
 // endpointState is the sidecar's local view of one upstream endpoint:
 // outstanding requests, a latency EWMA, circuit-breaker state, active
 // health-check verdict, outlier-ejection state, and the request window
-// the outlier sweeper judges.
+// the outlier sweeper judges. A sidecar makes one at the first write
+// for an address (an attempt launched to it, a probe verdict), never on
+// a read: a caller that balances over 20 replicas and dials three holds
+// three. Until then the nil *endpointState reads as a fresh one — in
+// rotation, no load, no latency sample — and the read methods below
+// answer that for it.
 type endpointState struct {
 	inflight int
 	ewma     float64 // nanoseconds; 0 = no sample yet
@@ -109,7 +114,24 @@ func (s *endpointState) breakerAvailable(now time.Duration) bool {
 // unhealthy by active probes, not ejected by outlier detection, and
 // admitted by the circuit breaker.
 func (s *endpointState) available(now time.Duration) bool {
-	return !s.unhealthy && now >= s.ejectedUntil && s.breakerAvailable(now)
+	return s == nil || (!s.unhealthy && now >= s.ejectedUntil && s.breakerAvailable(now))
+}
+
+// load is the endpoint's outstanding requests.
+func (s *endpointState) load() int {
+	if s == nil {
+		return 0
+	}
+	return s.inflight
+}
+
+// warming reports whether the endpoint is in its LB slow-start ramp at
+// now, and the share of traffic the ramp admits.
+func (s *endpointState) warming(now time.Duration) (frac float64, ok bool) {
+	if s == nil || now >= s.warmUntil || s.warmUntil <= s.warmSince {
+		return 0, false
+	}
+	return float64(now-s.warmSince) / float64(s.warmUntil-s.warmSince), true
 }
 
 // pickEndpoint applies the service's LB policy over eligible endpoints.
@@ -137,7 +159,7 @@ func (sc *Sidecar) pickFrom(service string, eps []*cluster.Pod, panicOpen bool) 
 	if !panicOpen {
 		eligible = eps[:0:0]
 		for _, ep := range eps {
-			if sc.epState(ep.Addr()).available(now) {
+			if sc.endpoints[ep.Addr()].available(now) {
 				eligible = append(eligible, ep)
 			}
 		}
@@ -147,12 +169,8 @@ func (sc *Sidecar) pickFrom(service string, eps []*cluster.Pod, panicOpen bool) 
 		if len(eligible) > 1 {
 			kept := eligible[:0:0]
 			for _, ep := range eligible {
-				st := sc.epState(ep.Addr())
-				if now < st.warmUntil && st.warmUntil > st.warmSince {
-					frac := float64(now-st.warmSince) / float64(st.warmUntil-st.warmSince)
-					if sc.mesh.rng.Float64() >= frac {
-						continue
-					}
+				if frac, ok := sc.endpoints[ep.Addr()].warming(now); ok && sc.mesh.rng.Float64() >= frac {
+					continue
 				}
 				kept = append(kept, ep)
 			}
@@ -181,8 +199,9 @@ func (sc *Sidecar) pickFrom(service string, eps []*cluster.Pod, panicOpen bool) 
 }
 
 func (sc *Sidecar) pickRR(service string, eps []*cluster.Pod) *cluster.Pod {
-	i := sc.rrCounters[service]
-	sc.rrCounters[service] = i + 1
+	u := sc.upstream(service)
+	i := u.rr
+	u.rr++
 	return eps[i%uint64(len(eps))]
 }
 
@@ -201,7 +220,7 @@ func (sc *Sidecar) pickLeast(eps []*cluster.Pod) *cluster.Pod {
 		j++
 	}
 	a, b := eps[i], eps[j]
-	if sc.epState(b.Addr()).inflight < sc.epState(a.Addr()).inflight {
+	if sc.endpoints[b.Addr()].load() < sc.endpoints[a.Addr()].load() {
 		return b
 	}
 	return a
@@ -222,12 +241,12 @@ func (sc *Sidecar) pickEWMA(eps []*cluster.Pod) *cluster.Pod {
 }
 
 func (sc *Sidecar) ewmaScore(addr simnet.Addr) float64 {
-	st := sc.epState(addr)
-	lat := st.ewma
-	if lat == 0 {
-		lat = float64(time.Millisecond) // optimistic prior for unprobed replicas
+	st := sc.endpoints[addr]
+	lat := float64(time.Millisecond) // optimistic prior for unprobed replicas
+	if st != nil && st.ewma != 0 {
+		lat = st.ewma
 	}
-	return lat * float64(st.inflight+1)
+	return lat * float64(st.load()+1)
 }
 
 // pickWeighted draws a subset proportionally to the declared weights
@@ -247,27 +266,16 @@ func (sc *Sidecar) pickWeighted(ws []WeightedSubset) SubsetRef {
 	return ws[len(ws)-1].Subset
 }
 
-func (sc *Sidecar) epState(addr simnet.Addr) *endpointState {
-	st, ok := sc.endpoints[addr]
-	if !ok {
-		st = &endpointState{}
-		sc.endpoints[addr] = st
-	}
-	return st
-}
+// epState returns addr's state for writing, made at the first write.
+// Reads take sc.endpoints[addr] as it is.
+func (sc *Sidecar) epState(addr simnet.Addr) *endpointState { return entry(&sc.endpoints, addr) }
 
 // regionPath returns the sidecar's health state for the WAN path to a
-// remote region (the east-west gateway route). It shares the endpoint
-// state machine — consecutive-failure breaker, half-open probes — but
-// lives outside the per-address map: the active health checker and
-// outlier sweeper never touch it, so a dark path recovers only through
-// breaker trial requests, which is all a caller can honestly know
-// about a region it cannot see into.
-func (sc *Sidecar) regionPath(region string) *endpointState {
-	st, ok := sc.regionPaths[region]
-	if !ok {
-		st = &endpointState{}
-		sc.regionPaths[region] = st
-	}
-	return st
-}
+// remote region (the east-west gateway route), for writing; reads take
+// sc.regionPaths[region] as it is. It shares the endpoint state machine
+// — consecutive-failure breaker, half-open probes — but lives outside
+// the per-address map: the active health checker and outlier sweeper
+// never touch it, so a dark path recovers only through breaker trial
+// requests, which is all a caller can honestly know about a region it
+// cannot see into.
+func (sc *Sidecar) regionPath(region string) *endpointState { return entry(&sc.regionPaths, region) }

@@ -177,7 +177,7 @@ func (sc *Sidecar) healthyFrac(eps []*cluster.Pod, now time.Duration) float64 {
 	}
 	healthy := 0
 	for _, ep := range eps {
-		if sc.epState(ep.Addr()).available(now) {
+		if sc.endpoints[ep.Addr()].available(now) {
 			healthy++
 		}
 	}
@@ -371,7 +371,7 @@ func (sc *Sidecar) regionPathFrac(rs []RemoteEndpoints, now time.Duration) float
 	total, avail := 0, 0
 	for _, r := range rs {
 		total += r.Count
-		if sc.regionPath(r.Region).available(now) {
+		if sc.regionPaths[r.Region].available(now) {
 			avail += r.Count
 		}
 	}
@@ -388,7 +388,7 @@ func (sc *Sidecar) pickRemoteRegion(rs []RemoteEndpoints) string {
 	now := sc.mesh.sched.Now()
 	live := rs[:0:0]
 	for _, r := range rs {
-		if sc.regionPath(r.Region).available(now) {
+		if sc.regionPaths[r.Region].available(now) {
 			live = append(live, r)
 		}
 	}

@@ -56,7 +56,9 @@ type poolKey struct {
 }
 
 // Sidecar is the per-pod proxy handling all of the pod's inbound and
-// outbound communication.
+// outbound communication. A sidecar holds what it routes: its routing
+// state is made at the first write (entry), so one that only serves,
+// as most do, holds none.
 type Sidecar struct {
 	mesh    *Mesh
 	pod     *cluster.Pod
@@ -64,10 +66,13 @@ type Sidecar struct {
 	server  *httpsim.Server
 	app     AppHandler
 
+	// Pooled connections by (endpoint, class), LB and breaker state by
+	// endpoint (lb.go), WAN path state by region (locality.go), and
+	// state by upstream service; each map is nil until its first entry.
 	pools       map[poolKey]*httpsim.Client
 	endpoints   map[simnet.Addr]*endpointState
 	regionPaths map[string]*endpointState
-	rrCounters  map[string]uint64
+	upstreams   map[string]*upstreamState
 
 	inboundFilters  []InboundFilter
 	outboundFilters []OutboundFilter
@@ -76,26 +81,47 @@ type Sidecar struct {
 	bucket          *tokenBucket
 	identity        *Cert
 
-	// Overload protection (internal/admission): the controller is built
-	// lazily from the pushed AdmissionPolicy; the deadline index tracks
-	// every budget-carrying request regardless of whether admission is
-	// enabled.
-	admitCtl  *admission.Controller
-	admitPol  AdmissionPolicy
-	deadlines *admission.Deadlines
+	// admit is the overload protection (admission.go), nil until used.
+	admit *admissionState
 
-	// Self-healing defenses: lazily started health-check and outlier
-	// loops per upstream service, token-bucket retry budgets, and the
-	// chaos engine's server-side fault state (nil = healthy).
-	hcActive      map[string]bool
-	outlierActive map[string]bool
-	budgets       map[string]*retryBudget
-	serverFault   *serverFaultState
+	// serverFault is the chaos engine's server-side fault state (nil =
+	// healthy).
+	serverFault *serverFaultState
 
 	// ctrl is this sidecar's local snapshot of distributed routing
 	// state (nil in instant-propagation mode). Only the control-plane
 	// push path may mutate it — enforced by meshvet's ctlwrite.
 	ctrl *sidecarAgent
+}
+
+// upstreamState is a sidecar's own state for one destination service:
+// the round-robin cursor, whether the service's health-check and
+// outlier loops run, and its retry budget (health.go).
+type upstreamState struct {
+	rr uint64
+	// tokens is the retry budget, valid once budgeted is set.
+	tokens        float64
+	budgeted      bool
+	hcActive      bool
+	outlierActive bool
+}
+
+// upstream returns the state for service, made at the first write.
+func (sc *Sidecar) upstream(service string) *upstreamState { return entry(&sc.upstreams, service) }
+
+// entry returns (*m)[k], making the map and the entry if either is
+// missing. Routing state is written through it and read by indexing
+// the map, where a missing entry is nil.
+func entry[K comparable, V any](m *map[K]*V, k K) *V {
+	v := (*m)[k]
+	if v == nil {
+		if *m == nil {
+			*m = make(map[K]*V)
+		}
+		v = new(V)
+		(*m)[k] = v
+	}
+	return v
 }
 
 // InjectSidecar pairs a sidecar with the pod. The pod's service
@@ -108,19 +134,7 @@ func (m *Mesh) InjectSidecar(pod *cluster.Pod) *Sidecar {
 	if service == "" {
 		service = pod.Name()
 	}
-	sc := &Sidecar{
-		mesh:          m,
-		pod:           pod,
-		service:       service,
-		pools:         make(map[poolKey]*httpsim.Client),
-		endpoints:     make(map[simnet.Addr]*endpointState),
-		regionPaths:   make(map[string]*endpointState),
-		rrCounters:    make(map[string]uint64),
-		deadlines:     admission.NewDeadlines(),
-		hcActive:      make(map[string]bool),
-		outlierActive: make(map[string]bool),
-		budgets:       make(map[string]*retryBudget),
-	}
+	sc := &Sidecar{mesh: m, pod: pod, service: service}
 	srv, err := httpsim.NewServer(pod.Host(), InboundPort, sc.handleInbound)
 	if err != nil {
 		panic(err)
@@ -490,9 +504,11 @@ func (c *call) launch() {
 	// only, or they would black-hole the healthy regions behind the same
 	// gateway. The path state is what lets the data plane learn WAN-side
 	// sickness the frozen control-plane summaries cannot show.
-	st := sc.epState(ep.Addr())
+	var st *endpointState
 	if via != "" {
 		st = sc.regionPath(via)
+	} else {
+		st = sc.epState(ep.Addr())
 	}
 	st.inflight++
 	// If the breaker is half-open this attempt is the single trial
