@@ -189,9 +189,6 @@ func (s *Server) accept(conn *transport.Conn) {
 			if conn.Closed() {
 				return // client went away; nothing to do
 			}
-			if resp.Headers == nil {
-				resp.Headers = make(Header)
-			}
 			rm := allocWireMsg()
 			rm.id, rm.resp = id, resp
 			conn.SendMessage(rm, resp.WireSize())

@@ -28,7 +28,7 @@ func newEnv(t *testing.T, cfg simnet.LinkConfig) *env {
 }
 
 func TestHeaderBasics(t *testing.T) {
-	h := make(Header)
+	var h Header
 	h.Set("X-Request-Id", "abc")
 	if h.Get("x-request-id") != "abc" || h.Get("X-REQUEST-ID") != "abc" {
 		t.Fatal("case-insensitive get failed")
@@ -43,7 +43,7 @@ func TestHeaderBasics(t *testing.T) {
 }
 
 func TestHeaderClone(t *testing.T) {
-	h := make(Header)
+	var h Header
 	h.Set("a", "1")
 	c := h.Clone()
 	c.Set("a", "2")
@@ -51,13 +51,14 @@ func TestHeaderClone(t *testing.T) {
 		t.Fatal("clone shares storage")
 	}
 	var nilH Header
-	if got := nilH.Clone(); got == nil || len(got) != 0 {
+	got := nilH.Clone()
+	if got.Set("a", "1"); len(got) != 1 || got.Get("a") != "1" || len(nilH) != 0 {
 		t.Fatal("nil clone not usable")
 	}
 }
 
 func TestHeaderStringDeterministic(t *testing.T) {
-	h := make(Header)
+	var h Header
 	h.Set("b", "2")
 	h.Set("a", "1")
 	want := "a: 1\r\nb: 2\r\n"
@@ -325,7 +326,7 @@ func TestServerDuplicatePort(t *testing.T) {
 	}
 }
 
-// TestPropertyHeadersSurviveTransit: arbitrary header maps and body
+// TestPropertyHeadersSurviveTransit: arbitrary header lists and body
 // sizes arrive intact at the server, and the response's headers and
 // sizes return intact, over a lossy link.
 func TestPropertyHeadersSurviveTransit(t *testing.T) {
@@ -334,7 +335,7 @@ func TestPropertyHeadersSurviveTransit(t *testing.T) {
 		e := newEnv(t, simnet.LinkConfig{Rate: 50 * simnet.Mbps, Delay: time.Millisecond})
 		e.net.Node("client").NICs()[0].Impair(simnet.Impairment{LossProb: 0.05, Seed: seed})
 
-		want := make(Header)
+		var want Header
 		n := int(nHdr)%10 + 1
 		for i := 0; i < n; i++ {
 			want.Set(fmt.Sprintf("x-k%d", i), fmt.Sprintf("v%d", rng.Intn(1000)))
@@ -342,8 +343,8 @@ func TestPropertyHeadersSurviveTransit(t *testing.T) {
 
 		ok := true
 		NewServer(e.hb, 8080, func(ctx Ctx, req *Request, respond func(*Response)) {
-			for k, v := range want {
-				if req.Headers.Get(k) != v {
+			for _, f := range want {
+				if req.Headers.Get(f.key) != f.value {
 					ok = false
 				}
 			}
@@ -366,8 +367,8 @@ func TestPropertyHeadersSurviveTransit(t *testing.T) {
 				ok = false
 				return
 			}
-			for k, v := range want {
-				if resp.Headers.Get(k) != v {
+			for _, f := range want {
+				if resp.Headers.Get(f.key) != f.value {
 					ok = false
 				}
 			}

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"meshlayer/internal/httpsim"
@@ -87,7 +88,7 @@ func (sc *Sidecar) cert() *Cert {
 // outbound request.
 func (sc *Sidecar) stampIdentity(req *httpsim.Request) {
 	req.Headers.Set(HeaderSource, sc.service)
-	req.Headers.Set(HeaderCert, fmt.Sprintf("%d", sc.cert().Serial))
+	req.Headers.Set(HeaderCert, strconv.FormatUint(sc.cert().Serial, 10))
 }
 
 // verifyPeer authenticates an inbound request's claimed identity under

@@ -157,22 +157,24 @@ func (sc *Sidecar) pickFrom(service string, eps []*cluster.Pod, panicOpen bool) 
 	now := sc.mesh.sched.Now()
 	eligible := eps
 	if !panicOpen {
-		eligible = eps[:0:0]
-		for _, ep := range eps {
-			if sc.endpoints[ep.Addr()].available(now) {
-				eligible = append(eligible, ep)
+		warm := false
+		for i, ep := range eps {
+			st := sc.endpoints[ep.Addr()]
+			ok := st.available(now)
+			if _, w := st.warming(now); ok && w {
+				warm = true
 			}
+			eligible = sift(eps, eligible, i, ok)
 		}
 		// LB slow-start: a warming endpoint is admitted with probability
 		// equal to its ramp fraction, so recovered hosts take load
-		// gradually. Skipped when it would empty the eligible set.
-		if len(eligible) > 1 {
-			kept := eligible[:0:0]
-			for _, ep := range eligible {
-				if frac, ok := sc.endpoints[ep.Addr()].warming(now); ok && sc.mesh.rng.Float64() >= frac {
-					continue
-				}
-				kept = append(kept, ep)
+		// gradually. The pass runs only when an eligible endpoint is
+		// warming, and is undone when it would empty the eligible set.
+		if warm && len(eligible) > 1 {
+			kept := eligible
+			for i, ep := range eligible {
+				frac, w := sc.endpoints[ep.Addr()].warming(now)
+				kept = sift(eligible, kept, i, !w || sc.mesh.rng.Float64() < frac)
 			}
 			if len(kept) > 0 {
 				eligible = kept
@@ -196,6 +198,21 @@ func (sc *Sidecar) pickFrom(service string, eps []*cluster.Pod, panicOpen bool) 
 	default:
 		return sc.pickRR(service, eligible)
 	}
+}
+
+// sift records eps[i]'s verdict in kept, the endpoints a filtering
+// pass over eps has kept so far; the pass starts with kept = eps. While
+// every endpoint passes, kept is eps itself and nothing is copied. The
+// first miss caps kept at the prefix before it, so survivors after it
+// are appended to a copy and eps is never written.
+func sift(eps, kept []*cluster.Pod, i int, ok bool) []*cluster.Pod {
+	switch cut := len(kept) < len(eps); {
+	case !ok && !cut:
+		return eps[:i:i]
+	case ok && cut:
+		return append(kept, eps[i])
+	}
+	return kept
 }
 
 func (sc *Sidecar) pickRR(service string, eps []*cluster.Pod) *cluster.Pod {

@@ -402,17 +402,6 @@ func (sc *Sidecar) Call(req *httpsim.Request, cb func(*httpsim.Response, error))
 			})
 		}
 
-		start := func() {
-			c.launch()
-			if h := sc.hedgePolicyFor(service); h.Delay > 0 {
-				m.sched.After(h.Delay, func() {
-					if !c.done && !c.hedged {
-						c.hedged = true
-						c.launch()
-					}
-				})
-			}
-		}
 		// Fault injection (client-side, once per logical call).
 		if f := sc.faultPolicyFor(service); !f.IsZero() {
 			if f.AbortProb > 0 && m.rng.Float64() < f.AbortProb {
@@ -420,12 +409,25 @@ func (sc *Sidecar) Call(req *httpsim.Request, cb func(*httpsim.Response, error))
 				return
 			}
 			if f.DelayProb > 0 && m.rng.Float64() < f.DelayProb {
-				m.sched.After(f.Delay, start)
+				m.sched.After(f.Delay, c.begin)
 				return
 			}
 		}
-		start()
+		c.begin()
 	})
+}
+
+// begin launches the call's first attempt and arms its hedge.
+func (c *call) begin() {
+	c.launch()
+	if h := c.sc.hedgePolicyFor(c.service); h.Delay > 0 {
+		c.sc.mesh.sched.After(h.Delay, func() {
+			if !c.done && !c.hedged {
+				c.hedged = true
+				c.launch()
+			}
+		})
+	}
 }
 
 // endpointsFor resolves the service through this sidecar's discovery
@@ -577,7 +579,7 @@ func (c *call) launch() {
 		out.Headers.Set(HeaderEWService, c.service)
 		out.Headers.Set(HeaderEWRegion, via)
 	}
-	client.Do(out, func(resp *httpsim.Response, err error) { settle(resp, err) })
+	client.Do(out, settle)
 }
 
 func (c *call) shouldRetry(resp *httpsim.Response, err error) bool {
