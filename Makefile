@@ -1,8 +1,8 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same commands.
 
-.PHONY: check build fmt vet lint test race reach reach-goldens
+.PHONY: check build fmt vet lint test examples race reach reach-goldens
 
-check: build fmt vet lint test
+check: build fmt vet lint test examples
 
 build:
 	go build ./...
@@ -29,6 +29,15 @@ lint:
 #   go test -run TestGoldens -update .
 test:
 	go test -race -timeout 45m ./...
+
+# Runs every example main and fails on the first non-zero exit. Some
+# code paths have no other runner: SocialNetworkSpec, the e-commerce
+# preset under faults, and the autoscaler.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		go run "./$$d" >/dev/null || exit 1; \
+	done
 
 # Short-mode suite under the race detector (TestGoldens skips itself):
 # the quick leg that complements the indexowned analyzer (static

@@ -39,7 +39,7 @@ func main() {
 	// --- 4. Rate limiting the db ---
 	fmt.Println("\n[4] rate-limit db to 30 RPS (callers absorb the 429s; telemetry shows them)")
 	{
-		ec := app.BuildECommerce(app.ECommerceConfig{Seed: 42})
+		ec := build()
 		ec.Mesh.ControlPlane().SetRateLimit("db", mesh.RateLimitPolicy{RPS: 30, Burst: 5})
 		r := drive(ec)
 		limited := ec.Mesh.Metrics().Counter(mesh.MetricRequestsTotal,
@@ -49,7 +49,7 @@ func main() {
 
 	// --- 5. Mirroring ---
 	fmt.Println("\n[5] mirror 50% of catalog traffic to a shadow deployment")
-	ec := app.BuildECommerce(app.ECommerceConfig{Seed: 42})
+	ec := build()
 	shadow := ec.Cluster.AddPod(cluster.PodSpec{Name: "catalog-shadow", Labels: map[string]string{"app": "catalog-shadow"}})
 	ec.Cluster.AddService("catalog-shadow", 9080, map[string]string{"app": "catalog-shadow"})
 	seen := 0
@@ -65,7 +65,7 @@ func main() {
 
 // run builds a fresh app, applies the policy tweak, and reports.
 func run(mutate func(*mesh.ControlPlane)) {
-	ec := app.BuildECommerce(app.ECommerceConfig{Seed: 42})
+	ec := build()
 	if mutate != nil {
 		mutate(ec.Mesh.ControlPlane())
 	}
@@ -73,7 +73,16 @@ func run(mutate func(*mesh.ControlPlane)) {
 	fmt.Printf("    measured=%d errors=%d p50=%v p99=%v\n", r.Measured, r.Errors, r.P50(), r.P99())
 }
 
-func drive(ec *app.ECommerce) *workload.Results {
+// build assembles the e-commerce app with a 100 ms recs slow path.
+func build() *app.DAG {
+	ec, err := app.BuildDAG(app.ECommerceSpec(42, 100*time.Millisecond))
+	if err != nil {
+		panic(err)
+	}
+	return ec
+}
+
+func drive(ec *app.DAG) *workload.Results {
 	g := workload.Start(ec.Sched, ec.Gateway, workload.Spec{
 		Name: "store", Rate: 40, Seed: 11,
 		NewRequest: app.NewStorefrontRequest,

@@ -8,7 +8,6 @@ import (
 	"meshlayer/internal/app"
 	"meshlayer/internal/asciiplot"
 	"meshlayer/internal/chaos"
-	"meshlayer/internal/cluster"
 	"meshlayer/internal/hdr"
 	"meshlayer/internal/httpsim"
 	"meshlayer/internal/mesh"
@@ -169,10 +168,12 @@ func RunSidecarOverhead(n int, seed int64) []OverheadRow {
 		4 * mesh.DefaultSidecarDelay,
 	}
 	hists := sweepRows(len(delays), func(i int) *hdr.Histogram {
-		return chainLatencies(app.BuildChain(app.ChainConfig{
-			Depth:       1,
-			ServiceTime: 100 * time.Microsecond,
-			Mesh:        mesh.Config{SidecarDelayMean: delays[i], Seed: seed},
+		return chainLatencies(mustBuildDAG(app.DAGSpec{
+			Entry: "svc-0",
+			Mesh:  mesh.Config{SidecarDelayMean: delays[i], Seed: seed},
+			Services: []app.ServiceSpec{
+				{Name: "svc-0", ServiceTime: 100 * time.Microsecond, ResponseBytes: 2 << 10},
+			},
 		}), n)
 	})
 	base, withProxies, heavy := hists[0], hists[1], hists[2]
@@ -198,7 +199,7 @@ func RunSidecarOverhead(n int, seed int64) []OverheadRow {
 // chainLatencies drives n requests through the chain one at a time,
 // 1 ms apart (closed loop, so nothing queues), and returns their
 // end-to-end latencies.
-func chainLatencies(c *app.Chain, n int) *hdr.Histogram {
+func chainLatencies(c *app.DAG, n int) *hdr.Histogram {
 	h := hdr.New()
 	var next func(i int)
 	next = func(i int) {
@@ -391,42 +392,17 @@ func RunAdaptiveLB(rps float64, seed int64) []LBRow {
 }
 
 func runLBOnce(policy mesh.LBPolicy, rps float64, seed int64) LBRow {
-	sched := simnet.NewScheduler()
-	net := simnet.NewNetwork(sched)
-	cl := cluster.New(net)
-	gwPod := cl.AddPod(cluster.PodSpec{Name: "gateway", Labels: map[string]string{"app": "gateway"}})
-	var pods []*cluster.Pod
-	for i := 1; i <= 3; i++ {
-		pods = append(pods, cl.AddPod(cluster.PodSpec{
-			Name:    fmt.Sprintf("api-%d", i),
-			Labels:  map[string]string{"app": "api"},
-			Workers: 8,
-		}))
-	}
-	cl.AddService("api", 9080, map[string]string{"app": "api"})
-	m := mesh.New(cl, mesh.Config{Seed: seed})
-	gw := m.NewGateway(gwPod)
-	m.ControlPlane().SetLBPolicy("api", policy)
+	d := mustBuildDAG(app.DAGSpec{
+		Entry: "api",
+		Mesh:  mesh.Config{Seed: seed},
+		Services: []app.ServiceSpec{
+			{Name: "api", Replicas: 3, Workers: 8, ServiceTime: 2 * time.Millisecond, ResponseBytes: 4 << 10},
+		},
+	})
+	d.Cluster.Pod("api-1").SetExecFactor(12.5) // the degraded replica: 25 ms
+	d.Mesh.ControlPlane().SetLBPolicy("api", policy)
 
-	served := map[string]uint64{}
-	for i, pod := range pods {
-		pod := pod
-		svcTime := 2 * time.Millisecond
-		if i == 0 {
-			svcTime = 25 * time.Millisecond // the degraded replica
-		}
-		sc := m.InjectSidecar(pod)
-		sc.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-			served[pod.Name()]++
-			pod.Exec(svcTime, func() {
-				out := httpsim.NewResponse(httpsim.StatusOK)
-				out.BodyBytes = 4 << 10
-				respond(out)
-			})
-		})
-	}
-
-	g := workload.Start(sched, gw, workload.Spec{
+	g := workload.Start(d.Sched, d.Gateway, workload.Spec{
 		Name: string(policy), Rate: rps, Seed: seed + 5,
 		NewRequest: func() *httpsim.Request {
 			r := httpsim.NewRequest("GET", "/api")
@@ -435,15 +411,15 @@ func runLBOnce(policy mesh.LBPolicy, rps float64, seed int64) LBRow {
 		},
 		Warmup: 2 * time.Second, Measure: 20 * time.Second, Cooldown: time.Second,
 	})
-	sched.RunFor(25 * time.Second)
+	d.Sched.RunFor(25 * time.Second)
 	r := g.Results()
 	var total uint64
-	for _, c := range served {
-		total += c
+	for i := 1; i <= 3; i++ {
+		total += d.Cluster.Pod(fmt.Sprintf("api-%d", i)).Workers().Executed()
 	}
 	slowShare := 0.0
 	if total > 0 {
-		slowShare = float64(served["api-1"]) / float64(total)
+		slowShare = float64(d.Cluster.Pod("api-1").Workers().Executed()) / float64(total)
 	}
 	return LBRow{Policy: policy, P50: r.P50(), P99: r.P99(), SlowShare: slowShare}
 }
@@ -472,7 +448,7 @@ type HedgeRow struct {
 func RunRedundant(rps float64, seed int64) []HedgeRow {
 	rps = orDefault(rps, 30)
 	run := func(hedge bool) HedgeRow {
-		ec := app.BuildECommerce(app.ECommerceConfig{Seed: seed, RecsSlowTime: 80 * time.Millisecond})
+		ec := mustBuildDAG(app.ECommerceSpec(seed, 80*time.Millisecond))
 		if hedge {
 			ec.Mesh.ControlPlane().SetHedgePolicy("recs", mesh.HedgePolicy{Delay: 10 * time.Millisecond})
 		}
@@ -839,20 +815,17 @@ func RunOverload(seed int64, warmup, measure time.Duration) []OverloadRow {
 }
 
 func runOverloadOnce(name string, admit, deadline bool, load float64, seed int64, warmup, measure time.Duration) OverloadRow {
-	sched := simnet.NewScheduler()
-	net := simnet.NewNetwork(sched)
-	cl := cluster.New(net)
-	gwPod := cl.AddPod(cluster.PodSpec{Name: "gateway", Labels: map[string]string{"app": "gateway"}})
-	apiPod := cl.AddPod(cluster.PodSpec{Name: "api-1", Labels: map[string]string{"app": "api"}, Workers: overloadAPIWorkers})
-	bePod := cl.AddPod(cluster.PodSpec{Name: "backend-1", Labels: map[string]string{"app": "backend"}, Workers: 32})
-	cl.AddService("api", 9080, map[string]string{"app": "api"})
-	cl.AddService("backend", 9080, map[string]string{"app": "backend"})
-
-	m := mesh.New(cl, mesh.Config{Seed: seed})
-	gw := m.NewGateway(gwPod)
-	apiSC := m.InjectSidecar(apiPod)
-	beSC := m.InjectSidecar(bePod)
-	gw.SetClassifier(mesh.PathClassifier(map[string]string{
+	d := mustBuildDAG(app.DAGSpec{
+		Entry: "api",
+		Mesh:  mesh.Config{Seed: seed},
+		Services: []app.ServiceSpec{
+			{Name: "api", Workers: overloadAPIWorkers, ServiceTime: overloadAPITime,
+				Calls: []app.Call{{Service: "backend", Path: "/data"}}},
+			{Name: "backend", Workers: 32, ServiceTime: time.Millisecond},
+		},
+	})
+	sched, m := d.Sched, d.Mesh
+	d.Gateway.SetClassifier(mesh.PathClassifier(map[string]string{
 		"/ls": mesh.PriorityHigh,
 		"/li": mesh.PriorityLow,
 	}, mesh.PriorityHigh))
@@ -882,26 +855,6 @@ func runOverloadOnce(name string, admit, deadline bool, load float64, seed int64
 	}
 	cp.SetAdmissionPolicy("api", pol)
 
-	var backendWork uint64
-	beSC.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-		backendWork++
-		bePod.Exec(time.Millisecond, func() { respond(httpsim.NewResponse(httpsim.StatusOK)) })
-	})
-	apiSC.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-		apiPod.Exec(overloadAPITime, func() {
-			child := httpsim.NewRequest("GET", "/data")
-			child.Headers.Set(mesh.HeaderHost, "backend")
-			app.CopyTrace(req, child)
-			apiSC.Call(child, func(resp *httpsim.Response, err error) {
-				if err != nil {
-					respond(httpsim.NewResponse(httpsim.StatusBadGateway))
-					return
-				}
-				respond(httpsim.NewResponse(resp.Status))
-			})
-		})
-	})
-
 	capacity := OverloadCapacity()
 	lsRate := overloadLSShare * load * capacity
 	liRate := (1 - overloadLSShare) * load * capacity
@@ -930,8 +883,8 @@ func runOverloadOnce(name string, admit, deadline bool, load float64, seed int64
 			OnComplete: goodCounter(good),
 		}
 	}
-	ls := workload.Start(sched, gw, mkSpec("ls", "/ls", lsRate, 11, &lsGood))
-	workload.Start(sched, gw, mkSpec("li", "/li", liRate, 13, &liGood))
+	ls := workload.Start(sched, d.Gateway, mkSpec("ls", "/ls", lsRate, 11, &lsGood))
+	workload.Start(sched, d.Gateway, mkSpec("li", "/li", liRate, 13, &liGood))
 	sched.RunFor(warmup + measure + 2*time.Second)
 
 	lsRes := ls.Results()
@@ -945,7 +898,7 @@ func runOverloadOnce(name string, admit, deadline bool, load float64, seed int64
 		LIGoodput:   float64(liGood) / (liRate * measure.Seconds()),
 		Shed:        reg.CounterTotal(mesh.MetricAdmissionShedTotal),
 		Cancelled:   reg.CounterTotal(mesh.MetricAdmissionCancelledTotal),
-		BackendWork: backendWork,
+		BackendWork: d.Cluster.Pod("backend-1").Workers().Executed(),
 	}
 }
 
@@ -1126,6 +1079,16 @@ func FormatChaos(rows []ChaosRow) string {
 }
 
 // ---------- shared helpers ----------
+
+// mustBuildDAG builds a DAG application the program itself declares, so
+// an invalid spec is a bug.
+func mustBuildDAG(spec app.DAGSpec) *app.DAG {
+	d, err := app.BuildDAG(spec)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
 
 // orDefault returns v, or def when v is not positive: the Run* exports
 // take "<= 0 selects the default" windows, rates and counts.

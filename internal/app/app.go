@@ -1,7 +1,8 @@
 // Package app contains the sample microservice applications that run on
 // the mesh: the e-library of the paper's prototype (Istio's bookinfo
-// reshaped, §4.3), a linear chain for hop-depth studies, and a deeper
-// e-commerce tree used by the examples.
+// reshaped, §4.3), and BuildDAG, which assembles any other application
+// from a declared service graph. Its presets are a linear chain for
+// hop-depth studies, a deeper e-commerce tree, and a social network.
 //
 // Application handlers follow the paper's division of labour: they
 // propagate the trace headers (x-request-id / x-span-id) onto child

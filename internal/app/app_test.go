@@ -159,7 +159,10 @@ func TestChainValidation(t *testing.T) {
 }
 
 func TestECommerceStorefront(t *testing.T) {
-	ec := BuildECommerce(ECommerceConfig{Seed: 4})
+	ec, err := BuildDAG(ECommerceSpec(4, 100*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
 	okCount := 0
 	for i := 0; i < 10; i++ {
 		ec.Gateway.Serve(NewStorefrontRequest(), func(r *httpsim.Response, err error) {

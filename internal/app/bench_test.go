@@ -36,23 +36,33 @@ func BenchmarkChainRequest(b *testing.B) {
 // the data plane: a hop's span names, series lookups and trace storage
 // once cost 40 allocations per 16-hop request (513), header maps and
 // forwarding closures 135 more (473), and a change that brings any of
-// them back shows here before it shows in the benchmark.
+// them back shows here before it shows in the benchmark. The social
+// row pins a fan-out hop's join at the cost of a forwarding one.
 func TestChainHopAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are not the program's")
 	}
+	social, err := BuildDAG(SocialNetworkSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		depth  int
+		name   string
+		d      *DAG
+		req    func() *httpsim.Request
 		budget float64
-	}{{4, 86}, {16, 338}} {
-		c := BuildChain(ChainConfig{Depth: tc.depth})
+	}{
+		{"a 4-hop chain", BuildChain(ChainConfig{Depth: 4}), NewChainRequest, 86},
+		{"a 16-hop chain", BuildChain(ChainConfig{Depth: 16}), NewChainRequest, 338},
+		{"the social network", social, social.NewDAGRequest, 334},
+	} {
 		n := testing.AllocsPerRun(100, func() {
-			c.Gateway.Serve(NewChainRequest(), func(*httpsim.Response, error) {})
-			c.Sched.Run()
+			tc.d.Gateway.Serve(tc.req(), func(*httpsim.Response, error) {})
+			tc.d.Sched.Run()
 		})
 		if n > tc.budget {
-			t.Errorf("one request through a %d-hop chain allocates %v times, budget %v: "+
-				"this is rpc_chain's allocs_per_op, and what a request keeps is its live_heap_mb", tc.depth, n, tc.budget)
+			t.Errorf("one request through %s allocates %v times, budget %v: "+
+				"this is rpc_chain's allocs_per_op, and what a request keeps is its live_heap_mb", tc.name, n, tc.budget)
 		}
 	}
 }

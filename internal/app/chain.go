@@ -4,90 +4,49 @@ import (
 	"fmt"
 	"time"
 
-	"meshlayer/internal/cluster"
 	"meshlayer/internal/httpsim"
 	"meshlayer/internal/mesh"
-	"meshlayer/internal/simnet"
 )
-
-// Chain is a linear microservice pipeline svc-0 -> svc-1 -> ... ->
-// svc-(n-1): the topology for studying how per-hop sidecar overhead
-// accumulates in "latency-sensitive apps involving tens of hops among
-// microservices" (§3.6).
-type Chain struct {
-	Sched   *simnet.Scheduler
-	Cluster *cluster.Cluster
-	Mesh    *mesh.Mesh
-	Gateway *mesh.Gateway
-	Depth   int
-}
 
 // ChainConfig parameterizes BuildChain.
 type ChainConfig struct {
 	// Depth is the number of chained services (>= 1).
 	Depth int
-	// ServiceTime is each hop's compute time.
-	ServiceTime time.Duration
 	// ResponseBytes is each hop's response size.
 	ResponseBytes int
 	// Mesh carries mesh-level settings.
 	Mesh mesh.Config
 }
 
-// BuildChain constructs the chain on a fresh scheduler. External
-// requests enter at the gateway addressed to "svc-0"; each service
-// calls the next; the last one answers.
-func BuildChain(cfg ChainConfig) *Chain {
+// BuildChain constructs a linear microservice pipeline svc-0 -> svc-1
+// -> ... -> svc-(n-1) on a fresh scheduler: the topology for studying
+// how per-hop sidecar overhead accumulates in "latency-sensitive apps
+// involving tens of hops among microservices" (§3.6). External requests
+// enter at the gateway addressed to "svc-0"; each service computes for
+// 200 µs and calls the next; the last one answers.
+func BuildChain(cfg ChainConfig) *DAG {
 	if cfg.Depth < 1 {
 		panic("app: chain depth must be >= 1")
-	}
-	if cfg.ServiceTime == 0 {
-		cfg.ServiceTime = 200 * time.Microsecond
 	}
 	if cfg.ResponseBytes == 0 {
 		cfg.ResponseBytes = 2 << 10
 	}
-	sched := simnet.NewScheduler()
-	net := simnet.NewNetwork(sched)
-	cl := cluster.New(net)
-
-	gwPod := cl.AddPod(cluster.PodSpec{Name: "gateway", Labels: map[string]string{"app": "gateway"}})
-	pods := make([]*cluster.Pod, cfg.Depth)
-	for i := 0; i < cfg.Depth; i++ {
-		name := fmt.Sprintf("svc-%d", i)
-		pods[i] = cl.AddPod(cluster.PodSpec{Name: name + "-1", Labels: map[string]string{"app": name}})
-		cl.AddService(name, 9080, map[string]string{"app": name})
+	spec := DAGSpec{Entry: "svc-0", Mesh: cfg.Mesh, Services: make([]ServiceSpec, cfg.Depth)}
+	for i := range spec.Services {
+		spec.Services[i] = ServiceSpec{
+			Name:          fmt.Sprintf("svc-%d", i),
+			ServiceTime:   200 * time.Microsecond,
+			ResponseBytes: cfg.ResponseBytes,
+		}
+		if i+1 < cfg.Depth {
+			spec.Services[i].Calls = calls(fmt.Sprintf("svc-%d", i+1))
+		}
 	}
-
-	m := mesh.New(cl, cfg.Mesh)
-	gw := m.NewGateway(gwPod)
-
-	for i := 0; i < cfg.Depth; i++ {
-		i := i
-		pod := pods[i]
-		sc := m.InjectSidecar(pod)
-		sc.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-			pod.Exec(cfg.ServiceTime, func() {
-				if i == cfg.Depth-1 {
-					out := httpsim.NewResponse(httpsim.StatusOK)
-					out.BodyBytes = cfg.ResponseBytes
-					respond(out)
-					return
-				}
-				child := childRequest(req, fmt.Sprintf("svc-%d", i+1), req.Path)
-				sc.Call(child, func(resp *httpsim.Response, err error) {
-					if err != nil {
-						respond(httpsim.NewResponse(httpsim.StatusBadGateway))
-						return
-					}
-					out := httpsim.NewResponse(httpsim.StatusOK)
-					out.BodyBytes = cfg.ResponseBytes
-					respond(out)
-				})
-			})
-		})
+	d, err := BuildDAG(spec)
+	if err != nil {
+		panic(err)
 	}
-	return &Chain{Sched: sched, Cluster: cl, Mesh: m, Gateway: gw, Depth: cfg.Depth}
+	return d
 }
 
 // NewChainRequest builds an external request entering the chain.

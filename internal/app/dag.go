@@ -19,19 +19,32 @@ type ServiceSpec struct {
 	Replicas int
 	// ServiceTime is the per-request compute time.
 	ServiceTime time.Duration
+	// Tail, if set, is drawn once per request as it arrives and added to
+	// ServiceTime: a heavy tail (GC pause, cache miss) on top of the
+	// nominal compute.
+	Tail func() time.Duration
 	// ResponseBytes is the response body size.
 	ResponseBytes int
-	// Calls lists downstream services invoked in parallel per request.
-	Calls []string
-	// Workers bounds pod concurrency (default 16).
+	// Calls lists downstream calls made in parallel per request.
+	Calls []Call
+	// Workers bounds pod concurrency (0 = unbounded).
 	Workers int
 }
 
+// Call is one edge of the DAG: a child request to Service at Path. An
+// empty Path forwards the inbound request's path.
+type Call struct {
+	Service string
+	Path    string
+}
+
 // DAGSpec declares a whole application as a service DAG. Entry is the
-// service external requests address.
+// service external requests address; Mesh configures the mesh it runs
+// on.
 type DAGSpec struct {
 	Services []ServiceSpec
 	Entry    string
+	Mesh     mesh.Config
 }
 
 // DAG is an assembled DAG application.
@@ -42,7 +55,7 @@ type DAG struct {
 	Gateway *mesh.Gateway
 	Entry   string
 
-	specs    map[string]ServiceSpec
+	specs    map[string]*ServiceSpec
 	nextIdx  map[string]int
 	replicas map[string][]*cluster.Pod
 }
@@ -62,6 +75,9 @@ func (s DAGSpec) Validate() error {
 		if _, dup := byName[svc.Name]; dup {
 			return fmt.Errorf("app: duplicate service %q", svc.Name)
 		}
+		if svc.Replicas < 0 || svc.ServiceTime < 0 || svc.ResponseBytes < 0 || svc.Workers < 0 {
+			return fmt.Errorf("app: %s has a negative replica count, service time, response size or worker bound", svc.Name)
+		}
 		byName[svc.Name] = svc
 	}
 	if _, ok := byName[s.Entry]; !ok {
@@ -69,8 +85,11 @@ func (s DAGSpec) Validate() error {
 	}
 	for _, svc := range s.Services {
 		for _, c := range svc.Calls {
-			if _, ok := byName[c]; !ok {
-				return fmt.Errorf("app: %s calls unknown service %q", svc.Name, c)
+			if _, ok := byName[c.Service]; !ok {
+				return fmt.Errorf("app: %s calls unknown service %q", svc.Name, c.Service)
+			}
+			if c.Path != "" && c.Path[0] != '/' {
+				return fmt.Errorf("app: %s calls %s at path %q, which does not start with /", svc.Name, c.Service, c.Path)
 			}
 		}
 	}
@@ -91,7 +110,7 @@ func (s DAGSpec) Validate() error {
 		}
 		colour[name] = grey
 		for _, c := range byName[name].Calls {
-			if err := visit(c); err != nil {
+			if err := visit(c.Service); err != nil {
 				return err
 			}
 		}
@@ -112,9 +131,8 @@ func (s DAGSpec) Validate() error {
 }
 
 // BuildDAG assembles the application on a fresh scheduler: one pod per
-// replica, one service per spec, sidecars everywhere, and handlers that
-// fan out to each service's Calls in parallel and respond when all
-// downstream responses are in.
+// replica, one service per spec, sidecars everywhere, and one handler
+// (registerDAGHandler) per pod.
 func BuildDAG(spec DAGSpec) (*DAG, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -124,22 +142,22 @@ func BuildDAG(spec DAGSpec) (*DAG, error) {
 	cl := cluster.New(net)
 
 	gwPod := cl.AddPod(cluster.PodSpec{Name: "gateway", Labels: map[string]string{"app": "gateway"}})
-	m := mesh.New(cl, mesh.Config{})
+	m := mesh.New(cl, spec.Mesh)
 	gw := m.NewGateway(gwPod)
 
 	d := &DAG{
 		Sched: sched, Cluster: cl, Mesh: m, Gateway: gw, Entry: spec.Entry,
-		specs:    make(map[string]ServiceSpec),
-		nextIdx:  make(map[string]int),
-		replicas: make(map[string][]*cluster.Pod),
+		specs:    make(map[string]*ServiceSpec, len(spec.Services)),
+		nextIdx:  make(map[string]int, len(spec.Services)),
+		replicas: make(map[string][]*cluster.Pod, len(spec.Services)),
 	}
-	for _, svc := range spec.Services {
-		replicas := svc.Replicas
-		if replicas <= 0 {
-			replicas = 1
-		}
+	// The handlers hold their spec by pointer; the copy keeps them from
+	// seeing later edits to the caller's slice.
+	services := append([]ServiceSpec(nil), spec.Services...)
+	for i := range services {
+		svc := &services[i]
 		d.specs[svc.Name] = svc
-		for i := 0; i < replicas; i++ {
+		for r := 0; r < max(svc.Replicas, 1); r++ {
 			d.addReplica(svc.Name)
 		}
 		cl.AddService(svc.Name, 9080, map[string]string{"app": svc.Name})
@@ -149,16 +167,12 @@ func BuildDAG(spec DAGSpec) (*DAG, error) {
 
 func (d *DAG) addReplica(service string) *cluster.Pod {
 	svc := d.specs[service]
-	workers := svc.Workers
-	if workers <= 0 {
-		workers = 16
-	}
 	d.nextIdx[service]++
 	i := d.nextIdx[service]
 	pod := d.Cluster.AddPod(cluster.PodSpec{
 		Name:    fmt.Sprintf("%s-%d", service, i),
 		Labels:  map[string]string{"app": service, "version": fmt.Sprintf("v%d", i)},
-		Workers: workers,
+		Workers: svc.Workers,
 	})
 	registerDAGHandler(d.Mesh, pod, svc)
 	d.replicas[service] = append(d.replicas[service], pod)
@@ -209,37 +223,59 @@ func (d *DAG) Scale(service string, replicas int) error {
 	return nil
 }
 
-func registerDAGHandler(m *mesh.Mesh, pod *cluster.Pod, svc ServiceSpec) {
+// registerDAGHandler is how every DAG service answers: draw the tail,
+// compute for ServiceTime plus it, then either answer (a leaf) or call
+// every child in parallel and answer once all have replied, with the
+// worst status among them (502 for a transport error).
+func registerDAGHandler(m *mesh.Mesh, pod *cluster.Pod, svc *ServiceSpec) {
 	sc := m.InjectSidecar(pod)
 	sc.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-		pod.Exec(svc.ServiceTime, func() {
+		t := svc.ServiceTime
+		if svc.Tail != nil {
+			t += svc.Tail()
+		}
+		pod.Exec(t, func() {
 			if len(svc.Calls) == 0 {
 				out := httpsim.NewResponse(httpsim.StatusOK)
 				out.BodyBytes = svc.ResponseBytes
 				respond(out)
 				return
 			}
-			remaining := len(svc.Calls)
-			worst := httpsim.StatusOK
-			finish := func(resp *httpsim.Response, err error) {
-				if err != nil {
-					worst = httpsim.StatusBadGateway
-				} else if resp.Status > worst {
-					worst = resp.Status
+			j := &join{respond: respond, remaining: len(svc.Calls), worst: httpsim.StatusOK, bytes: svc.ResponseBytes}
+			done := j.done // once: each method value evaluated is an allocation
+			for _, c := range svc.Calls {
+				path := c.Path
+				if path == "" {
+					path = req.Path
 				}
-				remaining--
-				if remaining > 0 {
-					return
-				}
-				out := httpsim.NewResponse(worst)
-				out.BodyBytes = svc.ResponseBytes
-				respond(out)
-			}
-			for _, target := range svc.Calls {
-				sc.Call(childRequest(req, target, req.Path), finish)
+				sc.Call(childRequest(req, c.Service, path), done)
 			}
 		})
 	})
+}
+
+// join collects a fan-out's replies and answers the parent after the
+// last one.
+type join struct {
+	respond   func(*httpsim.Response)
+	remaining int
+	worst     int
+	bytes     int
+}
+
+func (j *join) done(resp *httpsim.Response, err error) {
+	status := httpsim.StatusBadGateway
+	if err == nil {
+		status = resp.Status
+	}
+	j.worst = max(j.worst, status)
+	j.remaining--
+	if j.remaining > 0 {
+		return
+	}
+	out := httpsim.NewResponse(j.worst)
+	out.BodyBytes = j.bytes
+	j.respond(out)
 }
 
 // NewDAGRequest builds an external request entering the DAG.
@@ -258,26 +294,35 @@ func SocialNetworkSpec() DAGSpec {
 		Entry: "compose",
 		Services: []ServiceSpec{
 			{Name: "compose", Replicas: 2, ServiceTime: msec(8), ResponseBytes: 16 << 10,
-				Calls: []string{"home-timeline", "user-timeline", "text", "media"}},
+				Calls: calls("home-timeline", "user-timeline", "text", "media")},
 			{Name: "home-timeline", Replicas: 2, ServiceTime: msec(5), ResponseBytes: 8 << 10,
-				Calls: []string{"social-graph", "post-storage"}},
+				Calls: calls("social-graph", "post-storage")},
 			{Name: "user-timeline", Replicas: 2, ServiceTime: msec(5), ResponseBytes: 8 << 10,
-				Calls: []string{"post-storage"}},
+				Calls: calls("post-storage")},
 			{Name: "social-graph", ServiceTime: msec(4), ResponseBytes: 4 << 10,
-				Calls: []string{"graph-cache"}},
+				Calls: calls("graph-cache")},
 			{Name: "graph-cache", ServiceTime: msec(2), ResponseBytes: 2 << 10,
-				Calls: []string{"graph-db"}},
+				Calls: calls("graph-db")},
 			{Name: "graph-db", ServiceTime: msec(6), ResponseBytes: 4 << 10},
 			{Name: "post-storage", Replicas: 2, ServiceTime: msec(4), ResponseBytes: 8 << 10,
-				Calls: []string{"post-cache"}},
+				Calls: calls("post-cache")},
 			{Name: "post-cache", ServiceTime: msec(2), ResponseBytes: 8 << 10,
-				Calls: []string{"post-db"}},
+				Calls: calls("post-db")},
 			{Name: "post-db", ServiceTime: msec(6), ResponseBytes: 8 << 10},
 			{Name: "text", ServiceTime: msec(3), ResponseBytes: 2 << 10,
-				Calls: []string{"url-shorten", "user-mention"}},
+				Calls: calls("url-shorten", "user-mention")},
 			{Name: "url-shorten", ServiceTime: msec(2), ResponseBytes: 1 << 10},
 			{Name: "user-mention", ServiceTime: msec(2), ResponseBytes: 1 << 10},
 			{Name: "media", ServiceTime: msec(4), ResponseBytes: 32 << 10},
 		},
 	}
+}
+
+// calls declares edges that all forward the inbound request's path.
+func calls(services ...string) []Call {
+	out := make([]Call, len(services))
+	for i, s := range services {
+		out[i].Service = s
+	}
+	return out
 }

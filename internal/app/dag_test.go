@@ -6,21 +6,30 @@ import (
 	"time"
 
 	"meshlayer/internal/httpsim"
+	"meshlayer/internal/mesh"
 	"meshlayer/internal/trace"
 )
 
 func TestDAGValidate(t *testing.T) {
 	cases := map[string]DAGSpec{
-		"empty":        {},
-		"no entry":     {Services: []ServiceSpec{{Name: "a"}}, Entry: "b"},
-		"unnamed":      {Services: []ServiceSpec{{}}, Entry: ""},
-		"duplicate":    {Services: []ServiceSpec{{Name: "a"}, {Name: "a"}}, Entry: "a"},
-		"unknown call": {Services: []ServiceSpec{{Name: "a", Calls: []string{"zz"}}}, Entry: "a"},
-		"self cycle":   {Services: []ServiceSpec{{Name: "a", Calls: []string{"a"}}}, Entry: "a"},
+		"empty":                   {},
+		"no entry":                {Services: []ServiceSpec{{Name: "a"}}, Entry: "b"},
+		"unnamed":                 {Services: []ServiceSpec{{}}, Entry: ""},
+		"duplicate":               {Services: []ServiceSpec{{Name: "a"}, {Name: "a"}}, Entry: "a"},
+		"unknown call":            {Services: []ServiceSpec{{Name: "a", Calls: calls("zz")}}, Entry: "a"},
+		"self cycle":              {Services: []ServiceSpec{{Name: "a", Calls: calls("a")}}, Entry: "a"},
+		"negative service time":   {Services: []ServiceSpec{{Name: "a", ServiceTime: -time.Millisecond}}, Entry: "a"},
+		"negative response bytes": {Services: []ServiceSpec{{Name: "a", ResponseBytes: -1}}, Entry: "a"},
+		"negative replicas":       {Services: []ServiceSpec{{Name: "a", Replicas: -1}}, Entry: "a"},
+		"negative workers":        {Services: []ServiceSpec{{Name: "a", Workers: -1}}, Entry: "a"},
+		"relative call path": {Services: []ServiceSpec{
+			{Name: "a", Calls: []Call{{Service: "b", Path: "items"}}},
+			{Name: "b"},
+		}, Entry: "a"},
 		"longer cycle": {Services: []ServiceSpec{
-			{Name: "a", Calls: []string{"b"}},
-			{Name: "b", Calls: []string{"c"}},
-			{Name: "c", Calls: []string{"a"}},
+			{Name: "a", Calls: calls("b")},
+			{Name: "b", Calls: calls("c")},
+			{Name: "c", Calls: calls("a")},
 		}, Entry: "a"},
 	}
 	for name, spec := range cases {
@@ -30,6 +39,9 @@ func TestDAGValidate(t *testing.T) {
 	}
 	if err := SocialNetworkSpec().Validate(); err != nil {
 		t.Fatalf("social spec invalid: %v", err)
+	}
+	if err := ECommerceSpec(1, 80*time.Millisecond).Validate(); err != nil {
+		t.Fatalf("e-commerce spec invalid: %v", err)
 	}
 }
 
@@ -118,4 +130,133 @@ func TestDAGReplicasSpread(t *testing.T) {
 		d.Cluster.Pod("compose-2").Workers().Executed() == 0 {
 		t.Fatal("compose replicas not both used")
 	}
+}
+
+// serveOnce sends one request at path to the DAG's entry and returns
+// the status the entry answered with and how long it took. Retries are
+// off everywhere, so each service answers each request once, and calls
+// past the entry time out after 50 ms.
+func serveOnce(t *testing.T, d *DAG, path string) (status int, latency time.Duration) {
+	t.Helper()
+	for _, svc := range d.Cluster.Services() {
+		pol := mesh.RetryPolicy{PerTryTimeout: 50 * time.Millisecond}
+		if svc.Name() == d.Entry {
+			pol = mesh.RetryPolicy{}
+		}
+		d.Mesh.ControlPlane().SetRetryPolicy(svc.Name(), pol)
+	}
+	req := httpsim.NewRequest("GET", path)
+	req.Headers.Set(mesh.HeaderHost, d.Entry)
+	answers := 0
+	start := d.Sched.Now()
+	d.Gateway.Serve(req, func(resp *httpsim.Response, err error) {
+		if err != nil {
+			t.Fatalf("gateway: %v", err)
+		}
+		answers++
+		status, latency = resp.Status, d.Sched.Now()-start
+	})
+	d.Sched.Run()
+	if answers != 1 {
+		t.Fatalf("request answered %d times, want once", answers)
+	}
+	return status, latency
+}
+
+func mustBuild(t *testing.T, spec DAGSpec) *DAG {
+	t.Helper()
+	d, err := BuildDAG(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestDAGHandlerContract pins how the one DAG handler answers: after
+// every child has replied, with the worst status among them, a
+// transport error counting as 502; each edge at its own path or the
+// inbound one; the tail drawn once, before the compute it lengthens.
+func TestDAGHandlerContract(t *testing.T) {
+	abort := mesh.FaultPolicy{AbortProb: 1, AbortStatus: httpsim.StatusServiceUnavailable}
+
+	t.Run("leaf 5xx surfaces through a chain", func(t *testing.T) {
+		d := BuildChain(ChainConfig{Depth: 3})
+		d.Mesh.ControlPlane().SetFaultPolicy("svc-2", abort)
+		if st, _ := serveOnce(t, d, "/chain"); st != httpsim.StatusServiceUnavailable {
+			t.Fatalf("entry answered %d, want the leaf's 503", st)
+		}
+	})
+
+	t.Run("worst status of a fan-out, after the last reply", func(t *testing.T) {
+		// a's fast child fails at once; its slow child answers 200
+		// 10 ms later. The answer must wait for the slow one and
+		// still report the failure.
+		d := mustBuild(t, DAGSpec{Entry: "a", Services: []ServiceSpec{
+			{Name: "a", Calls: calls("fast", "slow")},
+			{Name: "fast"},
+			{Name: "slow", ServiceTime: 10 * time.Millisecond},
+		}})
+		d.Mesh.ControlPlane().SetFaultPolicy("fast", abort)
+		st, lat := serveOnce(t, d, "/x")
+		if st != httpsim.StatusServiceUnavailable {
+			t.Fatalf("entry answered %d, want the fast child's 503", st)
+		}
+		if lat < 10*time.Millisecond {
+			t.Fatalf("entry answered after %v, before its 10 ms child replied", lat)
+		}
+	})
+
+	t.Run("transport error is 502 at the parent", func(t *testing.T) {
+		d := BuildChain(ChainConfig{Depth: 2})
+		d.Cluster.Pod("svc-1-1").Partition(true)
+		if st, _ := serveOnce(t, d, "/chain"); st != httpsim.StatusBadGateway {
+			t.Fatalf("entry answered %d, want 502 for its partitioned child", st)
+		}
+	})
+
+	t.Run("named path reaches the callee, empty inherits", func(t *testing.T) {
+		d := mustBuild(t, DAGSpec{Entry: "a", Services: []ServiceSpec{
+			{Name: "a", Calls: []Call{{Service: "named", Path: "/items"}, {Service: "inherits"}}},
+			{Name: "named"},
+			{Name: "inherits"},
+		}})
+		serveOnce(t, d, "/in")
+		want := map[string]string{"a": "GET /in", "named": "GET /items", "inherits": "GET /in"}
+		for _, span := range d.Mesh.Tracer().Trace(d.Mesh.Tracer().TraceIDs()[0]) {
+			if w, ok := want[span.Service]; ok && !span.Client {
+				if span.Name != w {
+					t.Errorf("%s served %q, want %q", span.Service, span.Name, w)
+				}
+				delete(want, span.Service)
+			}
+		}
+		if len(want) != 0 {
+			t.Fatalf("no server span for %v", want)
+		}
+	})
+
+	t.Run("tail drawn once, before execution", func(t *testing.T) {
+		build := func(tail func() time.Duration) *DAG {
+			return mustBuild(t, DAGSpec{Entry: "a", Mesh: mesh.Config{Seed: 3}, Services: []ServiceSpec{
+				{Name: "a", ServiceTime: time.Millisecond, Tail: tail},
+			}})
+		}
+		_, base := serveOnce(t, build(nil), "/x")
+		var d *DAG
+		draws := 0
+		d = build(func() time.Duration {
+			if n := d.Cluster.Pod("a-1").Workers().Executed(); n != 0 {
+				t.Errorf("tail drawn after %d executions started, want before the first", n)
+			}
+			draws++
+			return 5 * time.Millisecond
+		})
+		_, lat := serveOnce(t, d, "/x")
+		if draws != 1 {
+			t.Fatalf("tail drawn %d times for one request", draws)
+		}
+		if lat-base != 5*time.Millisecond {
+			t.Fatalf("a 5 ms tail added %v to the latency", lat-base)
+		}
+	})
 }
