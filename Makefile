@@ -1,8 +1,8 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same commands.
 
-.PHONY: check build fmt vet lint test examples race reach reach-goldens
+.PHONY: check build fmt vet lint test allocs examples race reach reach-goldens
 
-check: build fmt vet lint test examples
+check: build fmt vet lint test allocs examples
 
 build:
 	go build ./...
@@ -29,6 +29,12 @@ lint:
 #   go test -run TestGoldens -update .
 test:
 	go test -race -timeout 45m ./...
+
+# The allocation budgets (Test*Allocs) without -race: the race detector
+# drops sync.Pool items at random, so TestChainHopAllocs skips itself
+# under it, and test and race above never enforce its budget.
+allocs:
+	go test -count=1 -run 'Allocs' ./internal/...
 
 # Runs every example main and fails on the first non-zero exit. Some
 # code paths have no other runner: SocialNetworkSpec, the e-commerce

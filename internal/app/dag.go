@@ -57,7 +57,7 @@ type DAG struct {
 
 	specs    map[string]*ServiceSpec
 	nextIdx  map[string]int
-	replicas map[string][]*cluster.Pod
+	replicas map[string][]*replica
 }
 
 // Validate checks the spec: unique names, known call targets, a known
@@ -149,7 +149,7 @@ func BuildDAG(spec DAGSpec) (*DAG, error) {
 		Sched: sched, Cluster: cl, Mesh: m, Gateway: gw, Entry: spec.Entry,
 		specs:    make(map[string]*ServiceSpec, len(spec.Services)),
 		nextIdx:  make(map[string]int, len(spec.Services)),
-		replicas: make(map[string][]*cluster.Pod, len(spec.Services)),
+		replicas: make(map[string][]*replica, len(spec.Services)),
 	}
 	// The handlers hold their spec by pointer; the copy keeps them from
 	// seeing later edits to the caller's slice.
@@ -174,16 +174,15 @@ func (d *DAG) addReplica(service string) *cluster.Pod {
 		Labels:  map[string]string{"app": service, "version": fmt.Sprintf("v%d", i)},
 		Workers: svc.Workers,
 	})
-	registerDAGHandler(d.Mesh, pod, svc)
-	d.replicas[service] = append(d.replicas[service], pod)
+	d.replicas[service] = append(d.replicas[service], registerDAGHandler(d.Mesh, pod, svc))
 	return pod
 }
 
 // ReadyReplicas returns the service's currently ready pod count.
 func (d *DAG) ReadyReplicas(service string) int {
 	n := 0
-	for _, p := range d.replicas[service] {
-		if p.Ready() {
+	for _, r := range d.replicas[service] {
+		if r.pod.Ready() {
 			n++
 		}
 	}
@@ -204,17 +203,17 @@ func (d *DAG) Scale(service string, replicas int) error {
 	}
 	// Scale down: drain from the end.
 	for i := len(d.replicas[service]) - 1; i >= 0 && d.ReadyReplicas(service) > replicas; i-- {
-		if p := d.replicas[service][i]; p.Ready() {
+		if p := d.replicas[service][i].pod; p.Ready() {
 			p.SetReady(false)
 		}
 	}
 	// Scale up: first reactivate drained pods, then create.
-	for _, p := range d.replicas[service] {
+	for _, r := range d.replicas[service] {
 		if d.ReadyReplicas(service) >= replicas {
 			break
 		}
-		if !p.Ready() {
-			p.SetReady(true)
+		if !r.pod.Ready() {
+			r.pod.SetReady(true)
 		}
 	}
 	for d.ReadyReplicas(service) < replicas {
@@ -227,40 +226,81 @@ func (d *DAG) Scale(service string, replicas int) error {
 // compute for ServiceTime plus it, then either answer (a leaf) or call
 // every child in parallel and answer once all have replied, with the
 // worst status among them (502 for a transport error).
-func registerDAGHandler(m *mesh.Mesh, pod *cluster.Pod, svc *ServiceSpec) {
-	sc := m.InjectSidecar(pod)
-	sc.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-		t := svc.ServiceTime
-		if svc.Tail != nil {
-			t += svc.Tail()
-		}
-		pod.Exec(t, func() {
-			if len(svc.Calls) == 0 {
-				out := httpsim.NewResponse(httpsim.StatusOK)
-				out.BodyBytes = svc.ResponseBytes
-				respond(out)
-				return
-			}
-			j := &join{respond: respond, remaining: len(svc.Calls), worst: httpsim.StatusOK, bytes: svc.ResponseBytes}
-			done := j.done // once: each method value evaluated is an allocation
-			for _, c := range svc.Calls {
-				path := c.Path
-				if path == "" {
-					path = req.Path
-				}
-				sc.Call(childRequest(req, c.Service, path), done)
-			}
-		})
-	})
+func registerDAGHandler(m *mesh.Mesh, pod *cluster.Pod, svc *ServiceSpec) *replica {
+	r := &replica{pod: pod, sc: m.InjectSidecar(pod), svc: svc}
+	r.sc.RegisterApp(r.serve)
+	return r
 }
 
-// join collects a fan-out's replies and answers the parent after the
-// last one.
+// replica is one pod of a DAG service: its sidecar, its spec, and the
+// free list of the join records its requests use.
+type replica struct {
+	pod   *cluster.Pod
+	sc    *mesh.Sidecar
+	svc   *ServiceSpec
+	joins []*join
+}
+
+// serve draws the tail as the request arrives and queues its compute.
+func (r *replica) serve(req *httpsim.Request, respond func(*httpsim.Response)) {
+	t := r.svc.ServiceTime
+	if r.svc.Tail != nil {
+		t += r.svc.Tail()
+	}
+	j := r.newJoin()
+	j.req, j.respond = req, respond
+	r.pod.Exec(t, j.compute)
+}
+
+// join is one request a replica serves, from its compute to its
+// answer: for a fan-out, the replies it still waits for and the worst
+// status among those in. Records live on their replica's free list;
+// compute and reply are methods bound once, when the record is made,
+// and answer returns the record to the list, which is safe because
+// Sidecar.Call fires each reply exactly once.
+//
+//meshvet:pooled
 type join struct {
+	r         *replica
+	req       *httpsim.Request
 	respond   func(*httpsim.Response)
 	remaining int
 	worst     int
-	bytes     int
+	// compute is run bound once, the pod's callback; reply is done
+	// bound once, every child call's callback.
+	compute func()
+	reply   func(*httpsim.Response, error)
+}
+
+// newJoin takes a record off the replica's free list, or makes one.
+func (r *replica) newJoin() *join {
+	if n := len(r.joins); n > 0 {
+		j := r.joins[n-1]
+		r.joins = r.joins[:n-1]
+		return j
+	}
+	j := &join{r: r}
+	j.compute, j.reply = j.run, j.done
+	return j
+}
+
+// run follows the pod's compute: a leaf answers, a fan-out calls every
+// child.
+func (j *join) run() {
+	r, req := j.r, j.req
+	if len(r.svc.Calls) == 0 {
+		j.answer(httpsim.StatusOK)
+		return
+	}
+	j.remaining, j.worst = len(r.svc.Calls), httpsim.StatusOK
+	reply := j.reply
+	for _, c := range r.svc.Calls {
+		path := c.Path
+		if path == "" {
+			path = req.Path
+		}
+		r.sc.Call(childRequest(req, c.Service, path), reply)
+	}
 }
 
 func (j *join) done(resp *httpsim.Response, err error) {
@@ -273,9 +313,18 @@ func (j *join) done(resp *httpsim.Response, err error) {
 	if j.remaining > 0 {
 		return
 	}
-	out := httpsim.NewResponse(j.worst)
-	out.BodyBytes = j.bytes
-	j.respond(out)
+	j.answer(j.worst)
+}
+
+// answer responds with the status and the service's body, after
+// returning the record to its replica's free list.
+func (j *join) answer(status int) {
+	r, respond := j.r, j.respond
+	out := httpsim.NewResponse(status)
+	out.BodyBytes = r.svc.ResponseBytes
+	*j = join{r: r, compute: j.compute, reply: j.reply}
+	r.joins = append(r.joins, j) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
+	respond(out)
 }
 
 // NewDAGRequest builds an external request entering the DAG.

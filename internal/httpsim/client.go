@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"meshlayer/internal/simnet"
 	"meshlayer/internal/transport"
@@ -43,27 +44,58 @@ func freeWireMsg(m *wireMsg) {
 // the response arrived.
 var ErrConnClosed = errors.New("httpsim: connection closed")
 
+// ErrTimeout is delivered to a DoWithin callback whose deadline passed
+// before the response arrived. A reply that arrives later is dropped.
+var ErrTimeout = errors.New("httpsim: request timed out")
+
 // Client issues requests over a single transport connection. Multiple
 // requests may be in flight; responses are matched by ID.
 type Client struct {
-	conn *transport.Conn
+	conn  *transport.Conn
+	sched *simnet.Scheduler
 	// pending holds the calls in flight in issue order, so ascending id.
 	// A slot a call leaves is zeroed: the array outlives the call, and a
-	// stale callback would keep everything it captured alive.
-	pending []pendingCall
+	// stale record would keep its callback alive.
+	pending []*pendingCall
 	nextID  uint64
 	closed  bool
 }
 
-// pendingCall is one request awaiting its response.
+// pendingCall is one request awaiting its response, its deadline, or
+// its connection's end, whichever comes first. Records are recycled
+// through pendingPool: a call leaves the pending list, disarms its
+// deadline and goes back to the pool before its callback fires, so the
+// callback fires exactly once and may issue the next call on the same
+// record.
+//
+//meshvet:pooled
 type pendingCall struct {
-	id uint64
-	cb func(*Response, error)
+	c        *Client
+	id       uint64
+	cb       func(*Response, error)
+	deadline simnet.Timer
+	// expire is onDeadline bound once, when the record is made, so
+	// arming a deadline allocates nothing.
+	expire func()
+}
+
+// pendingPool recycles call records. A sync.Pool rather than a
+// per-client free list, like wireMsgPool: sweeps run simulations in
+// parallel, and a client with one call in flight at a time keeps none.
+var pendingPool sync.Pool
+
+func allocPending() *pendingCall {
+	p, _ := pendingPool.Get().(*pendingCall)
+	if p == nil {
+		p = new(pendingCall)
+		p.expire = p.onDeadline
+	}
+	return p
 }
 
 // NewClient dials dst:port and returns a client ready for Do.
 func NewClient(h *transport.Host, dst simnet.Addr, port uint16, opts transport.Options) *Client {
-	c := &Client{}
+	c := &Client{sched: h.Node().Network().Scheduler()}
 	c.conn = h.Dial(dst, port, opts)
 	c.conn.SetOnMessage(c.onMessage)
 	c.conn.SetOnClose(c.onClose)
@@ -77,35 +109,62 @@ func (c *Client) Conn() *transport.Conn { return c.conn }
 // Closed reports whether the client's connection is gone.
 func (c *Client) Closed() bool { return c.closed }
 
-// Do sends the request; cb fires with the response or an error. The
-// request object must not be mutated by the caller afterwards.
-func (c *Client) Do(req *Request, cb func(*Response, error)) {
+// Do sends the request with no deadline: DoWithin(req, 0, cb).
+func (c *Client) Do(req *Request, cb func(*Response, error)) { c.DoWithin(req, 0, cb) }
+
+// DoWithin sends the request; cb fires exactly once, with the response,
+// a transport error, or ErrTimeout if timeout (when positive) passes
+// first. The deadline is armed before the request is sent. The request
+// object must not be mutated by the caller afterwards.
+func (c *Client) DoWithin(req *Request, timeout time.Duration, cb func(*Response, error)) {
 	if c.closed {
 		cb(nil, ErrConnClosed)
 		return
 	}
 	c.nextID++
-	id := c.nextID
-	c.pending = append(c.pending, pendingCall{id: id, cb: cb})
+	p := allocPending()
+	p.c, p.id, p.cb = c, c.nextID, cb
+	if timeout > 0 {
+		p.deadline = c.sched.After(timeout, p.expire)
+	}
+	c.pending = append(c.pending, p) //meshvet:allow poolescape the pending list owns a call until release takes it off
 	m := allocWireMsg()
-	m.id, m.req = id, req
+	m.id, m.req = p.id, req
 	if err := c.conn.SendMessage(m, req.WireSize()); err != nil {
-		c.take(id)
+		c.take(p.id)
 		freeWireMsg(m)
-		cb(nil, err)
+		p.release(nil, err)
 	}
 }
 
-// take removes the pending call with the id and returns its callback,
-// or nil if none is pending. slices.Delete zeroes the slot it vacates.
-func (c *Client) take(id uint64) func(*Response, error) {
-	i, ok := slices.BinarySearchFunc(c.pending, id, func(p pendingCall, id uint64) int { return cmp.Compare(p.id, id) })
+// take removes the pending call with the id and returns it, or nil if
+// none is pending. slices.Delete zeroes the slot it vacates.
+func (c *Client) take(id uint64) *pendingCall {
+	i, ok := slices.BinarySearchFunc(c.pending, id, func(p *pendingCall, id uint64) int { return cmp.Compare(p.id, id) })
 	if !ok {
 		return nil
 	}
-	cb := c.pending[i].cb
+	p := c.pending[i]
 	c.pending = slices.Delete(c.pending, i, i+1)
-	return cb
+	return p
+}
+
+// onDeadline fails a call whose deadline passed while it was pending:
+// release cancels the deadline of every call that settles otherwise.
+func (p *pendingCall) onDeadline() {
+	p.c.take(p.id)
+	p.release(nil, ErrTimeout)
+}
+
+// release settles a call that has left its client's pending list:
+// disarm its deadline, reset the record and return it to the pool,
+// then fire the callback.
+func (p *pendingCall) release(resp *Response, err error) {
+	cb := p.cb
+	p.deadline.Cancel()
+	*p = pendingCall{expire: p.expire}
+	pendingPool.Put(p)
+	cb(resp, err)
 }
 
 func (c *Client) onMessage(meta any, _ int) {
@@ -115,8 +174,8 @@ func (c *Client) onMessage(meta any, _ int) {
 	}
 	id, resp := m.id, m.resp
 	freeWireMsg(m)
-	if cb := c.take(id); cb != nil {
-		cb(resp, nil)
+	if p := c.take(id); p != nil {
+		p.release(resp, nil)
 	}
 }
 
@@ -132,7 +191,7 @@ func (c *Client) onClose(err error) {
 	pending := c.pending
 	c.pending = nil
 	for _, p := range pending {
-		p.cb(nil, err)
+		p.release(nil, err)
 	}
 }
 

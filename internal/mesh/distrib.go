@@ -514,32 +514,21 @@ func (d *distributor) Push(sub string, u *ctrlplane.Update, done func(bool, erro
 	req.Headers.Set(HeaderSource, CtrlPlanePod)
 	req.BodyBytes = u.WireBytes
 	cl := d.clientFor(sub, sc.pod.Addr())
-	settled := false
-	timer := m.sched.After(d.pushTimeout, func() {
-		if settled {
-			return
-		}
-		settled = true
+	cl.DoWithin(req, d.pushTimeout, func(resp *httpsim.Response, err error) {
 		delete(d.pending, id)
-		// Condemn the connection so the resync re-dials instead of
-		// waiting out RTO backoff to a possibly-partitioned peer.
-		cl.Conn().Abort()
-		delete(d.clients, sub)
-		done(false, ctrlplane.ErrPushTimeout)
-	})
-	cl.Do(req, func(resp *httpsim.Response, err error) {
-		if settled {
-			return
-		}
-		settled = true
-		timer.Cancel()
-		delete(d.pending, id)
-		if err != nil {
+		switch {
+		case err == httpsim.ErrTimeout:
+			// Condemn the connection so the resync re-dials instead of
+			// waiting out RTO backoff to a possibly-partitioned peer.
+			cl.Conn().Abort()
+			delete(d.clients, sub)
+			done(false, ctrlplane.ErrPushTimeout)
+		case err != nil:
 			delete(d.clients, sub)
 			done(false, err)
-			return
+		default:
+			done(resp.Status == httpsim.StatusOK, nil)
 		}
-		done(resp.Status == httpsim.StatusOK, nil)
 	})
 }
 
@@ -623,26 +612,15 @@ func (d *distributor) shipSummary(peer *distributor) {
 	req.Headers.Set(HeaderFed, strconv.FormatUint(id, 10))
 	req.Headers.Set(HeaderSource, d.pod.Name())
 	req.BodyBytes = 32 + 24*len(counts)
-	m := d.cp.mesh
 	cl := d.fedClientFor(peer)
-	settled := false
-	timer := m.sched.After(d.pushTimeout, func() {
-		if settled {
+	cl.DoWithin(req, d.pushTimeout, func(resp *httpsim.Response, err error) {
+		delete(fed.pending, id)
+		if err == httpsim.ErrTimeout {
+			cl.Conn().Abort()
+			delete(d.fedClients, peer.region)
+			d.summaryFailed(peer)
 			return
 		}
-		settled = true
-		delete(fed.pending, id)
-		cl.Conn().Abort()
-		delete(d.fedClients, peer.region)
-		d.summaryFailed(peer)
-	})
-	cl.Do(req, func(resp *httpsim.Response, err error) {
-		if settled {
-			return
-		}
-		settled = true
-		timer.Cancel()
-		delete(fed.pending, id)
 		if err != nil || resp.Status != httpsim.StatusOK {
 			if err != nil {
 				delete(d.fedClients, peer.region)

@@ -64,31 +64,21 @@ func (sc *Sidecar) healthTick(service string) {
 // probe sends one health-check request to an endpoint and applies the
 // verdict to its LB state.
 func (sc *Sidecar) probe(service string, addr simnet.Addr, p HealthCheckPolicy) {
-	m := sc.mesh
 	req := httpsim.NewRequest("GET", "/healthz")
 	req.Headers.Set(HeaderHost, service)
 	req.Headers.Set(HeaderHealth, "1")
 	sc.stampIdentity(req)
 
 	client := sc.clientForAddr(addr, healthConnClass)
-	settled := false
-	timer := m.sched.After(p.Timeout, func() {
-		if settled {
+	client.DoWithin(req, p.Timeout, func(resp *httpsim.Response, err error) {
+		if err == httpsim.ErrTimeout {
+			// A timed-out probe condemns the probe connection so the
+			// next round re-dials rather than waiting out RTO backoff
+			// to a possibly-partitioned peer.
+			sc.probeResult(service, addr, false, p)
+			client.Conn().Abort()
 			return
 		}
-		settled = true
-		// A timed-out probe condemns the probe connection so the next
-		// round re-dials rather than waiting out RTO backoff to a
-		// possibly-partitioned peer.
-		sc.probeResult(service, addr, false, p)
-		client.Conn().Abort()
-	})
-	client.Do(req, func(resp *httpsim.Response, err error) {
-		if settled {
-			return
-		}
-		settled = true
-		timer.Cancel()
 		sc.probeResult(service, addr, err == nil && resp.Status < 500, p)
 	})
 }

@@ -68,6 +68,15 @@ type Mesh struct {
 	// upstream a fallback papered over, swept on a TTL.
 	degraded      map[string]degradedEntry
 	degSweepArmed bool
+
+	// proxyQ holds the sidecar traversals waiting out their proxy
+	// delay (proxy.go); proxySeq numbers them in queueing order, and
+	// proxyDoneFn is proxyDone bound once.
+	proxyQ      proxyQueue
+	proxySeq    uint64
+	proxyDoneFn func()
+	// attempts is the free list of attempt records (sidecar.go).
+	attempts []*attempt
 }
 
 // New builds a mesh over the cluster.
@@ -91,6 +100,7 @@ func New(cl *cluster.Cluster, cfg Config) *Mesh {
 		delay:    delay,
 		degraded: make(map[string]degradedEntry),
 	}
+	m.proxyDoneFn = m.proxyDone
 	m.cp = newControlPlane(m)
 	return m
 }

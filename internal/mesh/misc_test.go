@@ -166,13 +166,33 @@ func TestPushDelayedRouteRuleTakesEffectMidTraffic(t *testing.T) {
 	}
 }
 
+// spanIDRoundTrips are ids a run may write into the span-id header.
+var spanIDRoundTrips = []uint64{0, 1, 0xab, 0xdeadbeef, 1 << 63, ^uint64(0)}
+
+// spanIDHeaders are header values and what parseSpanID reads from them.
+var spanIDHeaders = map[string]uint64{
+	"":                  0,
+	"zz":                0,
+	"12zz":              0,
+	"12 34":             0,
+	" 12":               0,
+	"1_2":               0,
+	"0x12":              0,
+	"+12":               0,
+	"-1":                0,
+	"1ffffffffffffffff": 0, // 65 bits
+	"ffffffffffffffff":  ^uint64(0),
+	"AB":                0xab,
+	"00ab":              0xab,
+}
+
 // The span-id header is written only by formatSpanID, so every id a run
 // parses round-trips. What a malformed header yields is pinned here:
 // no parent (0), never a prefix. fmt.Sscanf("%x"), which this replaced,
 // read the leading hex run instead — "12zz", "12 34" and " 12" gave
 // 0x12 and "1_2" gave 0x1; on the rest of the table the two agree.
 func TestSpanIDHeaderRoundTripAndMalformed(t *testing.T) {
-	for _, id := range []uint64{0, 1, 0xab, 0xdeadbeef, 1 << 63, ^uint64(0)} {
+	for _, id := range spanIDRoundTrips {
 		if got := parseSpanID(formatSpanID(id)); got != id {
 			t.Errorf("parseSpanID(formatSpanID(%#x)) = %#x", id, got)
 		}
@@ -180,23 +200,63 @@ func TestSpanIDHeaderRoundTripAndMalformed(t *testing.T) {
 	if got := formatSpanID(0xAB); got != "ab" {
 		t.Errorf("formatSpanID(0xAB) = %q, want lower-case hex without a prefix", got)
 	}
-	for in, want := range map[string]uint64{
-		"":                  0,
-		"zz":                0,
-		"12zz":              0,
-		"12 34":             0,
-		" 12":               0,
-		"1_2":               0,
-		"0x12":              0,
-		"+12":               0,
-		"-1":                0,
-		"1ffffffffffffffff": 0, // 65 bits
-		"ffffffffffffffff":  ^uint64(0),
-		"AB":                0xab,
-		"00ab":              0xab,
-	} {
+	for in, want := range spanIDHeaders {
 		if got := parseSpanID(in); got != want {
 			t.Errorf("parseSpanID(%q) = %#x, want %#x", in, got, want)
 		}
 	}
+}
+
+// FuzzParseSpanID: every hop parses the span-id header a peer wrote, so
+// no header value may panic, every id round-trips through
+// formatSpanID, and a header reads as its value only when it is bare
+// hex digits that fit 64 bits — anything else is 0, no parent.
+//
+//	go test -run '^$' -fuzz FuzzParseSpanID -fuzztime 30s ./internal/mesh
+func FuzzParseSpanID(f *testing.F) {
+	for in := range spanIDHeaders {
+		f.Add(in, uint64(0))
+	}
+	for _, id := range spanIDRoundTrips {
+		f.Add("", id)
+	}
+	f.Fuzz(func(t *testing.T, header string, id uint64) {
+		if got := parseSpanID(formatSpanID(id)); got != id {
+			t.Errorf("parseSpanID(formatSpanID(%#x)) = %#x", id, got)
+		}
+		want, ok := bareHex(header)
+		if !ok {
+			want = 0
+		}
+		if got := parseSpanID(header); got != want {
+			t.Errorf("parseSpanID(%q) = %#x, want %#x", header, got, want)
+		}
+	})
+}
+
+// bareHex is the fuzz oracle: s's value if s is one or more hex digits
+// of either case that fit 64 bits.
+func bareHex(s string) (uint64, bool) {
+	if s == "" {
+		return 0, false
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		var d byte
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			d = c - '0'
+		case 'a' <= c && c <= 'f':
+			d = c - 'a' + 10
+		case 'A' <= c && c <= 'F':
+			d = c - 'A' + 10
+		default:
+			return 0, false
+		}
+		if v>>60 != 0 {
+			return 0, false // a fifth nibble past 64 bits
+		}
+		v = v<<4 | uint64(d)
+	}
+	return v, true
 }

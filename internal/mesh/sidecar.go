@@ -179,136 +179,159 @@ func (sc *Sidecar) SetConnHook(f func(*transport.Conn, ConnClass)) { sc.connHook
 
 // --- inbound path ---
 
+// inbound is one request a sidecar serves, from its arrival at the
+// proxy to its response leaving it. The record is not recycled: the
+// app holds its respondFinal, and a reused record would turn a second
+// respond into another request's answer instead of httpsim's "respond
+// called twice" panic.
+type inbound struct {
+	sc      *Sidecar
+	ctx     httpsim.Ctx
+	req     *httpsim.Request
+	respond func(*httpsim.Response)
+	span    *trace.Span
+	start   time.Duration
+}
+
 func (sc *Sidecar) handleInbound(ctx httpsim.Ctx, req *httpsim.Request, respond func(*httpsim.Response)) {
+	sc.mesh.traverse(proxyWork{kind: proxyInbound, in: &inbound{sc: sc, ctx: ctx, req: req, respond: respond}})
+}
+
+// serve runs an inbound request once it has crossed the proxy.
+func (in *inbound) serve() {
+	sc, req, respond := in.sc, in.req, in.respond
 	m := sc.mesh
-	m.sched.After(m.proxyDelay(), func() {
-		// Control-plane pushes terminate at the proxy: apply to the
-		// local snapshot and ACK/NACK.
-		if id := req.Headers.Get(HeaderCtrl); id != "" {
-			sc.handleCtrlPush(id, respond)
-			return
-		}
-		// Health probes are answered by the proxy itself: they prove
-		// the pod is reachable and its sidecar alive, nothing more.
-		if req.Headers.Get(HeaderHealth) != "" {
-			m.metrics.Counter(MetricHealthProbeAnswered,
-				metrics.Labels{"service": sc.service}).Inc()
-			respond(httpsim.NewResponse(httpsim.StatusOK))
-			return
-		}
-		// Chaos-injected gray failure: the "application" intermittently
-		// errors (after an optional stall) while probes above keep
-		// passing — exactly the failure shape outlier detection exists
-		// to catch.
-		if sf := sc.serverFault; sf != nil && sf.rng.Float64() < sf.cfg.Prob {
-			m.metrics.Counter(MetricServerFaultInjected,
-				metrics.Labels{"service": sc.service}).Inc()
-			resp := httpsim.NewResponse(sf.status())
-			if sf.cfg.Delay > 0 {
-				m.sched.After(sf.cfg.Delay, func() { respond(resp) })
-			} else {
-				respond(resp)
-			}
-			return
-		}
-		if !sc.applyInboundRateLimit(respond) {
-			return
-		}
-		src := req.Headers.Get(HeaderSource)
-		if !sc.verifyPeer(req) || !sc.authorized(src) {
-			m.metrics.Counter(MetricRequestsTotal,
-				metrics.Labels{"service": sc.service, "direction": "inbound", "code": "403"}).Inc()
-			resp := httpsim.NewResponse(httpsim.StatusForbidden)
+	// Control-plane pushes terminate at the proxy: apply to the
+	// local snapshot and ACK/NACK.
+	if id := req.Headers.Get(HeaderCtrl); id != "" {
+		sc.handleCtrlPush(id, respond)
+		return
+	}
+	// Health probes are answered by the proxy itself: they prove
+	// the pod is reachable and its sidecar alive, nothing more.
+	if req.Headers.Get(HeaderHealth) != "" {
+		m.metrics.Counter(MetricHealthProbeAnswered,
+			metrics.Labels{"service": sc.service}).Inc()
+		respond(httpsim.NewResponse(httpsim.StatusOK))
+		return
+	}
+	// Chaos-injected gray failure: the "application" intermittently
+	// errors (after an optional stall) while probes above keep
+	// passing — exactly the failure shape outlier detection exists
+	// to catch.
+	if sf := sc.serverFault; sf != nil && sf.rng.Float64() < sf.cfg.Prob {
+		m.metrics.Counter(MetricServerFaultInjected,
+			metrics.Labels{"service": sc.service}).Inc()
+		resp := httpsim.NewResponse(sf.status())
+		if sf.cfg.Delay > 0 {
+			m.sched.After(sf.cfg.Delay, func() { respond(resp) })
+		} else {
 			respond(resp)
-			return
 		}
+		return
+	}
+	if !sc.applyInboundRateLimit(respond) {
+		return
+	}
+	src := req.Headers.Get(HeaderSource)
+	if !sc.verifyPeer(req) || !sc.authorized(src) {
+		m.metrics.Counter(MetricRequestsTotal,
+			metrics.Labels{"service": sc.service, "direction": "inbound", "code": "403"}).Inc()
+		resp := httpsim.NewResponse(httpsim.StatusForbidden)
+		respond(resp)
+		return
+	}
 
-		// Server span: adopt the caller's span as parent, then make
-		// this span the parent of anything the app spawns.
-		var span *trace.Span
-		start := m.sched.Now()
-		if tid := req.Headers.Get(trace.HeaderRequestID); tid != "" {
-			span = &trace.Span{
-				TraceID:  tid,
-				SpanID:   m.tracer.NewSpanID(),
-				ParentID: parseSpanID(req.Headers.Get(trace.HeaderSpanID)),
-				Service:  sc.service,
-				Name:     m.tracer.Name(req.Method, req.Path),
-				Start:    start,
-				Priority: req.Headers.Get(HeaderPriority),
-			}
-			req.Headers.Set(trace.HeaderSpanID, formatSpanID(span.SpanID))
+	// Server span: adopt the caller's span as parent, then make
+	// this span the parent of anything the app spawns.
+	in.start = m.sched.Now()
+	if tid := req.Headers.Get(trace.HeaderRequestID); tid != "" {
+		in.span = &trace.Span{
+			TraceID:  tid,
+			SpanID:   m.tracer.NewSpanID(),
+			ParentID: parseSpanID(req.Headers.Get(trace.HeaderSpanID)),
+			Service:  sc.service,
+			Name:     m.tracer.Name(req.Method, req.Path),
+			Start:    in.start,
+			Priority: req.Headers.Get(HeaderPriority),
 		}
+		req.Headers.Set(trace.HeaderSpanID, formatSpanID(in.span.SpanID))
+	}
 
-		for _, f := range sc.inboundFilters {
-			f(ctx, req)
-		}
+	for _, f := range sc.inboundFilters {
+		f(in.ctx, req)
+	}
 
-		// Deadline propagation: remember this request's remaining
-		// budget so outbound child calls can decrement or cancel.
-		expiry := sc.recordInboundDeadline(req)
+	// Deadline propagation: remember this request's remaining
+	// budget so outbound child calls can decrement or cancel.
+	expiry := sc.recordInboundDeadline(req)
 
-		respondFinal := func(resp *httpsim.Response) {
-			m.sched.After(m.proxyDelay(), func() {
-				// Degraded provenance: the application composed this
-				// response from child calls and dropped their headers;
-				// restore the degraded stamp recorded from any child so
-				// it keeps travelling toward the edge.
-				if tid := req.Headers.Get(trace.HeaderRequestID); tid != "" {
-					if origin, ok := m.takeDegraded(tid); ok {
-						resp.Headers.Set(HeaderDegraded, origin)
-					}
-				}
-				if span != nil {
-					span.End = m.sched.Now()
-					span.Status = int32(resp.Status)
-					m.tracer.Record(span)
-				}
-				m.seriesOf(sc.service).duration(dirInbound).RecordDuration(m.sched.Now() - start)
-				respond(resp)
-			})
-		}
+	app := sc.app
+	if app == nil {
+		m.seriesOf(sc.service).inboundOK().Inc()
+		respond(httpsim.NewResponse(httpsim.StatusNotFound))
+		return
+	}
 
-		app := sc.app
-		if app == nil {
+	ctl := sc.admissionFor(sc.admissionPolicyFor(sc.service))
+	if ctl == nil {
+		m.seriesOf(sc.service).inboundOK().Inc()
+		app(req, in.respondFinal)
+		return
+	}
+
+	// Admission enabled: route the dispatch through the bounded
+	// priority queue + concurrency limiter. Exactly one of Run/Shed
+	// fires, possibly later when a slot frees.
+	cls := classOf(req)
+	ctl.Offer(admission.Item{
+		Class:    cls,
+		Enqueued: m.sched.Now(),
+		Expiry:   expiry,
+		Run: func() {
 			m.seriesOf(sc.service).inboundOK().Inc()
-			respond(httpsim.NewResponse(httpsim.StatusNotFound))
-			return
-		}
-
-		ctl := sc.admissionFor(sc.admissionPolicyFor(sc.service))
-		if ctl == nil {
-			m.seriesOf(sc.service).inboundOK().Inc()
-			app(req, respondFinal)
-			return
-		}
-
-		// Admission enabled: route the dispatch through the bounded
-		// priority queue + concurrency limiter. Exactly one of Run/Shed
-		// fires, possibly later when a slot frees.
-		cls := classOf(req)
-		ctl.Offer(admission.Item{
-			Class:    cls,
-			Enqueued: m.sched.Now(),
-			Expiry:   expiry,
-			Run: func() {
-				m.seriesOf(sc.service).inboundOK().Inc()
+			sc.observeAdmission(ctl)
+			dispatched := m.sched.Now()
+			app(req, func(resp *httpsim.Response) {
+				// Queue wait is excluded from the limiter's latency
+				// sample: the limiter tracks service time, not its
+				// own queueing.
+				ctl.Done(m.sched.Now()-dispatched, resp.Status < 500)
 				sc.observeAdmission(ctl)
-				dispatched := m.sched.Now()
-				app(req, func(resp *httpsim.Response) {
-					// Queue wait is excluded from the limiter's latency
-					// sample: the limiter tracks service time, not its
-					// own queueing.
-					ctl.Done(m.sched.Now()-dispatched, resp.Status < 500)
-					sc.observeAdmission(ctl)
-					respondFinal(resp)
-				})
-			},
-			Shed: func(why admission.Reason) {
-				sc.shedInbound(cls, why, respondFinal)
-			},
-		})
+				in.respondFinal(resp)
+			})
+		},
+		Shed: func(why admission.Reason) {
+			sc.shedInbound(cls, why, in.respondFinal)
+		},
 	})
+}
+
+// respondFinal sends the app's response back out through the proxy.
+func (in *inbound) respondFinal(resp *httpsim.Response) {
+	in.sc.mesh.traverse(proxyWork{kind: proxyResponse, in: in, resp: resp})
+}
+
+// reply answers the caller once the response has crossed the proxy.
+func (in *inbound) reply(resp *httpsim.Response) {
+	sc, req := in.sc, in.req
+	m := sc.mesh
+	// Degraded provenance: the application composed this response
+	// from child calls and dropped their headers; restore the
+	// degraded stamp recorded from any child so it keeps travelling
+	// toward the edge.
+	if tid := req.Headers.Get(trace.HeaderRequestID); tid != "" {
+		if origin, ok := m.takeDegraded(tid); ok {
+			resp.Headers.Set(HeaderDegraded, origin)
+		}
+	}
+	if span := in.span; span != nil {
+		span.End = m.sched.Now()
+		span.Status = int32(resp.Status)
+		m.tracer.Record(span)
+	}
+	m.seriesOf(sc.service).duration(dirInbound).RecordDuration(m.sched.Now() - in.start)
+	in.respond(resp)
 }
 
 // --- outbound path ---
@@ -376,45 +399,51 @@ func (sc *Sidecar) Call(req *httpsim.Request, cb func(*httpsim.Response, error))
 	}
 	sc.ensureDefenses(service)
 	sc.depositRetryTokens(service, c.retry)
+	m.traverse(proxyWork{kind: proxyOutbound, call: c})
+}
 
-	m.sched.After(m.proxyDelay(), func() {
-		for _, f := range sc.outboundFilters {
-			f(req)
-		}
-		// End-to-end deadline: cancel the call when the calling
-		// request's budget is already spent, otherwise forward the
-		// decremented budget.
-		if !sc.applyOutboundDeadline(c) {
+// route runs a call once it has crossed the proxy: filters, the
+// end-to-end deadline, mirroring, fallback and fault policy, then the
+// first attempt.
+func (c *call) route() {
+	sc, req, service := c.sc, c.req, c.service
+	m := sc.mesh
+	for _, f := range sc.outboundFilters {
+		f(req)
+	}
+	// End-to-end deadline: cancel the call when the calling
+	// request's budget is already spent, otherwise forward the
+	// decremented budget.
+	if !sc.applyOutboundDeadline(c) {
+		return
+	}
+	sc.maybeMirror(service, req)
+
+	// Graceful degradation: with a fallback configured, bound how
+	// long this call may chase a real response. Retry ladders
+	// against a dead upstream outlast the callers' own timeouts;
+	// serving degraded at the deadline keeps the whole tree alive.
+	if p := sc.fallbackFor(service); !p.IsZero() {
+		c.fbTimer.Cancel() // no-op on a fresh call; meshvet: cancel before re-arm
+		c.fbTimer = m.sched.After(p.after(), func() {
+			if !c.done {
+				c.finish(nil, ErrTimeout)
+			}
+		})
+	}
+
+	// Fault injection (client-side, once per logical call).
+	if f := sc.faultPolicyFor(service); !f.IsZero() {
+		if f.AbortProb > 0 && m.rng.Float64() < f.AbortProb {
+			c.finish(httpsim.NewResponse(f.AbortStatus), nil)
 			return
 		}
-		sc.maybeMirror(service, req)
-
-		// Graceful degradation: with a fallback configured, bound how
-		// long this call may chase a real response. Retry ladders
-		// against a dead upstream outlast the callers' own timeouts;
-		// serving degraded at the deadline keeps the whole tree alive.
-		if p := sc.fallbackFor(service); !p.IsZero() {
-			c.fbTimer.Cancel() // no-op on a fresh call; meshvet: cancel before re-arm
-			c.fbTimer = m.sched.After(p.after(), func() {
-				if !c.done {
-					c.finish(nil, ErrTimeout)
-				}
-			})
+		if f.DelayProb > 0 && m.rng.Float64() < f.DelayProb {
+			m.sched.After(f.Delay, c.begin)
+			return
 		}
-
-		// Fault injection (client-side, once per logical call).
-		if f := sc.faultPolicyFor(service); !f.IsZero() {
-			if f.AbortProb > 0 && m.rng.Float64() < f.AbortProb {
-				c.finish(httpsim.NewResponse(f.AbortStatus), nil)
-				return
-			}
-			if f.DelayProb > 0 && m.rng.Float64() < f.DelayProb {
-				m.sched.After(f.Delay, c.begin)
-				return
-			}
-		}
-		c.begin()
-	})
+	}
+	c.begin()
 }
 
 // begin launches the call's first attempt and arms its hedge.
@@ -527,59 +556,96 @@ func (c *call) launch() {
 	}
 	client := sc.clientFor(ep, class)
 
-	attemptStart := m.sched.Now()
-	settled := false
-	var timer simnet.Timer
-	settle := func(resp *httpsim.Response, err error) {
-		if settled {
-			return
-		}
-		settled = true
-		timer.Cancel()
-		st.inflight--
-		lat := m.sched.Now() - attemptStart
-		failed := err != nil || resp.Status >= 500
-		st.observe(lat, failed, trial, c.breaker, m.sched.Now())
-		if c.done {
-			return
-		}
-		if failed && c.shouldRetry(resp, err) {
-			if c.retryPending {
-				return // a concurrent attempt already charged and scheduled this retry
-			}
-			if !sc.spendRetryToken(c.service, c.retry) {
-				m.metrics.Counter(MetricRetryBudgetExhausted,
-					metrics.Labels{"service": c.service}).Inc()
-				c.finish(resp, err)
-				return
-			}
-			c.retryPending = true
-			c.scheduleRetry()
-			return
-		}
-		c.finish(resp, err)
-	}
-	if c.retry.PerTryTimeout > 0 {
-		timer = m.sched.After(c.retry.PerTryTimeout, func() {
-			// A per-try timeout condemns the pooled connection for
-			// future attempts — evict it so the next attempt re-dials
-			// instead of waiting out retransmission backoff to a
-			// possibly-partitioned peer — but does NOT abort it:
-			// requests pipelined behind this one may be merely queued
-			// behind congestion, and killing the connection would turn
-			// one slow request into a batch of failures. Against a
-			// truly dead peer each pipelined request times out and
-			// retries on its own per-try timer.
-			sc.evictPool(poolKey{addr: ep.Addr(), class: class.Name}, client)
-			settle(nil, ErrTimeout)
-		})
-	}
+	at := m.newAttempt()
+	at.c, at.st, at.trial, at.start = c, st, trial, m.sched.Now()
+	at.key, at.client = poolKey{addr: ep.Addr(), class: class.Name}, client
 	out := c.req.Clone()
 	if via != "" {
 		out.Headers.Set(HeaderEWService, c.service)
 		out.Headers.Set(HeaderEWRegion, via)
 	}
-	client.Do(out, settle)
+	client.DoWithin(out, c.retry.PerTryTimeout, at.done)
+}
+
+// attempt is one try of a call: the endpoint (or WAN path) state it
+// charged, whether it is a half-open breaker's trial, and the pooled
+// connection it went out on. Records live on the mesh's free list
+// (Mesh.attempts); done is settle bound once, when the record is made,
+// and settle returns the record to the list, which is safe because
+// DoWithin fires it exactly once.
+//
+//meshvet:pooled
+type attempt struct {
+	c      *call
+	st     *endpointState
+	trial  bool
+	start  time.Duration
+	key    poolKey
+	client *httpsim.Client
+	done   func(*httpsim.Response, error)
+}
+
+// newAttempt takes a record off the mesh's free list, or makes one.
+func (m *Mesh) newAttempt() *attempt {
+	if n := len(m.attempts); n > 0 {
+		at := m.attempts[n-1]
+		m.attempts = m.attempts[:n-1]
+		return at
+	}
+	at := new(attempt)
+	at.done = at.settle
+	return at
+}
+
+// FreeAttempts returns how many attempt records wait on the mesh's free
+// list: once the scheduler drains, every record made so far, which
+// tests read to prove that each attempt returns its record.
+func (m *Mesh) FreeAttempts() int { return len(m.attempts) }
+
+// settle folds the attempt's outcome into its endpoint state and its
+// call: a retry, or the call's end.
+func (at *attempt) settle(resp *httpsim.Response, err error) {
+	c, st, trial, start := at.c, at.st, at.trial, at.start
+	sc := c.sc
+	m := sc.mesh
+	if err == httpsim.ErrTimeout {
+		// A per-try timeout condemns the pooled connection for
+		// future attempts — evict it so the next attempt re-dials
+		// instead of waiting out retransmission backoff to a
+		// possibly-partitioned peer — but does NOT abort it:
+		// requests pipelined behind this one may be merely queued
+		// behind congestion, and killing the connection would turn
+		// one slow request into a batch of failures. Against a
+		// truly dead peer each pipelined request times out and
+		// retries on its own per-try timer.
+		sc.evictPool(at.key, at.client)
+		err = ErrTimeout
+	}
+	*at = attempt{done: at.done}
+	m.attempts = append(m.attempts, at) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
+
+	st.inflight--
+	lat := m.sched.Now() - start
+	failed := err != nil || resp.Status >= 500
+	st.observe(lat, failed, trial, c.breaker, m.sched.Now())
+	if c.done {
+		return
+	}
+	if failed && c.shouldRetry(resp, err) {
+		if c.retryPending {
+			return // a concurrent attempt already charged and scheduled this retry
+		}
+		if !sc.spendRetryToken(c.service, c.retry) {
+			m.metrics.Counter(MetricRetryBudgetExhausted,
+				metrics.Labels{"service": c.service}).Inc()
+			c.finish(resp, err)
+			return
+		}
+		c.retryPending = true
+		c.scheduleRetry()
+		return
+	}
+	c.finish(resp, err)
 }
 
 func (c *call) shouldRetry(resp *httpsim.Response, err error) bool {

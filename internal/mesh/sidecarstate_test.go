@@ -29,9 +29,9 @@ func replicaBed(seed int64, n int) (*Mesh, *Sidecar, []*cluster.Pod) {
 	return m, m.InjectSidecar(caller), pods
 }
 
-// attempt opens an attempt on addr as call.launch does and returns the
+// openAttempt opens an attempt on addr as call.launch does and returns the
 // settle that closes it.
-func attempt(sc *Sidecar, addr simnet.Addr, cb CircuitBreakerPolicy) func(lat time.Duration, failed bool) {
+func openAttempt(sc *Sidecar, addr simnet.Addr, cb CircuitBreakerPolicy) func(lat time.Duration, failed bool) {
 	st := sc.epState(addr)
 	st.inflight++
 	trial := false
@@ -93,7 +93,7 @@ func TestEndpointStateMatchesEager(t *testing.T) {
 					t.Fatalf("seed %d step %d: lazy picked %s, eager %s", seed, step, a.Name(), b.Name())
 				}
 				if rng.Intn(3) > 0 {
-					open = append(open, [2]func(time.Duration, bool){attempt(lazy, a.Addr(), cb), attempt(eager, b.Addr(), cb)})
+					open = append(open, [2]func(time.Duration, bool){openAttempt(lazy, a.Addr(), cb), openAttempt(eager, b.Addr(), cb)})
 					written[a.Name()] = true
 				}
 			case k < 13 && len(open) > 0:
