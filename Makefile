@@ -47,13 +47,13 @@ examples:
 
 # Short-mode suite under the race detector (TestGoldens skips itself):
 # the quick leg that complements the indexowned analyzer (static
-# ownership proofs) with runtime interleaving checks. The explicit legs
-# pin the PR 8 fluid fast path: the full flow-engine suite (not just
-# short mode) and the hybrid cross-validation harness replay under -race.
+# ownership proofs) with runtime interleaving checks. It already runs
+# the root package's hybrid cross-validation harness in short mode. The
+# explicit leg pins the fluid fast path: the full flow-engine suite (not
+# just short mode) under -race.
 race:
 	go test -race -short -timeout 10m ./...
 	go test -race -timeout 10m -run 'Flow|Fluid|Hybrid' ./internal/simnet
-	go test -race -short -timeout 10m -run TestHybridCrossValidation .
 
 # The reachability audit (ROADMAP item 5), not part of check: every
 # non-test function no test in the module executes, from one whole-suite

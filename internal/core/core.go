@@ -275,10 +275,6 @@ func (c *Controller) classify(req *httpsim.Request) mesh.ConnClass {
 func (c *Controller) connHook(conn *transport.Conn, class mesh.ConnClass) {
 	c.cfg.SDN.RegisterFlow(conn.Flow(), class.Options.Mark)
 	c.cfg.SDN.RegisterFlow(conn.Flow().Reverse(), class.Options.Mark)
-	conn.AddCloseListener(func(error) {
-		c.cfg.SDN.UnregisterFlow(conn.Flow())
-		c.cfg.SDN.UnregisterFlow(conn.Flow().Reverse())
-	})
 }
 
 // armSweep schedules the provenance GC while records exist. The sweep

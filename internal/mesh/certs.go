@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"fmt"
 	"strconv"
 	"time"
 
@@ -12,17 +11,19 @@ import (
 // Cert is a workload identity credential issued by the control plane —
 // the stand-in for the SPIFFE/mTLS certificates an Istio control plane
 // provisions (the "certificate management" box of the paper's Fig. 1).
+// Sidecars stamp its serial on every outbound request; no inbound check
+// verifies it, so identity costs request bytes and issuance, not a
+// handshake.
 type Cert struct {
 	Service  string
 	Serial   uint64
 	NotAfter time.Duration // simulated expiry; zero = never expires
-	revoked  bool
 }
 
 // Valid reports whether the cert authenticates the named service at
 // the given time.
 func (c *Cert) Valid(service string, now time.Duration) bool {
-	if c == nil || c.revoked || c.Service != service {
+	if c == nil || c.Service != service {
 		return false
 	}
 	return c.NotAfter == 0 || now < c.NotAfter
@@ -35,8 +36,8 @@ func (c *Cert) Valid(service string, now time.Duration) bool {
 // 24h; scaled down so rotation is observable in short simulations).
 const DefaultCertTTL = time.Hour
 
-// IssueCert mints a certificate for a service. Sidecars request one at
-// injection time and after revocation.
+// IssueCert mints a certificate for a service. Sidecars request one on
+// their first outbound call and again once it expires.
 func (cp *ControlPlane) IssueCert(service string) *Cert {
 	cp.certSerial++
 	c := &Cert{
@@ -44,33 +45,9 @@ func (cp *ControlPlane) IssueCert(service string) *Cert {
 		Serial:   cp.certSerial,
 		NotAfter: cp.mesh.sched.Now() + DefaultCertTTL,
 	}
-	cp.certs[c.Serial] = c
 	cp.bump()
 	return c
 }
-
-// RevokeCert invalidates a certificate immediately.
-func (cp *ControlPlane) RevokeCert(serial uint64) {
-	if c, ok := cp.certs[serial]; ok {
-		c.revoked = true
-		cp.bump()
-	}
-}
-
-// VerifyCert checks a presented serial against the CA state.
-func (cp *ControlPlane) VerifyCert(serial uint64, service string, now time.Duration) bool {
-	return cp.certs[serial].Valid(service, now)
-}
-
-// RequireMTLS makes every inbound check demand a valid peer
-// certificate, not just a claimed identity header (strict mTLS mode).
-func (cp *ControlPlane) RequireMTLS(on bool) {
-	cp.strictMTLS = on
-	cp.bump()
-}
-
-// MTLSRequired reports whether strict mode is on.
-func (cp *ControlPlane) MTLSRequired() bool { return cp.strictMTLS }
 
 // cert returns the sidecar's current credential, requesting a fresh one
 // if missing or no longer valid (automatic rotation).
@@ -89,21 +66,4 @@ func (sc *Sidecar) cert() *Cert {
 func (sc *Sidecar) stampIdentity(req *httpsim.Request) {
 	req.Headers.Set(HeaderSource, sc.service)
 	req.Headers.Set(HeaderCert, strconv.FormatUint(sc.cert().Serial, 10))
-}
-
-// verifyPeer authenticates an inbound request's claimed identity under
-// the current mTLS mode. In permissive mode the claim is accepted; in
-// strict mode the presented cert must verify.
-func (sc *Sidecar) verifyPeer(req *httpsim.Request) bool {
-	if !sc.mesh.cp.MTLSRequired() {
-		return true
-	}
-	src := req.Headers.Get(HeaderSource)
-	var serial uint64
-	fmt.Sscanf(req.Headers.Get(HeaderCert), "%d", &serial)
-	if sc.mesh.cp.VerifyCert(serial, src, sc.mesh.sched.Now()) {
-		return true
-	}
-	sc.mesh.metrics.Counter(MetricMTLSDeniedTotal, metrics.Labels{"service": sc.service}).Inc()
-	return false
 }

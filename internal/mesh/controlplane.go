@@ -229,10 +229,11 @@ const (
 )
 
 // ControlPlane is the mesh's centralized configuration authority:
-// service discovery (via the cluster), traffic policy, and security
-// policy, pushed to sidecars. By default propagation is instantaneous
-// shared state; EnableDistribution switches to xDS-style simulated
-// pushes where each sidecar routes on its own possibly-stale snapshot.
+// service discovery (via the cluster) and traffic policy, pushed to
+// sidecars, plus workload certificates (certs.go). By default
+// propagation is instantaneous shared state; EnableDistribution
+// switches to xDS-style simulated pushes where each sidecar routes on
+// its own possibly-stale snapshot.
 type ControlPlane struct {
 	mesh *Mesh
 	// policy is the one per-service policy store. Instant-mode sidecars
@@ -240,9 +241,7 @@ type ControlPlane struct {
 	// snapshots. All writes go through edit.
 	policy map[string]*servicePolicy
 
-	certs      map[uint64]*Cert
 	certSerial uint64
-	strictMTLS bool
 
 	// pushDelay models configuration propagation: mutations made
 	// through the Set* methods take effect this long after the call
@@ -280,8 +279,6 @@ type servicePolicy struct {
 	Outlier   *OutlierPolicy
 	Locality  *LocalityPolicy
 	Fallback  *FallbackPolicy
-	// Authz is the allowed-source set; nil = permissive (allow all).
-	Authz map[string]bool
 }
 
 // noPolicy is what a service nobody configured reads as. Never written.
@@ -290,7 +287,7 @@ var noPolicy servicePolicy
 // wireBytes estimates the encoded size of the set policies
 // (protobuf-ish costs).
 func (p *servicePolicy) wireBytes() int {
-	n := 16 * len(p.Authz)
+	n := 0
 	for _, set := range []bool{
 		p.LB != nil, p.Retry != nil, p.Breaker != nil, p.Hedge != nil,
 		p.Fault != nil, p.Mirror != nil, p.Rate != nil, p.Admission != nil,
@@ -310,7 +307,6 @@ func newControlPlane(m *Mesh) *ControlPlane {
 	return &ControlPlane{
 		mesh:   m,
 		policy: make(map[string]*servicePolicy),
-		certs:  make(map[uint64]*Cert),
 	}
 }
 
@@ -429,11 +425,6 @@ func (cp *ControlPlane) SetRouteRule(r RouteRule) {
 // RouteRuleFor returns the service's rule, or nil.
 func (cp *ControlPlane) RouteRuleFor(service string) *RouteRule { return cp.policyOf(service).Rule }
 
-// ClearRouteRule removes a service's routing rule.
-func (cp *ControlPlane) ClearRouteRule(service string) {
-	cp.edit(service, func(pol *servicePolicy) { pol.Rule = nil })
-}
-
 // SetLBPolicy selects the load balancer for a service.
 func (cp *ControlPlane) SetLBPolicy(service string, p LBPolicy) {
 	switch p {
@@ -507,17 +498,4 @@ func (cp *ControlPlane) SetFallbackPolicy(service string, p FallbackPolicy) {
 // SetHedgePolicy configures redundant requests for a service.
 func (cp *ControlPlane) SetHedgePolicy(service string, p HedgePolicy) {
 	cp.edit(service, func(pol *servicePolicy) { pol.Hedge = &p })
-}
-
-// AllowCalls authorizes src to call dst. The first AllowCalls for a dst
-// switches it from permissive (allow all) to an explicit allow-list.
-func (cp *ControlPlane) AllowCalls(src, dst string) {
-	cp.edit(dst, func(pol *servicePolicy) {
-		set := make(map[string]bool, len(pol.Authz)+1)
-		for s := range pol.Authz {
-			set[s] = true
-		}
-		set[src] = true
-		pol.Authz = set
-	})
 }

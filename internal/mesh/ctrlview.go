@@ -109,10 +109,3 @@ func (sc *Sidecar) localityFor(service string) LocalityPolicy {
 func (sc *Sidecar) fallbackFor(service string) FallbackPolicy {
 	return deref(sc.policyFor(service).Fallback, FallbackPolicy{})
 }
-
-// authorized checks src against the inbound allow-list for this
-// sidecar's own service.
-func (sc *Sidecar) authorized(src string) bool {
-	set := sc.policyFor(sc.service).Authz
-	return set == nil || set[src]
-}

@@ -11,8 +11,8 @@ package mesh
 const (
 	// HeaderHost names the destination service of a request.
 	HeaderHost = "host"
-	// HeaderSource carries the caller's verified service identity —
-	// the stand-in for the mTLS peer certificate.
+	// HeaderSource carries the caller's service identity — the
+	// stand-in for the mTLS peer certificate.
 	HeaderSource = "x-mesh-source"
 	// HeaderPriority is the paper's custom priority header: the
 	// classification assigned at ingress and carried with the request
@@ -40,7 +40,7 @@ const (
 	// shadow target can tell mirrored traffic from real traffic.
 	HeaderShadow = "x-mesh-shadow"
 	// HeaderCert carries the presented certificate's serial — the wire
-	// form of the mTLS handshake in this model.
+	// cost of mTLS in this model.
 	HeaderCert = "x-mesh-cert"
 )
 

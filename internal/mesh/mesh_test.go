@@ -315,26 +315,6 @@ func TestHedgingCutsTail(t *testing.T) {
 	}
 }
 
-func TestAuthzDeniesUnlistedCaller(t *testing.T) {
-	tb := buildBed(t, Config{}, echoBackend)
-	// Restrict backend to calls from "nobody": frontend gets 403.
-	tb.m.ControlPlane().AllowCalls("nobody", "backend")
-	var got *httpsim.Response
-	tb.gw.Serve(extReq("/x"), func(r *httpsim.Response, err error) { got = r })
-	tb.sched.Run()
-	// 403 is not a 5xx: no retry; frontend echoes it.
-	if got == nil || got.Status != httpsim.StatusForbidden {
-		t.Fatalf("got %+v, want 403", got)
-	}
-	// Allow frontend: traffic flows again.
-	tb.m.ControlPlane().AllowCalls("frontend", "backend")
-	tb.gw.Serve(extReq("/x"), func(r *httpsim.Response, err error) { got = r })
-	tb.sched.Run()
-	if got.Status != httpsim.StatusOK {
-		t.Fatalf("got %d after allow, want 200", got.Status)
-	}
-}
-
 func TestDistributedTraceReconstructs(t *testing.T) {
 	tb := buildBed(t, Config{}, echoBackend)
 	tb.gw.Serve(extReq("/traced"), func(r *httpsim.Response, err error) {})
@@ -506,7 +486,6 @@ func TestControlPlaneValidation(t *testing.T) {
 	v = cp.Version()
 	for name, set := range map[string]func(){
 		"SetRouteRule":       func() { cp.SetRouteRule(RouteRule{}) },
-		"ClearRouteRule":     func() { cp.ClearRouteRule("") },
 		"SetLBPolicy":        func() { cp.SetLBPolicy("", LBRandom) },
 		"SetRetryPolicy":     func() { cp.SetRetryPolicy("", RetryPolicy{}) },
 		"SetCircuitBreaker":  func() { cp.SetCircuitBreaker("", CircuitBreakerPolicy{}) },
@@ -516,7 +495,6 @@ func TestControlPlaneValidation(t *testing.T) {
 		"SetFallbackPolicy":  func() { cp.SetFallbackPolicy("", FallbackPolicy{}) },
 		"SetHedgePolicy":     func() { cp.SetHedgePolicy("", HedgePolicy{}) },
 		"SetAdmissionPolicy": func() { cp.SetAdmissionPolicy("", AdmissionPolicy{}) },
-		"AllowCalls":         func() { cp.AllowCalls("frontend", "") },
 	} {
 		func() {
 			defer func() {
@@ -533,9 +511,5 @@ func TestControlPlaneValidation(t *testing.T) {
 	cp.SetRouteRule(RouteRule{Service: "backend"})
 	if cp.RouteRuleFor("backend") == nil {
 		t.Fatal("rule not stored")
-	}
-	cp.ClearRouteRule("backend")
-	if cp.RouteRuleFor("backend") != nil {
-		t.Fatal("rule not cleared")
 	}
 }

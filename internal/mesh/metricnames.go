@@ -21,7 +21,6 @@ const (
 	MetricAdmissionShedTotal      = "mesh_admission_shed_total"
 	MetricAdmissionCancelledTotal = "mesh_admission_cancelled_total"
 	MetricCertsIssuedTotal        = "mesh_certs_issued_total"
-	MetricMTLSDeniedTotal         = "mesh_mtls_denied_total"
 	MetricHealthProbeTotal        = "mesh_health_probe_total"
 	MetricHealthProbeAnswered     = "mesh_health_probe_answered_total"
 	MetricHealthTransitionsTotal  = "mesh_health_transitions_total"

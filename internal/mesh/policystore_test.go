@@ -32,14 +32,16 @@ var policyCases = []policyCase{
 				DefaultSubset: SubsetRef{Key: "version", Value: "v2"},
 			})
 		},
-		reset: func(cp *ControlPlane) { cp.ClearRouteRule("backend") },
+		reset: func(cp *ControlPlane) {
+			cp.SetRouteRule(RouteRule{Service: "backend", DefaultSubset: SubsetRef{Key: "version", Value: "v1"}})
+		},
 		read: func(tb *testbed) any {
 			if r := tb.fe.routeRuleFor("backend"); r != nil {
 				return r.DefaultSubset
 			}
 			return nil
 		},
-		unset: nil, want: SubsetRef{Key: "version", Value: "v2"}, afterReset: nil,
+		unset: nil, want: SubsetRef{Key: "version", Value: "v2"}, afterReset: SubsetRef{Key: "version", Value: "v1"},
 		wire: 32 + 24,
 	},
 	{
@@ -128,15 +130,6 @@ var policyCases = []policyCase{
 		reset: func(cp *ControlPlane) { cp.SetFallbackPolicy("backend", FallbackPolicy{}) },
 		read:  func(tb *testbed) any { return tb.fe.fallbackFor("backend") },
 		unset: FallbackPolicy{}, want: FallbackPolicy{Enabled: true}, afterReset: FallbackPolicy{}, wire: 40,
-	},
-	{
-		// The accessor answers "may the gateway call backend?": yes while
-		// permissive, no once only frontend is listed, yes once it is too.
-		field: "Authz",
-		set:   func(cp *ControlPlane) { cp.AllowCalls("frontend", "backend") },
-		reset: func(cp *ControlPlane) { cp.AllowCalls("gateway", "backend") },
-		read:  func(tb *testbed) any { return tb.b1.authorized("gateway") },
-		unset: true, want: false, afterReset: true, wire: 16,
 	},
 }
 

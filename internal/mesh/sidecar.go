@@ -233,14 +233,6 @@ func (in *inbound) serve() {
 	if !sc.applyInboundRateLimit(respond) {
 		return
 	}
-	src := req.Headers.Get(HeaderSource)
-	if !sc.verifyPeer(req) || !sc.authorized(src) {
-		m.metrics.Counter(MetricRequestsTotal,
-			metrics.Labels{"service": sc.service, "direction": "inbound", "code": "403"}).Inc()
-		resp := httpsim.NewResponse(httpsim.StatusForbidden)
-		respond(resp)
-		return
-	}
 
 	// Server span: adopt the caller's span as parent, then make
 	// this span the parent of anything the app spawns.

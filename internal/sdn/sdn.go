@@ -31,7 +31,6 @@ type Controller struct {
 	steered  map[steerKey]bool
 
 	running bool
-	samples uint64
 	moves   uint64
 }
 
@@ -88,21 +87,9 @@ func (c *Controller) AddTERoute(r TERoute) {
 // RegisterFlow is the mesh-facing API: the sidecar layer announces a
 // flow's priority out of band (§4.2: "an API call into the SDN
 // controller"). Marks at or below simnet.MarkLow are eligible for
-// rerouting.
+// rerouting. A flow stays registered for the controller's lifetime.
 func (c *Controller) RegisterFlow(flow simnet.FlowKey, mark simnet.Mark) {
 	c.flows[flow] = mark
-}
-
-// UnregisterFlow removes a flow (connection closed). Any steering for
-// it is withdrawn.
-func (c *Controller) UnregisterFlow(flow simnet.FlowKey) {
-	delete(c.flows, flow)
-	for k := range c.steered {
-		if k.flow == flow {
-			k.node.SetFlowRoute(flow, nil)
-			delete(c.steered, k)
-		}
-	}
 }
 
 // FlowCount returns the number of registered flows.
@@ -124,20 +111,13 @@ func (c *Controller) Start() {
 	c.tick()
 }
 
-// Stop halts sampling after the current period.
-func (c *Controller) Stop() { c.running = false }
-
 func (c *Controller) tick() {
-	if !c.running {
-		return
-	}
 	c.sample()
 	c.evaluateTE()
 	c.sched.After(c.interval, c.tick)
 }
 
 func (c *Controller) sample() {
-	c.samples++
 	for _, l := range c.net.Links() {
 		for _, nic := range []*simnet.NIC{l.A(), l.B()} {
 			tx := nic.TxBytes()

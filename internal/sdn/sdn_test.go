@@ -68,7 +68,6 @@ func TestUtilizationTracking(t *testing.T) {
 	if iu := c.Utilization(r.alternate.A()); iu > 0.05 {
 		t.Fatalf("idle link utilization = %.2f", iu)
 	}
-	c.Stop()
 }
 
 func TestTESteersLowPriorityWhenHot(t *testing.T) {
@@ -130,29 +129,6 @@ func TestTEWithdrawsWhenCool(t *testing.T) {
 	r.sched.RunUntil(3 * time.Second)
 	if c.Moves() <= movesAfterHot {
 		t.Fatal("steering never withdrawn after cool-down")
-	}
-}
-
-func TestUnregisterFlowClearsSteering(t *testing.T) {
-	r := newTERig(t)
-	c := New(r.net, 50*time.Millisecond)
-	c.AddTERoute(TERoute{Node: r.a, Primary: r.primary.A(), Alternate: r.alternate.A(), Threshold: 0.5})
-	c.Start()
-	r.dst.SetDeliver(func(*simnet.Packet) {})
-	lo := r.flow(2000)
-	c.RegisterFlow(lo, simnet.MarkLow)
-	if c.FlowCount() != 1 {
-		t.Fatal("flow not registered")
-	}
-	r.blast(lo, simnet.MarkLow, 9*simnet.Mbps, time.Second)
-	r.sched.RunUntil(time.Second)
-	c.UnregisterFlow(lo)
-	if c.FlowCount() != 0 {
-		t.Fatal("flow not unregistered")
-	}
-	// After unregistration no steer entries may remain.
-	if len(c.steered) != 0 {
-		t.Fatal("steering persisted after unregister")
 	}
 }
 

@@ -148,6 +148,13 @@ func (n *NIC) SetQdisc(q Qdisc) {
 	}
 }
 
+// Tap observes every packet a NIC serializes (after qdisc scheduling,
+// before any impairment). Taps must not mutate the packet.
+type Tap func(p *Packet, at time.Duration)
+
+// SetTap installs (or clears, with nil) the NIC's transmit tap.
+func (n *NIC) SetTap(t Tap) { n.tap = t }
+
 // TxBytes returns cumulative bytes serialized onto the link.
 // SDN-style controllers poll this to estimate utilization.
 func (n *NIC) TxBytes() uint64 { return n.txBytes }

@@ -98,3 +98,19 @@ func TestNICAccessors(t *testing.T) {
 		t.Fatal("link accessors")
 	}
 }
+
+func TestTapClearable(t *testing.T) {
+	s, net, a, b := twoNodes(t, LinkConfig{Rate: Gbps})
+	n := 0
+	nic := a.NICs()[0]
+	nic.SetTap(func(*Packet, time.Duration) { n++ })
+	b.SetDeliver(func(*Packet) {})
+	a.Inject(mkPacket(net, a, b, 100))
+	s.Run()
+	nic.SetTap(nil)
+	a.Inject(mkPacket(net, a, b, 100))
+	s.Run()
+	if n != 1 {
+		t.Fatalf("tap fired %d times, want 1", n)
+	}
+}

@@ -17,26 +17,15 @@ func TestPropertyQdiscConservation(t *testing.T) {
 		"fifo": func(s *simnet.Scheduler) simnet.Qdisc { return simnet.NewFIFO(0) },
 		"prio": func(s *simnet.Scheduler) simnet.Qdisc {
 			return NewPrio(Classifier{
-				Filters: []Filter{{Match: MatchMark(simnet.MarkHigh), Class: 0}},
+				Filters: []Filter{{Match: MatchMinMark(simnet.MarkHigh), Class: 0}},
 				Default: 1,
 			}, simnet.NewFIFO(0), simnet.NewFIFO(0))
 		},
 		"tbf": func(s *simnet.Scheduler) simnet.Qdisc {
 			return NewTBF(simnet.Gbps, 100*simnet.MTU, nil, s.Now)
 		},
-		"htb": func(s *simnet.Scheduler) simnet.Qdisc {
-			return NewHTB(Classifier{
-				Filters: []Filter{{Match: MatchMark(simnet.MarkHigh), Class: 0}},
-				Default: 1,
-			}, s.Now,
-				HTBClass{Rate: simnet.Gbps, Ceil: simnet.Gbps},
-				HTBClass{Rate: simnet.Gbps, Ceil: simnet.Gbps})
-		},
-		"drr": func(s *simnet.Scheduler) simnet.Qdisc {
-			return NewDRR(Classifier{
-				Filters: []Filter{{Match: MatchMark(simnet.MarkHigh), Class: 0}},
-				Default: 1,
-			}, 2*simnet.MTU, simnet.MTU)
+		"nearstrict": func(s *simnet.Scheduler) simnet.Qdisc {
+			return NewNearStrict(NearStrictConfig{LinkRate: simnet.Gbps, HighShare: 0.95}, s.Now)
 		},
 	}
 	for name, mk := range build {
@@ -96,7 +85,7 @@ func TestPropertyBacklogMatchesContents(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := simnet.NewScheduler()
 		q := NewPrio(Classifier{
-			Filters: []Filter{{Match: MatchMark(simnet.MarkHigh), Class: 0}},
+			Filters: []Filter{{Match: MatchMinMark(simnet.MarkHigh), Class: 0}},
 			Default: 1,
 		}, simnet.NewFIFO(0), simnet.NewFIFO(0))
 		_ = s

@@ -1,6 +1,6 @@
 // Package tc implements Linux-tc-style traffic control for simulated
-// NICs: classful queueing disciplines (PRIO, HTB, DRR), a token-bucket
-// shaper (TBF), and packet classifiers.
+// NICs: the classful PRIO qdisc, a token-bucket shaper (TBF), the RED
+// and CoDel AQMs, and a first-match packet classifier.
 //
 // The cross-layer prioritization case study (§4.3 of the paper) installs
 // "nearly-strict prioritization (up to 95% of bandwidth)" on the
@@ -27,42 +27,9 @@ type Filter struct {
 	Class int
 }
 
-// MatchMark returns a filter predicate selecting packets with the mark.
-func MatchMark(m simnet.Mark) func(*simnet.Packet) bool {
-	return func(p *simnet.Packet) bool { return p.Mark == m }
-}
-
 // MatchMinMark returns a predicate selecting packets with mark >= m.
 func MatchMinMark(m simnet.Mark) func(*simnet.Packet) bool {
 	return func(p *simnet.Packet) bool { return p.Mark >= m }
-}
-
-// MatchDst returns a predicate selecting packets addressed to dst —
-// the paper's prototype matches on the high-priority pod's IP address.
-func MatchDst(dst simnet.Addr) func(*simnet.Packet) bool {
-	return func(p *simnet.Packet) bool { return p.Flow.Dst == dst }
-}
-
-// MatchSrc returns a predicate selecting packets originating from src.
-func MatchSrc(src simnet.Addr) func(*simnet.Packet) bool {
-	return func(p *simnet.Packet) bool { return p.Flow.Src == src }
-}
-
-// MatchDstPort returns a predicate selecting packets to a given port.
-func MatchDstPort(port uint16) func(*simnet.Packet) bool {
-	return func(p *simnet.Packet) bool { return p.Flow.DstPort == port }
-}
-
-// MatchAny combines predicates with OR.
-func MatchAny(preds ...func(*simnet.Packet) bool) func(*simnet.Packet) bool {
-	return func(p *simnet.Packet) bool {
-		for _, f := range preds {
-			if f(p) {
-				return true
-			}
-		}
-		return false
-	}
 }
 
 // Classifier routes packets to class indexes via an ordered filter list.

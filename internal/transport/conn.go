@@ -85,10 +85,9 @@ type Conn struct {
 	cc                             Controller
 
 	// Callbacks. Set them before data flows.
-	onMessage      func(meta any, size int)
-	onEstablished  func()
-	onClose        func(err error)
-	closeListeners []func(err error)
+	onMessage     func(meta any, size int)
+	onEstablished func()
+	onClose       func(err error)
 
 	// Send side.
 	sndUna, sndNxt uint64
@@ -153,16 +152,9 @@ func (c *Conn) SetOnMessage(fn func(meta any, size int)) { c.onMessage = fn }
 // (client side only; server conns are established at accept).
 func (c *Conn) SetOnEstablished(fn func()) { c.onEstablished = fn }
 
-// SetOnClose registers the primary teardown callback (replacing any
-// previous one).
+// SetOnClose registers the teardown callback (replacing any previous
+// one).
 func (c *Conn) SetOnClose(fn func(err error)) { c.onClose = fn }
-
-// AddCloseListener registers an additional teardown observer that runs
-// after the primary callback. Observers cannot be removed; they are
-// dropped with the connection.
-func (c *Conn) AddCloseListener(fn func(err error)) {
-	c.closeListeners = append(c.closeListeners, fn)
-}
 
 // SetMark changes the packet mark for all subsequent transmissions —
 // the hook the cross-layer controller uses to re-prioritize a pooled
@@ -283,10 +275,6 @@ func (c *Conn) teardown(err error) {
 		c.onClose = nil
 		fn(err)
 	}
-	for _, fn := range c.closeListeners {
-		fn(err)
-	}
-	c.closeListeners = nil
 }
 
 // --- sending ---
