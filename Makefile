@@ -1,6 +1,6 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same commands.
 
-.PHONY: check build fmt vet lint test allocs examples race reach reach-goldens
+.PHONY: check build fmt vet lint test allocs examples examples-update race reach reach-goldens
 
 check: build fmt vet lint test allocs examples
 
@@ -36,13 +36,28 @@ test:
 allocs:
 	go test -count=1 -run 'Allocs' ./internal/...
 
-# Runs every example main and fails on the first non-zero exit. Some
-# code paths have no other runner: SocialNetworkSpec, the e-commerce
-# preset under faults, and the autoscaler.
+# Runs every example main, and cmd/tracedump at its defaults, and
+# compares each one's stdout byte-for-byte with
+# testdata/examples/<name>.txt; fails on the first non-zero exit or
+# difference. Some code paths have no other runner: SocialNetworkSpec,
+# the e-commerce preset under faults, and the autoscaler. After an
+# intended output change, `make examples-update` rewrites the files;
+# review their diff.
+EXAMPLE_MAINS = examples/*/ cmd/tracedump/
+
 examples:
-	@for d in examples/*/; do \
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	for d in $(EXAMPLE_MAINS); do \
 		echo "go run ./$$d"; \
-		go run "./$$d" >/dev/null || exit 1; \
+		go run "./$$d" >"$$out" || exit 1; \
+		diff -u "testdata/examples/$$(basename $$d).txt" "$$out" || exit 1; \
+	done
+
+examples-update:
+	@mkdir -p testdata/examples && \
+	for d in $(EXAMPLE_MAINS); do \
+		echo "go run ./$$d > testdata/examples/$$(basename $$d).txt"; \
+		go run "./$$d" >"testdata/examples/$$(basename $$d).txt" || exit 1; \
 	done
 
 # Short-mode suite under the race detector (TestGoldens skips itself):

@@ -36,11 +36,13 @@ func BenchmarkChainRequest(b *testing.B) {
 // chain, the twin of simnet's TestPodAttachCostIndependentOfFleet for
 // the data plane: a hop's span names, series lookups and trace storage
 // once cost 40 allocations per 16-hop request (513), header maps and
-// forwarding closures 135 more (473), and the closures carrying a hop's
+// forwarding closures 135 more (473), the closures carrying a hop's
 // proxy traversals, attempt deadline and fan-out join 143 more (339),
-// and a change that brings any of them back shows here before it shows
-// in the benchmark. The social row pins a fan-out hop's join at the
-// cost of a forwarding one (334 with closures).
+// and a span object per hop 33 more (196, now a collector row that
+// comes in 32 KB chunks), and a change that brings any of them back
+// shows here before it shows in the benchmark. The social row pins a
+// fan-out hop's join at the cost of a forwarding one (334 with
+// closures).
 func TestChainHopAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are not the program's")
@@ -55,9 +57,9 @@ func TestChainHopAllocs(t *testing.T) {
 		req    func() *httpsim.Request
 		budget float64
 	}{
-		{"a 4-hop chain", BuildChain(ChainConfig{Depth: 4}), NewChainRequest, 52},
-		{"a 16-hop chain", BuildChain(ChainConfig{Depth: 16}), NewChainRequest, 196},
-		{"the social network", social, social.NewDAGRequest, 202},
+		{"a 4-hop chain", BuildChain(ChainConfig{Depth: 4}), NewChainRequest, 43},
+		{"a 16-hop chain", BuildChain(ChainConfig{Depth: 16}), NewChainRequest, 163},
+		{"the social network", social, social.NewDAGRequest, 169},
 	} {
 		n := testing.AllocsPerRun(100, func() {
 			tc.d.Gateway.Serve(tc.req(), func(*httpsim.Response, error) {})
@@ -68,6 +70,41 @@ func TestChainHopAllocs(t *testing.T) {
 			t.Errorf("one request through %s allocates %v times, budget %v: "+
 				"this is rpc_chain's allocs_per_op, and what a request keeps is its live_heap_mb", tc.name, n, tc.budget)
 		}
+	}
+}
+
+// TestChainRetainedAllocs is the budget of what a request through a
+// 16-hop chain leaves live for the rest of a run, the retained-B/req
+// BenchmarkChainRequest reports and rpc_chain's live_heap_mb grows
+// with: its 33 spans as 64 B collector rows, its trace's ID and index
+// entry, 2,193 B in all. A hundred requests first fill the pools,
+// series and name table every later request reuses.
+func TestChainRetainedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes under -race are not the program's")
+	}
+	const requests, budget = 2000, 2400
+	c := BuildChain(ChainConfig{Depth: 16})
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			c.Gateway.Serve(NewChainRequest(), func(*httpsim.Response, error) {})
+			c.Sched.Run()
+		}
+	}
+	serve(100)
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	serve(requests)
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	per := float64(int64(ms.HeapAlloc)-int64(before)) / requests
+	runtime.KeepAlive(c)
+	t.Logf("a 16-hop chain: %.0f retained B a request", per)
+	if per > budget {
+		t.Errorf("a request through a 16-hop chain leaves %.0f B live, budget %d: "+
+			"this is what rpc_chain's live_heap_mb grows with", per, budget)
 	}
 }
 

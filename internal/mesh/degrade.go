@@ -127,8 +127,8 @@ func (c *call) maybeFallback(resp *httpsim.Response, err error) (*httpsim.Respon
 			err = nil
 			m.metrics.Counter(MetricFallbackServedTotal,
 				metrics.Labels{"service": c.service}).Inc()
-			if c.span != nil {
-				c.span.Degraded = c.service
+			if c.span != 0 {
+				m.tracer.Degrade(c.span, c.service)
 			}
 		}
 	}

@@ -68,23 +68,22 @@ func (g *Gateway) Serve(req *httpsim.Request, cb func(*httpsim.Response, error))
 		}
 	}
 
-	root := &trace.Span{
+	root, rootID := m.tracer.Open(trace.Span{
 		TraceID:  traceID,
-		SpanID:   m.tracer.NewSpanID(),
 		Service:  "ingress-gateway",
 		Name:     m.tracer.Name(req.Method, req.Path),
 		Start:    m.sched.Now(),
 		Priority: req.Headers.Get(HeaderPriority),
-	}
-	req.Headers.Set(trace.HeaderSpanID, formatSpanID(root.SpanID))
+	})
+	req.Headers.Set(trace.HeaderSpanID, formatSpanID(rootID))
 
 	start := m.sched.Now()
 	g.sc.Call(req, func(resp *httpsim.Response, err error) {
-		root.End = m.sched.Now()
+		var status int32
 		if err == nil {
-			root.Status = int32(resp.Status)
+			status = int32(resp.Status)
 		}
-		m.tracer.Record(root)
+		m.tracer.Close(root, m.sched.Now(), status, 0)
 		g.duration(req.Headers.Get(HeaderPriority)).RecordDuration(m.sched.Now() - start)
 		// Degraded-but-served accounting at the edge: the provenance
 		// header distinguishes a full success from a response some

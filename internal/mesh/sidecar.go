@@ -189,7 +189,7 @@ type inbound struct {
 	ctx     httpsim.Ctx
 	req     *httpsim.Request
 	respond func(*httpsim.Response)
-	span    *trace.Span
+	span    trace.SpanRef
 	start   time.Duration
 }
 
@@ -238,16 +238,16 @@ func (in *inbound) serve() {
 	// this span the parent of anything the app spawns.
 	in.start = m.sched.Now()
 	if tid := req.Headers.Get(trace.HeaderRequestID); tid != "" {
-		in.span = &trace.Span{
+		var id uint64
+		in.span, id = m.tracer.Open(trace.Span{
 			TraceID:  tid,
-			SpanID:   m.tracer.NewSpanID(),
 			ParentID: parseSpanID(req.Headers.Get(trace.HeaderSpanID)),
 			Service:  sc.service,
 			Name:     m.tracer.Name(req.Method, req.Path),
 			Start:    in.start,
 			Priority: req.Headers.Get(HeaderPriority),
-		}
-		req.Headers.Set(trace.HeaderSpanID, formatSpanID(in.span.SpanID))
+		})
+		req.Headers.Set(trace.HeaderSpanID, formatSpanID(id))
 	}
 
 	for _, f := range sc.inboundFilters {
@@ -317,10 +317,8 @@ func (in *inbound) reply(resp *httpsim.Response) {
 			resp.Headers.Set(HeaderDegraded, origin)
 		}
 	}
-	if span := in.span; span != nil {
-		span.End = m.sched.Now()
-		span.Status = int32(resp.Status)
-		m.tracer.Record(span)
+	if in.span != 0 {
+		m.tracer.Close(in.span, m.sched.Now(), int32(resp.Status), 0)
 	}
 	m.seriesOf(sc.service).duration(dirInbound).RecordDuration(m.sched.Now() - in.start)
 	in.respond(resp)
@@ -334,7 +332,7 @@ type call struct {
 	service  string
 	req      *httpsim.Request
 	cb       func(*httpsim.Response, error)
-	span     *trace.Span
+	span     trace.SpanRef
 	retry    RetryPolicy
 	breaker  CircuitBreakerPolicy
 	attempts int
@@ -365,18 +363,18 @@ func (sc *Sidecar) Call(req *httpsim.Request, cb func(*httpsim.Response, error))
 	}
 	sc.stampIdentity(req)
 
-	var span *trace.Span
+	var span trace.SpanRef
 	if tid := req.Headers.Get(trace.HeaderRequestID); tid != "" {
-		span = &trace.Span{
+		var id uint64
+		span, id = m.tracer.Open(trace.Span{
 			TraceID:  tid,
-			SpanID:   m.tracer.NewSpanID(),
 			ParentID: parseSpanID(req.Headers.Get(trace.HeaderSpanID)),
 			Service:  sc.service,
 			Name:     m.tracer.Name("call", service, req.Path),
 			Start:    m.sched.Now(),
 			Client:   true,
-		}
-		req.Headers.Set(trace.HeaderSpanID, formatSpanID(span.SpanID))
+		})
+		req.Headers.Set(trace.HeaderSpanID, formatSpanID(id))
 	}
 
 	c := &call{
@@ -687,13 +685,12 @@ func (c *call) finish(resp *httpsim.Response, err error) {
 	ss := m.seriesOf(c.service)
 	ss.outboundRequests(status, err != nil).Inc()
 	ss.duration(dirOutbound).RecordDuration(m.sched.Now() - c.start)
-	if c.span != nil {
-		c.span.End = m.sched.Now()
-		c.span.Status = int32(status)
+	if c.span != 0 {
+		var retries int16
 		if c.attempts > 1 {
-			c.span.Retries = int16(c.attempts - 1)
+			retries = int16(c.attempts - 1)
 		}
-		m.tracer.Record(c.span)
+		m.tracer.Close(c.span, m.sched.Now(), int32(status), retries)
 	}
 	c.cb(resp, err)
 }

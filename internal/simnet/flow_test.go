@@ -306,3 +306,22 @@ func TestFidelityParseAndString(t *testing.T) {
 		t.Fatalf("String = %q", FidelityHybrid.String())
 	}
 }
+
+// FuzzParseFidelity: -fidelity is user input, so no value may panic the
+// parser, and an accepted fidelity must parse back from its String.
+//
+//	go test -run '^$' -fuzz FuzzParseFidelity -fuzztime 30s ./internal/simnet
+func FuzzParseFidelity(f *testing.F) {
+	for _, in := range []string{"", "packet", "flow", "hybrid", "Flow", " hybrid", "fidelity(3)"} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		fid, err := ParseFidelity(in)
+		if err != nil {
+			return
+		}
+		if back, err := ParseFidelity(fid.String()); err != nil || back != fid {
+			t.Errorf("ParseFidelity(%q) = %v, whose String %q parses to %v, %v", in, fid, fid.String(), back, err)
+		}
+	})
+}

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// refCollector is the store the linked lists replaced: each trace's
-// spans in a slice, in recording order. Its tree, totals and ranking
-// are the slice-based algorithms the collector answered with before.
+// refCollector is what the collector stores, kept the plain way: each
+// trace's closed spans in a slice, in the order they closed, with
+// slice-based tree, totals and ranking.
 type refCollector map[string][]*Span
 
 func (r refCollector) ids() []string {
@@ -103,79 +103,123 @@ func (r refCollector) slowest(n int) []string {
 	return out
 }
 
-// recordPanics reports whether c.Record(s) panicked with the
-// double-record message.
-func recordPanics(c *Collector, s *Span) (ok bool) {
+// panics reports whether f panicked with message want.
+func panics(want string, f func()) (ok bool) {
 	defer func() {
-		ok = recover() == "trace: span recorded twice"
+		ok = recover() == want
 	}()
-	c.Record(s)
+	f()
 	return false
 }
 
-// TestCollectorMatchesReference records seeded interleavings of many
-// traces — spans of each trace in shuffled order, so children arrive
-// before parents and span ids out of order, some parents never recorded
-// (orphans), some traces with no root at all — and after every step
-// holds everything the collector answers to the reference: Trace,
-// TraceIDs, Len, each tree's outline, ServiceTotals and SlowestTraces.
-// Recording a span a second time, whether it ends its trace or not,
-// panics and changes nothing.
+// TestCollectorMatchesReference drives the write path with seeded
+// interleavings of many traces and after every step holds everything
+// the collector answers to the reference, a slice of closed spans per
+// trace: Trace, TraceIDs, Len, each tree's outline, ServiceTotals and
+// SlowestTraces.
+//
+//   - Spans are opened in one shuffled order across traces and closed
+//     in another, so children close before parents, span ids arrive out
+//     of order, some parents never close (orphans) and some traces
+//     have no root at all.
+//   - Open mints ids in opening order, and the parents a span names are
+//     the ids its parents will be minted, opened before it or not.
+//   - Some spans are degraded while open, some more than once.
+//   - Some spans are never closed; they are absent everywhere, and so
+//     is a trace none of whose spans closed. A filler of unclosed spans
+//     opened first puts the chunk boundary among the spans checked.
+//   - Closing a span again, whether it ends its trace or not, and
+//     degrading a closed one, panic and change nothing.
 func TestCollectorMatchesReference(t *testing.T) {
 	services := []string{"gateway", "frontend", "reviews", "ratings", "details"}
+	priorities := []string{"", "high", "low"}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := NewCollector()
 		ref := refCollector{}
-		var recorded []*Span
+		closed := 0
 
-		// Build every trace's spans up front, then record them in one
-		// shuffled stream across traces.
-		var pending []*Span
+		filler := chunkRows - 1 - rng.Intn(60)
+		for i := 0; i < filler; i++ {
+			c.Open(Span{TraceID: fmt.Sprintf("f%d", i%3), Service: "filler", Start: time.Duration(i)})
+		}
+
+		// Draw every trace's spans up front, then fix the opening order
+		// and with it the id each span will be minted.
+		type pending struct {
+			s       *Span
+			parent  int // index into all; -1 for a root, -2 for an orphan
+			ref     SpanRef
+			close   bool
+			degrade string
+		}
+		var all []*pending
 		traces := 2 + rng.Intn(10)
 		for i := 0; i < traces; i++ {
 			id := fmt.Sprintf("t%02d", rng.Intn(40))
-			var spans []*Span
+			first := len(all)
 			for j, n := 0, 1+rng.Intn(12); j < n; j++ {
 				s := &Span{
-					TraceID: id,
-					SpanID:  c.NewSpanID(),
-					Service: services[rng.Intn(len(services))],
-					Name:    fmt.Sprintf("op%d", rng.Intn(3)),
-					Start:   time.Duration(rng.Intn(50)) * time.Millisecond,
+					TraceID:  id,
+					Service:  services[rng.Intn(len(services))],
+					Name:     fmt.Sprintf("op%d", rng.Intn(3)),
+					Priority: priorities[rng.Intn(len(priorities))],
+					Start:    time.Duration(rng.Intn(50)) * time.Millisecond,
+					Status:   int32(rng.Intn(600)),
+					Retries:  int16(rng.Intn(3)),
+					Client:   rng.Intn(2) == 0,
 				}
 				s.End = s.Start + time.Duration(1+rng.Intn(100))*time.Millisecond
+				p := &pending{s: s, close: rng.Intn(6) > 0}
 				switch {
 				case j == 0 && rng.Intn(5) > 0:
-					// the root
+					p.parent = -1
 				case j == 0 || rng.Intn(8) == 0:
-					s.ParentID = 1 << 40 // never recorded: an orphan
+					p.parent = -2
 				default:
-					s.ParentID = spans[rng.Intn(len(spans))].SpanID
+					p.parent = first + rng.Intn(j)
 				}
-				spans = append(spans, s)
+				all = append(all, p)
 			}
-			pending = append(pending, spans...)
 		}
-		rng.Shuffle(len(pending), func(i, j int) { pending[i], pending[j] = pending[j], pending[i] })
+		opening := rng.Perm(len(all))
+		for pos, i := range opening {
+			all[i].s.SpanID = uint64(filler + pos + 1)
+		}
+		for _, p := range all {
+			switch p.parent {
+			case -1:
+			case -2:
+				p.s.ParentID = 1 << 40 // never opened
+			default:
+				p.s.ParentID = all[p.parent].s.SpanID
+			}
+		}
+		var closing []*pending
+		for _, i := range rng.Perm(len(all)) {
+			if all[i].close {
+				closing = append(closing, all[i])
+			}
+		}
 
-		check := func(step int) {
+		check := func(step string) {
 			t.Helper()
-			where := fmt.Sprintf("seed %d step %d", seed, step)
+			where := fmt.Sprintf("seed %d %s", seed, step)
 			ids := ref.ids()
 			if got := c.TraceIDs(); !reflect.DeepEqual(got, ids) {
 				t.Fatalf("%s: TraceIDs = %v, want %v", where, got, ids)
 			}
-			if c.Len() != len(recorded) {
-				t.Fatalf("%s: Len = %d, want %d", where, c.Len(), len(recorded))
+			if c.Len() != closed {
+				t.Fatalf("%s: Len = %d, want %d", where, c.Len(), closed)
 			}
-			for _, id := range append(ids, "absent") {
+			for _, id := range append(ids, "absent", "f0", all[0].s.TraceID) {
 				got := c.Trace(id)
 				if !reflect.DeepEqual(got, ref[id]) {
 					t.Fatalf("%s: Trace(%s) = %v, want %v", where, id, got, ref[id])
 				}
 				if len(got) > 0 {
-					got[0] = nil // the caller's own slice
+					got[0].Service = "changed" // the caller's own spans
+					got[len(got)-1] = nil      // and slice
 					if !reflect.DeepEqual(c.Trace(id), ref[id]) {
 						t.Fatalf("%s: writing Trace(%s)'s result changed the trace", where, id)
 					}
@@ -194,23 +238,54 @@ func TestCollectorMatchesReference(t *testing.T) {
 			}
 		}
 
-		check(0)
-		for step, s := range pending {
-			c.Record(s)
-			ref[s.TraceID] = append(ref[s.TraceID], s)
-			recorded = append(recorded, s)
+		upstream := func() string { return services[rng.Intn(len(services))] }
+		opened := 0
+		open := func() {
+			p := all[opening[opened]]
+			opened++
+			var id uint64
+			p.ref, id = c.Open(*p.s)
+			if id != p.s.SpanID {
+				t.Fatalf("seed %d: span opened %d minted id %d, want %d", seed, opened, id, p.s.SpanID)
+			}
+			if rng.Intn(8) == 0 {
+				p.degrade = upstream()
+				c.Degrade(p.ref, p.degrade)
+			}
+			check(fmt.Sprintf("open %d", opened))
+		}
+
+		check("start")
+		for step, p := range closing {
+			for p.ref == 0 {
+				open()
+			}
+			if rng.Intn(4) == 0 {
+				p.degrade = upstream()
+				c.Degrade(p.ref, p.degrade)
+			}
+			p.s.Degraded = p.degrade
+			c.Close(p.ref, p.s.End, p.s.Status, p.s.Retries)
+			ref[p.s.TraceID] = append(ref[p.s.TraceID], p.s)
+			closed++
 			if rng.Intn(3) == 0 {
-				// Again: the span just recorded (its trace's tail) or
-				// any earlier one (linked mid-list).
-				again := s
+				// Again: the span just closed (its trace's tail) or any
+				// earlier one (linked mid-list), with a different outcome.
+				again := p
 				if rng.Intn(2) == 0 {
-					again = recorded[rng.Intn(len(recorded))]
+					again = closing[rng.Intn(step+1)]
 				}
-				if !recordPanics(c, again) {
-					t.Fatalf("seed %d step %d: recording span %d twice did not panic", seed, step+1, again.SpanID)
+				if !panics("trace: span recorded twice", func() { c.Close(again.ref, again.s.End+1, again.s.Status+1, 0) }) {
+					t.Fatalf("seed %d close %d: closing span %d twice did not panic", seed, step+1, again.s.SpanID)
+				}
+				if !panics("trace: closed span degraded", func() { c.Degrade(again.ref, "elsewhere") }) {
+					t.Fatalf("seed %d close %d: degrading closed span %d did not panic", seed, step+1, again.s.SpanID)
 				}
 			}
-			check(step + 1)
+			check(fmt.Sprintf("close %d", step+1))
+		}
+		for opened < len(all) {
+			open()
 		}
 	}
 }

@@ -99,18 +99,20 @@ func (c *Collector) SlowestTraces(n int) []string {
 	return out
 }
 
-// ServiceTotals aggregates, across every recorded span, per-service
+// ServiceTotals aggregates, across every closed span, per-service
 // span counts and total busy time — the mesh-level "which service is
 // hot" view.
 func (c *Collector) ServiceTotals() map[string]ServiceTotal {
 	out := make(map[string]ServiceTotal)
-	// Sums do not depend on the order traces are visited in.
-	for _, l := range c.byTrace {
-		for s := l.head; s != nil; s = s.next {
-			t := out[s.Service]
-			t.Spans++
-			t.TotalTime += s.Duration()
-			out[s.Service] = t
+	for _, t := range c.traces {
+		for ref := t.head; ref != 0; {
+			r := c.row(ref)
+			svc := c.strs[r.service]
+			st := out[svc]
+			st.Spans++
+			st.TotalTime += r.end - r.start
+			out[svc] = st
+			ref = r.next
 		}
 	}
 	return out

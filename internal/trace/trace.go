@@ -27,11 +27,11 @@ const (
 )
 
 // Span records one operation's execution window within a service.
+// Its annotations are typed fields, not a key/value map. It is the
+// collector's view of a stored row: Trace and Tree build one on each
+// call, so a caller may keep or change it without touching what the
+// collector holds.
 //
-// Its annotations are typed fields, not a key/value map: every hop of
-// every request records two spans and the collector keeps them all for
-// the run, so a span is one 128 B allocation (TestSpanSizeClass), and
-// it is also the link that chains its trace's spans in recording order.
 // The callee of a client span is the second word of its Name
 // ("call <svc> <path>"), so it is not stored twice.
 type Span struct {
@@ -53,10 +53,6 @@ type Span struct {
 	Retries int16
 	// Client marks an outbound call span; server spans leave it false.
 	Client bool
-
-	// next is the span recorded after this one in the same trace; nil
-	// until then, and always nil on the trace's last span.
-	next *Span
 }
 
 // Duration returns the span's elapsed time.
@@ -67,25 +63,75 @@ func (s *Span) String() string {
 	return fmt.Sprintf("[%s] %s %s %v (span=%d parent=%d)", s.TraceID, s.Service, s.Name, s.Duration(), s.SpanID, s.ParentID)
 }
 
-// Collector stores finished spans, indexed by trace. A trace is the
-// list its spans link through Span.next, so a recorded span costs the
-// collector nothing beyond itself.
+// SpanRef names a span the collector stores: one more than its row's
+// index. The zero SpanRef is no span.
+type SpanRef uint32
+
+// str is a string interned by one collector: the index of its one
+// copy in Collector.strs, where 0 is "".
+type str uint32
+
+// row is a stored span. It holds no pointer — strings are interned
+// ids, the trace is an index into Collector.traces and the link to the
+// trace's next span a SpanRef — so the chunks rows live in are never
+// scanned by the garbage collector, and at 64 B (TestRowIsPointerFree)
+// it is half the Span it stands for.
+type row struct {
+	spanID, parentID uint64
+	start, end       time.Duration
+	trace            uint32
+	// next is the span closed after this one in the same trace; 0
+	// until then, and always 0 on the trace's last span.
+	next                              SpanRef
+	service, name, priority, degraded str
+	status                            int32
+	retries                           int16
+	flags                             uint8 // rowClient, rowClosed
+}
+
+const (
+	rowClient uint8 = 1 << iota
+	rowClosed
+)
+
+// chunkRows rows make a chunk: 32 KB, the largest small size class.
+// The store grows a chunk at a time and a chunk never moves, so growing
+// copies no row and never holds two copies of the store.
+const (
+	chunkBits = 9
+	chunkRows = 1 << chunkBits
+)
+
+// Collector stores spans as rows, indexed by trace. A span is opened
+// when its operation starts and closed when it ends; a closed span is
+// a snapshot, which nothing can change afterwards, and only closed
+// spans are visible to the read path (Len, Trace, TraceIDs, Tree and
+// what is built on them). A trace is the list its closed spans link
+// through row.next, in the order they closed.
 type Collector struct {
-	byTrace map[string]spanList
-	// names interns span names (Name): one copy of each distinct name,
-	// which the spans that carry it keep alive anyway.
-	names  map[string]string
-	n      int
+	chunks []*[chunkRows]row
+	rows   uint32 // rows opened; the next row's index
+	traces []traceEntry
+	// byTrace indexes traces by ID.
+	byTrace map[string]uint32
+	// strs holds one copy of each service, span name, priority and
+	// degraded upstream the rows carry, and strIDs finds it.
+	strs   []string
+	strIDs map[string]str
+	n      int // closed spans
 	nextID uint64
 	seq    uint64
 }
 
-// spanList is one trace: its first and last recorded spans.
-type spanList struct{ head, tail *Span }
+// traceEntry is one trace: its ID and its first and last closed spans.
+type traceEntry struct {
+	id         string
+	head, tail SpanRef
+}
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{byTrace: make(map[string]spanList), names: make(map[string]string)}
+	return &Collector{byTrace: make(map[string]uint32), strs: []string{""}, strIDs: make(map[string]str)}
 }
 
 // NewTraceID mints a process-unique trace ID (deterministic across
@@ -109,12 +155,6 @@ func traceID(seq uint64) string {
 	return string(append(b, d...))
 }
 
-// NewSpanID mints a span ID (never zero; zero means "no parent").
-func (c *Collector) NewSpanID() uint64 {
-	c.nextID++
-	return c.nextID
-}
-
 // Name returns words joined by single spaces — a span name such as
 // "GET /chain" or "call svc-1 /chain" — as this collector's one copy of
 // that string. The key is rendered into a stack buffer, so a name seen
@@ -128,50 +168,171 @@ func (c *Collector) Name(words ...string) string {
 		}
 		b = append(b, w...)
 	}
-	if name, ok := c.names[string(b)]; ok { // no copy: the conversion only indexes
-		return name
+	if id, ok := c.strIDs[string(b)]; ok { // no copy: the conversion only indexes
+		return c.strs[id]
 	}
-	name := string(b)
-	c.names[name] = name
-	return name
+	return c.strs[c.intern(string(b))]
 }
 
-// Record stores a finished span at the end of its trace. A span is
-// recorded once: recording it again panics, since relinking it would
-// cut or loop its trace.
-func (c *Collector) Record(s *Span) {
-	l := c.byTrace[s.TraceID]
-	if s.next != nil || l.tail == s {
+// intern returns s's id, adding s to the table if it is new.
+func (c *Collector) intern(s string) str {
+	if s == "" {
+		return 0
+	}
+	if id, ok := c.strIDs[s]; ok {
+		return id
+	}
+	id := str(len(c.strs))
+	c.strs = append(c.strs, s)
+	c.strIDs[s] = id
+	return id
+}
+
+// Open stores the start of a span and mints its ID, which it returns
+// with the ref Degrade and Close take. It reads what is known when an
+// operation starts — s's TraceID, ParentID, Service, Name, Priority,
+// Start and Client — and ignores the rest. The span stays invisible to
+// the read path until Close.
+func (c *Collector) Open(s Span) (SpanRef, uint64) {
+	i := c.rows
+	if i%chunkRows == 0 {
+		c.chunks = append(c.chunks, new([chunkRows]row))
+	}
+	c.rows++
+	c.nextID++
+	var flags uint8
+	if s.Client {
+		flags = rowClient
+	}
+	c.chunks[i>>chunkBits][i%chunkRows] = row{
+		spanID:   c.nextID,
+		parentID: s.ParentID,
+		start:    s.Start,
+		trace:    c.traceIndex(s.TraceID),
+		service:  c.intern(s.Service),
+		name:     c.intern(s.Name),
+		priority: c.intern(s.Priority),
+		flags:    flags,
+	}
+	return SpanRef(i + 1), c.nextID
+}
+
+// traceIndex returns the index of the trace with id, adding an empty
+// one if it is new.
+func (c *Collector) traceIndex(id string) uint32 {
+	if t, ok := c.byTrace[id]; ok {
+		return t
+	}
+	t := uint32(len(c.traces))
+	c.traces = append(c.traces, traceEntry{id: id})
+	c.byTrace[id] = t
+	return t
+}
+
+// row returns the row ref names.
+func (c *Collector) row(ref SpanRef) *row {
+	i := uint32(ref) - 1
+	return &c.chunks[i>>chunkBits][i%chunkRows]
+}
+
+// Degrade records that upstream's fallback answered the open span ref.
+// A closed span is a snapshot: degrading one panics.
+func (c *Collector) Degrade(ref SpanRef, upstream string) {
+	r := c.row(ref)
+	if r.flags&rowClosed != 0 {
+		panic("trace: closed span degraded")
+	}
+	r.degraded = c.intern(upstream)
+}
+
+// Close stores the end of the open span ref and links it at the end
+// of its trace, which makes it visible to the read path. A span closes
+// once: closing it again panics and changes nothing, since relinking it
+// would cut or loop its trace.
+func (c *Collector) Close(ref SpanRef, end time.Duration, status int32, retries int16) {
+	r := c.row(ref)
+	if r.flags&rowClosed != 0 {
 		panic("trace: span recorded twice")
 	}
-	if l.head == nil {
-		l.head = s
+	r.end, r.status, r.retries = end, status, retries
+	r.flags |= rowClosed
+	t := &c.traces[r.trace]
+	if t.head == 0 {
+		t.head = ref
 	} else {
-		l.tail.next = s
+		c.row(t.tail).next = ref
 	}
-	l.tail = s
-	c.byTrace[s.TraceID] = l
+	t.tail = ref
 	c.n++
 }
 
-// Len returns the number of recorded spans.
+// Len returns the number of closed spans.
 func (c *Collector) Len() int { return c.n }
 
-// Trace returns the spans of a trace in recording order, in a slice
-// made for this call: the caller may keep or change it.
-func (c *Collector) Trace(id string) []*Span {
-	var out []*Span
-	for s := c.byTrace[id].head; s != nil; s = s.next {
-		out = append(out, s)
+// span builds the view of a stored row.
+func (c *Collector) span(r *row) Span {
+	return Span{
+		TraceID:  c.traces[r.trace].id,
+		SpanID:   r.spanID,
+		ParentID: r.parentID,
+		Service:  c.strs[r.service],
+		Name:     c.strs[r.name],
+		Start:    r.start,
+		End:      r.end,
+		Priority: c.strs[r.priority],
+		Degraded: c.strs[r.degraded],
+		Status:   r.status,
+		Retries:  r.retries,
+		Client:   r.flags&rowClient != 0,
+	}
+}
+
+// spans builds the views of a trace's closed spans in the order they
+// closed; nil for an unknown trace or one with no closed span.
+func (c *Collector) spans(id string) []Span {
+	t, ok := c.byTrace[id]
+	if !ok {
+		return nil
+	}
+	head := c.traces[t].head
+	n := 0
+	for ref := head; ref != 0; ref = c.row(ref).next {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Span, 0, n)
+	for ref := head; ref != 0; {
+		r := c.row(ref)
+		out = append(out, c.span(r))
+		ref = r.next
 	}
 	return out
 }
 
-// TraceIDs returns all known trace IDs, sorted.
+// Trace returns the closed spans of a trace in the order they closed,
+// in a slice and spans made for this call: the caller may keep or
+// change them.
+func (c *Collector) Trace(id string) []*Span {
+	spans := c.spans(id)
+	if spans == nil {
+		return nil
+	}
+	out := make([]*Span, len(spans))
+	for i := range spans {
+		out[i] = &spans[i]
+	}
+	return out
+}
+
+// TraceIDs returns the IDs of the traces with a closed span, sorted.
 func (c *Collector) TraceIDs() []string {
-	ids := make([]string, 0, len(c.byTrace))
-	for id := range c.byTrace {
-		ids = append(ids, id)
+	ids := make([]string, 0, len(c.traces))
+	for _, t := range c.traces {
+		if t.head != 0 {
+			ids = append(ids, t.id)
+		}
 	}
 	sort.Strings(ids)
 	return ids
@@ -187,22 +348,24 @@ type TreeNode struct {
 // Tree reconstructs the call tree of a trace from parent span IDs.
 // Returns nil for unknown traces or traces with no root.
 func (c *Collector) Tree(id string) *TreeNode {
-	head := c.byTrace[id].head
-	if head == nil {
+	spans := c.spans(id)
+	if spans == nil {
 		return nil
 	}
-	nodes := make(map[uint64]*TreeNode)
-	for s := head; s != nil; s = s.next {
-		nodes[s.SpanID] = &TreeNode{Span: s}
+	all := make([]TreeNode, len(spans))
+	nodes := make(map[uint64]*TreeNode, len(spans))
+	for i := range spans {
+		all[i].Span = &spans[i]
+		nodes[spans[i].SpanID] = &all[i]
 	}
 	var root *TreeNode
-	for s := head; s != nil; s = s.next {
-		n := nodes[s.SpanID]
-		if s.ParentID == 0 {
+	for i := range all {
+		n := &all[i]
+		if n.Span.ParentID == 0 {
 			root = n
 			continue
 		}
-		if p, ok := nodes[s.ParentID]; ok {
+		if p, ok := nodes[n.Span.ParentID]; ok {
 			p.Children = append(p.Children, n)
 		} else if root == nil {
 			// Orphan span (parent not recorded): tolerate partial traces.

@@ -2,23 +2,34 @@ package trace
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 	"unsafe"
 )
 
+// record stores s as a closed span through the collector's one write
+// path, Open, Degrade and Close, and sets s.SpanID to the minted ID.
+func record(c *Collector, s *Span) {
+	var ref SpanRef
+	ref, s.SpanID = c.Open(*s)
+	if s.Degraded != "" {
+		c.Degrade(ref, s.Degraded)
+	}
+	c.Close(ref, s.End, s.Status, s.Retries)
+}
+
 func mkSpan(c *Collector, trace string, parent uint64, svc string, start, end time.Duration) *Span {
 	s := &Span{
 		TraceID:  trace,
-		SpanID:   c.NewSpanID(),
 		ParentID: parent,
 		Service:  svc,
 		Name:     "GET /",
 		Start:    start,
 		End:      end,
 	}
-	c.Record(s)
+	record(c, s)
 	return s
 }
 
@@ -32,8 +43,10 @@ func TestIDsUnique(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if c.NewSpanID() == 0 {
-		t.Fatal("span id 0 is reserved for 'no parent'")
+	for i := uint64(1); i <= 3; i++ {
+		if _, id := c.Open(Span{TraceID: "t"}); id != i {
+			t.Fatalf("span %d minted id %d: ids count from 1, and 0 is reserved for 'no parent'", i, id)
+		}
 	}
 }
 
@@ -74,8 +87,8 @@ func TestTreeReconstruction(t *testing.T) {
 
 func TestRootTagProvenance(t *testing.T) {
 	c := NewCollector()
-	root := mkSpan(c, "t2", 0, "gateway", 0, time.Second)
-	root.Priority = "high"
+	root := &Span{TraceID: "t2", Service: "gateway", Name: "GET /", End: time.Second, Priority: "high"}
+	record(c, root)
 	mkSpan(c, "t2", root.SpanID, "ratings", 0, time.Second)
 	if got := c.Tree("t2").Span.Priority; got != "high" {
 		t.Fatalf("root priority = %q, want high", got)
@@ -124,12 +137,43 @@ func TestSpanAccessors(t *testing.T) {
 	}
 }
 
-// TestSpanSizeClass pins the span to the 128 B allocation size class:
-// the collector keeps two spans per hop per request for the whole run,
-// so a field added to Span must fit the budget or justify a larger one.
-func TestSpanSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Span{}); got > 128 {
-		t.Fatalf("unsafe.Sizeof(Span{}) = %d B, budget 128", got)
+// TestRowIsPointerFree pins what the collector keeps per span for the
+// whole run, two spans per hop per request: a row of at most 64 B that
+// holds no pointer, so the chunks of rows are never scanned by the
+// garbage collector. A field added to row must fit the budget or
+// justify a larger one with rpc_chain's live_heap_mb.
+func TestRowIsPointerFree(t *testing.T) {
+	if got := unsafe.Sizeof(row{}); got > 64 {
+		t.Errorf("unsafe.Sizeof(row{}) = %d B, budget 64", got)
+	}
+	if path := pointerIn(reflect.TypeOf([chunkRows]row{}), "chunk"); path != "" {
+		t.Errorf("%s carries a pointer: the garbage collector would scan every chunk", path)
+	}
+	if path := pointerIn(reflect.TypeOf(Span{}), "Span"); path != "Span.TraceID (string)" {
+		t.Errorf("the walk finds %q in Span, want its first string", path)
+	}
+}
+
+// pointerIn returns the path to the first part of a value of type typ
+// that carries a pointer, or "" if none does.
+func pointerIn(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	case reflect.Array:
+		return pointerIn(typ.Elem(), path+"[i]")
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerIn(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	default: // pointer, string, slice, map, chan, func, interface
+		return path + " (" + typ.String() + ")"
 	}
 }
 

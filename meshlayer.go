@@ -76,11 +76,12 @@ func None() Optimization { return Optimization{} }
 // Any reports whether at least one optimization is on.
 func (o Optimization) Any() bool { return o.Routing || o.Scavenger || o.TC || o.SDN }
 
-// ParseOptimizations parses a comma-separated optimization list
-// ("routing,tc", "all", "baseline", "") as the CLIs accept it.
+// ParseOptimizations parses an optimization list separated by commas
+// or by pluses ("routing,tc", "routing+tc", "all", "baseline", "") as
+// the CLIs accept it, so a combination's String parses back to it.
 func ParseOptimizations(s string) (Optimization, error) {
 	var o Optimization
-	for _, part := range strings.Split(s, ",") {
+	for _, part := range strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == '+' }) {
 		switch strings.TrimSpace(part) {
 		case "", "none", "baseline":
 		case "routing":

@@ -306,6 +306,8 @@ func TestParseOptimizations(t *testing.T) {
 		"tc, scavenger": {TC: true, Scavenger: true},
 		"all":           AllOptimizations(),
 		"sdn,routing":   {Routing: true, SDN: true},
+		"routing+tc":    {Routing: true, TC: true},
+		"tc+sdn,":       {TC: true, SDN: true},
 	}
 	for in, want := range cases {
 		got, err := ParseOptimizations(in)
@@ -316,6 +318,26 @@ func TestParseOptimizations(t *testing.T) {
 	if _, err := ParseOptimizations("warpdrive"); err == nil {
 		t.Fatal("unknown optimization accepted")
 	}
+}
+
+// FuzzParseOptimizations: -opts is user input, so no value may panic
+// the parser, and an accepted combination must parse back from its
+// String, the spelling meshbench prints in its sweep header.
+//
+//	go test -run '^$' -fuzz FuzzParseOptimizations -fuzztime 30s .
+func FuzzParseOptimizations(f *testing.F) {
+	for _, in := range []string{"", "baseline", "routing,tc", "routing+tc", "tc, scavenger", "all", "sdn+all", "warpdrive", ",+,"} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		o, err := ParseOptimizations(in)
+		if err != nil {
+			return
+		}
+		if back, err := ParseOptimizations(o.String()); err != nil || back != o {
+			t.Errorf("ParseOptimizations(%q) = %+v, whose String %q parses to %+v, %v", in, o, o.String(), back, err)
+		}
+	})
 }
 
 // TestOverloadProtection asserts E14's acceptance shape on shortened
