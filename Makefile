@@ -1,6 +1,6 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same commands.
 
-.PHONY: check build fmt vet lint test allocs examples examples-update race reach reach-goldens
+.PHONY: check build fmt vet lint test allocs examples examples-update fuzz race reach reach-goldens
 
 check: build fmt vet lint test allocs examples
 
@@ -58,6 +58,17 @@ examples-update:
 	for d in $(EXAMPLE_MAINS); do \
 		echo "go run ./$$d > testdata/examples/$$(basename $$d).txt"; \
 		go run "./$$d" >"testdata/examples/$$(basename $$d).txt" || exit 1; \
+	done
+
+# Runs every Fuzz* target in the module for 10 s each (go test -fuzz
+# takes one target in one package at a time), failing on the first
+# crasher; go test writes it under that package's testdata/fuzz.
+fuzz:
+	@for file in $$(grep -rl --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' .); do \
+		for name in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\).*/\1/p' "$$file"); do \
+			echo "go test -run '^$$' -fuzz '^$$name\$$' -fuzztime 10s $$(dirname $$file)"; \
+			go test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s "$$(dirname $$file)" || exit 1; \
+		done; \
 	done
 
 # Short-mode suite under the race detector (TestGoldens skips itself):

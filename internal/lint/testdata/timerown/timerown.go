@@ -11,6 +11,8 @@ type sched struct{}
 
 func (s *sched) After(d int, f func()) Timer { return Timer{} }
 
+func (s *sched) Rearm(t Timer, at int, f func()) Timer { return Timer{} }
+
 type conn struct {
 	retxTimer Timer
 	fbTimer   Timer
@@ -103,3 +105,37 @@ func sanctioned(s *sched) {
 }
 
 func enroll(Timer) {}
+
+// Rearm cancels (or moves) its first argument itself: assigning the
+// result back to the same field is an owning re-arm, no Cancel needed.
+func (c *conn) rearmOwned(s *sched) {
+	c.retxTimer = s.Rearm(c.retxTimer, 4, func() {})
+}
+
+// The same re-arm behind a guard, and on a local the function returns.
+func (c *conn) rearmGuarded(s *sched, held bool) Timer {
+	if held {
+		c.fbTimer = s.Rearm(c.fbTimer, 4, func() {})
+	}
+	t := c.retxTimer
+	t = s.Rearm(t, 5, func() {})
+	return t
+}
+
+// Re-armed from one field into another: the event may still be the
+// first field's, so both would cancel it.
+func (c *conn) rearmCrossed(s *sched) {
+	c.fbTimer = s.Rearm(c.retxTimer, 4, func() {}) // want "two owners"
+}
+
+// Re-armed out of a field into a local: the same two-owner hazard.
+func (c *conn) rearmIntoLocal(s *sched) {
+	t := s.Rearm(c.retxTimer, 4, func() {}) // want "two owners"
+	t.Cancel()
+}
+
+// A local re-armed onto itself still owes the local-timer rule.
+func rearmLocalLeak(s *sched, t Timer) {
+	t = s.Rearm(t, 4, func() {}) // want "captured but never cancelled"
+	_ = t
+}

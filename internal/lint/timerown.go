@@ -28,6 +28,10 @@ import (
 //     over a possibly-pending timer orphans it. Cancel of a zero or
 //     already-fired Timer is a free no-op, so the discipline costs
 //     nothing where the field was empty.
+//   - Scheduler.Rearm cancels its first argument itself (or re-arms
+//     that very event in place), so x.f = sched.Rearm(x.f, …) is an
+//     owning re-arm and needs no Cancel before it. A Rearm assigned to
+//     anything but its first argument hands one event to two owners.
 var Timerown = &Analyzer{
 	Name: "timerown",
 	Doc:  "captured simnet.Timer values are cancelled, stored into exactly one owning field (after cancelling it), or returned",
@@ -81,6 +85,14 @@ func checkTimerFunc(pass *Pass, fn *ast.FuncDecl) {
 			if !ok || !isSimTimer(pass.TypeOf(call)) {
 				continue
 			}
+			if from, ok := rearmOf(call); ok {
+				if !checkTimerRearm(pass, as.Lhs[i], from) {
+					continue
+				}
+				if _, local := as.Lhs[i].(*ast.Ident); !local {
+					continue // an owning field re-arm: Rearm did the Cancel
+				}
+			}
 			switch lhs := as.Lhs[i].(type) {
 			case *ast.SelectorExpr:
 				checkTimerFieldArm(pass, fn, lhs)
@@ -90,6 +102,29 @@ func checkTimerFunc(pass *Pass, fn *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// rearmOf returns the timer a <sched>.Rearm(t, at, fn) call re-arms.
+func rearmOf(call *ast.CallExpr) (ast.Expr, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Rearm" || len(call.Args) == 0 {
+		return nil, false
+	}
+	return call.Args[0], true
+}
+
+// checkTimerRearm enforces that a Rearm's result goes back where its
+// timer came from: the event it returns may be the very one its first
+// argument still names, so storing it anywhere else makes two owners.
+func checkTimerRearm(pass *Pass, lhs, from ast.Expr) bool {
+	to, was := types.ExprString(lhs), types.ExprString(from)
+	if to == was {
+		return true
+	}
+	pass.Reportf(lhs.Pos(),
+		"timer re-armed from %s into %s; the event may still be %s's, making two owners — assign Rearm's result to the timer it re-arms",
+		was, to, was)
+	return false
 }
 
 // checkTimerFieldArm enforces cancel-before-re-arm on a direct field

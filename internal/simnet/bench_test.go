@@ -57,6 +57,36 @@ func BenchmarkSchedulerCancel(b *testing.B) {
 	s.Run()
 }
 
+// BenchmarkSchedulerRearm measures the retransmission-timer pattern:
+// 64 timers, each pushed later on every step and never firing, beside
+// one ticking event. Every iteration is one dispatch plus one re-arm;
+// a re-armed timer's stale heap entry is re-keyed only when it surfaces.
+func BenchmarkSchedulerRearm(b *testing.B) {
+	s := NewScheduler()
+	const timers, rto = 64, 200 * time.Millisecond
+	var rtx [timers]Timer
+	idle := func() { b.Fatal("a re-armed timer fired") }
+	for i := range rtx {
+		rtx[i] = s.After(rto, idle)
+	}
+	n := 0
+	var tick func()
+	tick = func() {
+		rtx[n%timers] = s.Rearm(rtx[n%timers], s.Now()+rto, idle)
+		if n++; n < b.N {
+			s.After(time.Microsecond, tick)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.After(time.Microsecond, tick)
+	s.RunUntil(time.Duration(b.N) * time.Microsecond)
+	b.StopTimer()
+	if s.Steps() != uint64(b.N) {
+		b.Fatalf("executed %d events, want %d", s.Steps(), b.N)
+	}
+}
+
 // BenchmarkPacketPath measures the packet hot path end to end: inject
 // -> route -> qdisc -> serialize at line rate -> propagate -> deliver,
 // with a fixed window of packets in flight over one 15 Gbps link.

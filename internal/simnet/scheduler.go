@@ -41,11 +41,15 @@ type Scheduler struct {
 }
 
 // eventSlot is one pooled event. gen is the slot's reuse generation:
-// it increments every time the slot is released, so a Timer handle held
-// across recycling can detect that its event is gone and turn Cancel
-// into a no-op instead of killing the unrelated event now in the slot.
+// it increments every time the slot is released (or re-armed in place),
+// so a Timer handle held across recycling can detect that its event is
+// gone and turn Cancel into a no-op instead of killing the unrelated
+// event now in the slot. (at, seq) is the event's true ordering key;
+// the slot's heap entry carries a key no later than it (see Rearm).
 type eventSlot struct {
 	fn  func()
+	at  time.Duration
+	seq uint32
 	gen uint32
 }
 
@@ -130,11 +134,37 @@ func (s *Scheduler) At(at time.Duration, fn func()) Timer {
 		slot = int32(len(s.arena) - 1)
 	}
 	ev := &s.arena[slot]
-	ev.fn = fn
-	s.push(heapEntry{at: at, seq: uint32(s.seq), slot: slot})
+	ev.fn, ev.at, ev.seq = fn, at, uint32(s.seq)
+	s.push(heapEntry{at: at, seq: ev.seq, slot: slot})
 	s.seq++
 	s.live++
 	return Timer{s: s, slot: slot, gen: ev.gen}
+}
+
+// Rearm is t.Cancel() followed by At(at, fn), and returns the new
+// timer; t must not be used afterwards. Every event's (at, seq), the
+// dispatch order, Steps and Pending are exactly those of Cancel + At.
+//
+// When t is pending and at is no earlier than its deadline, the event
+// is pushed back in place: the slot records the new key, with seq
+// reserved from the same counter At would use, and the heap entry
+// stays put under its old, earlier key. When that stale entry reaches
+// the root, it is re-keyed and sifted down without running anything.
+// A timer re-armed far more often than it fires (a retransmission
+// timeout pushed back by every ACK) thus costs no heap push and leaves
+// no cancelled entry behind.
+func (s *Scheduler) Rearm(t Timer, at time.Duration, fn func()) Timer {
+	if t.s == s && fn != nil {
+		ev := &s.arena[t.slot]
+		if ev.gen == t.gen && ev.fn != nil && at >= ev.at {
+			ev.fn, ev.at, ev.seq = fn, at, uint32(s.seq)
+			s.seq++
+			ev.gen++ // the old handle goes stale, as after Cancel
+			return Timer{s: s, slot: t.slot, gen: ev.gen}
+		}
+	}
+	t.Cancel()
+	return s.At(at, fn)
 }
 
 // After schedules fn to run d after the current simulated time.
@@ -158,22 +188,46 @@ func (s *Scheduler) releaseSlot(slot int32) {
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It returns false when no events remain.
 func (s *Scheduler) Step() bool {
+	if !s.settleRoot() {
+		return false
+	}
+	s.dispatchRoot()
+	return true
+}
+
+// settleRoot discards cancelled entries from the top of the heap and
+// re-keys re-armed ones until the root is a live event under its true
+// key, the next to run. It reports false when no events remain. Every
+// arm takes a fresh seq, so an entry is current exactly when its seq
+// is its slot's (modulo the 2^32 wrap less already assumes away).
+func (s *Scheduler) settleRoot() bool {
 	for len(s.heap) > 0 {
-		e := s.popRoot()
+		e := s.heap[0]
 		ev := &s.arena[e.slot]
-		if ev.fn == nil { // cancelled: recycle and keep looking
+		switch {
+		case ev.fn == nil: // cancelled: recycle and keep looking
+			s.popRoot()
 			s.releaseSlot(e.slot)
-			continue
+		case e.seq != ev.seq: // re-armed later: move it to its true key
+			s.heap[0] = heapEntry{at: ev.at, seq: ev.seq, slot: e.slot}
+			s.siftDown(0)
+		default:
+			return true
 		}
-		s.now = e.at
-		fn := ev.fn
-		s.live--
-		s.releaseSlot(e.slot)
-		s.steps++
-		fn()
-		return true
 	}
 	return false
+}
+
+// dispatchRoot pops the settled root and runs it.
+func (s *Scheduler) dispatchRoot() {
+	e := s.popRoot()
+	ev := &s.arena[e.slot]
+	s.now = e.at
+	fn := ev.fn
+	s.live--
+	s.releaseSlot(e.slot)
+	s.steps++
+	fn()
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -187,12 +241,8 @@ func (s *Scheduler) Run() {
 // t. Events scheduled beyond t remain pending.
 func (s *Scheduler) RunUntil(t time.Duration) {
 	s.stopped = false
-	for !s.stopped {
-		next, ok := s.peekTime()
-		if !ok || next > t {
-			break
-		}
-		s.Step()
+	for !s.stopped && s.settleRoot() && s.heap[0].at <= t {
+		s.dispatchRoot()
 	}
 	if s.now < t {
 		s.now = t
@@ -208,19 +258,6 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Pending returns the number of scheduled (non-cancelled) events.
 func (s *Scheduler) Pending() int { return s.live }
 
-func (s *Scheduler) peekTime() (time.Duration, bool) {
-	for len(s.heap) > 0 {
-		e := s.heap[0]
-		if s.arena[e.slot].fn == nil {
-			s.popRoot()
-			s.releaseSlot(e.slot)
-			continue
-		}
-		return e.at, true
-	}
-	return 0, false
-}
-
 // maybeCompact rebuilds the heap once cancelled events outnumber live
 // ones: long chaos runs cancel retry timers far faster than the heap
 // pops them, and without compaction those slots pin arena memory until
@@ -233,7 +270,8 @@ func (s *Scheduler) maybeCompact() {
 
 // compact removes cancelled events from the heap and re-heapifies.
 // Dispatch order is unaffected: (at, seq) is a total order, so any
-// valid heap over the surviving slots pops identically.
+// valid heap over the surviving slots pops identically (a re-armed
+// entry keeps its earlier key and is re-keyed when it surfaces).
 func (s *Scheduler) compact() {
 	kept := s.heap[:0]
 	for _, e := range s.heap {

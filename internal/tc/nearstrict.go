@@ -32,7 +32,7 @@ func NewNearStrict(cfg NearStrictConfig, clock Clock) *Prio {
 	highRate := int64(float64(cfg.LinkRate) * cfg.HighShare)
 	high := NewTBF(highRate, 20*simnet.MTU, simnet.NewFIFO(0), clock)
 	cls := Classifier{
-		Filters: []Filter{{Match: MatchMinMark(simnet.MarkHigh), Class: 0}},
+		Filters: []Filter{{MinMark: simnet.MarkHigh, Class: 0}},
 		Default: 1,
 	}
 	return NewPrio(cls, high, simnet.NewFIFO(0))

@@ -17,7 +17,7 @@ func TestPropertyQdiscConservation(t *testing.T) {
 		"fifo": func(s *simnet.Scheduler) simnet.Qdisc { return simnet.NewFIFO(0) },
 		"prio": func(s *simnet.Scheduler) simnet.Qdisc {
 			return NewPrio(Classifier{
-				Filters: []Filter{{Match: MatchMinMark(simnet.MarkHigh), Class: 0}},
+				Filters: []Filter{{MinMark: simnet.MarkHigh, Class: 0}},
 				Default: 1,
 			}, simnet.NewFIFO(0), simnet.NewFIFO(0))
 		},
@@ -85,7 +85,7 @@ func TestPropertyBacklogMatchesContents(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := simnet.NewScheduler()
 		q := NewPrio(Classifier{
-			Filters: []Filter{{Match: MatchMinMark(simnet.MarkHigh), Class: 0}},
+			Filters: []Filter{{MinMark: simnet.MarkHigh, Class: 0}},
 			Default: 1,
 		}, simnet.NewFIFO(0), simnet.NewFIFO(0))
 		_ = s

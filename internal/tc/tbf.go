@@ -46,6 +46,9 @@ func (q *TBF) refill(now time.Duration) {
 	}
 	elapsed := now - q.last
 	q.last = now
+	if q.tokens >= float64(q.burst) {
+		return // full: any refill would be capped back to burst
+	}
 	q.tokens += float64(q.rate) / 8 * elapsed.Seconds()
 	if q.tokens > float64(q.burst) {
 		q.tokens = float64(q.burst)

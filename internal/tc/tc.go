@@ -1,6 +1,6 @@
 // Package tc implements Linux-tc-style traffic control for simulated
 // NICs: the classful PRIO qdisc, a token-bucket shaper (TBF), the RED
-// and CoDel AQMs, and a first-match packet classifier.
+// and CoDel AQMs, and a first-match classifier on packet marks.
 //
 // The cross-layer prioritization case study (§4.3 of the paper) installs
 // "nearly-strict prioritization (up to 95% of bandwidth)" on the
@@ -18,18 +18,13 @@ import (
 // Pass scheduler.Now.
 type Clock func() time.Duration
 
-// Filter matches packets to a class. Filters are evaluated in order;
-// the first match wins.
+// Filter matches packets to a class: a packet matches when its mark
+// is at least MinMark (a zero MinMark matches every packet). Filters
+// are evaluated in order; the first match wins.
 type Filter struct {
-	// Match reports whether the packet belongs to this filter's class.
-	Match func(*simnet.Packet) bool
+	MinMark simnet.Mark
 	// Class is the index of the target class/band.
 	Class int
-}
-
-// MatchMinMark returns a predicate selecting packets with mark >= m.
-func MatchMinMark(m simnet.Mark) func(*simnet.Packet) bool {
-	return func(p *simnet.Packet) bool { return p.Mark >= m }
 }
 
 // Classifier routes packets to class indexes via an ordered filter list.
@@ -42,7 +37,7 @@ type Classifier struct {
 // Classify returns the class index for p.
 func (c *Classifier) Classify(p *simnet.Packet) int {
 	for _, f := range c.Filters {
-		if f.Match(p) {
+		if p.Mark >= f.MinMark {
 			return f.Class
 		}
 	}

@@ -37,36 +37,51 @@ func (r *rig) packet(size int, mark simnet.Mark, srcPort uint16) *simnet.Packet 
 	}
 }
 
+// TestClassifierFirstMatchWins classifies every mark against two
+// thresholds: a filter matches marks at or above its MinMark, the
+// first matching filter wins, and a mark below every threshold takes
+// the default class.
 func TestClassifierFirstMatchWins(t *testing.T) {
-	c := Classifier{
-		Filters: []Filter{
-			{Match: MatchMinMark(simnet.MarkHigh), Class: 0},
-			{Match: func(p *simnet.Packet) bool { return p.Flow.DstPort == 80 }, Class: 1},
-		},
-		Default: 2,
-	}
-	if got := c.Classify(&simnet.Packet{Mark: simnet.MarkHigh, Flow: simnet.FlowKey{DstPort: 80}}); got != 0 {
-		t.Fatalf("class = %d, want 0 (first filter)", got)
-	}
-	if got := c.Classify(&simnet.Packet{Flow: simnet.FlowKey{DstPort: 80}}); got != 1 {
-		t.Fatalf("class = %d, want 1", got)
-	}
-	if got := c.Classify(&simnet.Packet{Flow: simnet.FlowKey{DstPort: 443}}); got != 2 {
-		t.Fatalf("class = %d, want default 2", got)
+	high := Filter{MinMark: simnet.MarkHigh, Class: 0}
+	low := Filter{MinMark: simnet.MarkLow, Class: 1}
+	for _, tc := range []struct {
+		filters []Filter
+		mark    simnet.Mark
+		want    int
+	}{
+		{[]Filter{high, low}, simnet.MarkHigh, 0}, // matches both, first wins
+		{[]Filter{high, low}, simnet.MarkLow, 1},
+		{[]Filter{high, low}, simnet.MarkDefault, 2},
+		{[]Filter{low, high}, simnet.MarkHigh, 1}, // the looser filter shadows
+		{[]Filter{low, high}, simnet.MarkLow, 1},
+		{[]Filter{low, high}, simnet.MarkDefault, 2},
+		{[]Filter{{MinMark: simnet.MarkDefault, Class: 3}}, simnet.MarkDefault, 3},
+		{nil, simnet.MarkHigh, 2},
+	} {
+		c := Classifier{Filters: tc.filters, Default: 2}
+		if got := c.Classify(&simnet.Packet{Mark: tc.mark}); got != tc.want {
+			t.Errorf("filters %+v, mark %d: class = %d, want %d", tc.filters, tc.mark, got, tc.want)
+		}
 	}
 }
 
+// TestMatchHelpers checks a lone filter's threshold: a MarkLow packet
+// matches MinMark MarkLow and not MinMark MarkHigh.
 func TestMatchHelpers(t *testing.T) {
 	p := &simnet.Packet{Mark: simnet.MarkLow}
-	if !MatchMinMark(simnet.MarkLow)(p) || MatchMinMark(simnet.MarkHigh)(p) {
-		t.Fatal("MatchMinMark wrong")
+	matches := func(m simnet.Mark) bool {
+		c := Classifier{Filters: []Filter{{MinMark: m, Class: 0}}, Default: 1}
+		return c.Classify(p) == 0
+	}
+	if !matches(simnet.MarkLow) || matches(simnet.MarkHigh) {
+		t.Fatal("MinMark threshold wrong")
 	}
 }
 
 func TestPrioStrictOrdering(t *testing.T) {
 	r := newRig(t, 8*simnet.Mbps) // 1000B = 1ms
 	q := NewPrio(Classifier{
-		Filters: []Filter{{Match: MatchMinMark(simnet.MarkHigh), Class: 0}},
+		Filters: []Filter{{MinMark: simnet.MarkHigh, Class: 0}},
 		Default: 1,
 	}, simnet.NewFIFO(0), simnet.NewFIFO(0))
 	r.install(q)

@@ -506,12 +506,15 @@ func (c *Conn) currentRTO() time.Duration {
 	return c.rto
 }
 
+// armRTO (re)starts the retransmission timer. It runs on every ACK
+// that advances the window and almost never fires, so it re-arms in
+// place rather than cancelling and scheduling anew.
 func (c *Conn) armRTO() {
-	c.rtoTimer.Cancel()
 	if c.rtoFn == nil {
 		c.rtoFn = c.onRTO
 	}
-	c.rtoTimer = c.host.tab.sched.After(c.currentRTO(), c.rtoFn)
+	sched := c.host.tab.sched
+	c.rtoTimer = sched.Rearm(c.rtoTimer, sched.Now()+c.currentRTO(), c.rtoFn)
 }
 
 func (c *Conn) disarmRTO() {
