@@ -6,6 +6,7 @@ import (
 
 	"meshlayer/internal/app"
 	"meshlayer/internal/chaos"
+	"meshlayer/internal/cluster"
 	"meshlayer/internal/mesh"
 	"meshlayer/internal/workload"
 )
@@ -115,7 +116,7 @@ func runCtrlPlaneOnce(name string, zones int, dist bool, debounce time.Duration,
 	// removing a drained replica concentrates the 2 MB analytics
 	// transfers on the surviving bottleneck links, and that capacity
 	// effect confounds the propagation effect E18 isolates.
-	appCfg.BottleneckRate = app.LinkRate
+	appCfg.BottleneckRate = cluster.DefaultLink.Rate
 	f := newFaultRun(appCfg, seed, warmup, measure)
 	e := f.App
 	applyChaosDefenses(f.cp(), 0)

@@ -1,14 +1,16 @@
 // Package app contains the sample microservice applications that run on
-// the mesh: the e-library of the paper's prototype (Istio's bookinfo
-// reshaped, §4.3), and BuildDAG, which assembles any other application
-// from a declared service graph. Its presets are a linear chain for
-// hop-depth studies, a deeper e-commerce tree, and a social network.
+// the mesh. BuildDAG assembles each from a declared service graph
+// (DAGSpec), and one handler serves every service of every graph: the
+// e-library of the paper's prototype (Istio's bookinfo reshaped, §4.3),
+// a linear chain for hop-depth studies, a deeper e-commerce tree, and a
+// social network.
 //
-// Application handlers follow the paper's division of labour: they
-// propagate the trace headers (x-request-id / x-span-id) onto child
-// requests — "which is propagated to those requests by the application
-// to enable existing service mesh functionality" — while priority
-// propagation beyond the front end is the mesh's job (internal/core).
+// The handler follows the paper's division of labour: it propagates the
+// trace headers (x-request-id / x-span-id) onto child requests — "which
+// is propagated to those requests by the application to enable existing
+// service mesh functionality" — and the entry service copies the
+// priority header onto the requests it spawns, while priority
+// propagation beyond it is the mesh's job (internal/core).
 package app
 
 import (

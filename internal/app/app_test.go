@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"meshlayer/internal/cluster"
 	"meshlayer/internal/httpsim"
 	"meshlayer/internal/mesh"
 	"meshlayer/internal/trace"
@@ -105,7 +106,7 @@ func TestELibraryBottleneckConfigured(t *testing.T) {
 	if got := e.Ratings.Uplink().Config().Rate; got != e.Config.BottleneckRate {
 		t.Fatalf("ratings uplink = %d, want bottleneck %d", got, e.Config.BottleneckRate)
 	}
-	if got := e.Frontend.Uplink().Config().Rate; got != LinkRate {
+	if got := e.Frontend.Uplink().Config().Rate; got != cluster.DefaultLink.Rate {
 		t.Fatalf("frontend uplink = %d", got)
 	}
 }

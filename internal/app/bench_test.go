@@ -183,3 +183,34 @@ func TestRecordsReturnToFreeLists(t *testing.T) {
 		}
 	}
 }
+
+// TestELibraryRequestAllocs is the allocation budget of the paper's own
+// app: one product page (gateway, frontend, details, reviews, ratings)
+// and one analytics scan (gateway, frontend, reviews, ratings, 2 MB
+// back over the bottleneck), classified at the ingress. With handlers
+// of its own, closures per request, the e-library cost 58 and 62;
+// served by the DAG handler's pooled join records it costs 48 and 57.
+func TestELibraryRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the program's")
+	}
+	e := BuildELibrary(DefaultELibraryConfig())
+	e.Gateway.SetClassifier(Classifier())
+	for _, tc := range []struct {
+		req    func() *httpsim.Request
+		budget float64
+	}{
+		{NewProductRequest, 48},
+		{NewAnalyticsRequest, 57},
+	} {
+		n := testing.AllocsPerRun(100, func() {
+			e.Gateway.Serve(tc.req(), func(*httpsim.Response, error) {})
+			e.Sched.Run()
+		})
+		t.Logf("%s: %v allocations", tc.req().Path, n)
+		if n > tc.budget {
+			t.Errorf("one %s request allocates %v times, budget %v: this is mixed_paper's allocs_per_op",
+				tc.req().Path, n, tc.budget)
+		}
+	}
+}

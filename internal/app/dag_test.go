@@ -22,10 +22,21 @@ func TestDAGValidate(t *testing.T) {
 		"negative response bytes": {Services: []ServiceSpec{{Name: "a", ResponseBytes: -1}}, Entry: "a"},
 		"negative replicas":       {Services: []ServiceSpec{{Name: "a", Replicas: -1}}, Entry: "a"},
 		"negative workers":        {Services: []ServiceSpec{{Name: "a", Workers: -1}}, Entry: "a"},
+		"negative uplink rate":    {Services: []ServiceSpec{{Name: "a", UplinkRate: -1}}, Entry: "a"},
 		"relative call path": {Services: []ServiceSpec{
 			{Name: "a", Calls: []Call{{Service: "b", Path: "items"}}},
 			{Name: "b"},
 		}, Entry: "a"},
+		"relative path prefix": {Services: []ServiceSpec{{Name: "a", Paths: []PathSpec{{Prefix: "scan"}}}}, Entry: "a"},
+		"negative path time":   {Services: []ServiceSpec{{Name: "a", Paths: []PathSpec{{Prefix: "/s", ServiceTime: -1}}}}, Entry: "a"},
+		"negative path bytes":  {Services: []ServiceSpec{{Name: "a", Paths: []PathSpec{{Prefix: "/s", ResponseBytes: -1}}}}, Entry: "a"},
+		"path calls unknown":   {Services: []ServiceSpec{{Name: "a", Paths: []PathSpec{{Prefix: "/s", Calls: calls("zz")}}}}, Entry: "a"},
+		"cycle through a path": {Services: []ServiceSpec{
+			{Name: "a", Calls: calls("b")},
+			{Name: "b", Paths: []PathSpec{{Prefix: "/s", Calls: calls("a")}}},
+		}, Entry: "a"},
+		"unnamed zone":   {Services: []ServiceSpec{{Name: "a"}}, Entry: "a", Zones: []Zone{{Region: "r"}}},
+		"duplicate zone": {Services: []ServiceSpec{{Name: "a"}}, Entry: "a", Zones: []Zone{{Name: "z"}, {Name: "z", Region: "r"}}},
 		"longer cycle": {Services: []ServiceSpec{
 			{Name: "a", Calls: calls("b")},
 			{Name: "b", Calls: calls("c")},
@@ -42,6 +53,11 @@ func TestDAGValidate(t *testing.T) {
 	}
 	if err := ECommerceSpec(1, 80*time.Millisecond).Validate(); err != nil {
 		t.Fatalf("e-commerce spec invalid: %v", err)
+	}
+	for _, cfg := range []ELibraryConfig{{}, {Zones: 3}, {Regions: 3}} {
+		if err := eLibrarySpec(cfg).Validate(); err != nil {
+			t.Fatalf("e-library spec %+v invalid: %v", cfg, err)
+		}
 	}
 }
 
@@ -175,7 +191,8 @@ func mustBuild(t *testing.T, spec DAGSpec) *DAG {
 // TestDAGHandlerContract pins how the one DAG handler answers: after
 // every child has replied, with the worst status among them, a
 // transport error counting as 502; each edge at its own path or the
-// inbound one; the tail drawn once, before the compute it lengthens.
+// inbound one; the priority header copied by the entry service alone;
+// the tail drawn once, before the compute it lengthens.
 func TestDAGHandlerContract(t *testing.T) {
 	abort := mesh.FaultPolicy{AbortProb: 1, AbortStatus: httpsim.StatusServiceUnavailable}
 
@@ -232,6 +249,52 @@ func TestDAGHandlerContract(t *testing.T) {
 		}
 		if len(want) != 0 {
 			t.Fatalf("no server span for %v", want)
+		}
+	})
+
+	t.Run("entry alone forwards priority", func(t *testing.T) {
+		d := BuildChain(ChainConfig{Depth: 3})
+		d.Gateway.SetClassifier(mesh.PathClassifier(nil, mesh.PriorityHigh))
+		serveOnce(t, d, "/chain")
+		want := map[string]string{"svc-0": mesh.PriorityHigh, "svc-1": mesh.PriorityHigh, "svc-2": ""}
+		for _, span := range d.Mesh.Tracer().Trace(d.Mesh.Tracer().TraceIDs()[0]) {
+			if w, ok := want[span.Service]; ok && !span.Client {
+				if span.Priority != w {
+					t.Errorf("%s served priority %q, want %q", span.Service, span.Priority, w)
+				}
+				delete(want, span.Service)
+			}
+		}
+		if len(want) != 0 {
+			t.Fatalf("no server span for %v", want)
+		}
+	})
+
+	t.Run("first matching path prefix wins", func(t *testing.T) {
+		d := mustBuild(t, DAGSpec{Entry: "a", Services: []ServiceSpec{
+			{Name: "a", ResponseBytes: 1, Paths: []PathSpec{
+				{Prefix: "/scan", ResponseBytes: 2, Calls: calls("b")},
+				{Prefix: "/scan/deep", ResponseBytes: 3},
+			}},
+			{Name: "b"},
+		}})
+		for _, tc := range []struct {
+			path   string
+			bytes  int
+			bCalls uint64
+		}{{"/scan/deep/1", 2, 1}, {"/page", 1, 1}} {
+			req := httpsim.NewRequest("GET", tc.path)
+			req.Headers.Set(mesh.HeaderHost, "a")
+			var got int
+			d.Gateway.Serve(req, func(resp *httpsim.Response, err error) {
+				if err == nil {
+					got = resp.BodyBytes
+				}
+			})
+			d.Sched.Run()
+			if n := d.Cluster.Pod("b-1").Workers().Executed(); got != tc.bytes || n != tc.bCalls {
+				t.Errorf("%s: answered %d B after b served %d requests, want %d B after %d", tc.path, got, n, tc.bytes, tc.bCalls)
+			}
 		}
 	})
 

@@ -2,7 +2,6 @@ package app
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"meshlayer/internal/cluster"
@@ -22,7 +21,7 @@ const (
 )
 
 // ELibraryConfig parameterizes the §4.3 testbed with what experiments
-// vary; the rest of the paper's setup is the constants below.
+// vary; the rest of the paper's setup is the spec eLibrarySpec writes.
 type ELibraryConfig struct {
 	// BottleneckRate throttles the ratings pod's uplink — the single
 	// bottleneck between reviews and ratings. Zero selects the paper's
@@ -52,32 +51,11 @@ type ELibraryConfig struct {
 	Mesh mesh.Config
 }
 
-// The paper's setup, scaled to the simulator: LS responses total ~10 KB.
+// The latency-sensitive response sizes experiments quote; LS responses
+// total ~10 KB.
 const (
-	// LinkRate is the inter-pod rate (paper: 15 Gbps).
-	LinkRate = 15 * simnet.Gbps
-	// reviewsReplicas is the single-zone reviews scale-out (paper: 2, one
-	// per priority pool under the optimization); a zone gets one.
-	reviewsReplicas = 2
-	// podWorkers bounds per-pod compute concurrency.
-	podWorkers = 32
-
-	// Latency-sensitive response sizes per component.
-	lsDetailsBytes  = 2 << 10
-	lsRatingsBytes  = 1 << 10
 	LSReviewsBytes  = 4 << 10
 	LSFrontendBytes = 8 << 10
-	// Latency-insensitive response sizes above the ratings scan.
-	liReviewsBytes  = 32 << 10
-	liFrontendBytes = 32 << 10
-
-	// Service times (compute) per component; ratingsScanTime is the extra
-	// compute of the analytics scan.
-	frontendTime    = 1 * time.Millisecond
-	detailsTime     = 500 * time.Microsecond
-	reviewsTime     = 1 * time.Millisecond
-	ratingsTime     = 500 * time.Microsecond
-	ratingsScanTime = 3 * time.Millisecond
 )
 
 // DefaultELibraryConfig is the paper's testbed, and what the zero config
@@ -115,23 +93,57 @@ type ELibrary struct {
 	EastWest []*cluster.Pod
 }
 
-// cell is one failure domain's replica set: a frontend, a details, a
-// ratings behind the bottleneck, and one reviews pod per suffix listed.
-type cell struct {
-	zone, suffix string
-	reviews      []string
+// eLibrarySpec declares the Fig. 3 application: frontend -> {details,
+// reviews -> ratings}, with the ratings uplink as the bottleneck and
+// /analytics as the scan every tier serves bigger. The paper's testbed
+// is zone-less with two reviews replicas (one per priority pool under
+// the optimization); Zones > 1 gives every service one replica per
+// zone, and Regions > 1 puts those zones in every region.
+func eLibrarySpec(cfg ELibraryConfig) DAGSpec {
+	// The scan answers 200 over any reply from the tier below it; only a
+	// transport error fails it.
+	scan := func(t time.Duration, bytes int, next ...string) []PathSpec {
+		return []PathSpec{{Prefix: PathAnalytics, ServiceTime: t, ResponseBytes: bytes, Calls: calls(next...), Masks: true}}
+	}
+	spec := DAGSpec{Entry: "frontend", Mesh: cfg.Mesh}
+	switch {
+	case cfg.Regions > 1:
+		for i := 0; i < cfg.Regions; i++ {
+			for j := 1; j <= max(cfg.Zones, 2); j++ {
+				spec.Zones = append(spec.Zones, Zone{fmt.Sprintf("zone-%c%d", 'a'+i, j), fmt.Sprintf("region-%c", 'a'+i)})
+			}
+		}
+	case cfg.Zones > 1:
+		for i := 0; i < cfg.Zones; i++ {
+			spec.Zones = append(spec.Zones, Zone{Name: fmt.Sprintf("zone-%c", 'a'+i)})
+		}
+	}
+	reviews := 2
+	if spec.Zones != nil {
+		reviews = 1
+	}
+	// Response sizes and service times per tier; the ratings scan
+	// computes 3 ms more than the page's lookup.
+	spec.Services = []ServiceSpec{
+		{Name: "frontend", Workers: 32, ServiceTime: time.Millisecond, ResponseBytes: LSFrontendBytes,
+			Calls: calls("details", "reviews"), Paths: scan(time.Millisecond, 32<<10, "reviews")},
+		{Name: "details", Workers: 32, ServiceTime: 500 * time.Microsecond, ResponseBytes: 2 << 10},
+		// Reviews' page, too, answers over any reply from ratings.
+		{Name: "reviews", Replicas: reviews, Workers: 32, ServiceTime: time.Millisecond, ResponseBytes: LSReviewsBytes,
+			Calls: calls("ratings"), Paths: scan(time.Millisecond, 32<<10, "ratings"), Masks: true},
+		{Name: "ratings", Workers: 32, ServiceTime: 500 * time.Microsecond, ResponseBytes: 1 << 10,
+			Paths: scan(3500*time.Microsecond, cfg.LIRatingsBytes), UplinkRate: cfg.BottleneckRate},
+	}
+	return spec
 }
 
 // BuildELibrary constructs the Fig. 3 topology on a fresh scheduler:
-// ingress gateway -> frontend -> {details, reviews[i] -> ratings}, with
-// the ratings uplink as the bottleneck. The paper's testbed is one
-// zone-less cell with reviewsReplicas reviews pods; Zones > 1 places one
-// cell per zone, each pod suffixed with the zone letter, so the
-// aggregate is N copies of the testbed joined at the spine; Regions > 1
-// places the same cells in every region's zones, joins the region
-// spines by WAN links, and adds one east-west gateway pod per region on
-// its spine behind the mesh.EWGatewayService(region) service. The
-// ingress gateway lives in the first cell, so under a region-a
+// ingress gateway -> frontend -> {details, reviews[i] -> ratings}, as
+// BuildDAG assembles eLibrarySpec(cfg). Under zones a pod is suffixed
+// with its zone's letter, so the aggregate is N copies of the testbed
+// joined at the spine; under regions one east-west gateway pod per
+// region sits on its spine behind mesh.EWGatewayService(region). The
+// ingress gateway lives in the first zone, so under a region-a
 // evacuation the edge itself keeps running while its upstreams drain.
 func BuildELibrary(cfg ELibraryConfig) *ELibrary {
 	def := DefaultELibraryConfig()
@@ -141,100 +153,23 @@ func BuildELibrary(cfg ELibraryConfig) *ELibrary {
 	if cfg.LIRatingsBytes == 0 {
 		cfg.LIRatingsBytes = def.LIRatingsBytes
 	}
-	sched := simnet.NewScheduler()
-	net := simnet.NewNetwork(sched)
-	cl := cluster.New(net)
-	e := &ELibrary{Sched: sched, Net: net, Cluster: cl, Config: cfg}
-
-	link := simnet.LinkConfig{Rate: LinkRate, Delay: 20 * time.Microsecond}
-	bottleneck := simnet.LinkConfig{Rate: cfg.BottleneckRate, Delay: 20 * time.Microsecond}
-
-	var cells []cell
-	zoneCell := func(zone, region string) {
-		cl.AddZoneInRegion(zone, region, cluster.DefaultZoneUplink)
-		e.Zones = append(e.Zones, zone)
-		suffix := strings.TrimPrefix(zone, "zone-")
-		cells = append(cells, cell{zone: zone, suffix: suffix, reviews: []string{suffix}})
+	d, err := BuildDAG(eLibrarySpec(cfg))
+	if err != nil {
+		panic(err)
 	}
-	switch {
-	case cfg.Regions > 1:
-		zonesPer := cfg.Zones
-		if zonesPer <= 1 {
-			zonesPer = 2
-		}
-		for i := 0; i < cfg.Regions; i++ {
-			r := "region-" + string(rune('a'+i))
-			cl.AddRegion(r, cluster.DefaultWANLink)
-			e.Regions = append(e.Regions, r)
-			for j := 1; j <= zonesPer; j++ {
-				zoneCell(fmt.Sprintf("zone-%c%d", 'a'+i, j), r)
-			}
-		}
-	case cfg.Zones > 1:
-		for i := 0; i < cfg.Zones; i++ {
-			zoneCell("zone-"+string(rune('a'+i)), "")
-		}
-	default:
-		c := cell{suffix: "1"}
-		for i := 1; i <= reviewsReplicas; i++ {
-			c.reviews = append(c.reviews, fmt.Sprint(i))
-		}
-		cells = []cell{c}
+	cl := d.Cluster
+	pods := func(service string) []*cluster.Pod {
+		return append([]*cluster.Pod(nil), cl.Service(service).Endpoints()...)
 	}
-
-	gwPod := cl.AddPod(cluster.PodSpec{
-		Name: "gateway", Labels: map[string]string{"app": "gateway"}, Link: link, Zone: cells[0].zone})
-	for i, c := range cells {
-		pod := func(name string, l simnet.LinkConfig, labels map[string]string) *cluster.Pod {
-			return cl.AddPod(cluster.PodSpec{Name: name, Labels: labels, Link: l, Workers: podWorkers, Zone: c.zone})
-		}
-		fe := pod("frontend-"+c.suffix, link, map[string]string{"app": "frontend"})
-		dt := pod("details-"+c.suffix, link, map[string]string{"app": "details"})
-		for _, s := range c.reviews {
-			version := fmt.Sprintf("v%d", len(e.Reviews)+1)
-			e.Reviews = append(e.Reviews, pod("reviews-"+s, link, map[string]string{"app": "reviews", "version": version}))
-		}
-		rt := pod("ratings-"+c.suffix, bottleneck, map[string]string{"app": "ratings"})
-		e.AllRatings = append(e.AllRatings, rt)
-		if i == 0 {
-			e.Frontend, e.Details, e.Ratings = fe, dt, rt
-		}
-	}
-	for _, svc := range []string{"frontend", "details", "reviews", "ratings"} {
-		cl.AddService(svc, 9080, map[string]string{"app": svc})
-	}
-	// Federation infrastructure: one east-west gateway per region, each
-	// behind its own single-pod service.
+	e := &ELibrary{Sched: d.Sched, Net: d.Net, Cluster: cl, Mesh: d.Mesh, Gateway: d.Gateway, Config: cfg,
+		Frontend: pods("frontend")[0], Details: pods("details")[0], Reviews: pods("reviews"),
+		Zones: cl.Zones(), AllRatings: pods("ratings"), Regions: cl.Regions()}
+	e.Ratings = e.AllRatings[0]
 	for _, r := range e.Regions {
-		name := mesh.EWGatewayService(r)
-		e.EastWest = append(e.EastWest, cl.AddPod(cluster.PodSpec{
-			Name: name, Labels: map[string]string{"app": name}, Link: link, Workers: podWorkers, Region: r}))
-		cl.AddService(name, 9080, map[string]string{"app": name})
-	}
-
-	e.Mesh = mesh.New(cl, cfg.Mesh)
-	e.Gateway = e.Mesh.NewGateway(gwPod)
-	for _, p := range e.EastWest {
-		e.Mesh.NewEastWestGateway(p)
-	}
-	// Application sidecars, in pod creation order.
-	for _, p := range cl.Pods() {
-		switch p.Label("app") {
-		case "frontend":
-			e.registerFrontend(p)
-		case "details":
-			e.registerDetails(p)
-		case "reviews":
-			e.registerReviews(p)
-		case "ratings":
-			e.registerRatings(p)
-		}
+		e.EastWest = append(e.EastWest, cl.Pod(mesh.EWGatewayService(r)))
 	}
 	return e
 }
-
-// isAnalytics classifies a path as the batch workload.
-func isAnalytics(path string) bool { return strings.HasPrefix(path, PathAnalytics) }
 
 // NewProductRequest builds a latency-sensitive external request.
 func NewProductRequest() *httpsim.Request {
@@ -259,116 +194,4 @@ func Classifier() mesh.Classifier {
 		PathProduct:   mesh.PriorityHigh,
 		PathAnalytics: mesh.PriorityLow,
 	}, mesh.PriorityHigh)
-}
-
-func (e *ELibrary) registerFrontend(pod *cluster.Pod) {
-	sc := e.Mesh.InjectSidecar(pod)
-	sc.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-		pod.Exec(frontendTime, func() {
-			if isAnalytics(req.Path) {
-				// Batch analytics: scan reviews (which consults
-				// ratings) and return an aggregate.
-				child := childRequest(req, "reviews", req.Path)
-				// The ingress-adjacent application attaches the
-				// priority bits to the requests it spawns (§4.3 (1)).
-				if p := req.Headers.Get(mesh.HeaderPriority); p != "" {
-					child.Headers.Set(mesh.HeaderPriority, p)
-				}
-				sc.Call(child, func(resp *httpsim.Response, err error) {
-					if err != nil {
-						respond(httpsim.NewResponse(httpsim.StatusBadGateway))
-						return
-					}
-					out := httpsim.NewResponse(httpsim.StatusOK)
-					out.BodyBytes = liFrontendBytes
-					respond(out)
-				})
-				return
-			}
-			// Product page: details and reviews in parallel.
-			pendingOK := true
-			remaining := 2
-			finish := func(ok bool) {
-				if !ok {
-					pendingOK = false
-				}
-				remaining--
-				if remaining > 0 {
-					return
-				}
-				status := httpsim.StatusOK
-				if !pendingOK {
-					status = httpsim.StatusBadGateway
-				}
-				out := httpsim.NewResponse(status)
-				out.BodyBytes = LSFrontendBytes
-				respond(out)
-			}
-			details := childRequest(req, "details", req.Path)
-			reviews := childRequest(req, "reviews", req.Path)
-			for _, child := range []*httpsim.Request{details, reviews} {
-				if p := req.Headers.Get(mesh.HeaderPriority); p != "" {
-					child.Headers.Set(mesh.HeaderPriority, p)
-				}
-			}
-			sc.Call(details, func(resp *httpsim.Response, err error) { finish(err == nil && resp.Status < 500) })
-			sc.Call(reviews, func(resp *httpsim.Response, err error) { finish(err == nil && resp.Status < 500) })
-		})
-	})
-}
-
-func (e *ELibrary) registerDetails(pod *cluster.Pod) {
-	sc := e.Mesh.InjectSidecar(pod)
-	sc.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-		pod.Exec(detailsTime, func() {
-			out := httpsim.NewResponse(httpsim.StatusOK)
-			out.BodyBytes = lsDetailsBytes
-			respond(out)
-		})
-	})
-}
-
-func (e *ELibrary) registerReviews(pod *cluster.Pod) {
-	sc := e.Mesh.InjectSidecar(pod)
-	sc.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-		pod.Exec(reviewsTime, func() {
-			// NOTE: reviews does NOT copy the priority header — beyond
-			// the ingress-adjacent hop, priority propagation is the
-			// sidecar layer's provenance mechanism (§4.3 (2)).
-			child := childRequest(req, "ratings", req.Path)
-			sc.Call(child, func(resp *httpsim.Response, err error) {
-				if err != nil {
-					respond(httpsim.NewResponse(httpsim.StatusBadGateway))
-					return
-				}
-				out := httpsim.NewResponse(httpsim.StatusOK)
-				if isAnalytics(req.Path) {
-					out.BodyBytes = liReviewsBytes
-				} else {
-					out.BodyBytes = LSReviewsBytes
-				}
-				respond(out)
-			})
-		})
-	})
-}
-
-func (e *ELibrary) registerRatings(pod *cluster.Pod) {
-	sc := e.Mesh.InjectSidecar(pod)
-	liBytes := e.Config.LIRatingsBytes
-	sc.RegisterApp(func(req *httpsim.Request, respond func(*httpsim.Response)) {
-		t := ratingsTime
-		if isAnalytics(req.Path) {
-			t += ratingsScanTime
-		}
-		pod.Exec(t, func() {
-			out := httpsim.NewResponse(httpsim.StatusOK)
-			if isAnalytics(req.Path) {
-				out.BodyBytes = liBytes
-			} else {
-				out.BodyBytes = lsRatingsBytes
-			}
-			respond(out)
-		})
-	})
 }

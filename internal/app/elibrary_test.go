@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"meshlayer/internal/cluster"
 	"meshlayer/internal/httpsim"
@@ -181,11 +182,11 @@ func TestELibraryConfigDefaulting(t *testing.T) {
 
 const topoDefault = `nodes: bridge gateway frontend-1 details-1 reviews-1 reviews-2 ratings-1
 pod gateway zone="" region="" 15G via bridge workers=0 {app=gateway} sidecar=gateway answers=404/0B,404/0B
-pod frontend-1 zone="" region="" 15G via bridge workers=32 {app=frontend} sidecar=frontend answers=200/8192B,200/32768B
-pod details-1 zone="" region="" 15G via bridge workers=32 {app=details} sidecar=details answers=200/2048B,200/2048B
+pod frontend-1 zone="" region="" 15G via bridge workers=32 {app=frontend version=v1} sidecar=frontend answers=200/8192B,200/32768B
+pod details-1 zone="" region="" 15G via bridge workers=32 {app=details version=v1} sidecar=details answers=200/2048B,200/2048B
 pod reviews-1 zone="" region="" 15G via bridge workers=32 {app=reviews version=v1} sidecar=reviews answers=200/4096B,200/32768B
 pod reviews-2 zone="" region="" 15G via bridge workers=32 {app=reviews version=v2} sidecar=reviews answers=200/4096B,200/32768B
-pod ratings-1 zone="" region="" 1G via bridge workers=32 {app=ratings} sidecar=ratings answers=200/1024B,200/2097152B
+pod ratings-1 zone="" region="" 1G via bridge workers=32 {app=ratings version=v1} sidecar=ratings answers=200/1024B,200/2097152B
 service details:9080 -> details-1
 service frontend:9080 -> frontend-1
 service ratings:9080 -> ratings-1
@@ -201,18 +202,18 @@ zone zone-a region="" bridge-zone-a--bridge 40G 250µs
 zone zone-b region="" bridge-zone-b--bridge 40G 250µs
 zone zone-c region="" bridge-zone-c--bridge 40G 250µs
 pod gateway zone="zone-a" region="" 15G via bridge-zone-a workers=0 {app=gateway zone=zone-a} sidecar=gateway answers=404/0B,404/0B
-pod frontend-a zone="zone-a" region="" 15G via bridge-zone-a workers=32 {app=frontend zone=zone-a} sidecar=frontend answers=200/8192B,200/32768B
-pod details-a zone="zone-a" region="" 15G via bridge-zone-a workers=32 {app=details zone=zone-a} sidecar=details answers=200/2048B,200/2048B
+pod frontend-a zone="zone-a" region="" 15G via bridge-zone-a workers=32 {app=frontend version=v1 zone=zone-a} sidecar=frontend answers=200/8192B,200/32768B
+pod details-a zone="zone-a" region="" 15G via bridge-zone-a workers=32 {app=details version=v1 zone=zone-a} sidecar=details answers=200/2048B,200/2048B
 pod reviews-a zone="zone-a" region="" 15G via bridge-zone-a workers=32 {app=reviews version=v1 zone=zone-a} sidecar=reviews answers=200/4096B,200/32768B
-pod ratings-a zone="zone-a" region="" 1G via bridge-zone-a workers=32 {app=ratings zone=zone-a} sidecar=ratings answers=200/1024B,200/2097152B
-pod frontend-b zone="zone-b" region="" 15G via bridge-zone-b workers=32 {app=frontend zone=zone-b} sidecar=frontend answers=200/8192B,200/32768B
-pod details-b zone="zone-b" region="" 15G via bridge-zone-b workers=32 {app=details zone=zone-b} sidecar=details answers=200/2048B,200/2048B
+pod ratings-a zone="zone-a" region="" 1G via bridge-zone-a workers=32 {app=ratings version=v1 zone=zone-a} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-b zone="zone-b" region="" 15G via bridge-zone-b workers=32 {app=frontend version=v2 zone=zone-b} sidecar=frontend answers=200/8192B,200/32768B
+pod details-b zone="zone-b" region="" 15G via bridge-zone-b workers=32 {app=details version=v2 zone=zone-b} sidecar=details answers=200/2048B,200/2048B
 pod reviews-b zone="zone-b" region="" 15G via bridge-zone-b workers=32 {app=reviews version=v2 zone=zone-b} sidecar=reviews answers=200/4096B,200/32768B
-pod ratings-b zone="zone-b" region="" 1G via bridge-zone-b workers=32 {app=ratings zone=zone-b} sidecar=ratings answers=200/1024B,200/2097152B
-pod frontend-c zone="zone-c" region="" 15G via bridge-zone-c workers=32 {app=frontend zone=zone-c} sidecar=frontend answers=200/8192B,200/32768B
-pod details-c zone="zone-c" region="" 15G via bridge-zone-c workers=32 {app=details zone=zone-c} sidecar=details answers=200/2048B,200/2048B
+pod ratings-b zone="zone-b" region="" 1G via bridge-zone-b workers=32 {app=ratings version=v2 zone=zone-b} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-c zone="zone-c" region="" 15G via bridge-zone-c workers=32 {app=frontend version=v3 zone=zone-c} sidecar=frontend answers=200/8192B,200/32768B
+pod details-c zone="zone-c" region="" 15G via bridge-zone-c workers=32 {app=details version=v3 zone=zone-c} sidecar=details answers=200/2048B,200/2048B
 pod reviews-c zone="zone-c" region="" 15G via bridge-zone-c workers=32 {app=reviews version=v3 zone=zone-c} sidecar=reviews answers=200/4096B,200/32768B
-pod ratings-c zone="zone-c" region="" 1G via bridge-zone-c workers=32 {app=ratings zone=zone-c} sidecar=ratings answers=200/1024B,200/2097152B
+pod ratings-c zone="zone-c" region="" 1G via bridge-zone-c workers=32 {app=ratings version=v3 zone=zone-c} sidecar=ratings answers=200/1024B,200/2097152B
 service details:9080 -> details-a details-b details-c
 service frontend:9080 -> frontend-a frontend-b frontend-c
 service ratings:9080 -> ratings-a ratings-b ratings-c
@@ -234,30 +235,30 @@ wan region-a region-b spine-region-b--spine-region-a 10G 25ms
 wan region-a region-c spine-region-c--spine-region-a 10G 25ms
 wan region-b region-c spine-region-c--spine-region-b 10G 25ms
 pod gateway zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=0 {app=gateway region=region-a zone=zone-a1} sidecar=gateway answers=404/0B,404/0B
-pod frontend-a1 zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=32 {app=frontend region=region-a zone=zone-a1} sidecar=frontend answers=200/8192B,200/32768B
-pod details-a1 zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=32 {app=details region=region-a zone=zone-a1} sidecar=details answers=200/2048B,200/2048B
+pod frontend-a1 zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=32 {app=frontend region=region-a version=v1 zone=zone-a1} sidecar=frontend answers=200/8192B,200/32768B
+pod details-a1 zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=32 {app=details region=region-a version=v1 zone=zone-a1} sidecar=details answers=200/2048B,200/2048B
 pod reviews-a1 zone="zone-a1" region="region-a" 15G via bridge-zone-a1 workers=32 {app=reviews region=region-a version=v1 zone=zone-a1} sidecar=reviews answers=200/4096B,200/32768B
-pod ratings-a1 zone="zone-a1" region="region-a" 1G via bridge-zone-a1 workers=32 {app=ratings region=region-a zone=zone-a1} sidecar=ratings answers=200/1024B,200/2097152B
-pod frontend-a2 zone="zone-a2" region="region-a" 15G via bridge-zone-a2 workers=32 {app=frontend region=region-a zone=zone-a2} sidecar=frontend answers=200/8192B,200/32768B
-pod details-a2 zone="zone-a2" region="region-a" 15G via bridge-zone-a2 workers=32 {app=details region=region-a zone=zone-a2} sidecar=details answers=200/2048B,200/2048B
+pod ratings-a1 zone="zone-a1" region="region-a" 1G via bridge-zone-a1 workers=32 {app=ratings region=region-a version=v1 zone=zone-a1} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-a2 zone="zone-a2" region="region-a" 15G via bridge-zone-a2 workers=32 {app=frontend region=region-a version=v2 zone=zone-a2} sidecar=frontend answers=200/8192B,200/32768B
+pod details-a2 zone="zone-a2" region="region-a" 15G via bridge-zone-a2 workers=32 {app=details region=region-a version=v2 zone=zone-a2} sidecar=details answers=200/2048B,200/2048B
 pod reviews-a2 zone="zone-a2" region="region-a" 15G via bridge-zone-a2 workers=32 {app=reviews region=region-a version=v2 zone=zone-a2} sidecar=reviews answers=200/4096B,200/32768B
-pod ratings-a2 zone="zone-a2" region="region-a" 1G via bridge-zone-a2 workers=32 {app=ratings region=region-a zone=zone-a2} sidecar=ratings answers=200/1024B,200/2097152B
-pod frontend-b1 zone="zone-b1" region="region-b" 15G via bridge-zone-b1 workers=32 {app=frontend region=region-b zone=zone-b1} sidecar=frontend answers=200/8192B,200/32768B
-pod details-b1 zone="zone-b1" region="region-b" 15G via bridge-zone-b1 workers=32 {app=details region=region-b zone=zone-b1} sidecar=details answers=200/2048B,200/2048B
+pod ratings-a2 zone="zone-a2" region="region-a" 1G via bridge-zone-a2 workers=32 {app=ratings region=region-a version=v2 zone=zone-a2} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-b1 zone="zone-b1" region="region-b" 15G via bridge-zone-b1 workers=32 {app=frontend region=region-b version=v3 zone=zone-b1} sidecar=frontend answers=200/8192B,200/32768B
+pod details-b1 zone="zone-b1" region="region-b" 15G via bridge-zone-b1 workers=32 {app=details region=region-b version=v3 zone=zone-b1} sidecar=details answers=200/2048B,200/2048B
 pod reviews-b1 zone="zone-b1" region="region-b" 15G via bridge-zone-b1 workers=32 {app=reviews region=region-b version=v3 zone=zone-b1} sidecar=reviews answers=200/4096B,200/32768B
-pod ratings-b1 zone="zone-b1" region="region-b" 1G via bridge-zone-b1 workers=32 {app=ratings region=region-b zone=zone-b1} sidecar=ratings answers=200/1024B,200/2097152B
-pod frontend-b2 zone="zone-b2" region="region-b" 15G via bridge-zone-b2 workers=32 {app=frontend region=region-b zone=zone-b2} sidecar=frontend answers=200/8192B,200/32768B
-pod details-b2 zone="zone-b2" region="region-b" 15G via bridge-zone-b2 workers=32 {app=details region=region-b zone=zone-b2} sidecar=details answers=200/2048B,200/2048B
+pod ratings-b1 zone="zone-b1" region="region-b" 1G via bridge-zone-b1 workers=32 {app=ratings region=region-b version=v3 zone=zone-b1} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-b2 zone="zone-b2" region="region-b" 15G via bridge-zone-b2 workers=32 {app=frontend region=region-b version=v4 zone=zone-b2} sidecar=frontend answers=200/8192B,200/32768B
+pod details-b2 zone="zone-b2" region="region-b" 15G via bridge-zone-b2 workers=32 {app=details region=region-b version=v4 zone=zone-b2} sidecar=details answers=200/2048B,200/2048B
 pod reviews-b2 zone="zone-b2" region="region-b" 15G via bridge-zone-b2 workers=32 {app=reviews region=region-b version=v4 zone=zone-b2} sidecar=reviews answers=200/4096B,200/32768B
-pod ratings-b2 zone="zone-b2" region="region-b" 1G via bridge-zone-b2 workers=32 {app=ratings region=region-b zone=zone-b2} sidecar=ratings answers=200/1024B,200/2097152B
-pod frontend-c1 zone="zone-c1" region="region-c" 15G via bridge-zone-c1 workers=32 {app=frontend region=region-c zone=zone-c1} sidecar=frontend answers=200/8192B,200/32768B
-pod details-c1 zone="zone-c1" region="region-c" 15G via bridge-zone-c1 workers=32 {app=details region=region-c zone=zone-c1} sidecar=details answers=200/2048B,200/2048B
+pod ratings-b2 zone="zone-b2" region="region-b" 1G via bridge-zone-b2 workers=32 {app=ratings region=region-b version=v4 zone=zone-b2} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-c1 zone="zone-c1" region="region-c" 15G via bridge-zone-c1 workers=32 {app=frontend region=region-c version=v5 zone=zone-c1} sidecar=frontend answers=200/8192B,200/32768B
+pod details-c1 zone="zone-c1" region="region-c" 15G via bridge-zone-c1 workers=32 {app=details region=region-c version=v5 zone=zone-c1} sidecar=details answers=200/2048B,200/2048B
 pod reviews-c1 zone="zone-c1" region="region-c" 15G via bridge-zone-c1 workers=32 {app=reviews region=region-c version=v5 zone=zone-c1} sidecar=reviews answers=200/4096B,200/32768B
-pod ratings-c1 zone="zone-c1" region="region-c" 1G via bridge-zone-c1 workers=32 {app=ratings region=region-c zone=zone-c1} sidecar=ratings answers=200/1024B,200/2097152B
-pod frontend-c2 zone="zone-c2" region="region-c" 15G via bridge-zone-c2 workers=32 {app=frontend region=region-c zone=zone-c2} sidecar=frontend answers=200/8192B,200/32768B
-pod details-c2 zone="zone-c2" region="region-c" 15G via bridge-zone-c2 workers=32 {app=details region=region-c zone=zone-c2} sidecar=details answers=200/2048B,200/2048B
+pod ratings-c1 zone="zone-c1" region="region-c" 1G via bridge-zone-c1 workers=32 {app=ratings region=region-c version=v5 zone=zone-c1} sidecar=ratings answers=200/1024B,200/2097152B
+pod frontend-c2 zone="zone-c2" region="region-c" 15G via bridge-zone-c2 workers=32 {app=frontend region=region-c version=v6 zone=zone-c2} sidecar=frontend answers=200/8192B,200/32768B
+pod details-c2 zone="zone-c2" region="region-c" 15G via bridge-zone-c2 workers=32 {app=details region=region-c version=v6 zone=zone-c2} sidecar=details answers=200/2048B,200/2048B
 pod reviews-c2 zone="zone-c2" region="region-c" 15G via bridge-zone-c2 workers=32 {app=reviews region=region-c version=v6 zone=zone-c2} sidecar=reviews answers=200/4096B,200/32768B
-pod ratings-c2 zone="zone-c2" region="region-c" 1G via bridge-zone-c2 workers=32 {app=ratings region=region-c zone=zone-c2} sidecar=ratings answers=200/1024B,200/2097152B
+pod ratings-c2 zone="zone-c2" region="region-c" 1G via bridge-zone-c2 workers=32 {app=ratings region=region-c version=v6 zone=zone-c2} sidecar=ratings answers=200/1024B,200/2097152B
 pod eastwest-region-a zone="" region="region-a" 15G via spine-region-a workers=32 {app=eastwest-region-a region=region-a} sidecar=eastwest-region-a answers=404/0B,404/0B
 pod eastwest-region-b zone="" region="region-b" 15G via spine-region-b workers=32 {app=eastwest-region-b region=region-b} sidecar=eastwest-region-b answers=404/0B,404/0B
 pod eastwest-region-c zone="" region="region-c" 15G via spine-region-c workers=32 {app=eastwest-region-c region=region-c} sidecar=eastwest-region-c answers=404/0B,404/0B
@@ -273,3 +274,62 @@ Reviews=[reviews-a1 reviews-a2 reviews-b1 reviews-b2 reviews-c1 reviews-c2]
 AllRatings=[ratings-a1 ratings-a2 ratings-b1 ratings-b2 ratings-c1 ratings-c2]
 Zones=[zone-a1 zone-a2 zone-b1 zone-b2 zone-c1 zone-c2] Regions=[region-a region-b region-c] EastWest=[eastwest-region-a eastwest-region-b eastwest-region-c]
 `
+
+// TestELibraryFailureSemantics pins what the gateway sees when a tier
+// fails, on both paths. Reviews answers 200 over any reply from ratings
+// (Masks), so the page and the scan still succeed when ratings answers
+// 503 or 429; when ratings cannot be reached at all, reviews fails with
+// a 502, which the page passes on and the scan, masking too, answers
+// over. The page masks nothing: a 429 from details reaches the gateway,
+// where the e-library's hand-written frontend answered 200 (DESIGN.md
+// §5, "One service-graph builder"). Retries are off everywhere, and
+// calls to ratings time out after 50 ms.
+func TestELibraryFailureSemantics(t *testing.T) {
+	abort := func(service string, status int) func(*ELibrary) {
+		return func(e *ELibrary) {
+			e.Mesh.ControlPlane().SetFaultPolicy(service, mesh.FaultPolicy{AbortProb: 1, AbortStatus: status})
+		}
+	}
+	for _, tc := range []struct {
+		name               string
+		fail               func(*ELibrary)
+		product, analytics string
+	}{
+		{"ratings answers 503", abort("ratings", httpsim.StatusServiceUnavailable), "200/8192B", "200/32768B"},
+		{"ratings answers 429", abort("ratings", httpsim.StatusTooManyRequests), "200/8192B", "200/32768B"},
+		{"ratings unreachable", func(e *ELibrary) {
+			for _, p := range e.AllRatings {
+				p.Partition(true)
+			}
+		}, "502/8192B", "200/32768B"},
+		{"details answers 429", abort("details", httpsim.StatusTooManyRequests), "429/8192B", "200/32768B"},
+	} {
+		for _, path := range []struct {
+			req  func() *httpsim.Request
+			want string
+		}{{NewProductRequest, tc.product}, {NewAnalyticsRequest, tc.analytics}} {
+			e := BuildELibrary(DefaultELibraryConfig())
+			for _, s := range e.Cluster.Services() {
+				pol := mesh.RetryPolicy{}
+				if s.Name() == "ratings" {
+					pol.PerTryTimeout = 50 * time.Millisecond
+				}
+				e.Mesh.ControlPlane().SetRetryPolicy(s.Name(), pol)
+			}
+			tc.fail(e)
+			req := path.req()
+			var got []string
+			e.Gateway.Serve(req, func(resp *httpsim.Response, err error) {
+				if err != nil {
+					got = append(got, err.Error())
+					return
+				}
+				got = append(got, fmt.Sprintf("%d/%dB", resp.Status, resp.BodyBytes))
+			})
+			e.Sched.Run()
+			if fmt.Sprint(got) != fmt.Sprint([]string{path.want}) {
+				t.Errorf("%s, %s: gateway saw %v, want [%s]", tc.name, req.Path, got, path.want)
+			}
+		}
+	}
+}

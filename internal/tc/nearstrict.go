@@ -31,9 +31,5 @@ func NewNearStrict(cfg NearStrictConfig, clock Clock) *Prio {
 	}
 	highRate := int64(float64(cfg.LinkRate) * cfg.HighShare)
 	high := NewTBF(highRate, 20*simnet.MTU, simnet.NewFIFO(0), clock)
-	cls := Classifier{
-		Filters: []Filter{{MinMark: simnet.MarkHigh, Class: 0}},
-		Default: 1,
-	}
-	return NewPrio(cls, high, simnet.NewFIFO(0))
+	return NewPrio(simnet.MarkHigh, high, simnet.NewFIFO(0))
 }

@@ -9,22 +9,22 @@ import (
 // Prio is a strict-priority classful qdisc: band 0 is always served
 // before band 1, and so on — the discipline of `tc qdisc add ... prio`.
 type Prio struct {
-	bands      []simnet.Qdisc
-	classifier Classifier
-	sentStats  []uint64
+	bands     []simnet.Qdisc
+	threshold simnet.Mark
+	sentStats []uint64
 }
 
 // NewPrio builds a strict-priority qdisc over the given bands (band 0
-// highest). The classifier's class indexes select bands; out-of-range
-// classes go to the last band.
-func NewPrio(classifier Classifier, bands ...simnet.Qdisc) *Prio {
+// highest). A packet marked threshold or above goes to band 0, any
+// other to the last band.
+func NewPrio(threshold simnet.Mark, bands ...simnet.Qdisc) *Prio {
 	if len(bands) == 0 {
 		panic("tc: prio needs at least one band")
 	}
 	return &Prio{
-		bands:      bands,
-		classifier: classifier,
-		sentStats:  make([]uint64, len(bands)),
+		bands:     bands,
+		threshold: threshold,
+		sentStats: make([]uint64, len(bands)),
 	}
 }
 
@@ -33,9 +33,9 @@ func (q *Prio) Sent(i int) uint64 { return q.sentStats[i] }
 
 // Enqueue implements simnet.Qdisc.
 func (q *Prio) Enqueue(p *simnet.Packet) bool {
-	band := q.classifier.Classify(p)
-	if band < 0 || band >= len(q.bands) {
-		band = len(q.bands) - 1
+	band := len(q.bands) - 1
+	if p.Mark >= q.threshold {
+		band = 0
 	}
 	return q.bands[band].Enqueue(p)
 }

@@ -16,10 +16,7 @@ func TestPropertyQdiscConservation(t *testing.T) {
 	build := map[string]func(s *simnet.Scheduler) simnet.Qdisc{
 		"fifo": func(s *simnet.Scheduler) simnet.Qdisc { return simnet.NewFIFO(0) },
 		"prio": func(s *simnet.Scheduler) simnet.Qdisc {
-			return NewPrio(Classifier{
-				Filters: []Filter{{MinMark: simnet.MarkHigh, Class: 0}},
-				Default: 1,
-			}, simnet.NewFIFO(0), simnet.NewFIFO(0))
+			return NewPrio(simnet.MarkHigh, simnet.NewFIFO(0), simnet.NewFIFO(0))
 		},
 		"tbf": func(s *simnet.Scheduler) simnet.Qdisc {
 			return NewTBF(simnet.Gbps, 100*simnet.MTU, nil, s.Now)
@@ -84,10 +81,7 @@ func TestPropertyBacklogMatchesContents(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := simnet.NewScheduler()
-		q := NewPrio(Classifier{
-			Filters: []Filter{{MinMark: simnet.MarkHigh, Class: 0}},
-			Default: 1,
-		}, simnet.NewFIFO(0), simnet.NewFIFO(0))
+		q := NewPrio(simnet.MarkHigh, simnet.NewFIFO(0), simnet.NewFIFO(0))
 		_ = s
 		inside := 0
 		for i := 0; i < 300; i++ {

@@ -37,53 +37,50 @@ func (r *rig) packet(size int, mark simnet.Mark, srcPort uint16) *simnet.Packet 
 	}
 }
 
-// TestClassifierFirstMatchWins classifies every mark against two
-// thresholds: a filter matches marks at or above its MinMark, the
-// first matching filter wins, and a mark below every threshold takes
-// the default class.
+// TestClassifierFirstMatchWins keeps a historical name: tc no longer
+// has a classifier or first-match filters, and this test checks Prio's
+// mark threshold. It sends every mark to a prio of 1, 2 and 3 bands at
+// both thresholds in use. Prio classifies on one threshold: a mark at
+// or above it matches and lands in band 0, any other falls through to
+// the last band.
 func TestClassifierFirstMatchWins(t *testing.T) {
-	high := Filter{MinMark: simnet.MarkHigh, Class: 0}
-	low := Filter{MinMark: simnet.MarkLow, Class: 1}
-	for _, tc := range []struct {
-		filters []Filter
-		mark    simnet.Mark
-		want    int
-	}{
-		{[]Filter{high, low}, simnet.MarkHigh, 0}, // matches both, first wins
-		{[]Filter{high, low}, simnet.MarkLow, 1},
-		{[]Filter{high, low}, simnet.MarkDefault, 2},
-		{[]Filter{low, high}, simnet.MarkHigh, 1}, // the looser filter shadows
-		{[]Filter{low, high}, simnet.MarkLow, 1},
-		{[]Filter{low, high}, simnet.MarkDefault, 2},
-		{[]Filter{{MinMark: simnet.MarkDefault, Class: 3}}, simnet.MarkDefault, 3},
-		{nil, simnet.MarkHigh, 2},
-	} {
-		c := Classifier{Filters: tc.filters, Default: 2}
-		if got := c.Classify(&simnet.Packet{Mark: tc.mark}); got != tc.want {
-			t.Errorf("filters %+v, mark %d: class = %d, want %d", tc.filters, tc.mark, got, tc.want)
+	for _, threshold := range []simnet.Mark{simnet.MarkLow, simnet.MarkHigh} {
+		for bands := 1; bands <= 3; bands++ {
+			for mark := simnet.MarkDefault; mark <= simnet.MarkHigh+1; mark++ {
+				fifos := make([]simnet.Qdisc, bands)
+				for i := range fifos {
+					fifos[i] = simnet.NewFIFO(0)
+				}
+				NewPrio(threshold, fifos...).Enqueue(&simnet.Packet{Size: 100, Mark: mark})
+				want := bands - 1
+				if mark >= threshold {
+					want = 0
+				}
+				if fifos[want].Len() != 1 {
+					t.Errorf("threshold %d, %d bands: mark %d missed band %d", threshold, bands, mark, want)
+				}
+			}
 		}
 	}
 }
 
-// TestMatchHelpers checks a lone filter's threshold: a MarkLow packet
-// matches MinMark MarkLow and not MinMark MarkHigh.
+// TestMatchHelpers keeps a historical name: tc no longer has match
+// helpers, and this test checks Prio's mark threshold alone. A MarkLow
+// packet matches threshold MarkLow and not threshold MarkHigh.
 func TestMatchHelpers(t *testing.T) {
-	p := &simnet.Packet{Mark: simnet.MarkLow}
-	matches := func(m simnet.Mark) bool {
-		c := Classifier{Filters: []Filter{{MinMark: m, Class: 0}}, Default: 1}
-		return c.Classify(p) == 0
+	matches := func(threshold simnet.Mark) bool {
+		high, low := simnet.NewFIFO(0), simnet.NewFIFO(0)
+		NewPrio(threshold, high, low).Enqueue(&simnet.Packet{Size: 100, Mark: simnet.MarkLow})
+		return high.Len() == 1
 	}
 	if !matches(simnet.MarkLow) || matches(simnet.MarkHigh) {
-		t.Fatal("MinMark threshold wrong")
+		t.Fatal("threshold wrong")
 	}
 }
 
 func TestPrioStrictOrdering(t *testing.T) {
 	r := newRig(t, 8*simnet.Mbps) // 1000B = 1ms
-	q := NewPrio(Classifier{
-		Filters: []Filter{{MinMark: simnet.MarkHigh, Class: 0}},
-		Default: 1,
-	}, simnet.NewFIFO(0), simnet.NewFIFO(0))
+	q := NewPrio(simnet.MarkHigh, simnet.NewFIFO(0), simnet.NewFIFO(0))
 	r.install(q)
 
 	var order []simnet.Mark
