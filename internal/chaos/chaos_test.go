@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"meshlayer/internal/cluster"
+	"meshlayer/internal/httpsim"
 	"meshlayer/internal/mesh"
 	"meshlayer/internal/simnet"
 )
@@ -60,16 +61,24 @@ func TestEngineSchedulesAndReverts(t *testing.T) {
 }
 
 func TestScheduleValidatesFaults(t *testing.T) {
-	tg := testTarget(t)
-	e := NewEngine(tg)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown pod accepted")
-		}
-	}()
-	e.Schedule(Scenario{Name: "bad", Events: []Event{
-		{At: 0, Fault: PodCrash{Pod: "nope"}},
-	}})
+	for _, c := range []struct {
+		name  string
+		fault Fault
+	}{
+		{"unknown pod", PodCrash{Pod: "nope"}},
+		{"cp-stale without distribution", CPStale{Delay: time.Second}},
+		{"ctrlplane-crash without distribution", ControlPlaneCrash{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(testTarget(t))
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s accepted", c.fault.Name())
+				}
+			}()
+			e.Schedule(Scenario{Name: "bad", Events: []Event{{At: 0, Fault: c.fault}}})
+		})
+	}
 }
 
 func TestPodCrashPartitionsAndRestores(t *testing.T) {
@@ -90,35 +99,35 @@ func TestPodCrashPartitionsAndRestores(t *testing.T) {
 	}
 }
 
+// A flapping link is a scenario of total-loss bursts: down for 50 ms
+// out of every 200 ms, both directions, and up again after the last.
 func TestLinkFlapToggles(t *testing.T) {
 	tg := testTarget(t)
 	e := NewEngine(tg)
-	e.Schedule(Scenario{Events: []Event{
-		{At: 0, Duration: time.Second, Fault: &LinkFlap{
-			Pod: "alpha", Period: 200 * time.Millisecond, DownFor: 50 * time.Millisecond,
-		}},
-	}})
-	nic := tg.Cluster.Pod("alpha").Uplink().A()
+	l := tg.Cluster.Pod("alpha").Uplink()
+	var flaps []Event
 	downs, ups := 0, 0
 	// Sample mid-down (t % 200 in [0,50)) and mid-up windows.
 	for i := 0; i < 5; i++ {
 		base := time.Duration(i) * 200 * time.Millisecond
+		flaps = append(flaps, Event{At: base, Duration: 50 * time.Millisecond, Fault: LossBurst{Pod: "alpha", Loss: 1}})
 		tg.Sched.At(base+25*time.Millisecond, func() {
-			if nic.Impaired() {
+			if l.A().Impaired() && l.B().Impaired() {
 				downs++
 			}
 		})
 		tg.Sched.At(base+125*time.Millisecond, func() {
-			if !nic.Impaired() {
+			if !l.A().Impaired() && !l.B().Impaired() {
 				ups++
 			}
 		})
 	}
+	e.Schedule(Scenario{Events: flaps})
 	tg.Sched.Run()
 	if downs != 5 || ups != 5 {
 		t.Fatalf("downs=%d ups=%d, want 5/5", downs, ups)
 	}
-	if nic.Impaired() {
+	if l.A().Impaired() || l.B().Impaired() {
 		t.Fatal("link still impaired after revert")
 	}
 }
@@ -150,25 +159,50 @@ func TestSlowPodScalesExec(t *testing.T) {
 	}
 }
 
+// CPStale is the distributors' hold: a policy changed during the fault
+// reaches alpha's sidecar only after the revert, within one debounce.
+// The policy is an abort on calls to beta, so what alpha's sidecar
+// answers is its own view of the policy.
 func TestCPStaleDelaysPush(t *testing.T) {
 	tg := testTarget(t)
+	tg.Cluster.AddService("beta", 9080, map[string]string{"app": "beta"})
+	tg.Mesh.Sidecar("beta").RegisterApp(func(_ *httpsim.Request, respond func(*httpsim.Response)) {
+		respond(httpsim.NewResponse(httpsim.StatusOK))
+	})
+	const debounce = 50 * time.Millisecond
+	cp := tg.Mesh.ControlPlane()
+	cp.EnableDistribution(mesh.DistributionConfig{Debounce: debounce})
 	e := NewEngine(tg)
 	e.Schedule(Scenario{Events: []Event{
-		{At: 0, Duration: time.Second, Fault: CPStale{Delay: 500 * time.Millisecond}},
+		{At: 0, Duration: time.Second, Fault: CPStale{Delay: time.Hour}},
 	}})
-	cp := tg.Mesh.ControlPlane()
+	statuses := map[time.Duration]int{}
+	probe := func(at time.Duration) {
+		tg.Sched.At(at, func() {
+			req := httpsim.NewRequest("GET", "/")
+			req.Headers.Set(mesh.HeaderHost, "beta")
+			tg.Mesh.Sidecar("alpha").Call(req, func(r *httpsim.Response, err error) {
+				if err == nil {
+					statuses[at] = r.Status
+				}
+			})
+		})
+	}
 	tg.Sched.At(100*time.Millisecond, func() {
-		cp.SetLBPolicy("beta", mesh.LBRandom)
-		if cp.LBPolicyFor("beta") != mesh.LBRoundRobin {
-			t.Error("policy applied immediately under CP staleness")
-		}
+		cp.SetFaultPolicy("beta", mesh.FaultPolicy{AbortProb: 1})
 	})
-	tg.Sched.At(700*time.Millisecond, func() {
-		if cp.LBPolicyFor("beta") != mesh.LBRandom {
-			t.Error("policy never arrived")
-		}
-	})
-	tg.Sched.Run()
+	// One probe late in the hold, one a debounce (plus the push's
+	// transit) after the revert.
+	held, lifted := 900*time.Millisecond, time.Second+debounce+5*time.Millisecond
+	probe(held)
+	probe(lifted)
+	tg.Sched.RunFor(2 * time.Second)
+	if got := statuses[held]; got != httpsim.StatusOK {
+		t.Errorf("call under the hold answered %d, want 200 from the old snapshot", got)
+	}
+	if got := statuses[lifted]; got != httpsim.StatusServiceUnavailable {
+		t.Errorf("call after the revert answered %d, want the policy's 503", got)
+	}
 }
 
 func TestRecorderErrorRateAndRecovery(t *testing.T) {

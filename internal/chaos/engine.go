@@ -1,11 +1,11 @@
 // Package chaos is a deterministic fault-injection harness for the
 // simulated mesh: scenarios schedule composable faults (pod crashes,
-// link flaps, loss bursts, gray failures, control-plane staleness) on
-// the virtual clock and revert them after their duration, while a
-// recorder tracks availability and recovery. Everything is driven by
-// the simulation scheduler and seeded PRNGs, so a scenario replays
-// bit-identically — the property the determinism golden check in CI
-// enforces.
+// loss bursts — a link flap is a scenario of total-loss bursts — gray
+// failures, control-plane staleness) on the virtual clock and revert
+// them after their duration, while a recorder tracks availability and
+// recovery. Everything is driven by the simulation scheduler and
+// seeded PRNGs, so a scenario replays bit-identically — the property
+// the determinism golden check in CI enforces.
 //
 // The package exists to answer the paper's implicit question (§3.4):
 // if the mesh layer owns resilience, does it actually keep the

@@ -35,72 +35,6 @@ func (f PodCrash) Revert(t *Target) { t.Cluster.Pod(f.Pod).Partition(false) }
 
 func (f PodCrash) validate(t *Target) error { return needPod(t, f.Pod) }
 
-// LinkFlap repeatedly takes a pod's uplink down for DownFor out of
-// every Period — the flapping-interface failure that defeats naive
-// "mark dead on first error" logic. Use a pointer in scenarios: the
-// flap loop lives on the value.
-type LinkFlap struct {
-	Pod string
-	// Period is the flap cycle length.
-	Period time.Duration
-	// DownFor is how long the link stays down each cycle (< Period).
-	DownFor time.Duration
-
-	active bool
-}
-
-// Name implements Fault.
-func (f *LinkFlap) Name() string { return "link-flap/" + f.Pod }
-
-// Inject implements Fault.
-func (f *LinkFlap) Inject(t *Target) {
-	f.active = true
-	f.cycle(t)
-}
-
-// Revert implements Fault.
-func (f *LinkFlap) Revert(t *Target) {
-	f.active = false
-	setLinkDown(t, f.Pod, false)
-}
-
-// cycle takes the link down, schedules it back up after DownFor, and
-// re-arms for the next period while the fault is active.
-func (f *LinkFlap) cycle(t *Target) {
-	if !f.active {
-		return
-	}
-	setLinkDown(t, f.Pod, true)
-	t.Sched.After(f.DownFor, func() {
-		if f.active {
-			setLinkDown(t, f.Pod, false)
-		}
-	})
-	t.Sched.After(f.Period, func() { f.cycle(t) })
-}
-
-func (f *LinkFlap) validate(t *Target) error {
-	if err := needPod(t, f.Pod); err != nil {
-		return err
-	}
-	if f.Period <= 0 || f.DownFor <= 0 || f.DownFor >= f.Period {
-		return fmt.Errorf("link-flap/%s: need 0 < DownFor < Period", f.Pod)
-	}
-	return nil
-}
-
-// setLinkDown blackholes (or restores) both directions of the pod's
-// uplink via a LossProb-1 impairment.
-func setLinkDown(t *Target, pod string, down bool) {
-	l := t.Cluster.Pod(pod).Uplink()
-	var cfg simnet.Impairment
-	if down {
-		cfg = simnet.Impairment{LossProb: 1}
-	}
-	l.A().Impair(cfg)
-	l.B().Impair(cfg)
-}
-
 // LossBurst degrades a pod's uplink with random loss and jitter in
 // both directions — the congested/flaky-path failure the transport
 // layer absorbs with retransmissions at a latency cost.
@@ -288,9 +222,8 @@ func (f ControlPlaneCrash) validate(t *Target) error {
 // CPStale delays control-plane configuration propagation — the stale
 // xDS failure where operators' pushes take effect long after they were
 // applied. Policies already in force keep working; only changes lag.
-// With the distributing control plane enabled, the delay is realized
-// as genuine push suppression: staged updates are held back and every
-// sidecar keeps routing on its last-acknowledged snapshot.
+// It is the distributors' hold: staged updates are held back by Delay
+// and every sidecar keeps routing on its last-acknowledged snapshot.
 type CPStale struct {
 	Delay time.Duration
 }
@@ -303,6 +236,13 @@ func (f CPStale) Inject(t *Target) { t.Mesh.ControlPlane().SetPushDelay(f.Delay)
 
 // Revert implements Fault.
 func (f CPStale) Revert(t *Target) { t.Mesh.ControlPlane().SetPushDelay(0) }
+
+func (f CPStale) validate(t *Target) error {
+	if !t.Mesh.ControlPlane().Distributed() {
+		return fmt.Errorf("%s: distribution not enabled", f.Name())
+	}
+	return nil
+}
 
 func needPod(t *Target, name string) error {
 	if t.Cluster.Pod(name) == nil {

@@ -51,9 +51,8 @@ type Update struct {
 	BaseVersion uint64
 	// Version is the server version the update brings the subscriber to.
 	Version uint64
-	// Resources is sorted by name; Removed lists deleted resource names.
+	// Resources is sorted by name.
 	Resources []Resource
-	Removed   []string
 	// WireBytes is the simulated encoded size.
 	WireBytes int
 	// set is the server's resource set at Version, which a subscriber
@@ -181,9 +180,7 @@ type Server struct {
 	version   uint64
 	resources map[string]*Resource
 	resOrder  []string
-	// removed maps tombstoned resource names to their removal version.
-	removed map[string]uint64
-	subs    map[string]*subscriber
+	subs      map[string]*subscriber
 	// subOrder fixes push order to subscription order (determinism).
 	subOrder   []string
 	nextIdx    int
@@ -260,7 +257,6 @@ func NewServer(cfg Config) *Server {
 	return &Server{
 		cfg:       cfg,
 		resources: make(map[string]*Resource),
-		removed:   make(map[string]uint64),
 		subs:      make(map[string]*subscriber),
 		cache:     versionCache{deltas: make(map[uint64]*Update)},
 	}
@@ -358,29 +354,11 @@ func (s *Server) SetResource(name string, data any, bytes int) {
 		s.resources[name] = res
 		s.resOrder = append(s.resOrder, name)
 		sort.Strings(s.resOrder)
-		delete(s.removed, name)
 	}
 	res.Version = s.version
 	res.Bytes = bytes
 	res.ChangedAt = s.cfg.Sched.Now()
 	res.Data = data
-	s.stage()
-}
-
-// RemoveResource stages a deletion (tombstoned so deltas can carry it).
-func (s *Server) RemoveResource(name string) {
-	if s.resources[name] == nil {
-		return
-	}
-	s.version++
-	delete(s.resources, name)
-	for i, n := range s.resOrder {
-		if n == name {
-			s.resOrder = append(s.resOrder[:i], s.resOrder[i+1:]...)
-			break
-		}
-	}
-	s.removed[name] = s.version
 	s.stage()
 }
 
@@ -787,18 +765,7 @@ func (s *Server) buildUpdate(sub *subscriber) *Update {
 			u.WireBytes += resourceHeaderBytes + res.Bytes
 		}
 	}
-	removed := make([]string, 0, len(s.removed))
-	for name := range s.removed {
-		removed = append(removed, name)
-	}
-	sort.Strings(removed)
-	for _, name := range removed {
-		if s.removed[name] > base {
-			u.Removed = append(u.Removed, name)
-			u.WireBytes += resourceHeaderBytes + len(name)
-		}
-	}
-	if len(u.Resources) == 0 && len(u.Removed) == 0 {
+	if len(u.Resources) == 0 {
 		u = nil
 	} else {
 		u.set = s.currentSet()

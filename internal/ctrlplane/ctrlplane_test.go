@@ -113,23 +113,6 @@ func TestFullStateMode(t *testing.T) {
 	}
 }
 
-func TestRemovalTombstone(t *testing.T) {
-	sched, tr, srv := newTestServer(t, false)
-	srv.SetResource("a", "a1", 100)
-	srv.SetResource("b", "b1", 100)
-	snap := subscribe(tr, srv, "s1")
-
-	srv.RemoveResource("b")
-	sched.RunFor(time.Second)
-	u := tr.pushes[len(tr.pushes)-1]
-	if u.Full || len(u.Removed) != 1 || u.Removed[0] != "b" {
-		t.Fatalf("expected delta removal of b, got %+v", u)
-	}
-	if snap.Get("b") != nil {
-		t.Fatalf("b still in snapshot after removal")
-	}
-}
-
 func TestNackTriggersFullResync(t *testing.T) {
 	sched, tr, srv := newTestServer(t, false)
 	srv.SetResource("a", "a1", 100)
@@ -236,7 +219,7 @@ func TestSnapshotNacksBaseMismatch(t *testing.T) {
 		t.Fatalf("bootstrap: version=%d", snap.Version)
 	}
 	srv.SetResource("a", 3, 100)
-	srv.RemoveResource("b")
+	srv.SetResource("b", 4, 100)
 	if snap.Apply(srv.buildUpdate(&subscriber{synced: true, version: 3})) {
 		t.Fatalf("delta from base 3 applied to a snapshot at 2")
 	}
@@ -246,7 +229,7 @@ func TestSnapshotNacksBaseMismatch(t *testing.T) {
 	if !snap.Apply(srv.buildUpdate(&subscriber{synced: true, version: 2})) {
 		t.Fatalf("delta from the snapshot's own base rejected")
 	}
-	if snap.Version != 4 || snap.Get("a") != 3 || snap.Get("b") != nil {
+	if snap.Version != 4 || snap.Get("a") != 3 || snap.Get("b") != 4 {
 		t.Fatalf("delta not applied: version=%d a=%v b=%v", snap.Version, snap.Get("a"), snap.Get("b"))
 	}
 	srv.SetResource("b", 5, 100)

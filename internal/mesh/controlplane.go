@@ -31,20 +31,11 @@ type HeaderRoute struct {
 	Subset SubsetRef
 }
 
-// WeightedSubset assigns a share of traffic to a subset — the canary /
-// traffic-shifting primitive.
-type WeightedSubset struct {
-	Subset SubsetRef
-	Weight int // relative weight, > 0
-}
-
 // RouteRule is the routing configuration for one service. Matching
-// order: HeaderRoutes first, then Weights (random split), then
-// DefaultSubset.
+// order: HeaderRoutes first, then DefaultSubset.
 type RouteRule struct {
 	Service       string
 	HeaderRoutes  []HeaderRoute
-	Weights       []WeightedSubset
 	DefaultSubset SubsetRef
 }
 
@@ -243,13 +234,6 @@ type ControlPlane struct {
 
 	certSerial uint64
 
-	// pushDelay models configuration propagation: mutations made
-	// through the Set* methods take effect this long after the call
-	// (0 = instantaneous, the default). With distribution enabled the
-	// delay is expressed as real push suppression instead (see
-	// SetPushDelay).
-	pushDelay time.Duration
-
 	// dists holds the distribution instances once EnableDistribution
 	// has switched the mesh to simulated config propagation: one scoped
 	// to no region, or one per region in region order. fed is the
@@ -298,7 +282,7 @@ func (p *servicePolicy) wireBytes() int {
 		}
 	}
 	if p.Rule != nil {
-		n += 32 + 24*(len(p.Rule.HeaderRoutes)+len(p.Rule.Weights))
+		n += 32 + 24*len(p.Rule.HeaderRoutes)
 	}
 	return n
 }
@@ -315,25 +299,18 @@ func (cp *ControlPlane) Version() uint64 { return cp.version }
 
 func (cp *ControlPlane) bump() { cp.version++ }
 
-// SetPushDelay models control-plane staleness: in instant-propagation
-// mode, subsequent configuration changes take effect only after d —
-// the xDS-style lag between "operator applied config" and "every
-// sidecar acts on it". With distribution enabled, the delay becomes
-// real push suppression: the distributor holds staged updates back by
-// d, so sidecars keep routing on their old snapshots (a delay set
-// before EnableDistribution carries over as that hold). Zero restores
-// normal propagation.
+// SetPushDelay models control-plane staleness — the xDS-style lag
+// between "operator applied config" and "every sidecar acts on it" — as
+// push suppression: every distributor holds staged updates back by d,
+// so sidecars keep routing on their old snapshots. Zero restores normal
+// propagation. No-op in instant-propagation mode.
 func (cp *ControlPlane) SetPushDelay(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	if ds := cp.distributors(); len(ds) > 0 {
-		for _, dist := range ds {
-			dist.srv.SetHold(d)
-		}
-		return
+	for _, dist := range cp.distributors() {
+		dist.srv.SetHold(d)
 	}
-	cp.pushDelay = d
 }
 
 // Distributed reports whether simulated config distribution is
@@ -378,30 +355,22 @@ func (cp *ControlPlane) ResubscribePod(name string) {
 }
 
 // edit is the one way policy is written: it applies a validated change
-// to the service's store entry (created on first use) now or after the
-// push delay, then redistributes the service's resource when
-// distribution is enabled.
+// to the service's store entry (created on first use), then
+// redistributes the service's resource when distribution is enabled.
 func (cp *ControlPlane) edit(service string, change func(*servicePolicy)) {
 	if service == "" {
 		panic("mesh: policy needs a service name")
 	}
-	run := func() {
-		pol := cp.policy[service]
-		if pol == nil {
-			pol = &servicePolicy{}
-			cp.policy[service] = pol
-		}
-		change(pol)
-		cp.bump()
-		for _, d := range cp.distributors() {
-			d.refreshService(service)
-		}
+	pol := cp.policy[service]
+	if pol == nil {
+		pol = &servicePolicy{}
+		cp.policy[service] = pol
 	}
-	if cp.pushDelay <= 0 {
-		run()
-		return
+	change(pol)
+	cp.bump()
+	for _, d := range cp.distributors() {
+		d.refreshService(service)
 	}
-	cp.mesh.sched.After(cp.pushDelay, run)
 }
 
 // policyOf returns the store entry for service; never nil.
@@ -414,11 +383,6 @@ func (cp *ControlPlane) policyOf(service string) *servicePolicy {
 
 // SetRouteRule installs (replacing) the routing rule for a service.
 func (cp *ControlPlane) SetRouteRule(r RouteRule) {
-	for _, w := range r.Weights {
-		if w.Weight <= 0 {
-			panic("mesh: route weights must be positive")
-		}
-	}
 	cp.edit(r.Service, func(pol *servicePolicy) { pol.Rule = &r })
 }
 

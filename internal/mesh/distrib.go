@@ -154,11 +154,6 @@ func (cp *ControlPlane) EnableDistribution(cfg DistributionConfig) {
 	if cp.Distributed() {
 		panic("mesh: distribution already enabled")
 	}
-	// A delay set in instant mode carries over as push suppression once
-	// the servers exist; left in pushDelay it would keep delaying every
-	// mutation before staging, out of SetPushDelay's reach.
-	defer cp.SetPushDelay(cp.pushDelay)
-	cp.pushDelay = 0
 	m := cp.mesh
 	if cfg.PushTimeout <= 0 {
 		cfg.PushTimeout = 2 * time.Second

@@ -109,36 +109,6 @@ func TestPushDelaySuppressesDistribution(t *testing.T) {
 	}
 }
 
-// A delay set in instant mode must not outlive EnableDistribution as a
-// hidden pre-staging delay that SetPushDelay(0) can no longer clear: it
-// carries over as the distributor's hold.
-func TestPushDelayCarriesIntoDistribution(t *testing.T) {
-	tb := buildBed(t, Config{Seed: 1}, echoBackend)
-	cp := tb.m.ControlPlane()
-	cp.SetPushDelay(time.Hour)
-	cp.EnableDistribution(DistributionConfig{Debounce: 20 * time.Millisecond})
-
-	v := cp.Version()
-	cp.SetLBPolicy("backend", LBRandom)
-	if cp.Version() == v {
-		t.Fatalf("mutation still delayed before staging under distribution")
-	}
-	tb.sched.RunFor(2 * time.Second)
-	if tb.fe.lbPolicyFor("backend") != LBRoundRobin {
-		t.Fatalf("push escaped the carried-over hold")
-	}
-	cp.SetPushDelay(0)
-	tb.sched.RunFor(time.Second)
-	if tb.fe.lbPolicyFor("backend") != LBRandom {
-		t.Fatalf("policy never propagated after the hold lifted")
-	}
-	cp.SetRetryPolicy("backend", RetryPolicy{MaxRetries: 7})
-	tb.sched.RunFor(time.Second)
-	if tb.fe.retryPolicyFor("backend").MaxRetries != 7 {
-		t.Fatalf("a mutation after SetPushDelay(0) is still delayed by the instant-mode value")
-	}
-}
-
 func TestDistributionResyncAfterPartition(t *testing.T) {
 	tb := buildBed(t, Config{Seed: 1}, echoBackend)
 	cp := tb.m.ControlPlane()

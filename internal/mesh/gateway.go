@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"meshlayer/internal/cluster"
 	"meshlayer/internal/hdr"
@@ -138,25 +137,4 @@ func PathClassifier(prefixes map[string]string, def string) Classifier {
 			req.Headers.Set(HeaderPriority, def)
 		}
 	}
-}
-
-// Deadline wraps cb so it fires with ErrTimeout if no response arrives
-// within d — the external client's patience, independent of mesh retry
-// policy.
-func (g *Gateway) ServeWithDeadline(req *httpsim.Request, d time.Duration, cb func(*httpsim.Response, error)) {
-	done := false
-	timer := g.mesh.sched.After(d, func() {
-		if !done {
-			done = true
-			cb(nil, ErrTimeout)
-		}
-	})
-	g.Serve(req, func(resp *httpsim.Response, err error) {
-		if done {
-			return
-		}
-		done = true
-		timer.Cancel()
-		cb(resp, err)
-	})
 }

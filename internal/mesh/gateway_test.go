@@ -2,53 +2,9 @@ package mesh
 
 import (
 	"testing"
-	"time"
 
-	"meshlayer/internal/cluster"
 	"meshlayer/internal/httpsim"
 )
-
-func TestServeWithDeadlineFires(t *testing.T) {
-	tb := buildBed(t, Config{}, func(pod *cluster.Pod, req *httpsim.Request, respond func(*httpsim.Response)) {
-		// Never respond: the external deadline must fire.
-	})
-	// Disable mesh retries so only the caller's deadline applies.
-	tb.m.ControlPlane().SetRetryPolicy("backend", RetryPolicy{})
-	tb.m.ControlPlane().SetRetryPolicy("frontend", RetryPolicy{})
-	var gotErr error
-	fired := time.Duration(0)
-	tb.gw.ServeWithDeadline(extReq("/x"), 500*time.Millisecond, func(r *httpsim.Response, err error) {
-		gotErr = err
-		fired = tb.sched.Now()
-	})
-	tb.sched.RunUntil(10 * time.Second)
-	if gotErr != ErrTimeout {
-		t.Fatalf("err = %v, want ErrTimeout", gotErr)
-	}
-	if fired != 500*time.Millisecond {
-		t.Fatalf("deadline fired at %v", fired)
-	}
-}
-
-func TestServeWithDeadlineFastResponseWins(t *testing.T) {
-	tb := buildBed(t, Config{}, echoBackend)
-	var got *httpsim.Response
-	calls := 0
-	tb.gw.ServeWithDeadline(extReq("/x"), 5*time.Second, func(r *httpsim.Response, err error) {
-		calls++
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = r
-	})
-	tb.sched.Run()
-	if got == nil || got.Status != httpsim.StatusOK {
-		t.Fatalf("got %+v", got)
-	}
-	if calls != 1 {
-		t.Fatalf("callback fired %d times", calls)
-	}
-}
 
 func TestPathClassifierLongestPrefixWins(t *testing.T) {
 	c := PathClassifier(map[string]string{

@@ -266,23 +266,6 @@ func (sc *Sidecar) ewmaScore(addr simnet.Addr) float64 {
 	return lat * float64(st.load()+1)
 }
 
-// pickWeighted draws a subset proportionally to the declared weights
-// (traffic shifting / canary).
-func (sc *Sidecar) pickWeighted(ws []WeightedSubset) SubsetRef {
-	total := 0
-	for _, w := range ws {
-		total += w.Weight
-	}
-	n := sc.mesh.rng.Intn(total)
-	for _, w := range ws {
-		n -= w.Weight
-		if n < 0 {
-			return w.Subset
-		}
-	}
-	return ws[len(ws)-1].Subset
-}
-
 // epState returns addr's state for writing, made at the first write.
 // Reads take sc.endpoints[addr] as it is.
 func (sc *Sidecar) epState(addr simnet.Addr) *endpointState { return entry(&sc.endpoints, addr) }

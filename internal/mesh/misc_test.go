@@ -111,58 +111,79 @@ func TestEndpointStateObserve(t *testing.T) {
 	}
 }
 
+// The push delay is the distributors' hold: the store takes a change at
+// once, every sidecar's snapshot only after the hold. Without
+// distribution it does nothing.
 func TestPushDelayDefersConfig(t *testing.T) {
 	tb := buildBed(t, Config{}, echoBackend)
 	cp := tb.m.ControlPlane()
+	cp.SetPushDelay(time.Hour)
+	cp.SetLBPolicy("backend", LBRandom)
+	if tb.fe.lbPolicyFor("backend") != LBRandom {
+		t.Fatal("a push delay without distribution deferred a change")
+	}
+
+	cp.EnableDistribution(DistributionConfig{Debounce: 20 * time.Millisecond})
 	cp.SetPushDelay(500 * time.Millisecond)
 	v := cp.Version()
-	cp.SetLBPolicy("backend", LBRandom)
-	// Not yet applied.
-	if cp.Version() != v || cp.LBPolicyFor("backend") != LBRoundRobin {
-		t.Fatal("config applied before propagation delay")
+	cp.SetLBPolicy("backend", LBEWMA)
+	if cp.Version() == v || cp.LBPolicyFor("backend") != LBEWMA {
+		t.Fatal("the store did not take the change at once")
+	}
+	tb.sched.RunFor(400 * time.Millisecond)
+	if tb.fe.lbPolicyFor("backend") != LBRandom {
+		t.Fatal("config reached the sidecar before the hold ran out")
 	}
 	tb.sched.RunFor(time.Second)
-	if cp.Version() == v || cp.LBPolicyFor("backend") != LBRandom {
+	if tb.fe.lbPolicyFor("backend") != LBEWMA {
 		t.Fatal("config never propagated")
 	}
-	// Restore instantaneous mode.
+	// Lift the hold: the next change lands after one debounce.
 	cp.SetPushDelay(0)
-	cp.SetLBPolicy("backend", LBEWMA)
-	if cp.LBPolicyFor("backend") != LBEWMA {
-		t.Fatal("instant mode broken")
+	cp.SetLBPolicy("backend", LBLeastRequest)
+	tb.sched.RunFor(100 * time.Millisecond)
+	if tb.fe.lbPolicyFor("backend") != LBLeastRequest {
+		t.Fatal("hold not lifted")
 	}
 	cp.SetPushDelay(-5) // clamps to 0
 	cp.SetLBPolicy("backend", LBRoundRobin)
-	if cp.LBPolicyFor("backend") != LBRoundRobin {
+	tb.sched.RunFor(100 * time.Millisecond)
+	if tb.fe.lbPolicyFor("backend") != LBRoundRobin {
 		t.Fatal("negative delay not clamped")
 	}
 }
 
+// A route rule staged under the hold changes where traffic goes only
+// once the hold runs out, with requests flowing throughout.
 func TestPushDelayedRouteRuleTakesEffectMidTraffic(t *testing.T) {
 	tb := buildBed(t, Config{Seed: 30}, echoBackend)
 	cp := tb.m.ControlPlane()
+	cp.EnableDistribution(DistributionConfig{Debounce: 20 * time.Millisecond})
 	cp.SetPushDelay(2 * time.Second)
 	cp.SetRouteRule(RouteRule{
 		Service:       "backend",
 		DefaultSubset: SubsetRef{Key: "version", Value: "v2"},
 	})
-	byBackend := map[string]int{}
-	// 4 requests before the rule lands, 4 after.
-	for i := 0; i < 8; i++ {
+	// One request a second: 0–2 before the rule lands at 2.02 s, 3–7
+	// after.
+	got := make([]string, 8)
+	for i := range got {
 		tb.gw.Serve(extReq("/x"), func(r *httpsim.Response, err error) {
 			if err == nil {
-				byBackend[r.Headers.Get("x-backend")]++
+				got[i] = r.Headers.Get("x-backend")
 			}
 		})
 		tb.sched.RunFor(time.Second)
 	}
-	tb.sched.Run()
-	// Early traffic round-robins both; later traffic pins to v2.
-	if byBackend["backend-1"] == 0 {
-		t.Fatalf("pre-push traffic never hit backend-1: %v", byBackend)
+	// Past the debounce but inside the hold, traffic still
+	// round-robins both backends; once the hold runs out it pins to v2.
+	if got[1] != "backend-1" && got[2] != "backend-1" {
+		t.Fatalf("requests inside the hold never hit backend-1: %v", got)
 	}
-	if byBackend["backend-2"] <= byBackend["backend-1"] {
-		t.Fatalf("post-push pinning not visible: %v", byBackend)
+	for i := 3; i < len(got); i++ {
+		if got[i] != "backend-2" {
+			t.Fatalf("request %d after the hold went to %q: %v", i, got[i], got)
+		}
 	}
 }
 

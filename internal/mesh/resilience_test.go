@@ -12,35 +12,8 @@ import (
 	"meshlayer/internal/transport"
 )
 
-func TestWeightedCanaryRouting(t *testing.T) {
-	tb := buildBed(t, Config{Seed: 21}, echoBackend)
-	tb.m.ControlPlane().SetRouteRule(RouteRule{
-		Service: "backend",
-		Weights: []WeightedSubset{
-			{Subset: SubsetRef{Key: "version", Value: "v1"}, Weight: 90},
-			{Subset: SubsetRef{Key: "version", Value: "v2"}, Weight: 10},
-		},
-	})
-	counts := map[string]int{}
-	for i := 0; i < 200; i++ {
-		tb.gw.Serve(extReq("/x"), func(r *httpsim.Response, err error) {
-			if err == nil {
-				counts[r.Headers.Get("x-backend")]++
-			}
-		})
-		tb.sched.RunFor(20 * time.Millisecond)
-	}
-	tb.sched.Run()
-	v1, v2 := counts["backend-1"], counts["backend-2"]
-	if v1+v2 != 200 {
-		t.Fatalf("total %d", v1+v2)
-	}
-	share := float64(v2) / 200
-	if share < 0.04 || share > 0.20 {
-		t.Fatalf("canary share = %.2f, want ~0.10", share)
-	}
-}
-
+// A matching header route wins over the rule's DefaultSubset; a request
+// it does not match takes the default.
 func TestWeightedRouteHeaderOverrides(t *testing.T) {
 	tb := buildBed(t, Config{Seed: 22}, echoBackend)
 	tb.m.ControlPlane().SetRouteRule(RouteRule{
@@ -48,38 +21,25 @@ func TestWeightedRouteHeaderOverrides(t *testing.T) {
 		HeaderRoutes: []HeaderRoute{
 			{Header: HeaderPriority, Value: PriorityHigh, Subset: SubsetRef{Key: "version", Value: "v1"}},
 		},
-		Weights: []WeightedSubset{
-			{Subset: SubsetRef{Key: "version", Value: "v2"}, Weight: 1},
-		},
+		DefaultSubset: SubsetRef{Key: "version", Value: "v2"},
 	})
-	tb.gw.SetClassifier(func(req *httpsim.Request) {
-		req.Headers.Set(HeaderPriority, PriorityHigh)
-	})
-	for i := 0; i < 5; i++ {
-		tb.gw.Serve(extReq("/x"), func(r *httpsim.Response, err error) {
+	tb.gw.SetClassifier(PathClassifier(map[string]string{"/hi": PriorityHigh}, PriorityLow))
+	for i := 0; i < 6; i++ {
+		path, want := "/hi", "backend-1"
+		if i%2 == 1 {
+			path, want = "/lo", "backend-2"
+		}
+		tb.gw.Serve(extReq(path), func(r *httpsim.Response, err error) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := r.Headers.Get("x-backend"); got != "backend-1" {
-				t.Fatalf("header route lost to weights: %s", got)
+			if got := r.Headers.Get("x-backend"); got != want {
+				t.Fatalf("%s went to %s, want %s", path, got, want)
 			}
 		})
 		tb.sched.RunFor(50 * time.Millisecond)
 	}
 	tb.sched.Run()
-}
-
-func TestWeightValidation(t *testing.T) {
-	tb := buildBed(t, Config{}, echoBackend)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero weight accepted")
-		}
-	}()
-	tb.m.ControlPlane().SetRouteRule(RouteRule{
-		Service: "backend",
-		Weights: []WeightedSubset{{Subset: SubsetRef{Key: "a", Value: "b"}, Weight: 0}},
-	})
 }
 
 func TestCertRotatesAtExpiry(t *testing.T) {
@@ -330,32 +290,6 @@ func TestTimeoutCondemnsPooledConnection(t *testing.T) {
 	}
 	if tb.fe.PoolSize() != 1 {
 		t.Fatalf("pool size = %d, want the dead conn replaced in place", tb.fe.PoolSize())
-	}
-}
-
-func TestClientDeadlinePreemptsRetries(t *testing.T) {
-	// The external client's deadline fires while the mesh is still
-	// burning retries; the late mesh outcome must not re-fire the cb.
-	tb := buildBed(t, Config{Seed: 31}, func(pod *cluster.Pod, req *httpsim.Request, respond func(*httpsim.Response)) {})
-	tb.m.ControlPlane().SetRetryPolicy("backend", RetryPolicy{MaxRetries: 5, PerTryTimeout: 200 * time.Millisecond})
-
-	fired := 0
-	var gotErr error
-	var at time.Duration
-	tb.gw.ServeWithDeadline(extReq("/x"), 300*time.Millisecond, func(r *httpsim.Response, err error) {
-		fired++
-		gotErr = err
-		at = tb.sched.Now()
-	})
-	tb.sched.Run()
-	if fired != 1 {
-		t.Fatalf("callback fired %d times", fired)
-	}
-	if !errors.Is(gotErr, ErrTimeout) {
-		t.Fatalf("error = %v, want ErrTimeout", gotErr)
-	}
-	if at != 300*time.Millisecond {
-		t.Fatalf("deadline fired at %v, want exactly 300ms", at)
 	}
 }
 

@@ -460,16 +460,11 @@ func (sc *Sidecar) endpointsFor(service string, req *httpsim.Request) ([]*cluste
 	subset := SubsetRef{}
 	if rule := sc.routeRuleFor(service); rule != nil {
 		subset = rule.DefaultSubset
-		matched := false
 		for _, hr := range rule.HeaderRoutes {
 			if req.Headers.Get(hr.Header) == hr.Value {
 				subset = hr.Subset
-				matched = true
 				break
 			}
-		}
-		if !matched && len(rule.Weights) > 0 {
-			subset = sc.pickWeighted(rule.Weights)
 		}
 	}
 	eps := all

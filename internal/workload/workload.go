@@ -20,35 +20,12 @@ import (
 	"meshlayer/internal/simnet"
 )
 
-// ArrivalMode selects the arrival process.
-type ArrivalMode int
-
-// Arrival processes.
-const (
-	// ArrivalUniform draws inter-arrival gaps from U(0, 2/rate) —
-	// the paper's §4.3 setup ("uniformly random inter-arrival times").
-	ArrivalUniform ArrivalMode = iota
-	// ArrivalPoisson draws exponential gaps (memoryless arrivals).
-	ArrivalPoisson
-	// ArrivalClosed runs a fixed number of virtual users that issue,
-	// wait for the response, think, and repeat. Rate is ignored;
-	// Concurrency and ThinkTime apply.
-	ArrivalClosed
-)
-
 // Spec describes one workload.
 type Spec struct {
 	// Name labels the workload in results ("latency-sensitive").
 	Name string
-	// Rate is the average arrival rate in requests per second
-	// (open-loop modes only).
+	// Rate is the average arrival rate in requests per second.
 	Rate float64
-	// Arrival selects the arrival process (default ArrivalUniform).
-	Arrival ArrivalMode
-	// Concurrency is the virtual-user count for ArrivalClosed.
-	Concurrency int
-	// ThinkTime is each closed-loop user's pause between requests.
-	ThinkTime time.Duration
 	// NewRequest builds each request (called once per arrival).
 	NewRequest func() *httpsim.Request
 	// Seed drives the arrival process. Generators with different seeds
@@ -119,11 +96,7 @@ type Generator struct {
 // Start launches the workload at the scheduler's current time. The
 // generator stops issuing after spec.TotalDuration().
 func Start(sched *simnet.Scheduler, gw *mesh.Gateway, spec Spec) *Generator {
-	if spec.Arrival == ArrivalClosed {
-		if spec.Concurrency <= 0 {
-			panic("workload: closed-loop needs Concurrency > 0")
-		}
-	} else if spec.Rate <= 0 {
+	if spec.Rate <= 0 {
 		panic("workload: rate must be positive")
 	}
 	if spec.NewRequest == nil {
@@ -141,50 +114,25 @@ func Start(sched *simnet.Scheduler, gw *mesh.Gateway, spec Spec) *Generator {
 		hist:  hdr.New(),
 	}
 	g.running = true
-	if spec.Arrival == ArrivalClosed {
-		for i := 0; i < spec.Concurrency; i++ {
-			g.userLoop()
-		}
-	} else {
-		g.scheduleNext()
-	}
+	g.scheduleNext()
 	return g
 }
 
-// scheduleNext draws the next open-loop inter-arrival: U(0, 2/rate)
-// for the paper's uniform arrivals, Exp(rate) for Poisson.
+// scheduleNext draws the next inter-arrival gap from U(0, 2/rate) —
+// the paper's §4.3 setup ("uniformly random inter-arrival times").
 func (g *Generator) scheduleNext() {
-	var gap time.Duration
-	if g.spec.Arrival == ArrivalPoisson {
-		gap = time.Duration(g.rng.ExpFloat64() / g.spec.Rate * float64(time.Second))
-	} else {
-		gap = time.Duration(g.rng.Float64() * 2 / g.spec.Rate * float64(time.Second))
-	}
+	gap := time.Duration(g.rng.Float64() * 2 / g.spec.Rate * float64(time.Second))
 	g.sched.After(gap, g.fire)
 }
 
+// fire sends one request and draws the next arrival, until the run is
+// over.
 func (g *Generator) fire() {
-	if !g.issue(nil) {
-		return
-	}
-	g.scheduleNext()
-}
-
-// userLoop is one closed-loop virtual user: issue, await, think, repeat.
-func (g *Generator) userLoop() {
-	g.issue(func() {
-		g.sched.After(g.spec.ThinkTime, g.userLoop)
-	})
-}
-
-// issue sends one request; onDone (if non-nil) runs after its response.
-// It returns false once the run is over.
-func (g *Generator) issue(onDone func()) bool {
 	now := g.sched.Now()
 	elapsed := now - g.start
 	if elapsed >= g.spec.TotalDuration() {
 		g.running = false
-		return false
+		return
 	}
 	g.issued++
 	issuedAt := now
@@ -202,11 +150,8 @@ func (g *Generator) issue(onDone func()) bool {
 		if g.spec.OnComplete != nil {
 			g.spec.OnComplete(now, now-issuedAt, failed)
 		}
-		if onDone != nil {
-			onDone()
-		}
 	})
-	return true
+	g.scheduleNext()
 }
 
 // Running reports whether the generator is still issuing.

@@ -140,56 +140,3 @@ func TestResultsStringAndThroughput(t *testing.T) {
 		t.Fatal("string summary empty")
 	}
 }
-
-func TestPoissonArrivals(t *testing.T) {
-	e := app.BuildELibrary(app.DefaultELibraryConfig())
-	spec := testSpec(50, 4)
-	spec.Arrival = ArrivalPoisson
-	g := Start(e.Sched, e.Gateway, spec)
-	e.Sched.RunUntil(14 * time.Second)
-	r := g.Results()
-	// 13s at 50 RPS: ~650 arrivals, wider variance than uniform.
-	if r.Issued < 500 || r.Issued > 800 {
-		t.Fatalf("issued = %d, want ~650", r.Issued)
-	}
-}
-
-func TestClosedLoopConcurrencyBound(t *testing.T) {
-	e := app.BuildELibrary(app.DefaultELibraryConfig())
-	spec := Spec{
-		Name:        "closed",
-		Arrival:     ArrivalClosed,
-		Concurrency: 4,
-		ThinkTime:   10 * time.Millisecond,
-		NewRequest:  app.NewProductRequest,
-		Seed:        5,
-		Warmup:      time.Second,
-		Measure:     8 * time.Second,
-		Cooldown:    time.Second,
-	}
-	g := Start(e.Sched, e.Gateway, spec)
-	e.Sched.RunUntil(12 * time.Second)
-	e.Sched.Run()
-	r := g.Results()
-	if r.Measured == 0 || r.Errors != 0 {
-		t.Fatalf("measured=%d errors=%d", r.Measured, r.Errors)
-	}
-	// Each user cycles in roughly (latency + think) ~ 15ms: about 65
-	// req/s/user. Sanity-bound the closed-loop rate.
-	rate := r.Throughput()
-	if rate < 50 || rate > 400 {
-		t.Fatalf("closed-loop throughput = %.1f", rate)
-	}
-}
-
-func TestClosedLoopValidation(t *testing.T) {
-	e := app.BuildELibrary(app.DefaultELibraryConfig())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("closed loop without concurrency accepted")
-		}
-	}()
-	Start(e.Sched, e.Gateway, Spec{
-		Arrival: ArrivalClosed, NewRequest: app.NewProductRequest, Measure: time.Second,
-	})
-}
