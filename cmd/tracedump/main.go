@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -20,18 +22,32 @@ import (
 	"meshlayer/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters: 0 on success,
+// 2 with a one-line message on stderr for bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracedump", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n    = flag.Int("n", 2, "requests of each class to trace")
-		opts = flag.String("opts", "routing,tc", "optimizations: routing,tc,scavenger,sdn (empty = baseline)")
-		seed = flag.Int64("seed", 1, "random seed")
+		n    = fs.Int("n", 2, "requests of each class to trace")
+		opts = fs.String("opts", "routing,tc", "optimizations: routing,tc,scavenger,sdn (empty = baseline)")
+		seed = fs.Int64("seed", 1, "random seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	opt, err := meshlayer.ParseOptimizations(*opts)
+	if err == nil && *n <= 0 {
+		err = fmt.Errorf("n must be > 0, got %d", *n)
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracedump:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "tracedump:", err)
+		return 2
 	}
 
 	s := meshlayer.NewScenario(meshlayer.ScenarioConfig{Opt: opt, Seed: *seed})
@@ -49,14 +65,14 @@ func main() {
 		if tree == nil {
 			continue
 		}
-		fmt.Printf("trace %s (priority=%s, total=%v)\n", id, tree.Span.Priority, tree.Span.Duration())
-		fmt.Print(tree.Format())
-		fmt.Print(trace.FormatCriticalPath(trace.CriticalPath(tree)))
-		fmt.Println()
+		fmt.Fprintf(stdout, "trace %s (priority=%s, total=%v)\n", id, tree.Span.Priority, tree.Span.Duration())
+		fmt.Fprint(stdout, tree.Format())
+		fmt.Fprint(stdout, trace.FormatCriticalPath(trace.CriticalPath(tree)))
+		fmt.Fprintln(stdout)
 	}
 
-	fmt.Println("slowest traces:", tracer.SlowestTraces(3))
-	fmt.Println("\nper-service totals:")
+	fmt.Fprintln(stdout, "slowest traces:", tracer.SlowestTraces(3))
+	fmt.Fprintln(stdout, "\nper-service totals:")
 	totals := tracer.ServiceTotals()
 	names := make([]string, 0, len(totals))
 	for svc := range totals {
@@ -64,6 +80,7 @@ func main() {
 	}
 	sort.Strings(names)
 	for _, svc := range names {
-		fmt.Printf("  %-18s spans=%-4d busy=%v\n", svc, totals[svc].Spans, totals[svc].TotalTime)
+		fmt.Fprintf(stdout, "  %-18s spans=%-4d busy=%v\n", svc, totals[svc].Spans, totals[svc].TotalTime)
 	}
+	return 0
 }

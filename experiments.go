@@ -967,16 +967,8 @@ func applyChaosDefenses(cp *mesh.ControlPlane, level int) {
 		cp.SetRetryPolicy(svc, retry)
 		cp.SetCircuitBreaker(svc, breaker)
 		if level >= 2 {
-			cp.SetHealthCheck(svc, mesh.HealthCheckPolicy{
-				Interval: 25 * time.Millisecond, Timeout: 20 * time.Millisecond,
-				UnhealthyThreshold: 2, HealthyThreshold: 2,
-				SlowStart: 1500 * time.Millisecond,
-			})
-			cp.SetOutlierPolicy(svc, mesh.OutlierPolicy{
-				Interval: 100 * time.Millisecond, MinRequests: 3,
-				FailureThreshold: 0.4, LatencyFactor: 5,
-				BaseEjection: 3 * time.Second, PanicThreshold: 0.5,
-			})
+			cp.SetHealthCheck(svc, mesh.HealthCheckPolicy{Enabled: true})
+			cp.SetOutlierPolicy(svc, mesh.OutlierPolicy{Enabled: true})
 		}
 	}
 }

@@ -58,11 +58,7 @@ func applyFederationDefenses(cp *mesh.ControlPlane, ladder string, fallback bool
 	case "region":
 		setLocality(cp, mesh.LocalityPolicy{Mode: mesh.LocalityRegionOnly})
 	case "full":
-		setLocality(cp, mesh.LocalityPolicy{
-			Mode:                   mesh.LocalityLadder,
-			OverprovisioningFactor: 1.4,
-			PanicThreshold:         0.5,
-		})
+		setLocality(cp, mesh.LocalityPolicy{Mode: mesh.LocalityLadder, PanicThreshold: 0.5})
 	}
 	if fallback {
 		degradeRatings(cp) // as in E17

@@ -171,22 +171,38 @@ func TestQueueShedsExpiredOnPop(t *testing.T) {
 	}
 }
 
+// fillWindow records one adjustment window (limiterWindow = 32
+// samples) of the given latency, taking a slot before each release.
+func fillWindow(l *Limiter, latency time.Duration) {
+	for i := 0; i < 32; i++ {
+		l.Acquire()
+		l.Release(latency, true)
+	}
+}
+
 func TestLimiterGrowsWhenSaturatedAndHealthy(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 2, Window: 4})
+	l := NewLimiter(LimiterConfig{Initial: 2})
 	if !l.Acquire() || !l.Acquire() {
 		t.Fatal("initial slots unavailable")
 	}
 	if l.Acquire() {
 		t.Fatal("limit not enforced")
 	}
-	// A window of flat latency while saturated: additive growth. The
-	// second window never hits the raised limit, so no further growth.
-	for w := 0; w < 2; w++ {
-		for i := 0; i < 4; i++ {
-			l.Acquire()
-			l.Release(ms(10), true)
+	// A window of flat latency while saturated: additive growth, once
+	// the 32nd sample closes the window. The second window never hits
+	// the raised limit, so no further growth.
+	for i := 1; i <= 32; i++ {
+		l.Acquire()
+		l.Release(ms(10), true)
+		want := 2
+		if i == 32 {
+			want = 3
+		}
+		if l.Limit() != want {
+			t.Fatalf("limit = %d after %d samples, want %d", l.Limit(), i, want)
 		}
 	}
+	fillWindow(l, ms(10))
 	if l.Limit() != 3 {
 		t.Fatalf("limit = %d, want 3 (one +1 step)", l.Limit())
 	}
@@ -196,19 +212,20 @@ func TestLimiterGrowsWhenSaturatedAndHealthy(t *testing.T) {
 }
 
 func TestLimiterBacksOffOnLatency(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 20, Window: 4, Tolerance: 1.5})
+	l := NewLimiter(LimiterConfig{Initial: 20})
 	// Establish a 10ms floor.
-	for i := 0; i < 4; i++ {
-		l.Acquire()
-		l.Release(ms(10), true)
-	}
+	fillWindow(l, ms(10))
 	before := l.Limit()
-	// Latency blows past tolerance: multiplicative decrease, scaled by
-	// the gradient (15ms band / 40ms mean = 0.5 floor).
-	for i := 0; i < 4; i++ {
-		l.Acquire()
-		l.Release(ms(40), true)
+	// Latency past the 1.5x tolerance: multiplicative decrease by the
+	// gradient, 15ms band / 20ms mean = 0.75.
+	fillWindow(l, ms(20))
+	if l.Limit() != 15 {
+		t.Fatalf("limit = %d, want the 0.75 gradient to take %d to 15", l.Limit(), before)
 	}
+	// Latency blows far past tolerance: the gradient (15ms band / 40ms
+	// mean) is clamped at its 0.5 floor.
+	before = l.Limit()
+	fillWindow(l, ms(40))
 	if l.Limit() >= before {
 		t.Fatalf("limit %d did not shrink from %d", l.Limit(), before)
 	}
@@ -221,20 +238,20 @@ func TestLimiterBacksOffOnLatency(t *testing.T) {
 }
 
 func TestLimiterDoesNotGrowUnsaturated(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 8, Window: 4})
-	for i := 0; i < 8; i++ {
-		l.Acquire()
-		l.Release(ms(10), true)
-	}
+	l := NewLimiter(LimiterConfig{Initial: 8})
+	fillWindow(l, ms(10))
+	fillWindow(l, ms(10))
 	if l.Limit() != 8 {
 		t.Fatalf("limit = %d; must not grow while the limit is not binding", l.Limit())
 	}
 }
 
 func TestLimiterFailuresReleaseWithoutSample(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Initial: 4, Window: 2})
-	l.Acquire()
-	l.Release(ms(1000), false)
+	l := NewLimiter(LimiterConfig{Initial: 4})
+	for i := 0; i < 32; i++ {
+		l.Acquire()
+		l.Release(ms(1000), false)
+	}
 	if l.Inflight() != 0 {
 		t.Fatalf("inflight = %d", l.Inflight())
 	}

@@ -9,12 +9,6 @@ type LimiterConfig struct {
 	Initial int
 	// Min and Max clamp the limit (defaults 1 and 1024).
 	Min, Max int
-	// Tolerance is the acceptable latency multiple over the no-load
-	// floor before the limit shrinks (default 1.5).
-	Tolerance float64
-	// Window is the number of latency samples per adjustment step
-	// (default 32).
-	Window int
 }
 
 func (c LimiterConfig) withDefaults() LimiterConfig {
@@ -27,25 +21,25 @@ func (c LimiterConfig) withDefaults() LimiterConfig {
 	if c.Max <= 0 {
 		c.Max = 1024
 	}
-	if c.Tolerance <= 1 {
-		c.Tolerance = 1.5
-	}
-	if c.Window <= 0 {
-		c.Window = 32
-	}
 	return c
 }
 
-// noloadWindows is how many adjustment windows the no-load latency
-// floor remembers; the floor is the minimum over them, so it can
-// recover upward when the service genuinely slows.
-const noloadWindows = 10
+const (
+	// limiterTolerance is the acceptable latency multiple over the
+	// no-load floor before the limit shrinks.
+	limiterTolerance = 1.5
+	limiterWindow    = 32 // latency samples per adjustment step
+	// noloadWindows is how many adjustment windows the no-load latency
+	// floor remembers; the floor is the minimum over them, so it can
+	// recover upward when the service genuinely slows.
+	noloadWindows = 10
+)
 
 // Limiter adaptively bounds a sidecar's inflight requests using a
 // gradient/AIMD law on observed service latency:
 //
-//   - while the window's mean latency stays within Tolerance of the
-//     no-load floor AND the limit was actually reached, grow the limit
+//   - while the window's mean latency stays within limiterTolerance of
+//     the no-load floor AND the limit was actually reached, grow the limit
 //     additively (+1) — classic slow probing for headroom;
 //   - when the mean exceeds the tolerance band, shrink the limit
 //     multiplicatively, scaled by the overshoot gradient
@@ -118,7 +112,7 @@ func (l *Limiter) Release(latency time.Duration, ok bool) {
 	if l.winMin == 0 || latency < l.winMin {
 		l.winMin = latency
 	}
-	if l.winCount >= l.cfg.Window {
+	if l.winCount >= limiterWindow {
 		l.adjust()
 	}
 }
@@ -135,7 +129,7 @@ func (l *Limiter) adjust() {
 	l.lastMean = mean
 	floor := l.NoLoad()
 
-	band := time.Duration(l.cfg.Tolerance * float64(floor))
+	band := time.Duration(limiterTolerance * float64(floor))
 	if floor > 0 && mean > band {
 		gradient := float64(band) / float64(mean)
 		if gradient < 0.5 {

@@ -108,11 +108,6 @@ type Config struct {
 	// full resync: the rest wait in FIFO order for an admission slot.
 	// Zero means unlimited.
 	MaxConcurrentResyncs int
-	// ResyncLease bounds how long one subscriber may hold a resync
-	// admission slot; a stuck resync is sent to the back of the queue
-	// when the lease expires (default 10s; used only when
-	// MaxConcurrentResyncs > 0).
-	ResyncLease time.Duration
 	// OnSynced, when set, fires each time a subscriber catches up to the
 	// current server version through the push path (ack or empty-delta
 	// fast-forward). The mesh uses it to gate pod readiness on config
@@ -250,9 +245,6 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.ResyncDelay <= 0 {
 		cfg.ResyncDelay = 500 * time.Millisecond
-	}
-	if cfg.ResyncLease <= 0 {
-		cfg.ResyncLease = 10 * time.Second
 	}
 	return &Server{
 		cfg:       cfg,
@@ -545,6 +537,11 @@ func (s *Server) admit() {
 	}
 }
 
+// resyncLease bounds how long one subscriber may hold a resync
+// admission slot; a stuck resync is sent to the back of the queue when
+// the lease expires. It is armed only when MaxConcurrentResyncs > 0.
+const resyncLease = 10 * time.Second
+
 // grantResync hands sub a resync admission slot and arms the lease
 // that reclaims it if the resync wedges (e.g. a subscriber that stays
 // partitioned through every retry).
@@ -556,7 +553,7 @@ func (s *Server) grantResync(sub *subscriber) {
 	}
 	gen := sub.gen
 	sub.leaseTimer.Cancel() // fired or cancelled when !resyncHeld; cancel before re-arm
-	sub.leaseTimer = s.cfg.Sched.After(s.cfg.ResyncLease, func() {
+	sub.leaseTimer = s.cfg.Sched.After(resyncLease, func() {
 		if sub.gen != gen || !sub.resyncHeld || sub.synced {
 			return
 		}

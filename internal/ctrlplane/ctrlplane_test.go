@@ -615,7 +615,7 @@ func TestResyncAdmissionCapAndLease(t *testing.T) {
 	srv := NewServer(Config{
 		Sched: sched, Transport: tr, Debounce: 50 * time.Millisecond,
 		ResyncDelay:          100 * time.Millisecond,
-		MaxConcurrentResyncs: 1, ResyncLease: time.Second,
+		MaxConcurrentResyncs: 1,
 	})
 	srv.SetResource("a", "a1", 100)
 	subscribe(tr, srv, "s1")
@@ -629,7 +629,7 @@ func TestResyncAdmissionCapAndLease(t *testing.T) {
 
 	// s2 is healthy but waits: s1 holds the only resync slot through its
 	// endless retries.
-	sched.RunFor(800 * time.Millisecond) // t=1.1s, lease expires at ~1.16s
+	sched.RunFor(9800 * time.Millisecond) // t=10.1s, the 10s lease expires at ~10.16s
 	if srv.Current("s2") {
 		t.Fatal("s2 resynced while s1 held the only admission slot")
 	}

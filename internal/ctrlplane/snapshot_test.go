@@ -161,7 +161,7 @@ func TestSnapshotMatchesReferenceApply(t *testing.T) {
 		{"plain", Config{}},
 		{"fullstate", Config{FullState: true}},
 		{"capped", Config{
-			MaxInflightPushes: 1, MaxConcurrentResyncs: 1, ResyncLease: time.Second,
+			MaxInflightPushes: 1, MaxConcurrentResyncs: 1,
 			ResyncMax: 2 * time.Second, ResyncJitter: 0.5,
 		}},
 	}
@@ -294,6 +294,11 @@ func walkSnapshots(t *testing.T, name string, cfg Config, seed int64, paths *wal
 				paths.probeNacks++
 			}
 			op = "probe"
+		case r < 93:
+			// Long enough for a subscriber that stays down to outlive
+			// its resync lease.
+			sched.RunFor(resyncLease)
+			op = "long wait"
 		default:
 			op = "wait"
 		}

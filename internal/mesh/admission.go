@@ -48,8 +48,7 @@ type AdmissionPolicy struct {
 }
 
 // SetAdmissionPolicy installs (replacing) the admission policy for a
-// service. Like all policy pushes it honours the control plane's push
-// delay.
+// service. Like all policy pushes it honours the distributors' hold.
 func (cp *ControlPlane) SetAdmissionPolicy(service string, p AdmissionPolicy) {
 	cp.edit(service, func(pol *servicePolicy) { pol.Admission = &p })
 }

@@ -113,47 +113,16 @@ type CircuitBreakerPolicy struct {
 var DefaultCircuitBreaker = CircuitBreakerPolicy{ConsecutiveFailures: 5, OpenFor: 30 * time.Second}
 
 // HealthCheckPolicy enables active health checking for a service:
-// every sidecar probes each endpoint on a timer and removes endpoints
-// failing UnhealthyThreshold consecutive probes from LB rotation until
-// HealthyThreshold consecutive probes succeed — Envoy's HTTP health
-// checker. Probes are answered by the destination sidecar itself, so
-// they detect crashes and partitions but deliberately not gray
-// application failures (that is outlier detection's job).
+// every sidecar probes each endpoint every healthInterval and removes
+// endpoints failing healthUnhealthyThreshold consecutive probes from LB
+// rotation until healthHealthyThreshold consecutive probes succeed —
+// Envoy's HTTP health checker. Probes are answered by the destination
+// sidecar itself, so they detect crashes and partitions but
+// deliberately not gray application failures (that is outlier
+// detection's job).
 type HealthCheckPolicy struct {
-	// Interval between probes of each endpoint.
-	Interval time.Duration
-	// Timeout fails a probe that has not answered in time. Zero means
-	// half the interval.
-	Timeout time.Duration
-	// UnhealthyThreshold consecutive failures mark an endpoint
-	// unhealthy (default 2).
-	UnhealthyThreshold int
-	// HealthyThreshold consecutive successes restore it (default 2).
-	HealthyThreshold int
-	// SlowStart, when > 0, ramps a freshly-recovered endpoint's traffic
-	// share linearly over this window instead of returning it to full
-	// rotation at once (Envoy's LB slow-start mode). Without it, a
-	// recovered endpoint is slammed with a full load burst over cold
-	// connections, and the resulting queue spike shows up as a latency
-	// wave across the whole service.
-	SlowStart time.Duration
-}
-
-// IsZero reports whether health checking is disabled.
-func (p HealthCheckPolicy) IsZero() bool { return p.Interval <= 0 }
-
-// withDefaults fills unset fields.
-func (p HealthCheckPolicy) withDefaults() HealthCheckPolicy {
-	if p.Timeout <= 0 {
-		p.Timeout = p.Interval / 2
-	}
-	if p.UnhealthyThreshold <= 0 {
-		p.UnhealthyThreshold = 2
-	}
-	if p.HealthyThreshold <= 0 {
-		p.HealthyThreshold = 2
-	}
-	return p
+	// Enabled turns the probe loop on.
+	Enabled bool
 }
 
 // OutlierPolicy enables passive (success-rate and latency) outlier
@@ -162,44 +131,42 @@ func (p HealthCheckPolicy) withDefaults() HealthCheckPolicy {
 // far slower than their best peer — Envoy's outlier detection, the
 // mesh's answer to gray failures that active probes cannot see.
 type OutlierPolicy struct {
-	// Interval between sweeps.
-	Interval time.Duration
-	// MinRequests is the minimum window size to judge an endpoint
-	// (default 5).
-	MinRequests int
-	// FailureThreshold ejects an endpoint whose windowed failure ratio
-	// reaches this value (default 0.5).
-	FailureThreshold float64
-	// LatencyFactor, when > 0, also ejects an endpoint whose latency
-	// EWMA exceeds this multiple of the best peer's — catching
+	// Enabled turns the sweep loop, and panic routing, on.
+	Enabled bool
+}
+
+// The tuning of health checking and outlier detection: E15's values,
+// the only ones any run uses (DESIGN.md, "Tuning knobs are constants").
+const (
+	healthInterval = 25 * time.Millisecond // between probes of each endpoint
+	healthTimeout  = 20 * time.Millisecond // fails an unanswered probe
+	// Consecutive probe failures that mark an endpoint unhealthy, and
+	// consecutive successes that restore it.
+	healthUnhealthyThreshold = 2
+	healthHealthyThreshold   = 2
+	// healthSlowStart ramps a freshly-recovered endpoint's traffic
+	// share linearly over this window instead of returning it to full
+	// rotation at once (Envoy's LB slow-start mode). Without it, a
+	// recovered endpoint is slammed with a full load burst over cold
+	// connections, and the resulting queue spike shows up as a latency
+	// wave across the whole service.
+	healthSlowStart = 1500 * time.Millisecond
+
+	outlierInterval    = 100 * time.Millisecond // between sweeps
+	outlierMinRequests = 3                      // the smallest window judged
+	// outlierFailureThreshold ejects an endpoint whose window fails at
+	// least this share of requests; outlierLatencyFactor one whose
+	// latency EWMA exceeds this multiple of the best peer's, catching
 	// slow-pod gray failures that still answer 200s.
-	LatencyFactor float64
-	// BaseEjection is how long an ejected endpoint stays out of
-	// rotation (default 10s).
-	BaseEjection time.Duration
-	// PanicThreshold stops ejections (and re-admits everything for
-	// routing) when the available fraction of endpoints would drop
+	outlierFailureThreshold = 0.4
+	outlierLatencyFactor    = 5
+	outlierBaseEjection     = 3 * time.Second // how long an ejection lasts
+	// outlierPanicThreshold stops ejections (and re-admits everything
+	// for routing) when the available fraction of endpoints would drop
 	// below it — Envoy's panic routing, trading failure isolation for
-	// capacity when most of the fleet looks bad (default 0, disabled).
-	PanicThreshold float64
-}
-
-// IsZero reports whether outlier detection is disabled.
-func (p OutlierPolicy) IsZero() bool { return p.Interval <= 0 }
-
-// withDefaults fills unset fields.
-func (p OutlierPolicy) withDefaults() OutlierPolicy {
-	if p.MinRequests <= 0 {
-		p.MinRequests = 5
-	}
-	if p.FailureThreshold <= 0 {
-		p.FailureThreshold = 0.5
-	}
-	if p.BaseEjection <= 0 {
-		p.BaseEjection = 10 * time.Second
-	}
-	return p
-}
+	// capacity when most of the fleet looks bad.
+	outlierPanicThreshold = 0.5
+)
 
 // HedgePolicy issues a redundant request to a second replica if the
 // first has not answered within Delay — the "low latency via
@@ -417,21 +384,12 @@ func (cp *ControlPlane) SetCircuitBreaker(service string, p CircuitBreakerPolicy
 // SetHealthCheck configures active health checking for a service's
 // endpoints. A zero policy disables it.
 func (cp *ControlPlane) SetHealthCheck(service string, p HealthCheckPolicy) {
-	if p.Interval < 0 {
-		panic("mesh: health-check interval must be >= 0")
-	}
 	cp.edit(service, func(pol *servicePolicy) { pol.Health = &p })
 }
 
 // SetOutlierPolicy configures passive outlier detection for a
 // service's endpoints. A zero policy disables it.
 func (cp *ControlPlane) SetOutlierPolicy(service string, p OutlierPolicy) {
-	if p.FailureThreshold < 0 || p.FailureThreshold > 1 {
-		panic("mesh: outlier FailureThreshold must be in [0, 1]")
-	}
-	if p.PanicThreshold < 0 || p.PanicThreshold > 1 {
-		panic("mesh: outlier PanicThreshold must be in [0, 1]")
-	}
 	cp.edit(service, func(pol *servicePolicy) { pol.Outlier = &p })
 }
 
@@ -443,9 +401,6 @@ func (cp *ControlPlane) SetLocalityPolicy(service string, p LocalityPolicy) {
 		LocalityRegionOnly, LocalityLadder:
 	default:
 		panic(fmt.Sprintf("mesh: unknown locality mode %q", p.Mode))
-	}
-	if p.OverprovisioningFactor < 0 {
-		panic("mesh: locality OverprovisioningFactor must be >= 0")
 	}
 	if p.PanicThreshold < 0 || p.PanicThreshold > 1 {
 		panic("mesh: locality PanicThreshold must be in [0, 1]")

@@ -45,17 +45,27 @@ func TestHealthCheckRemovesAndRestoresEndpoint(t *testing.T) {
 	hits := map[string]int{}
 	tb := buildBed(t, Config{Seed: 5}, countingBackend(hits, nil))
 	cp := tb.m.ControlPlane()
-	cp.SetHealthCheck("backend", HealthCheckPolicy{
-		Interval: 50 * time.Millisecond, Timeout: 25 * time.Millisecond,
-		UnhealthyThreshold: 1, HealthyThreshold: 2,
-	})
+	cp.SetHealthCheck("backend", HealthCheckPolicy{Enabled: true})
 	cp.SetRetryPolicy("backend", RetryPolicy{MaxRetries: 0, PerTryTimeout: 100 * time.Millisecond})
 
 	var ok, fail int
-	// Priming request starts the frontend's health-check loop.
+	// Priming request starts the frontend's health-check loop, whose
+	// probes then go out every 25ms from ~0.7ms on.
 	fire(tb, 0, &ok, &fail)
-	// Crash backend-1 at 1s; probes should remove it within ~75ms.
+	// Crash backend-1 at 1s. The probes sent at ~1000.7ms and
+	// ~1025.7ms time out 20ms later, and the second failure marks it
+	// unhealthy at ~1045.7ms.
+	b1 := tb.cl.Pod("backend-1").Addr()
+	unhealthyAt := func(at time.Duration, want bool) {
+		tb.sched.At(at, func() {
+			if got := tb.fe.endpoints[b1].unhealthy; got != want {
+				t.Errorf("backend-1 unhealthy at %v = %v, want %v", at, got, want)
+			}
+		})
+	}
 	tb.sched.At(time.Second, func() { tb.cl.Pod("backend-1").Partition(true) })
+	unhealthyAt(1045*time.Millisecond, false)
+	unhealthyAt(1046*time.Millisecond, true)
 	var duringB1 int
 	tb.sched.At(1200*time.Millisecond, func() { duringB1 = hits["backend-1"] })
 	for i := 0; i < 10; i++ {
@@ -63,8 +73,11 @@ func TestHealthCheckRemovesAndRestoresEndpoint(t *testing.T) {
 	}
 	var afterB1 int
 	tb.sched.At(1400*time.Millisecond, func() { afterB1 = hits["backend-1"] })
-	// Heal at 1.5s; two clean probes restore it by ~1.65s.
+	// Heal at 1.5s; the clean probes of ~1500.7ms and ~1525.7ms restore
+	// it, to a 1.5s slow-start ramp.
 	tb.sched.At(1500*time.Millisecond, func() { tb.cl.Pod("backend-1").Partition(false) })
+	unhealthyAt(1525*time.Millisecond, true)
+	unhealthyAt(1526*time.Millisecond, false)
 	for i := 0; i < 10; i++ {
 		fire(tb, 2*time.Second+time.Duration(i)*10*time.Millisecond, &ok, &fail)
 	}
@@ -79,6 +92,9 @@ func TestHealthCheckRemovesAndRestoresEndpoint(t *testing.T) {
 	if hits["backend-1"] == afterB1 {
 		t.Fatal("backend-1 never restored to rotation after heal")
 	}
+	if st := tb.fe.endpoints[b1]; st.warmUntil-st.warmSince != 1500*time.Millisecond {
+		t.Fatalf("slow-start ramp = %v, want 1.5s", st.warmUntil-st.warmSince)
+	}
 	if got := tb.m.Metrics().CounterTotal("mesh_health_transitions_total"); got < 2 {
 		t.Fatalf("health transitions = %d, want >= 2", got)
 	}
@@ -90,10 +106,7 @@ func TestOutlierEjectsErrorRateEndpoint(t *testing.T) {
 	cp := tb.m.ControlPlane()
 	cp.SetRetryPolicy("backend", RetryPolicy{MaxRetries: 0})
 	cp.SetCircuitBreaker("backend", CircuitBreakerPolicy{ConsecutiveFailures: 1 << 30, OpenFor: time.Hour})
-	cp.SetOutlierPolicy("backend", OutlierPolicy{
-		Interval: 100 * time.Millisecond, MinRequests: 3,
-		FailureThreshold: 0.4, BaseEjection: time.Hour,
-	})
+	cp.SetOutlierPolicy("backend", OutlierPolicy{Enabled: true})
 	// backend-1's application fails every request — the sidecar (and
 	// its health probes) stay healthy, only passive detection sees it.
 	tb.b1.SetServerFault(ServerFault{Prob: 1, Seed: 3})
@@ -140,10 +153,7 @@ func TestOutlierEjectsSlowPodByLatency(t *testing.T) {
 	hits := map[string]int{}
 	tb := buildBed(t, Config{Seed: 7}, slowAwareBackend(hits))
 	cp := tb.m.ControlPlane()
-	cp.SetOutlierPolicy("backend", OutlierPolicy{
-		Interval: 200 * time.Millisecond, MinRequests: 3,
-		FailureThreshold: 0.99, LatencyFactor: 5, BaseEjection: time.Hour,
-	})
+	cp.SetOutlierPolicy("backend", OutlierPolicy{Enabled: true})
 	// backend-1 is 50x slower but still answers 200s: a gray failure
 	// invisible to success-rate logic.
 	tb.cl.Pod("backend-1").SetExecFactor(50)
@@ -176,12 +186,10 @@ func TestPanicThresholdStopsEjections(t *testing.T) {
 	cp := tb.m.ControlPlane()
 	cp.SetRetryPolicy("backend", RetryPolicy{MaxRetries: 0})
 	cp.SetCircuitBreaker("backend", CircuitBreakerPolicy{ConsecutiveFailures: 1 << 30, OpenFor: time.Hour})
-	cp.SetOutlierPolicy("backend", OutlierPolicy{
-		Interval: 100 * time.Millisecond, MinRequests: 3,
-		FailureThreshold: 0.4, BaseEjection: time.Hour, PanicThreshold: 0.6,
-	})
-	// Both replicas fail: ejecting either would drop availability
-	// below the 60% panic floor, so neither may be ejected.
+	cp.SetOutlierPolicy("backend", OutlierPolicy{Enabled: true})
+	// Both replicas fail: the first sweep ejects one, but ejecting the
+	// other would drop availability below the 50% panic floor, so it
+	// stays in rotation for good.
 	tb.b1.SetServerFault(ServerFault{Prob: 1, Seed: 4})
 	tb.b2.SetServerFault(ServerFault{Prob: 1, Seed: 5})
 
@@ -191,11 +199,65 @@ func TestPanicThresholdStopsEjections(t *testing.T) {
 	}
 	tb.sched.RunUntil(time.Second)
 
-	if got := tb.m.Metrics().CounterTotal("mesh_outlier_ejections_total"); got != 0 {
-		t.Fatalf("ejections = %d despite panic threshold", got)
+	if got := tb.m.Metrics().CounterTotal("mesh_outlier_ejections_total"); got != 1 {
+		t.Fatalf("ejections = %d, want 1: the panic threshold must stop the second", got)
 	}
 	if got := tb.m.Metrics().CounterTotal("mesh_outlier_panic_total"); got == 0 {
 		t.Fatal("panic threshold never engaged")
+	}
+}
+
+// TestOutlierSweepVerdicts: one sweep over ten replicas, each with a
+// set window and latency EWMA, ejects exactly the ones past outlier
+// detection's thresholds — at least 3 requests, a 0.4 failure ratio, 5x
+// the best peer's latency — for 3s, and stops once half the replicas
+// would be out.
+func TestOutlierSweepVerdicts(t *testing.T) {
+	type window struct {
+		total, fail int
+		ewmaMs      float64
+	}
+	for _, c := range []struct {
+		name    string
+		suspect window // replica 0; the other nine answer 10 of 10 in 1ms
+		eject   bool
+	}{
+		{"below min requests", window{2, 2, 1}, false},
+		{"at min requests", window{3, 3, 1}, true},
+		{"below failure ratio", window{10, 3, 1}, false},
+		{"at failure ratio", window{10, 4, 1}, true},
+		{"at latency factor", window{10, 0, 5}, false},
+		{"past latency factor", window{10, 0, 5.5}, true},
+	} {
+		m, sc, pods := replicaBed(1, 10)
+		m.sched.RunFor(time.Second)
+		for i, p := range pods {
+			w := window{10, 0, 1}
+			if i == 0 {
+				w = c.suspect
+			}
+			st := sc.epState(p.Addr())
+			st.winTotal, st.winFail, st.ewma = w.total, w.fail, w.ewmaMs*float64(time.Millisecond)
+		}
+		sc.sweepOutliers("w", pods)
+		want := time.Duration(0)
+		if c.eject {
+			want = 4 * time.Second // swept at 1s, out for 3s
+		}
+		if until := sc.endpoints[pods[0].Addr()].ejectedUntil; until != want {
+			t.Errorf("%s: replica ejected until %v, want %v", c.name, until, want)
+		}
+	}
+
+	m, sc, pods := replicaBed(1, 10)
+	m.sched.RunFor(time.Second)
+	for _, p := range pods {
+		st := sc.epState(p.Addr())
+		st.winTotal, st.winFail = 10, 10
+	}
+	sc.sweepOutliers("w", pods)
+	if got := m.Metrics().CounterTotal(MetricOutlierEjectionsTotal); got != 5 {
+		t.Fatalf("every replica failing: %d ejected, want 5 (the 0.5 panic floor)", got)
 	}
 }
 

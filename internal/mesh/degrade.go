@@ -27,32 +27,22 @@ import (
 type FallbackPolicy struct {
 	// Enabled turns the fallback on.
 	Enabled bool
-	// BodyBytes is the synthesized body size — typically far smaller
-	// than the real response (an empty ratings list, a cached stub).
-	BodyBytes int
-	// After bounds how long the call chases a real response before the
-	// sidecar serves the degraded one (the Hystrix-style fallback
-	// deadline). Without it a dead upstream only fails after the full
-	// retry ladder (MaxRetries x PerTryTimeout), by which time the
-	// callers up the tree have timed out themselves and the fallback
-	// saves nothing. Zero selects DefaultFallbackAfter; it must sit
-	// below the callers' per-try timeouts to be useful.
-	After time.Duration
 }
 
-// DefaultFallbackAfter is the fallback deadline when After is unset.
-const DefaultFallbackAfter = 300 * time.Millisecond
-
-// IsZero reports whether degradation is disabled.
-func (p FallbackPolicy) IsZero() bool { return !p.Enabled }
-
-// after returns the effective fallback deadline.
-func (p FallbackPolicy) after() time.Duration {
-	if p.After > 0 {
-		return p.After
-	}
-	return DefaultFallbackAfter
-}
+// The fallback's tuning: E17's values, the only ones any run uses.
+const (
+	// fallbackBodyBytes is the synthesized body size — far smaller than
+	// the real response (an empty ratings list, a cached stub).
+	fallbackBodyBytes = 256
+	// fallbackAfter bounds how long the call chases a real response
+	// before the sidecar serves the degraded one (the Hystrix-style
+	// fallback deadline). Without it a dead upstream only fails after
+	// the full retry ladder (MaxRetries x PerTryTimeout), by which time
+	// the callers up the tree have timed out themselves and the
+	// fallback saves nothing. It must sit below the callers' per-try
+	// timeouts to be useful.
+	fallbackAfter = 400 * time.Millisecond
+)
 
 // degradedEntry is one degraded-provenance record: which upstream was
 // papered over for a request ID, plus its last sighting for GC.
@@ -120,9 +110,9 @@ func (c *call) maybeFallback(resp *httpsim.Response, err error) (*httpsim.Respon
 	m := c.sc.mesh
 	failed := err != nil || resp == nil || resp.Status >= 500
 	if failed {
-		if p := c.sc.fallbackFor(c.service); !p.IsZero() {
+		if c.sc.fallbackFor(c.service).Enabled {
 			resp = httpsim.NewResponse(httpsim.StatusOK)
-			resp.BodyBytes = p.BodyBytes
+			resp.BodyBytes = fallbackBodyBytes
 			resp.Headers.Set(HeaderDegraded, c.service)
 			err = nil
 			m.metrics.Counter(MetricFallbackServedTotal,

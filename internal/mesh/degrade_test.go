@@ -18,7 +18,7 @@ func TestFallbackSynthesizesOnTerminalFailure(t *testing.T) {
 	}))
 	cp := tb.m.ControlPlane()
 	cp.SetRetryPolicy("backend", RetryPolicy{MaxRetries: 1, RetryOn5xx: true})
-	cp.SetFallbackPolicy("backend", FallbackPolicy{Enabled: true, BodyBytes: 64})
+	cp.SetFallbackPolicy("backend", FallbackPolicy{Enabled: true})
 
 	var got *httpsim.Response
 	var gotErr error
@@ -27,6 +27,9 @@ func TestFallbackSynthesizesOnTerminalFailure(t *testing.T) {
 
 	if gotErr != nil || got == nil || got.Status != httpsim.StatusOK {
 		t.Fatalf("resp=%v err=%v, want synthesized 200", got, gotErr)
+	}
+	if got.BodyBytes != 256 {
+		t.Fatalf("degraded body = %d B, want the 256 B stub", got.BodyBytes)
 	}
 	if got.Headers.Get(HeaderDegraded) != "backend" {
 		t.Fatalf("%s = %q, want backend", HeaderDegraded, got.Headers.Get(HeaderDegraded))
@@ -41,12 +44,12 @@ func TestFallbackSynthesizesOnTerminalFailure(t *testing.T) {
 
 func TestFallbackDeadlineBeatsRetryLadder(t *testing.T) {
 	// Both backends black-holed: without the fallback deadline the call
-	// only fails after MaxRetries x PerTryTimeout = 3s; the deadline
-	// must serve degraded at ~200ms instead.
+	// only fails after MaxRetries x PerTryTimeout = 3s; the 400ms
+	// deadline must serve degraded instead.
 	tb := buildBed(t, Config{Seed: 4}, countingBackend(map[string]int{}, nil))
 	cp := tb.m.ControlPlane()
 	cp.SetRetryPolicy("backend", RetryPolicy{MaxRetries: 2, PerTryTimeout: time.Second})
-	cp.SetFallbackPolicy("backend", FallbackPolicy{Enabled: true, After: 200 * time.Millisecond})
+	cp.SetFallbackPolicy("backend", FallbackPolicy{Enabled: true})
 	tb.cl.Pod("backend-1").Partition(true)
 	tb.cl.Pod("backend-2").Partition(true)
 
@@ -60,8 +63,8 @@ func TestFallbackDeadlineBeatsRetryLadder(t *testing.T) {
 	if got == nil || got.Status != httpsim.StatusOK {
 		t.Fatalf("resp = %v, want degraded 200", got)
 	}
-	if done > 400*time.Millisecond {
-		t.Fatalf("degraded response took %v, want ~200ms (deadline did not fire)", done)
+	if done < 400*time.Millisecond || done > 410*time.Millisecond {
+		t.Fatalf("degraded response took %v, want ~400ms (the fallback deadline)", done)
 	}
 }
 

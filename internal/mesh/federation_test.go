@@ -254,7 +254,7 @@ func TestLadderPanicThresholdFailsOpenWithinTier(t *testing.T) {
 	}
 	for _, panicOn := range []bool{true, false} {
 		bed := buildFedBed(t, zones)
-		pol := LocalityPolicy{Mode: LocalityLadder, OverprovisioningFactor: 1}
+		pol := LocalityPolicy{Mode: LocalityLadder}
 		if panicOn {
 			pol.PanicThreshold = 0.6
 		}
@@ -310,7 +310,7 @@ func TestDegradedProvenanceAcrossGatewayHops(t *testing.T) {
 	})
 	cp := bed.m.ControlPlane()
 	cp.SetLocalityPolicy("backend", LocalityPolicy{Mode: LocalityLadder})
-	cp.SetFallbackPolicy("ratings", FallbackPolicy{Enabled: true, After: 50 * time.Millisecond, BodyBytes: 64})
+	cp.SetFallbackPolicy("ratings", FallbackPolicy{Enabled: true})
 	bed.cl.Pod("backend-a1").SetReady(false)
 
 	rtPod := bed.cl.AddPod(cluster.PodSpec{

@@ -28,17 +28,16 @@ var healthConnClass = ConnClass{Name: "health", Options: transport.Options{CC: "
 // an upstream service once its policies are pushed. Called on every
 // outbound Call; a stopped loop restarts here if the policy returns.
 func (sc *Sidecar) ensureDefenses(service string) {
-	if !sc.healthCheckFor(service).IsZero() {
+	if sc.healthCheckFor(service).Enabled {
 		if u := sc.upstream(service); !u.hcActive {
 			u.hcActive = true
 			sc.healthTick(service)
 		}
 	}
-	if !sc.outlierFor(service).IsZero() {
+	if sc.outlierFor(service).Enabled {
 		if u := sc.upstream(service); !u.outlierActive {
 			u.outlierActive = true
-			p := sc.outlierFor(service).withDefaults()
-			sc.mesh.sched.After(p.Interval, func() { sc.outlierSweep(service) })
+			sc.mesh.sched.After(outlierInterval, func() { sc.outlierSweep(service) })
 		}
 	}
 }
@@ -47,45 +46,43 @@ func (sc *Sidecar) ensureDefenses(service string) {
 // re-arms itself. The loop exits (and clears its active mark) when
 // the policy is withdrawn.
 func (sc *Sidecar) healthTick(service string) {
-	p := sc.healthCheckFor(service)
-	if p.IsZero() {
+	if !sc.healthCheckFor(service).Enabled {
 		sc.upstream(service).hcActive = false
 		return
 	}
-	p = p.withDefaults()
 	if eps, ok := sc.discoverEndpoints(service); ok {
 		for _, ep := range eps {
-			sc.probe(service, ep.Addr(), p)
+			sc.probe(service, ep.Addr())
 		}
 	}
-	sc.mesh.sched.After(p.Interval, func() { sc.healthTick(service) })
+	sc.mesh.sched.After(healthInterval, func() { sc.healthTick(service) })
 }
 
 // probe sends one health-check request to an endpoint and applies the
 // verdict to its LB state.
-func (sc *Sidecar) probe(service string, addr simnet.Addr, p HealthCheckPolicy) {
+func (sc *Sidecar) probe(service string, addr simnet.Addr) {
 	req := httpsim.NewRequest("GET", "/healthz")
 	req.Headers.Set(HeaderHost, service)
 	req.Headers.Set(HeaderHealth, "1")
 	sc.stampIdentity(req)
 
 	client := sc.clientForAddr(addr, healthConnClass)
-	client.DoWithin(req, p.Timeout, func(resp *httpsim.Response, err error) {
+	client.DoWithin(req, healthTimeout, func(resp *httpsim.Response, err error) {
 		if err == httpsim.ErrTimeout {
 			// A timed-out probe condemns the probe connection so the
 			// next round re-dials rather than waiting out RTO backoff
 			// to a possibly-partitioned peer.
-			sc.probeResult(service, addr, false, p)
+			sc.probeResult(service, addr, false)
 			client.Conn().Abort()
 			return
 		}
-		sc.probeResult(service, addr, err == nil && resp.Status < 500, p)
+		sc.probeResult(service, addr, err == nil && resp.Status < 500)
 	})
 }
 
 // probeResult folds one probe verdict into the endpoint's health via
 // the consecutive-success/failure thresholds.
-func (sc *Sidecar) probeResult(service string, addr simnet.Addr, ok bool, p HealthCheckPolicy) {
+func (sc *Sidecar) probeResult(service string, addr simnet.Addr, ok bool) {
 	m := sc.mesh
 	st := sc.epState(addr)
 	result := "fail"
@@ -97,12 +94,10 @@ func (sc *Sidecar) probeResult(service string, addr simnet.Addr, ok bool, p Heal
 	if ok {
 		st.hcFails = 0
 		st.hcOKs++
-		if st.unhealthy && st.hcOKs >= p.HealthyThreshold {
+		if st.unhealthy && st.hcOKs >= healthHealthyThreshold {
 			st.unhealthy = false
-			if p.SlowStart > 0 {
-				now := m.sched.Now()
-				st.warmSince, st.warmUntil = now, now+p.SlowStart
-			}
+			now := m.sched.Now()
+			st.warmSince, st.warmUntil = now, now+healthSlowStart
 			m.metrics.Counter(MetricHealthTransitionsTotal,
 				metrics.Labels{"service": service, "to": "healthy"}).Inc()
 		}
@@ -110,7 +105,7 @@ func (sc *Sidecar) probeResult(service string, addr simnet.Addr, ok bool, p Heal
 	}
 	st.hcOKs = 0
 	st.hcFails++
-	if !st.unhealthy && st.hcFails >= p.UnhealthyThreshold {
+	if !st.unhealthy && st.hcFails >= healthUnhealthyThreshold {
 		st.unhealthy = true
 		m.metrics.Counter(MetricHealthTransitionsTotal,
 			metrics.Labels{"service": service, "to": "unhealthy"}).Inc()
@@ -171,21 +166,19 @@ func (sc *Sidecar) clientForAddr(addr simnet.Addr, class ConnClass) *httpsim.Cli
 // outlierSweep judges every endpoint's request window and re-arms
 // itself, exiting when the policy is withdrawn.
 func (sc *Sidecar) outlierSweep(service string) {
-	p := sc.outlierFor(service)
-	if p.IsZero() {
+	if !sc.outlierFor(service).Enabled {
 		sc.upstream(service).outlierActive = false
 		return
 	}
-	p = p.withDefaults()
 	if eps, ok := sc.discoverEndpoints(service); ok {
-		sc.sweepOutliers(service, eps, p)
+		sc.sweepOutliers(service, eps)
 	}
-	sc.mesh.sched.After(p.Interval, func() { sc.outlierSweep(service) })
+	sc.mesh.sched.After(outlierInterval, func() { sc.outlierSweep(service) })
 }
 
 // sweepOutliers ejects endpoints whose window failed too often or ran
 // far slower than the best peer, subject to the panic threshold.
-func (sc *Sidecar) sweepOutliers(service string, eps []*cluster.Pod, p OutlierPolicy) {
+func (sc *Sidecar) sweepOutliers(service string, eps []*cluster.Pod) {
 	m := sc.mesh
 	now := m.sched.Now()
 
@@ -203,34 +196,34 @@ func (sc *Sidecar) sweepOutliers(service string, eps []*cluster.Pod, p OutlierPo
 			bestEwma = st.ewma
 		}
 	}
-	floor := int(math.Ceil(p.PanicThreshold * float64(len(eps))))
+	floor := int(math.Ceil(outlierPanicThreshold * float64(len(eps))))
 
 	for _, ep := range eps {
 		st := sc.endpoints[ep.Addr()]
 		if st == nil {
-			continue // never attempted: an empty window, below any MinRequests
+			continue // never attempted: an empty window, below outlierMinRequests
 		}
 		total, fail := st.winTotal, st.winFail
 		st.winTotal, st.winFail = 0, 0
-		if now < st.ejectedUntil || total < p.MinRequests {
+		if now < st.ejectedUntil || total < outlierMinRequests {
 			continue
 		}
 		reason := ""
 		switch {
-		case float64(fail) >= p.FailureThreshold*float64(total):
+		case float64(fail) >= outlierFailureThreshold*float64(total):
 			reason = "failure_rate"
-		case p.LatencyFactor > 0 && bestEwma > 0 && st.ewma > p.LatencyFactor*bestEwma:
+		case bestEwma > 0 && st.ewma > outlierLatencyFactor*bestEwma:
 			reason = "latency"
 		}
 		if reason == "" {
 			continue
 		}
-		if p.PanicThreshold > 0 && available-1 < floor {
+		if available-1 < floor {
 			m.metrics.Counter(MetricOutlierPanicTotal,
 				metrics.Labels{"service": service}).Inc()
 			continue
 		}
-		st.ejectedUntil = now + p.BaseEjection
+		st.ejectedUntil = now + outlierBaseEjection
 		available--
 		m.metrics.Counter(MetricOutlierEjectionsTotal,
 			metrics.Labels{"service": service, "reason": reason}).Inc()

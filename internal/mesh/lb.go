@@ -180,8 +180,8 @@ func (sc *Sidecar) pickFrom(service string, eps []*cluster.Pod, panicOpen bool) 
 				eligible = kept
 			}
 		}
-		if pf := sc.outlierFor(service).PanicThreshold; pf > 0 &&
-			float64(len(eligible)) < pf*float64(len(eps)) {
+		if sc.outlierFor(service).Enabled &&
+			float64(len(eligible)) < outlierPanicThreshold*float64(len(eps)) {
 			eligible = eps // panic routing: too few healthy hosts, use them all
 		}
 		if len(eligible) == 0 {

@@ -34,8 +34,8 @@ func refPickFrom(sc *Sidecar, service string, eps []*cluster.Pod, panicOpen bool
 				eligible = kept
 			}
 		}
-		if pf := sc.outlierFor(service).PanicThreshold; pf > 0 &&
-			float64(len(eligible)) < pf*float64(len(eps)) {
+		// Outlier panic routing at its 0.5 threshold (outlierPanicThreshold).
+		if sc.outlierFor(service).Enabled && float64(len(eligible)) < 0.5*float64(len(eps)) {
 			eligible = eps
 		}
 		if len(eligible) == 0 {
@@ -83,10 +83,11 @@ func randomEndpointState(rng *rand.Rand, now time.Duration) *endpointState {
 }
 
 // TestPickFromMatchesReference: over random endpoint states, LB
-// policies, panic thresholds and priority levels, pickFrom picks the
-// endpoint the reference picks, leaves every endpoint's state as the
-// reference leaves it (a due breaker turns half-open in both), draws
-// the same randomness, and never writes into the level it is given.
+// policies, outlier detection on and off, and priority levels, pickFrom
+// picks the endpoint the reference picks, leaves every endpoint's state
+// as the reference leaves it (a due breaker turns half-open in both),
+// draws the same randomness, and never writes into the level it is
+// given.
 func TestPickFromMatchesReference(t *testing.T) {
 	lbs := []LBPolicy{LBRoundRobin, LBRandom, LBLeastRequest, LBEWMA}
 	for seed := int64(1); seed <= 60; seed++ {
@@ -97,7 +98,7 @@ func TestPickFromMatchesReference(t *testing.T) {
 		for step := 0; step < 100; step++ {
 			if step%10 == 0 {
 				lb := lbs[rng.Intn(len(lbs))]
-				op := OutlierPolicy{PanicThreshold: []float64{0, 0.3, 0.5, 0.8}[rng.Intn(4)]}
+				op := OutlierPolicy{Enabled: rng.Intn(2) == 0}
 				for _, m := range []*Mesh{gm, rm} {
 					m.ControlPlane().SetLBPolicy("w", lb)
 					m.ControlPlane().SetOutlierPolicy("w", op)

@@ -49,11 +49,6 @@ const (
 // destination service. The zero value disables locality.
 type LocalityPolicy struct {
 	Mode LocalityMode
-	// OverprovisioningFactor scales the local healthy fraction before
-	// computing spillover (Envoy's default is 1.4: traffic starts
-	// shifting only once fewer than ~71% of local hosts are healthy).
-	// Zero selects DefaultOverprovisioning.
-	OverprovisioningFactor float64
 	// PanicThreshold enables per-tier fail-open in the region/ladder
 	// modes: when the chosen tier's healthy-host fraction falls below
 	// the threshold, selection within the tier disregards health so the
@@ -63,19 +58,13 @@ type LocalityPolicy struct {
 	PanicThreshold float64
 }
 
-// DefaultOverprovisioning mirrors Envoy's default factor of 1.4.
+// DefaultOverprovisioning scales the local healthy fraction before
+// computing spillover: Envoy's default, so traffic starts shifting only
+// once fewer than ~71% of local hosts are healthy.
 const DefaultOverprovisioning = 1.4
 
 // IsZero reports whether locality routing is disabled.
 func (p LocalityPolicy) IsZero() bool { return p.Mode == LocalityDisabled }
-
-// ovp returns the effective overprovisioning factor.
-func (p LocalityPolicy) ovp() float64 {
-	if p.OverprovisioningFactor > 0 {
-		return p.OverprovisioningFactor
-	}
-	return DefaultOverprovisioning
-}
 
 // LocalityWeights returns the traffic split between the local priority
 // level and the remote spillover level given each level's healthy-host
@@ -155,7 +144,7 @@ func (sc *Sidecar) localitySelect(service string, eps []*cluster.Pod) []*cluster
 	}
 	now := sc.mesh.sched.Now()
 	wLocal, wRemote := LocalityWeights(
-		sc.healthyFrac(local, now), sc.healthyFrac(remote, now), pol.ovp())
+		sc.healthyFrac(local, now), sc.healthyFrac(remote, now), DefaultOverprovisioning)
 	switch {
 	case wLocal+wRemote == 0:
 		return eps // no healthy host anywhere: zone-blind fail-open
@@ -282,7 +271,7 @@ func (sc *Sidecar) ladderSelect(service string, req *httpsim.Request, eps []*clu
 	for i := range tiers {
 		fracs[i] = tiers[i].frac
 	}
-	w := LadderWeights(fracs, pol.ovp())
+	w := LadderWeights(fracs, DefaultOverprovisioning)
 	total := 0.0
 	for _, wi := range w {
 		total += wi

@@ -21,13 +21,13 @@ func TestLocalityWeights(t *testing.T) {
 		local, remote, ovp    float64
 		wantLocal, wantRemote float64
 	}{
-		{"all healthy", 1, 1, 1.4, 1, 0},
-		{"local fully dead", 0, 1, 1.4, 0, 1},
-		{"everything dead", 0, 0, 1.4, 0, 0},
+		{"all healthy", 1, 1, DefaultOverprovisioning, 1, 0},
+		{"local fully dead", 0, 1, DefaultOverprovisioning, 0, 1},
+		{"everything dead", 0, 0, DefaultOverprovisioning, 0, 0},
 		// 50% local health x 1.4 = 0.7 stays local, 0.3 spills.
-		{"half local health spills", 0.5, 1, 1.4, 0.7, 0.3},
+		{"half local health spills", 0.5, 1, DefaultOverprovisioning, 0.7, 0.3},
 		// Above 1/ovp health the local level still takes everything.
-		{"overprovisioning absorbs", 0.8, 1, 1.4, 1, 0},
+		{"overprovisioning absorbs", 0.8, 1, DefaultOverprovisioning, 1, 0},
 		// Both degraded: 0.2 + min(0.8, 0.3) = 0.5, normalized 2:3.
 		{"both degraded normalize", 0.2, 0.3, 1, 0.4, 0.6},
 		// Remote cap binds: local keeps 0.5, remote absorbs only its
@@ -147,10 +147,7 @@ func TestLocalityFailoverSpillsWhenLocalZoneDies(t *testing.T) {
 	bed := buildZonedBed(t, defaultZones)
 	cp := bed.m.ControlPlane()
 	cp.SetLocalityPolicy("backend", LocalityPolicy{Mode: LocalityFailover})
-	cp.SetHealthCheck("backend", HealthCheckPolicy{
-		Interval: 25 * time.Millisecond, Timeout: 20 * time.Millisecond,
-		UnhealthyThreshold: 2, HealthyThreshold: 2,
-	})
+	cp.SetHealthCheck("backend", HealthCheckPolicy{Enabled: true})
 	cp.SetRetryPolicy("backend", RetryPolicy{MaxRetries: 2, PerTryTimeout: 100 * time.Millisecond})
 
 	var failures int
@@ -203,10 +200,7 @@ func TestLocalityAllZonesDownFailsOpenZoneBlind(t *testing.T) {
 	bed := buildZonedBed(t, defaultZones)
 	cp := bed.m.ControlPlane()
 	cp.SetLocalityPolicy("backend", LocalityPolicy{Mode: LocalityFailover})
-	cp.SetHealthCheck("backend", HealthCheckPolicy{
-		Interval: 25 * time.Millisecond, Timeout: 20 * time.Millisecond,
-		UnhealthyThreshold: 2, HealthyThreshold: 2,
-	})
+	cp.SetHealthCheck("backend", HealthCheckPolicy{Enabled: true})
 	bed.fireN(t, 2, 0, 10*time.Millisecond, nil)
 	bed.sched.At(500*time.Millisecond, func() {
 		for _, b := range []string{"backend-1", "backend-2", "backend-3"} {
@@ -264,7 +258,6 @@ func TestSetLocalityPolicyValidates(t *testing.T) {
 	cp := bed.m.ControlPlane()
 	for _, bad := range []LocalityPolicy{
 		{Mode: "nearest"},
-		{Mode: LocalityFailover, OverprovisioningFactor: -1},
 	} {
 		func() {
 			defer func() {

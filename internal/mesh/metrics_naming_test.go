@@ -24,10 +24,7 @@ func TestMetricNamingConvention(t *testing.T) {
 	tb := buildBed(t, Config{Seed: 1}, echoBackend)
 	cp := tb.m.ControlPlane()
 	cp.EnableDistribution(DistributionConfig{Debounce: 20 * time.Millisecond})
-	cp.SetHealthCheck("backend", HealthCheckPolicy{
-		Interval: 200 * time.Millisecond, Timeout: 100 * time.Millisecond,
-		UnhealthyThreshold: 2, HealthyThreshold: 1,
-	})
+	cp.SetHealthCheck("backend", HealthCheckPolicy{Enabled: true})
 	if got := serveOK(t, tb); got == "" {
 		t.Fatalf("scenario request failed; metric families not populated")
 	}

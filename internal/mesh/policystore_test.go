@@ -105,17 +105,17 @@ var policyCases = []policyCase{
 	},
 	{
 		field: "Health",
-		set:   func(cp *ControlPlane) { cp.SetHealthCheck("backend", HealthCheckPolicy{Interval: time.Second}) },
+		set:   func(cp *ControlPlane) { cp.SetHealthCheck("backend", HealthCheckPolicy{Enabled: true}) },
 		reset: func(cp *ControlPlane) { cp.SetHealthCheck("backend", HealthCheckPolicy{}) },
 		read:  func(tb *testbed) any { return tb.fe.healthCheckFor("backend") },
-		unset: HealthCheckPolicy{}, want: HealthCheckPolicy{Interval: time.Second}, afterReset: HealthCheckPolicy{}, wire: 40,
+		unset: HealthCheckPolicy{}, want: HealthCheckPolicy{Enabled: true}, afterReset: HealthCheckPolicy{}, wire: 40,
 	},
 	{
 		field: "Outlier",
-		set:   func(cp *ControlPlane) { cp.SetOutlierPolicy("backend", OutlierPolicy{Interval: time.Second}) },
+		set:   func(cp *ControlPlane) { cp.SetOutlierPolicy("backend", OutlierPolicy{Enabled: true}) },
 		reset: func(cp *ControlPlane) { cp.SetOutlierPolicy("backend", OutlierPolicy{}) },
 		read:  func(tb *testbed) any { return tb.fe.outlierFor("backend") },
-		unset: OutlierPolicy{}, want: OutlierPolicy{Interval: time.Second}, afterReset: OutlierPolicy{}, wire: 40,
+		unset: OutlierPolicy{}, want: OutlierPolicy{Enabled: true}, afterReset: OutlierPolicy{}, wire: 40,
 	},
 	{
 		field: "Locality",

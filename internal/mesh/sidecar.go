@@ -413,9 +413,9 @@ func (c *call) route() {
 	// long this call may chase a real response. Retry ladders
 	// against a dead upstream outlast the callers' own timeouts;
 	// serving degraded at the deadline keeps the whole tree alive.
-	if p := sc.fallbackFor(service); !p.IsZero() {
+	if sc.fallbackFor(service).Enabled {
 		c.fbTimer.Cancel() // no-op on a fresh call; meshvet: cancel before re-arm
-		c.fbTimer = m.sched.After(p.after(), func() {
+		c.fbTimer = m.sched.After(fallbackAfter, func() {
 			if !c.done {
 				c.finish(nil, ErrTimeout)
 			}

@@ -56,14 +56,12 @@ func openAttempt(sc *Sidecar, addr simnet.Addr, cb CircuitBreakerPolicy) func(la
 func TestEndpointStateMatchesEager(t *testing.T) {
 	lbs := []LBPolicy{LBRoundRobin, LBRandom, LBLeastRequest, LBEWMA}
 	cb := CircuitBreakerPolicy{ConsecutiveFailures: 2, OpenFor: 30 * time.Millisecond}
-	hc := HealthCheckPolicy{Interval: time.Second, UnhealthyThreshold: 1, HealthyThreshold: 2, SlowStart: 50 * time.Millisecond}.withDefaults()
-	op := OutlierPolicy{Interval: time.Second, MinRequests: 2, LatencyFactor: 3, BaseEjection: 40 * time.Millisecond, PanicThreshold: 0.5}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		lm, lazy, lpods := replicaBed(seed, 10)
 		em, eager, epods := replicaBed(seed, 10)
 		for _, m := range []*Mesh{lm, em} {
-			m.ControlPlane().SetOutlierPolicy("w", op)
+			m.ControlPlane().SetOutlierPolicy("w", OutlierPolicy{Enabled: true})
 		}
 		written := map[string]bool{}
 		var open [][2]func(time.Duration, bool)
@@ -104,20 +102,25 @@ func TestEndpointStateMatchesEager(t *testing.T) {
 				open = append(open[:i], open[i+1:]...)
 			case k < 15:
 				i, ok := rng.Intn(len(lpods)), rng.Intn(3) > 0
-				lazy.probeResult("w", lpods[i].Addr(), ok, hc)
-				eager.probeResult("w", epods[i].Addr(), ok, hc)
+				lazy.probeResult("w", lpods[i].Addr(), ok)
+				eager.probeResult("w", epods[i].Addr(), ok)
 				written[lpods[i].Name()] = true
 			case k < 16:
 				leps, _ := lazy.discoverEndpoints("w")
 				eeps, _ := eager.discoverEndpoints("w")
-				lazy.sweepOutliers("w", leps, op.withDefaults())
-				eager.sweepOutliers("w", eeps, op.withDefaults())
+				lazy.sweepOutliers("w", leps)
+				eager.sweepOutliers("w", eeps)
 			case k < 18:
 				i := rng.Intn(len(lpods))
 				lpods[i].SetReady(!lpods[i].Ready())
 				epods[i].SetReady(!epods[i].Ready())
 			default:
 				d := time.Duration(1+rng.Intn(20)) * time.Millisecond
+				if rng.Intn(4) == 0 {
+					// Long enough to outlast an ejection (3 s) or a
+					// slow-start ramp (1.5 s) within a walk.
+					d *= 100
+				}
 				lm.sched.RunFor(d)
 				em.sched.RunFor(d)
 			}
@@ -154,7 +157,8 @@ func TestUpstreamStateMatchesReference(t *testing.T) {
 	// The services are unknown to the cluster, so their loops tick
 	// without probing anything.
 	services := []string{"a", "b", "c"}
-	const interval = 10 * time.Millisecond
+	// The loops' periods: healthInterval and outlierInterval.
+	const hcEvery, outlierEvery = 25 * time.Millisecond, 100 * time.Millisecond
 	type loop struct {
 		active bool
 		next   time.Duration // the next tick, while active
@@ -215,21 +219,21 @@ func TestUpstreamStateMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: spendRetryToken(%s) = %v, want %v", seed, step, s, got, want)
 				}
 			case 4:
-				iv := time.Duration(rng.Intn(2)) * interval // 0 withdraws the policy
+				on := rng.Intn(2) == 0 // false withdraws the policy
 				if rng.Intn(2) == 0 {
-					cp.SetHealthCheck(s, HealthCheckPolicy{Interval: iv})
+					cp.SetHealthCheck(s, HealthCheckPolicy{Enabled: on})
 				} else {
-					cp.SetOutlierPolicy(s, OutlierPolicy{Interval: iv})
+					cp.SetOutlierPolicy(s, OutlierPolicy{Enabled: on})
 				}
 			case 5:
 				sc.ensureDefenses(s)
 				now := m.sched.Now()
-				if l := hc[s]; !sc.healthCheckFor(s).IsZero() && !l.active {
-					*l = loop{true, now + interval} // the first tick runs at once
+				if l := hc[s]; sc.healthCheckFor(s).Enabled && !l.active {
+					*l = loop{true, now + hcEvery} // the first tick runs at once
 					written[s] = true
 				}
-				if l := outlier[s]; !sc.outlierFor(s).IsZero() && !l.active {
-					*l = loop{true, now + interval}
+				if l := outlier[s]; sc.outlierFor(s).Enabled && !l.active {
+					*l = loop{true, now + outlierEvery}
 					written[s] = true
 				}
 			default:
@@ -240,13 +244,14 @@ func TestUpstreamStateMatchesReference(t *testing.T) {
 				for _, s := range services {
 					for _, l := range []struct {
 						*loop
-						off bool
-					}{{hc[s], sc.healthCheckFor(s).IsZero()}, {outlier[s], sc.outlierFor(s).IsZero()}} {
+						off   bool
+						every time.Duration
+					}{{hc[s], !sc.healthCheckFor(s).Enabled, hcEvery}, {outlier[s], !sc.outlierFor(s).Enabled, outlierEvery}} {
 						for l.active && l.next <= to {
 							if l.off {
 								l.active = false
 							}
-							l.next += interval
+							l.next += l.every
 						}
 					}
 				}

@@ -68,7 +68,7 @@ func TestSpanFields(t *testing.T) {
 		setup: func(tb *testbed) {
 			cp := tb.m.ControlPlane()
 			cp.SetRetryPolicy("backend", RetryPolicy{MaxRetries: 1, RetryOn5xx: true})
-			cp.SetFallbackPolicy("backend", FallbackPolicy{Enabled: true, BodyBytes: 64})
+			cp.SetFallbackPolicy("backend", FallbackPolicy{Enabled: true})
 		},
 		want: []span{
 			server("backend", 500),

@@ -66,13 +66,11 @@ func setLocality(cp *mesh.ControlPlane, pol mesh.LocalityPolicy) {
 // degradeRatings turns on graceful degradation on the reviews ->
 // ratings edge: reviews serves its page without the ratings column
 // when ratings is unreachable — a small degraded body instead of a
-// failed call tree. The 400 ms deadline sits above the ~330 ms
-// worst-case legitimate LI queueing (see applyChaosDefenses) and below
-// the callers' 1 s per-try timeouts.
+// failed call tree. The mesh's 400 ms fallback deadline sits above the
+// ~330 ms worst-case legitimate LI queueing (see applyChaosDefenses)
+// and below the callers' 1 s per-try timeouts.
 func degradeRatings(cp *mesh.ControlPlane) {
-	cp.SetFallbackPolicy("ratings", mesh.FallbackPolicy{
-		Enabled: true, BodyBytes: 256, After: 400 * time.Millisecond,
-	})
+	cp.SetFallbackPolicy("ratings", mesh.FallbackPolicy{Enabled: true})
 }
 
 // zoneFailSuite is the scripted correlated-failure sequence E17 replays
