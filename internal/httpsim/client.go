@@ -203,8 +203,9 @@ type Ctx struct {
 	Conn *transport.Conn
 }
 
-// Handler serves a request and eventually calls respond exactly once.
-// Handlers may respond asynchronously (after issuing upstream calls).
+// Handler serves a request and eventually calls respond exactly once;
+// a second call panics. Handlers may respond asynchronously (after
+// issuing upstream calls).
 type Handler func(ctx Ctx, req *Request, respond func(*Response))
 
 // Server accepts connections on a port and dispatches requests to a
@@ -237,20 +238,55 @@ func (s *Server) accept(conn *transport.Conn) {
 			return
 		}
 		s.served++
-		id, req := m.id, m.req
+		r := allocServing()
+		r.conn, r.id = conn, m.id
+		req := m.req
 		freeWireMsg(m)
-		responded := false
-		s.handler(Ctx{Conn: conn}, req, func(resp *Response) {
-			if responded {
-				panic("httpsim: respond called twice")
-			}
-			responded = true
-			if conn.Closed() {
-				return // client went away; nothing to do
-			}
-			rm := allocWireMsg()
-			rm.id, rm.resp = id, resp
-			conn.SendMessage(rm, resp.WireSize())
-		})
+		gen := r.gen
+		s.handler(Ctx{Conn: conn}, req, func(resp *Response) { r.respond(gen, resp) }) //meshvet:allow poolescape the closure holds the record with its generation, and respond checks that before using it
 	})
+}
+
+// serving is one request a server has dispatched and not yet answered:
+// the connection it came on and its id there. Records are recycled
+// through servingPool, and gen counts the requests a record has
+// served: a respond closure holds its record with the gen it was
+// handed out at, so a second respond, even one made after the record
+// went on to serve another request, sees a newer gen and panics rather
+// than answering that request.
+//
+//meshvet:pooled
+type serving struct {
+	conn *transport.Conn
+	id   uint64
+	gen  uint64
+}
+
+// servingPool recycles server-side request records, a sync.Pool like
+// pendingPool.
+var servingPool sync.Pool
+
+func allocServing() *serving {
+	r, _ := servingPool.Get().(*serving)
+	if r == nil {
+		r = new(serving)
+	}
+	return r
+}
+
+// respond sends resp as the answer to the request the record served at
+// generation gen, and returns the record to the pool.
+func (r *serving) respond(gen uint64, resp *Response) {
+	if r.gen != gen {
+		panic("httpsim: respond called twice")
+	}
+	conn, id := r.conn, r.id
+	*r = serving{gen: gen + 1}
+	servingPool.Put(r)
+	if conn.Closed() {
+		return // client went away; nothing to do
+	}
+	rm := allocWireMsg()
+	rm.id, rm.resp = id, resp
+	conn.SendMessage(rm, resp.WireSize())
 }

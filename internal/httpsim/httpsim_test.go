@@ -277,20 +277,64 @@ func TestDoOnClosedClient(t *testing.T) {
 	}
 }
 
+// respondPanic calls respond with resp and returns what it panicked
+// with, nil if it returned.
+func respondPanic(respond func(*Response), resp *Response) (v any) {
+	defer func() { v = recover() }()
+	respond(resp)
+	return nil
+}
+
+const doubleRespond = "httpsim: respond called twice"
+
 func TestRespondTwicePanics(t *testing.T) {
 	e := newEnv(t, simnet.LinkConfig{Rate: simnet.Gbps})
 	NewServer(e.hb, 8080, func(ctx Ctx, req *Request, respond func(*Response)) {
 		respond(NewResponse(StatusOK))
-		defer func() {
-			if recover() == nil {
-				t.Fatal("double respond did not panic")
-			}
-		}()
-		respond(NewResponse(StatusOK))
+		if v := respondPanic(respond, NewResponse(StatusOK)); v != doubleRespond {
+			t.Fatalf("double respond panicked with %v, want %q", v, doubleRespond)
+		}
 	})
 	cl := NewClient(e.ha, e.hb.Node().Addr(), 8080, transport.Options{})
 	cl.Do(NewRequest("GET", "/"), func(*Response, error) {})
 	e.sched.Run()
+}
+
+// TestRespondAfterRecordReusedPanics: request A is answered, request B
+// takes the server record A's respond holds (the pool hands back the
+// record just put), and A's respond is called again from B's handler.
+// It still panics as a double respond, and B gets its own answer, not
+// A's second one.
+func TestRespondAfterRecordReusedPanics(t *testing.T) {
+	e := newEnv(t, simnet.LinkConfig{Rate: simnet.Gbps})
+	var respondA func(*Response)
+	var late any
+	NewServer(e.hb, 8080, func(ctx Ctx, req *Request, respond func(*Response)) {
+		if req.Path == "/a" {
+			respondA = respond
+			respond(NewResponse(StatusOK))
+			return
+		}
+		late = respondPanic(respondA, NewResponse(StatusForbidden))
+		respond(NewResponse(StatusConflict))
+	})
+	cl := NewClient(e.ha, e.hb.Node().Addr(), 8080, transport.Options{})
+	got := map[string][]int{}
+	for _, path := range []string{"/a", "/b"} {
+		cl.Do(NewRequest("GET", path), func(r *Response, err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			got[path] = append(got[path], r.Status)
+		})
+	}
+	e.sched.Run()
+	if late != doubleRespond {
+		t.Fatalf("A's second respond, after B took its record, panicked with %v, want %q", late, doubleRespond)
+	}
+	if len(got["/a"]) != 1 || got["/a"][0] != StatusOK || len(got["/b"]) != 1 || got["/b"][0] != StatusConflict {
+		t.Fatalf("answers = %v, want /a [200] and /b [409]", got)
+	}
 }
 
 func TestCtxConnExposed(t *testing.T) {
@@ -378,5 +422,34 @@ func TestPropertyHeadersSurviveTransit(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerRequestAllocs is the allocation budget of one request and
+// its response over a warm connection, the request and response made
+// once: the respond closure the server hands its handler is the one
+// allocation. A heap-escaped responded flag beside the closure made it
+// two.
+func TestServerRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the program's")
+	}
+	e := newEnv(t, simnet.LinkConfig{Rate: simnet.Gbps, Delay: time.Millisecond})
+	resp := NewResponse(StatusOK)
+	NewServer(e.hb, 8080, func(ctx Ctx, req *Request, respond func(*Response)) { respond(resp) })
+	cl := NewClient(e.ha, e.hb.Node().Addr(), 8080, transport.Options{})
+	req := NewRequest("GET", "/")
+	answered := 0
+	cb := func(*Response, error) { answered++ }
+	n := testing.AllocsPerRun(100, func() {
+		cl.Do(req, cb)
+		e.sched.Run()
+	})
+	if answered != 101 {
+		t.Fatalf("%d of 101 requests answered", answered)
+	}
+	t.Logf("%v allocations", n)
+	if n > 1 {
+		t.Errorf("a request and its response allocate %v times, budget 1", n)
 	}
 }

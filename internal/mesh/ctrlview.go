@@ -66,8 +66,14 @@ func (sc *Sidecar) lbPolicyFor(service string) LBPolicy {
 	return deref(sc.policyFor(service).LB, LBRoundRobin)
 }
 
-func (sc *Sidecar) retryPolicyFor(service string) RetryPolicy {
-	return deref(sc.policyFor(service).Retry, DefaultRetryPolicy)
+// retryPolicyFor returns the service's retry policy, shared and never
+// written: SetRetryPolicy stores a new one rather than changing it, so
+// a call may keep the pointer as its snapshot.
+func (sc *Sidecar) retryPolicyFor(service string) *RetryPolicy {
+	if p := sc.policyFor(service).Retry; p != nil {
+		return p
+	}
+	return &DefaultRetryPolicy
 }
 
 func (sc *Sidecar) breakerFor(service string) CircuitBreakerPolicy {

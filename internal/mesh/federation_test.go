@@ -21,21 +21,22 @@ func TestLadderWeightsMultiTier(t *testing.T) {
 	cases := []struct {
 		name  string
 		fracs []float64
-		ovp   float64
 		want  []float64
 	}{
-		{"first tier healthy takes all", []float64{1, 1, 1, 1}, 1.4, []float64{1, 0, 0, 0}},
-		{"dead tiers are skipped", []float64{0, 0, 1, 1}, 1.4, []float64{0, 0, 1, 0}},
-		{"spill cascades in order", []float64{0.5, 1, 1, 1}, 1.4, []float64{0.7, 0.3, 0, 0}},
-		{"each tier absorbs its health", []float64{0.5, 0.3, 1, 1}, 1, []float64{0.5, 0.3, 0.2, 0}},
-		{"ladder exhausted normalizes", []float64{0.2, 0.1, 0, 0}, 1, []float64{2.0 / 3, 1.0 / 3, 0, 0}},
-		{"everything dead", []float64{0, 0, 0, 0}, 1.4, []float64{0, 0, 0, 0}},
+		{"first tier healthy takes all", []float64{1, 1, 1, 1}, []float64{1, 0, 0, 0}},
+		{"dead tiers are skipped", []float64{0, 0, 1, 1}, []float64{0, 0, 1, 0}},
+		{"spill cascades in order", []float64{0.5, 1, 1, 1}, []float64{0.7, 0.3, 0, 0}},
+		// 0.3 and 0.2 x 1.4 absorb 0.42 and 0.28; the third tier the 0.3 left.
+		{"each tier absorbs its health", []float64{0.3, 0.2, 1, 1}, []float64{0.42, 0.28, 0.3, 0}},
+		// 0.28 + 0.14 = 0.42 of capacity, normalized 2:1.
+		{"ladder exhausted normalizes", []float64{0.2, 0.1, 0, 0}, []float64{2.0 / 3, 1.0 / 3, 0, 0}},
+		{"everything dead", []float64{0, 0, 0, 0}, []float64{0, 0, 0, 0}},
 	}
 	for _, c := range cases {
-		got := LadderWeights(c.fracs, c.ovp)
+		got := LadderWeights(c.fracs)
 		for i := range c.want {
 			if math.Abs(got[i]-c.want[i]) > 1e-9 {
-				t.Errorf("%s: LadderWeights(%v, %v) = %v, want %v", c.name, c.fracs, c.ovp, got, c.want)
+				t.Errorf("%s: LadderWeights(%v) = %v, want %v", c.name, c.fracs, got, c.want)
 				break
 			}
 		}

@@ -74,7 +74,7 @@ func (g *Gateway) Serve(req *httpsim.Request, cb func(*httpsim.Response, error))
 		Start:    m.sched.Now(),
 		Priority: req.Headers.Get(HeaderPriority),
 	})
-	req.Headers.Set(trace.HeaderSpanID, formatSpanID(rootID))
+	req.Headers.Set(trace.HeaderSpanID, m.tracer.IDText(rootID))
 
 	start := m.sched.Now()
 	g.sc.Call(req, func(resp *httpsim.Response, err error) {

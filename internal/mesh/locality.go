@@ -68,14 +68,14 @@ func (p LocalityPolicy) IsZero() bool { return p.Mode == LocalityDisabled }
 
 // LocalityWeights returns the traffic split between the local priority
 // level and the remote spillover level given each level's healthy-host
-// fraction and the overprovisioning factor — Envoy's priority-load
-// algorithm for two levels. The local level absorbs
+// fraction — Envoy's priority-load algorithm for two levels, with its
+// DefaultOverprovisioning factor ovp. The local level absorbs
 // min(1, localFrac·ovp); the remote level takes what remains, capped
 // by its own overprovisioned health; if both levels are degraded the
 // weights are normalized so they still sum to 1. (0, 0) means no level
 // has any healthy host — the caller must fail open zone-blind.
-func LocalityWeights(localFrac, remoteFrac, ovp float64) (wLocal, wRemote float64) {
-	w := LadderWeights([]float64{localFrac, remoteFrac}, ovp)
+func LocalityWeights(localFrac, remoteFrac float64) (wLocal, wRemote float64) {
+	w := LadderWeights([]float64{localFrac, remoteFrac})
 	return w[0], w[1]
 }
 
@@ -85,11 +85,11 @@ func LocalityWeights(localFrac, remoteFrac, ovp float64) (wLocal, wRemote float6
 // order; if the ladder's total capacity is under 1 the weights are
 // normalized so they still sum to 1. An all-zero result means no tier
 // has any healthy host — the caller must fail open.
-func LadderWeights(fracs []float64, ovp float64) []float64 {
+func LadderWeights(fracs []float64) []float64 {
 	w := make([]float64, len(fracs))
 	remaining, total := 1.0, 0.0
 	for i, f := range fracs {
-		h := f * ovp
+		h := f * DefaultOverprovisioning
 		if h > 1 {
 			h = 1
 		}
@@ -143,8 +143,7 @@ func (sc *Sidecar) localitySelect(service string, eps []*cluster.Pod) []*cluster
 		return local
 	}
 	now := sc.mesh.sched.Now()
-	wLocal, wRemote := LocalityWeights(
-		sc.healthyFrac(local, now), sc.healthyFrac(remote, now), DefaultOverprovisioning)
+	wLocal, wRemote := LocalityWeights(sc.healthyFrac(local, now), sc.healthyFrac(remote, now))
 	switch {
 	case wLocal+wRemote == 0:
 		return eps // no healthy host anywhere: zone-blind fail-open
@@ -271,7 +270,7 @@ func (sc *Sidecar) ladderSelect(service string, req *httpsim.Request, eps []*clu
 	for i := range tiers {
 		fracs[i] = tiers[i].frac
 	}
-	w := LadderWeights(fracs, DefaultOverprovisioning)
+	w := LadderWeights(fracs)
 	total := 0.0
 	for _, wi := range w {
 		total += wi

@@ -18,27 +18,27 @@ import (
 func TestLocalityWeights(t *testing.T) {
 	cases := []struct {
 		name                  string
-		local, remote, ovp    float64
+		local, remote         float64
 		wantLocal, wantRemote float64
 	}{
-		{"all healthy", 1, 1, DefaultOverprovisioning, 1, 0},
-		{"local fully dead", 0, 1, DefaultOverprovisioning, 0, 1},
-		{"everything dead", 0, 0, DefaultOverprovisioning, 0, 0},
+		{"all healthy", 1, 1, 1, 0},
+		{"local fully dead", 0, 1, 0, 1},
+		{"everything dead", 0, 0, 0, 0},
 		// 50% local health x 1.4 = 0.7 stays local, 0.3 spills.
-		{"half local health spills", 0.5, 1, DefaultOverprovisioning, 0.7, 0.3},
+		{"half local health spills", 0.5, 1, 0.7, 0.3},
 		// Above 1/ovp health the local level still takes everything.
-		{"overprovisioning absorbs", 0.8, 1, DefaultOverprovisioning, 1, 0},
-		// Both degraded: 0.2 + min(0.8, 0.3) = 0.5, normalized 2:3.
-		{"both degraded normalize", 0.2, 0.3, 1, 0.4, 0.6},
-		// Remote cap binds: local keeps 0.5, remote absorbs only its
-		// 0.2 health, and the pair normalizes over 0.7.
-		{"remote too sick to absorb", 0.5, 0.2, 1, 0.5 / 0.7, 0.2 / 0.7},
+		{"overprovisioning absorbs", 0.8, 1, 1, 0},
+		// Both degraded: 0.28 + min(0.72, 0.42) = 0.7, normalized 2:3.
+		{"both degraded normalize", 0.2, 0.3, 0.4, 0.6},
+		// Remote cap binds: local keeps 0.7, remote absorbs only its
+		// 0.28 of the 0.3 left, and the pair normalizes over 0.98.
+		{"remote too sick to absorb", 0.5, 0.2, 0.5 / 0.7, 0.2 / 0.7},
 	}
 	for _, c := range cases {
-		gotL, gotR := LocalityWeights(c.local, c.remote, c.ovp)
+		gotL, gotR := LocalityWeights(c.local, c.remote)
 		if math.Abs(gotL-c.wantLocal) > 1e-9 || math.Abs(gotR-c.wantRemote) > 1e-9 {
-			t.Errorf("%s: LocalityWeights(%v,%v,%v) = (%v,%v), want (%v,%v)",
-				c.name, c.local, c.remote, c.ovp, gotL, gotR, c.wantLocal, c.wantRemote)
+			t.Errorf("%s: LocalityWeights(%v,%v) = (%v,%v), want (%v,%v)",
+				c.name, c.local, c.remote, gotL, gotR, c.wantLocal, c.wantRemote)
 		}
 	}
 }

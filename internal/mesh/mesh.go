@@ -75,8 +75,13 @@ type Mesh struct {
 	proxyQ      proxyQueue
 	proxySeq    uint64
 	proxyDoneFn func()
-	// attempts is the free list of attempt records (sidecar.go).
-	attempts []*attempt
+	// attempts and calls are the free lists of attempt and call
+	// records (sidecar.go); attemptsMade and callsMade count the
+	// records made.
+	attempts     []*attempt
+	calls        []*call
+	attemptsMade int
+	callsMade    int
 }
 
 // New builds a mesh over the cluster.

@@ -513,3 +513,68 @@ func TestControlPlaneValidation(t *testing.T) {
 		t.Fatal("rule not stored")
 	}
 }
+
+// runPanic runs the scheduler and returns what an event panicked with,
+// nil if it drained.
+func runPanic(s *simnet.Scheduler) (v any) {
+	defer func() { v = recover() }()
+	s.Run()
+	return nil
+}
+
+const doubleRespond = "httpsim: respond called twice"
+
+// TestAppRespondTwicePanics: an AppHandler that responds twice sends
+// two responses out through its sidecar, and the second reaches
+// httpsim's double-respond panic. The request is untraced, so the
+// trace's own once-only close does not panic first.
+func TestAppRespondTwicePanics(t *testing.T) {
+	tb := buildBed(t, Config{SidecarDelayMean: -1}, func(_ *cluster.Pod, _ *httpsim.Request, respond func(*httpsim.Response)) {
+		respond(httpsim.NewResponse(httpsim.StatusOK))
+		respond(httpsim.NewResponse(httpsim.StatusOK))
+	})
+	req := httpsim.NewRequest("GET", "/x")
+	req.Headers.Set(HeaderHost, "backend")
+	tb.fe.Call(req, func(*httpsim.Response, error) {})
+	if v := runPanic(tb.sched); v != doubleRespond {
+		t.Fatalf("a double respond through the mesh panicked with %v, want %q", v, doubleRespond)
+	}
+}
+
+// TestAppRespondAfterReusePanics: request A is answered, then request
+// B's server-side record is the one A's respond holds, and B's handler
+// calls A's respond again. The late response crosses the proxy and
+// panics as a double respond, and B still gets its own answer.
+func TestAppRespondAfterReusePanics(t *testing.T) {
+	var respondA func(*httpsim.Response)
+	tb := buildBed(t, Config{SidecarDelayMean: -1}, func(_ *cluster.Pod, req *httpsim.Request, respond func(*httpsim.Response)) {
+		if req.Path == "/a" {
+			respondA = respond
+			respond(httpsim.NewResponse(httpsim.StatusOK))
+			return
+		}
+		respondA(httpsim.NewResponse(httpsim.StatusForbidden))
+		respond(httpsim.NewResponse(httpsim.StatusConflict))
+	})
+	got := map[string][]int{}
+	call := func(path string) {
+		req := httpsim.NewRequest("GET", path)
+		req.Headers.Set(HeaderHost, "backend")
+		tb.fe.Call(req, func(resp *httpsim.Response, err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			got[path] = append(got[path], resp.Status)
+		})
+	}
+	call("/a")
+	tb.sched.Run()
+	call("/b")
+	if v := runPanic(tb.sched); v != doubleRespond {
+		t.Fatalf("A's respond called again from B's handler panicked with %v, want %q", v, doubleRespond)
+	}
+	tb.sched.Run()
+	if len(got["/a"]) != 1 || got["/a"][0] != httpsim.StatusOK || len(got["/b"]) != 1 || got["/b"][0] != httpsim.StatusConflict {
+		t.Fatalf("answers = %v, want /a [200] and /b [409]", got)
+	}
+}

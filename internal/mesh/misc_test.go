@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"meshlayer/internal/httpsim"
+	"meshlayer/internal/trace"
 )
 
 func TestSubsetRefString(t *testing.T) {
@@ -187,8 +188,10 @@ func TestPushDelayedRouteRuleTakesEffectMidTraffic(t *testing.T) {
 	}
 }
 
-// spanIDRoundTrips are ids a run may write into the span-id header.
-var spanIDRoundTrips = []uint64{0, 1, 0xab, 0xdeadbeef, 1 << 63, ^uint64(0)}
+// spanIDRoundTrips are ids a run may write into the span-id header,
+// with the edges of IDText's 256-id blocks where the hex width grows.
+var spanIDRoundTrips = []uint64{0, 1, 0xab, 0xff, 0x100, 0x101, 0xfff, 0x1000, 0xdeadbeef,
+	1 << 63, 1<<64 - 257, 1<<64 - 256, ^uint64(0)}
 
 // spanIDHeaders are header values and what parseSpanID reads from them.
 var spanIDHeaders = map[string]uint64{
@@ -207,19 +210,20 @@ var spanIDHeaders = map[string]uint64{
 	"00ab":              0xab,
 }
 
-// The span-id header is written only by formatSpanID, so every id a run
-// parses round-trips. What a malformed header yields is pinned here:
+// The span-id header is written only by trace.Collector.IDText, so
+// every id a run parses round-trips. What a malformed header yields is pinned here:
 // no parent (0), never a prefix. fmt.Sscanf("%x"), which this replaced,
 // read the leading hex run instead — "12zz", "12 34" and " 12" gave
 // 0x12 and "1_2" gave 0x1; on the rest of the table the two agree.
 func TestSpanIDHeaderRoundTripAndMalformed(t *testing.T) {
+	ids := trace.NewCollector()
 	for _, id := range spanIDRoundTrips {
-		if got := parseSpanID(formatSpanID(id)); got != id {
-			t.Errorf("parseSpanID(formatSpanID(%#x)) = %#x", id, got)
+		if got := parseSpanID(ids.IDText(id)); got != id {
+			t.Errorf("parseSpanID(IDText(%#x)) = %#x", id, got)
 		}
 	}
-	if got := formatSpanID(0xAB); got != "ab" {
-		t.Errorf("formatSpanID(0xAB) = %q, want lower-case hex without a prefix", got)
+	if got := ids.IDText(0xAB); got != "ab" {
+		t.Errorf("IDText(0xAB) = %q, want lower-case hex without a prefix", got)
 	}
 	for in, want := range spanIDHeaders {
 		if got := parseSpanID(in); got != want {
@@ -230,7 +234,7 @@ func TestSpanIDHeaderRoundTripAndMalformed(t *testing.T) {
 
 // FuzzParseSpanID: every hop parses the span-id header a peer wrote, so
 // no header value may panic, every id round-trips through
-// formatSpanID, and a header reads as its value only when it is bare
+// IDText, and a header reads as its value only when it is bare
 // hex digits that fit 64 bits — anything else is 0, no parent.
 //
 //	go test -run '^$' -fuzz FuzzParseSpanID -fuzztime 30s ./internal/mesh
@@ -241,9 +245,10 @@ func FuzzParseSpanID(f *testing.F) {
 	for _, id := range spanIDRoundTrips {
 		f.Add("", id)
 	}
+	ids := trace.NewCollector()
 	f.Fuzz(func(t *testing.T, header string, id uint64) {
-		if got := parseSpanID(formatSpanID(id)); got != id {
-			t.Errorf("parseSpanID(formatSpanID(%#x)) = %#x", id, got)
+		if got := parseSpanID(ids.IDText(id)); got != id {
+			t.Errorf("parseSpanID(IDText(%#x)) = %#x", id, got)
 		}
 		want, ok := bareHex(header)
 		if !ok {

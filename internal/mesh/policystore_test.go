@@ -55,7 +55,7 @@ var policyCases = []policyCase{
 		field: "Retry",
 		set:   func(cp *ControlPlane) { cp.SetRetryPolicy("backend", RetryPolicy{MaxRetries: 7}) },
 		reset: func(cp *ControlPlane) { cp.SetRetryPolicy("backend", RetryPolicy{MaxRetries: 1}) },
-		read:  func(tb *testbed) any { return tb.fe.retryPolicyFor("backend") },
+		read:  func(tb *testbed) any { return *tb.fe.retryPolicyFor("backend") },
 		unset: DefaultRetryPolicy, want: RetryPolicy{MaxRetries: 7}, afterReset: RetryPolicy{MaxRetries: 1}, wire: 40,
 	},
 	{

@@ -26,7 +26,7 @@ type proxyWork struct {
 	seq  uint64
 	kind proxyKind
 	call *call
-	in   *inbound
+	in   inbound
 	resp *httpsim.Response
 }
 

@@ -48,7 +48,8 @@ func TestProxyQueueMatchesTimers(t *testing.T) {
 // what completed, in order, with the simulated time. reference queues
 // each traversal as a direct sched.After closure; otherwise an inbound
 // traversal enters through handleInbound and reaches the sidecar's app,
-// and a response traversal goes out through respondFinal.
+// and a response traversal goes out through traverse, as the app's
+// respond closure sends it.
 func driveTraversals(delay time.Duration, seed int64, reference bool) []string {
 	cl := cluster.New(simnet.NewNetwork(simnet.NewScheduler()))
 	pod := cl.AddPod(cluster.PodSpec{Name: "svc-1", Labels: map[string]string{"app": "svc"}})
@@ -86,8 +87,8 @@ func driveTraversals(delay time.Duration, seed int64, reference bool) []string {
 			done[id] = finish
 			sc.handleInbound(httpsim.Ctx{}, httpsim.NewRequest("GET", id), nil)
 		default:
-			in := &inbound{sc: sc, req: httpsim.NewRequest("GET", id), respond: func(*httpsim.Response) { finish() }}
-			in.respondFinal(httpsim.NewResponse(httpsim.StatusOK))
+			in := inbound{sc: sc, req: httpsim.NewRequest("GET", id), respond: func(*httpsim.Response) { finish() }}
+			m.traverse(proxyWork{kind: proxyResponse, in: in, resp: httpsim.NewResponse(httpsim.StatusOK)})
 		}
 	}
 	for i := 0; i < 40; i++ {

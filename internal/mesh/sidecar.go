@@ -180,10 +180,11 @@ func (sc *Sidecar) SetConnHook(f func(*transport.Conn, ConnClass)) { sc.connHook
 // --- inbound path ---
 
 // inbound is one request a sidecar serves, from its arrival at the
-// proxy to its response leaving it. The record is not recycled: the
-// app holds its respondFinal, and a reused record would turn a second
-// respond into another request's answer instead of httpsim's "respond
-// called twice" panic.
+// proxy to its response leaving it. It is no record of its own: it
+// travels by value in the proxy traversals that carry it, and the app's
+// respond closure holds a copy. A second respond crosses the proxy
+// again and reaches httpsim's "respond called twice" panic through
+// respond, httpsim's own closure for the request.
 type inbound struct {
 	sc      *Sidecar
 	ctx     httpsim.Ctx
@@ -194,11 +195,11 @@ type inbound struct {
 }
 
 func (sc *Sidecar) handleInbound(ctx httpsim.Ctx, req *httpsim.Request, respond func(*httpsim.Response)) {
-	sc.mesh.traverse(proxyWork{kind: proxyInbound, in: &inbound{sc: sc, ctx: ctx, req: req, respond: respond}})
+	sc.mesh.traverse(proxyWork{kind: proxyInbound, in: inbound{sc: sc, ctx: ctx, req: req, respond: respond}})
 }
 
 // serve runs an inbound request once it has crossed the proxy.
-func (in *inbound) serve() {
+func (in inbound) serve() {
 	sc, req, respond := in.sc, in.req, in.respond
 	m := sc.mesh
 	// Control-plane pushes terminate at the proxy: apply to the
@@ -247,7 +248,7 @@ func (in *inbound) serve() {
 			Start:    in.start,
 			Priority: req.Headers.Get(HeaderPriority),
 		})
-		req.Headers.Set(trace.HeaderSpanID, formatSpanID(id))
+		req.Headers.Set(trace.HeaderSpanID, m.tracer.IDText(id))
 	}
 
 	for _, f := range sc.inboundFilters {
@@ -265,10 +266,19 @@ func (in *inbound) serve() {
 		return
 	}
 
+	// The app answers through one closure that sends its response back
+	// out through the proxy. It holds a copy of in made now, once span
+	// and start are set, and never written again, so the copy lives in
+	// the closure and in stays on the stack.
+	final := in
+	respondFinal := func(resp *httpsim.Response) {
+		m.traverse(proxyWork{kind: proxyResponse, in: final, resp: resp})
+	}
+
 	ctl := sc.admissionFor(sc.admissionPolicyFor(sc.service))
 	if ctl == nil {
 		m.seriesOf(sc.service).inboundOK().Inc()
-		app(req, in.respondFinal)
+		app(req, respondFinal)
 		return
 	}
 
@@ -290,18 +300,13 @@ func (in *inbound) serve() {
 				// own queueing.
 				ctl.Done(m.sched.Now()-dispatched, resp.Status < 500)
 				sc.observeAdmission(ctl)
-				in.respondFinal(resp)
+				respondFinal(resp)
 			})
 		},
 		Shed: func(why admission.Reason) {
-			sc.shedInbound(cls, why, in.respondFinal)
+			sc.shedInbound(cls, why, respondFinal)
 		},
 	})
-}
-
-// respondFinal sends the app's response back out through the proxy.
-func (in *inbound) respondFinal(resp *httpsim.Response) {
-	in.sc.mesh.traverse(proxyWork{kind: proxyResponse, in: in, resp: resp})
 }
 
 // reply answers the caller once the response has crossed the proxy.
@@ -326,27 +331,87 @@ func (in *inbound) reply(resp *httpsim.Response) {
 
 // --- outbound path ---
 
-// call tracks one logical outbound request across attempts.
+// call tracks one logical outbound request across attempts. Records
+// live on the mesh's free list (Mesh.calls). holds counts what may
+// still run code on the record: its live attempts and its pending
+// hedge, retry-backoff, fallback and fault-delay timers, whose
+// callbacks are methods bound once, when the record first arms a
+// timer (most never do, and a free record stays smaller). A call
+// returns its record when it is done and its last hold ends, whichever
+// comes second; the proxy traversal that routes it needs no hold, as
+// no call finishes before it is routed.
+//
+//meshvet:pooled
 type call struct {
 	sc       *Sidecar
 	service  string
 	req      *httpsim.Request
 	cb       func(*httpsim.Response, error)
-	span     trace.SpanRef
-	retry    RetryPolicy
+	retry    *RetryPolicy // shared and never written (retryPolicyFor)
 	breaker  CircuitBreakerPolicy
 	attempts int
-	done     bool
 	start    time.Duration
-	hedged   bool
+	// fbTimer is the armed fallback deadline (degrade.go), cancelled
+	// when the call settles first.
+	fbTimer simnet.Timer
+	span    trace.SpanRef
+	// holds counts the live attempts and pending timers (see above).
+	holds  int32
+	done   bool
+	hedged bool
 	// retryPending is set while a retry is scheduled but has not yet
 	// launched. It stops concurrent attempt failures (a hedge pair, or
 	// an original racing its replacement) from each spending a budget
 	// token and each scheduling a retry for the same logical call.
 	retryPending bool
-	// fbTimer is the armed fallback deadline (degrade.go), cancelled
-	// when the call settles first.
-	fbTimer simnet.Timer
+	// onHedge, onRetry, onFallback and onDelay, bound by bindTimers.
+	hedgeFn, retryFn, fallbackFn, delayFn func()
+}
+
+// newCall takes a record off the mesh's free list, or makes one.
+func (m *Mesh) newCall() *call {
+	if n := len(m.calls); n > 0 {
+		c := m.calls[n-1]
+		m.calls = m.calls[:n-1]
+		return c
+	}
+	m.callsMade++
+	return new(call)
+}
+
+// bindTimers binds the call's timer callbacks, once per record, before
+// it arms its first timer.
+func (c *call) bindTimers() {
+	if c.hedgeFn == nil {
+		c.hedgeFn, c.retryFn, c.fallbackFn, c.delayFn = c.onHedge, c.onRetry, c.onFallback, c.onDelay
+	}
+}
+
+// FreeCalls returns how many call records wait on the mesh's free list
+// and how many the mesh has made. Once the scheduler drains the two are
+// equal: tests read them to prove that each call returns its record,
+// once.
+func (m *Mesh) FreeCalls() (free, made int) { return len(m.calls), m.callsMade }
+
+// drop ends one of the call's holds. It reports whether the call is
+// still live; a done call's last hold returns the record.
+func (c *call) drop() (live bool) {
+	c.holds--
+	if !c.done {
+		return true
+	}
+	if c.holds == 0 {
+		c.release()
+	}
+	return false
+}
+
+// release resets a done call with no holds and returns it to the free
+// list.
+func (c *call) release() {
+	m := c.sc.mesh
+	*c = call{hedgeFn: c.hedgeFn, retryFn: c.retryFn, fallbackFn: c.fallbackFn, delayFn: c.delayFn}
+	m.calls = append(m.calls, c) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
 }
 
 // Call routes req to the service named by its "host" header through
@@ -374,21 +439,14 @@ func (sc *Sidecar) Call(req *httpsim.Request, cb func(*httpsim.Response, error))
 			Start:    m.sched.Now(),
 			Client:   true,
 		})
-		req.Headers.Set(trace.HeaderSpanID, formatSpanID(id))
+		req.Headers.Set(trace.HeaderSpanID, m.tracer.IDText(id))
 	}
 
-	c := &call{
-		sc:      sc,
-		service: service,
-		req:     req,
-		cb:      cb,
-		span:    span,
-		retry:   sc.retryPolicyFor(service),
-		breaker: sc.breakerFor(service),
-		start:   m.sched.Now(),
-	}
+	c := m.newCall()
+	c.sc, c.service, c.req, c.cb, c.span = sc, service, req, cb, span
+	c.retry, c.breaker, c.start = sc.retryPolicyFor(service), sc.breakerFor(service), m.sched.Now()
 	sc.ensureDefenses(service)
-	sc.depositRetryTokens(service, c.retry)
+	sc.depositRetryTokens(service, *c.retry)
 	m.traverse(proxyWork{kind: proxyOutbound, call: c})
 }
 
@@ -415,11 +473,9 @@ func (c *call) route() {
 	// serving degraded at the deadline keeps the whole tree alive.
 	if sc.fallbackFor(service).Enabled {
 		c.fbTimer.Cancel() // no-op on a fresh call; meshvet: cancel before re-arm
-		c.fbTimer = m.sched.After(fallbackAfter, func() {
-			if !c.done {
-				c.finish(nil, ErrTimeout)
-			}
-		})
+		c.bindTimers()
+		c.holds++
+		c.fbTimer = m.sched.After(fallbackAfter, c.fallbackFn)
 	}
 
 	// Fault injection (client-side, once per logical call).
@@ -429,23 +485,54 @@ func (c *call) route() {
 			return
 		}
 		if f.DelayProb > 0 && m.rng.Float64() < f.DelayProb {
-			m.sched.After(f.Delay, c.begin)
+			c.bindTimers()
+			c.holds++
+			m.sched.After(f.Delay, c.delayFn)
 			return
 		}
 	}
 	c.begin()
 }
 
-// begin launches the call's first attempt and arms its hedge.
+// onFallback serves the fallback when the call is still live at its
+// fallback deadline.
+func (c *call) onFallback() {
+	if c.drop() {
+		c.finish(nil, ErrTimeout)
+	}
+}
+
+// onDelay begins the call once its injected fault delay has passed,
+// even a call its fallback finished meanwhile, and holds the call
+// until begin returns.
+func (c *call) onDelay() {
+	c.begin()
+	c.drop()
+}
+
+// begin launches the call's first attempt and arms its hedge. The
+// hedge timer's hold is taken before launch, which may finish the call
+// and, holding nothing else, return it.
 func (c *call) begin() {
+	m := c.sc.mesh
+	h := c.sc.hedgePolicyFor(c.service)
+	if h.Delay > 0 {
+		c.bindTimers()
+		c.holds++
+	}
 	c.launch()
-	if h := c.sc.hedgePolicyFor(c.service); h.Delay > 0 {
-		c.sc.mesh.sched.After(h.Delay, func() {
-			if !c.done && !c.hedged {
-				c.hedged = true
-				c.launch()
-			}
-		})
+	if h.Delay > 0 {
+		m.sched.After(h.Delay, c.hedgeFn)
+	}
+}
+
+// onHedge launches a second attempt when the call is still live at its
+// hedge delay and has not hedged yet. Finishing the call does not
+// cancel the hedge timer, so the call's record waits for it.
+func (c *call) onHedge() {
+	if c.drop() && !c.hedged {
+		c.hedged = true
+		c.launch()
 	}
 }
 
@@ -542,7 +629,8 @@ func (c *call) launch() {
 	client := sc.clientFor(ep, class)
 
 	at := m.newAttempt()
-	at.c, at.st, at.trial, at.start = c, st, trial, m.sched.Now()
+	c.holds++
+	at.c, at.st, at.trial, at.start = c, st, trial, m.sched.Now() //meshvet:allow poolescape an attempt holds its call, counted in holds until settle drops it
 	at.key, at.client = poolKey{addr: ep.Addr(), class: class.Name}, client
 	out := c.req.Clone()
 	if via != "" {
@@ -577,15 +665,16 @@ func (m *Mesh) newAttempt() *attempt {
 		m.attempts = m.attempts[:n-1]
 		return at
 	}
+	m.attemptsMade++
 	at := new(attempt)
 	at.done = at.settle
 	return at
 }
 
 // FreeAttempts returns how many attempt records wait on the mesh's free
-// list: once the scheduler drains, every record made so far, which
-// tests read to prove that each attempt returns its record.
-func (m *Mesh) FreeAttempts() int { return len(m.attempts) }
+// list and how many the mesh has made, equal once the scheduler drains,
+// as FreeCalls does for call records.
+func (m *Mesh) FreeAttempts() (free, made int) { return len(m.attempts), m.attemptsMade }
 
 // settle folds the attempt's outcome into its endpoint state and its
 // call: a retry, or the call's end.
@@ -613,14 +702,14 @@ func (at *attempt) settle(resp *httpsim.Response, err error) {
 	lat := m.sched.Now() - start
 	failed := err != nil || resp.Status >= 500
 	st.observe(lat, failed, trial, c.breaker, m.sched.Now())
-	if c.done {
+	if !c.drop() {
 		return
 	}
 	if failed && c.shouldRetry(resp, err) {
 		if c.retryPending {
 			return // a concurrent attempt already charged and scheduled this retry
 		}
-		if !sc.spendRetryToken(c.service, c.retry) {
+		if !sc.spendRetryToken(c.service, *c.retry) {
 			m.metrics.Counter(MetricRetryBudgetExhausted,
 				metrics.Labels{"service": c.service}).Inc()
 			c.finish(resp, err)
@@ -657,12 +746,18 @@ func (c *call) scheduleRetry() {
 		return
 	}
 	wait := time.Duration(m.rng.Int63n(int64(d))) + 1 // U(0, d]
-	m.sched.After(wait, func() {
+	c.bindTimers()
+	c.holds++
+	m.sched.After(wait, c.retryFn)
+}
+
+// onRetry launches the retry a backoff delayed, unless the call
+// finished meanwhile.
+func (c *call) onRetry() {
+	if c.drop() {
 		c.retryPending = false
-		if !c.done {
-			c.launch()
-		}
-	})
+		c.launch()
+	}
 }
 
 func (c *call) finish(resp *httpsim.Response, err error) {
@@ -670,7 +765,10 @@ func (c *call) finish(resp *httpsim.Response, err error) {
 		return
 	}
 	c.done = true
-	c.fbTimer.Cancel()
+	if !c.fbTimer.Stopped() {
+		c.fbTimer.Cancel()
+		c.holds-- // the fallback timer's hold ends with it
+	}
 	m := c.sc.mesh
 	resp, err = c.maybeFallback(resp, err)
 	status := 0
@@ -687,7 +785,11 @@ func (c *call) finish(resp *httpsim.Response, err error) {
 		}
 		m.tracer.Close(c.span, m.sched.Now(), int32(status), retries)
 	}
-	c.cb(resp, err)
+	cb := c.cb
+	if c.holds == 0 {
+		c.release()
+	}
+	cb(resp, err)
 }
 
 // statusClasses are the outbound counter's code labels for status
@@ -731,9 +833,10 @@ func (sc *Sidecar) ForEachPool(fn func(class string, dst simnet.Addr, conn *tran
 }
 
 // parseSpanID reads the parent span id an upstream sidecar wrote with
-// formatSpanID. A missing or malformed header — anything but bare hex
-// digits that fit 64 bits — is 0, no parent: the span starts a trace of
-// its own rather than hanging off whatever prefix happened to parse.
+// trace.Collector.IDText. A missing or malformed header — anything but
+// bare hex digits that fit 64 bits — is 0, no parent: the span starts a
+// trace of its own rather than hanging off whatever prefix happened to
+// parse.
 func parseSpanID(s string) uint64 {
 	id, err := strconv.ParseUint(s, 16, 64)
 	if err != nil {
@@ -741,5 +844,3 @@ func parseSpanID(s string) uint64 {
 	}
 	return id
 }
-
-func formatSpanID(id uint64) string { return strconv.FormatUint(id, 16) }

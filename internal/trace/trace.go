@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -121,7 +122,17 @@ type Collector struct {
 	n      int // closed spans
 	nextID uint64
 	seq    uint64
+	// idText holds the hex of the idBlock-aligned run of span ids the
+	// last IDText fell in, each padded to one width; idBase is the
+	// run's first id, and idBuf the bytes each run is formatted into.
+	idText string
+	idBase uint64
+	idBuf  []byte
 }
+
+// idBlock span ids share one IDText string: ids are minted in order,
+// so a run of spans formats its ids once per idBlock spans.
+const idBlock = 256
 
 // traceEntry is one trace: its ID and its first and last closed spans.
 type traceEntry struct {
@@ -153,6 +164,44 @@ func traceID(seq uint64) string {
 		b = append(b, '0')
 	}
 	return string(append(b, d...))
+}
+
+// IDText returns id in lower-case hex without leading zeros, the text
+// of the span-id header. It is sliced out of one string that holds
+// the idBlock consecutive ids around id, each left-padded with zeros
+// to the width of the block's largest, so the ids a run mints in order
+// cost one string allocation per idBlock spans.
+func (c *Collector) IDText(id uint64) string {
+	base := id &^ (idBlock - 1)
+	if c.idText == "" || base != c.idBase {
+		c.formatIDs(base)
+	}
+	width := len(c.idText) / idBlock
+	end := int(id-base+1) * width
+	start := end - width
+	for start < end-1 && c.idText[start] == '0' {
+		start++
+	}
+	return c.idText[start:end]
+}
+
+// formatIDs fills idText with the block of ids starting at base, the
+// bytes written into idBuf so the block costs only the string.
+func (c *Collector) formatIDs(base uint64) {
+	const digits = "0123456789abcdef"
+	width := 1
+	for last := base + idBlock - 1; last >= 16; last >>= 4 {
+		width++
+	}
+	c.idBuf = slices.Grow(c.idBuf[:0], idBlock*width)[:idBlock*width]
+	for i := 0; i < idBlock; i++ {
+		v := base + uint64(i)
+		for j := (i+1)*width - 1; j >= i*width; j-- {
+			c.idBuf[j] = digits[v&15]
+			v >>= 4
+		}
+	}
+	c.idText, c.idBase = string(c.idBuf), base
 }
 
 // Name returns words joined by single spaces — a span name such as

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -186,5 +187,37 @@ func TestTraceIDMatchesFormat(t *testing.T) {
 	c := NewCollector()
 	if got := c.NewTraceID(); got != "req-00000001" {
 		t.Fatalf("first trace id = %q", got)
+	}
+}
+
+// TestIDTextMatchesFormat: IDText is strconv.FormatUint(id, 16) for the
+// ids a run mints in order, across the block edges where the hex width
+// grows, and for ids asked out of order: at block edges, near 2^64,
+// and back in a block left behind. A run of idBlock ids in order costs
+// one allocation, the block's string.
+func TestIDTextMatchesFormat(t *testing.T) {
+	c := NewCollector()
+	check := func(id uint64) {
+		t.Helper()
+		if got, want := c.IDText(id), strconv.FormatUint(id, 16); got != want {
+			t.Fatalf("IDText(%#x) = %q, want %q", id, got, want)
+		}
+	}
+	for id := uint64(0); id < 5*idBlock; id++ {
+		check(id)
+	}
+	for _, id := range []uint64{0xfff, 0x1000, 0xffff_ffff, 1 << 32, 1<<63 - 1, 1 << 63,
+		1<<64 - idBlock - 1, 1<<64 - idBlock, 1<<64 - 2, 1<<64 - 1, 0, 15, 16, 255, 256} {
+		check(id)
+	}
+	next := uint64(64 * idBlock)
+	c.IDText(next)
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < idBlock; i++ {
+			next++
+			c.IDText(next)
+		}
+	}); n != 1 {
+		t.Errorf("%d ids in order allocate %v times, want 1", idBlock, n)
 	}
 }
