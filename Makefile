@@ -1,6 +1,6 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same commands.
 
-.PHONY: check build fmt vet lint test allocs examples examples-update fuzz race reach reach-goldens
+.PHONY: check build fmt vet lint test allocs examples examples-update fuzz race reach reach-programs
 
 check: build fmt vet lint test allocs examples
 
@@ -94,14 +94,31 @@ reach:
 	go tool cover -func="$$prof" | \
 	awk '$$NF == "0.0%" && $$1 !~ /^meshlayer\/(cmd|examples|bench)\// {print $$1, $$2}'
 
-# The experiments' lens of the same audit (ROADMAP item 7), not part of
-# check: every non-test function no registry experiment executes, from
-# coverage of TestGoldens alone (~7 min on 2 cores). internal/lint is
-# left out too, since meshvet runs at lint time, never inside an
-# experiment. The count goes to stderr after the list.
-reach-goldens:
-	@prof=$$(mktemp) && trap 'rm -f "$$prof"' EXIT && \
-	go test -timeout 45m -run 'TestGoldens$$' -coverpkg=./... -coverprofile="$$prof" . >/dev/null && \
-	go tool cover -func="$$prof" | \
+# The programs' lens of the same audit (ROADMAP item 7), not part of
+# check: every non-test function that neither an experiment nor a
+# program run executes. It merges the coverage of TestGoldens with that
+# of coverage-instrumented builds (go build -cover) of every example
+# main and cmd/tracedump at their defaults, cmd/meshsim at its defaults
+# and with -opts all -telemetry -timeline, and bench -workload all
+# -quick with and without -trace 1 (~8 min on 2 cores). internal/lint
+# is left out, since meshvet runs at lint time, never inside a program.
+# The count goes to stderr after the list.
+REACH_MAINS = examples/*/ cmd/tracedump/ cmd/meshsim/ bench/
+
+reach-programs:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && mkdir "$$dir/cov" "$$dir/bin" && \
+	go test -timeout 45m -run 'TestGoldens$$' -cover -coverpkg=./... . -args -test.gocoverdir="$$dir/cov" >/dev/null && \
+	for d in $(REACH_MAINS); do \
+		go build -cover -coverpkg=./... -o "$$dir/bin/$$(basename $$d)" "./$$d" || exit 1; \
+	done && \
+	for d in examples/*/ cmd/tracedump/; do \
+		GOCOVERDIR="$$dir/cov" "$$dir/bin/$$(basename $$d)" >/dev/null || exit 1; \
+	done && \
+	GOCOVERDIR="$$dir/cov" "$$dir/bin/meshsim" >/dev/null && \
+	GOCOVERDIR="$$dir/cov" "$$dir/bin/meshsim" -opts all -telemetry -timeline >/dev/null && \
+	GOCOVERDIR="$$dir/cov" "$$dir/bin/bench" -workload all -quick >/dev/null && \
+	GOCOVERDIR="$$dir/cov" "$$dir/bin/bench" -workload all -quick -trace 1 >/dev/null && \
+	go tool covdata textfmt -i="$$dir/cov" -o "$$dir/cover.out" && \
+	go tool cover -func="$$dir/cover.out" | \
 	awk '$$NF == "0.0%" && $$1 !~ /^meshlayer\/(cmd|examples|bench|internal\/lint)\// {print $$1, $$2; n++} \
-		END {print n + 0, "functions at 0% under TestGoldens" > "/dev/stderr"}'
+		END {print n + 0, "functions at 0% under the experiments and programs" > "/dev/stderr"}'

@@ -648,11 +648,9 @@ func RunQdiscComparison(rps float64, seed int64, mixed MixedConfig) []QdiscRow {
 		for _, nic := range []*simnet.NIC{e.Ratings.Uplink().A(), e.Ratings.Uplink().B()} {
 			switch name {
 			case "red":
-				nic.SetQdisc(tc.NewRED(tc.REDConfig{
-					MinBytes: 100 * simnet.MTU, MaxBytes: 400 * simnet.MTU, Seed: seed,
-				}))
+				nic.SetQdisc(tc.NewRED(seed))
 			case "codel":
-				nic.SetQdisc(tc.NewCoDel(tc.CoDelConfig{Target: 5 * time.Millisecond}, clock))
+				nic.SetQdisc(tc.NewCoDel(clock))
 			case "nearstrict 95% (paper)":
 				nic.SetQdisc(tc.NewNearStrict(tc.NearStrictConfig{LinkRate: rate, HighShare: 0.95}, clock))
 			}

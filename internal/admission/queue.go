@@ -1,6 +1,10 @@
 package admission
 
-import "time"
+import (
+	"time"
+
+	"meshlayer/internal/simnet"
+)
 
 // QueueConfig bounds the two-class queue and tunes its CoDel-style
 // delay shedding. Zero fields select the defaults.
@@ -56,8 +60,7 @@ type codelState struct {
 // shared invariant).
 type Queue struct {
 	cfg   QueueConfig
-	q     [numClasses][]Item
-	head  [numClasses]int
+	q     [numClasses]simnet.Queue[Item]
 	codel [numClasses]codelState
 
 	shedFull     uint64
@@ -79,7 +82,7 @@ func (q *Queue) Len() int {
 }
 
 // Depth returns the queued requests of one class.
-func (q *Queue) Depth(c Class) int { return len(q.q[c]) - q.head[c] }
+func (q *Queue) Depth(c Class) int { return q.q[c].Len() }
 
 // ShedCounts reports cumulative sheds by cause (delay, full, deadline).
 func (q *Queue) ShedCounts() (delay, full, deadline uint64) {
@@ -98,8 +101,7 @@ func (q *Queue) Push(it Item, now time.Duration) bool {
 		// Full: displace the newest LI request for an LS arrival (LI
 		// sheds first); otherwise shed the arrival itself.
 		if it.Class == LS && q.Depth(LI) > 0 {
-			tail := q.q[LI][len(q.q[LI])-1]
-			q.q[LI] = q.q[LI][:len(q.q[LI])-1]
+			tail := q.q[LI].Remove(q.Depth(LI) - 1)
 			q.shedFull++
 			tail.Shed(ShedQueueFull)
 		} else {
@@ -108,7 +110,7 @@ func (q *Queue) Push(it Item, now time.Duration) bool {
 			return false
 		}
 	}
-	q.q[it.Class] = append(q.q[it.Class], it)
+	q.q[it.Class].Push(it)
 	return true
 }
 
@@ -118,7 +120,7 @@ func (q *Queue) Push(it Item, now time.Duration) bool {
 func (q *Queue) Pop(now time.Duration) (Item, bool) {
 	for c := Class(0); c < numClasses; c++ {
 		for q.Depth(c) > 0 {
-			it := q.popHead(c)
+			it := q.q[c].Pop()
 			if it.Expiry > 0 && now >= it.Expiry {
 				q.shedDeadline++
 				it.Shed(ShedDeadline)
@@ -150,18 +152,4 @@ func (q *Queue) Pop(now time.Duration) (Item, bool) {
 		}
 	}
 	return Item{}, false
-}
-
-// popHead removes and returns the class's head item, compacting the
-// backing slice once the dead prefix dominates.
-func (q *Queue) popHead(c Class) Item {
-	it := q.q[c][q.head[c]]
-	q.q[c][q.head[c]] = Item{} // release closures for GC
-	q.head[c]++
-	if q.head[c] > 32 && q.head[c]*2 >= len(q.q[c]) {
-		n := copy(q.q[c], q.q[c][q.head[c]:])
-		q.q[c] = q.q[c][:n]
-		q.head[c] = 0
-	}
-	return it
 }

@@ -104,7 +104,6 @@ func TestConnectPodsDirectPath(t *testing.T) {
 	a := c.AddPod(PodSpec{Name: "a"})
 	b := c.AddPod(PodSpec{Name: "b"})
 	direct := c.ConnectPods(a, b, simnet.LinkConfig{Rate: simnet.Gbps})
-	c.Network().ComputeRoutes()
 	var got bool
 	b.Host().Listen(80, func(conn *transport.Conn) {
 		conn.SetOnMessage(func(any, int) { got = true })

@@ -96,8 +96,8 @@ func TestTCInstalled(t *testing.T) {
 	if c.Stats().QdiscsInstalled != wantQdiscs {
 		t.Fatalf("qdiscs = %d, want %d", c.Stats().QdiscsInstalled, wantQdiscs)
 	}
-	if _, ok := e.Ratings.NIC().Qdisc().(*tc.Prio); !ok {
-		t.Fatalf("ratings NIC qdisc is %T, want *tc.Prio", e.Ratings.NIC().Qdisc())
+	if _, ok := e.Ratings.NIC().Qdisc().(*tc.NearStrict); !ok {
+		t.Fatalf("ratings NIC qdisc is %T, want *tc.NearStrict", e.Ratings.NIC().Qdisc())
 	}
 }
 
@@ -113,7 +113,7 @@ func TestMarksReachBottleneckQdisc(t *testing.T) {
 	}
 	e.Sched.Run()
 
-	q := e.Ratings.NIC().Qdisc().(*tc.Prio)
+	q := e.Ratings.NIC().Qdisc().(*tc.NearStrict)
 	if q.Sent(0) == 0 {
 		t.Fatal("no high-priority packets through the bottleneck qdisc")
 	}

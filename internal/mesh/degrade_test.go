@@ -68,6 +68,38 @@ func TestFallbackDeadlineBeatsRetryLadder(t *testing.T) {
 	}
 }
 
+// TestFallbackBeforeFaultDelaySkipsUpstream: an injected delay longer
+// than the fallback deadline ends in the degraded answer at the
+// deadline, and the call never reaches the upstream afterwards, whose
+// answer nobody would read.
+func TestFallbackBeforeFaultDelaySkipsUpstream(t *testing.T) {
+	hits := map[string]int{}
+	tb := buildBed(t, Config{Seed: 7}, countingBackend(hits, nil))
+	cp := tb.m.ControlPlane()
+	cp.SetFallbackPolicy("backend", FallbackPolicy{Enabled: true})
+	cp.SetFaultPolicy("backend", FaultPolicy{DelayProb: 1, Delay: 500 * time.Millisecond})
+
+	var done time.Duration
+	var got *httpsim.Response
+	tb.gw.Serve(extReq("/x"), func(resp *httpsim.Response, err error) {
+		done, got = tb.sched.Now(), resp
+	})
+	tb.sched.Run()
+
+	if got == nil || got.Status != httpsim.StatusOK || got.Headers.Get(HeaderDegraded) != "backend" {
+		t.Fatalf("resp = %v, want the degraded 200", got)
+	}
+	if done < fallbackAfter || done > fallbackAfter+10*time.Millisecond {
+		t.Fatalf("degraded response took %v, want ~%v (the fallback deadline)", done, fallbackAfter)
+	}
+	if n := hits["backend-1"] + hits["backend-2"]; n != 0 {
+		t.Fatalf("backend served %d requests after the fallback answered, want 0", n)
+	}
+	if free, made := tb.m.FreeCalls(); free != made {
+		t.Fatalf("%d call records free of %d made", free, made)
+	}
+}
+
 func TestFallbackDisabledLeavesErrors(t *testing.T) {
 	tb := buildBed(t, Config{Seed: 5}, countingBackend(map[string]int{}, func(*cluster.Pod) bool {
 		return true

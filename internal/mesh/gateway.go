@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"meshlayer/internal/cluster"
 	"meshlayer/internal/hdr"
@@ -27,6 +28,23 @@ type Gateway struct {
 	// durations is MetricGatewayRequestDuration by priority ("" for an
 	// unclassified request), each resolved at its first observation.
 	durations map[string]*hdr.Histogram
+	// admitted is the free list of admitted-request records.
+	admitted []*admitted
+}
+
+// admitted is one admitted request until its answer: the root span to
+// close and the caller's callback. Records live on the gateway's free
+// list; done is finish bound once, when the record is made, and finish
+// returns the record, which is safe because Call fires it exactly once.
+//
+//meshvet:pooled
+type admitted struct {
+	g     *Gateway
+	req   *httpsim.Request
+	root  trace.SpanRef
+	start time.Duration
+	cb    func(*httpsim.Response, error)
+	done  func(*httpsim.Response, error)
 }
 
 // NewGateway installs an ingress gateway on the pod (which receives a
@@ -76,23 +94,39 @@ func (g *Gateway) Serve(req *httpsim.Request, cb func(*httpsim.Response, error))
 	})
 	req.Headers.Set(trace.HeaderSpanID, m.tracer.IDText(rootID))
 
-	start := m.sched.Now()
-	g.sc.Call(req, func(resp *httpsim.Response, err error) {
-		var status int32
-		if err == nil {
-			status = int32(resp.Status)
-		}
-		m.tracer.Close(root, m.sched.Now(), status, 0)
-		g.duration(req.Headers.Get(HeaderPriority)).RecordDuration(m.sched.Now() - start)
-		// Degraded-but-served accounting at the edge: the provenance
-		// header distinguishes a full success from a response some
-		// fallback papered over (E17's degraded-response fraction).
-		if err == nil && resp.Headers.Get(HeaderDegraded) != "" {
-			m.metrics.Counter(MetricGatewayDegradedTotal,
-				metrics.Labels{"origin": resp.Headers.Get(HeaderDegraded)}).Inc()
-		}
-		cb(resp, err)
-	})
+	var a *admitted
+	if n := len(g.admitted); n > 0 {
+		a = g.admitted[n-1]
+		g.admitted = g.admitted[:n-1]
+	} else {
+		a = new(admitted)
+		a.done = a.finish
+	}
+	a.g, a.req, a.root, a.start, a.cb = g, req, root, m.sched.Now(), cb
+	g.sc.Call(req, a.done)
+}
+
+// finish closes the root span, records the request's duration and
+// answers the caller, after returning the record to the free list.
+func (a *admitted) finish(resp *httpsim.Response, err error) {
+	g, req, root, start, cb := a.g, a.req, a.root, a.start, a.cb
+	*a = admitted{done: a.done}
+	g.admitted = append(g.admitted, a) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
+	m := g.mesh
+	var status int32
+	if err == nil {
+		status = int32(resp.Status)
+	}
+	m.tracer.Close(root, m.sched.Now(), status, 0)
+	g.duration(req.Headers.Get(HeaderPriority)).RecordDuration(m.sched.Now() - start)
+	// Degraded-but-served accounting at the edge: the provenance
+	// header distinguishes a full success from a response some
+	// fallback papered over (E17's degraded-response fraction).
+	if err == nil && resp.Headers.Get(HeaderDegraded) != "" {
+		m.metrics.Counter(MetricGatewayDegradedTotal,
+			metrics.Labels{"origin": resp.Headers.Get(HeaderDegraded)}).Inc()
+	}
+	cb(resp, err)
 }
 
 // duration is MetricGatewayRequestDuration for requests of a priority.

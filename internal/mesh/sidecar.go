@@ -503,10 +503,13 @@ func (c *call) onFallback() {
 }
 
 // onDelay begins the call once its injected fault delay has passed,
-// even a call its fallback finished meanwhile, and holds the call
-// until begin returns.
+// unless its fallback finished it meanwhile: an attempt launched then
+// would make the upstream serve a request whose answer is dropped. The
+// delay's hold keeps the call until begin returns.
 func (c *call) onDelay() {
-	c.begin()
+	if !c.done {
+		c.begin()
+	}
 	c.drop()
 }
 

@@ -259,8 +259,8 @@ func BenchmarkHybridPacketPath(b *testing.B) {
 // BenchmarkRouteLeaf measures first-use routing on a star-of-stars: 40
 // bridges of 50 single-homed pods under one root, routes invalidated,
 // then every pod resolving its next hop toward a pod on another
-// bridge. Only the 40 bridges build a Dijkstra row; a pod reads its
-// bridge's. One op is the whole 2000-pod sweep.
+// bridge. Only the 40 bridges build a row; a pod reads its bridge's.
+// One op is the whole 2000-pod sweep.
 func BenchmarkRouteLeaf(b *testing.B) {
 	net := NewNetwork(NewScheduler())
 	root := net.AddNode("root")

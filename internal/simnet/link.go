@@ -27,12 +27,10 @@ const (
 
 // Link is a full-duplex point-to-point link between two NICs.
 type Link struct {
-	id     int
-	cfg    LinkConfig
-	a, b   *NIC
-	net    *Network
-	weight float64 // routing cost; default 1
-	down   bool    // administratively down via SetDown
+	id   int
+	cfg  LinkConfig
+	a, b *NIC
+	down bool // administratively down via SetDown
 }
 
 // Config returns the link's configuration.
@@ -47,13 +45,6 @@ func (l *Link) B() *NIC { return l.b }
 
 // ID returns the link's index within its Network.
 func (l *Link) ID() int { return l.id }
-
-// SetWeight overrides the link's routing cost (default 1). Routing
-// follows the new cost from the next packet on.
-func (l *Link) SetWeight(w float64) {
-	l.weight = w
-	l.net.dirty = true
-}
 
 // String identifies the link by its endpoints.
 func (l *Link) String() string {

@@ -2,7 +2,7 @@ package simnet
 
 import (
 	"fmt"
-	"math"
+	"slices"
 )
 
 // DropFunc observes packets dropped anywhere in the network (queue
@@ -10,7 +10,7 @@ import (
 // attributable to a queue.
 type DropFunc func(p *Packet, at *NIC)
 
-// Network owns the topology: nodes, links, and shortest-path routes.
+// Network owns the topology: nodes, links, and fewest-hop routes.
 type Network struct {
 	sched  *Scheduler
 	nodes  []*Node
@@ -29,10 +29,8 @@ type Network struct {
 	routes [][]*NIC
 	dirty  bool
 
-	// dist, done and pq are dijkstra's scratch, reused across rows.
-	dist []float64
-	done []bool
-	pq   distHeap
+	// queue is bfs's scratch, reused across rows.
+	queue []int
 
 	// fidelity is captured from defaultFidelity at construction; flowEng
 	// is non-nil exactly when fidelity is flow or hybrid (see fidelity.go
@@ -177,7 +175,7 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	if !(len(a.nics) == 0 && len(b.nics) != 1 || len(b.nics) == 0 && len(a.nics) != 1) {
 		n.dirty = true
 	}
-	l := &Link{id: len(n.links), cfg: cfg, net: n, weight: 1}
+	l := &Link{id: len(n.links), cfg: cfg}
 	na := &NIC{node: a, link: l, qdisc: NewFIFO(cfg.QueueBytes)}
 	nb := &NIC{node: b, link: l, qdisc: NewFIFO(cfg.QueueBytes)}
 	na.peer, nb.peer = nb, na
@@ -220,21 +218,6 @@ func (n *Network) freePacket(p *Packet) {
 	n.pktPool = append(n.pktPool, p) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
 }
 
-// ComputeRoutes (re)builds every next-hop row routing reads, using
-// Dijkstra with link weights as costs. Routing itself builds rows on
-// demand (see nextHop); this eager form remains for callers that want
-// the tables up front. Only transit nodes have rows: nextHop answers for
-// a single-homed node from its neighbour's, and a node without links
-// reaches nothing.
-func (n *Network) ComputeRoutes() {
-	n.invalidateRoutes()
-	for _, src := range n.nodes {
-		if len(src.nics) >= 2 {
-			n.row(src)
-		}
-	}
-}
-
 // invalidateRoutes resets the route table to all-unbuilt rows.
 func (n *Network) invalidateRoutes() {
 	if cap(n.routes) < len(n.nodes) {
@@ -261,10 +244,10 @@ func (n *Network) nextHop(from *Node, dst Addr) *NIC {
 	if len(from.nics) == 1 {
 		// A single-homed node needs no row: every path leaves through its
 		// only NIC, so it reaches exactly its neighbour and whatever the
-		// neighbour reaches — which is what its own Dijkstra row would say
-		// (link weights are finite, and a path from the neighbour back
-		// through from only returns to the neighbour, so the neighbour's
-		// row is the same with from in the graph).
+		// neighbour reaches — which is what its own row would say (a path
+		// from the neighbour back through from only returns to the
+		// neighbour, so the neighbour's row is the same with from in the
+		// graph).
 		nic := from.nics[0]
 		if nb := nic.peer.node; dn != nb && n.transitHop(nb, dn) == nil {
 			return nil
@@ -307,109 +290,45 @@ func (n *Network) transitHop(from, dn *Node) *NIC {
 func (n *Network) row(src *Node) []*NIC {
 	r := n.routes[src.id]
 	if r == nil {
-		r = n.dijkstra(src)
+		r = n.bfs(src)
 		n.routes[src.id] = r
 	}
 	return r
 }
 
-// dijkstra returns, for each transit destination's node ID, the egress
-// NIC at src. It never relaxes into a single-homed node: transitHop
-// answers for those, so entries for leaves stay nil.
-func (n *Network) dijkstra(src *Node) []*NIC {
-	const inf = math.MaxFloat64
-	if cap(n.dist) < len(n.nodes) {
-		n.dist = make([]float64, len(n.nodes))
-		n.done = make([]bool, len(n.nodes))
-	}
-	dist, done := n.dist[:len(n.nodes)], n.done[:len(n.nodes)]
-	for i := range dist {
-		dist[i], done[i] = inf, false
-	}
-	firstHop := make([]*NIC, len(n.nodes))
-	dist[src.id] = 0
-
-	pq := n.pq[:0]
-	pq.push(nodeDist{src.id, 0})
-	for len(pq) > 0 {
-		nd := pq.pop()
-		if done[nd.id] {
-			continue
-		}
-		done[nd.id] = true
-		cur := n.nodes[nd.id]
-		for _, nic := range cur.nics {
-			next := nic.peer.node
-			if len(next.nics) == 1 {
-				continue
-			}
-			w := nic.link.weight
-			if nd.dist+w < dist[next.id] {
-				dist[next.id] = nd.dist + w
+// bfs returns, for each transit destination's node ID, the egress NIC
+// at src on a fewest-hop path. It never enters a single-homed node:
+// transitHop answers for those, so entries for leaves stay nil.
+//
+// Each layer is visited in node-id order, and a node takes the first
+// hop of the first node that reaches it, through that node's first NIC
+// onto it. That is the row Dijkstra with unit link costs builds when
+// it pops in (dist, id) order and relaxes only to a strictly shorter
+// distance, equal-cost ties included: the first hops do not depend on
+// the order in which a search happened to reach a layer.
+func (n *Network) bfs(src *Node) []*NIC {
+	firstHop := make([]*NIC, len(n.nodes)) // nil: not reached yet
+	q := append(n.queue[:0], src.id)
+	for lo := 0; lo < len(q); {
+		hi := len(q)
+		for _, id := range q[lo:hi] {
+			cur := n.nodes[id]
+			for _, nic := range cur.nics {
+				next := nic.peer.node
+				if len(next.nics) == 1 || next == src || firstHop[next.id] != nil {
+					continue
+				}
 				if cur == src {
 					firstHop[next.id] = nic
 				} else {
 					firstHop[next.id] = firstHop[cur.id]
 				}
-				pq.push(nodeDist{next.id, dist[next.id]})
+				q = append(q, next.id)
 			}
 		}
+		slices.Sort(q[hi:])
+		lo = hi
 	}
-	n.pq = pq
+	n.queue = q
 	return firstHop
-}
-
-type nodeDist struct {
-	id   int
-	dist float64
-}
-
-// before orders queue entries by (dist, id). A node is pushed again only
-// at a strictly lower dist, so no two entries tie: the order is total.
-func (x nodeDist) before(y nodeDist) bool {
-	return x.dist < y.dist || x.dist == y.dist && x.id < y.id
-}
-
-// distHeap is a binary min-heap on (dist, id), typed to spare the
-// interface boxing of container/heap. Under a total order the pop
-// sequence is a function of the entries pushed, not of the heap's shape,
-// like the scheduler's (at, seq); equal-cost first hops therefore do not
-// depend on which leaves a search happened to queue. Ordered on dist
-// alone they did: with leaves skipped, seed 3 of
-// TestNextHopMatchesReference routes sw3 to sw1 via leaf5, not multi10.
-type distHeap []nodeDist
-
-func (h *distHeap) push(x nodeDist) {
-	q := append(*h, x)
-	*h = q
-	for j := len(q) - 1; j > 0; {
-		i := (j - 1) / 2 // parent
-		if !q[j].before(q[i]) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-func (h *distHeap) pop() nodeDist {
-	q := *h
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && q[r].before(q[j]) {
-			j = r
-		}
-		if !q[j].before(q[i]) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-	*h = q[:n]
-	return q[n]
 }

@@ -32,9 +32,8 @@ type Waker interface {
 
 // FIFO is a byte-bounded droptail queue, the default qdisc on every NIC.
 type FIFO struct {
-	limit   int       // bytes; <=0 means DefaultFIFOLimit
-	queue   []*Packet // queue[head:] waits; the prefix is spent and nil
-	head    int
+	limit   int // bytes; <=0 means DefaultFIFOLimit
+	queue   Queue[*Packet]
 	backlog int
 	drops   uint64
 }
@@ -61,39 +60,23 @@ func (f *FIFO) Enqueue(p *Packet) bool {
 		f.drops++
 		return false
 	}
-	if f.head > 0 && len(f.queue) == cap(f.queue) && f.head >= len(f.queue)/2 {
-		// Full with at least half spent: slide the waiting packets down
-		// rather than grow. (Less than half spent, append doubles the
-		// array and the slide comes later, so the copy stays amortised.)
-		n := copy(f.queue, f.queue[f.head:])
-		clear(f.queue[n:])
-		f.queue, f.head = f.queue[:n], 0
-	}
-	f.queue = append(f.queue, p) //meshvet:allow poolescape a queued packet is live; it reaches its terminal free point only after Dequeue
+	f.queue.Push(p) //meshvet:allow poolescape a queued packet is live; it reaches its terminal free point only after Dequeue
 	f.backlog += p.Size
 	return true
 }
 
 // Dequeue implements Qdisc.
 func (f *FIFO) Dequeue() *Packet {
-	if f.head == len(f.queue) {
+	if f.queue.Len() == 0 {
 		return nil
 	}
-	p := f.queue[f.head]
-	f.queue[f.head] = nil
-	f.head++
-	if f.head == len(f.queue) {
-		// Drained: start over at the front of the same array. Reslicing
-		// to queue[1:] would give the array away one slot at a time, and
-		// a NIC that mostly holds one packet would allocate per Enqueue.
-		f.queue, f.head = f.queue[:0], 0
-	}
+	p := f.queue.Pop()
 	f.backlog -= p.Size
 	return p
 }
 
 // Len implements Qdisc.
-func (f *FIFO) Len() int { return len(f.queue) - f.head }
+func (f *FIFO) Len() int { return f.queue.Len() }
 
 // Backlog implements Qdisc.
 func (f *FIFO) Backlog() int { return f.backlog }

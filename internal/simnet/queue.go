@@ -4,8 +4,8 @@ package simnet
 // "Queues that keep their arrays"): Pop advances a head index instead of
 // reslicing with q = q[1:], which would hand the array away a slot at a
 // time and make a queue that mostly holds one element allocate on every
-// Push. FIFO is the packet queue of the same shape, with byte accounting.
-// The zero value is an empty queue.
+// Push. FIFO keeps its packets in one and adds byte accounting. The zero
+// value is an empty queue.
 type Queue[T any] struct {
 	items []T // items[head:] wait; the prefix is spent and zeroed
 	head  int

@@ -10,11 +10,13 @@ import (
 
 // refDijkstra is the routing reference: one full row per source, built
 // the way every row was built before rows were confined to the transit
-// graph — every node searched through, leaves included — with
+// graph and before Dijkstra gave way to a breadth-first search — every
+// node searched through, leaves included, at unit link cost, with
 // container/heap over boxed nodeDist values in (dist, id) order.
 // nextHop must agree with it for every pair, leaf or not, which proves
-// that leaving leaves out of the search is exact and pins the typed
-// heap's tie-breaking between equal-cost first hops.
+// that leaving leaves out of the search is exact and pins bfs's
+// tie-breaking between equal-cost first hops: a search that visits a
+// layer in any order but node-id order picks other first hops.
 func refDijkstra(n *Network, src *Node) []*NIC {
 	dist := make([]float64, len(n.nodes))
 	firstHop := make([]*NIC, len(n.nodes))
@@ -34,9 +36,8 @@ func refDijkstra(n *Network, src *Node) []*NIC {
 		cur := n.nodes[nd.id]
 		for _, nic := range cur.nics {
 			next := nic.peer.node
-			w := nic.link.weight
-			if nd.dist+w < dist[next.id] {
-				dist[next.id] = nd.dist + w
+			if nd.dist+1 < dist[next.id] {
+				dist[next.id] = nd.dist + 1
 				if cur == src {
 					firstHop[next.id] = nic
 				} else {
@@ -47,6 +48,11 @@ func refDijkstra(n *Network, src *Node) []*NIC {
 		}
 	}
 	return firstHop
+}
+
+type nodeDist struct {
+	id   int
+	dist float64
 }
 
 type refQueue []nodeDist
@@ -60,18 +66,15 @@ func (q *refQueue) Push(x any)   { *q = append(*q, x.(nodeDist)) }
 func (q *refQueue) Pop() (x any) { old := *q; n := len(old); x = old[n-1]; *q = old[:n-1]; return }
 
 // randomTopology builds a few islands. Each island is a small random
-// core of switches (possibly a single one, possibly with redundant and
-// re-weighted links so equal-cost paths exist), single-homed leaves
-// hanging off the core, a few multi-homed pods, and sometimes a leaf
-// with a second NIC added later. One extra island is a bare leaf-leaf
-// pair and one a lone node with no link at all.
+// core of switches (possibly a single one, possibly with redundant
+// links so equal-cost paths exist), single-homed leaves hanging off the
+// core, a few multi-homed pods, and sometimes a leaf with a second NIC
+// added later. One extra island is a bare leaf-leaf pair and one a
+// lone node with no link at all.
 func randomTopology(rng *rand.Rand) *Network {
 	net := NewNetwork(NewScheduler())
 	cfg := LinkConfig{Rate: Gbps}
-	weights := []float64{1, 1, 1, 2, 3}
-	connect := func(a, b *Node) {
-		net.Connect(a, b, cfg).SetWeight(weights[rng.Intn(len(weights))])
-	}
+	connect := func(a, b *Node) { net.Connect(a, b, cfg) }
 	id := 0
 	node := func(kind string) *Node {
 		id++
@@ -149,13 +152,11 @@ func TestNextHopMatchesReference(t *testing.T) {
 		anchor := net.nodes[rng.Intn(len(net.nodes))]
 		net.Connect(net.AddNode("late"), anchor, LinkConfig{Rate: Gbps})
 		matchReference(t, net, fmt.Sprintf("seed %d grown", seed))
-		net.ComputeRoutes()
-		matchReference(t, net, fmt.Sprintf("seed %d eager", seed))
 		for _, n := range net.nodes {
 			if len(n.nics) == 1 {
 				leaves++
 			}
-			if len(n.nics) < 2 && net.routes[n.id] != nil {
+			if len(n.nics) < 2 && n.id < len(net.routes) && net.routes[n.id] != nil {
 				t.Fatalf("seed %d: %s with %d NICs got a row", seed, n, len(n.nics))
 			}
 		}
@@ -186,7 +187,6 @@ func rowsRebuilt(net *Network, before [][]*NIC) int {
 // lone node, a lone pair) must in addition rebuild no row.
 func TestNextHopUnderGrowth(t *testing.T) {
 	cfg := LinkConfig{Rate: Gbps}
-	weights := []float64{1, 1, 1, 2, 3}
 	var (
 		net   *Network
 		rng   *rand.Rand
@@ -210,7 +210,6 @@ func TestNextHopUnderGrowth(t *testing.T) {
 		added++
 		return net.AddNode(fmt.Sprintf("g%d", added))
 	}
-	weigh := func(l *Link) { l.SetWeight(weights[rng.Intn(len(weights))]) }
 	// Each mutation reports whether the topology offered a place for it.
 	mutations := []struct {
 		name  string
@@ -227,7 +226,7 @@ func TestNextHopUnderGrowth(t *testing.T) {
 		{"leaf onto a leaf", false, func() bool {
 			anchor := pick(leaf)
 			if anchor != nil {
-				weigh(net.Connect(grow(), anchor, cfg))
+				net.Connect(grow(), anchor, cfg)
 			}
 			return anchor != nil
 		}},
@@ -238,20 +237,16 @@ func TestNextHopUnderGrowth(t *testing.T) {
 			if a == nil {
 				return false
 			}
-			weigh(net.Connect(a, pick(func(n *Node) bool { return n != a }), cfg))
+			net.Connect(a, pick(func(n *Node) bool { return n != a }), cfg)
 			return true
 		}},
 		{"transit-transit link", false, func() bool {
 			a := pick(transit)
 			b := pick(func(n *Node) bool { return n != a && transit(n) })
 			if b != nil {
-				weigh(net.Connect(a, b, cfg))
+				net.Connect(a, b, cfg)
 			}
 			return b != nil
-		}},
-		{"SetWeight", false, func() bool {
-			weigh(net.links[rng.Intn(len(net.links))])
-			return true
 		}},
 	}
 	applied := make([]int, len(mutations))
@@ -334,15 +329,26 @@ func fleetNames(zones, pods int) [][]string {
 	return names
 }
 
+// buildRows builds every transit node's row up front, as routing would
+// on first use.
+func buildRows(net *Network) {
+	net.invalidateRoutes()
+	for _, n := range net.nodes {
+		if len(n.nics) >= 2 {
+			net.row(n)
+		}
+	}
+}
+
 // TestPodAttachCostIndependentOfFleet is the routing twin of mesh's
 // TestTopologyFlipCostIndependentOfFleet: attaching a pod to a bridge
-// and routing from it keeps every row (no Dijkstra) and allocates the
+// and routing from it keeps every row (no search) and allocates the
 // same number of times at 200 and at 2 000 pods.
 func TestPodAttachCostIndependentOfFleet(t *testing.T) {
 	const runs = 20
 	allocs := func(pods int) float64 {
 		net := podFleet(t, fleetNames(2, pods/2))
-		net.ComputeRoutes()
+		buildRows(net)
 		before := append([][]*NIC(nil), net.routes...)
 		first := net.Node("pod-0-0")
 		extra := make([]string, runs+1) // AllocsPerRun adds a warm-up run
@@ -416,13 +422,14 @@ func TestUnroutableDropsAtSource(t *testing.T) {
 	}
 }
 
-// TestDijkstraReusesScratch: after the first row, building another
-// allocates the row and nothing else.
+// TestDijkstraReusesScratch keeps its name from the search bfs
+// replaced: after the first row, building another allocates the row
+// and nothing else.
 func TestDijkstraReusesScratch(t *testing.T) {
 	net := randomTopology(rand.New(rand.NewSource(3)))
 	src := net.nodes[0]
-	net.dijkstra(src)
-	if n := testing.AllocsPerRun(50, func() { net.dijkstra(src) }); n != 1 {
-		t.Fatalf("dijkstra allocates %v times per row, want 1", n)
+	net.bfs(src)
+	if n := testing.AllocsPerRun(50, func() { net.bfs(src) }); n != 1 {
+		t.Fatalf("bfs allocates %v times per row, want 1", n)
 	}
 }

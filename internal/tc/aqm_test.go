@@ -8,24 +8,33 @@ import (
 	"meshlayer/internal/transport"
 )
 
+// TestREDValidation checks RED's fixed thresholds: with its average
+// held at zero (a queue filling faster than the average follows), it
+// takes packets up to its hard cap of 4 × redMax bytes without an early
+// drop, and the next packet is a hard drop that consumes no early-drop
+// draw.
 func TestREDValidation(t *testing.T) {
-	for _, bad := range []REDConfig{
-		{},
-		{MinBytes: 100, MaxBytes: 50},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("config %+v accepted", bad)
-				}
-			}()
-			NewRED(bad)
-		}()
+	if !(0 < redMin && redMin < redMax && redMax < redLimit) {
+		t.Fatalf("thresholds %d < %d < %d out of order", redMin, redMax, redLimit)
+	}
+	q := NewRED(1)
+	for q.Backlog()+simnet.MTU <= redLimit {
+		q.avg = 0
+		if !q.Enqueue(&simnet.Packet{Size: simnet.MTU}) {
+			t.Fatalf("dropped at backlog %d of %d", q.Backlog(), redLimit)
+		}
+	}
+	q.avg = 0
+	if q.Enqueue(&simnet.Packet{Size: simnet.MTU}) || q.HardDrops() != 1 || q.EarlyDrops() != 0 {
+		t.Fatalf("at the cap: hard drops %d, early drops %d", q.HardDrops(), q.EarlyDrops())
+	}
+	if want := NewRED(1).rng.Float64(); q.rng.Float64() != want {
+		t.Fatal("a hard drop consumed an early-drop draw")
 	}
 }
 
 func TestREDPassesLightLoad(t *testing.T) {
-	q := NewRED(REDConfig{MinBytes: 30000, MaxBytes: 90000, Seed: 1})
+	q := NewRED(1)
 	for i := 0; i < 10; i++ {
 		if !q.Enqueue(&simnet.Packet{Size: 1000}) {
 			t.Fatal("light load dropped")
@@ -44,16 +53,21 @@ func TestREDPassesLightLoad(t *testing.T) {
 }
 
 func TestREDDropsUnderStandingQueue(t *testing.T) {
-	q := NewRED(REDConfig{MinBytes: 10000, MaxBytes: 50000, Seed: 2})
+	q := NewRED(2)
 	accepted := 0
-	// Fill without draining: the average climbs past min, drops begin.
-	for i := 0; i < 500; i++ {
-		if q.Enqueue(&simnet.Packet{Size: 1000}) {
+	// Hold a standing queue of redMax bytes, one packet in for each
+	// out: the average climbs past redMin to redMax, and drops begin.
+	for q.Backlog() < redMax {
+		q.Enqueue(&simnet.Packet{Size: simnet.MTU})
+	}
+	for i := 0; i < 5000; i++ {
+		if q.Enqueue(&simnet.Packet{Size: simnet.MTU}) {
 			accepted++
 		}
+		q.Dequeue()
 	}
-	if q.EarlyDrops() == 0 && q.HardDrops() == 0 {
-		t.Fatal("no drops with a standing queue way past max")
+	if q.EarlyDrops() == 0 {
+		t.Fatal("no early drops with a standing queue way past max")
 	}
 	if accepted == 0 {
 		t.Fatal("everything dropped")
@@ -63,9 +77,9 @@ func TestREDDropsUnderStandingQueue(t *testing.T) {
 func TestREDEarlyDropsBeforeOverflow(t *testing.T) {
 	// With a drain keeping the queue in the early region, drops happen
 	// probabilistically, not at the hard limit.
-	q := NewRED(REDConfig{MinBytes: 5000, MaxBytes: 20000, LimitBytes: 1 << 20, Seed: 3})
-	for i := 0; i < 5000; i++ {
-		q.Enqueue(&simnet.Packet{Size: 1000})
+	q := NewRED(3)
+	for i := 0; i < 20000; i++ {
+		q.Enqueue(&simnet.Packet{Size: simnet.MTU})
 		if i%3 != 0 {
 			q.Dequeue()
 		}
@@ -80,7 +94,7 @@ func TestREDEarlyDropsBeforeOverflow(t *testing.T) {
 
 func TestCoDelBelowTargetNeverDrops(t *testing.T) {
 	s := simnet.NewScheduler()
-	q := NewCoDel(CoDelConfig{Target: 5 * time.Millisecond}, s.Now)
+	q := NewCoDel(s.Now)
 	for i := 0; i < 100; i++ {
 		q.Enqueue(&simnet.Packet{Size: 1000})
 		if q.Dequeue() == nil {
@@ -94,7 +108,7 @@ func TestCoDelBelowTargetNeverDrops(t *testing.T) {
 
 func TestCoDelDropsOnPersistentDelay(t *testing.T) {
 	s := simnet.NewScheduler()
-	q := NewCoDel(CoDelConfig{Target: 5 * time.Millisecond, Interval: 20 * time.Millisecond}, s.Now)
+	q := NewCoDel(s.Now)
 	// Enqueue a standing queue, then dequeue slowly so sojourn times
 	// stay far above target for many intervals.
 	fill := func() {
@@ -129,7 +143,7 @@ func TestCoDelKeepsQueueDelayBounded(t *testing.T) {
 	b := n.AddNode("b")
 	n.Connect(a, b, simnet.LinkConfig{Rate: 20 * simnet.Mbps, Delay: time.Millisecond})
 	nic := a.NICs()[0]
-	nic.SetQdisc(NewCoDel(CoDelConfig{Target: 5 * time.Millisecond, Interval: 50 * time.Millisecond}, s.Now))
+	nic.SetQdisc(NewCoDel(s.Now))
 
 	ha, hb := transport.NewHost(a), transport.NewHost(b)
 	hb.Listen(80, func(c *transport.Conn) { c.SetOnMessage(func(any, int) {}) })
@@ -164,5 +178,5 @@ func TestCoDelValidation(t *testing.T) {
 			t.Fatal("nil clock accepted")
 		}
 	}()
-	NewCoDel(CoDelConfig{}, nil)
+	NewCoDel(nil)
 }

@@ -14,16 +14,8 @@ import (
 // Dequeue exactly once (no duplication, no loss inside the qdisc).
 func TestPropertyQdiscConservation(t *testing.T) {
 	build := map[string]func(s *simnet.Scheduler) simnet.Qdisc{
-		"fifo": func(s *simnet.Scheduler) simnet.Qdisc { return simnet.NewFIFO(0) },
-		"prio": func(s *simnet.Scheduler) simnet.Qdisc {
-			return NewPrio(simnet.MarkHigh, simnet.NewFIFO(0), simnet.NewFIFO(0))
-		},
-		"tbf": func(s *simnet.Scheduler) simnet.Qdisc {
-			return NewTBF(simnet.Gbps, 100*simnet.MTU, nil, s.Now)
-		},
-		"nearstrict": func(s *simnet.Scheduler) simnet.Qdisc {
-			return NewNearStrict(NearStrictConfig{LinkRate: simnet.Gbps, HighShare: 0.95}, s.Now)
-		},
+		"fifo":       func(s *simnet.Scheduler) simnet.Qdisc { return simnet.NewFIFO(0) },
+		"nearstrict": func(s *simnet.Scheduler) simnet.Qdisc { return nearStrict(simnet.Gbps, s.Now) },
 	}
 	for name, mk := range build {
 		name, mk := name, mk
@@ -75,16 +67,17 @@ func TestPropertyQdiscConservation(t *testing.T) {
 	}
 }
 
-// TestPropertyBacklogMatchesContents: Backlog always equals the byte
-// sum of queued packets across arbitrary interleavings.
+// TestPropertyBacklogMatchesContents: NearStrict's Backlog always
+// equals the byte sum of queued packets across arbitrary interleavings,
+// a throttled high head included.
 func TestPropertyBacklogMatchesContents(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := simnet.NewScheduler()
-		q := NewPrio(simnet.MarkHigh, simnet.NewFIFO(0), simnet.NewFIFO(0))
-		_ = s
+		var now time.Duration
+		q := nearStrict(100*simnet.Mbps, func() time.Duration { return now })
 		inside := 0
 		for i := 0; i < 300; i++ {
+			now += time.Duration(rng.Intn(100)) * time.Microsecond
 			if rng.Intn(2) == 0 {
 				size := 40 + rng.Intn(1000)
 				if q.Enqueue(&simnet.Packet{ID: uint64(i), Size: size, Mark: simnet.Mark(rng.Intn(3))}) {

@@ -9,9 +9,10 @@ import (
 	"meshlayer/internal/simnet"
 )
 
-// refTBF is the token bucket as it was before refill learned to skip a
-// full bucket: every refill does the float update and then caps it.
-// TestTBFMatchesReference holds TBF to it bit for bit.
+// refTBF is the token-bucket filter NearStrict's high class once was,
+// as it was before refill learned to skip a full bucket: every refill
+// does the float update and then caps it. TestTBFMatchesReference holds
+// the high class to it bit for bit.
 type refTBF struct {
 	rate   int64
 	burst  int64
@@ -81,29 +82,33 @@ func (q *refTBF) NextWake(now time.Duration) (time.Duration, bool) {
 	return now + wait, true
 }
 
-// TestTBFMatchesReference drives TBF and refTBF with the same random
-// Enqueue, Dequeue and NextWake calls at random times, over random
-// rates and bursts, and requires the same result from every call and
-// the same token count, to the bit, after it.
+// TestTBFMatchesReference drives NearStrict's high class and refTBF
+// with the same random Enqueue, Dequeue and NextWake calls at random
+// times, over random link rates and shares, and requires the same
+// result from every call and the same token count, to the bit, after
+// it.
 func TestTBFMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 400; trial++ {
-		rate := int64(math.Exp(rng.Float64()*math.Log(1e11/1e3)) * 1e3) // 1 kbps .. 100 Gbps
-		burst := int64(rng.Intn(40 * simnet.MTU))
+		link := int64(math.Exp(rng.Float64()*math.Log(1e11/1e3)) * 1e3) // 1 kbps .. 100 Gbps
+		share := 0.05 + 0.95*rng.Float64()
 		var now time.Duration
 		clock := func() time.Duration { return now }
-		got := NewTBF(rate, burst, simnet.NewFIFO(0), clock)
-		want := newRefTBF(rate, burst, simnet.NewFIFO(0), clock)
+		got := NewNearStrict(NearStrictConfig{LinkRate: link, HighShare: share}, clock)
+		rate := got.rate
+		want := newRefTBF(rate, highBurst, simnet.NewFIFO(0), clock)
 		for step := 0; step < 300; step++ {
 			// Advance by the time it takes to earn 0, up to 2, up to
 			// 100 or up to 2×burst bytes, so the bucket is seen empty,
-			// one byte short of full, and refilled far past it.
-			earn := [4]float64{0, 2, 100, 2 * float64(max(burst, simnet.MTU))}[rng.Intn(4)]
+			// one byte short of full, and refilled far past it; two
+			// trials in three scale that down, so draws outpace the
+			// refill and packets wait on the bucket.
+			earn := [4]float64{0, 2, 100, 2 * highBurst}[rng.Intn(4)] * [3]float64{1, 0.1, 0.01}[trial%3]
 			now += time.Duration(rng.Float64() * earn * 8 / float64(rate) * float64(time.Second))
 			var g, w any
 			switch rng.Intn(3) {
 			case 0:
-				p := &simnet.Packet{ID: uint64(step), Size: 40 + rng.Intn(simnet.MTU-39)}
+				p := &simnet.Packet{ID: uint64(step), Size: 40 + rng.Intn(simnet.MTU-39), Mark: simnet.MarkHigh}
 				g, w = got.Enqueue(p), want.Enqueue(p)
 			case 1:
 				g, w = got.Dequeue(), want.Dequeue()
@@ -113,11 +118,11 @@ func TestTBFMatchesReference(t *testing.T) {
 				g, w = [2]any{gat, gok}, [2]any{wat, wok}
 			}
 			if g != w {
-				t.Fatalf("trial %d (rate %d, burst %d), step %d at %v: TBF returned %v, reference %v", trial, rate, burst, step, now, g, w)
+				t.Fatalf("trial %d (rate %d), step %d at %v: NearStrict returned %v, reference %v", trial, rate, step, now, g, w)
 			}
 			if math.Float64bits(got.tokens) != math.Float64bits(want.tokens) || got.last != want.last {
-				t.Fatalf("trial %d (rate %d, burst %d), step %d at %v: tokens %v last %v, reference %v last %v",
-					trial, rate, burst, step, now, got.tokens, got.last, want.tokens, want.last)
+				t.Fatalf("trial %d (rate %d), step %d at %v: tokens %v last %v, reference %v last %v",
+					trial, rate, step, now, got.tokens, got.last, want.tokens, want.last)
 			}
 		}
 	}

@@ -37,50 +37,48 @@ func (r *rig) packet(size int, mark simnet.Mark, srcPort uint16) *simnet.Packet 
 	}
 }
 
+// nearStrict returns the paper's discipline for a link of rate on the
+// given clock, at the 95 % share every program installs.
+func nearStrict(rate int64, clock Clock) *NearStrict {
+	return NewNearStrict(NearStrictConfig{LinkRate: rate, HighShare: 0.95}, clock)
+}
+
 // TestClassifierFirstMatchWins keeps a historical name: tc no longer
-// has a classifier or first-match filters, and this test checks Prio's
-// mark threshold. It sends every mark to a prio of 1, 2 and 3 bands at
-// both thresholds in use. Prio classifies on one threshold: a mark at
-// or above it matches and lands in band 0, any other falls through to
-// the last band.
+// has a classifier or first-match filters, and this test checks
+// NearStrict's one mark threshold. Every mark from MarkDefault to past
+// MarkHigh lands in the high FIFO when it is MarkHigh or above and in
+// the low FIFO otherwise.
 func TestClassifierFirstMatchWins(t *testing.T) {
-	for _, threshold := range []simnet.Mark{simnet.MarkLow, simnet.MarkHigh} {
-		for bands := 1; bands <= 3; bands++ {
-			for mark := simnet.MarkDefault; mark <= simnet.MarkHigh+1; mark++ {
-				fifos := make([]simnet.Qdisc, bands)
-				for i := range fifos {
-					fifos[i] = simnet.NewFIFO(0)
-				}
-				NewPrio(threshold, fifos...).Enqueue(&simnet.Packet{Size: 100, Mark: mark})
-				want := bands - 1
-				if mark >= threshold {
-					want = 0
-				}
-				if fifos[want].Len() != 1 {
-					t.Errorf("threshold %d, %d bands: mark %d missed band %d", threshold, bands, mark, want)
-				}
-			}
+	for mark := simnet.MarkDefault; mark <= simnet.MarkHigh+1; mark++ {
+		q := nearStrict(simnet.Gbps, func() time.Duration { return 0 })
+		q.Enqueue(&simnet.Packet{Size: 100, Mark: mark})
+		if high := mark >= simnet.MarkHigh; (q.high.Len() == 1) != high || q.Len() != 1 {
+			t.Errorf("mark %d: high FIFO holds %d, low FIFO %d", mark, q.high.Len(), q.low.Len())
 		}
 	}
 }
 
 // TestMatchHelpers keeps a historical name: tc no longer has match
-// helpers, and this test checks Prio's mark threshold alone. A MarkLow
-// packet matches threshold MarkLow and not threshold MarkHigh.
+// helpers, and this test checks that Sent counts each class: a MarkLow
+// packet leaves as class 1 and a MarkHigh packet as class 0.
 func TestMatchHelpers(t *testing.T) {
-	matches := func(threshold simnet.Mark) bool {
-		high, low := simnet.NewFIFO(0), simnet.NewFIFO(0)
-		NewPrio(threshold, high, low).Enqueue(&simnet.Packet{Size: 100, Mark: simnet.MarkLow})
-		return high.Len() == 1
+	q := nearStrict(simnet.Gbps, func() time.Duration { return 0 })
+	q.Enqueue(&simnet.Packet{Size: 100, Mark: simnet.MarkLow})
+	q.Enqueue(&simnet.Packet{Size: 100, Mark: simnet.MarkHigh})
+	if p := q.Dequeue(); p == nil || p.Mark != simnet.MarkHigh || q.Sent(0) != 1 || q.Sent(1) != 0 {
+		t.Fatalf("first dequeue %v: sent high=%d low=%d", p, q.Sent(0), q.Sent(1))
 	}
-	if !matches(simnet.MarkLow) || matches(simnet.MarkHigh) {
-		t.Fatal("threshold wrong")
+	if p := q.Dequeue(); p == nil || p.Mark != simnet.MarkLow || q.Sent(0) != 1 || q.Sent(1) != 1 {
+		t.Fatalf("second dequeue %v: sent high=%d low=%d", p, q.Sent(0), q.Sent(1))
 	}
 }
 
+// TestPrioStrictOrdering keeps its name from the PRIO qdisc NearStrict
+// replaced: while the bucket covers them, high packets leave before
+// every queued low one.
 func TestPrioStrictOrdering(t *testing.T) {
 	r := newRig(t, 8*simnet.Mbps) // 1000B = 1ms
-	q := NewPrio(simnet.MarkHigh, simnet.NewFIFO(0), simnet.NewFIFO(0))
+	q := nearStrict(8*simnet.Mbps, r.sched.Now)
 	r.install(q)
 
 	var order []simnet.Mark
@@ -107,56 +105,53 @@ func TestPrioStrictOrdering(t *testing.T) {
 		}
 	}
 	if q.Sent(0) != 3 || q.Sent(1) != 4 {
-		t.Fatalf("band sent counts high=%d low=%d", q.Sent(0), q.Sent(1))
+		t.Fatalf("class sent counts high=%d low=%d", q.Sent(0), q.Sent(1))
 	}
 }
 
+// TestTBFShapesToRate: the high class alone is shaped to its share of
+// the link, after the bucket's burst.
 func TestTBFShapesToRate(t *testing.T) {
 	r := newRig(t, 80*simnet.Mbps)
-	// Shape to 8 Mbps: 100 x 1000B = 800kb => 100ms.
-	q := NewTBF(8*simnet.Mbps, simnet.MTU, nil, r.sched.Now)
-	r.install(q)
+	// Shape to 10 % of 80 Mbps: after the 20-MTU (30 KB) burst, the other
+	// 70 x 1000B = 560kb take 70ms.
+	r.install(NewNearStrict(NearStrictConfig{LinkRate: 80 * simnet.Mbps, HighShare: 0.1}, r.sched.Now))
 
 	var last time.Duration
 	n := 0
 	r.b.SetDeliver(func(p *simnet.Packet) { last = r.sched.Now(); n++ })
 	for i := 0; i < 100; i++ {
-		r.a.NICs()[0].Send(r.packet(1000, 0, 1))
+		r.a.NICs()[0].Send(r.packet(1000, simnet.MarkHigh, 1))
 	}
 	r.sched.Run()
 	if n != 100 {
 		t.Fatalf("delivered %d, want 100", n)
 	}
-	// Initial burst credit lets the first ~1.5KB out immediately; the
-	// rest are paced at 1ms per 1000B.
-	if last < 95*time.Millisecond || last > 105*time.Millisecond {
-		t.Fatalf("last delivery at %v, want ~100ms", last)
+	if last < 67*time.Millisecond || last > 73*time.Millisecond {
+		t.Fatalf("last delivery at %v, want ~70ms", last)
 	}
 }
 
+// TestTBFWakesIdleNIC: once the high class has spent its burst and
+// only throttled high packets remain, the NIC goes idle and the Waker
+// path still drains them.
 func TestTBFWakesIdleNIC(t *testing.T) {
 	r := newRig(t, 80*simnet.Mbps)
-	q := NewTBF(8*simnet.Mbps, simnet.MTU, nil, r.sched.Now)
-	r.install(q)
+	r.install(NewNearStrict(NearStrictConfig{LinkRate: 80 * simnet.Mbps, HighShare: 0.1}, r.sched.Now))
 	n := 0
 	r.b.SetDeliver(func(p *simnet.Packet) { n++ })
-	// Exhaust the burst, go idle, and confirm pending packets still
-	// drain via the Waker path.
-	for i := 0; i < 5; i++ {
-		r.a.NICs()[0].Send(r.packet(1400, 0, 1))
+	for i := 0; i < 40; i++ {
+		r.a.NICs()[0].Send(r.packet(1400, simnet.MarkHigh, 1))
 	}
 	r.sched.Run()
-	if n != 5 {
-		t.Fatalf("delivered %d, want 5 (NIC never woke)", n)
+	if n != 40 {
+		t.Fatalf("delivered %d, want 40 (NIC never woke)", n)
 	}
 }
 
 func TestNearStrictSharesBandwidth(t *testing.T) {
 	r := newRig(t, 10*simnet.Mbps)
-	q := NewNearStrict(NearStrictConfig{
-		LinkRate:  10 * simnet.Mbps,
-		HighShare: 0.95,
-	}, r.sched.Now)
+	q := nearStrict(10*simnet.Mbps, r.sched.Now)
 	r.install(q)
 
 	var hiBytes, loBytes int
@@ -190,7 +185,7 @@ func TestNearStrictSharesBandwidth(t *testing.T) {
 
 func TestNearStrictLowUsesFullLinkWhenHighIdle(t *testing.T) {
 	r := newRig(t, 10*simnet.Mbps)
-	q := NewNearStrict(NearStrictConfig{LinkRate: 10 * simnet.Mbps, HighShare: 0.95}, r.sched.Now)
+	q := nearStrict(10*simnet.Mbps, r.sched.Now)
 	r.install(q)
 	var loBytes int
 	r.b.SetDeliver(func(p *simnet.Packet) { loBytes += p.Size })
@@ -210,6 +205,7 @@ func TestNearStrictConfigValidation(t *testing.T) {
 		{LinkRate: 0, HighShare: 0.5},
 		{LinkRate: simnet.Mbps, HighShare: 0},
 		{LinkRate: simnet.Mbps, HighShare: 1.5},
+		{LinkRate: 1, HighShare: 0.5}, // a high rate that rounds to 0 bits/s
 	} {
 		func() {
 			defer func() {
@@ -221,4 +217,10 @@ func TestNearStrictConfigValidation(t *testing.T) {
 			NewNearStrict(bad, s.Now)
 		}()
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nil clock accepted")
+		}
+	}()
+	nearStrict(simnet.Mbps, nil)
 }
