@@ -99,11 +99,15 @@ reach:
 # program run executes. It merges the coverage of TestGoldens with that
 # of coverage-instrumented builds (go build -cover) of every example
 # main and cmd/tracedump at their defaults, cmd/meshsim at its defaults
-# and with -opts all -telemetry -timeline, and bench -workload all
-# -quick with and without -trace 1 (~8 min on 2 cores). internal/lint
+# and with -opts all -telemetry -timeline, bench -workload all -quick
+# with and without -trace 1, and cmd/meshbench at smoke windows: fig4
+# at one level with -chart and with -csv (the chart and CSV renderers),
+# and overhead under -fidelity hybrid (the fidelity parser) (~9 min on 2
+# cores). internal/lint
 # is left out, since meshvet runs at lint time, never inside a program.
 # The count goes to stderr after the list.
-REACH_MAINS = examples/*/ cmd/tracedump/ cmd/meshsim/ bench/
+REACH_MAINS = examples/*/ cmd/tracedump/ cmd/meshsim/ cmd/meshbench/ bench/
+MESHBENCH_SMOKE = -seed 1 -warmup 1s -measure 2s
 
 reach-programs:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && mkdir "$$dir/cov" "$$dir/bin" && \
@@ -118,6 +122,9 @@ reach-programs:
 	GOCOVERDIR="$$dir/cov" "$$dir/bin/meshsim" -opts all -telemetry -timeline >/dev/null && \
 	GOCOVERDIR="$$dir/cov" "$$dir/bin/bench" -workload all -quick >/dev/null && \
 	GOCOVERDIR="$$dir/cov" "$$dir/bin/bench" -workload all -quick -trace 1 >/dev/null && \
+	GOCOVERDIR="$$dir/cov" "$$dir/bin/meshbench" -exp fig4 -levels 20 $(MESHBENCH_SMOKE) -chart >/dev/null && \
+	GOCOVERDIR="$$dir/cov" "$$dir/bin/meshbench" -exp fig4 -levels 20 $(MESHBENCH_SMOKE) -csv >/dev/null && \
+	GOCOVERDIR="$$dir/cov" "$$dir/bin/meshbench" -exp overhead -fidelity hybrid $(MESHBENCH_SMOKE) >/dev/null && \
 	go tool covdata textfmt -i="$$dir/cov" -o "$$dir/cover.out" && \
 	go tool cover -func="$$dir/cover.out" | \
 	awk '$$NF == "0.0%" && $$1 !~ /^meshlayer\/(cmd|examples|bench|internal\/lint)\// {print $$1, $$2; n++} \

@@ -61,8 +61,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *timeline {
 		lsTL = workload.NewTimeline(0, time.Second)
 		liTL = workload.NewTimeline(0, time.Second)
-		mixed.LSObserver = lsTL.Observer()
-		mixed.LIObserver = liTL.Observer()
+		mixed.LSObserver = lsTL.Observe
+		mixed.LIObserver = liTL.Observe
 	}
 	res := s.RunMixed(mixed)
 

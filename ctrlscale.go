@@ -259,7 +259,7 @@ func runCtrlScaleOnce(def ctrlScaleDefense, subs int, seed int64, warmup, measur
 	}
 	sched.After(recoverAt+100*time.Millisecond, probe)
 
-	rec := chaos.NewRecorder(measure / 40)
+	rec := workload.NewTimeline(0, measure/40)
 	reqN := 0
 	g := workload.Start(sched, gw, workload.Spec{
 		Name: "ctrlscale", Rate: 100, Seed: seed + 11,

@@ -88,3 +88,37 @@ func TestDegradedHeaderAbsentOnSuccess(t *testing.T) {
 		t.Fatalf("gateway_degraded_total = %d, want 0", n)
 	}
 }
+
+// TestProvenanceLeavesNoTimer: with every cross-layer optimisation that
+// arms no timer of its own on (SDN's controller polls by design) and a
+// fallback that fires, the scheduler is empty once the last response
+// has landed — the priority and degraded-origin records are held in
+// tables that never touch the scheduler.
+func TestProvenanceLeavesNoTimer(t *testing.T) {
+	s := NewScenario(ScenarioConfig{Seed: 7, Opt: Optimization{Routing: true, Scavenger: true, TC: true}})
+	e := s.App
+	e.Mesh.ControlPlane().SetFallbackPolicy("ratings", mesh.FallbackPolicy{Enabled: true})
+	for _, rt := range e.AllRatings {
+		rt.Partition(true)
+		rt.Host().ResetConns()
+	}
+
+	var got *httpsim.Response
+	e.Gateway.Serve(app.NewProductRequest(), func(resp *httpsim.Response, err error) {
+		if err != nil {
+			t.Fatalf("product request failed: %v", err)
+		}
+		got = resp
+	})
+	e.Sched.RunFor(30 * time.Second)
+
+	if got == nil || got.Headers.Get(mesh.HeaderDegraded) != "ratings" {
+		t.Fatalf("response %v: want one degraded by the ratings fallback", got)
+	}
+	if st := s.CrossLayer.Stats(); st.ProvenanceEntries == 0 {
+		t.Fatal("no priority provenance recorded")
+	}
+	if n := e.Sched.Pending(); n != 0 {
+		t.Fatalf("%d events pending after the last response", n)
+	}
+}

@@ -40,7 +40,7 @@ func main() {
 		Name: "surge", Rate: 500, Seed: 9,
 		NewRequest: d.NewDAGRequest,
 		Warmup:     time.Second, Measure: 28 * time.Second, Cooldown: time.Second,
-		OnComplete: tl.Observer(),
+		OnComplete: tl.Observe,
 	})
 
 	fmt.Println("500 RPS against one replica (capacity ~200 RPS); autoscaler target 60% utilization")

@@ -996,7 +996,7 @@ func chaosSuite(seed int64, warmup, measure time.Duration) (chaos.Scenario, time
 
 // RunChaos measures the e-library under the chaos suite across the
 // defense ladder, plus a fault-free baseline for reference. Error
-// rates and TTR come from a chaos.Recorder on the LS stream.
+// rates and TTR come from a workload.Timeline on the LS stream.
 func RunChaos(seed int64, warmup, measure time.Duration) []ChaosRow {
 	warmup, measure = orDefault(warmup, 2*time.Second), orDefault(measure, 20*time.Second)
 	configs := []struct {

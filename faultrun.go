@@ -8,6 +8,7 @@ import (
 	"meshlayer/internal/ctrlplane"
 	"meshlayer/internal/mesh"
 	"meshlayer/internal/metrics"
+	"meshlayer/internal/workload"
 )
 
 // eLibraryServices are the e-library's mesh services, the set every
@@ -23,10 +24,10 @@ type faultRun struct {
 	*Scenario
 	seed            int64
 	warmup, measure time.Duration
-	ls, li          *chaos.Recorder
+	ls, li          *workload.Timeline
 	// recs is every recorder avail counts: ls, li, and any an arm takes
 	// from recorder() for load beside the mixed run (E18's flash crowd).
-	recs []*chaos.Recorder
+	recs []*workload.Timeline
 }
 
 func newFaultRun(appCfg app.ELibraryConfig, seed int64, warmup, measure time.Duration) *faultRun {
@@ -41,8 +42,8 @@ func newFaultRun(appCfg app.ELibraryConfig, seed int64, warmup, measure time.Dur
 // recorder returns a new outcome recorder that avail will count. Its
 // bucket width is sized so each bucket holds ~10+ LS samples at 30 RPS;
 // much finer and empty buckets read as spurious recovery.
-func (f *faultRun) recorder() *chaos.Recorder {
-	rec := chaos.NewRecorder(f.measure / 40)
+func (f *faultRun) recorder() *workload.Timeline {
+	rec := workload.NewTimeline(0, f.measure/40)
 	f.recs = append(f.recs, rec)
 	return rec
 }
@@ -69,7 +70,7 @@ func (f *faultRun) avail(from, to time.Duration) float64 {
 	return availability(from, to, f.recs...)
 }
 
-func availability(from, to time.Duration, recs ...*chaos.Recorder) float64 {
+func availability(from, to time.Duration, recs ...*workload.Timeline) float64 {
 	var ok, fail uint64
 	for _, rec := range recs {
 		o, f := rec.Counts(from, to)

@@ -6,7 +6,8 @@
 // requests from *bandwidth* contention, but offers no defense when
 // demand exceeds *service capacity*: sidecars accept unbounded work,
 // queues grow without limit, and both classes degrade together. This
-// package supplies the three missing mechanisms:
+// package supplies two mechanisms, and the deadlines the third needs
+// are the mesh's:
 //
 //  1. A bounded two-class priority queue per sidecar with CoDel-style
 //     queue-delay shedding: when a class's queueing delay stays above
@@ -26,10 +27,12 @@
 //  3. End-to-end deadline propagation: the gateway stamps a total
 //     budget, each hop decrements it by its observed queue + service
 //     time, and requests whose remaining budget is exhausted are
-//     rejected at inbound or cancelled before the downstream call, so
-//     wasted work is cut at the earliest possible hop. The Deadlines
-//     index keys remaining budget on the request's trace ID — the same
-//     provenance mechanism internal/core uses for priorities.
+//     rejected at inbound (an Item's Expiry, shed here with
+//     ShedDeadline) or cancelled before the downstream call, so wasted
+//     work is cut at the earliest possible hop. Each sidecar keeps its
+//     requests' expiries in a trace.Provenance table keyed by the
+//     trace ID — the same provenance table internal/core keeps
+//     priorities in.
 //
 // The package is pure policy/state: it never touches the network or
 // the scheduler. The mesh wires it into Sidecar inbound handling and

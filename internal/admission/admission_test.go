@@ -311,40 +311,3 @@ func TestControllerRequiresClock(t *testing.T) {
 	}()
 	New(Config{})
 }
-
-func TestDeadlinesObserveAndRemaining(t *testing.T) {
-	var d Deadlines
-	d.Observe("t1", ms(100), 0)
-	if r, ok := d.Remaining("t1", ms(40)); !ok || r != ms(60) {
-		t.Fatalf("remaining = %v %v", r, ok)
-	}
-	// A later, looser observation must not extend the budget.
-	d.Observe("t1", ms(500), 0)
-	if e, _ := d.Expiry("t1"); e != ms(100) {
-		t.Fatalf("expiry widened to %v", e)
-	}
-	// A tighter one shrinks it.
-	d.Observe("t1", ms(80), 0)
-	if e, _ := d.Expiry("t1"); e != ms(80) {
-		t.Fatalf("expiry = %v, want 80ms", e)
-	}
-	if _, ok := d.Remaining("unknown", 0); ok {
-		t.Fatal("unknown id reported a deadline")
-	}
-}
-
-func TestDeadlinesSweepExpired(t *testing.T) {
-	var d Deadlines
-	d.Observe("old", ms(1), 0)
-	// Push past the sweep threshold well after "old" + grace expired.
-	late := 2 * time.Second
-	for i := 0; i < sweepEvery; i++ {
-		d.Observe(string(rune('a'+i%26))+string(rune('0'+i%10)), late+ms(1000+i), late)
-	}
-	if _, ok := d.Expiry("old"); ok {
-		t.Fatal("expired record survived the sweep")
-	}
-	if d.Len() == 0 {
-		t.Fatal("live records swept")
-	}
-}

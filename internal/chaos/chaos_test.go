@@ -204,33 +204,3 @@ func TestCPStaleDelaysPush(t *testing.T) {
 		t.Errorf("call after the revert answered %d, want the policy's 503", got)
 	}
 }
-
-func TestRecorderErrorRateAndRecovery(t *testing.T) {
-	r := NewRecorder(100 * time.Millisecond)
-	// Buckets 0-4: bucket 1 and 2 have failures, rest clean.
-	r.Observe(50*time.Millisecond, time.Millisecond, false)
-	r.Observe(150*time.Millisecond, time.Millisecond, true)
-	r.Observe(160*time.Millisecond, time.Millisecond, false)
-	r.Observe(250*time.Millisecond, time.Millisecond, true)
-	r.Observe(350*time.Millisecond, time.Millisecond, false)
-	r.Observe(450*time.Millisecond, time.Millisecond, false)
-
-	if got := r.ErrorRate(0, 500*time.Millisecond); got != 2.0/6.0 {
-		t.Fatalf("ErrorRate = %v", got)
-	}
-	if got := r.ErrorRate(300*time.Millisecond, 500*time.Millisecond); got != 0 {
-		t.Fatalf("clean-window ErrorRate = %v", got)
-	}
-	// Fault at 150ms: first clean run of 2 buckets starts at bucket 3
-	// (300ms) → TTR = 150ms.
-	ttr, ok := r.RecoveryTime(150*time.Millisecond, 2)
-	if !ok || ttr != 150*time.Millisecond {
-		t.Fatalf("RecoveryTime = %v, %v", ttr, ok)
-	}
-	// Never-recovered stream.
-	r2 := NewRecorder(100 * time.Millisecond)
-	r2.Observe(50*time.Millisecond, 0, true)
-	if _, ok := r2.RecoveryTime(0, 2); ok {
-		t.Fatal("recovery reported for all-failing stream")
-	}
-}

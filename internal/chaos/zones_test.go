@@ -118,18 +118,3 @@ func TestZoneFaultValidation(t *testing.T) {
 	}})
 	tg.Sched.Run()
 }
-
-func TestRecorderCounts(t *testing.T) {
-	r := NewRecorder(100 * time.Millisecond)
-	r.Observe(50*time.Millisecond, time.Millisecond, false)
-	r.Observe(150*time.Millisecond, time.Millisecond, true)
-	r.Observe(250*time.Millisecond, time.Millisecond, false)
-	ok, fail := r.Counts(0, 200*time.Millisecond)
-	if ok != 1 || fail != 1 {
-		t.Fatalf("Counts[0,200ms) = (%d,%d), want (1,1)", ok, fail)
-	}
-	ok, fail = r.Counts(0, 300*time.Millisecond)
-	if ok != 2 || fail != 1 {
-		t.Fatalf("Counts[0,300ms) = (%d,%d), want (2,1)", ok, fail)
-	}
-}

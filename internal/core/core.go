@@ -13,7 +13,9 @@
 //     request, and stamps the priority back onto child requests and
 //     response connections that share the ID — provenance-based
 //     propagation, requiring no application changes beyond the
-//     tracing-header copy apps already do.
+//     tracing-header copy apps already do. The associations are one
+//     mesh-wide trace.Provenance table, swept by its own Puts, so the
+//     controller arms no timer.
 //
 //  3. Cross-layer optimizations keyed on the carried priority:
 //     (a) mesh: route priorities to disjoint replica pools (subset
@@ -81,24 +83,16 @@ const scavengerCC = "ledbat"
 // "up to 95% of bandwidth".
 const highShare = 0.95
 
-// provEntry is one provenance record: the priority class of a request
-// ID, plus its last sighting for garbage collection.
-type provEntry struct {
-	mark simnet.Mark
-	seen time.Duration
-}
-
-// provTTL bounds how long an idle provenance record is kept.
+// provTTL is how long a provenance record is kept after its request's
+// last classified sighting; the table's next sweep then deletes it.
 const provTTL = 2 * time.Minute
-
-// provSweepInterval is the GC cadence.
-const provSweepInterval = 30 * time.Second
 
 // Controller is the installed cross-layer prioritization layer.
 type Controller struct {
-	cfg        Config
-	prov       map[string]provEntry
-	sweepArmed bool
+	cfg Config
+	// prov is the mesh-wide provenance table: request ID -> the
+	// priority class its classified request carried.
+	prov trace.Provenance[simnet.Mark]
 
 	// Stats.
 	recorded uint64 // provenance records created/refreshed
@@ -118,7 +112,7 @@ func Enable(cfg Config) *Controller {
 		panic("core: EnableSDN requires a controller")
 	}
 
-	c := &Controller{cfg: cfg, prov: make(map[string]provEntry)}
+	c := &Controller{cfg: cfg}
 	m := cfg.Mesh
 
 	for _, sc := range m.Sidecars() {
@@ -200,19 +194,18 @@ func nameOf(m simnet.Mark) string {
 func (c *Controller) inboundFilter(ctx httpsim.Ctx, req *httpsim.Request) {
 	tid := req.Headers.Get(trace.HeaderRequestID)
 	prio := req.Headers.Get(mesh.HeaderPriority)
-	now := c.cfg.Mesh.Scheduler().Now()
 	if prio == "" && tid != "" {
-		if e, ok := c.prov[tid]; ok {
-			prio = nameOf(e.mark)
+		if mark, ok := c.prov.Get(tid); ok {
+			prio = nameOf(mark)
 			if prio != "" {
 				req.Headers.Set(mesh.HeaderPriority, prio)
 				c.restored++
 			}
 		}
 	} else if prio != "" && tid != "" {
-		c.prov[tid] = provEntry{mark: markOf(prio), seen: now}
+		now := c.cfg.Mesh.Scheduler().Now()
+		c.prov.Put(tid, markOf(prio), now+provTTL, now)
 		c.recorded++
-		c.armSweep()
 	}
 	mark := markOf(prio)
 	if mark == simnet.MarkDefault || ctx.Conn == nil {
@@ -240,8 +233,8 @@ func (c *Controller) outboundFilter(req *httpsim.Request) {
 	if tid == "" {
 		return
 	}
-	if e, ok := c.prov[tid]; ok {
-		if name := nameOf(e.mark); name != "" {
+	if mark, ok := c.prov.Get(tid); ok {
+		if name := nameOf(mark); name != "" {
 			req.Headers.Set(mesh.HeaderPriority, name)
 			c.stamped++
 		}
@@ -277,28 +270,6 @@ func (c *Controller) connHook(conn *transport.Conn, class mesh.ConnClass) {
 	c.cfg.SDN.RegisterFlow(conn.Flow().Reverse(), class.Options.Mark)
 }
 
-// armSweep schedules the provenance GC while records exist. The sweep
-// disarms itself once the map drains, so an idle mesh leaves the event
-// queue empty (simulations can run to completion).
-func (c *Controller) armSweep() {
-	if c.sweepArmed {
-		return
-	}
-	c.sweepArmed = true
-	c.cfg.Mesh.Scheduler().After(provSweepInterval, func() {
-		c.sweepArmed = false
-		now := c.cfg.Mesh.Scheduler().Now()
-		for id, e := range c.prov {
-			if now-e.seen > provTTL {
-				delete(c.prov, id)
-			}
-		}
-		if len(c.prov) > 0 {
-			c.armSweep()
-		}
-	})
-}
-
 // Stats reports the controller's activity counters.
 type Stats struct {
 	ProvenanceEntries int
@@ -311,7 +282,7 @@ type Stats struct {
 // Stats snapshots the controller's counters.
 func (c *Controller) Stats() Stats {
 	return Stats{
-		ProvenanceEntries: len(c.prov),
+		ProvenanceEntries: c.prov.Len(),
 		Recorded:          c.recorded,
 		Stamped:           c.stamped,
 		Restored:          c.restored,

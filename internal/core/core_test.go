@@ -10,6 +10,7 @@ import (
 	"meshlayer/internal/sdn"
 	"meshlayer/internal/simnet"
 	"meshlayer/internal/tc"
+	"meshlayer/internal/trace"
 	"meshlayer/internal/transport"
 	"meshlayer/internal/workload"
 )
@@ -165,20 +166,36 @@ func TestMarkToNameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProvenanceGC: a provenance record outlives an idle mesh —
+// nothing runs while no request does — and the first sweep its table
+// runs once provTTL has passed deletes it, while the records of the
+// requests that drove the sweep stay.
 func TestProvenanceGC(t *testing.T) {
 	e := app.BuildELibrary(app.DefaultELibraryConfig())
 	e.Gateway.SetClassifier(app.Classifier())
 	c := enableAll(e)
-	e.Gateway.Serve(app.NewProductRequest(), func(*httpsim.Response, error) {})
+	first := app.NewProductRequest()
+	e.Gateway.Serve(first, func(*httpsim.Response, error) {})
+	tid := first.Headers.Get(trace.HeaderRequestID)
 	e.Sched.RunFor(time.Second)
-	if c.Stats().ProvenanceEntries == 0 {
-		t.Fatal("no entries to GC")
+	if _, ok := c.prov.Get(tid); !ok {
+		t.Fatal("the classified request left no record")
 	}
-	// Idle past the TTL: entries swept.
-	e.Sched.RunFor(provTTL + 2*provSweepInterval)
-	if got := c.Stats().ProvenanceEntries; got != 0 {
-		t.Fatalf("provenance entries after TTL = %d, want 0", got)
+	e.Sched.RunFor(provTTL)
+	if _, ok := c.prov.Get(tid); !ok {
+		t.Fatal("the record went while no request ran")
 	}
+	for i := 0; i < 300; i++ {
+		if _, ok := c.prov.Get(tid); !ok {
+			if c.Stats().ProvenanceEntries == 0 {
+				t.Fatal("the sweep deleted live records")
+			}
+			return
+		}
+		e.Gateway.Serve(app.NewProductRequest(), func(*httpsim.Response, error) {})
+		e.Sched.RunFor(100 * time.Millisecond)
+	}
+	t.Fatalf("record past provTTL survived %d more records", c.Stats().Recorded)
 }
 
 // TestCrossLayerImprovesLatencySensitiveTail is the integration test of

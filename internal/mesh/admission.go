@@ -74,10 +74,16 @@ type admissionState struct {
 	// the policy leaves admission disabled.
 	ctl *admission.Controller
 	pol AdmissionPolicy
-	// deadlines tracks every budget-carrying request, whether or not
-	// admission is enabled.
-	deadlines admission.Deadlines
+	// deadlines holds the expiry of every budget-carrying request this
+	// sidecar served, keyed by trace ID, whether or not admission is
+	// enabled; a record is kept deadlineGrace past its expiry.
+	deadlines trace.Provenance[time.Duration]
 }
+
+// deadlineGrace keeps an expired deadline record around briefly, so
+// late child calls of an already-expired request still find "expired"
+// (and are cancelled) rather than "unknown" (and sent).
+const deadlineGrace = time.Second
 
 // admitState returns the sidecar's admission state, made at first use.
 func (sc *Sidecar) admitState() *admissionState {
@@ -141,9 +147,11 @@ func (sc *Sidecar) recordInboundDeadline(req *httpsim.Request) time.Duration {
 	}
 	if tid := req.Headers.Get(trace.HeaderRequestID); tid != "" {
 		d := &sc.admitState().deadlines
-		d.Observe(tid, expiry, now)
-		if e, ok := d.Expiry(tid); ok {
+		if e, ok := d.Get(tid); ok && e <= expiry {
 			expiry = e
+		}
+		if expiry > 0 {
+			d.Put(tid, expiry, expiry+deadlineGrace, now)
 		}
 	}
 	return expiry
@@ -161,11 +169,11 @@ func (sc *Sidecar) applyOutboundDeadline(c *call) bool {
 	if tid == "" || sc.admit == nil {
 		return true // untraced, or no request this sidecar served carried a budget
 	}
-	now := sc.mesh.sched.Now()
-	rem, ok := sc.admit.deadlines.Remaining(tid, now)
+	expiry, ok := sc.admit.deadlines.Get(tid)
 	if !ok {
 		return true
 	}
+	rem := expiry - sc.mesh.sched.Now()
 	if rem <= 0 {
 		sc.mesh.metrics.Counter(MetricAdmissionCancelledTotal,
 			metrics.Labels{"service": sc.service, "upstream": c.service}).Inc()

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 	"time"
@@ -166,5 +167,70 @@ func TestBudgetDecrementsAcrossHops(t *testing.T) {
 	}
 	if us <= 0 || us >= budget.Microseconds() {
 		t.Fatalf("backend budget = %dus; want decremented below %dus but positive", us, budget.Microseconds())
+	}
+}
+
+// budgeted is an inbound request of trace tid carrying budget us (µs).
+func budgeted(tid string, us int64) *httpsim.Request {
+	req := httpsim.NewRequest("GET", "/")
+	req.Headers.Set(trace.HeaderRequestID, tid)
+	req.Headers.Set(HeaderBudget, strconv.FormatInt(us, 10))
+	return req
+}
+
+// TestDeadlinesObserveAndRemaining: recordInboundDeadline keeps the
+// earliest expiry a trace's requests carry — a retry or hedge with a
+// looser budget must not extend it, a tighter one shrinks it — and an
+// expiry of 0 is no deadline, so it is not recorded.
+func TestDeadlinesObserveAndRemaining(t *testing.T) {
+	m, sc, _ := replicaBed(1, 1)
+	ms := time.Millisecond
+	if e := sc.recordInboundDeadline(budgeted("t0", 0)); e != 0 || sc.admit.deadlines.Len() != 0 {
+		t.Fatalf("a zero expiry: returned %v, %d records", e, sc.admit.deadlines.Len())
+	}
+	if e := sc.recordInboundDeadline(budgeted("t1", 100_000)); e != 100*ms {
+		t.Fatalf("expiry = %v, want 100ms", e)
+	}
+	m.sched.RunFor(40 * ms)
+	for _, c := range []struct {
+		name string
+		us   int64
+		want time.Duration
+	}{
+		{"looser budget", 500_000, 100 * ms},
+		{"tighter budget", 40_000, 80 * ms},
+		{"equal budget", 40_000, 80 * ms},
+	} {
+		if e := sc.recordInboundDeadline(budgeted("t1", c.us)); e != c.want {
+			t.Fatalf("%s: returned expiry %v, want %v", c.name, e, c.want)
+		}
+		if e, ok := sc.admit.deadlines.Get("t1"); !ok || e != c.want {
+			t.Fatalf("%s: recorded expiry %v %v, want %v", c.name, e, ok, c.want)
+		}
+	}
+	if _, ok := sc.admit.deadlines.Get("unknown"); ok {
+		t.Fatal("unknown id reported a deadline")
+	}
+}
+
+// TestDeadlinesSweepExpired: a sidecar's deadline record is dropped by
+// the table's sweep once deadlineGrace past its expiry, while records
+// still in their budget stay.
+func TestDeadlinesSweepExpired(t *testing.T) {
+	m, sc, _ := replicaBed(1, 1)
+	sc.recordInboundDeadline(budgeted("old", 1_000))
+	m.sched.RunFor(time.Millisecond + deadlineGrace)
+	if _, ok := sc.admit.deadlines.Get("old"); !ok {
+		t.Fatal("the record went before any sweep")
+	}
+	m.sched.RunFor(time.Millisecond)
+	for i := 0; i < 256; i++ {
+		sc.recordInboundDeadline(budgeted(fmt.Sprintf("t%d", i), 1_000_000))
+	}
+	if _, ok := sc.admit.deadlines.Get("old"); ok {
+		t.Fatal("expired record survived the sweep")
+	}
+	if got := sc.admit.deadlines.Len(); got != 256 {
+		t.Fatalf("%d records after the sweep, want the 256 live ones", got)
 	}
 }

@@ -44,64 +44,10 @@ const (
 	fallbackAfter = 400 * time.Millisecond
 )
 
-// degradedEntry is one degraded-provenance record: which upstream was
-// papered over for a request ID, plus its last sighting for GC.
-type degradedEntry struct {
-	origin string
-	seen   time.Duration
-}
-
-// degradedTTL bounds how long an idle record is kept; the sweep runs
-// every degradedSweepInterval and disarms itself when the map drains
-// (so an idle mesh leaves the event queue empty).
-const (
-	degradedTTL           = 2 * time.Minute
-	degradedSweepInterval = 30 * time.Second
-)
-
-// recordDegraded remembers that the trace tid saw a degraded response
-// originating at origin.
-func (m *Mesh) recordDegraded(tid, origin string) {
-	if tid == "" || origin == "" {
-		return
-	}
-	m.degraded[tid] = degradedEntry{origin: origin, seen: m.sched.Now()}
-	m.armDegradedSweep()
-}
-
-// takeDegraded returns and clears the trace's degraded origin. The
-// record alternates with the header on the way up the tree: recorded
-// from a child response at one hop, restored onto the parent response
-// at the next.
-func (m *Mesh) takeDegraded(tid string) (string, bool) {
-	e, ok := m.degraded[tid]
-	if !ok {
-		return "", false
-	}
-	delete(m.degraded, tid)
-	return e.origin, true
-}
-
-// armDegradedSweep schedules the provenance GC while records exist,
-// mirroring internal/core's priority-provenance sweep.
-func (m *Mesh) armDegradedSweep() {
-	if m.degSweepArmed {
-		return
-	}
-	m.degSweepArmed = true
-	m.sched.After(degradedSweepInterval, func() {
-		m.degSweepArmed = false
-		now := m.sched.Now()
-		for id, e := range m.degraded {
-			if now-e.seen > degradedTTL {
-				delete(m.degraded, id)
-			}
-		}
-		if len(m.degraded) > 0 {
-			m.armDegradedSweep()
-		}
-	})
-}
+// degradedTTL is how long a degraded-provenance record is kept when no
+// response of its request restores it; the table's next sweep then
+// deletes it.
+const degradedTTL = 2 * time.Minute
 
 // maybeFallback intercepts a terminally-failed call: when the
 // destination has a fallback policy it synthesizes the degraded
@@ -126,7 +72,8 @@ func (c *call) maybeFallback(resp *httpsim.Response, err error) (*httpsim.Respon
 	// remember the stamp so this pod's own response restores it.
 	if resp != nil {
 		if origin := resp.Headers.Get(HeaderDegraded); origin != "" {
-			m.recordDegraded(c.req.Headers.Get(trace.HeaderRequestID), origin)
+			now := m.sched.Now()
+			m.degraded.Put(c.req.Headers.Get(trace.HeaderRequestID), origin, now+degradedTTL, now)
 		}
 	}
 	return resp, err

@@ -64,10 +64,10 @@ type Mesh struct {
 	eastwest map[string]*EastWestGateway
 	delay    time.Duration
 
-	// Degraded-response provenance (see degrade.go): trace ID -> the
-	// upstream a fallback papered over, swept on a TTL.
-	degraded      map[string]degradedEntry
-	degSweepArmed bool
+	// degraded is the degraded-response provenance (degrade.go): trace
+	// ID -> the upstream a fallback papered over, until a response of
+	// the request restores it.
+	degraded trace.Provenance[string]
 
 	// proxyQ holds the sidecar traversals waiting out their proxy
 	// delay (proxy.go); proxySeq numbers them in queueing order, and
@@ -103,7 +103,6 @@ func New(cl *cluster.Cluster, cfg Config) *Mesh {
 		sidecars: make(map[string]*Sidecar),
 		eastwest: make(map[string]*EastWestGateway),
 		delay:    delay,
-		degraded: make(map[string]degradedEntry),
 	}
 	m.proxyDoneFn = m.proxyDone
 	m.cp = newControlPlane(m)

@@ -317,10 +317,8 @@ func (in *inbound) reply(resp *httpsim.Response) {
 	// from child calls and dropped their headers; restore the
 	// degraded stamp recorded from any child so it keeps travelling
 	// toward the edge.
-	if tid := req.Headers.Get(trace.HeaderRequestID); tid != "" {
-		if origin, ok := m.takeDegraded(tid); ok {
-			resp.Headers.Set(HeaderDegraded, origin)
-		}
+	if origin, ok := m.degraded.Take(req.Headers.Get(trace.HeaderRequestID)); ok {
+		resp.Headers.Set(HeaderDegraded, origin)
 	}
 	if in.span != 0 {
 		m.tracer.Close(in.span, m.sched.Now(), int32(resp.Status), 0)

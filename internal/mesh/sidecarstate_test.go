@@ -346,8 +346,8 @@ func TestAdmissionStateAtFirstWrite(t *testing.T) {
 	if e := sc.recordInboundDeadline(req); e != 500*time.Microsecond || sc.admit == nil || sc.admit.ctl != nil {
 		t.Fatalf("a budgeted request: expiry %v, admission state %+v", e, sc.admit)
 	}
-	if rem, ok := sc.admit.deadlines.Remaining("t1", 0); !ok || rem != 500*time.Microsecond {
-		t.Fatalf("deadline index holds %v %v for t1", rem, ok)
+	if e, ok := sc.admit.deadlines.Get("t1"); !ok || e != 500*time.Microsecond {
+		t.Fatalf("deadline table holds %v %v for t1", e, ok)
 	}
 }
 

@@ -6,7 +6,9 @@
 // sidecar knows which outgoing requests were spawned by which incoming
 // one *because* they share the trace ID, and the cross-layer controller
 // keys priority propagation off exactly that association (§4.3
-// component 2).
+// component 2). Provenance is the one table type every such lookup
+// uses: core's priority marks, the mesh's degraded-response origins
+// and each sidecar's deadline expiries.
 package trace
 
 import (

@@ -36,7 +36,7 @@ type Spec struct {
 	Warmup, Measure, Cooldown time.Duration
 	// OnComplete, if set, observes every completion (including outside
 	// the measure window): completion time, latency, and whether the
-	// request failed. Timeline.Observer plugs in here.
+	// request failed. Timeline.Observe plugs in here.
 	OnComplete func(at, latency time.Duration, failed bool)
 }
 

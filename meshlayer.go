@@ -227,7 +227,7 @@ type MixedConfig struct {
 	Warmup, Measure, Cooldown time.Duration
 	// LSObserver and LIObserver, if set, see every completion of the
 	// respective workload (completion time, latency, failed) — plug in
-	// workload.Timeline.Observer for latency-over-time views.
+	// workload.Timeline.Observe for latency-over-time views.
 	LSObserver, LIObserver func(at, latency time.Duration, failed bool)
 }
 
