@@ -101,11 +101,16 @@ type Item struct {
 	Class Class
 	// Enqueued is the arrival time (set by the caller to "now").
 	Enqueued time.Duration
-	// Expiry is the absolute deadline (0 = none): items past it are
-	// shed with ShedDeadline instead of being served.
-	Expiry time.Duration
+	// Expiry is the absolute deadline of an item with HasExpiry set:
+	// such an item at or past it is shed with ShedDeadline instead of
+	// being served. Any time is a deadline, 0 included.
+	Expiry    time.Duration
+	HasExpiry bool
 	// Run dispatches the admitted request.
 	Run func()
 	// Shed rejects the request with the given reason.
 	Shed func(Reason)
 }
+
+// expired reports whether the item has a deadline and now is past it.
+func (it *Item) expired(now time.Duration) bool { return it.HasExpiry && now >= it.Expiry }

@@ -14,13 +14,16 @@ type recorder struct {
 
 func newRecorder() *recorder { return &recorder{shed: map[Reason]int{}} }
 
+// item is an item of class c enqueued at enq, with the deadline expiry
+// unless expiry is 0, which these tests use for none.
 func (r *recorder) item(c Class, enq, expiry time.Duration) Item {
 	return Item{
-		Class:    c,
-		Enqueued: enq,
-		Expiry:   expiry,
-		Run:      func() { r.ran++ },
-		Shed:     func(why Reason) { r.shed[why]++ },
+		Class:     c,
+		Enqueued:  enq,
+		Expiry:    expiry,
+		HasExpiry: expiry != 0,
+		Run:       func() { r.ran++ },
+		Shed:      func(why Reason) { r.shed[why]++ },
 	}
 }
 
@@ -300,6 +303,20 @@ func TestControllerShedsExpiredOnOffer(t *testing.T) {
 	c.Offer(rec.item(LS, now, ms(50)))
 	if rec.shed[ShedDeadline] != 1 || rec.ran != 0 {
 		t.Fatalf("expired offer not shed: %+v", rec.shed)
+	}
+
+	// A deadline of 0 at time 0 is spent too; only HasExpiry says
+	// whether an item has a deadline.
+	now = 0
+	spent := rec.item(LS, now, 0)
+	spent.HasExpiry = true
+	c.Offer(spent)
+	if rec.shed[ShedDeadline] != 2 || rec.ran != 0 {
+		t.Fatalf("a deadline of 0 offered at time 0 not shed: %+v", rec.shed)
+	}
+	c.Offer(rec.item(LS, now, 0))
+	if rec.ran != 1 {
+		t.Fatal("an item with no deadline not admitted")
 	}
 }
 

@@ -45,7 +45,7 @@ func (c *Controller) Limiter() *Limiter { return c.limiter }
 // one of it.Run / it.Shed is invoked, possibly later from Done.
 func (c *Controller) Offer(it Item) {
 	now := c.cfg.Now()
-	if it.Expiry > 0 && now >= it.Expiry {
+	if it.expired(now) {
 		c.queue.shedDeadline++
 		it.Shed(ShedDeadline)
 		return

@@ -92,7 +92,7 @@ func (q *Queue) ShedCounts() (delay, full, deadline uint64) {
 // Push enqueues the item, shedding as needed to respect the bound. It
 // returns false when the pushed item itself was shed.
 func (q *Queue) Push(it Item, now time.Duration) bool {
-	if it.Expiry > 0 && now >= it.Expiry {
+	if it.expired(now) {
 		q.shedDeadline++
 		it.Shed(ShedDeadline)
 		return false
@@ -121,7 +121,7 @@ func (q *Queue) Pop(now time.Duration) (Item, bool) {
 	for c := Class(0); c < numClasses; c++ {
 		for q.Depth(c) > 0 {
 			it := q.q[c].Pop()
-			if it.Expiry > 0 && now >= it.Expiry {
+			if it.expired(now) {
 				q.shedDeadline++
 				it.Shed(ShedDeadline)
 				continue

@@ -12,10 +12,11 @@ import (
 )
 
 // BenchmarkChainRequest serves one request per iteration through a
-// 16-hop chain, 33 spans of it. Besides -benchmem's allocations it
-// reports retained-B/req: the live heap each request leaves behind
-// after a GC, which is what the trace collector and the metric
-// histograms keep for the rest of a run.
+// 16-hop chain, 33 spans of it: a new collector chunk every 1,024 spans
+// and a new span-id text block every 1,024. Besides -benchmem's
+// allocations it reports retained-B/req: the live heap each request
+// leaves behind after a GC, which is what the trace collector and the
+// metric histograms keep for the rest of a run.
 func BenchmarkChainRequest(b *testing.B) {
 	c := BuildChain(ChainConfig{Depth: 16})
 	var ms runtime.MemStats
@@ -43,7 +44,7 @@ func BenchmarkChainRequest(b *testing.B) {
 // proxy traversals, attempt deadline and fan-out join 143 more (339),
 // and a span object per hop 33 more (196, now a collector row that
 // comes in 32 KB chunks), a span id's header text 33 more (163, now
-// sliced out of one string per 256 ids), httpsim's responded flag
+// sliced out of one string per 1,024 ids), httpsim's responded flag
 // beside its respond closure 16 (130, now a pooled server record), the
 // inbound record and its bound respond method 16 (114, now one closure
 // per request) and the call record 16 (98, now on the mesh's free
@@ -53,9 +54,10 @@ func BenchmarkChainRequest(b *testing.B) {
 // last four changes). The gateway's completion closure cost one more
 // per request (now a record on the gateway's free list). Read as an
 // exact mean (allocsPerRequest), a request through 4 hops, 16 hops and
-// the social network costs 21.13, 81.27 and 81.26: the fractions are a
-// new span-id block every 256 spans, a new collector chunk every 512
-// and the trace index's growth.
+// the social network costs 21.09, 81.14 and 81.13: the fractions are a
+// new span-id block and a new collector chunk every 1,024 spans each
+// (every 256 and 512 before rows shrank to 32 B, 21.13, 81.27 and
+// 81.26) and the trace index's growth.
 func TestChainHopAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are not the program's")
@@ -111,15 +113,17 @@ func allocsPerRequest(serve func()) float64 {
 // TestChainRetainedAllocs is the budget of what a request through a
 // 16-hop chain leaves live for the rest of a run, the retained-B/req
 // BenchmarkChainRequest reports and rpc_chain's live_heap_mb grows
-// with: its 33 spans as 64 B collector rows, its trace's ID and index
-// entry, 2,194 B in all (one more than before span-id text came in
-// blocks, for the block the collector keeps). A hundred requests first
-// fill the pools, series and name table every later request reuses.
+// with: its 33 spans as 32 B collector rows, 1,056 B, and its trace's
+// ID and index entry, about 96 B more: 1,152 B in all (2,194 B with
+// 64 B rows). The budget leaves about 100 B, 3 B a span, so a row
+// that grows past 32 B (8 B a span at least) fails it. A hundred
+// requests first fill the pools, series and op table every later
+// request reuses.
 func TestChainRetainedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes under -race are not the program's")
 	}
-	const requests, budget = 2000, 2400
+	const requests, budget = 2000, 1250
 	c := BuildChain(ChainConfig{Depth: 16})
 	serve := func(n int) {
 		for i := 0; i < n; i++ {
@@ -294,7 +298,8 @@ func checkList(t *testing.T, name string, round int, what string, free, made int
 // read them, which counted the sync.Pool refills after the collections
 // an analytics scan's 2 MB sets off. Read as an exact mean with the
 // collector off, and with the gateway's completion on a free list, they
-// cost 25.1 and 20.53.
+// cost 25.1 and 20.53, and 25.06 and 20.5 with 32 B span rows and
+// span-id blocks of 1,024.
 func TestELibraryRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are not the program's")

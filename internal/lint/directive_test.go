@@ -75,17 +75,20 @@ var NotAType = 1 //meshvet:pooled
 	}
 }
 
+// malformedDirectives are directives meshvet rejects, each with the
+// diagnostic it draws.
+var malformedDirectives = []struct {
+	comment string
+	wantMsg string
+}{
+	{"//meshvet:allow", "needs an analyzer name and a reason"},
+	{"//meshvet:allow mapiter", "missing its reason"},
+	{"//meshvet:allow nosuch because reasons", `unknown analyzer "nosuch"`},
+	{"//meshvet:frob x", `unknown meshvet directive "frob"`},
+}
+
 func TestMalformedAllowVariants(t *testing.T) {
-	cases := []struct {
-		comment string
-		wantMsg string
-	}{
-		{"//meshvet:allow", "needs an analyzer name and a reason"},
-		{"//meshvet:allow mapiter", "missing its reason"},
-		{"//meshvet:allow nosuch because reasons", `unknown analyzer "nosuch"`},
-		{"//meshvet:frob x", `unknown meshvet directive "frob"`},
-	}
-	for _, c := range cases {
+	for _, c := range malformedDirectives {
 		_, fd, _, diags := parseSrc(t, "package p\n"+c.comment+"\nvar x = 1\n")
 		if len(diags) != 1 || !strings.Contains(diags[0].Message, c.wantMsg) {
 			t.Errorf("%s: got %v, want message containing %q", c.comment, diags, c.wantMsg)
@@ -106,4 +109,81 @@ var x = 1 // meshvet:allow walltime spaced-out prefix is prose too
 		t.Errorf("prose mentioning directives must be inert: diags=%v allows=%v pooled=%v",
 			diags, fd.allows, pooled)
 	}
+}
+
+// FuzzParseDirectives puts one comment in three places of a small file
+// — on its own line above a type, trailing a type, trailing a var — and
+// holds what parseDirectives makes of it to meshvet's contract: no
+// comment panics it, a comment not spelled //meshvet: does nothing, and
+// a directive does exactly one thing on its own line. That is a
+// diagnostic of the reserved analyzer; or an allow of a known analyzer,
+// named by the directive's first word and followed by a reason, over
+// its own line and the next; or a pooled mark on the type it sits on.
+//
+//	go test -run '^$' -fuzz FuzzParseDirectives -fuzztime 30s ./internal/lint
+func FuzzParseDirectives(f *testing.F) {
+	for _, c := range malformedDirectives {
+		f.Add(c.comment)
+	}
+	for _, c := range []string{
+		"//meshvet:allow walltime trailing-position reason",
+		"//meshvet:allow directive trying to silence the validator",
+		"//meshvet:pooled",
+		"//meshvet:allow\twalltime\treason",
+		"// meshvet:allow walltime spaced-out prefix is prose too",
+		"// plain comment mentioning meshvet:allow inside prose is not a directive",
+	} {
+		f.Add(c)
+	}
+	f.Fuzz(func(t *testing.T, comment string) {
+		if !strings.HasPrefix(comment, "//") || strings.ContainsAny(comment, "\r\n") {
+			return // not one line comment
+		}
+		for _, place := range []struct {
+			src      string
+			line     int
+			typeName string // the type a pooled mark here sits on
+		}{
+			{"package p\n" + comment + "\ntype T struct{}\n", 2, "T"},
+			{"package p\ntype U struct{} " + comment + "\n", 2, "U"},
+			{"package p\nvar x = 1 " + comment + "\n", 2, ""},
+		} {
+			fset := token.NewFileSet()
+			file, err := parser.ParseFile(fset, "fuzz.go", place.src, parser.ParseComments)
+			if err != nil || len(file.Comments) != 1 || len(file.Comments[0].List) != 1 {
+				continue // not Go, or not the one comment
+			}
+			text := file.Comments[0].List[0].Text
+			var diags []Diagnostic
+			fd, pooled := parseDirectives(fset, file, "example.com/p", &diags)
+			for _, d := range diags {
+				if d.Analyzer != DirectiveAnalyzerName || d.Pos.Line != place.line {
+					t.Fatalf("%q: diagnostic %v, want one of %q on line %d", text, d, DirectiveAnalyzerName, place.line)
+				}
+			}
+			outcomes := len(diags) + len(pooled)
+			if len(fd.allows) > 0 {
+				outcomes++
+			}
+			if !strings.HasPrefix(text, directivePrefix) {
+				if outcomes != 0 {
+					t.Fatalf("%q is no directive, yet: diags %v, allows %v, pooled %v", text, diags, fd.allows, pooled)
+				}
+				continue
+			}
+			if outcomes != 1 {
+				t.Fatalf("%q: diags %v, allows %v, pooled %v, want exactly one outcome", text, diags, fd.allows, pooled)
+			}
+			if len(pooled) == 1 && pooled[0] != place.typeName {
+				t.Fatalf("%q marks %q pooled, want %q", text, pooled[0], place.typeName)
+			}
+			if len(fd.allows) > 0 {
+				words := strings.Fields(strings.TrimPrefix(text, directivePrefix+"allow"))
+				if len(fd.allows) != 2 || len(words) < 2 || !knownAnalyzer(words[0]) ||
+					!fd.suppressed(words[0], place.line) || !fd.suppressed(words[0], place.line+1) {
+					t.Fatalf("%q allows %v, want its analyzer on lines %d and %d, with a reason", text, fd.allows, place.line, place.line+1)
+				}
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -128,19 +129,21 @@ func (sc *Sidecar) admissionFor(p AdmissionPolicy) *admission.Controller {
 // recordInboundDeadline reads the remaining-budget header stamped by
 // the previous hop and records the absolute expiry under the request's
 // trace ID, so this sidecar's outbound path can decrement (or cancel)
-// the child calls of this request. Returns the effective expiry (0 =
-// no deadline). The earliest observation for a trace wins: retries and
-// hedges must not refresh the budget.
-func (sc *Sidecar) recordInboundDeadline(req *httpsim.Request) time.Duration {
+// the child calls of this request. It returns the effective expiry
+// and whether the request has a deadline at all: a spent budget (≤ 0)
+// expires now, at time 0 as at any other, while a budget past the end
+// of simulated time is none. The earliest observation for a trace
+// wins: retries and hedges must not refresh the budget.
+func (sc *Sidecar) recordInboundDeadline(req *httpsim.Request) (time.Duration, bool) {
 	b := req.Headers.Get(HeaderBudget)
 	if b == "" {
-		return 0
+		return 0, false
 	}
 	us, err := strconv.ParseInt(b, 10, 64)
-	if err != nil {
-		return 0
-	}
 	now := sc.mesh.sched.Now()
+	if err != nil || us > int64((math.MaxInt64-now-deadlineGrace)/time.Microsecond) {
+		return 0, false
+	}
 	expiry := now + time.Duration(us)*time.Microsecond
 	if us <= 0 {
 		expiry = now
@@ -150,11 +153,9 @@ func (sc *Sidecar) recordInboundDeadline(req *httpsim.Request) time.Duration {
 		if e, ok := d.Get(tid); ok && e <= expiry {
 			expiry = e
 		}
-		if expiry > 0 {
-			d.Put(tid, expiry, expiry+deadlineGrace, now)
-		}
+		d.Put(tid, expiry, expiry+deadlineGrace, now)
 	}
-	return expiry
+	return expiry, true
 }
 
 // applyOutboundDeadline enforces the end-to-end budget on one outbound

@@ -2,6 +2,7 @@ package mesh
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"testing"
 	"time"
@@ -180,16 +181,26 @@ func budgeted(tid string, us int64) *httpsim.Request {
 
 // TestDeadlinesObserveAndRemaining: recordInboundDeadline keeps the
 // earliest expiry a trace's requests carry — a retry or hedge with a
-// looser budget must not extend it, a tighter one shrinks it — and an
-// expiry of 0 is no deadline, so it is not recorded.
+// looser budget must not extend it, a tighter one shrinks it. A spent
+// budget at time 0 is a deadline of 0, recorded like any other, while a
+// budget past the end of simulated time is none.
 func TestDeadlinesObserveAndRemaining(t *testing.T) {
 	m, sc, _ := replicaBed(1, 1)
 	ms := time.Millisecond
-	if e := sc.recordInboundDeadline(budgeted("t0", 0)); e != 0 || sc.admit.deadlines.Len() != 0 {
-		t.Fatalf("a zero expiry: returned %v, %d records", e, sc.admit.deadlines.Len())
+	if e, ok := sc.recordInboundDeadline(budgeted("t0", 0)); e != 0 || !ok {
+		t.Fatalf("a zero budget at time 0: returned %v %v, want a deadline of 0", e, ok)
 	}
-	if e := sc.recordInboundDeadline(budgeted("t1", 100_000)); e != 100*ms {
-		t.Fatalf("expiry = %v, want 100ms", e)
+	if e, ok := sc.admit.deadlines.Get("t0"); e != 0 || !ok {
+		t.Fatalf("a zero budget at time 0: recorded %v %v, want 0", e, ok)
+	}
+	if e, ok := sc.recordInboundDeadline(budgeted("huge", math.MaxInt64)); ok {
+		t.Fatalf("a budget past the end of time: returned a deadline %v", e)
+	}
+	if _, ok := sc.admit.deadlines.Get("huge"); ok {
+		t.Fatal("a budget past the end of time was recorded")
+	}
+	if e, ok := sc.recordInboundDeadline(budgeted("t1", 100_000)); e != 100*ms || !ok {
+		t.Fatalf("expiry = %v %v, want 100ms", e, ok)
 	}
 	m.sched.RunFor(40 * ms)
 	for _, c := range []struct {
@@ -201,7 +212,7 @@ func TestDeadlinesObserveAndRemaining(t *testing.T) {
 		{"tighter budget", 40_000, 80 * ms},
 		{"equal budget", 40_000, 80 * ms},
 	} {
-		if e := sc.recordInboundDeadline(budgeted("t1", c.us)); e != c.want {
+		if e, _ := sc.recordInboundDeadline(budgeted("t1", c.us)); e != c.want {
 			t.Fatalf("%s: returned expiry %v, want %v", c.name, e, c.want)
 		}
 		if e, ok := sc.admit.deadlines.Get("t1"); !ok || e != c.want {
@@ -210,6 +221,29 @@ func TestDeadlinesObserveAndRemaining(t *testing.T) {
 	}
 	if _, ok := sc.admit.deadlines.Get("unknown"); ok {
 		t.Fatal("unknown id reported a deadline")
+	}
+}
+
+// TestSpentBudgetShedAtTimeZero: a request whose budget is spent,
+// reaching an admission-enabled sidecar at time 0, is shed with 504 and
+// counted as a deadline shed; the app never sees it.
+func TestSpentBudgetShedAtTimeZero(t *testing.T) {
+	served := 0
+	tb := buildBed(t, Config{SidecarDelayMean: -1}, func(pod *cluster.Pod, req *httpsim.Request, respond func(*httpsim.Response)) {
+		served++
+		respond(httpsim.NewResponse(httpsim.StatusOK))
+	})
+	tb.m.ControlPlane().SetAdmissionPolicy("backend", AdmissionPolicy{Enabled: true})
+	var status int
+	tb.b1.handleInbound(httpsim.Ctx{}, budgeted("t0", 0), func(r *httpsim.Response) { status = r.Status })
+	tb.sched.Run()
+	if status != httpsim.StatusGatewayTimeout || served != 0 {
+		t.Fatalf("a spent budget at time 0: status %d, app served %d, want 504 and 0", status, served)
+	}
+	shed := tb.m.Metrics().Counter(MetricAdmissionShedTotal,
+		metrics.Labels{"service": "backend", "class": "ls", "reason": "deadline"}).Value()
+	if shed != 1 {
+		t.Fatalf("deadline sheds = %d, want 1", shed)
 	}
 }
 

@@ -85,14 +85,14 @@ func (g *Gateway) Serve(req *httpsim.Request, cb func(*httpsim.Response, error))
 		}
 	}
 
-	root, rootID := m.tracer.Open(trace.Span{
+	root := m.tracer.Open(trace.Span{
 		TraceID:  traceID,
 		Service:  "ingress-gateway",
 		Name:     m.tracer.Name(req.Method, req.Path),
 		Start:    m.sched.Now(),
 		Priority: req.Headers.Get(HeaderPriority),
 	})
-	req.Headers.Set(trace.HeaderSpanID, m.tracer.IDText(rootID))
+	req.Headers.Set(trace.HeaderSpanID, m.tracer.IDText(uint64(root)))
 
 	var a *admitted
 	if n := len(g.admitted); n > 0 {

@@ -239,8 +239,7 @@ func (in inbound) serve() {
 	// this span the parent of anything the app spawns.
 	in.start = m.sched.Now()
 	if tid := req.Headers.Get(trace.HeaderRequestID); tid != "" {
-		var id uint64
-		in.span, id = m.tracer.Open(trace.Span{
+		in.span = m.tracer.Open(trace.Span{
 			TraceID:  tid,
 			ParentID: parseSpanID(req.Headers.Get(trace.HeaderSpanID)),
 			Service:  sc.service,
@@ -248,7 +247,7 @@ func (in inbound) serve() {
 			Start:    in.start,
 			Priority: req.Headers.Get(HeaderPriority),
 		})
-		req.Headers.Set(trace.HeaderSpanID, m.tracer.IDText(id))
+		req.Headers.Set(trace.HeaderSpanID, m.tracer.IDText(uint64(in.span)))
 	}
 
 	for _, f := range sc.inboundFilters {
@@ -257,7 +256,7 @@ func (in inbound) serve() {
 
 	// Deadline propagation: remember this request's remaining
 	// budget so outbound child calls can decrement or cancel.
-	expiry := sc.recordInboundDeadline(req)
+	expiry, hasExpiry := sc.recordInboundDeadline(req)
 
 	app := sc.app
 	if app == nil {
@@ -287,9 +286,10 @@ func (in inbound) serve() {
 	// fires, possibly later when a slot frees.
 	cls := classOf(req)
 	ctl.Offer(admission.Item{
-		Class:    cls,
-		Enqueued: m.sched.Now(),
-		Expiry:   expiry,
+		Class:     cls,
+		Enqueued:  m.sched.Now(),
+		Expiry:    expiry,
+		HasExpiry: hasExpiry,
 		Run: func() {
 			m.seriesOf(sc.service).inboundOK().Inc()
 			sc.observeAdmission(ctl)
@@ -428,8 +428,7 @@ func (sc *Sidecar) Call(req *httpsim.Request, cb func(*httpsim.Response, error))
 
 	var span trace.SpanRef
 	if tid := req.Headers.Get(trace.HeaderRequestID); tid != "" {
-		var id uint64
-		span, id = m.tracer.Open(trace.Span{
+		span = m.tracer.Open(trace.Span{
 			TraceID:  tid,
 			ParentID: parseSpanID(req.Headers.Get(trace.HeaderSpanID)),
 			Service:  sc.service,
@@ -437,7 +436,7 @@ func (sc *Sidecar) Call(req *httpsim.Request, cb func(*httpsim.Response, error))
 			Start:    m.sched.Now(),
 			Client:   true,
 		})
-		req.Headers.Set(trace.HeaderSpanID, m.tracer.IDText(id))
+		req.Headers.Set(trace.HeaderSpanID, m.tracer.IDText(uint64(span)))
 	}
 
 	c := m.newCall()

@@ -343,7 +343,7 @@ func TestAdmissionStateAtFirstWrite(t *testing.T) {
 	req := httpsim.NewRequest("GET", "/")
 	req.Headers.Set(HeaderBudget, "500")
 	req.Headers.Set(trace.HeaderRequestID, "t1")
-	if e := sc.recordInboundDeadline(req); e != 500*time.Microsecond || sc.admit == nil || sc.admit.ctl != nil {
+	if e, _ := sc.recordInboundDeadline(req); e != 500*time.Microsecond || sc.admit == nil || sc.admit.ctl != nil {
 		t.Fatalf("a budgeted request: expiry %v, admission state %+v", e, sc.admit)
 	}
 	if e, ok := sc.admit.deadlines.Get("t1"); !ok || e != 500*time.Microsecond {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -124,15 +125,26 @@ func panics(want string, f func()) (ok bool) {
 //     have no root at all.
 //   - Open mints ids in opening order, and the parents a span names are
 //     the ids its parents will be minted, opened before it or not.
-//   - Some spans are degraded while open, some more than once.
+//   - Some spans are degraded while open, some more than once, and
+//     spans that share everything else are degraded or not, so a
+//     degrade must reach only its own span.
+//   - An orphan's parent id is one a row cannot hold in 32 bits, or
+//     the widest it can: 2^32−1, 2^32, 2^40 or 2^64−1. A root's is 0.
+//   - Statuses are 0, 200, 503 or drawn up to 599, and retries run up
+//     to math.MaxInt16; a status past int16 panics and changes nothing.
 //   - Some spans are never closed; they are absent everywhere, and so
 //     is a trace none of whose spans closed. A filler of unclosed spans
-//     opened first puts the chunk boundary among the spans checked.
+//     opened first puts the 1,024-row chunk boundary among the spans
+//     checked, so traces interleave across it and their closes link
+//     rows of both chunks.
 //   - Closing a span again, whether it ends its trace or not, and
 //     degrading a closed one, panic and change nothing.
 func TestCollectorMatchesReference(t *testing.T) {
 	services := []string{"gateway", "frontend", "reviews", "ratings", "details"}
 	priorities := []string{"", "high", "low"}
+	orphanParents := []uint64{1<<32 - 1, 1 << 32, 1 << 40, 1<<64 - 1}
+	statuses := []int32{0, 200, 503}
+	retries := []int16{0, 1, 2, math.MaxInt16}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := NewCollector()
@@ -166,10 +178,16 @@ func TestCollectorMatchesReference(t *testing.T) {
 					Priority: priorities[rng.Intn(len(priorities))],
 					Start:    time.Duration(rng.Intn(50)) * time.Millisecond,
 					Status:   int32(rng.Intn(600)),
-					Retries:  int16(rng.Intn(3)),
+					Retries:  int16(rng.Intn(math.MaxInt16 + 1)),
 					Client:   rng.Intn(2) == 0,
 				}
 				s.End = s.Start + time.Duration(1+rng.Intn(100))*time.Millisecond
+				if rng.Intn(2) == 0 {
+					s.Status = statuses[rng.Intn(len(statuses))]
+				}
+				if rng.Intn(2) == 0 {
+					s.Retries = retries[rng.Intn(len(retries))]
+				}
 				p := &pending{s: s, close: rng.Intn(6) > 0}
 				switch {
 				case j == 0 && rng.Intn(5) > 0:
@@ -190,7 +208,7 @@ func TestCollectorMatchesReference(t *testing.T) {
 			switch p.parent {
 			case -1:
 			case -2:
-				p.s.ParentID = 1 << 40 // never opened
+				p.s.ParentID = orphanParents[rng.Intn(len(orphanParents))] // never opened
 			default:
 				p.s.ParentID = all[p.parent].s.SpanID
 			}
@@ -243,10 +261,9 @@ func TestCollectorMatchesReference(t *testing.T) {
 		open := func() {
 			p := all[opening[opened]]
 			opened++
-			var id uint64
-			p.ref, id = c.Open(*p.s)
-			if id != p.s.SpanID {
-				t.Fatalf("seed %d: span opened %d minted id %d, want %d", seed, opened, id, p.s.SpanID)
+			p.ref = c.Open(*p.s)
+			if uint64(p.ref) != p.s.SpanID {
+				t.Fatalf("seed %d: span opened %d minted id %d, want %d", seed, opened, p.ref, p.s.SpanID)
 			}
 			if rng.Intn(8) == 0 {
 				p.degrade = upstream()
@@ -265,6 +282,11 @@ func TestCollectorMatchesReference(t *testing.T) {
 				c.Degrade(p.ref, p.degrade)
 			}
 			p.s.Degraded = p.degrade
+			if rng.Intn(8) == 0 {
+				if !panics("trace: status out of range", func() { c.Close(p.ref, p.s.End, math.MaxInt16+1, p.s.Retries) }) {
+					t.Fatalf("seed %d close %d: a status past int16 did not panic", seed, step+1)
+				}
+			}
 			c.Close(p.ref, p.s.End, p.s.Status, p.s.Retries)
 			ref[p.s.TraceID] = append(ref[p.s.TraceID], p.s)
 			closed++

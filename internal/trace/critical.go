@@ -107,12 +107,12 @@ func (c *Collector) ServiceTotals() map[string]ServiceTotal {
 	for _, t := range c.traces {
 		for ref := t.head; ref != 0; {
 			r := c.row(ref)
-			svc := c.strs[r.service]
+			svc := c.ops[r.op&^rowClosed].service
 			st := out[svc]
 			st.Spans++
 			st.TotalTime += r.end - r.start
 			out[svc] = st
-			ref = r.next
+			ref = SpanRef(r.link)
 		}
 	}
 	return out

@@ -67,41 +67,48 @@ func (s *Span) String() string {
 }
 
 // SpanRef names a span the collector stores: one more than its row's
-// index. The zero SpanRef is no span.
+// index, which is also the span's ID. The zero SpanRef is no span.
 type SpanRef uint32
 
-// str is a string interned by one collector: the index of its one
-// copy in Collector.strs, where 0 is "".
-type str uint32
+// op is what a span does, interned by one collector as an index into
+// Collector.ops: the service it ran in, its name, the request class it
+// served, the upstream whose fallback answered it, and whether it is
+// an outbound call. The spans of a run share a few dozen of them.
+type op struct {
+	service, name, priority, degraded string
+	client                            bool
+}
 
-// row is a stored span. It holds no pointer — strings are interned
-// ids, the trace is an index into Collector.traces and the link to the
-// trace's next span a SpanRef — so the chunks rows live in are never
-// scanned by the garbage collector, and at 64 B (TestRowIsPointerFree)
-// it is half the Span it stands for.
+// row is a stored span, 32 B (TestRowIsPointerFree) against the 120 B
+// of the Span it stands for. It holds no pointer — what the span does
+// is an op id, its trace and its trace's next span are indexes — so the
+// chunks rows live in are never scanned by the garbage collector. Its
+// span id is its SpanRef, so it stores none.
 type row struct {
-	spanID, parentID uint64
-	start, end       time.Duration
-	trace            uint32
-	// next is the span closed after this one in the same trace; 0
-	// until then, and always 0 on the trace's last span.
-	next                              SpanRef
-	service, name, priority, degraded str
-	status                            int32
-	retries                           int16
-	flags                             uint8 // rowClient, rowClosed
+	start, end time.Duration
+	// parent is the parent span's id, or wideParent when that id is
+	// too wide for it and waits in Collector.wide.
+	parent uint32
+	// link is the index of the span's trace in Collector.traces while
+	// the span is open. Close moves the span to the end of its trace's
+	// list and link becomes the next span closed in the trace: 0 until
+	// then, and always 0 on the trace's last span.
+	link uint32
+	// op is the span's op id; rowClosed marks a closed span.
+	op              uint32
+	status, retries int16
 }
 
 const (
-	rowClient uint8 = 1 << iota
-	rowClosed
+	rowClosed  = 1 << 31
+	wideParent = 1<<32 - 1
 )
 
 // chunkRows rows make a chunk: 32 KB, the largest small size class.
 // The store grows a chunk at a time and a chunk never moves, so growing
 // copies no row and never holds two copies of the store.
 const (
-	chunkBits = 9
+	chunkBits = 10
 	chunkRows = 1 << chunkBits
 )
 
@@ -110,20 +117,24 @@ const (
 // a snapshot, which nothing can change afterwards, and only closed
 // spans are visible to the read path (Len, Trace, TraceIDs, Tree and
 // what is built on them). A trace is the list its closed spans link
-// through row.next, in the order they closed.
+// through row.link, in the order they closed.
 type Collector struct {
 	chunks []*[chunkRows]row
-	rows   uint32 // rows opened; the next row's index
+	rows   uint32 // rows opened; the last row's SpanRef
 	traces []traceEntry
 	// byTrace indexes traces by ID.
 	byTrace map[string]uint32
-	// strs holds one copy of each service, span name, priority and
-	// degraded upstream the rows carry, and strIDs finds it.
-	strs   []string
-	strIDs map[string]str
-	n      int // closed spans
-	nextID uint64
-	seq    uint64
+	// ops holds each op the rows name once, and opIDs finds it.
+	ops   []op
+	opIDs map[op]uint32
+	// names holds the one copy of each span name Name returned.
+	names map[string]string
+	// wide holds the parent ids of the spans whose row.parent is
+	// wideParent. Only a header set outside the mesh names a parent the
+	// collector did not mint, so it stays empty in a run.
+	wide map[SpanRef]uint64
+	n    int // closed spans
+	seq  uint64
 	// idText holds the hex of the idBlock-aligned run of span ids the
 	// last IDText fell in, each padded to one width; idBase is the
 	// run's first id, and idBuf the bytes each run is formatted into.
@@ -134,7 +145,7 @@ type Collector struct {
 
 // idBlock span ids share one IDText string: ids are minted in order,
 // so a run of spans formats its ids once per idBlock spans.
-const idBlock = 256
+const idBlock = 1024
 
 // traceEntry is one trace: its ID and its first and last closed spans.
 type traceEntry struct {
@@ -144,7 +155,7 @@ type traceEntry struct {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{byTrace: make(map[string]uint32), strs: []string{""}, strIDs: make(map[string]str)}
+	return &Collector{byTrace: make(map[string]uint32), opIDs: make(map[op]uint32), names: make(map[string]string)}
 }
 
 // NewTraceID mints a process-unique trace ID (deterministic across
@@ -219,53 +230,53 @@ func (c *Collector) Name(words ...string) string {
 		}
 		b = append(b, w...)
 	}
-	if id, ok := c.strIDs[string(b)]; ok { // no copy: the conversion only indexes
-		return c.strs[id]
+	if name, ok := c.names[string(b)]; ok { // no copy: the conversion only indexes
+		return name
 	}
-	return c.strs[c.intern(string(b))]
+	name := string(b)
+	c.names[name] = name
+	return name
 }
 
-// intern returns s's id, adding s to the table if it is new.
-func (c *Collector) intern(s string) str {
-	if s == "" {
-		return 0
-	}
-	if id, ok := c.strIDs[s]; ok {
+// opID returns o's id, adding o to the table if it is new.
+func (c *Collector) opID(o op) uint32 {
+	if id, ok := c.opIDs[o]; ok {
 		return id
 	}
-	id := str(len(c.strs))
-	c.strs = append(c.strs, s)
-	c.strIDs[s] = id
+	id := uint32(len(c.ops))
+	c.ops = append(c.ops, o)
+	c.opIDs[o] = id
 	return id
 }
 
-// Open stores the start of a span and mints its ID, which it returns
-// with the ref Degrade and Close take. It reads what is known when an
-// operation starts — s's TraceID, ParentID, Service, Name, Priority,
-// Start and Client — and ignores the rest. The span stays invisible to
-// the read path until Close.
-func (c *Collector) Open(s Span) (SpanRef, uint64) {
+// Open stores the start of a span and returns its ref, which Degrade
+// and Close take and which is also the span's ID: the n-th span opened
+// is span n. It reads what is known when an operation starts — s's
+// TraceID, ParentID, Service, Name, Priority, Start and Client — and
+// ignores the rest. The span stays invisible to the read path until
+// Close.
+func (c *Collector) Open(s Span) SpanRef {
 	i := c.rows
 	if i%chunkRows == 0 {
 		c.chunks = append(c.chunks, new([chunkRows]row))
 	}
 	c.rows++
-	c.nextID++
-	var flags uint8
-	if s.Client {
-		flags = rowClient
+	ref := SpanRef(c.rows)
+	parent := uint32(s.ParentID)
+	if s.ParentID >= wideParent {
+		parent = wideParent
+		if c.wide == nil {
+			c.wide = make(map[SpanRef]uint64)
+		}
+		c.wide[ref] = s.ParentID
 	}
 	c.chunks[i>>chunkBits][i%chunkRows] = row{
-		spanID:   c.nextID,
-		parentID: s.ParentID,
-		start:    s.Start,
-		trace:    c.traceIndex(s.TraceID),
-		service:  c.intern(s.Service),
-		name:     c.intern(s.Name),
-		priority: c.intern(s.Priority),
-		flags:    flags,
+		start:  s.Start,
+		parent: parent,
+		link:   c.traceIndex(s.TraceID),
+		op:     c.opID(op{service: s.Service, name: s.Name, priority: s.Priority, client: s.Client}),
 	}
-	return SpanRef(i + 1), c.nextID
+	return ref
 }
 
 // traceIndex returns the index of the trace with id, adding an empty
@@ -290,28 +301,35 @@ func (c *Collector) row(ref SpanRef) *row {
 // A closed span is a snapshot: degrading one panics.
 func (c *Collector) Degrade(ref SpanRef, upstream string) {
 	r := c.row(ref)
-	if r.flags&rowClosed != 0 {
+	if r.op&rowClosed != 0 {
 		panic("trace: closed span degraded")
 	}
-	r.degraded = c.intern(upstream)
+	o := c.ops[r.op]
+	o.degraded = upstream
+	r.op = c.opID(o)
 }
 
 // Close stores the end of the open span ref and links it at the end
 // of its trace, which makes it visible to the read path. A span closes
 // once: closing it again panics and changes nothing, since relinking it
-// would cut or loop its trace.
+// would cut or loop its trace. So does a status that does not fit the
+// row's 16 bits; an HTTP status has three digits.
 func (c *Collector) Close(ref SpanRef, end time.Duration, status int32, retries int16) {
 	r := c.row(ref)
-	if r.flags&rowClosed != 0 {
+	if r.op&rowClosed != 0 {
 		panic("trace: span recorded twice")
 	}
-	r.end, r.status, r.retries = end, status, retries
-	r.flags |= rowClosed
-	t := &c.traces[r.trace]
+	if int32(int16(status)) != status {
+		panic("trace: status out of range")
+	}
+	t := &c.traces[r.link]
+	r.end, r.status, r.retries = end, int16(status), retries
+	r.link = 0
+	r.op |= rowClosed
 	if t.head == 0 {
 		t.head = ref
 	} else {
-		c.row(t.tail).next = ref
+		c.row(t.tail).link = uint32(ref)
 	}
 	t.tail = ref
 	c.n++
@@ -320,21 +338,26 @@ func (c *Collector) Close(ref SpanRef, end time.Duration, status int32, retries 
 // Len returns the number of closed spans.
 func (c *Collector) Len() int { return c.n }
 
-// span builds the view of a stored row.
-func (c *Collector) span(r *row) Span {
+// span builds the view of the closed span ref, which trace holds.
+func (c *Collector) span(ref SpanRef, r *row, trace string) Span {
+	o := &c.ops[r.op&^rowClosed]
+	parent := uint64(r.parent)
+	if r.parent == wideParent {
+		parent = c.wide[ref]
+	}
 	return Span{
-		TraceID:  c.traces[r.trace].id,
-		SpanID:   r.spanID,
-		ParentID: r.parentID,
-		Service:  c.strs[r.service],
-		Name:     c.strs[r.name],
+		TraceID:  trace,
+		SpanID:   uint64(ref),
+		ParentID: parent,
+		Service:  o.service,
+		Name:     o.name,
 		Start:    r.start,
 		End:      r.end,
-		Priority: c.strs[r.priority],
-		Degraded: c.strs[r.degraded],
-		Status:   r.status,
+		Priority: o.priority,
+		Degraded: o.degraded,
+		Status:   int32(r.status),
 		Retries:  r.retries,
-		Client:   r.flags&rowClient != 0,
+		Client:   o.client,
 	}
 }
 
@@ -347,7 +370,7 @@ func (c *Collector) spans(id string) []Span {
 	}
 	head := c.traces[t].head
 	n := 0
-	for ref := head; ref != 0; ref = c.row(ref).next {
+	for ref := head; ref != 0; ref = SpanRef(c.row(ref).link) {
 		n++
 	}
 	if n == 0 {
@@ -356,8 +379,8 @@ func (c *Collector) spans(id string) []Span {
 	out := make([]Span, 0, n)
 	for ref := head; ref != 0; {
 		r := c.row(ref)
-		out = append(out, c.span(r))
-		ref = r.next
+		out = append(out, c.span(ref, r, id))
+		ref = SpanRef(r.link)
 	}
 	return out
 }

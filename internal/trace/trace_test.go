@@ -13,8 +13,8 @@ import (
 // record stores s as a closed span through the collector's one write
 // path, Open, Degrade and Close, and sets s.SpanID to the minted ID.
 func record(c *Collector, s *Span) {
-	var ref SpanRef
-	ref, s.SpanID = c.Open(*s)
+	ref := c.Open(*s)
+	s.SpanID = uint64(ref)
 	if s.Degraded != "" {
 		c.Degrade(ref, s.Degraded)
 	}
@@ -44,8 +44,8 @@ func TestIDsUnique(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	for i := uint64(1); i <= 3; i++ {
-		if _, id := c.Open(Span{TraceID: "t"}); id != i {
+	for i := SpanRef(1); i <= 3; i++ {
+		if id := c.Open(Span{TraceID: "t"}); id != i {
 			t.Fatalf("span %d minted id %d: ids count from 1, and 0 is reserved for 'no parent'", i, id)
 		}
 	}
@@ -139,13 +139,17 @@ func TestSpanAccessors(t *testing.T) {
 }
 
 // TestRowIsPointerFree pins what the collector keeps per span for the
-// whole run, two spans per hop per request: a row of at most 64 B that
+// whole run, two spans per hop per request: a row of at most 32 B that
 // holds no pointer, so the chunks of rows are never scanned by the
-// garbage collector. A field added to row must fit the budget or
-// justify a larger one with rpc_chain's live_heap_mb.
+// garbage collector, and a chunk of chunkRows rows is 32 KB. A field
+// added to row must fit the budget or justify a larger one with
+// rpc_chain's live_heap_mb.
 func TestRowIsPointerFree(t *testing.T) {
-	if got := unsafe.Sizeof(row{}); got > 64 {
-		t.Errorf("unsafe.Sizeof(row{}) = %d B, budget 64", got)
+	if got := unsafe.Sizeof(row{}); got > 32 {
+		t.Errorf("unsafe.Sizeof(row{}) = %d B, budget 32", got)
+	}
+	if got := unsafe.Sizeof([chunkRows]row{}); got != 32<<10 {
+		t.Errorf("a chunk is %d B, want 32 KB, the largest small size class", got)
 	}
 	if path := pointerIn(reflect.TypeOf([chunkRows]row{}), "chunk"); path != "" {
 		t.Errorf("%s carries a pointer: the garbage collector would scan every chunk", path)
