@@ -30,11 +30,12 @@ lint:
 test:
 	go test -race -timeout 45m ./...
 
-# The allocation budgets (Test*Allocs) without -race: the race detector
-# drops sync.Pool items at random, so TestChainHopAllocs skips itself
-# under it, and test and race above never enforce its budget.
+# The allocation budgets (Test*Allocs) and the layout pins (Test*Size)
+# without -race: a -race build allocates differently from the program,
+# so the budgets skip themselves under it, and test and race above never
+# enforce them.
 allocs:
-	go test -count=1 -run 'Allocs' ./internal/...
+	go test -count=1 -run 'Allocs|Size' ./internal/...
 
 # Runs every example main, and cmd/tracedump at its defaults, and
 # compares each one's stdout byte-for-byte with

@@ -92,8 +92,9 @@ func TestChainHopAllocs(t *testing.T) {
 // calls that follow 100 warm-up calls, measured with the collector off
 // and one P. testing.AllocsPerRun floors its mean, so a mean just past
 // a whole number passed a budget of that number; and a collection
-// mid-run empties the sync.Pools, whose records the next requests then
-// allocate again, so its reading moved with what else ran on the host.
+// mid-run emptied the sync.Pools httpsim then kept, whose records the
+// next requests allocated again, so its reading moved with what else
+// ran on the host.
 func allocsPerRequest(serve func()) float64 {
 	const warmup, runs = 100, 100
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -108,6 +109,46 @@ func allocsPerRequest(serve func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / runs
+}
+
+// TestChainAllocsIgnoreCollections serves the same chain requests
+// twice, once as they come and once with two collections before each,
+// and counts the allocations the requests themselves make: they must be
+// equal. Records kept in a sync.Pool would fail it, because a
+// collection empties the pool (the second one its victim cache too) and
+// the next request allocates its records again, so a run's
+// allocs_per_op would move with how often the collector ran.
+func TestChainAllocsIgnoreCollections(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the program's")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	count := func(collect bool) uint64 {
+		c := BuildChain(ChainConfig{Depth: 4})
+		var total uint64
+		var before, after runtime.MemStats
+		for i := 0; i < 200; i++ {
+			if collect && i >= 100 {
+				runtime.GC()
+				runtime.GC()
+			}
+			runtime.ReadMemStats(&before)
+			c.Gateway.Serve(NewChainRequest(), func(*httpsim.Response, error) {})
+			c.Sched.Run()
+			runtime.ReadMemStats(&after)
+			if i >= 100 {
+				total += after.Mallocs - before.Mallocs
+			}
+		}
+		return total
+	}
+	count(false) // fills what a first chain leaves for later ones
+	plain, collected := count(false), count(true)
+	if plain != collected {
+		t.Errorf("100 chain requests allocate %d times, and %d times with two collections before each: "+
+			"a collection must not change what a request allocates", plain, collected)
+	}
 }
 
 // TestChainRetainedAllocs is the budget of what a request through a

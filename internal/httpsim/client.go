@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"meshlayer/internal/simnet"
@@ -13,8 +12,8 @@ import (
 )
 
 // wireMsg is the transport-level frame: a request or a response tagged
-// with the request ID it belongs to. Recycled through wireMsgPool
-// below; retention past freeWireMsg is enforced away by meshvet's
+// with the request ID it belongs to. Recycled through the network's
+// records; retention past freeWire is enforced away by meshvet's
 // poolescape analyzer.
 //
 //meshvet:pooled
@@ -24,20 +23,47 @@ type wireMsg struct {
 	resp *Response
 }
 
-// wireMsgPool recycles the per-message framing structs. The receiver
-// frees a frame as soon as it has extracted the request/response it
-// wraps; the sender's retransmission bookkeeping may still reference a
-// freed frame, but stale boundary metadata is discarded by the
-// transport's delivery watermark without ever being dereferenced. A
-// sync.Pool (rather than a per-run free list) keeps the recycling safe
-// when experiment sweeps run many simulations in parallel.
-var wireMsgPool = sync.Pool{New: func() any { return new(wireMsg) }}
+// records holds the free lists of one network's frames, call records
+// and server records. It hangs off the network, like transport's
+// segment list, rather than a package variable: parallel sweeps run
+// many simulations at once, each single-threaded on its own scheduler.
+// A sync.Pool would do the same job, but every collection empties one,
+// so how often a run allocates would depend on when the collector ran.
+//
+// The receiver frees a frame as soon as it has extracted the
+// request/response it wraps; the sender's retransmission bookkeeping
+// may still reference a freed frame, but stale boundary metadata is
+// discarded by the transport's delivery watermark without ever being
+// dereferenced.
+type records struct {
+	wire    []*wireMsg
+	pending []*pendingCall
+	serving []*serving
+}
 
-func allocWireMsg() *wireMsg { return wireMsgPool.Get().(*wireMsg) }
+// recordsOf returns the network's records, creating them on first use.
+func recordsOf(h *transport.Host) *records {
+	net := h.Node().Network()
+	if r, ok := net.HTTPState().(*records); ok {
+		return r
+	}
+	r := &records{}
+	net.SetHTTPState(r)
+	return r
+}
 
-func freeWireMsg(m *wireMsg) {
+func (rs *records) allocWire() *wireMsg {
+	if k := len(rs.wire); k > 0 {
+		m := rs.wire[k-1]
+		rs.wire = rs.wire[:k-1]
+		return m
+	}
+	return new(wireMsg)
+}
+
+func (rs *records) freeWire(m *wireMsg) {
 	*m = wireMsg{}
-	wireMsgPool.Put(m)
+	rs.wire = append(rs.wire, m) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
 }
 
 // ErrConnClosed is delivered to callbacks whose connection died before
@@ -53,6 +79,7 @@ var ErrTimeout = errors.New("httpsim: request timed out")
 type Client struct {
 	conn  *transport.Conn
 	sched *simnet.Scheduler
+	rec   *records
 	// pending holds the calls in flight in issue order, so ascending id.
 	// A slot a call leaves is zeroed: the array outlives the call, and a
 	// stale record would keep its callback alive.
@@ -63,10 +90,10 @@ type Client struct {
 
 // pendingCall is one request awaiting its response, its deadline, or
 // its connection's end, whichever comes first. Records are recycled
-// through pendingPool: a call leaves the pending list, disarms its
-// deadline and goes back to the pool before its callback fires, so the
-// callback fires exactly once and may issue the next call on the same
-// record.
+// through the network's records: a call leaves the pending list,
+// disarms its deadline and goes back to the free list before its
+// callback fires, so the callback fires exactly once and may issue the
+// next call on the same record.
 //
 //meshvet:pooled
 type pendingCall struct {
@@ -79,23 +106,20 @@ type pendingCall struct {
 	expire func()
 }
 
-// pendingPool recycles call records. A sync.Pool rather than a
-// per-client free list, like wireMsgPool: sweeps run simulations in
-// parallel, and a client with one call in flight at a time keeps none.
-var pendingPool sync.Pool
-
-func allocPending() *pendingCall {
-	p, _ := pendingPool.Get().(*pendingCall)
-	if p == nil {
-		p = new(pendingCall)
-		p.expire = p.onDeadline
+func (rs *records) allocPending() *pendingCall {
+	if k := len(rs.pending); k > 0 {
+		p := rs.pending[k-1]
+		rs.pending = rs.pending[:k-1]
+		return p
 	}
+	p := new(pendingCall)
+	p.expire = p.onDeadline
 	return p
 }
 
 // NewClient dials dst:port and returns a client ready for Do.
 func NewClient(h *transport.Host, dst simnet.Addr, port uint16, opts transport.Options) *Client {
-	c := &Client{sched: h.Node().Network().Scheduler()}
+	c := &Client{sched: h.Node().Network().Scheduler(), rec: recordsOf(h)}
 	c.conn = h.Dial(dst, port, opts)
 	c.conn.SetOnMessage(c.onMessage)
 	c.conn.SetOnClose(c.onClose)
@@ -122,17 +146,17 @@ func (c *Client) DoWithin(req *Request, timeout time.Duration, cb func(*Response
 		return
 	}
 	c.nextID++
-	p := allocPending()
+	p := c.rec.allocPending()
 	p.c, p.id, p.cb = c, c.nextID, cb
 	if timeout > 0 {
 		p.deadline = c.sched.After(timeout, p.expire)
 	}
 	c.pending = append(c.pending, p) //meshvet:allow poolescape the pending list owns a call until release takes it off
-	m := allocWireMsg()
+	m := c.rec.allocWire()
 	m.id, m.req = p.id, req
 	if err := c.conn.SendMessage(m, req.WireSize()); err != nil {
 		c.take(p.id)
-		freeWireMsg(m)
+		c.rec.freeWire(m)
 		p.release(nil, err)
 	}
 }
@@ -157,13 +181,13 @@ func (p *pendingCall) onDeadline() {
 }
 
 // release settles a call that has left its client's pending list:
-// disarm its deadline, reset the record and return it to the pool,
+// disarm its deadline, reset the record and return it to the free list,
 // then fire the callback.
 func (p *pendingCall) release(resp *Response, err error) {
-	cb := p.cb
+	cb, rs := p.cb, p.c.rec
 	p.deadline.Cancel()
 	*p = pendingCall{expire: p.expire}
-	pendingPool.Put(p)
+	rs.pending = append(rs.pending, p) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
 	cb(resp, err)
 }
 
@@ -173,7 +197,7 @@ func (c *Client) onMessage(meta any, _ int) {
 		return
 	}
 	id, resp := m.id, m.resp
-	freeWireMsg(m)
+	c.rec.freeWire(m)
 	if p := c.take(id); p != nil {
 		p.release(resp, nil)
 	}
@@ -212,6 +236,7 @@ type Handler func(ctx Ctx, req *Request, respond func(*Response))
 // handler.
 type Server struct {
 	host    *transport.Host
+	rec     *records
 	handler Handler
 	served  uint64
 }
@@ -221,7 +246,7 @@ func NewServer(h *transport.Host, port uint16, handler Handler) (*Server, error)
 	if handler == nil {
 		return nil, fmt.Errorf("httpsim: nil handler")
 	}
-	s := &Server{host: h, handler: handler}
+	s := &Server{host: h, rec: recordsOf(h), handler: handler}
 	if _, err := h.Listen(port, s.accept); err != nil {
 		return nil, err
 	}
@@ -238,10 +263,10 @@ func (s *Server) accept(conn *transport.Conn) {
 			return
 		}
 		s.served++
-		r := allocServing()
+		r := s.rec.allocServing()
 		r.conn, r.id = conn, m.id
 		req := m.req
-		freeWireMsg(m)
+		s.rec.freeWire(m)
 		gen := r.gen
 		s.handler(Ctx{Conn: conn}, req, func(resp *Response) { r.respond(gen, resp) }) //meshvet:allow poolescape the closure holds the record with its generation, and respond checks that before using it
 	})
@@ -249,7 +274,7 @@ func (s *Server) accept(conn *transport.Conn) {
 
 // serving is one request a server has dispatched and not yet answered:
 // the connection it came on and its id there. Records are recycled
-// through servingPool, and gen counts the requests a record has
+// through the network's records, and gen counts the requests a record has
 // served: a respond closure holds its record with the gen it was
 // handed out at, so a second respond, even one made after the record
 // went on to serve another request, sees a newer gen and panics rather
@@ -257,36 +282,34 @@ func (s *Server) accept(conn *transport.Conn) {
 //
 //meshvet:pooled
 type serving struct {
+	rec  *records
 	conn *transport.Conn
 	id   uint64
 	gen  uint64
 }
 
-// servingPool recycles server-side request records, a sync.Pool like
-// pendingPool.
-var servingPool sync.Pool
-
-func allocServing() *serving {
-	r, _ := servingPool.Get().(*serving)
-	if r == nil {
-		r = new(serving)
+func (rs *records) allocServing() *serving {
+	if k := len(rs.serving); k > 0 {
+		r := rs.serving[k-1]
+		rs.serving = rs.serving[:k-1]
+		return r
 	}
-	return r
+	return &serving{rec: rs}
 }
 
 // respond sends resp as the answer to the request the record served at
-// generation gen, and returns the record to the pool.
+// generation gen, and returns the record to the free list.
 func (r *serving) respond(gen uint64, resp *Response) {
 	if r.gen != gen {
 		panic("httpsim: respond called twice")
 	}
-	conn, id := r.conn, r.id
-	*r = serving{gen: gen + 1}
-	servingPool.Put(r)
+	rs, conn, id := r.rec, r.conn, r.id
+	*r = serving{rec: rs, gen: gen + 1}
+	rs.serving = append(rs.serving, r) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
 	if conn.Closed() {
 		return // client went away; nothing to do
 	}
-	rm := allocWireMsg()
+	rm := rs.allocWire()
 	rm.id, rm.resp = id, resp
 	conn.SendMessage(rm, resp.WireSize())
 }

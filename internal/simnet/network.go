@@ -54,6 +54,9 @@ type Network struct {
 	// table), opaque here: simnet does not import the layer, and the layer
 	// keeps no package state because parallel sweeps run many networks.
 	transport any
+	// http is the request layer's per-network state (its record free
+	// lists), opaque for the same reasons.
+	http any
 }
 
 // TransportState returns the value SetTransportState stored, or nil.
@@ -61,6 +64,12 @@ func (n *Network) TransportState() any { return n.transport }
 
 // SetTransportState stores the transport layer's per-network state.
 func (n *Network) SetTransportState(v any) { n.transport = v }
+
+// HTTPState returns the value SetHTTPState stored, or nil.
+func (n *Network) HTTPState() any { return n.http }
+
+// SetHTTPState stores the request layer's per-network state.
+func (n *Network) SetHTTPState(v any) { n.http = v }
 
 // inFlight carries one propagating packet to its receiving NIC without
 // allocating a closure per packet: fn is built once when the entry is

@@ -60,28 +60,37 @@ var ErrReset = errors.New("transport: connection reset")
 // retransmission timeouts elapse without the peer acking anything.
 var ErrRetransmitLimit = errors.New("transport: retransmission limit exceeded")
 
+// segInfo is one unacked segment. A bulk sender's window holds one per
+// MSS in flight, so it is kept to 16 B: a 63-slot window fits the 1 KB
+// allocation class (TestSegInfoSize).
 type segInfo struct {
 	seq    uint64
-	length int
+	length int32
 	rtxed  bool // retransmitted since the last RTO
 	sacked bool // covered by a received SACK block
 }
 
 // Conn is one endpoint of a reliable message stream. All methods must
 // be called from scheduler context (the simulation is single-threaded).
+//
+// A fleet holds two Conns per pooled connection for the whole run, so
+// the struct keeps only what every connection uses on every segment
+// (TestConnSizeClass). What only loss touches lives in connCold, behind
+// a pointer that stays nil on a connection that never sees a dup ACK,
+// an RTO or an out-of-order arrival.
 type Conn struct {
 	host  *Host
 	flow  simnet.FlowKey // local perspective: Src is this host
 	state connState
-	// The flags of the groups below, the packet mark and the host slot sit
-	// beside state so they share a word: a fleet holds two Conns per
-	// connection, and spread out they put the struct in the next
-	// allocation size class (TestConnSizeClass).
+	// The flags, the packet mark and the SYN count share a word with
+	// state, and the host slot and peer window the next one.
 	recovering, finQueued, finSent bool        // send side
 	peerFin                        bool        // receive side
 	fluidActive                    bool        // fluid: fluid[fluidDone] is in the engine right now
 	mark                           simnet.Mark // stamped on every outgoing packet
+	synTries                       uint8       // SYNs sent; the handshake gives up after 4
 	slot                           int32       // index in host.conns while registered
+	peerWnd                        int32
 	cc                             Controller
 
 	// Callbacks. Set them before data flows.
@@ -89,19 +98,17 @@ type Conn struct {
 	onEstablished func()
 	onClose       func(err error)
 
-	// Send side.
+	// Send side. sndUna is also the count of acked bytes: the stream
+	// starts at 0 and the FIN's sequence byte is acked like data.
 	sndUna, sndNxt uint64
 	sendEnd        uint64
 	bounds         []Bound   // every queued message end above sndUna, ascending
-	segs           []segInfo // unacked segments: a window sliding along segArr
-	segArr         []segInfo // the array segs lives in, from its first slot (len 0)
-	peerWnd        int
-	dupAcks        int
-	recoverPt      uint64
+	segs           []segInfo // unacked segments are segs[segHead:]; see pushSeg
+	segHead        int32
+	fluidDone      int32 // how many of fluid are delivered
 
 	// Receive side.
 	rcvNxt     uint64
-	ooo        []oooSeg
 	recvBounds []Bound
 	lastBound  uint64
 	peerFinSeq uint64
@@ -110,31 +117,49 @@ type Conn struct {
 	// RTT estimation / RTO.
 	srtt, rttvar  time.Duration
 	rto           time.Duration
-	optMinRTO     time.Duration // Options.MinRTO as dialled; see minRTO
 	lastRTTSample time.Duration
-	rtoTimer      simnet.Timer
-	rtoFn         func() // c.onRTO, bound once: armRTO runs per ACK and a method value allocates
-	synTimer      simnet.Timer
-	synTries      int
+	// timer is the SYN retry until the handshake completes and the RTO
+	// after: nothing arms an RTO before the connection is established.
+	timer simnet.Timer
+	rtoFn func() // c.onRTO, bound once: armRTO runs per ACK and a method value allocates
 
-	// Consecutive RTOs with no ACK progress; the connection dies at
-	// maxConsecRTOs.
-	consecRTOs int
+	cold *connCold // nil until the first loss; see lossState
 
-	// Fluid fast path (flow/hybrid fidelity; see fluid.go).
+	// Fluid fast path (flow/hybrid fidelity; see fluid.go). It stays
+	// inline: a bulk sender uses it once per message, and a lazily
+	// allocated copy would cost an allocation per fluid connection.
 	fluid          []fluidRange  // fluid ranges in stream order: delivered but unacked, then queued
-	fluidDone      int           // how many of fluid are delivered
 	fluidID        simnet.FlowID // engine handle for the active flow
 	fluidProp      time.Duration // one-way prop delay of the active path
 	fluidDoneFn    func()        // bound callbacks, allocated once
 	fluidDemoteFn  func()
-	fluidCompleted uint64 // messages delivered via the fast path
-	fluidDemotions uint64 // flows demoted back to packets
+	fluidCompleted uint32 // messages delivered via the fast path
+	fluidDemotions uint32 // flows demoted back to packets
+}
 
-	// Stats.
+// connCold is the connection state a lossless connection never
+// touches: loss recovery, the receiver's out-of-order list and the loss
+// counters, plus a dialled MinRTO. Loss recovery's future fields belong
+// here too, not in Conn (TestConnColdStateSize).
+type connCold struct {
+	dupAcks int32
+	// Consecutive RTOs with no ACK progress; the connection dies at
+	// maxConsecRTOs.
+	consecRTOs  int32
+	recoverPt   uint64
+	ooo         []oooSeg
+	optMinRTO   time.Duration // Options.MinRTO as dialled; see minRTO
 	retransmits uint64
 	timeouts    uint64
-	bytesAcked  uint64
+}
+
+// lossState returns the connection's cold state, allocating it on the
+// first loss event.
+func (c *Conn) lossState() *connCold {
+	if c.cold == nil {
+		c.cold = new(connCold)
+	}
+	return c.cold
 }
 
 type oooSeg struct {
@@ -187,10 +212,20 @@ func (c *Conn) Closed() bool { return c.state == stateClosed }
 func (c *Conn) SRTT() time.Duration { return c.srtt }
 
 // Retransmits returns the count of retransmitted segments.
-func (c *Conn) Retransmits() uint64 { return c.retransmits }
+func (c *Conn) Retransmits() uint64 {
+	if c.cold == nil {
+		return 0
+	}
+	return c.cold.retransmits
+}
 
 // Timeouts returns the count of RTO expirations.
-func (c *Conn) Timeouts() uint64 { return c.timeouts }
+func (c *Conn) Timeouts() uint64 {
+	if c.cold == nil {
+		return 0
+	}
+	return c.cold.timeouts
+}
 
 // BytesAcked returns cumulatively acknowledged payload bytes. An
 // active fluid flow contributes its analytic progress: its bytes are
@@ -200,7 +235,7 @@ func (c *Conn) Timeouts() uint64 { return c.timeouts }
 // Progress of a flow that is later demoted is re-earned by the packet
 // path, so the value can briefly regress across a demotion.
 func (c *Conn) BytesAcked() uint64 {
-	n := c.bytesAcked
+	n := c.sndUna
 	if c.fluidActive {
 		if eng := c.host.tab.net.FlowEngine(); eng != nil {
 			if rem, ok := eng.Remaining(c.fluidID); ok {
@@ -218,7 +253,7 @@ func (c *Conn) BytesAcked() uint64 {
 func (c *Conn) InFlight() int { return int(c.sndNxt - c.sndUna) }
 
 // Window returns the current effective send window in bytes.
-func (c *Conn) Window() int { return min(c.cc.Window(), c.peerWnd) }
+func (c *Conn) Window() int { return min(c.cc.Window(), int(c.peerWnd)) }
 
 // SendMessage queues a message of size wire bytes; the peer's OnMessage
 // fires with meta when the final byte arrives in order. Sending on a
@@ -267,8 +302,7 @@ func (c *Conn) Abort() {
 func (c *Conn) teardown(err error) {
 	c.state = stateClosed
 	c.cancelFluid()
-	c.rtoTimer.Cancel()
-	c.synTimer.Cancel()
+	c.timer.Cancel()
 	c.host.removeConn(c)
 	if c.onClose != nil {
 		fn := c.onClose
@@ -312,7 +346,7 @@ func (c *Conn) trySend() {
 		// Packet-send up to the next fluid range (or everything, when
 		// none is queued — the packet-mode hot path, byte-identical to
 		// the historical loop).
-		limit, queued := c.sendEnd, c.fluidDone < len(c.fluid)
+		limit, queued := c.sendEnd, int(c.fluidDone) < len(c.fluid)
 		if queued {
 			limit = c.fluid[c.fluidDone].seq
 		}
@@ -353,7 +387,7 @@ func (c *Conn) sendWindow(limit uint64) {
 }
 
 func (c *Conn) sendSegment(seq uint64, length int) {
-	c.pushSeg(segInfo{seq: seq, length: length})
+	c.pushSeg(segInfo{seq: seq, length: int32(length)})
 	s := c.seg(SegDATA)
 	s.Seq = seq
 	s.Len = length
@@ -374,25 +408,28 @@ func (c *Conn) boundsIn(dst []Bound, seq uint64, length int) []Bound {
 	return dst
 }
 
-// pushSeg appends to segs. processAck prunes by reslicing from the
-// front, so the window creeps along its array; when it reaches the end
-// it slides back to the first slot if the acked prefix is at least as
-// long as the window, and moves to an array twice the size otherwise.
-// Left to append alone, a bulk sender whose window never empties would
-// reallocate the array once per window of segments. A drained connection
-// keeps its array (at most twice its widest window): releasing it would
-// have every request/response exchange grow it again from one slot.
+// pushSeg appends to segs. processAck prunes by advancing segHead, so
+// the window creeps along the array; when it reaches the end it slides
+// back to the first slot if the acked prefix is at least as long as the
+// window, and moves to an array twice the size otherwise. Left to append
+// alone, a bulk sender whose window never empties would reallocate the
+// array once per window of segments. A drained connection keeps its
+// array (at most twice its widest window): releasing it would have every
+// request/response exchange grow it again from one slot.
 func (c *Conn) pushSeg(s segInfo) {
 	if len(c.segs) == cap(c.segs) {
-		arr := c.segArr
-		if cap(arr)-cap(c.segs) < max(len(c.segs), 1) {
-			arr = make([]segInfo, 0, 2*len(c.segs)+1)
-			c.segArr = arr
+		live, arr := c.unacked(), c.segs
+		if int(c.segHead) < max(len(live), 1) {
+			arr = make([]segInfo, 0, 2*len(live)+1)
 		}
-		c.segs = arr[:copy(arr[:len(c.segs)], c.segs)]
+		c.segs = arr[:copy(arr[:len(live)], live)]
+		c.segHead = 0
 	}
 	c.segs = append(c.segs, s)
 }
+
+// unacked returns the window of unacked segments.
+func (c *Conn) unacked() []segInfo { return c.segs[c.segHead:] }
 
 func (c *Conn) maybeSendFIN() {
 	if !c.finQueued || c.finSent || c.sndNxt != c.sendEnd {
@@ -414,26 +451,26 @@ func (c *Conn) maybeSendFIN() {
 }
 
 func (c *Conn) retransmitSeg(s *segInfo) {
-	c.retransmits++
+	c.lossState().retransmits++
 	s.rtxed = true
 	kind := SegDATA
-	payload := s.length
+	length := int(s.length)
+	payload := length
 	if c.finSent && s.seq == c.sendEnd-1 {
 		kind = SegFIN
 		payload = 0
 	}
 	rs := c.seg(kind)
 	rs.Seq = s.seq
-	rs.Len = s.length
-	rs.Bounds = c.boundsIn(rs.Bounds, s.seq, s.length)
+	rs.Len = length
+	rs.Bounds = c.boundsIn(rs.Bounds, s.seq, length)
 	c.emit(rs, payload)
 }
 
 func (c *Conn) retransmitFirst() {
-	if len(c.segs) == 0 {
-		return
+	if segs := c.unacked(); len(segs) > 0 {
+		c.retransmitSeg(&segs[0])
 	}
-	c.retransmitSeg(&c.segs[0])
 }
 
 // rtxBurst bounds loss-repair retransmissions per incoming ACK.
@@ -443,10 +480,11 @@ const rtxBurst = 4
 // highest sacked byte that are neither sacked nor already repaired are
 // presumed lost (RFC 6675 spirit).
 func (c *Conn) sackRetransmit() {
+	segs := c.unacked()
 	var highest uint64
-	for i := range c.segs {
-		if c.segs[i].sacked {
-			if end := c.segs[i].seq + uint64(c.segs[i].length); end > highest {
+	for i := range segs {
+		if segs[i].sacked {
+			if end := segs[i].seq + uint64(segs[i].length); end > highest {
 				highest = end
 			}
 		}
@@ -455,8 +493,8 @@ func (c *Conn) sackRetransmit() {
 		return
 	}
 	sent := 0
-	for i := range c.segs {
-		s := &c.segs[i]
+	for i := range segs {
+		s := &segs[i]
 		if s.seq >= highest {
 			break
 		}
@@ -475,8 +513,9 @@ func (c *Conn) applySacks(sacks []SackBlock) {
 	if len(sacks) == 0 {
 		return
 	}
-	for i := range c.segs {
-		s := &c.segs[i]
+	segs := c.unacked()
+	for i := range segs {
+		s := &segs[i]
 		if s.sacked {
 			continue
 		}
@@ -493,8 +532,8 @@ func (c *Conn) applySacks(sacks []SackBlock) {
 // --- RTO ---
 
 func (c *Conn) minRTO() time.Duration {
-	if c.optMinRTO > 0 {
-		return c.optMinRTO
+	if k := c.cold; k != nil && k.optMinRTO > 0 {
+		return k.optMinRTO
 	}
 	return DefaultMinRTO
 }
@@ -514,25 +553,27 @@ func (c *Conn) armRTO() {
 		c.rtoFn = c.onRTO
 	}
 	sched := c.host.tab.sched
-	c.rtoTimer = sched.Rearm(c.rtoTimer, sched.Now()+c.currentRTO(), c.rtoFn)
+	c.timer = sched.Rearm(c.timer, sched.Now()+c.currentRTO(), c.rtoFn)
 }
 
 func (c *Conn) disarmRTO() {
-	c.rtoTimer.Cancel()
-	c.rtoTimer = simnet.Timer{}
+	c.timer.Cancel()
+	c.timer = simnet.Timer{}
 }
 
 func (c *Conn) onRTO() {
 	if c.state != stateEstablished || c.sndUna == c.sndNxt {
 		return
 	}
-	c.timeouts++
-	c.consecRTOs++
-	if c.consecRTOs >= maxConsecRTOs {
+	k := c.lossState()
+	k.timeouts++
+	k.consecRTOs++
+	if k.consecRTOs >= maxConsecRTOs {
 		c.teardown(ErrRetransmitLimit)
 		return
 	}
-	if len(c.segs) == 0 && c.fluidDone > 0 {
+	segs := c.unacked()
+	if len(segs) == 0 && c.fluidDone > 0 {
 		// Only fluid-delivered bytes are unacked: the delivery notice's
 		// ACK was lost. Re-announce it — the receiver deduplicates via
 		// its lastBound watermark — and leave cc alone: fluid bytes were
@@ -543,14 +584,14 @@ func (c *Conn) onRTO() {
 		return
 	}
 	c.cc.OnTimeout()
-	c.dupAcks = 0
+	k.dupAcks = 0
 	// Stay in loss recovery until everything outstanding at the
 	// timeout is acknowledged, so partial ACKs keep driving repairs.
 	c.recovering = true
-	c.recoverPt = c.sndNxt
+	k.recoverPt = c.sndNxt
 	// Everything outstanding may be retransmitted again.
-	for i := range c.segs {
-		c.segs[i].rtxed = false
+	for i := range segs {
+		segs[i].rtxed = false
 	}
 	c.rto = min(c.currentRTO()*2, 60*time.Second) // exponential backoff
 	c.retransmitFirst()
@@ -594,8 +635,8 @@ func (c *Conn) handle(seg *Segment) {
 	case SegSYNACK:
 		if c.state == stateSynSent {
 			c.state = stateEstablished
-			c.synTimer.Cancel()
-			c.peerWnd = seg.Wnd
+			c.timer.Cancel() // the SYN retry; the RTO has the timer from here on
+			c.peerWnd = int32(seg.Wnd)
 			c.sampleRTT(seg.TSEcr)
 			ack := c.seg(SegACK)
 			ack.TSEcr = seg.TSVal
@@ -607,7 +648,7 @@ func (c *Conn) handle(seg *Segment) {
 		}
 	case SegACK:
 		if seg.Wnd > 0 {
-			c.peerWnd = seg.Wnd
+			c.peerWnd = int32(seg.Wnd)
 		}
 		c.processAck(seg)
 	case SegDATA, SegFIN:
@@ -621,17 +662,19 @@ func (c *Conn) processAck(seg *Segment) {
 	if seg.Ack > c.sndUna {
 		acked := int(seg.Ack - c.sndUna)
 		c.sndUna = seg.Ack
-		c.bytesAcked += uint64(acked)
-		c.dupAcks = 0
-		c.consecRTOs = 0
+		if k := c.cold; k != nil {
+			k.dupAcks = 0
+			k.consecRTOs = 0
+		}
 		// Prune fully acked segments, and message ends by copying the rest
 		// down: bounds keeps its array (DESIGN.md "Queues that keep their
 		// arrays").
+		segs := c.unacked()
 		i := 0
-		for i < len(c.segs) && c.segs[i].seq+uint64(c.segs[i].length) <= c.sndUna {
+		for i < len(segs) && segs[i].seq+uint64(segs[i].length) <= c.sndUna {
 			i++
 		}
-		c.segs = c.segs[i:]
+		c.segHead += int32(i)
 		for i = 0; i < len(c.bounds) && c.bounds[i].End <= c.sndUna; {
 			i++
 		}
@@ -646,7 +689,7 @@ func (c *Conn) processAck(seg *Segment) {
 			c.cc.OnAck(acked, c.lastRTTSample)
 		}
 		if c.recovering {
-			if c.sndUna >= c.recoverPt {
+			if c.sndUna >= c.cold.recoverPt {
 				c.recovering = false
 			} else {
 				// Partial ack: repair remaining holes (SACK-guided,
@@ -672,10 +715,11 @@ func (c *Conn) processAck(seg *Segment) {
 	}
 	// Duplicate ACK.
 	if c.sndNxt > c.sndUna && seg.Ack == c.sndUna {
-		c.dupAcks++
-		if c.dupAcks == 3 && !c.recovering {
+		k := c.lossState()
+		k.dupAcks++
+		if k.dupAcks == 3 && !c.recovering {
 			c.recovering = true
-			c.recoverPt = c.sndNxt
+			k.recoverPt = c.sndNxt
 			c.cc.OnLoss()
 			c.retransmitFirst()
 		}
@@ -710,8 +754,10 @@ func (c *Conn) ackNow(tsval time.Duration) {
 	s := c.seg(SegACK)
 	s.Ack = c.rcvNxt
 	s.TSEcr = tsval
-	for i := 0; i < len(c.ooo) && i < maxSackBlocks; i++ {
-		s.Sacks = append(s.Sacks, SackBlock{Start: c.ooo[i].seq, End: c.ooo[i].end})
+	if k := c.cold; k != nil {
+		for i := 0; i < len(k.ooo) && i < maxSackBlocks; i++ {
+			s.Sacks = append(s.Sacks, SackBlock{Start: k.ooo[i].seq, End: k.ooo[i].end})
+		}
 	}
 	c.emit(s, 0)
 }
@@ -736,13 +782,14 @@ func (c *Conn) addRecvBound(b Bound) {
 // addOOO inserts the range keeping c.ooo sorted and coalesced, so the
 // list stays small and SACK blocks are maximal.
 func (c *Conn) addOOO(seq, end uint64) {
-	i := sort.Search(len(c.ooo), func(i int) bool { return c.ooo[i].seq > seq })
-	c.ooo = append(c.ooo, oooSeg{})
-	copy(c.ooo[i+1:], c.ooo[i:])
-	c.ooo[i] = oooSeg{seq: seq, end: end}
+	k := c.lossState()
+	i := sort.Search(len(k.ooo), func(i int) bool { return k.ooo[i].seq > seq })
+	k.ooo = append(k.ooo, oooSeg{})
+	copy(k.ooo[i+1:], k.ooo[i:])
+	k.ooo[i] = oooSeg{seq: seq, end: end}
 	// Merge overlapping/adjacent neighbours.
-	merged := c.ooo[:1]
-	for _, o := range c.ooo[1:] {
+	merged := k.ooo[:1]
+	for _, o := range k.ooo[1:] {
 		last := &merged[len(merged)-1]
 		if o.seq <= last.end {
 			if o.end > last.end {
@@ -752,14 +799,18 @@ func (c *Conn) addOOO(seq, end uint64) {
 			merged = append(merged, o)
 		}
 	}
-	c.ooo = merged
+	k.ooo = merged
 }
 
 func (c *Conn) mergeOOO() {
+	k := c.cold
+	if k == nil {
+		return
+	}
 	for {
 		advanced := false
-		keep := c.ooo[:0]
-		for _, o := range c.ooo {
+		keep := k.ooo[:0]
+		for _, o := range k.ooo {
 			switch {
 			case o.end <= c.rcvNxt:
 				// fully consumed
@@ -770,7 +821,7 @@ func (c *Conn) mergeOOO() {
 				keep = append(keep, o)
 			}
 		}
-		c.ooo = keep
+		k.ooo = keep
 		if !advanced {
 			return
 		}

@@ -53,10 +53,10 @@ const FluidCutover = 4096
 type fluidRange struct{ seq, end uint64 }
 
 // FluidCompleted returns messages delivered via the fluid fast path.
-func (c *Conn) FluidCompleted() uint64 { return c.fluidCompleted }
+func (c *Conn) FluidCompleted() uint64 { return uint64(c.fluidCompleted) }
 
 // FluidDemotions returns fluid flows demoted back to the packet path.
-func (c *Conn) FluidDemotions() uint64 { return c.fluidDemotions }
+func (c *Conn) FluidDemotions() uint64 { return uint64(c.fluidDemotions) }
 
 // shouldFluid reports whether a message of the given size should ride
 // the fluid fast path on this connection.
@@ -139,7 +139,7 @@ func (c *Conn) onFluidDemote() {
 // unqueueFluid removes the first queued range, leaving its bytes to
 // the packet path.
 func (c *Conn) unqueueFluid() {
-	c.fluid = slices.Delete(c.fluid, c.fluidDone, c.fluidDone+1)
+	c.fluid = slices.Delete(c.fluid, int(c.fluidDone), int(c.fluidDone)+1)
 }
 
 // injectFluidNotice delivers the macro segment for a completed fluid
@@ -186,7 +186,7 @@ func (c *Conn) resendFluidNotice() {
 // controller must not be credited with.
 func (c *Conn) ackFluidSpans(upTo uint64) int {
 	n, k := 0, 0
-	for ; k < c.fluidDone && c.fluid[k].seq < upTo; k++ {
+	for ; k < int(c.fluidDone) && c.fluid[k].seq < upTo; k++ {
 		r := &c.fluid[k]
 		if r.end > upTo {
 			n += int(upTo - r.seq)
@@ -196,7 +196,7 @@ func (c *Conn) ackFluidSpans(upTo uint64) int {
 		n += int(r.end - r.seq)
 	}
 	c.fluid = slices.Delete(c.fluid, 0, k)
-	c.fluidDone -= k
+	c.fluidDone -= int32(k)
 	return n
 }
 

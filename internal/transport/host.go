@@ -150,17 +150,19 @@ func (h *Host) Dial(dst simnet.Addr, port uint16, opts Options) *Conn {
 			DstPort: port,
 			Proto:   simnet.ProtoTCP,
 		},
-		state:     stateSynSent,
-		mark:      opts.Mark,
-		optMinRTO: opts.MinRTO,
-		cc:        NewController(opts.CC, h.tab.sched.Now),
-		peerWnd:   rcvWindow,
+		state:   stateSynSent,
+		mark:    opts.Mark,
+		cc:      NewController(opts.CC, h.tab.sched.Now),
+		peerWnd: rcvWindow,
+	}
+	if opts.MinRTO != 0 {
+		c.cold = &connCold{optMinRTO: opts.MinRTO}
 	}
 	if !ok {
 		// Fail like a handshake that never completes, only at once: from
 		// the scheduler, so the caller has the Conn and its OnClose set.
-		c.synTimer.Cancel() // zero on a fresh Conn; cancel before arm
-		c.synTimer = h.tab.sched.After(0, func() { c.teardown(ErrNoEphemeralPort) })
+		c.timer.Cancel() // zero on a fresh Conn; cancel before arm
+		c.timer = h.tab.sched.After(0, func() { c.teardown(ErrNoEphemeralPort) })
 		return c
 	}
 	h.addConn(c)
@@ -179,8 +181,8 @@ func (h *Host) sendSYN(c *Conn) {
 	}
 	c.emit(c.seg(SegSYN), 0)
 	backoff := time.Second << uint(c.synTries-1)
-	c.synTimer.Cancel() // fired (we are its callback) or zero; cancel before re-arm
-	c.synTimer = h.tab.sched.After(backoff, func() { h.sendSYN(c) })
+	c.timer.Cancel() // fired (we are its callback) or zero; cancel before re-arm
+	c.timer = h.tab.sched.After(backoff, func() { h.sendSYN(c) })
 }
 
 // ephemeralBase is the first of the 32768 source ports Dial allocates.
@@ -292,7 +294,7 @@ func (h *Host) deliver(p *simnet.Packet) {
 				flow:      local,
 				state:     stateEstablished,
 				cc:        NewController("reno", h.tab.sched.Now),
-				peerWnd:   seg.Wnd,
+				peerWnd:   int32(seg.Wnd),
 				lastTSVal: seg.TSVal,
 			}
 			h.addConn(c)

@@ -47,28 +47,28 @@ func TestAddOOOMergesRanges(t *testing.T) {
 	c := directConn()
 	c.addOOO(1000, 2000)
 	c.addOOO(3000, 4000)
-	if len(c.ooo) != 2 {
-		t.Fatalf("ooo = %v", c.ooo)
+	if len(c.cold.ooo) != 2 {
+		t.Fatalf("ooo = %v", c.cold.ooo)
 	}
 	// Bridging range merges all three.
 	c.addOOO(2000, 3000)
-	if len(c.ooo) != 1 || c.ooo[0].seq != 1000 || c.ooo[0].end != 4000 {
-		t.Fatalf("merge failed: %v", c.ooo)
+	if len(c.cold.ooo) != 1 || c.cold.ooo[0].seq != 1000 || c.cold.ooo[0].end != 4000 {
+		t.Fatalf("merge failed: %v", c.cold.ooo)
 	}
 	// Contained duplicate changes nothing.
 	c.addOOO(1500, 1800)
-	if len(c.ooo) != 1 || c.ooo[0].end != 4000 {
-		t.Fatalf("duplicate mutated: %v", c.ooo)
+	if len(c.cold.ooo) != 1 || c.cold.ooo[0].end != 4000 {
+		t.Fatalf("duplicate mutated: %v", c.cold.ooo)
 	}
 	// Overlapping extension grows the range.
 	c.addOOO(3500, 4500)
-	if len(c.ooo) != 1 || c.ooo[0].end != 4500 {
-		t.Fatalf("extension failed: %v", c.ooo)
+	if len(c.cold.ooo) != 1 || c.cold.ooo[0].end != 4500 {
+		t.Fatalf("extension failed: %v", c.cold.ooo)
 	}
 	// Insert before the existing range keeps sorted order.
 	c.addOOO(100, 200)
-	if len(c.ooo) != 2 || c.ooo[0].seq != 100 {
-		t.Fatalf("sorted insert failed: %v", c.ooo)
+	if len(c.cold.ooo) != 2 || c.cold.ooo[0].seq != 100 {
+		t.Fatalf("sorted insert failed: %v", c.cold.ooo)
 	}
 }
 
@@ -81,14 +81,14 @@ func TestMergeOOOAdvancesRcvNxt(t *testing.T) {
 	if c.rcvNxt != 2500 {
 		t.Fatalf("rcvNxt = %d, want 2500", c.rcvNxt)
 	}
-	if len(c.ooo) != 0 {
-		t.Fatalf("residual ooo: %v", c.ooo)
+	if len(c.cold.ooo) != 0 {
+		t.Fatalf("residual ooo: %v", c.cold.ooo)
 	}
 	// A gap stops the merge.
 	c.addOOO(3000, 3500)
 	c.mergeOOO()
-	if c.rcvNxt != 2500 || len(c.ooo) != 1 {
-		t.Fatalf("merged across a gap: rcvNxt=%d ooo=%v", c.rcvNxt, c.ooo)
+	if c.rcvNxt != 2500 || len(c.cold.ooo) != 1 {
+		t.Fatalf("merged across a gap: rcvNxt=%d ooo=%v", c.rcvNxt, c.cold.ooo)
 	}
 }
 
@@ -126,14 +126,14 @@ func TestSackRetransmitLimitsBurst(t *testing.T) {
 	c.sndUna = 0
 	c.sendEnd = 11000
 	c.sndNxt = 11000
-	before := c.retransmits
+	before := c.Retransmits()
 	c.sackRetransmit()
-	if got := c.retransmits - before; got != rtxBurst {
+	if got := c.Retransmits() - before; got != rtxBurst {
 		t.Fatalf("retransmitted %d, want %d", got, rtxBurst)
 	}
 	// Second call repairs the next batch (rtxed ones skipped).
 	c.sackRetransmit()
-	if got := c.retransmits - before; got != 2*rtxBurst {
+	if got := c.Retransmits() - before; got != 2*rtxBurst {
 		t.Fatalf("after second call: %d, want %d", got, 2*rtxBurst)
 	}
 }
@@ -142,7 +142,7 @@ func TestSackRetransmitNoSackNoop(t *testing.T) {
 	c := directConn()
 	c.segs = []segInfo{{seq: 0, length: 1000}}
 	c.sackRetransmit()
-	if c.retransmits != 0 {
+	if c.Retransmits() != 0 {
 		t.Fatal("retransmitted without any sacked segment")
 	}
 }
@@ -157,12 +157,13 @@ func TestPushSegSlidingWindow(t *testing.T) {
 	var ref []uint64
 	check := func(step int) {
 		t.Helper()
-		if len(c.segs) != len(ref) {
-			t.Fatalf("step %d: %d segments, want %d", step, len(c.segs), len(ref))
+		segs := c.unacked()
+		if len(segs) != len(ref) {
+			t.Fatalf("step %d: %d segments, want %d", step, len(segs), len(ref))
 		}
 		for i, seq := range ref {
-			if c.segs[i].seq != seq {
-				t.Fatalf("step %d: segs[%d].seq=%d, want %d", step, i, c.segs[i].seq, seq)
+			if segs[i].seq != seq {
+				t.Fatalf("step %d: segs[%d].seq=%d, want %d", step, i, segs[i].seq, seq)
 			}
 		}
 	}
@@ -174,7 +175,7 @@ func TestPushSegSlidingWindow(t *testing.T) {
 			seq++
 		}
 		cut := rng.Intn(len(ref) + 1)
-		c.segs, ref = c.segs[cut:], ref[cut:]
+		c.segHead, ref = c.segHead+int32(cut), ref[cut:]
 		check(step)
 	}
 
@@ -184,7 +185,7 @@ func TestPushSegSlidingWindow(t *testing.T) {
 	}
 	steady := func() {
 		for i := 0; i < 1000; i++ { // a bulk sender: one acked, one sent
-			c.segs = c.segs[1:]
+			c.segHead++
 			c.pushSeg(segInfo{length: 1})
 		}
 	}

@@ -11,12 +11,31 @@ import (
 	"meshlayer/internal/simnet"
 )
 
-// TestConnSizeClass pins Conn to the 512 B allocation size class: a
-// fleet holds two Conns per connection for the whole run, and 513 B
-// lands in the 576 B class, +12.5 % per connection.
+// TestConnSizeClass pins Conn to the 352 B allocation size class: a
+// fleet holds two Conns per connection for the whole run, and 353 B
+// lands in the 384 B class, +9 % per connection. State a lossless
+// connection never touches belongs in connCold.
 func TestConnSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Conn{}); got > 512 {
-		t.Fatalf("unsafe.Sizeof(Conn{}) = %d B, budget 512: a field that leaves the class (loss-recovery state included) must argue the change with bulk_fanin and ctrl_storm live_heap_mb", got)
+	if got := unsafe.Sizeof(Conn{}); got > 352 {
+		t.Fatalf("unsafe.Sizeof(Conn{}) = %d B, budget 352: a field that leaves the class must argue the change with bulk_fanin and ctrl_storm live_heap_mb, and loss-recovery state goes in connCold", got)
+	}
+}
+
+// TestSegInfoSize pins an unacked segment's row at 16 B: a bulk sender
+// holds one per MSS in flight, and at 24 B a 63-slot window moves from
+// the 1,024 B allocation class to the 1,536 B one.
+func TestSegInfoSize(t *testing.T) {
+	if got := unsafe.Sizeof(segInfo{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(segInfo{}) = %d B, want 16: a wider row must argue the change with bulk_fanin and ctrl_storm live_heap_mb", got)
+	}
+}
+
+// TestConnColdStateSize pins connCold to the 64 B allocation class. A
+// connection allocates it on its first loss and keeps it, so on a fleet
+// it costs its size once per connection that ever lost a packet.
+func TestConnColdStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(connCold{}); got > 64 {
+		t.Fatalf("unsafe.Sizeof(connCold{}) = %d B, budget 64: a larger cold state must argue the change with bulk_fanin and ctrl_storm live_heap_mb", got)
 	}
 }
 
