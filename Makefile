@@ -74,10 +74,10 @@ fuzz:
 
 # Short-mode suite under the race detector (TestGoldens skips itself):
 # the quick leg that complements the indexowned analyzer (static
-# ownership proofs) with runtime interleaving checks. It already runs
-# the root package's hybrid cross-validation harness in short mode. The
-# explicit leg pins the fluid fast path: the full flow-engine suite (not
-# just short mode) under -race.
+# ownership proofs) with runtime interleaving checks. Of the root
+# package's TestHybridCrossValidation it runs the E20 fan-in case, the
+# one that short mode keeps. The explicit leg pins the fluid fast path:
+# the full flow-engine suite (not just short mode) under -race.
 race:
 	go test -race -short -timeout 10m ./...
 	go test -race -timeout 10m -run 'Flow|Fluid|Hybrid' ./internal/simnet
@@ -102,10 +102,9 @@ reach:
 # main and cmd/tracedump at their defaults, cmd/meshsim at its defaults
 # and with -opts all -telemetry -timeline, bench -workload all -quick
 # with and without -trace 1, and cmd/meshbench at smoke windows: fig4
-# at one level with -chart and with -csv (the chart and CSV renderers),
-# and overhead under -fidelity hybrid (the fidelity parser) (~9 min on 2
-# cores). internal/lint
-# is left out, since meshvet runs at lint time, never inside a program.
+# at one level with -chart and with -csv (the chart and CSV renderers)
+# (~9 min on 2 cores). internal/lint is left out, since meshvet runs at
+# lint time, never inside a program.
 # The count goes to stderr after the list.
 REACH_MAINS = examples/*/ cmd/tracedump/ cmd/meshsim/ cmd/meshbench/ bench/
 MESHBENCH_SMOKE = -seed 1 -warmup 1s -measure 2s
@@ -125,7 +124,6 @@ reach-programs:
 	GOCOVERDIR="$$dir/cov" "$$dir/bin/bench" -workload all -quick -trace 1 >/dev/null && \
 	GOCOVERDIR="$$dir/cov" "$$dir/bin/meshbench" -exp fig4 -levels 20 $(MESHBENCH_SMOKE) -chart >/dev/null && \
 	GOCOVERDIR="$$dir/cov" "$$dir/bin/meshbench" -exp fig4 -levels 20 $(MESHBENCH_SMOKE) -csv >/dev/null && \
-	GOCOVERDIR="$$dir/cov" "$$dir/bin/meshbench" -exp overhead -fidelity hybrid $(MESHBENCH_SMOKE) >/dev/null && \
 	go tool covdata textfmt -i="$$dir/cov" -o "$$dir/cover.out" && \
 	go tool cover -func="$$dir/cover.out" | \
 	awk '$$NF == "0.0%" && $$1 !~ /^meshlayer\/(cmd|examples|bench|internal\/lint)\// {print $$1, $$2; n++} \

@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"meshlayer"
-	"meshlayer/internal/simnet"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -44,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&p.Chart, "chart", false, "also render fig4 as an ASCII chart")
 	fs.BoolVar(&p.CSV, "csv", false, "emit fig4 as CSV instead of a table")
 	parallel := fs.Int("parallel", meshlayer.MaxParallel, "max concurrent simulation runs per sweep (1 = sequential; output is identical either way)")
-	fidelity := fs.String("fidelity", "packet", "simulation fidelity for every experiment: packet|flow|hybrid (E20 compares all three itself, regardless)")
 	fs.IntVar(&p.Zones, "zones", 0, "E20 fan-in zone count, 100 pods each (0 = the full 100-zone, 10k-pod sweep)")
 	fs.IntVar(&p.Subs, "subs", 0, "E21 subscriber (worker sidecar) count (0 = the full 10k fleet)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to `file` (read with go tool pprof)")
@@ -60,10 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "meshbench:", err)
 		return 2
 	}
-	fid, err := simnet.ParseFidelity(*fidelity)
-	if err != nil {
-		return fail(err)
-	}
+	var err error
 	if p.Levels, err = parseLevels(*levels); err != nil {
 		return fail(err)
 	}
@@ -74,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("parallel must be >= 1, got %d", *parallel))
 	}
 	meshlayer.MaxParallel = *parallel
-	simnet.SetDefaultFidelity(fid)
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return fail(err)

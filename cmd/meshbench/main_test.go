@@ -8,17 +8,12 @@ import (
 	"testing"
 
 	"meshlayer"
-	"meshlayer/internal/simnet"
 )
 
 // TestRunFlags: bad input is one line on stderr and exit 2, never a
 // panic or a silently substituted default; good input prints its table.
 func TestRunFlags(t *testing.T) {
-	oldPar, oldFid := meshlayer.MaxParallel, simnet.DefaultFidelity()
-	defer func() {
-		meshlayer.MaxParallel = oldPar
-		simnet.SetDefaultFidelity(oldFid)
-	}()
+	defer func(old int) { meshlayer.MaxParallel = old }(meshlayer.MaxParallel)
 	ids, _ := meshlayer.IDs()
 	first, second := ids[0], ids[1] // the sweep's two tables: quick at one level and a 1 s window
 	dir := t.TempDir()
@@ -40,7 +35,6 @@ func TestRunFlags(t *testing.T) {
 		{"-subs -1", 2, "zones and subs must be >= 0", ""},
 		{"-exp " + second + " -csv", 2, "csv renders only " + first, ""},
 		{"-exp nope", 2, `unknown experiment "nope" (valid: ` + strings.Join(ids, ", ") + ", all)", ""},
-		{"-fidelity fuzzy", 2, "unknown fidelity", ""},
 		{"-levels 10,x", 2, "bad RPS level", ""},
 		{"-opts warp", 2, "unknown optimization", ""},
 		{"-exp " + first + " -levels 20 -warmup 500ms -measure 1s -parallel 1", 0, "", "# sweep: opts=routing+tc levels=[20] measure=1s seed=1\n\nFig. 4"},
@@ -67,5 +61,13 @@ func TestRunFlags(t *testing.T) {
 		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
 			t.Errorf("profile %s: want a non-empty file, got %v", f, err)
 		}
+	}
+	// There is no process-wide fidelity: E20 and E21 set it on the
+	// networks they build, so -fidelity is an unknown flag (the flag
+	// package follows its message with the usage text).
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-fidelity", "hybrid"}, &stdout, &stderr); code != 2 ||
+		!strings.HasPrefix(stderr.String(), "flag provided but not defined: -fidelity\n") || stdout.Len() > 0 {
+		t.Errorf("-fidelity hybrid: exit %d, stdout %q, stderr %q; want exit 2 and the undefined-flag message", code, stdout.String(), stderr.String())
 	}
 }

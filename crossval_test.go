@@ -7,35 +7,34 @@ import (
 	"testing"
 	"time"
 
+	"meshlayer/internal/cluster"
 	"meshlayer/internal/simnet"
 )
 
-// Cross-validation of the hybrid fidelity mode: every experiment that
-// feeds the repo's conclusions is rerun with the flow-level fast path
-// armed, and its headline metrics must land within a stated tolerance
-// of the packet-mode reference. The tolerances encode the fidelity
-// contract documented in DESIGN.md ("Fidelity modes"): small RPCs are
-// byte-exact in every mode (tight), bulk-transfer latencies are
-// rate-accurate but not queue-accurate (loose), and availability is
-// preserved because faults always demote to packets (absolute points).
+// Cross-validation of the hybrid fidelity mode where it runs: E21's
+// defense ladder (RunCtrlScale builds every rung under hybrid) and
+// E20's per-zone fan-in are rerun in packet mode, and each headline
+// metric must land within a stated tolerance of the packet-mode
+// reference. The tolerances encode the fidelity contract documented in
+// DESIGN.md ("Fidelity modes"): small RPCs are byte-exact in every mode
+// (tight), bulk-transfer latencies are rate-accurate but not
+// queue-accurate (loose), and availability is preserved because faults
+// always demote to packets (absolute points). Where hybrid is known to
+// miss the contract, the metric is pinned in knownGaps.
 
 // tol passes when |hybrid-packet| <= max(abs, rel*|packet|).
 type tol struct{ rel, abs float64 }
 
 var (
+	tolExact = tol{0.00, 0.000} // counts both modes must reproduce
 	tolTight = tol{0.10, 0.002} // RPC paths: hybrid leaves them on packets
 	tolMed   = tol{0.40, 0.020} // mixed paths: some bulk sharing upstream
 	tolLoose = tol{0.90, 0.100} // bulk-dominated tails: rate-accurate only
 	tolFrac  = tol{0.00, 0.05}  // availability / shares: 5 points absolute
-	tolRate  = tol{0.30, 0.00}  // goodput in Mbps
 )
 
 // indicator encodes a qualitative claim as a 0/1 metric: both
-// fidelities must agree on it. Unmitigated-baseline queueing tails are
-// asserted this way — their magnitude is congestion-window and
-// head-of-line dynamics the fluid model deliberately abstracts away
-// (DESIGN.md: rate-accurate, not queue-accurate), but the paper's
-// ordering claim must survive in every mode.
+// fidelities must agree on it.
 func indicator(name string, claim bool) metric {
 	v := 0.0
 	if claim {
@@ -53,150 +52,100 @@ type metric struct {
 func m(name string, v float64, t tol) metric        { return metric{name, v, t} }
 func md(name string, d time.Duration, t tol) metric { return metric{name, d.Seconds(), t} }
 
-// crossCase is one experiment: run executes it under the process-wide
-// default fidelity and distills the metrics under test. The same
-// closure runs for both arms, so metric order is identical by
-// construction and the comparison is positional.
+// knownGaps names, as "<case>/<metric>", every metric where hybrid is
+// known to land outside its tolerance, with both readings. A pinned
+// metric must still fail: once the gap closes (ROADMAP item 1b), the
+// test goes red until its pin is deleted.
+var knownGaps = map[string]string{
+	// Packet mode's L2 never converges in the window (1,172 push
+	// timeouts, 35.7 MB of resyncs); hybrid's converges in 4.4 s (867
+	// timeouts, 27.2 MB). Timeouts and bytes stay inside tolLoose.
+	"E21 seed 1/L2 recovered": "packet: no recovery in the window; hybrid: recovered",
+	"E21 seed 1/L2 recovery":  "packet: DNF (0); hybrid: 4.4 s",
+	// The 99 -> 1 fan-in into one collector: packet mode finishes at
+	// 205.72 ms, hybrid at 12.45 ms against a line-rate time of 12.33 ms.
+	"E20 fan-in 1x100/done": "packet: 205.72 ms; hybrid: 12.45 ms (line rate 12.33 ms)",
+}
+
+// crossCase is one experiment: run executes it under fid and distills
+// the metrics under test. The same closure runs for both arms, so
+// metric order is identical by construction and the comparison is
+// positional.
 type crossCase struct {
 	name  string
 	short bool // also runs under -short
-	run   func() []metric
+	run   func(t *testing.T, fid simnet.Fidelity) []metric
+}
+
+// ctrlScaleCase is E21's four rungs at 1,000 subscribers over the
+// golden's 12 s window.
+func ctrlScaleCase(seed int64) crossCase {
+	return crossCase{fmt.Sprintf("E21 seed %d", seed), false, func(_ *testing.T, fid simnet.Fidelity) []metric {
+		rows := sweepRows(len(ctrlScaleLadder), func(i int) CtrlScaleRow {
+			return runCtrlScaleOnce(fid, ctrlScaleLadder[i], 1000, seed, time.Second, 12*time.Second)
+		})
+		var out []metric
+		for _, r := range rows {
+			rung := r.Config[:strings.Index(r.Config, ":")]
+			out = append(out,
+				m(rung+" crashes", float64(r.Crashes), tolExact),
+				indicator(rung+" recovered", r.Recovered),
+				md(rung+" recovery", r.RecoveredIn, tolLoose),
+				m(rung+" avail", r.Avail, tolFrac),
+				m(rung+" storm avail", r.StormAvail, tolFrac),
+				m(rung+" tail avail", r.TailAvail, tolFrac),
+				md(rung+" req p99", r.ReqP99, tolTight),
+				m(rung+" peak inflight", float64(r.PeakInflight), tolMed),
+				m(rung+" peak resyncs", float64(r.PeakResyncs), tolMed),
+				m(rung+" resync MB", float64(r.ResyncBytes)/(1<<20), tolLoose),
+				m(rung+" timeouts", float64(r.Timeouts), tolLoose),
+				md(rung+" stale p99", r.StaleP99, tolLoose))
+		}
+		return out
+	}}
 }
 
 func crossCases() []crossCase {
-	const seed = 5
-	mixed := MixedConfig{Warmup: time.Second, Measure: 4 * time.Second}
 	return []crossCase{
-		{"E1-E3 fig4 sweep (RPS 30)", true, func() []metric {
-			pts := RunSweep(SweepConfig{RPSLevels: []float64{30}, Opt: PaperOptimizations(),
-				Seed: seed, Warmup: mixed.Warmup, Measure: mixed.Measure})
-			p := pts[0]
-			return []metric{
-				indicator("base LS p99 >= 3x opt", p.Base.LS.P99 >= 3*p.Opt.LS.P99),
-				md("opt LS p50", p.Opt.LS.P50, tolMed),
-				md("opt LS p99", p.Opt.LS.P99, tolMed),
-				md("opt LI p99", p.Opt.LI.P99, tolLoose),
+		ctrlScaleCase(1),
+		ctrlScaleCase(7),
+		{"E20 fan-in 1x100", true, func(t *testing.T, fid simnet.Fidelity) []metric {
+			const zones, pods = 1, 100
+			p := fidelityScaleOnce(fid, zones, pods)
+			// Every byte crosses the collector's access link, so no
+			// fidelity may finish before that link's line-rate time.
+			lineRate := time.Duration(p.TotalMB * (1 << 20) * 8 / float64(cluster.DefaultLink.Rate) * float64(time.Second))
+			if p.Done < lineRate {
+				t.Errorf("%v: done at %v, before the line-rate time %v", fid, p.Done, lineRate)
 			}
-		}},
-		{"E4 sidecar overhead", true, func() []metric {
-			rows := RunSidecarOverhead(500, seed)
-			last := rows[len(rows)-1]
 			return []metric{
-				md(last.Name+" p50", last.P50, tolTight),
-				md(last.Name+" p99", last.P99, tolTight),
-			}
-		}},
-		{"E5 ablation (RPS 30)", false, func() []metric {
-			rows := RunAblation(30, seed, mixed)
-			return []metric{
-				indicator("baseline LS p99 >= 3x routing+tc", rows[0].LSP99 >= 3*rows[2].LSP99),
-				md("routing+tc LS p50", rows[2].LSP50, tolMed),
-				md("routing+tc LS p99", rows[2].LSP99, tolMed),
-				md("routing+tc LI p99", rows[2].LIP99, tolLoose),
-			}
-		}},
-		{"E6 scavenger", false, func() []metric {
-			rows := RunScavenger(seed) // reno, cubic, lp, ledbat
-			return []metric{
-				md("ledbat LS p50", rows[3].LSP50, tolMed),
-				m("ledbat bulk Mbps", rows[3].BulkMbps, tolRate),
-				m("reno bulk Mbps", rows[0].BulkMbps, tolRate),
-			}
-		}},
-		{"E7 adaptive LB", false, func() []metric {
-			rows := RunAdaptiveLB(50, seed) // rr, random, least-request, ewma
-			return []metric{
-				md("ewma p50", rows[3].P50, tolTight),
-				md("ewma p99", rows[3].P99, tolMed),
-				m("ewma slow share", rows[3].SlowShare, tolFrac),
-			}
-		}},
-		{"E8 redundant requests", false, func() []metric {
-			rows := RunRedundant(30, seed)
-			return []metric{
-				md("hedged p50", rows[1].P50, tolMed),
-				md("hedged p99", rows[1].P99, tolMed),
-			}
-		}},
-		{"E9 hop depth", false, func() []metric {
-			rows := RunHopDepth(nil, 300, seed)
-			last := rows[len(rows)-1]
-			return []metric{
-				md(fmt.Sprintf("depth %d p50", last.Depth), last.P50, tolMed),
-				md("per-hop", last.PerHop, tolMed),
-			}
-		}},
-		{"E10 bottleneck 1 Gbps", false, func() []metric {
-			rows := RunBottleneckSweep([]float64{1}, seed, mixed)
-			return []metric{
-				indicator("base LS p99 >= 2x opt", rows[0].BaseP99 >= 2*rows[0].OptP99),
-				md("opt LS p99", rows[0].OptP99, tolMed),
-			}
-		}},
-		{"E11 skew 1 MB", false, func() []metric {
-			rows := RunSkewSweep([]float64{1}, seed, mixed)
-			return []metric{
-				indicator("base LS p99 >= 2x opt", rows[0].BaseP99 >= 2*rows[0].OptP99),
-				md("opt LS p99", rows[0].OptP99, tolMed),
-			}
-		}},
-		{"E12 resilience", false, func() []metric {
-			rows := RunResilience(30, seed)
-			var out []metric
-			for _, r := range rows {
-				if r.Phase != "during partition" {
-					continue
-				}
-				out = append(out,
-					m(r.Config+" error rate", r.ErrorRate, tolFrac),
-					md(r.Config+" p99", r.P99, tolLoose))
-			}
-			return out
-		}},
-		{"E13 qdisc comparison", true, func() []metric {
-			rows := RunQdiscComparison(40, seed, mixed) // fifo, red, codel, priority
-			last := rows[len(rows)-1]
-			return []metric{
-				md("fifo LS p99", rows[0].LSP99, tolLoose),
-				md("fifo LI p99", rows[0].LIP99, tolLoose),
-				md(last.Name+" LS p99", last.LSP99, tolMed),
-			}
-		}},
-		{"E17 zone failure", true, func() []metric {
-			rows := RunZoneFail(seed, time.Second, 4*time.Second)
-			last := rows[len(rows)-1]
-			return []metric{
-				m(last.Config+" avail", last.Avail, tolFrac),
-				m(last.Config+" outage avail", last.OutageAvail, tolFrac),
-				md(last.Config+" LS p99", last.LSP99, tolLoose),
-			}
-		}},
-		{"E19 federation", false, func() []metric {
-			rows := RunFederation(seed, time.Second, 4*time.Second)
-			last := rows[len(rows)-1]
-			return []metric{
-				m(last.Config+" avail", last.Avail, tolFrac),
-				m(last.Config+" partition avail", last.PartAvail, tolFrac),
-				md(last.Config+" LS p50", last.LSP50, tolLoose),
+				m("delivered", float64(p.Delivered), tolExact),
+				md("done", p.Done, tolLoose),
 			}
 		}},
 	}
 }
 
-// TestHybridCrossValidation reruns the experiment suite under hybrid
-// fidelity and asserts every headline metric against its packet-mode
-// reference. Failures print a per-metric diff table.
+// TestHybridCrossValidation runs each case under packet and hybrid
+// fidelity and asserts every metric against its packet-mode reference,
+// except the pinned knownGaps, which must still miss. Failures print a
+// per-metric diff table.
 func TestHybridCrossValidation(t *testing.T) {
-	defer simnet.SetDefaultFidelity(simnet.FidelityPacket)
+	ran, seen := map[string]bool{}, map[string]bool{}
 	for _, c := range crossCases() {
 		if testing.Short() && !c.short {
 			continue
 		}
+		ran[c.name] = true
 		t.Run(c.name, func(t *testing.T) {
-			simnet.SetDefaultFidelity(simnet.FidelityPacket)
-			ref := c.run()
-			simnet.SetDefaultFidelity(simnet.FidelityHybrid)
-			got := c.run()
+			var ref, got []metric
+			runIndexed(2, func(i int) {
+				if i == 0 {
+					ref = c.run(t, simnet.FidelityPacket)
+				} else {
+					got = c.run(t, simnet.FidelityHybrid)
+				}
+			})
 			if len(got) != len(ref) {
 				t.Fatalf("metric count changed across fidelities: %d vs %d", len(ref), len(got))
 			}
@@ -211,18 +160,31 @@ func TestHybridCrossValidation(t *testing.T) {
 				}
 				allowed := math.Max(r.t.abs, r.t.rel*math.Abs(r.val))
 				diff := math.Abs(h.val - r.val)
-				ok := diff <= allowed
-				if !ok {
+				ok := fmt.Sprint(diff <= allowed)
+				gap, pinned := knownGaps[c.name+"/"+r.name]
+				seen[c.name+"/"+r.name] = true
+				switch {
+				case pinned && diff <= allowed:
+					failed = true
+					ok = "true, but pinned as a known gap (" + gap + "): delete its pin"
+				case pinned:
+					ok = "pinned (" + gap + ")"
+				case diff > allowed:
 					failed = true
 				}
-				fmt.Fprintf(&b, "%-34s %12.6g %12.6g %10.4g %10.4g  %v\n",
+				fmt.Fprintf(&b, "%-34s %12.6g %12.6g %10.4g %10.4g  %s\n",
 					r.name, r.val, h.val, diff, allowed, ok)
 			}
 			if failed {
-				t.Errorf("hybrid fidelity outside tolerance:\n%s", b.String())
+				t.Errorf("hybrid fidelity outside tolerance, or a pinned gap closed:\n%s", b.String())
 			} else {
 				t.Logf("\n%s", b.String())
 			}
 		})
+	}
+	for gap := range knownGaps {
+		if c, _, _ := strings.Cut(gap, "/"); ran[c] && !seen[gap] {
+			t.Errorf("knownGaps pins %q, which no case reports", gap)
+		}
 	}
 }

@@ -98,26 +98,29 @@ type ctrlScaleDefense struct {
 	resyncs  int  // MaxConcurrentResyncs (0 = unlimited)
 }
 
-// RunCtrlScale measures the defense ladder at the given fleet size.
-// subs <= 0 selects the full 10k; warmup/measure <= 0 select 2s/30s.
+// ctrlScaleLadder is E21's defense ladder, one row per rung.
+var ctrlScaleLadder = []ctrlScaleDefense{
+	{name: "L0: none (fixed resync, unlimited fan-out)"},
+	{name: "L1: +backoff+jitter", backoff: true},
+	{name: "L2: +push backpressure (256 in flight)", backoff: true, inflight: 256},
+	{name: "L3: +resync admission (64 slots)", backoff: true, inflight: 256, resyncs: 64},
+}
+
+// RunCtrlScale measures the defense ladder at the given fleet size under
+// hybrid fidelity. subs <= 0 selects the full 10k; warmup/measure <= 0
+// select 2s/30s.
 func RunCtrlScale(seed int64, subs int, warmup, measure time.Duration) []CtrlScaleRow {
 	subs = orDefault(subs, CtrlScaleSubs)
 	warmup, measure = orDefault(warmup, 2*time.Second), orDefault(measure, 30*time.Second)
-	defenses := []ctrlScaleDefense{
-		{name: "L0: none (fixed resync, unlimited fan-out)"},
-		{name: "L1: +backoff+jitter", backoff: true},
-		{name: "L2: +push backpressure (256 in flight)", backoff: true, inflight: 256},
-		{name: "L3: +resync admission (64 slots)", backoff: true, inflight: 256, resyncs: 64},
-	}
-	return sweepRows(len(defenses), func(i int) CtrlScaleRow {
-		return runCtrlScaleOnce(defenses[i], subs, seed, warmup, measure)
+	return sweepRows(len(ctrlScaleLadder), func(i int) CtrlScaleRow {
+		return runCtrlScaleOnce(simnet.FidelityHybrid, ctrlScaleLadder[i], subs, seed, warmup, measure)
 	})
 }
 
-func runCtrlScaleOnce(def ctrlScaleDefense, subs int, seed int64, warmup, measure time.Duration) CtrlScaleRow {
+func runCtrlScaleOnce(fid simnet.Fidelity, def ctrlScaleDefense, subs int, seed int64, warmup, measure time.Duration) CtrlScaleRow {
 	sched := simnet.NewScheduler()
 	net := simnet.NewNetwork(sched)
-	net.SetFidelity(simnet.FidelityHybrid)
+	net.SetFidelity(fid)
 	cl := cluster.New(net)
 
 	shards := subs / ctrlScalePodsPerShard

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"meshlayer/internal/lint/leakcheck"
+	"meshlayer/internal/simnet"
 )
 
 // E21 at test scale: 200 worker sidecars, the same deploy storm and
@@ -20,8 +21,8 @@ func TestCtrlScaleDefenseLadder(t *testing.T) {
 	leakcheck.Check(t)
 	seed := int64(5)
 	warmup, measure := time.Second, 12*time.Second
-	l0 := runCtrlScaleOnce(ctrlScaleDefense{name: "l0"}, 200, seed, warmup, measure)
-	l3 := runCtrlScaleOnce(ctrlScaleDefense{name: "l3", backoff: true, inflight: 50, resyncs: 16},
+	l0 := runCtrlScaleOnce(simnet.FidelityHybrid, ctrlScaleDefense{name: "l0"}, 200, seed, warmup, measure)
+	l3 := runCtrlScaleOnce(simnet.FidelityHybrid, ctrlScaleDefense{name: "l3", backoff: true, inflight: 50, resyncs: 16},
 		200, seed, warmup, measure)
 
 	for _, r := range []CtrlScaleRow{l0, l3} {

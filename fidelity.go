@@ -29,8 +29,8 @@ import (
 //     being that packet fidelity cannot cover this topology in CI
 //     time, and the fast path can.
 //
-// Fidelity is set per network here, so E20 is unaffected by (and can
-// run under) the process-wide -fidelity flag.
+// Each arm sets its fidelity on the network it builds; a network is
+// packet-level otherwise.
 
 // FidelityPoint is one bulk-ladder arm.
 type FidelityPoint struct {

@@ -7,7 +7,8 @@ import "fmt"
 // FidelityPacket is the classic discrete-event packet model: every MTU
 // of every transfer is queued, serialized, propagated, and delivered as
 // its own events. It is the reference fidelity — byte-exact queueing,
-// AQM, and loss behavior — and the default.
+// AQM, and loss behavior — and what NewNetwork builds until
+// SetFidelity says otherwise.
 //
 // FidelityFlow replaces bulk transfers with analytic fluid flows: each
 // transfer becomes one flow whose instantaneous rate is the max-min
@@ -31,7 +32,7 @@ const (
 	FidelityHybrid
 )
 
-// String renders the fidelity as its flag spelling.
+// String renders the fidelity's name, as E20's mode column prints it.
 func (f Fidelity) String() string {
 	switch f {
 	case FidelityPacket:
@@ -44,34 +45,6 @@ func (f Fidelity) String() string {
 		return fmt.Sprintf("fidelity(%d)", uint8(f))
 	}
 }
-
-// ParseFidelity parses the -fidelity flag spelling.
-func ParseFidelity(s string) (Fidelity, error) {
-	switch s {
-	case "", "packet":
-		return FidelityPacket, nil
-	case "flow":
-		return FidelityFlow, nil
-	case "hybrid":
-		return FidelityHybrid, nil
-	default:
-		return FidelityPacket, fmt.Errorf("simnet: unknown fidelity %q (want packet|flow|hybrid)", s)
-	}
-}
-
-// defaultFidelity seeds every NewNetwork. Like MaxParallel in the
-// experiment driver it is process-wide configuration written once at
-// startup (meshbench -fidelity) before any simulation exists; sweeps
-// running in parallel only read it.
-var defaultFidelity = FidelityPacket
-
-// SetDefaultFidelity sets the fidelity captured by subsequent
-// NewNetwork calls. Call it before building simulations — never while
-// a parallel sweep is running.
-func SetDefaultFidelity(f Fidelity) { defaultFidelity = f }
-
-// DefaultFidelity returns the fidelity NewNetwork will capture.
-func DefaultFidelity() Fidelity { return defaultFidelity }
 
 // SetFidelity overrides the network's fidelity, attaching (or
 // dropping) the flow engine as needed. It must be called before any

@@ -32,9 +32,9 @@ type Network struct {
 	// queue is bfs's scratch, reused across rows.
 	queue []int
 
-	// fidelity is captured from defaultFidelity at construction; flowEng
-	// is non-nil exactly when fidelity is flow or hybrid (see fidelity.go
-	// and flow.go).
+	// fidelity is FidelityPacket until SetFidelity; flowEng is non-nil
+	// exactly when fidelity is flow or hybrid (see fidelity.go and
+	// flow.go).
 	fidelity Fidelity
 	flowEng  *FlowEngine
 
@@ -102,21 +102,17 @@ func (n *Network) allocInFlight(nic *NIC, p *Packet) *inFlight {
 	return f
 }
 
-// NewNetwork returns an empty topology bound to the scheduler.
+// NewNetwork returns an empty, packet-level topology bound to the
+// scheduler; SetFidelity selects another fidelity.
 func NewNetwork(s *Scheduler) *Network {
 	if s == nil {
 		panic("simnet: nil scheduler")
 	}
-	n := &Network{
-		sched:    s,
-		byAddr:   make(map[Addr]*Node),
-		byName:   make(map[string]*Node),
-		fidelity: defaultFidelity,
+	return &Network{
+		sched:  s,
+		byAddr: make(map[Addr]*Node),
+		byName: make(map[string]*Node),
 	}
-	if n.fidelity != FidelityPacket {
-		n.flowEng = newFlowEngine(n)
-	}
-	return n
 }
 
 // Scheduler returns the scheduler driving this network.

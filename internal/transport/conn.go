@@ -598,10 +598,9 @@ func (c *Conn) onRTO() {
 	c.armRTO()
 }
 
+// sampleRTT folds the RTT that tsecr, an echoed TSVal, measures into
+// the estimate.
 func (c *Conn) sampleRTT(tsecr time.Duration) {
-	if tsecr <= 0 {
-		return
-	}
 	rtt := c.host.tab.sched.Now() - tsecr
 	if rtt <= 0 {
 		rtt = time.Microsecond
@@ -637,7 +636,7 @@ func (c *Conn) handle(seg *Segment) {
 			c.state = stateEstablished
 			c.timer.Cancel() // the SYN retry; the RTO has the timer from here on
 			c.peerWnd = int32(seg.Wnd)
-			c.sampleRTT(seg.TSEcr)
+			c.sampleRTT(seg.TSEcr) // a SYNACK echoes its SYN, even one sent at t = 0
 			ack := c.seg(SegACK)
 			ack.TSEcr = seg.TSVal
 			c.emit(ack, 0)
@@ -679,7 +678,9 @@ func (c *Conn) processAck(seg *Segment) {
 			i++
 		}
 		c.bounds = slices.Delete(c.bounds, 0, i)
-		c.sampleRTT(seg.TSEcr)
+		if seg.TSEcr > 0 { // 0 echoes resendFluidNotice's "no sample"
+			c.sampleRTT(seg.TSEcr)
+		}
 		// Fluid bytes bypass congestion control: the engine's fair share
 		// governed them, so cc is only credited with packet-path bytes.
 		if fluid := c.ackFluidSpans(c.sndUna); fluid > 0 {

@@ -238,6 +238,21 @@ func TestHandshakeDisarmsSYNRetry(t *testing.T) {
 	}
 }
 
+// TestHandshakeAtTimeZeroSamplesRTT dials at simulated time 0, so the
+// SYN carries TSVal 0: the SYNACK still echoes it, and the handshake's
+// sample sets SRTT and takes the RTO from its 1 s initial value down to
+// the dialled floor.
+func TestHandshakeAtTimeZeroSamplesRTT(t *testing.T) {
+	r := newLossRun(t, "reno", 20*time.Millisecond)
+	r.sched.RunFor(10 * time.Millisecond)
+	if !r.c.Established() {
+		t.Fatal("handshake did not complete")
+	}
+	if r.c.SRTT() <= 0 || r.c.currentRTO() != 20*time.Millisecond {
+		t.Fatalf("after a handshake dialled at t = 0: SRTT %v, RTO %v; want SRTT > 0 and the 20 ms MinRTO", r.c.SRTT(), r.c.currentRTO())
+	}
+}
+
 // TestBidirectionalLossKeepsOneColdState loses one mid-window segment
 // each way while both ends send, so each end's out-of-order list is
 // waiting on a hole when its duplicate ACKs arrive: one cold state per

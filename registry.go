@@ -9,9 +9,9 @@ import (
 )
 
 // Params carries the values of cmd/meshbench's flags into an
-// experiment; each entry reads the ones it needs. (-parallel and
-// -fidelity are process-wide settings — MaxParallel and
-// simnet.SetDefaultFidelity — and -exp picks the entries.)
+// experiment; each entry reads the ones it needs. (-parallel is the
+// process-wide MaxParallel, and -exp picks the entries. There is no
+// fidelity flag: E20 and E21 set it on the networks they build.)
 type Params struct {
 	Seed            int64
 	RPS             float64   // ablation and qdisc load, per workload

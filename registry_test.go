@@ -3,16 +3,13 @@ package meshlayer
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"meshlayer/internal/lint/leakcheck"
-	"meshlayer/internal/simnet"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden/*.txt and testdata/mesh_series.txt from the current code")
@@ -142,17 +139,4 @@ func TestGoldens(t *testing.T) {
 			sameBytes(t, "-exp all vs the InAll goldens in registry order", got.String(), all.String())
 		})
 	})
-
-	// The fluid fast path: the heaviest multi-arm runner under flow and
-	// hybrid fidelity must not depend on execution interleaving either.
-	defer simnet.SetDefaultFidelity(simnet.DefaultFidelity())
-	for _, fid := range []simnet.Fidelity{simnet.FidelityFlow, simnet.FidelityHybrid} {
-		t.Run(fmt.Sprintf("fidelity=%v", fid), func(t *testing.T) {
-			simnet.SetDefaultFidelity(fid)
-			var seq, par string
-			withParallelism(1, func() { seq = FormatChaos(RunChaos(7, time.Second, 4*time.Second)) })
-			withParallelism(4, func() { par = FormatChaos(RunChaos(7, time.Second, 4*time.Second)) })
-			sameBytes(t, "pooled chaos run vs sequential", par, seq)
-		})
-	}
 }
