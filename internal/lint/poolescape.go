@@ -21,9 +21,9 @@ import (
 //
 // This is deliberately flow-insensitive: rather than proving a store
 // happens after Release, it treats retention itself as the hazard and
-// makes the sanctioned retainers (the pools, scheduled delivery
-// carriers) annotate themselves. An annotation at every retention site
-// is exactly the audit trail pooling discipline needs.
+// makes the sanctioned retainers (the pools, the scheduler's wire lane)
+// annotate themselves. An annotation at every retention site is
+// exactly the audit trail pooling discipline needs.
 var Poolescape = &Analyzer{
 	Name: "poolescape",
 	Doc:  "flag stores of //meshvet:pooled values into fields, globals, channels, slices, or closures",

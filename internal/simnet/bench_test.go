@@ -119,6 +119,65 @@ func BenchmarkPacketPath(b *testing.B) {
 	}
 }
 
+// BenchmarkPacketPathBesideTimers is BenchmarkPacketPath beside the
+// timers a packet-level workload keeps pending: mixed_paper's heap
+// holds about 20 cancelled timers (disarmed retransmission timeouts and
+// settled request deadlines, kept until their deadlines surface) and 10
+// idle ones that ACKs keep pushing later. Once per window of deliveries
+// a deadline 20 windows out is armed and cancelled at once, and every
+// delivery re-arms one of the idle timers a second out.
+// BenchmarkPacketPath holds no timers and the scheduler benchmarks no
+// packets, so only this one shows what the wire lane saves.
+func BenchmarkPacketPathBesideTimers(b *testing.B) {
+	s := NewScheduler()
+	net := NewNetwork(s)
+	na, nb := net.AddNode("a"), net.AddNode("b")
+	net.Connect(na, nb, LinkConfig{Rate: 15 * Gbps, Delay: 10 * time.Microsecond})
+	flow := FlowKey{Src: na.Addr(), Dst: nb.Addr(), SrcPort: 1, DstPort: 2, Proto: ProtoUDP}
+	const window, cancelled, idle = 64, 20, 10
+	// A 1,500 B packet serialises in 800 ns at 15 Gbps, so one arrives
+	// every 800 ns.
+	const deadline = cancelled * window * 800 * time.Nanosecond
+	never := func() { b.Fatal("a cancelled or idle timer fired") }
+	var rtx [idle]Timer
+	for i := range rtx {
+		rtx[i] = s.After(time.Second, never)
+	}
+	sent, delivered := 0, 0
+	var send func()
+	send = func() {
+		for sent < b.N && sent-delivered < window {
+			p := net.AllocPacket()
+			p.Flow = flow
+			p.Size = MTU
+			na.Inject(p)
+			sent++
+		}
+	}
+	nb.SetDeliver(func(p *Packet) {
+		delivered++
+		if delivered%window == 0 {
+			s.After(deadline, never).Cancel()
+		}
+		k := delivered % idle
+		rtx[k] = s.Rearm(rtx[k], s.Now()+time.Second, never)
+		if delivered == b.N {
+			for _, t := range rtx {
+				t.Cancel()
+			}
+		}
+		send()
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	send()
+	s.Run()
+	b.StopTimer()
+	if delivered != b.N {
+		b.Fatalf("delivered %d packets, want %d", delivered, b.N)
+	}
+}
+
 // BenchmarkFlowScheduler measures the flow-engine hot path: a steady
 // population of fluid flows arriving, sharing a two-hop path, and
 // completing, so every iteration is one Start + its share of the

@@ -94,10 +94,9 @@ type NIC struct {
 	tap       Tap
 
 	// txPacket is the packet currently being serialized (one at a time
-	// per direction), and txDone the reusable serialization-finished
-	// callback — allocated once per NIC instead of once per packet.
+	// per direction); the wire event that ends its serialisation names
+	// only the NIC.
 	txPacket *Packet
-	txDone   func()
 
 	// Flow-engine state, owned by FlowEngine. fluidRate is the aggregate
 	// fluid throughput (bytes/sec) crossing this NIC — always 0 in packet
@@ -204,10 +203,7 @@ func (n *NIC) transmitNext() {
 		n.tap(p, sched.Now())
 	}
 	n.txPacket = p //meshvet:allow poolescape NIC owns the packet while it serializes; handed off or freed in onTxDone
-	if n.txDone == nil {
-		n.txDone = n.onTxDone
-	}
-	sched.After(tx, n.txDone)
+	sched.afterWire(tx, n, nil)
 }
 
 // onTxDone runs when the current packet's last bit hits the wire:
@@ -221,8 +217,7 @@ func (n *NIC) onTxDone() {
 		extra, deliver = n.impair.apply(p)
 	}
 	if deliver {
-		net := n.node.net
-		net.sched.After(n.link.cfg.Delay+extra, net.allocInFlight(n.peer, p).fn)
+		n.node.net.sched.afterWire(n.link.cfg.Delay+extra, n.peer, p)
 	} else {
 		n.node.net.notifyDrop(p, n)
 		n.node.net.freePacket(p)

@@ -15,7 +15,6 @@ type Network struct {
 	sched  *Scheduler
 	nodes  []*Node
 	links  []*Link
-	byAddr map[Addr]*Node
 	byName map[string]*Node
 
 	// routes[src][dstID] = egress NIC over the transit graph: the nodes
@@ -47,9 +46,6 @@ type Network struct {
 	// single-threaded on one scheduler, so a plain slice beats sync.Pool.
 	pktPool []*Packet
 
-	// ifPool recycles in-flight propagation carriers (see inFlight).
-	ifPool []*inFlight
-
 	// transport is the endpoint layer's per-network state (its connection
 	// table), opaque here: simnet does not import the layer, and the layer
 	// keeps no package state because parallel sweeps run many networks.
@@ -71,37 +67,6 @@ func (n *Network) HTTPState() any { return n.http }
 // SetHTTPState stores the request layer's per-network state.
 func (n *Network) SetHTTPState(v any) { n.http = v }
 
-// inFlight carries one propagating packet to its receiving NIC without
-// allocating a closure per packet: fn is built once when the entry is
-// first created and reads its targets from the struct, which the pool
-// refills for each flight.
-type inFlight struct {
-	nic *NIC
-	p   *Packet
-	fn  func()
-}
-
-// allocInFlight returns a carrier whose fn delivers p to nic and then
-// recycles the carrier. The carrier frees itself before delivering so
-// that sends triggered by the delivery can reuse it immediately.
-func (n *Network) allocInFlight(nic *NIC, p *Packet) *inFlight {
-	var f *inFlight
-	if k := len(n.ifPool); k > 0 {
-		f = n.ifPool[k-1]
-		n.ifPool = n.ifPool[:k-1]
-	} else {
-		f = &inFlight{}
-		f.fn = func() {
-			nic, p := f.nic, f.p
-			f.nic, f.p = nil, nil
-			n.ifPool = append(n.ifPool, f)
-			nic.node.receive(p, nic)
-		}
-	}
-	f.nic, f.p = nic, p //meshvet:allow poolescape in-flight carrier owns the packet until its delivery callback runs
-	return f
-}
-
 // NewNetwork returns an empty, packet-level topology bound to the
 // scheduler; SetFidelity selects another fidelity.
 func NewNetwork(s *Scheduler) *Network {
@@ -110,7 +75,6 @@ func NewNetwork(s *Scheduler) *Network {
 	}
 	return &Network{
 		sched:  s,
-		byAddr: make(map[Addr]*Node),
 		byName: make(map[string]*Node),
 	}
 }
@@ -126,6 +90,9 @@ func (n *Network) notifyDrop(p *Packet, at *NIC) {
 		n.onDrop(p, at)
 	}
 }
+
+// firstAddr is node 0's address, 10.0.0.1; node i has firstAddr + i.
+const firstAddr Addr = 10<<24 | 1
 
 // maxNodes is how many nodes 10.0.0.0/8 numbers, network and broadcast
 // addresses excluded.
@@ -143,10 +110,8 @@ func (n *Network) AddNode(name string) *Node {
 	if id == maxNodes {
 		panic(fmt.Sprintf("simnet: node %q would be number %d; 10.0.0.0/8 holds %d", name, id+1, maxNodes))
 	}
-	addr := AddrFromOctets(10, 0, 0, 0) + Addr(id+1)
-	node := &Node{id: id, name: name, addr: addr, net: n}
+	node := &Node{id: id, name: name, addr: firstAddr + Addr(id), net: n}
 	n.nodes = append(n.nodes, node)
-	n.byAddr[addr] = node
 	n.byName[name] = node
 	return node
 }
@@ -155,7 +120,12 @@ func (n *Network) AddNode(name string) *Node {
 func (n *Network) Node(name string) *Node { return n.byName[name] }
 
 // NodeByAddr returns the node owning addr, or nil.
-func (n *Network) NodeByAddr(a Addr) *Node { return n.byAddr[a] }
+func (n *Network) NodeByAddr(a Addr) *Node {
+	if i := uint32(a - firstAddr); i < uint32(len(n.nodes)) {
+		return n.nodes[i]
+	}
+	return nil
+}
 
 // Nodes returns all nodes in creation order.
 func (n *Network) Nodes() []*Node { return n.nodes }
@@ -242,8 +212,8 @@ func (n *Network) nextHop(from *Node, dst Addr) *NIC {
 	if n.dirty {
 		n.invalidateRoutes()
 	}
-	dn, ok := n.byAddr[dst]
-	if !ok || dn == from {
+	dn := n.NodeByAddr(dst)
+	if dn == nil || dn == from {
 		return nil
 	}
 	if len(from.nics) == 1 {

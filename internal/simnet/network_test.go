@@ -182,19 +182,28 @@ func TestAddrString(t *testing.T) {
 
 // TestAddressesPast65535: numbering runs on through 10.0.0.0/8 once
 // 10.0.0.0/16 is full, the first 65 535 nodes keep the addresses they
-// always had, and every address is distinct and resolves to its node.
+// always had, every address is distinct and resolves to its node, and
+// the addresses just outside the numbered range resolve to none.
 func TestAddressesPast65535(t *testing.T) {
 	const nodes = 70000
 	net := NewNetwork(NewScheduler())
 	for i := 0; i < nodes; i++ {
 		net.AddNode(strconv.Itoa(i))
 	}
-	if len(net.byAddr) != nodes {
-		t.Fatalf("%d nodes hold %d distinct addresses", nodes, len(net.byAddr))
-	}
+	distinct := make(map[Addr]bool, nodes)
 	for _, n := range net.nodes {
+		distinct[n.addr] = true
 		if got := net.NodeByAddr(n.addr); got != n {
 			t.Fatalf("NodeByAddr(%v) = %v, want %v", n.addr, got, n)
+		}
+	}
+	if len(distinct) != nodes {
+		t.Fatalf("%d nodes hold %d distinct addresses", nodes, len(distinct))
+	}
+	last := net.nodes[nodes-1].addr
+	for _, a := range []Addr{AddrFromOctets(10, 0, 0, 0), last + 1} {
+		if got := net.NodeByAddr(a); got != nil {
+			t.Fatalf("NodeByAddr(%v) = %v, want nil", a, got)
 		}
 	}
 	for _, c := range []struct {

@@ -17,27 +17,43 @@ import (
 // Scheduler is the simulation event loop. The zero value is not usable;
 // call NewScheduler.
 //
-// Internally the scheduler keeps events in a pooled arena indexed by a
-// 4-ary min-heap of (time, seq, slot) entries: scheduling allocates
-// nothing in steady state (slots are recycled through a free list), and
-// heap comparisons read keys stored inline in the heap array instead of
-// chasing pointers into boxed interface values. Event order is
-// a total order on (time, sequence number), so the heap's internal
-// shape never influences dispatch order — a property the lazy
-// cancellation and compaction below rely on.
+// Events run in (time, sequence number) order, a total order: every
+// event draws its sequence number from one counter when it is
+// scheduled. They wait in two lanes, each a 4-ary min-heap with its
+// key stored inline (heap4).
+//
+//   - The timer lane holds everything scheduled through At, After and
+//     Rearm. Its events are closures in a pooled arena (eventSlot plus
+//     a free list), so scheduling allocates nothing in steady state,
+//     and a heap entry is a 16-byte (time, seq, slot) record. Cancel is
+//     lazy: a cancelled event stays in the heap until it surfaces or a
+//     compaction drops it.
+//   - The wire lane holds the two events a packet hop costs, a NIC
+//     finishing serialisation and a packet arriving at the peer NIC, as
+//     typed 32-byte wireEvent records. Nothing cancels a link event, so
+//     it needs no closure, no arena slot and no Timer handle.
+//
+// Step runs whichever lane's root sorts first. Neither lane's internal
+// shape, nor the split into lanes, can influence dispatch order.
 type Scheduler struct {
 	now   time.Duration
-	arena []eventSlot // slot storage, recycled via free
-	free  []int32     // free-list of arena slots
-	heap  []heapEntry // 4-ary min-heap keyed by (at, seq)
+	arena []eventSlot    // slot storage, recycled via free
+	free  []int32        // free-list of arena slots
+	heap  heap4[int32]   // timer lane: arena slots
+	wire  heap4[wireHop] // wire lane: link events
 	seq   uint64
 
-	// live counts scheduled, non-cancelled events; cancelled events stay
+	// live counts scheduled, non-cancelled timers; cancelled timers stay
 	// in the heap (lazy deletion) until popped or compacted, so the
 	// cancelled backlog is len(heap) - live.
 	live    int
 	stopped bool
 	steps   uint64
+
+	// wireRootRan is set while a link event runs: its entry still sits
+	// at the wire lane's root, and the first link event it schedules
+	// takes its place (see dispatch).
+	wireRootRan bool
 }
 
 // eventSlot is one pooled event. gen is the slot's reuse generation:
@@ -53,17 +69,31 @@ type eventSlot struct {
 	gen uint32
 }
 
-// heapEntry carries the ordering key inline so heap comparisons read
-// contiguous heap memory instead of chasing pointers into the arena.
-// The entry is kept to 16 bytes so a 4-ary node's children span one
-// cache line; seq is a truncated sequence number compared with
-// wraparound arithmetic (see less), which preserves FIFO order for
-// same-time events as long as fewer than 2^31 events separate two
-// coexisting ones — far beyond any pending-set this simulator reaches.
-type heapEntry struct {
-	at   time.Duration
-	seq  uint32 // FIFO tie-break for same-time events
-	slot int32
+// entry is one heap element: the ordering key inline, so comparisons
+// read contiguous heap memory, then what the lane dispatches. seq is a
+// truncated sequence number compared with wraparound arithmetic (see
+// before), which preserves FIFO order for same-time events as long as
+// fewer than 2^31 events separate two coexisting ones — far beyond any
+// pending set this simulator reaches.
+type entry[T any] struct {
+	at  time.Duration
+	seq uint32 // FIFO tie-break for same-time events
+	val T
+}
+
+// heapEntry is a timer-lane entry; val is the event's arena slot. It is
+// kept to 16 bytes so a 4-ary node's children span one cache line.
+type heapEntry = entry[int32]
+
+// wireEvent is a wire-lane entry, 32 bytes.
+type wireEvent = entry[wireHop]
+
+// wireHop is what a link event does: with a nil pkt, nic finishes
+// serialising its txPacket (NIC.onTxDone); otherwise pkt arrives at
+// nic (Node.receive).
+type wireHop struct {
+	nic *NIC
+	pkt *Packet
 }
 
 // compactMinHeap is the heap size below which compaction is never
@@ -135,7 +165,7 @@ func (s *Scheduler) At(at time.Duration, fn func()) Timer {
 	}
 	ev := &s.arena[slot]
 	ev.fn, ev.at, ev.seq = fn, at, uint32(s.seq)
-	s.push(heapEntry{at: at, seq: ev.seq, slot: slot})
+	s.heap.push(heapEntry{at: at, seq: ev.seq, val: slot})
 	s.seq++
 	s.live++
 	return Timer{s: s, slot: slot, gen: ev.gen}
@@ -185,48 +215,103 @@ func (s *Scheduler) releaseSlot(slot int32) {
 	s.free = append(s.free, slot)
 }
 
+// afterWire schedules a link event d after the current simulated time,
+// in the wire lane: with a nil pkt, nic's serialisation finishing,
+// otherwise pkt arriving at nic. Negative d is clamped to zero, as in
+// After, and the event draws its seq from the counter At uses.
+func (s *Scheduler) afterWire(d time.Duration, nic *NIC, pkt *Packet) {
+	if d < 0 {
+		d = 0
+	}
+	e := wireEvent{at: s.now + d, seq: uint32(s.seq), val: wireHop{nic: nic, pkt: pkt}} //meshvet:allow poolescape the wire lane owns an arriving packet until Node.receive takes it
+	s.seq++
+	if s.wireRootRan {
+		s.wireRootRan = false
+		s.wire[0] = e
+		s.wire.siftDown(0)
+		return
+	}
+	s.wire.push(e)
+}
+
+// popRanRoot removes the wire root if it is a link event that has run
+// and scheduled none to take its place.
+func (s *Scheduler) popRanRoot() {
+	if s.wireRootRan {
+		s.wireRootRan = false
+		s.wire.pop()
+	}
+}
+
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It returns false when no events remain.
 func (s *Scheduler) Step() bool {
-	if !s.settleRoot() {
-		return false
+	_, wire, ok := s.next()
+	if ok {
+		s.dispatch(wire)
 	}
-	s.dispatchRoot()
-	return true
+	return ok
 }
 
-// settleRoot discards cancelled entries from the top of the heap and
-// re-keys re-armed ones until the root is a live event under its true
-// key, the next to run. It reports false when no events remain. Every
-// arm takes a fresh seq, so an entry is current exactly when its seq
-// is its slot's (modulo the 2^32 wrap less already assumes away).
-func (s *Scheduler) settleRoot() bool {
+// next finds the next event to run and returns its time, with wire
+// true when it is the wire lane's root; ok is false when no events
+// remain. On the way it discards cancelled entries from the top of the
+// timer lane and re-keys re-armed ones, but only while the timer root
+// sorts before the wire root: a timer entry's key is never later than
+// its event's true key (see Rearm), so a wire root that sorts first
+// runs first without settling the timer lane. Every arm takes a fresh
+// seq, so a timer entry is current exactly when its seq is its slot's
+// (modulo the 2^32 wrap before already assumes away).
+func (s *Scheduler) next() (at time.Duration, wire, ok bool) {
+	s.popRanRoot() // a Step from inside a link event
 	for len(s.heap) > 0 {
 		e := s.heap[0]
-		ev := &s.arena[e.slot]
+		if len(s.wire) > 0 && before(s.wire[0].at, s.wire[0].seq, e.at, e.seq) {
+			return s.wire[0].at, true, true
+		}
+		ev := &s.arena[e.val]
 		switch {
 		case ev.fn == nil: // cancelled: recycle and keep looking
-			s.popRoot()
-			s.releaseSlot(e.slot)
+			s.heap.pop()
+			s.releaseSlot(e.val)
 		case e.seq != ev.seq: // re-armed later: move it to its true key
-			s.heap[0] = heapEntry{at: ev.at, seq: ev.seq, slot: e.slot}
-			s.siftDown(0)
+			s.heap[0] = heapEntry{at: ev.at, seq: ev.seq, val: e.val}
+			s.heap.siftDown(0)
 		default:
-			return true
+			return e.at, false, true
 		}
 	}
-	return false
+	if len(s.wire) > 0 {
+		return s.wire[0].at, true, true
+	}
+	return 0, false, false
 }
 
-// dispatchRoot pops the settled root and runs it.
-func (s *Scheduler) dispatchRoot() {
-	e := s.popRoot()
-	ev := &s.arena[e.slot]
+// dispatch runs the root next chose and removes it from its lane.
+func (s *Scheduler) dispatch(wire bool) {
+	s.steps++
+	if wire {
+		// The entry stays at the root while it runs: when the handler
+		// schedules a link event, as most do, that event replaces it
+		// and sifts down once, where a pop and a push would each walk
+		// the heap.
+		e := s.wire[0]
+		s.now = e.at
+		s.wireRootRan = true
+		if e.val.pkt == nil {
+			e.val.nic.onTxDone()
+		} else {
+			e.val.nic.node.receive(e.val.pkt, e.val.nic)
+		}
+		s.popRanRoot()
+		return
+	}
+	e := s.heap.pop()
+	ev := &s.arena[e.val]
 	s.now = e.at
 	fn := ev.fn
 	s.live--
-	s.releaseSlot(e.slot)
-	s.steps++
+	s.releaseSlot(e.val)
 	fn()
 }
 
@@ -241,8 +326,12 @@ func (s *Scheduler) Run() {
 // t. Events scheduled beyond t remain pending.
 func (s *Scheduler) RunUntil(t time.Duration) {
 	s.stopped = false
-	for !s.stopped && s.settleRoot() && s.heap[0].at <= t {
-		s.dispatchRoot()
+	for !s.stopped {
+		at, wire, ok := s.next()
+		if !ok || at > t {
+			break
+		}
+		s.dispatch(wire)
 	}
 	if s.now < t {
 		s.now = t
@@ -256,29 +345,35 @@ func (s *Scheduler) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 func (s *Scheduler) Stop() { s.stopped = true }
 
 // Pending returns the number of scheduled (non-cancelled) events.
-func (s *Scheduler) Pending() int { return s.live }
+func (s *Scheduler) Pending() int {
+	n := s.live + len(s.wire)
+	if s.wireRootRan {
+		n--
+	}
+	return n
+}
 
-// maybeCompact rebuilds the heap once cancelled events outnumber live
-// ones: long chaos runs cancel retry timers far faster than the heap
-// pops them, and without compaction those slots pin arena memory until
-// their (possibly far-future) deadlines surface at the root.
+// maybeCompact rebuilds the timer lane once cancelled timers outnumber
+// live ones: long chaos runs cancel retry timers far faster than the
+// heap pops them, and without compaction those slots pin arena memory
+// until their (possibly far-future) deadlines surface at the root.
 func (s *Scheduler) maybeCompact() {
 	if n := len(s.heap); n >= compactMinHeap && n-s.live > n/2 {
 		s.compact()
 	}
 }
 
-// compact removes cancelled events from the heap and re-heapifies.
+// compact removes cancelled timers from the heap and re-heapifies.
 // Dispatch order is unaffected: (at, seq) is a total order, so any
 // valid heap over the surviving slots pops identically (a re-armed
 // entry keeps its earlier key and is re-keyed when it surfaces).
 func (s *Scheduler) compact() {
 	kept := s.heap[:0]
 	for _, e := range s.heap {
-		if s.arena[e.slot].fn != nil {
+		if s.arena[e.val].fn != nil {
 			kept = append(kept, e)
 		} else {
-			s.releaseSlot(e.slot)
+			s.releaseSlot(e.val)
 		}
 	}
 	s.heap = kept
@@ -286,30 +381,39 @@ func (s *Scheduler) compact() {
 		return
 	}
 	for i := (len(s.heap) - 2) / 4; i >= 0; i-- {
-		s.siftDown(i)
+		s.heap.siftDown(i)
 	}
 }
 
-// --- 4-ary min-heap over arena slots ---
+// --- 4-ary min-heap, shared by both lanes ---
 //
 // A 4-ary heap halves tree depth versus binary, trading a few extra
 // comparisons per level for fewer cache-missing levels — the classic
 // d-ary layout calendar-queue simulators and ns-3 use for timer wheels
 // of this size.
 
-func less(a, b heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// heap4 is a 4-ary min-heap of entries ordered on (at, seq).
+type heap4[T any] []entry[T]
+
+// before orders two keys: earlier time first, then the earlier seq.
+func before(aAt time.Duration, aSeq uint32, bAt time.Duration, bSeq uint32) bool {
+	if aAt != bAt {
+		return aAt < bAt
 	}
 	// Wraparound-aware sequence compare: correct whenever coexisting
 	// same-time events are fewer than 2^31 apart in scheduling order.
-	return int32(a.seq-b.seq) < 0
+	return int32(aSeq-bSeq) < 0
 }
+
+// less and lessIdx take entries by value, so a sift keeps the moving
+// entry in registers; passing pointers spilled it to memory and
+// measured 10-35 % slower on the timer-lane benchmarks.
+func less[T any](a, b entry[T]) bool { return before(a.at, a.seq, b.at, b.seq) }
 
 // lessIdx is less as a 0/1 integer, written so the compiler lowers each
 // clause to a flag materialization (SETcc) instead of a conditional
 // jump — the pop path selects among children with arithmetic on these.
-func lessIdx(a, b heapEntry) int {
+func lessIdx[T any](a, b entry[T]) int {
 	lt := 0
 	if a.at < b.at {
 		lt = 1
@@ -325,13 +429,12 @@ func lessIdx(a, b heapEntry) int {
 	return lt | (eq & sl)
 }
 
-func (s *Scheduler) push(e heapEntry) {
-	s.heap = append(s.heap, e)
-	s.siftUp(len(s.heap) - 1)
+func (h *heap4[T]) push(e entry[T]) {
+	*h = append(*h, e)
+	h.siftUp(len(*h) - 1)
 }
 
-// popRoot removes and returns the minimum entry. The caller releases
-// its slot.
+// pop removes and returns the minimum entry.
 //
 // Deletion is bottom-up (Wegener): the root hole is walked down the
 // min-child path all the way to a leaf using only child-vs-child
@@ -340,12 +443,12 @@ func (s *Scheduler) push(e heapEntry) {
 // last element at every level, and since that element came from the
 // bottom it nearly always sinks back to the bottom — making those
 // comparisons pure overhead on the simulator's hottest loop.
-func (s *Scheduler) popRoot() heapEntry {
-	h := s.heap
-	root := h[0]
-	n := len(h) - 1
-	last := h[n]
-	s.heap = h[:n]
+func (h *heap4[T]) pop() entry[T] {
+	a := *h
+	root := a[0]
+	n := len(a) - 1
+	last := a[n]
+	*h = a[:n]
 	if n == 0 {
 		return root
 	}
@@ -362,27 +465,26 @@ func (s *Scheduler) popRoot() heapEntry {
 			// mispredict constantly; lessIdx turns each selection into
 			// arithmetic, and the two pairwise minima are independent,
 			// so they pipeline instead of serializing.
-			b0 := first + lessIdx(h[first+1], h[first])
-			b1 := first + 2 + lessIdx(h[first+3], h[first+2])
-			best = b0 + (b1-b0)*lessIdx(h[b1], h[b0])
+			b0 := first + lessIdx(a[first+1], a[first])
+			b1 := first + 2 + lessIdx(a[first+3], a[first+2])
+			best = b0 + (b1-b0)*lessIdx(a[b1], a[b0])
 		} else {
 			best = first
 			for c := first + 1; c < n; c++ {
-				if less(h[c], h[best]) {
+				if less(a[c], a[best]) {
 					best = c
 				}
 			}
 		}
-		h[i] = h[best]
+		a[i] = a[best]
 		i = best
 	}
-	h[i] = last
-	s.siftUp(i)
+	a[i] = last
+	a[:n].siftUp(i)
 	return root
 }
 
-func (s *Scheduler) siftUp(i int) {
-	h := s.heap
+func (h heap4[T]) siftUp(i int) {
 	e := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
@@ -395,8 +497,7 @@ func (s *Scheduler) siftUp(i int) {
 	h[i] = e
 }
 
-func (s *Scheduler) siftDown(i int) {
-	h := s.heap
+func (h heap4[T]) siftDown(i int) {
 	n := len(h)
 	e := h[i]
 	for {
