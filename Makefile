@@ -1,6 +1,6 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs the same commands.
 
-.PHONY: check build fmt vet lint test allocs examples examples-update fuzz race reach reach-programs
+.PHONY: check build fmt vet lint test allocs examples examples-update digests fuzz race reach reach-programs
 
 check: build fmt vet lint test allocs examples
 
@@ -59,6 +59,17 @@ examples-update:
 	for d in $(EXAMPLE_MAINS); do \
 		echo "go run ./$$d > testdata/examples/$$(basename $$d).txt"; \
 		go run "./$$d" >"testdata/examples/$$(basename $$d).txt" || exit 1; \
+	done
+
+# Prints, for seeds 1 and 7, each benchmark workload's name, sim_digest
+# and events_per_op from one rep of bench/run.sh (~8 s a seed): the lines
+# a change that must not move the simulation compares with its parent's.
+# Not part of check.
+digests:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	for s in 1 7; do \
+		bash bench/run.sh --workload all --seed $$s --reps 1 >"$$out" || exit 1; \
+		grep -E '^(workload|sim_digest|events_per_op) ' "$$out"; \
 	done
 
 # Runs every Fuzz* target in the module for 10 s each (go test -fuzz

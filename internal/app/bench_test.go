@@ -195,15 +195,17 @@ func TestChainRetainedAllocs(t *testing.T) {
 // answer or its first attempt: a hedge timer that fires after the call
 // finished, retries that back off, a fallback deadline that answers
 // before a stalled upstream does, and an injected delay before the
-// first attempt. After each drain every attempt and call record the
-// mesh has made waits on its free list, and the mesh made none after
-// the first round; every replica's join free list holds the very
-// records it held after the first round. A record released twice shows
-// as more free records than made, one never released as fewer, or as
-// a record the next round had to make (an attempt or call record made
-// per request also shows in TestChainHopAllocs). The proxies add no
-// delay, so every round runs the same schedule and needs the same
-// number of records at its peak.
+// first attempt. In the retry and fallback cases the last server's
+// sidecar answers without its app, through an injected server fault.
+// After each drain every attempt, call and inbound record the mesh has
+// made waits on its free list, and the mesh made none after the first
+// round; every replica's join free list holds the very records it held
+// after the first round. A record released twice shows as more free
+// records than made, one never released as fewer, or as a record the
+// next round had to make (an attempt, call or inbound record made per
+// request also shows in TestChainHopAllocs). The proxies add no delay,
+// so every round runs the same schedule and needs the same number of
+// records at its peak.
 func TestRecordsReturnToFreeLists(t *testing.T) {
 	spec := SocialNetworkSpec()
 	spec.Mesh.SidecarDelayMean = -1
@@ -253,7 +255,7 @@ func TestRecordsReturnToFreeLists(t *testing.T) {
 		}), NewChainRequest, ""},
 	} {
 		const rounds, concurrent = 10, 8
-		var attempts, calls int
+		var attempts, calls, inbounds int
 		var count uint64
 		joins := map[*replica]map[*join]bool{}
 		for round := 1; round <= rounds; round++ {
@@ -300,13 +302,15 @@ func TestRecordsReturnToFreeLists(t *testing.T) {
 			checkList(t, tc.name, round, "attempt", free, made, &attempts)
 			free, made = tc.d.Mesh.FreeCalls()
 			checkList(t, tc.name, round, "call", free, made, &calls)
+			free, made = tc.d.Mesh.FreeInbounds()
+			checkList(t, tc.name, round, "inbound", free, made, &inbounds)
 			if round == 1 {
 				made := 0
 				for _, js := range joins {
 					made += len(js)
 				}
-				if attempts == 0 || calls == 0 || made == 0 {
-					t.Fatalf("%s: round 1 made %d attempt, %d call and %d join records", tc.name, attempts, calls, made)
+				if attempts == 0 || calls == 0 || inbounds == 0 || made == 0 {
+					t.Fatalf("%s: round 1 made %d attempt, %d call, %d inbound and %d join records", tc.name, attempts, calls, inbounds, made)
 				}
 			}
 		}

@@ -18,6 +18,8 @@ import (
 //   - appending it to a slice (a pool's own free list is the one
 //     sanctioned retainer and carries //meshvet:allow poolescape)
 //   - capturing it in a closure, which may run after the value is freed
+//   - placing it in a composite literal, as a field, an element or a
+//     map key: the literal carries it wherever it is stored or passed
 //
 // This is deliberately flow-insensitive: rather than proving a store
 // happens after Release, it treats retention itself as the hazard and
@@ -26,7 +28,7 @@ import (
 // exactly the audit trail pooling discipline needs.
 var Poolescape = &Analyzer{
 	Name: "poolescape",
-	Doc:  "flag stores of //meshvet:pooled values into fields, globals, channels, slices, or closures",
+	Doc:  "flag stores of //meshvet:pooled values into fields, globals, channels, slices, composite literals, or closures",
 	Run:  runPoolescape,
 }
 
@@ -84,11 +86,43 @@ func runPoolescape(pass *Pass) {
 							name)
 					}
 				}
+			case *ast.CompositeLit:
+				checkPooledLiteral(pass, n)
 			case *ast.Ident:
 				checkPooledCapture(pass, n, lits)
 			}
 			return true
 		})
+	}
+}
+
+// checkPooledLiteral reports each pooled value lit holds as a field,
+// an element or a map key, keyed or positional.
+func checkPooledLiteral(pass *Pass, lit *ast.CompositeLit) {
+	t := pass.TypeOf(lit)
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem() // an element literal with its &T elided
+	}
+	st, isStruct := t.Underlying().(*types.Struct)
+	_, isMap := t.Underlying().(*types.Map)
+	for i, elt := range lit.Elts {
+		where := "a slice/map element"
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			if name, pooled := pass.pooledType(pass.TypeOf(kv.Key)); isMap && pooled {
+				pass.Reportf(kv.Key.Pos(),
+					"pooled %s stored as a map key of a composite literal may outlive its Release", name)
+			}
+			if id, ok := kv.Key.(*ast.Ident); ok && isStruct {
+				where = "field " + id.Name
+			}
+			elt = kv.Value
+		} else if isStruct {
+			where = "field " + st.Field(i).Name()
+		}
+		if name, pooled := pass.pooledType(pass.TypeOf(elt)); pooled {
+			pass.Reportf(elt.Pos(),
+				"pooled %s stored into %s of a composite literal may outlive its Release", name, where)
+		}
 	}
 }
 

@@ -48,6 +48,53 @@ func closureCapture(p *packet, schedule func(func())) {
 	})
 }
 
+// keyedLiteral retains the packet in a keyed struct literal.
+func keyedLiteral(p *packet) holder {
+	return holder{last: p} // want "pooled packet stored into field last of a composite literal may outlive its Release"
+}
+
+// positionalLiteral retains the packet in a positional struct literal
+// behind a pointer.
+func positionalLiteral(p *packet) *holder {
+	return &holder{p} // want "pooled packet stored into field last of a composite literal may outlive its Release"
+}
+
+// elidedLiteral retains the packet in an element literal whose &holder
+// is elided.
+func elidedLiteral(p *packet) []*holder {
+	return []*holder{{last: p}} // want "pooled packet stored into field last of a composite literal may outlive its Release"
+}
+
+// sliceLiteral retains the packet as a slice element.
+func sliceLiteral(p *packet) []*packet {
+	return []*packet{nil, p} // want "pooled packet stored into a slice/map element of a composite literal may outlive its Release"
+}
+
+// mapLiterals retain the packet as a map value and as a map key.
+func mapLiterals(p *packet) (map[string]*packet, map[*packet]bool) {
+	return map[string]*packet{"last": p}, // want "pooled packet stored into a slice/map element of a composite literal may outlive its Release"
+		map[*packet]bool{p: true} // want "pooled packet stored as a map key of a composite literal may outlive its Release"
+}
+
+// queued mirrors an event record that carries a packet into a queue.
+type queued struct {
+	at  int64
+	pkt *packet
+}
+
+// annotatedLiteral is a sanctioned retainer: the queue owns the packet
+// until it is delivered.
+func annotatedLiteral(q *[]queued, at int64, p *packet) {
+	e := queued{at: at, pkt: p} //meshvet:allow poolescape the queue owns a queued packet until delivery
+	*q = append(*q, e)
+}
+
+// literalOfFields copies what it needs out of the packet: a literal
+// holding only its fields retains nothing pooled.
+func literalOfFields(p *packet) queued {
+	return queued{at: int64(p.id)}
+}
+
 // localUse shows that reading fields and passing the value down the
 // stack stays free: the call frame is the sanctioned scope.
 func localUse(p *packet) uint64 {

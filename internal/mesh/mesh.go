@@ -69,19 +69,15 @@ type Mesh struct {
 	// the request restores it.
 	degraded trace.Provenance[string]
 
-	// proxyQ holds the sidecar traversals waiting out their proxy
-	// delay (proxy.go); proxySeq numbers them in queueing order, and
-	// proxyDoneFn is proxyDone bound once.
-	proxyQ      proxyQueue
-	proxySeq    uint64
-	proxyDoneFn func()
-	// attempts and calls are the free lists of attempt and call
-	// records (sidecar.go); attemptsMade and callsMade count the
-	// records made.
+	// attempts, calls and inbounds are the free lists of attempt, call
+	// and inbound records (sidecar.go); attemptsMade, callsMade and
+	// inboundsMade count the records made.
 	attempts     []*attempt
 	calls        []*call
+	inbounds     []*inbound
 	attemptsMade int
 	callsMade    int
+	inboundsMade int
 }
 
 // New builds a mesh over the cluster.
@@ -104,7 +100,6 @@ func New(cl *cluster.Cluster, cfg Config) *Mesh {
 		eastwest: make(map[string]*EastWestGateway),
 		delay:    delay,
 	}
-	m.proxyDoneFn = m.proxyDone
 	m.cp = newControlPlane(m)
 	return m
 }

@@ -180,11 +180,17 @@ func (sc *Sidecar) SetConnHook(f func(*transport.Conn, ConnClass)) { sc.connHook
 // --- inbound path ---
 
 // inbound is one request a sidecar serves, from its arrival at the
-// proxy to its response leaving it. It is no record of its own: it
-// travels by value in the proxy traversals that carry it, and the app's
-// respond closure holds a copy. A second respond crosses the proxy
-// again and reaches httpsim's "respond called twice" panic through
-// respond, httpsim's own closure for the request.
+// proxy to its response leaving it. Records live on the mesh's free
+// list (Mesh.inbounds); serveFn and replyFn are serve and reply bound
+// once, when the record is made. A record goes back to the list in
+// reply, or in the branch of serve that answers without the app. The
+// app's respond closure holds the record with the gen it was handed
+// out at, and its first call moves gen on: a second respond, even one
+// made after the record went on to serve another request, sees a newer
+// gen and crosses the proxy on its own, to httpsim's "respond called
+// twice" panic through respond, httpsim's own closure for the request.
+//
+//meshvet:pooled
 type inbound struct {
 	sc      *Sidecar
 	ctx     httpsim.Ctx
@@ -192,25 +198,60 @@ type inbound struct {
 	respond func(*httpsim.Response)
 	span    trace.SpanRef
 	start   time.Duration
+	// resp is the app's response, crossing the proxy out to reply.
+	resp             *httpsim.Response
+	gen              uint64
+	serveFn, replyFn func()
+}
+
+// newInbound takes a record off the mesh's free list, or makes one.
+func (m *Mesh) newInbound() *inbound {
+	if n := len(m.inbounds); n > 0 {
+		in := m.inbounds[n-1]
+		m.inbounds = m.inbounds[:n-1]
+		return in
+	}
+	m.inboundsMade++
+	in := new(inbound)
+	in.serveFn, in.replyFn = in.serve, in.reply
+	return in
+}
+
+// FreeInbounds returns how many inbound records wait on the mesh's free
+// list and how many the mesh has made, equal once the scheduler drains
+// and every request is answered, as FreeCalls does for call records.
+func (m *Mesh) FreeInbounds() (free, made int) { return len(m.inbounds), m.inboundsMade }
+
+// release resets the record, keeping its gen and bound methods, and
+// returns it to the free list.
+func (in *inbound) release() {
+	m := in.sc.mesh
+	*in = inbound{gen: in.gen, serveFn: in.serveFn, replyFn: in.replyFn}
+	m.inbounds = append(m.inbounds, in) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
 }
 
 func (sc *Sidecar) handleInbound(ctx httpsim.Ctx, req *httpsim.Request, respond func(*httpsim.Response)) {
-	sc.mesh.traverse(proxyWork{kind: proxyInbound, in: inbound{sc: sc, ctx: ctx, req: req, respond: respond}})
+	m := sc.mesh
+	in := m.newInbound()
+	in.sc, in.ctx, in.req, in.respond = sc, ctx, req, respond
+	m.sched.After(m.proxyDelay(), in.serveFn)
 }
 
 // serve runs an inbound request once it has crossed the proxy.
-func (in inbound) serve() {
+func (in *inbound) serve() {
 	sc, req, respond := in.sc, in.req, in.respond
 	m := sc.mesh
 	// Control-plane pushes terminate at the proxy: apply to the
 	// local snapshot and ACK/NACK.
 	if id := req.Headers.Get(HeaderCtrl); id != "" {
+		in.release()
 		sc.handleCtrlPush(id, respond)
 		return
 	}
 	// Health probes are answered by the proxy itself: they prove
 	// the pod is reachable and its sidecar alive, nothing more.
 	if req.Headers.Get(HeaderHealth) != "" {
+		in.release()
 		m.metrics.Counter(MetricHealthProbeAnswered,
 			metrics.Labels{"service": sc.service}).Inc()
 		respond(httpsim.NewResponse(httpsim.StatusOK))
@@ -221,6 +262,7 @@ func (in inbound) serve() {
 	// passing — exactly the failure shape outlier detection exists
 	// to catch.
 	if sf := sc.serverFault; sf != nil && sf.rng.Float64() < sf.cfg.Prob {
+		in.release()
 		m.metrics.Counter(MetricServerFaultInjected,
 			metrics.Labels{"service": sc.service}).Inc()
 		resp := httpsim.NewResponse(sf.status())
@@ -232,6 +274,7 @@ func (in inbound) serve() {
 		return
 	}
 	if !sc.applyInboundRateLimit(respond) {
+		in.release()
 		return
 	}
 
@@ -260,18 +303,19 @@ func (in inbound) serve() {
 
 	app := sc.app
 	if app == nil {
+		in.release()
 		m.seriesOf(sc.service).inboundOK().Inc()
 		respond(httpsim.NewResponse(httpsim.StatusNotFound))
 		return
 	}
 
 	// The app answers through one closure that sends its response back
-	// out through the proxy. It holds a copy of in made now, once span
-	// and start are set, and never written again, so the copy lives in
-	// the closure and in stays on the stack.
-	final := in
+	// out through the proxy.
+	gen := in.gen
 	respondFinal := func(resp *httpsim.Response) {
-		m.traverse(proxyWork{kind: proxyResponse, in: final, resp: resp})
+		if !in.answer(gen, resp) { //meshvet:allow poolescape the closure holds the record with its generation, and answer checks that before using it
+			m.sched.After(m.proxyDelay(), func() { respond(resp) })
+		}
 	}
 
 	ctl := sc.admissionFor(sc.admissionPolicyFor(sc.service))
@@ -309,10 +353,26 @@ func (in inbound) serve() {
 	})
 }
 
-// reply answers the caller once the response has crossed the proxy.
-func (in *inbound) reply(resp *httpsim.Response) {
-	sc, req := in.sc, in.req
+// answer stores the app's response and sends it out through the proxy
+// to reply. It reports false, and touches nothing, when the record's
+// gen has moved past gen: the request was answered already.
+func (in *inbound) answer(gen uint64, resp *httpsim.Response) bool {
+	if in.gen != gen {
+		return false
+	}
+	m := in.sc.mesh
+	in.gen++
+	in.resp = resp
+	m.sched.After(m.proxyDelay(), in.replyFn)
+	return true
+}
+
+// reply answers the caller once the response has crossed the proxy,
+// returning the record first.
+func (in *inbound) reply() {
+	sc, req, resp, respond, span, start := in.sc, in.req, in.resp, in.respond, in.span, in.start
 	m := sc.mesh
+	in.release()
 	// Degraded provenance: the application composed this response
 	// from child calls and dropped their headers; restore the
 	// degraded stamp recorded from any child so it keeps travelling
@@ -320,11 +380,11 @@ func (in *inbound) reply(resp *httpsim.Response) {
 	if origin, ok := m.degraded.Take(req.Headers.Get(trace.HeaderRequestID)); ok {
 		resp.Headers.Set(HeaderDegraded, origin)
 	}
-	if in.span != 0 {
-		m.tracer.Close(in.span, m.sched.Now(), int32(resp.Status), 0)
+	if span != 0 {
+		m.tracer.Close(span, m.sched.Now(), int32(resp.Status), 0)
 	}
-	m.seriesOf(sc.service).duration(dirInbound).RecordDuration(m.sched.Now() - in.start)
-	in.respond(resp)
+	m.seriesOf(sc.service).duration(dirInbound).RecordDuration(m.sched.Now() - start)
+	respond(resp)
 }
 
 // --- outbound path ---
@@ -362,6 +422,8 @@ type call struct {
 	// an original racing its replacement) from each spending a budget
 	// token and each scheduling a retry for the same logical call.
 	retryPending bool
+	// route, bound when the record is made.
+	routeFn func()
 	// onHedge, onRetry, onFallback and onDelay, bound by bindTimers.
 	hedgeFn, retryFn, fallbackFn, delayFn func()
 }
@@ -374,7 +436,9 @@ func (m *Mesh) newCall() *call {
 		return c
 	}
 	m.callsMade++
-	return new(call)
+	c := new(call)
+	c.routeFn = c.route
+	return c
 }
 
 // bindTimers binds the call's timer callbacks, once per record, before
@@ -408,7 +472,7 @@ func (c *call) drop() (live bool) {
 // list.
 func (c *call) release() {
 	m := c.sc.mesh
-	*c = call{hedgeFn: c.hedgeFn, retryFn: c.retryFn, fallbackFn: c.fallbackFn, delayFn: c.delayFn}
+	*c = call{routeFn: c.routeFn, hedgeFn: c.hedgeFn, retryFn: c.retryFn, fallbackFn: c.fallbackFn, delayFn: c.delayFn}
 	m.calls = append(m.calls, c) //meshvet:allow poolescape this free list IS the pool: the one sanctioned retainer
 }
 
@@ -444,7 +508,7 @@ func (sc *Sidecar) Call(req *httpsim.Request, cb func(*httpsim.Response, error))
 	c.retry, c.breaker, c.start = sc.retryPolicyFor(service), sc.breakerFor(service), m.sched.Now()
 	sc.ensureDefenses(service)
 	sc.depositRetryTokens(service, *c.retry)
-	m.traverse(proxyWork{kind: proxyOutbound, call: c})
+	m.sched.After(m.proxyDelay(), c.routeFn)
 }
 
 // route runs a call once it has crossed the proxy: filters, the
